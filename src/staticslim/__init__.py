@@ -36,10 +36,12 @@ from .imageio import (
 from .pruner import (
     PruneReport,
     RetainList,
+    SlimResult,
     build_retain_list,
     compute_report,
     emit_slim_rootfs,
     match_tokens,
+    slim_image,
 )
 from .rootfs import (
     CommandLinkedList,

@@ -243,7 +243,7 @@ def analyze_data_dependencies(package: PackageRef, sink_names=DEFAULT_SINKS) -> 
                 continue
             enclosing = index.enclosing_function(call.token_index)
             res = jsmodule.resolve_expr(call.args[0], index, enclosing)
-            values, _fully = jsmodule.constant_fragments(res)
+            values, _ = jsmodule.constant_fragments(res)
             if res.used_defs:
                 first = res.used_defs[0]
                 kind = "variable-declarator" if first.kind == "decl" else "assignment"
@@ -253,10 +253,6 @@ def analyze_data_dependencies(package: PackageRef, sink_names=DEFAULT_SINKS) -> 
                     site = f"{src}:{d.line}"
                     if site not in steps:
                         steps.append(site)
-            elif res.via_param:
-                kind = "call-result"
-                source_location = sink_location
-                steps = []
             else:
                 kind = "call-result"
                 source_location = sink_location

@@ -20,12 +20,11 @@ from .errors import (
     PruneConsistencyError,
     SlimError,
 )
-from .imageio import build_slim_image, flatten_layers, load_image_archive
+from .imageio import flatten_layers, load_image_archive
 from .rootfs import (
     DEFAULT_SEARCH_DIRS,
     build_command_linked_list,
     collect_system_commands,
-    expand_command_linked_list,
     scan_rootfs,
 )
 
@@ -100,13 +99,6 @@ def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None
             click.echo(token)
 
 
-def _entrypoint_tokens(metadata) -> list[str]:
-    tokens = []
-    for part in (metadata.entrypoint or ()) + (metadata.cmd or ()):
-        tokens.extend(part.split())
-    return tokens
-
-
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "output_path", required=True, type=click.Path(dir_okay=False))
@@ -147,67 +139,29 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
             _fail(EXIT_ANALYSIS, f"strict mode: unresolved exec arguments at {', '.join(ctl.unresolved_sinks)}")
 
     try:
-        metadata, stack = load_image_archive(input_path)
-        rootfs = flatten_layers(stack)
-    except (ImageFormatError, IntegrityError, LayerSecurityError) as exc:
-        _fail(EXIT_FORMAT, f"load: {exc}")
-        return
-
-    info = scan_rootfs(rootfs)
-    commands = collect_system_commands(info, dirs)
-    cll = build_command_linked_list(commands, info, dirs)
-    expand_command_linked_list(cll, info, dirs)
-    if dump_cll:
-        Path(dump_cll).write_text(cll.dump())
-
-    for token in _entrypoint_tokens(metadata):
-        ctl.add(token, "exec-argument", "image-config")
-
-    match = pruner_mod.match_tokens(ctl, cll)
-    try:
-        if mode == "conservative":
-            retain = pruner_mod.RetainList()
-            for path in info.records:
-                retain.add(path, pruner_mod.REASON_CONSERVATIVE)
-        else:
-            entry_paths = [t for t in _entrypoint_tokens(metadata) if t.startswith("/")]
-            retain = pruner_mod.build_retain_list(
-                match.start_nodes, cll, info, rootfs, entry_paths=entry_paths
-            )
-        slim_tar = pruner_mod.emit_slim_rootfs(rootfs, retain)
+        result = pruner_mod.slim_image(
+            input_path,
+            ctl,
+            search_dirs=dirs,
+            conservative=mode == "conservative",
+            layout=layout,
+            gzip_layer=gzip_layer,
+        )
     except PruneConsistencyError as exc:
         _fail(EXIT_PRUNE, f"prune: {exc}")
         return
-    if dump_retain:
-        Path(dump_retain).write_text("".join(p + "\n" for p in sorted(retain.paths)))
-
-    try:
-        archive = build_slim_image(metadata, slim_tar, layout=layout, gzip_layer=gzip_layer)
     except SlimError as exc:
-        _fail(EXIT_FORMAT, f"build: {exc}")
+        _fail(EXIT_FORMAT, str(exc))
         return
-    Path(output_path).write_bytes(archive)
 
-    slim_rootfs = flatten_layers(load_image_archive_layers(archive))
-    after_info = scan_rootfs(slim_rootfs)
-    after_cll = build_command_linked_list(collect_system_commands(after_info, dirs), after_info, dirs)
-    prune_report = pruner_mod.compute_report(
-        rootfs, cll, retain, match=match, after_cll=after_cll
-    )
+    if dump_cll:
+        Path(dump_cll).write_text(result.cll.dump())
+    if dump_retain:
+        Path(dump_retain).write_text("".join(p + "\n" for p in sorted(result.retain.paths)))
+    Path(output_path).write_bytes(result.archive)
     if report:
-        Path(report).write_text(prune_report.to_json())
-    click.echo(prune_report.table())
-
-
-def load_image_archive_layers(archive: bytes):
-    """Layer stack of an in-memory archive (used to recount commands)."""
-    import tempfile
-
-    with tempfile.NamedTemporaryFile(suffix=".tar") as tmp:
-        tmp.write(archive)
-        tmp.flush()
-        _, stack = load_image_archive(tmp.name)
-    return stack
+        Path(report).write_text(result.report.to_json())
+    click.echo(result.report.table())
 
 
 @main.command()

@@ -484,11 +484,6 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _count_tar_members(data: bytes) -> int:
-    with tarfile.open(fileobj=io.BytesIO(data)) as tf:
-        return len(tf.getmembers())
-
-
 def _config_json(metadata: ImageMetadata, diff_ids: list[str]) -> bytes:
     conf: dict = {}
     if metadata.exposed_ports:
@@ -525,7 +520,9 @@ def build_slim_image(
     ``layout`` selects the output family ("oci" or "docker"); docker-save
     output always stores the layer uncompressed.
     """
-    if _count_tar_members(slim_rootfs_tar) == 0:
+    with tarfile.open(fileobj=io.BytesIO(slim_rootfs_tar)) as tf:
+        empty = tf.next() is None
+    if empty:
         raise EmptyImageError("slim rootfs tar contains no entries; refusing to build an image")
     if layout not in ("oci", "docker"):
         raise ValueError(f"unknown output layout {layout!r}")

@@ -4,6 +4,7 @@ Only paths containing ``/bin/``, ``/sbin/``, or ``/lib/`` are ever pruned
 (substring semantics, so ``/usr/bin/`` and ``/usr/lib/`` count). Everything
 retained is closed under symlink chains, hardlink targets, parent
 directories, and the needed-library set of dynamic executables.
+``slim_image`` runs the whole pipeline, from input archive to report.
 """
 
 from __future__ import annotations
@@ -25,13 +26,22 @@ from .imageio import (
     KIND_REGULAR,
     KIND_SYMLINK,
     FlattenedRootfs,
+    ImageMetadata,
+    build_slim_image,
+    flatten_layers,
+    load_image_archive,
 )
 from .rootfs import (
+    DEFAULT_SEARCH_DIRS,
     SHELL_BUILTINS,
     CommandLinkedList,
     FileInfoList,
+    build_command_linked_list,
+    collect_system_commands,
+    expand_command_linked_list,
     resolve_chain,
     resolve_entry,
+    scan_rootfs,
 )
 
 log = logging.getLogger(__name__)
@@ -310,37 +320,20 @@ def _human_size(n: int) -> str:
     return f"{n}B"
 
 
-def surviving_commands(cll: CommandLinkedList, info: FileInfoList, retain: RetainList) -> int:
-    """Head commands whose full chain still resolves inside the retain set."""
-    count = 0
-    for head in cll.heads:
-        alive = True
-        for path in resolve_chain(cll, head):
-            trace: list[str] = []
-            physical = resolve_entry(info, path, trace=trace)
-            needed = set(trace)
-            if physical is not None and physical in info.records:
-                needed.add(physical)
-            else:
-                alive = False
-                break
-            if not needed.issubset(retain.paths):
-                alive = False
-                break
-        if alive:
-            count += 1
-    return count
-
-
 def compute_report(
     rootfs: FlattenedRootfs,
     cll: CommandLinkedList,
     retain: RetainList,
+    info: FileInfoList,
     match: MatchResult | None = None,
-    after_cll: CommandLinkedList | None = None,
-    info: FileInfoList | None = None,
+    search_dirs=DEFAULT_SEARCH_DIRS,
 ) -> PruneReport:
-    """Sizes, ratio, and supported-command counts before and after pruning."""
+    """Sizes, ratio, and supported-command counts before and after pruning.
+
+    ``commands_after`` counts the heads of a command linked list built over
+    the retained part of ``info``: the commands ``inspect`` reports on the
+    slim image, dangling command links included.
+    """
     slim_size = sum(
         rec.size
         for path, rec in rootfs.entries.items()
@@ -348,13 +341,13 @@ def compute_report(
     )
     original = rootfs.total_size
     ratio = 0.0 if original == 0 else 1.0 - slim_size / original
-    commands_before = len(cll.heads)
-    if after_cll is not None:
-        commands_after = len(after_cll.heads)
-    elif info is not None:
-        commands_after = surviving_commands(cll, info, retain)
-    else:
-        commands_after = commands_before
+    kept = FileInfoList(
+        records={p: r for p, r in info.records.items() if p in retain.paths},
+        symlink_table={p: t for p, t in info.symlink_table.items() if p in retain.paths},
+    )
+    slim_cll = build_command_linked_list(
+        collect_system_commands(kept, search_dirs), kept, search_dirs
+    )
     return PruneReport(
         matched_tokens=dict(match.matched) if match else {},
         unmatched_tokens=list(match.unmatched) if match else [],
@@ -363,9 +356,66 @@ def compute_report(
         original_size=original,
         slim_size=slim_size,
         slimming_ratio=ratio,
-        commands_before=commands_before,
-        commands_after=commands_after,
+        commands_before=len(cll.heads),
+        commands_after=len(slim_cll.heads),
         missing_libraries=list(retain.missing_libraries),
         cycles=list(cll.cycles),
         warnings=list(rootfs.warnings),
     )
+
+
+@dataclass
+class SlimResult:
+    """What one slim run produced: the archive and the models behind it."""
+
+    archive: bytes
+    metadata: ImageMetadata
+    cll: CommandLinkedList
+    retain: RetainList
+    report: PruneReport
+
+
+def _entrypoint_tokens(metadata: ImageMetadata) -> list[str]:
+    tokens = []
+    for part in (metadata.entrypoint or ()) + (metadata.cmd or ()):
+        tokens.extend(part.split())
+    return tokens
+
+
+def slim_image(
+    input_path,
+    ctl: CommandTokenList,
+    *,
+    search_dirs=DEFAULT_SEARCH_DIRS,
+    conservative: bool = False,
+    layout: str = "oci",
+    gzip_layer: bool = False,
+) -> SlimResult:
+    """Slim one image archive: load, model, match, retain, emit, build, report.
+
+    The image's entrypoint and cmd words are added to ``ctl`` before
+    matching. ``conservative`` keeps every entry instead of pruning.
+    Raises a ``SlimError`` subclass when the input cannot be slimmed.
+    """
+    metadata, stack = load_image_archive(input_path)
+    rootfs = flatten_layers(stack)
+    info = scan_rootfs(rootfs)
+    commands = collect_system_commands(info, search_dirs)
+    cll = build_command_linked_list(commands, info, search_dirs)
+    expand_command_linked_list(cll, info, search_dirs)
+
+    entry_tokens = _entrypoint_tokens(metadata)
+    for token in entry_tokens:
+        ctl.add(token, "exec-argument", "image-config")
+    match = match_tokens(ctl, cll)
+    if conservative:
+        retain = RetainList()
+        for path in info.records:
+            retain.add(path, REASON_CONSERVATIVE)
+    else:
+        entry_paths = [t for t in entry_tokens if t.startswith("/")]
+        retain = build_retain_list(match.start_nodes, cll, info, rootfs, entry_paths=entry_paths)
+    slim_tar = emit_slim_rootfs(rootfs, retain)
+    archive = build_slim_image(metadata, slim_tar, layout=layout, gzip_layer=gzip_layer)
+    report = compute_report(rootfs, cll, retain, info, match=match, search_dirs=search_dirs)
+    return SlimResult(archive=archive, metadata=metadata, cll=cll, retain=retain, report=report)

@@ -35,17 +35,15 @@ from conftest import (
     snapshot_dir,
 )
 from staticslim.analyzer import CommandTokenList, analyze_project
-from staticslim.imageio import (
-    build_slim_image,
-    flatten_layers,
-    load_image_archive,
-)
+from staticslim.imageio import flatten_layers, load_image_archive
 from staticslim.pruner import (
+    RetainList,
     build_retain_list,
     compute_report,
     emit_slim_rootfs,
     in_prune_area,
     match_tokens,
+    slim_image,
 )
 from staticslim.rootfs import (
     DEFAULT_SEARCH_DIRS,
@@ -91,19 +89,16 @@ def _ctl(*tokens) -> CommandTokenList:
 
 
 def _slim_pipeline(archive_bytes: bytes, tokens, tmp_path, tag: str):
-    """load -> flatten -> model -> match -> retain -> emit -> build."""
+    """load -> flatten -> model -> match -> retain -> emit -> build -> report."""
     src = tmp_path / f"{tag}.tar"
     src.write_bytes(archive_bytes)
-    metadata, stack = load_image_archive(src)
-    rootfs = flatten_layers(stack)
-    info = scan_rootfs(rootfs)
-    cll = build_command_linked_list(collect_system_commands(info), info)
-    expand_command_linked_list(cll, info)
-    match = match_tokens(_ctl(*tokens), cll)
-    retain = build_retain_list(match.start_nodes, cll, info, rootfs)
-    slim_tar = emit_slim_rootfs(rootfs, retain)
-    archive = build_slim_image(metadata, slim_tar)
-    return archive, metadata, rootfs, retain, cll, info, match
+    return slim_image(src, _ctl(*tokens))
+
+
+def _rebuilt_head_count(rootfs, retain) -> int:
+    """Heads of a CLL rebuilt from the emitted slim rootfs tar."""
+    slim_info = scan_rootfs(flatten_layers(make_stack([emit_slim_rootfs(rootfs, retain)])))
+    return len(build_command_linked_list(collect_system_commands(slim_info), slim_info).heads)
 
 
 def test_criterion_1_fig4_reproduction(shell_rootfs):
@@ -214,7 +209,8 @@ def test_criterion_5_round_trip_and_idempotence(tmp_path):
         )
         fat = make_docker_archive([layer], cfg, repo_tag="roundtrip:fat")
 
-        first, metadata, *_ = _slim_pipeline(fat, ["sh"], tmp_path, "fat")
+        slimmed = _slim_pipeline(fat, ["sh"], tmp_path, "fat")
+        first, metadata = slimmed.archive, slimmed.metadata
         out = tmp_path / "first.tar"
         out.write_bytes(first)
         loaded, stack = load_image_archive(out)
@@ -222,7 +218,7 @@ def test_criterion_5_round_trip_and_idempotence(tmp_path):
         layer_blob = stack.layers[0]
         assert layer_blob.digest == sha256(layer_blob.data)  # digest matches content
 
-        second, *_ = _slim_pipeline(first, ["sh"], tmp_path, "slim-again")
+        second = _slim_pipeline(first, ["sh"], tmp_path, "slim-again").archive
         assert second == first  # second pass byte-identical
 
 
@@ -247,7 +243,8 @@ def test_criterion_6_static_coverage_of_unreached_branch(tmp_path):
 
         layer = make_layer_tar(_elf_image_members())
         fat = make_docker_archive([layer], default_config([layer]))
-        archive, _, _, retain, *_ = _slim_pipeline(fat, ctl.token_texts(), tmp_path, "fig2")
+        slimmed = _slim_pipeline(fat, ctl.token_texts(), tmp_path, "fig2")
+        archive, retain = slimmed.archive, slimmed.retain
         assert "/usr/bin/ls" in retain.paths
 
         out = tmp_path / "fig2-slim.tar"
@@ -263,7 +260,8 @@ def test_criterion_7_no_entry_point(tmp_path):
         cfg = default_config([layer])  # no Entrypoint, no Cmd
         fat = make_docker_archive([layer], cfg, repo_tag="noentry:latest")
 
-        archive, metadata, _, retain, *_ = _slim_pipeline(fat, ["sh"], tmp_path, "noentry")
+        slimmed = _slim_pipeline(fat, ["sh"], tmp_path, "noentry")
+        archive, metadata, retain = slimmed.archive, slimmed.metadata, slimmed.retain
         assert metadata.entrypoint is None
         assert metadata.cmd is None
         assert {"/usr/bin/sh", "/usr/bin/dash"} <= retain.paths
@@ -365,6 +363,13 @@ def test_criterion_9_safety_invariants():
 
             report = compute_report(rootfs, cll, retain, match=match, info=info)
             assert report.slim_size <= report.original_size, f"seed={seed}"
+            assert report.commands_after == _rebuilt_head_count(rootfs, retain), f"seed={seed}"
+
+            everything = RetainList()
+            for path in info.records:
+                everything.add(path, "conservative")
+            kept_all = compute_report(rootfs, cll, everything, match=match, info=info)
+            assert kept_all.commands_after == _rebuilt_head_count(rootfs, everything), f"seed={seed}"
 
 
 NETWORK_GATE = os.environ.get("STATICSLIM_NETWORK_TESTS") == "1"
@@ -419,7 +424,7 @@ def test_criterion_10_network_smoke(tmp_path):
     cfg["rootfs"]["diff_ids"] = [sha256(t) for t in layer_tars]
     fat = make_docker_archive(layer_tars, cfg, repo_tag="busybox:smoke")
 
-    archive, *_ = _slim_pipeline(fat, ["sh", "echo"], tmp_path, "busybox")
+    archive = _slim_pipeline(fat, ["sh", "echo"], tmp_path, "busybox").archive
     out = tmp_path / "busybox-slim.tar"
     out.write_bytes(archive)
     _, stack = load_image_archive(out)

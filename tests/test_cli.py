@@ -27,8 +27,8 @@ def runner():
     return CliRunner()
 
 
-def write_shell_image(tmp_path, name="fat.tar", config=None, layout="docker"):
-    layer = make_layer_tar(shell_chain_members())
+def write_shell_image(tmp_path, name="fat.tar", config=None, layout="docker", extra=()):
+    layer = make_layer_tar(shell_chain_members(extra))
     if layout == "docker":
         data = make_docker_archive([layer], config=config)
     else:
@@ -196,6 +196,18 @@ class TestSlim:
         )
         assert result.exit_code == 3
 
+    def test_empty_image_exit_code(self, runner, tmp_path):
+        image = tmp_path / "empty.tar"
+        image.write_bytes(make_docker_archive([make_layer_tar([])]))
+        out = tmp_path / "o.tar"
+        result = runner.invoke(
+            main,
+            ["slim", "--input", str(image), "--output", str(out), "--ctl", str(self._ctl(tmp_path))],
+        )
+        assert result.exit_code == 3
+        assert "no entries" in result.output
+        assert not out.exists()
+
     def test_report_ratio_matches_hand_arithmetic(self, runner, tmp_path):
         members = [
             {"path": "/usr", "kind": "directory"},
@@ -347,12 +359,22 @@ class TestInspect:
         assert "entrypoint: /bin/sh -c" in result.output
         assert "cmd: app" in result.output
 
-    def test_command_count_matches_report(self, runner, tmp_path):
-        image = write_shell_image(tmp_path)
+    @pytest.mark.parametrize(
+        "extra, tokens, flags, expected",
+        [
+            ((), ("sh",), (), 2),
+            # A retained dangling command link still counts, before and after.
+            (({"path": "/usr/bin/ghost", "kind": "symlink", "target": "missing"},), ("sh", "ghost"), (), 3),
+            ((), (), ("--conservative",), 3),
+        ],
+        ids=["sh", "dangling-link", "conservative"],
+    )
+    def test_command_count_matches_report(self, runner, tmp_path, extra, tokens, flags, expected):
+        image = write_shell_image(tmp_path, extra=extra)
         out = tmp_path / "slim.tar"
         report_path = tmp_path / "r.json"
         ctl = tmp_path / "c.ctl"
-        ctl.write_text("sh\n")
+        ctl.write_text("".join(t + "\n" for t in tokens))
         result = runner.invoke(
             main,
             [
@@ -361,10 +383,12 @@ class TestInspect:
                 "--output", str(out),
                 "--ctl", str(ctl),
                 "--report", str(report_path),
+                *flags,
             ],
         )
         assert result.exit_code == 0
         commands_after = json.loads(report_path.read_text())["commands_after"]
+        assert commands_after == expected
         result = runner.invoke(main, ["inspect", "--input", str(out)])
         assert f"commands supported: {commands_after}" in result.output
 

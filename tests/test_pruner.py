@@ -19,7 +19,6 @@ from staticslim.pruner import (
     emit_slim_rootfs,
     in_prune_area,
     match_tokens,
-    surviving_commands,
 )
 from staticslim.rootfs import (
     build_command_linked_list,
@@ -360,8 +359,9 @@ class TestReport:
         assert doc["commands_before"] >= doc["commands_after"]
         assert "original size" in report.table()
 
-    def test_surviving_commands_counts_full_chain(self):
+    def test_commands_after_counts_retained_heads(self):
         rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        expand_command_linked_list(cll, info)
+        report = compute_report(rootfs, cll, retain, match=match, info=info)
         # sh and dash chains survive entirely; perl's binary is gone.
-        assert surviving_commands(cll, info, retain) == 2
+        assert report.commands_before == 3
+        assert report.commands_after == 2
