@@ -9,7 +9,6 @@ from .analyzer import (
     analyze_project,
     enumerate_dependency_chain,
     extract_command_tokens,
-    filter_packages,
 )
 from .elf import ElfClosure, read_dynamic_info, resolve_elf_dependencies
 from .errors import (

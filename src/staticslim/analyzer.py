@@ -1,16 +1,19 @@
 """Command token extraction from a project and its installed dependencies.
 
-Walks the installed dependency tree, prefilters packages with a textual
-exec-call pattern, resolves exec-family call arguments through the module
-scanner, and tokenizes shell scripts. Everything runs offline against the
-files on disk.
+Walks the installed dependency tree, reads each source file once, lexes
+only files that textually contain an exec-family call (resolution is
+intra-module, so no other file can contribute), resolves the call arguments
+through the module scanner, and tokenizes shell scripts. Everything runs
+offline against the files on disk.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +40,6 @@ class PackageRef:
     version: str
     root_dir: Path
     source_files: list[Path] = field(default_factory=list)
-    is_root: bool = False
 
 
 @dataclass
@@ -112,14 +114,22 @@ def _read_manifest(pkg_dir: Path) -> dict:
         raise AnalysisError(f"cannot read {manifest}: {exc}") from exc
 
 
+def _walk_files(top: Path, include_dependencies: bool = False) -> list[Path]:
+    """Every file below ``top`` in ``Path`` order.
+
+    Installed ``node_modules`` trees are not entered unless
+    ``include_dependencies`` is set. Broken symlinks are dropped.
+    """
+    found = []
+    for dirpath, dirnames, filenames in os.walk(top):
+        if not include_dependencies and "node_modules" in dirnames:
+            dirnames.remove("node_modules")
+        found.extend(Path(dirpath, name) for name in filenames)
+    return sorted(path for path in found if path.is_file())
+
+
 def _source_files(pkg_dir: Path) -> list[Path]:
-    out = []
-    for path in sorted(pkg_dir.rglob("*")):
-        if "node_modules" in path.parts[len(pkg_dir.parts):]:
-            continue
-        if path.is_file() and path.suffix in _SOURCE_SUFFIXES:
-            out.append(path)
-    return out
+    return [path for path in _walk_files(pkg_dir) if path.suffix in _SOURCE_SUFFIXES]
 
 
 def _find_installed(name: str, start_dir: Path, project_dir: Path) -> Path | None:
@@ -144,7 +154,6 @@ def enumerate_dependency_chain(project_dir) -> list[PackageRef]:
         version=manifest.get("version") or "0.0.0",
         root_dir=project_dir,
         source_files=_source_files(project_dir),
-        is_root=True,
     )
     deps = dict(manifest.get("dependencies") or {})
     deps.update(manifest.get("devDependencies") or {})
@@ -156,9 +165,9 @@ def enumerate_dependency_chain(project_dir) -> list[PackageRef]:
 
     packages = [root]
     seen_dirs = {project_dir}
-    queue: list[tuple[str, Path]] = [(name, project_dir) for name in sorted(deps)]
+    queue = deque((name, project_dir) for name in sorted(deps))
     while queue:
-        name, wanted_by = queue.pop(0)
+        name, wanted_by = queue.popleft()
         found = _find_installed(name, wanted_by, project_dir)
         if found is None:
             log.warning("dependency %r of %s is not installed; skipped", name, wanted_by)
@@ -181,46 +190,45 @@ def enumerate_dependency_chain(project_dir) -> list[PackageRef]:
     return packages
 
 
+# Whitespace and comments may part a callee from its "(". Each alternative
+# matches a given gap one way only, so a bare sink name followed by many
+# comments cannot make the search backtrack exponentially.
+_CALL_GAP = r"(?:\s|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|//[^\n]*\n)*"
+
+
 def exec_call_pattern(sink_names=DEFAULT_SINKS) -> re.Pattern:
+    """Text the module scanner may lex as a sink call: a sink name not glued to
+    a preceding ASCII identifier or number character (``\\b`` would miss
+    ``½exec(``, which the scanner lexes as a call), a gap, then ``(``."""
     alternatives = "|".join(re.escape(s) for s in sorted(sink_names))
-    return re.compile(rf"\b(?:{alternatives})\s*\(")
-
-
-def filter_packages(packages: list[PackageRef], sink_names=DEFAULT_SINKS) -> list[PackageRef]:
-    """Keep only packages whose sources textually mention an exec-family call.
-
-    The pattern is a superset of the analyzer's sink grammar, so this filter
-    never drops a package the analyzer could extract from. The project itself
-    always survives.
-    """
-    pattern = exec_call_pattern(sink_names)
-    kept = []
-    for pkg in packages:
-        if pkg.is_root:
-            kept.append(pkg)
-            continue
-        for src in pkg.source_files:
-            try:
-                text = src.read_text(errors="replace")
-            except OSError as exc:
-                log.warning("cannot read %s: %s; skipped", src, exc)
-                continue
-            if pattern.search(text):
-                kept.append(pkg)
-                break
-    return kept
+    return re.compile(rf"(?<![A-Za-z0-9_$])(?:{alternatives}){_CALL_GAP}\(")
 
 
 def analyze_data_dependencies(package: PackageRef, sink_names=DEFAULT_SINKS) -> list[TaintPath]:
     """Resolve the command argument of every exec-family call in the package."""
+    paths, _ = _resolve_sources(package.source_files, frozenset(sink_names))
+    return paths
+
+
+def _resolve_sources(files: list[Path], sinks: frozenset[str]) -> tuple[list[TaintPath], int]:
+    """Taint paths of every sink call in ``files``, and how many files were lexed.
+
+    Each file is read once. Only files that match ``exec_call_pattern`` are
+    lexed: resolution never looks beyond the file's own module index, so any
+    other file cannot yield a path.
+    """
+    gate = exec_call_pattern(sinks)
     paths: list[TaintPath] = []
-    sinks = frozenset(sink_names)
-    for src in package.source_files:
+    lexed = 0
+    for src in files:
         try:
             text = src.read_text(errors="replace")
         except OSError as exc:
             log.warning("cannot read %s: %s; skipped", src, exc)
             continue
+        if not gate.search(text):
+            continue
+        lexed += 1
         try:
             index = jsmodule.scan_module(str(src), text, sinks)
         except Exception as exc:  # a broken source must never abort the run
@@ -266,19 +274,16 @@ def analyze_data_dependencies(package: PackageRef, sink_names=DEFAULT_SINKS) -> 
                     resolved_values=values,
                 )
             )
-    return paths
+    return paths, lexed
 
 
 def find_shell_scripts(project_dir, include_dependencies: bool = False) -> list[Path]:
     """Shell scripts in the project folder plus any docker-entrypoint.sh."""
-    project_dir = Path(project_dir)
-    out = []
-    for path in sorted(project_dir.rglob("*.sh")):
-        inside_deps = "node_modules" in path.parts[len(project_dir.parts):]
-        if inside_deps and not include_dependencies:
-            continue
-        out.append(path)
-    return out
+    return [
+        path
+        for path in _walk_files(Path(project_dir), include_dependencies)
+        if path.name.endswith(".sh")
+    ]
 
 
 def extract_command_tokens(paths: list[TaintPath], shell_files: list[Path]) -> CommandTokenList:
@@ -314,16 +319,10 @@ def analyze_project(
     sink_names=DEFAULT_SINKS,
     include_dependency_scripts: bool = False,
 ) -> CommandTokenList:
-    """Full step-one pipeline: dependency chain, filter, resolve, tokenize."""
+    """Full step-one pipeline: dependency chain, gated resolve, tokenize."""
     packages = enumerate_dependency_chain(project_dir)
-    candidates = filter_packages(packages, sink_names)
-    log.info(
-        "analyzing %d of %d packages with exec-family calls",
-        len(candidates),
-        len(packages),
-    )
-    taint_paths: list[TaintPath] = []
-    for pkg in candidates:
-        taint_paths.extend(analyze_data_dependencies(pkg, sink_names))
+    sources = [src for pkg in packages for src in pkg.source_files]
+    taint_paths, lexed = _resolve_sources(sources, frozenset(sink_names))
+    log.info("lexed %d of %d source files", lexed, len(sources))
     shell_files = find_shell_scripts(project_dir, include_dependency_scripts)
     return extract_command_tokens(taint_paths, shell_files)

@@ -234,25 +234,23 @@ def resolve_elf_dependencies(
         lib_dirs = rootfs_library_dirs(rootfs, info)
     search_dirs = list(extra_lib_dirs) + lib_dirs
 
-    root_info = _object_info(rootfs, info, binary_path)
+    _, root_terminal = _chain_entries(info, binary_path)
+    root_info = _object_info(rootfs, root_terminal, binary_path)
     if root_info is None or not root_info.is_dynamic:
         return closure
 
+    queue: list[tuple[str, DynamicInfo]] = [(binary_path, root_info)]
+    seen_objects = {root_terminal}
+    seen_names: set[str] = set()
     if root_info.interpreter:
         closure.interpreter = root_info.interpreter
         hops, terminal = _chain_entries(info, root_info.interpreter)
         closure.paths.update(hops)
         if terminal is None:
             closure.missing.append(root_info.interpreter)
-
-    queue: list[tuple[str, DynamicInfo]] = [(binary_path, root_info)]
-    seen_objects = {_terminal_of(info, binary_path)}
-    seen_names: set[str] = set()
-    if root_info.interpreter:
-        terminal = _terminal_of(info, root_info.interpreter)
-        if terminal is not None and terminal not in seen_objects:
+        elif terminal not in seen_objects:
             seen_objects.add(terminal)
-            interp_info = _object_info(rootfs, info, terminal)
+            interp_info = _object_info(rootfs, terminal, terminal)
             if interp_info is not None and interp_info.is_dynamic:
                 queue.append((terminal, interp_info))
 
@@ -275,26 +273,20 @@ def resolve_elf_dependencies(
             if terminal in seen_objects:
                 continue
             seen_objects.add(terminal)
-            dep_info = _object_info(rootfs, info, terminal)
+            dep_info = _object_info(rootfs, terminal, terminal)
             if dep_info is not None and dep_info.is_dynamic:
                 queue.append((terminal, dep_info))
     return closure
 
 
-def _terminal_of(info: FileInfoList, path: str) -> str | None:
-    _, terminal = _chain_entries(info, path)
-    return terminal
-
-
-def _object_info(rootfs: FlattenedRootfs, info: FileInfoList, path: str) -> DynamicInfo | None:
-    _, terminal = _chain_entries(info, path)
+def _object_info(rootfs: FlattenedRootfs, terminal: str | None, origin: str) -> DynamicInfo | None:
     if terminal is None:
         return None
     try:
         data = rootfs.data_for(terminal)
     except KeyError:
         return None
-    return read_dynamic_info(data, origin=path)
+    return read_dynamic_info(data, origin=origin)
 
 
 def _object_search_dirs(obj_info: DynamicInfo, obj_path: str, base: list[str]) -> list[str]:

@@ -1,13 +1,17 @@
-"""Dependency enumeration, package filtering, and exec-argument resolution."""
+"""Dependency enumeration, the per-file sink gate, and exec-argument resolution."""
 
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from staticslim import jsmodule
 from staticslim.analyzer import (
     DEFAULT_SINKS,
     CommandTokenList,
@@ -17,7 +21,6 @@ from staticslim.analyzer import (
     enumerate_dependency_chain,
     exec_call_pattern,
     extract_command_tokens,
-    filter_packages,
     find_shell_scripts,
 )
 from staticslim.errors import AnalysisError
@@ -41,11 +44,29 @@ def project(tmp_path):
     return write_package(tmp_path / "app", "app", files={"index.js": "console.log('hi');\n"})
 
 
+@pytest.fixture
+def lexed(monkeypatch):
+    """Every path the analyzer hands to the module scanner, in call order."""
+    seen: list[Path] = []
+    scan_module = jsmodule.scan_module
+
+    def recording(path, source, sink_names):
+        seen.append(Path(path))
+        return scan_module(path, source, sink_names)
+
+    monkeypatch.setattr(jsmodule, "scan_module", recording)
+    return seen
+
+
+def _relative(paths, root) -> list[str]:
+    return sorted(p.relative_to(root.resolve()).as_posix() for p in paths)
+
+
 class TestDependencyChain:
     def test_no_dependencies(self, project):
         packages = enumerate_dependency_chain(project)
         assert [p.name for p in packages] == ["app"]
-        assert packages[0].is_root
+        assert packages[0].root_dir == project.resolve()
 
     def test_three_direct_two_transitive(self, tmp_path):
         root = write_package(
@@ -102,7 +123,7 @@ class TestDependencyChain:
         with pytest.raises(AnalysisError, match="package manifest"):
             enumerate_dependency_chain(empty)
 
-    def test_scoped_package(self, tmp_path):
+    def test_scoped_package(self, tmp_path, lexed):
         root = write_package(tmp_path / "app", "app", dependencies=["@org/util"])
         write_package(
             root / "node_modules" / "@org" / "util",
@@ -111,32 +132,71 @@ class TestDependencyChain:
         )
         packages = enumerate_dependency_chain(root)
         assert sorted(p.name for p in packages) == ["@org/util", "app"]
-        kept = filter_packages(packages)
-        assert "@org/util" in [p.name for p in kept]
+        ctl = analyze_project(root)
+        assert _relative(lexed, root) == ["node_modules/@org/util/u.js"]
+        assert ctl.token_texts() == ["renice", "5"]
+
+    def test_source_files_in_path_order_without_dependencies(self, tmp_path):
+        root = write_package(
+            tmp_path / "app",
+            "app",
+            files={"a-b/x.js": "", "a/x.js": "", "a/notes.txt": "", "lib/m.cjs": ""},
+            dependencies=["dep"],
+        )
+        write_package(root / "node_modules" / "dep", "dep", files={"d.js": ""})
+        os.symlink("missing.js", root / "dangling.js")
+        sources = enumerate_dependency_chain(root)[0].source_files
+        # Path order compares parts, so "a/x.js" sorts before "a-b/x.js".
+        assert [p.relative_to(root.resolve()).as_posix() for p in sources] == [
+            "a/x.js",
+            "a-b/x.js",
+            "lib/m.cjs",
+        ]
 
 
 class TestFilterPackages:
-    def test_exec_call_retained(self, tmp_path):
+    """Which files ``analyze_project`` lexes: only those with sink-call text."""
+
+    def test_exec_call_retained(self, tmp_path, lexed):
         root = write_package(tmp_path / "app", "app", dependencies=["uses", "clean"])
         nm = root / "node_modules"
         write_package(nm / "uses", "uses", files={"u.js": 'exec("ls")\n'})
         write_package(nm / "clean", "clean", files={"c.js": "module.exports = 1;\n"})
-        packages = enumerate_dependency_chain(root)
-        kept = filter_packages(packages)
-        assert sorted(p.name for p in kept) == ["app", "uses"]
+        ctl = analyze_project(root)
+        assert _relative(lexed, root) == ["node_modules/uses/u.js"]
+        assert ctl.token_texts() == ["ls"]
 
-    def test_project_always_survives(self, project):
-        packages = enumerate_dependency_chain(project)
-        assert [p.name for p in filter_packages(packages)] == ["app"]
+    def test_project_always_survives(self, tmp_path, lexed):
+        root = write_package(
+            tmp_path / "app",
+            "app",
+            files={"index.js": "exec('whoami');\n", "util.js": "module.exports = 1;\n"},
+            dependencies=["clean"],
+        )
+        write_package(root / "node_modules" / "clean", "clean", files={"c.js": "x = 1\n"})
+        ctl = analyze_project(root)
+        assert _relative(lexed, root) == ["index.js"]
+        assert ctl.token_texts() == ["whoami"]
 
-    def test_two_of_thirty(self, tmp_path):
+    def test_two_of_thirty(self, tmp_path, lexed):
         root = write_package(tmp_path / "app", "app", dependencies=[f"d{i}" for i in range(30)])
         nm = root / "node_modules"
         for i in range(30):
             body = "exec('true')\n" if i in (7, 21) else "x = 1\n"
             write_package(nm / f"d{i}", f"d{i}", files={"m.js": body})
-        kept = filter_packages(enumerate_dependency_chain(root))
-        assert sorted(p.name for p in kept) == ["app", "d21", "d7"]
+        ctl = analyze_project(root)
+        assert _relative(lexed, root) == ["node_modules/d21/m.js", "node_modules/d7/m.js"]
+        assert ctl.token_texts() == ["true"]
+
+    @pytest.mark.parametrize(
+        "call", ['exec /* run */ ("ls")', 'exec // run\n("ls")', 'x = \u00bdexec("ls")']
+    )
+    def test_dependency_call_with_comment_or_non_ascii_prefix(self, tmp_path, call):
+        # The scanner treats each of these as a sink call: it skips comments
+        # between callee and "(", and lexes "\u00bd" as punctuation.
+        root = write_package(tmp_path / "app", "app", dependencies=["dep"])
+        write_package(root / "node_modules" / "dep", "dep", files={"d.js": call + ";\n"})
+        assert analyze_project(root).token_texts() == ["ls"]
 
     @given(
         sink=st.sampled_from(sorted(DEFAULT_SINKS)),
@@ -148,6 +208,37 @@ class TestFilterPackages:
         # textually by the prefilter pattern.
         text = f"{prefix}{sink}{pad}('x')"
         assert exec_call_pattern().search(text)
+
+    @given(
+        prefix=st.one_of(
+            st.sampled_from(["", "cp.", "$", "x = ", "'s' + ", "/re/g, ", "/re/", "1 + ", "1"]),
+            st.characters(),
+        ),
+        sink=st.sampled_from(sorted(DEFAULT_SINKS)),
+        gap=st.lists(
+            st.one_of(
+                st.text(alphabet=" \t\n\r\f\v", min_size=1, max_size=3),
+                st.text(alphabet="ab */(\n", max_size=6).map(lambda body: f"/*{body}*/"),
+                st.text(alphabet="ab */(", max_size=6).map(lambda body: f"//{body}\n"),
+            ),
+            max_size=4,
+        ).map("".join),
+    )
+    @example(prefix="", sink="exec", gap="/* c */")
+    @example(prefix="\u00bd", sink="exec", gap="")
+    def test_gate_is_superset_of_scanned_sink_calls(self, prefix, sink, gap):
+        # Whenever the scanner records a sink call in a file, the file passes
+        # the gate; otherwise the analyzer would never lex it.
+        text = f"{prefix}{sink}{gap}('x')"
+        index = jsmodule.scan_module("t.js", text, DEFAULT_SINKS)
+        if any(call.callee in DEFAULT_SINKS for call in index.calls):
+            assert exec_call_pattern().search(text)
+
+    def test_gate_is_linear_in_comments_after_a_bare_sink_name(self):
+        # A sink name followed by many comments and no "(" must not make the
+        # search backtrack over every way to split the comments.
+        text = "exec " + "/**/ // c\n" * 200 + "x"
+        assert exec_call_pattern().search(text) is None
 
 
 def _single_package(tmp_path, source: str):
@@ -355,3 +446,29 @@ class TestAnalyzeProject:
         second = analyze_project(root)
         assert first.token_texts() == second.token_texts()
         assert [t.origin for t in first.tokens] == [t.origin for t in second.tokens]
+
+    def test_each_file_read_once(self, tmp_path, monkeypatch):
+        root = write_package(
+            tmp_path / "app",
+            "app",
+            files={"a.js": "exec('ls');\n", "b.js": "x = 1;\n", "s.sh": "#!/bin/sh\ndate\n"},
+            dependencies=["uses", "clean"],
+        )
+        nm = root / "node_modules"
+        write_package(nm / "uses", "uses", files={"u.js": "exec('id')\n", "v.js": "y = 2\n"})
+        write_package(nm / "clean", "clean", files={"c.js": "module.exports = 1;\n"})
+        reads: Counter = Counter()
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads[self.resolve()] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        ctl = analyze_project(root)
+        assert ctl.token_texts() == ["ls", "id", "/bin/sh", "date"]
+        sources = {p for p in reads if p.suffix == ".js"}
+        assert _relative(sources, root) == [
+            "a.js", "b.js", "node_modules/clean/c.js", "node_modules/uses/u.js", "node_modules/uses/v.js",
+        ]
+        assert max(reads.values()) == 1
