@@ -45,12 +45,10 @@ from .pruner import (
 from .rootfs import (
     CommandLinkedList,
     CommandNode,
-    FileInfoList,
     build_command_linked_list,
     collect_system_commands,
     expand_command_linked_list,
     resolve_chain,
-    scan_rootfs,
 )
 
 __version__ = "0.1.0"

@@ -12,21 +12,9 @@ import click
 from . import analyzer as analyzer_mod
 from . import pruner as pruner_mod
 from .analyzer import DEFAULT_SINKS, CommandTokenList
-from .errors import (
-    AnalysisError,
-    ImageFormatError,
-    IntegrityError,
-    LayerSecurityError,
-    PruneConsistencyError,
-    SlimError,
-)
+from .errors import AnalysisError, PruneConsistencyError, SlimError
 from .imageio import flatten_layers, load_image_archive
-from .rootfs import (
-    DEFAULT_SEARCH_DIRS,
-    build_command_linked_list,
-    collect_system_commands,
-    scan_rootfs,
-)
+from .rootfs import DEFAULT_SEARCH_DIRS, build_command_linked_list, collect_system_commands
 
 log = logging.getLogger(__name__)
 
@@ -173,13 +161,12 @@ def inspect(input_path, search_dirs) -> None:
     try:
         metadata, stack = load_image_archive(input_path)
         rootfs = flatten_layers(stack)
-    except (ImageFormatError, IntegrityError, LayerSecurityError) as exc:
+    except SlimError as exc:
         _fail(EXIT_FORMAT, str(exc))
         return
 
-    info = scan_rootfs(rootfs)
-    commands = collect_system_commands(info, dirs)
-    cll = build_command_linked_list(commands, info, dirs)
+    commands = collect_system_commands(rootfs, dirs)
+    cll = build_command_linked_list(commands, rootfs, dirs)
 
     def show(label, value):
         click.echo(f"{label}: {value}")

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .imageio import KIND_DIRECTORY, KIND_SYMLINK, FlattenedRootfs
-from .rootfs import FileInfoList, lookup_record, resolve_entry, scan_rootfs
+from .rootfs import lookup_record, resolve_entry
 
 log = logging.getLogger(__name__)
 
@@ -148,13 +148,13 @@ class ElfClosure:
     interpreter: str | None = None
 
 
-def library_search_dirs(info: FileInfoList) -> list[str]:
+def library_search_dirs(rootfs: FlattenedRootfs) -> list[str]:
     """Default library directories plus architecture-triplet subdirectories
     (``x86_64-linux-gnu`` style) discovered inside the rootfs."""
     dirs = list(DEFAULT_LIB_DIRS)
     for base in DEFAULT_LIB_DIRS:
         prefix = base + "/"
-        for path, rec in info.records.items():
+        for path, rec in rootfs.entries.items():
             if rec.kind != KIND_DIRECTORY or not path.startswith(prefix):
                 continue
             if posixpath.dirname(path) == base and "-linux-" in posixpath.basename(path):
@@ -162,10 +162,10 @@ def library_search_dirs(info: FileInfoList) -> list[str]:
     return dirs
 
 
-def _loader_conf_paths(info: FileInfoList) -> list[str]:
+def _loader_conf_paths(rootfs: FlattenedRootfs) -> list[str]:
     return sorted(
         p
-        for p in info.records
+        for p in rootfs.entries
         if p == "/etc/ld.so.conf"
         or (p.startswith("/etc/ld.so.conf.d/") and p.endswith(".conf"))
     )
@@ -185,56 +185,54 @@ def _loader_conf_dirs(rootfs: FlattenedRootfs, conf_paths) -> list[str]:
     return dirs
 
 
-def _chain_entries(info: FileInfoList, path: str) -> tuple[list[str], str | None]:
-    """Every spelling on the symlink chain of ``path`` plus the terminal entry."""
-    out = []
+def _chain_entries(rootfs: FlattenedRootfs, path: str) -> tuple[list[str], str | None]:
+    """Every entry the loader crosses to open ``path``, plus the terminal entry.
+
+    The entries are each spelling on the symlink chain of ``path`` and every
+    directory symlink crossed while resolving those spellings.
+    """
+    out: list[str] = []
     seen = set()
     current = path
     while True:
-        physical = resolve_entry(info, current)
+        physical = resolve_entry(rootfs, current, trace=out)
         if physical is None or physical in seen:
             return out, None
-        rec = info.records.get(physical)
+        rec = rootfs.entries.get(physical)
         if rec is None:
             return out, None
         seen.add(physical)
         out.append(physical)
         if rec.kind != KIND_SYMLINK:
             return out, physical
-        current = info.symlink_table[physical]
+        current = rootfs.symlink_table[physical]
 
 
-def rootfs_library_dirs(rootfs: FlattenedRootfs, info: FileInfoList) -> list[str]:
+def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
     """Loader-configured directories followed by the default set."""
-    conf_dirs = _loader_conf_dirs(rootfs, _loader_conf_paths(info))
-    return conf_dirs + library_search_dirs(info)
+    conf_dirs = _loader_conf_dirs(rootfs, _loader_conf_paths(rootfs))
+    return conf_dirs + library_search_dirs(rootfs)
 
 
 def resolve_elf_dependencies(
     binary_path: str,
     rootfs: FlattenedRootfs,
-    info: FileInfoList | None = None,
-    extra_lib_dirs=(),
     lib_dirs: list[str] | None = None,
 ) -> ElfClosure:
     """Transitive needed-library closure of ``binary_path`` inside the rootfs.
 
     Non-ELF and statically linked files yield an empty closure. Unresolvable
     needed names are recorded as missing, never fatal. The returned paths
-    include every symlink hop crossed while resolving library names, plus the
-    program interpreter of the root object. Pass a precomputed ``lib_dirs``
-    (from rootfs_library_dirs) when resolving many binaries against one
-    rootfs.
+    include every symlink hop crossed while resolving library names, directory
+    symlinks on the way included, plus the program interpreter of the root
+    object. Pass a precomputed ``lib_dirs`` (from rootfs_library_dirs) when
+    resolving many binaries against one rootfs.
     """
-    if info is None:
-        info = scan_rootfs(rootfs)
     closure = ElfClosure()
-
     if lib_dirs is None:
-        lib_dirs = rootfs_library_dirs(rootfs, info)
-    search_dirs = list(extra_lib_dirs) + lib_dirs
+        lib_dirs = rootfs_library_dirs(rootfs)
 
-    _, root_terminal = _chain_entries(info, binary_path)
+    _, root_terminal = _chain_entries(rootfs, binary_path)
     root_info = _object_info(rootfs, root_terminal, binary_path)
     if root_info is None or not root_info.is_dynamic:
         return closure
@@ -244,7 +242,7 @@ def resolve_elf_dependencies(
     seen_names: set[str] = set()
     if root_info.interpreter:
         closure.interpreter = root_info.interpreter
-        hops, terminal = _chain_entries(info, root_info.interpreter)
+        hops, terminal = _chain_entries(rootfs, root_info.interpreter)
         closure.paths.update(hops)
         if terminal is None:
             closure.missing.append(root_info.interpreter)
@@ -256,16 +254,16 @@ def resolve_elf_dependencies(
 
     while queue:
         obj_path, obj_info = queue.pop(0)
-        obj_dirs = _object_search_dirs(obj_info, obj_path, search_dirs)
+        obj_dirs = _object_search_dirs(obj_info, obj_path, lib_dirs)
         for name in obj_info.needed:
             if name in seen_names:
                 continue
             seen_names.add(name)
-            spelled = _find_library(info, name, obj_dirs)
+            spelled = _find_library(rootfs, name, obj_dirs)
             if spelled is None:
                 closure.missing.append(name)
                 continue
-            hops, terminal = _chain_entries(info, spelled)
+            hops, terminal = _chain_entries(rootfs, spelled)
             closure.paths.update(hops)
             if terminal is None:
                 closure.missing.append(name)
@@ -297,13 +295,13 @@ def _object_search_dirs(obj_info: DynamicInfo, obj_path: str, base: list[str]) -
     return expanded + base
 
 
-def _find_library(info: FileInfoList, name: str, search_dirs) -> str | None:
+def _find_library(rootfs: FlattenedRootfs, name: str, search_dirs) -> str | None:
     if "/" in name:
-        rec = lookup_record(info, name)
+        rec = lookup_record(rootfs, name)
         return name if rec is not None else None
     for d in search_dirs:
         candidate = d + "/" + name
-        rec = lookup_record(info, candidate)
+        rec = lookup_record(rootfs, candidate)
         if rec is not None and rec.kind != KIND_DIRECTORY:
             return candidate
     return None

@@ -15,6 +15,7 @@ import json
 import logging
 import posixpath
 import tarfile
+import zlib
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -62,6 +63,10 @@ KIND_SYMLINK = "symlink"
 KIND_HARDLINK = "hardlink"
 KIND_DEVICE = "device"
 KIND_FIFO = "fifo"
+
+# What a damaged layer stream raises: tarfile's own errors and, underneath
+# them, those of gzip and zlib (a truncated stream ends in EOFError).
+_LAYER_STREAM_ERRORS = (tarfile.TarError, gzip.BadGzipFile, EOFError, zlib.error)
 
 _TAR_KIND = {
     tarfile.REGTYPE: KIND_REGULAR,
@@ -162,12 +167,31 @@ class FileRecord:
 
 @dataclass
 class FlattenedRootfs:
-    """Union of all layers: path -> record, plus regular-file contents."""
+    """Union of all layers: the one model of the image file system.
+
+    ``entries`` maps path -> record in path order; ``content`` holds the
+    regular-file bytes. ``symlink_table`` maps each symlink entry to its
+    absolute, normalized target and is derived from ``entries`` on
+    construction.
+    """
 
     entries: dict[str, FileRecord]
     content: dict[str, bytes] = field(default_factory=dict)
     total_size: int = 0
     warnings: list[str] = field(default_factory=list)
+    symlink_table: dict[str, str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.entries = dict(sorted(self.entries.items()))
+        self.symlink_table = {}
+        for path, rec in self.entries.items():
+            if rec.kind == KIND_SYMLINK and rec.link_target is not None:
+                target = rec.link_target
+                if not target.startswith("/"):
+                    # Relative targets resolve against the physical parent of
+                    # the entry that carries the link.
+                    target = posixpath.join(posixpath.dirname(path), target)
+                self.symlink_table[path] = posixpath.normpath(target)
 
     def data_for(self, path: str) -> bytes:
         """Bytes of a regular file, following hardlinks."""
@@ -198,13 +222,6 @@ def _clean_member_path(name: str) -> str | None:
     return "/" + "/".join(segments)
 
 
-def _normalize_link(target: str, parent: str) -> str:
-    """Absolute, normalized form of a link target found at ``parent``."""
-    if not target.startswith("/"):
-        target = posixpath.join(parent, target)
-    return posixpath.normpath(target)
-
-
 def _delete_subtree(entries: dict, content: dict, path: str) -> None:
     prefix = path + "/"
     for p in [p for p in entries if p == path or p.startswith(prefix)]:
@@ -222,6 +239,75 @@ def _ensure_parents(entries: dict[str, FileRecord], path: str) -> None:
         entries[p] = FileRecord(path=p, kind=KIND_DIRECTORY, mode=0o755)
 
 
+def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
+                 warnings: list[str]) -> None:
+    """Apply the members of one layer to the flattened state in place."""
+    members = tf.getmembers()
+
+    # Whiteouts of this layer act on the state built from lower layers.
+    for m in members:
+        path = _clean_member_path(m.name)
+        if path is None:
+            continue
+        base = posixpath.basename(path)
+        parent = posixpath.dirname(path)
+        if base == OPAQUE_MARKER:
+            prefix = parent.rstrip("/") + "/"
+            for p in [p for p in entries if p.startswith(prefix)]:
+                entries.pop(p, None)
+                content.pop(p, None)
+        elif base.startswith(WHITEOUT_PREFIX):
+            target = posixpath.join(parent, base[len(WHITEOUT_PREFIX):])
+            _delete_subtree(entries, content, target)
+
+    for m in members:
+        path = _clean_member_path(m.name)
+        if path is None:
+            continue
+        base = posixpath.basename(path)
+        if base.startswith(WHITEOUT_PREFIX):
+            continue
+        kind = _TAR_KIND.get(m.type)
+        if kind is None:
+            msg = f"layer {index}: unknown tar entry type {m.type!r} for {path}, skipped"
+            log.warning(msg)
+            warnings.append(msg)
+            continue
+
+        existing = entries.get(path)
+        if existing is not None and existing.kind == KIND_DIRECTORY and kind != KIND_DIRECTORY:
+            _delete_subtree(entries, content, path)
+        elif existing is not None and kind != existing.kind:
+            content.pop(path, None)
+
+        link_target = None
+        if kind == KIND_SYMLINK:
+            link_target = m.linkname
+        elif kind == KIND_HARDLINK:
+            link_target = _clean_member_path(m.linkname)
+
+        record = FileRecord(
+            path=path,
+            kind=kind,
+            mode=m.mode,
+            size=m.size if kind == KIND_REGULAR else 0,
+            link_target=link_target,
+            uid=m.uid,
+            gid=m.gid,
+            mtime=int(m.mtime),
+            uname=m.uname or "",
+            gname=m.gname or "",
+            devmajor=m.devmajor,
+            devminor=m.devminor,
+            block_device=m.type == tarfile.BLKTYPE,
+        )
+        _ensure_parents(entries, path)
+        entries[path] = record
+        if kind == KIND_REGULAR:
+            fobj = tf.extractfile(m)
+            content[path] = fobj.read() if fobj is not None else b""
+
+
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     """Apply all layers in order with whiteout/opaque semantics."""
     entries: dict[str, FileRecord] = {}
@@ -229,71 +315,11 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     warnings: list[str] = []
 
     for index, layer in enumerate(stack.layers):
-        with tarfile.open(fileobj=io.BytesIO(layer.tar_bytes())) as tf:
-            members = tf.getmembers()
-
-            # Whiteouts of this layer act on the state built from lower layers.
-            for m in members:
-                path = _clean_member_path(m.name)
-                if path is None:
-                    continue
-                base = posixpath.basename(path)
-                parent = posixpath.dirname(path)
-                if base == OPAQUE_MARKER:
-                    prefix = parent.rstrip("/") + "/"
-                    for p in [p for p in entries if p.startswith(prefix)]:
-                        entries.pop(p, None)
-                        content.pop(p, None)
-                elif base.startswith(WHITEOUT_PREFIX):
-                    target = posixpath.join(parent, base[len(WHITEOUT_PREFIX):])
-                    _delete_subtree(entries, content, target)
-
-            for m in members:
-                path = _clean_member_path(m.name)
-                if path is None:
-                    continue
-                base = posixpath.basename(path)
-                if base.startswith(WHITEOUT_PREFIX):
-                    continue
-                kind = _TAR_KIND.get(m.type)
-                if kind is None:
-                    msg = f"layer {index}: unknown tar entry type {m.type!r} for {path}, skipped"
-                    log.warning(msg)
-                    warnings.append(msg)
-                    continue
-
-                existing = entries.get(path)
-                if existing is not None and existing.kind == KIND_DIRECTORY and kind != KIND_DIRECTORY:
-                    _delete_subtree(entries, content, path)
-                elif existing is not None and kind != existing.kind:
-                    content.pop(path, None)
-
-                link_target = None
-                if kind == KIND_SYMLINK:
-                    link_target = m.linkname
-                elif kind == KIND_HARDLINK:
-                    link_target = _clean_member_path(m.linkname)
-
-                record = FileRecord(
-                    path=path,
-                    kind=kind,
-                    mode=m.mode,
-                    size=m.size if kind == KIND_REGULAR else 0,
-                    link_target=link_target,
-                    uid=m.uid,
-                    gid=m.gid,
-                    mtime=int(m.mtime),
-                    uname=m.uname or "",
-                    gname=m.gname or "",
-                    devmajor=m.devmajor,
-                    devminor=m.devminor,
-                    block_device=m.type == tarfile.BLKTYPE,
-                )
-                _ensure_parents(entries, path)
-                entries[path] = record
-                if kind == KIND_REGULAR:
-                    fobj = tf.extractfile(m)
-                    content[path] = fobj.read() if fobj is not None else b""
+        try:
+            with tarfile.open(fileobj=io.BytesIO(layer.tar_bytes())) as tf:
+                _apply_layer(index, tf, entries, content, warnings)
+        except _LAYER_STREAM_ERRORS as exc:
+            raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)
     return FlattenedRootfs(entries=entries, content=content, total_size=total, warnings=warnings)
@@ -363,11 +389,22 @@ def _layer_from_blob(data: bytes, media_type: str, declared_digest: str | None) 
     )
 
 
-def _check_diff_ids(stack: LayerStack, declared: list[str]) -> None:
+def _layer_stack(blobs, cfg: dict) -> LayerStack:
+    """Layers from (data, media type, declared digest) triples, base first,
+    checked against the diff_ids the config declares."""
+    layers = []
+    for index, (data, media_type, declared_digest) in enumerate(blobs):
+        try:
+            layers.append(_layer_from_blob(data, media_type, declared_digest))
+        except _LAYER_STREAM_ERRORS as exc:
+            raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
+    stack = LayerStack(layers=layers)
+    declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
     if declared and declared != stack.diff_ids:
         raise IntegrityError(
             f"rootfs diff_ids mismatch: config declares {declared}, layers are {stack.diff_ids}"
         )
+    return stack
 
 
 def _load_docker_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata, LayerStack]:
@@ -386,17 +423,15 @@ def _load_docker_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetada
     repo_tags = entry.get("RepoTags") or []
     name, tag = _split_reference(repo_tags[0]) if repo_tags else ("", "")
 
-    layers = []
+    blobs = []
     for layer_name in entry.get("Layers") or []:
         data = _read_member(tf, members, layer_name)
         if _is_gzip(data):
             media = "application/vnd.oci.image.layer.v1.tar+gzip"
         else:
             media = "application/vnd.oci.image.layer.v1.tar"
-        layers.append(_layer_from_blob(data, media, None))
-    stack = LayerStack(layers=layers)
-    _check_diff_ids(stack, (cfg.get("rootfs") or {}).get("diff_ids") or [])
-    return _metadata_from_config(cfg, name, tag), stack
+        blobs.append((data, media, None))
+    return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
 
 
 def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata, LayerStack]:
@@ -428,16 +463,14 @@ def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata,
     cfg_desc = manifest.get("config") or {}
     cfg = json.loads(_read_blob(tf, members, cfg_desc["digest"]))
 
-    layers = []
+    blobs = []
     for layer_desc in manifest.get("layers") or []:
         lmedia = layer_desc.get("mediaType", "")
         if lmedia not in MEDIA_LAYER_TAR and lmedia not in MEDIA_LAYER_GZIP:
             raise UnsupportedFormatError(f"unknown layer media type {lmedia!r}")
         data = _read_blob(tf, members, layer_desc["digest"])
-        layers.append(_layer_from_blob(data, lmedia, layer_desc["digest"]))
-    stack = LayerStack(layers=layers)
-    _check_diff_ids(stack, (cfg.get("rootfs") or {}).get("diff_ids") or [])
-    return _metadata_from_config(cfg, name, tag), stack
+        blobs.append((data, lmedia, layer_desc["digest"]))
+    return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
 
 
 def _read_blob(tf: tarfile.TarFile, members: dict, digest: str) -> bytes:

@@ -4,7 +4,8 @@ Only paths containing ``/bin/``, ``/sbin/``, or ``/lib/`` are ever pruned
 (substring semantics, so ``/usr/bin/`` and ``/usr/lib/`` count). Everything
 retained is closed under symlink chains, hardlink targets, parent
 directories, and the needed-library set of dynamic executables.
-``slim_image`` runs the whole pipeline, from input archive to report.
+``slim_image`` runs the whole pipeline, from input archive to report, on the
+one ``FlattenedRootfs`` that every stage reads.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from .rootfs import (
     DEFAULT_SEARCH_DIRS,
     SHELL_BUILTINS,
     CommandLinkedList,
-    FileInfoList,
     build_command_linked_list,
     collect_system_commands,
     expand_command_linked_list,
     resolve_chain,
     resolve_entry,
-    scan_rootfs,
 )
 
 log = logging.getLogger(__name__)
@@ -107,34 +106,35 @@ def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList) -> MatchResult:
     return MatchResult(matched=matched, start_nodes=start_nodes, unmatched=unmatched)
 
 
-def _retain_spelling(retain: RetainList, info: FileInfoList, path: str, reason: str) -> str | None:
+def _retain_spelling(retain: RetainList, rootfs: FlattenedRootfs, path: str,
+                     reason: str) -> str | None:
     """Retain the entries that make one path spelling resolvable.
 
     Adds every ancestor symlink crossed plus the entry the spelling denotes;
     returns that entry path (or None when the spelling dangles).
     """
     trace: list[str] = []
-    physical = resolve_entry(info, path, trace=trace)
+    physical = resolve_entry(rootfs, path, trace=trace)
     for hop in trace:
         retain.add(hop, REASON_SYMLINK)
-    if physical is None or physical not in info.records:
+    if physical is None or physical not in rootfs.entries:
         return None
     retain.add(physical, reason)
     return physical
 
 
-def _close_links(retain: RetainList, info: FileInfoList) -> None:
+def _close_links(retain: RetainList, rootfs: FlattenedRootfs) -> None:
     """Fixed point: symlink one-hop targets and hardlink targets stay inside."""
     pending = sorted(retain.paths)
     while pending:
         path = pending.pop()
-        rec = info.records.get(path)
+        rec = rootfs.entries.get(path)
         if rec is None:
             continue
         target = None
         reason = None
         if rec.kind == KIND_SYMLINK:
-            target = info.symlink_table.get(path)
+            target = rootfs.symlink_table.get(path)
             reason = REASON_SYMLINK
         elif rec.kind == KIND_HARDLINK and rec.link_target:
             target = rec.link_target
@@ -142,20 +142,20 @@ def _close_links(retain: RetainList, info: FileInfoList) -> None:
         if target is None:
             continue
         trace: list[str] = []
-        physical = resolve_entry(info, target, trace=trace)
+        physical = resolve_entry(rootfs, target, trace=trace)
         for hop in trace:
             if retain.add(hop, REASON_SYMLINK):
                 pending.append(hop)
-        if physical is not None and physical in info.records:
+        if physical is not None and physical in rootfs.entries:
             if retain.add(physical, reason):
                 pending.append(physical)
 
 
-def _retain_parents(retain: RetainList, info: FileInfoList) -> None:
+def _retain_parents(retain: RetainList, rootfs: FlattenedRootfs) -> None:
     for path in sorted(retain.paths):
         parent = posixpath.dirname(path)
         while parent and parent != "/":
-            if parent in info.records:
+            if parent in rootfs.entries:
                 retain.add(parent, REASON_PARENT)
             parent = posixpath.dirname(parent)
 
@@ -163,7 +163,6 @@ def _retain_parents(retain: RetainList, info: FileInfoList) -> None:
 def build_retain_list(
     start_nodes,
     cll: CommandLinkedList,
-    info: FileInfoList,
     rootfs: FlattenedRootfs,
     entry_paths=(),
 ) -> RetainList:
@@ -174,36 +173,36 @@ def build_retain_list(
     seen_entries: set[str] = set()
     for start in start_nodes:
         for path in resolve_chain(cll, start):
-            entry = _retain_spelling(retain, info, path, REASON_TOKEN)
+            entry = _retain_spelling(retain, rootfs, path, REASON_TOKEN)
             if entry is not None and entry not in seen_entries:
                 seen_entries.add(entry)
                 chain_entries.append(entry)
 
     for spelled in entry_paths:
-        entry = _retain_spelling(retain, info, spelled, REASON_TOKEN)
+        entry = _retain_spelling(retain, rootfs, spelled, REASON_TOKEN)
         if entry is not None and entry not in seen_entries:
             seen_entries.add(entry)
             chain_entries.append(entry)
 
-    lib_dirs = rootfs_library_dirs(rootfs, info)
+    lib_dirs = rootfs_library_dirs(rootfs)
     for entry in chain_entries:
-        closure = resolve_elf_dependencies(entry, rootfs, info, lib_dirs=lib_dirs)
+        closure = resolve_elf_dependencies(entry, rootfs, lib_dirs=lib_dirs)
         for lib in sorted(closure.paths):
             reason = REASON_INTERP if closure.interpreter and lib == closure.interpreter else REASON_ELF
-            _retain_spelling(retain, info, lib, reason)
+            _retain_spelling(retain, rootfs, lib, reason)
         if closure.interpreter:
-            _retain_spelling(retain, info, closure.interpreter, REASON_INTERP)
+            _retain_spelling(retain, rootfs, closure.interpreter, REASON_INTERP)
         for name in closure.missing:
             if name not in retain.missing_libraries:
                 retain.missing_libraries.append(name)
                 log.warning("%s: needed library %r unresolved inside the rootfs", entry, name)
 
-    for path in info.records:
+    for path in rootfs.entries:
         if not in_prune_area(path):
             retain.add(path, REASON_PROTECTED)
 
-    _close_links(retain, info)
-    _retain_parents(retain, info)
+    _close_links(retain, rootfs)
+    _retain_parents(retain, rootfs)
 
     missing = [p for p in retain.paths if p not in rootfs.entries]
     if missing:
@@ -324,15 +323,14 @@ def compute_report(
     rootfs: FlattenedRootfs,
     cll: CommandLinkedList,
     retain: RetainList,
-    info: FileInfoList,
     match: MatchResult | None = None,
     search_dirs=DEFAULT_SEARCH_DIRS,
 ) -> PruneReport:
     """Sizes, ratio, and supported-command counts before and after pruning.
 
     ``commands_after`` counts the heads of a command linked list built over
-    the retained part of ``info``: the commands ``inspect`` reports on the
-    slim image, dangling command links included.
+    the retained entries of ``rootfs``: the commands ``inspect`` reports on
+    the slim image, dangling command links included.
     """
     slim_size = sum(
         rec.size
@@ -341,10 +339,7 @@ def compute_report(
     )
     original = rootfs.total_size
     ratio = 0.0 if original == 0 else 1.0 - slim_size / original
-    kept = FileInfoList(
-        records={p: r for p, r in info.records.items() if p in retain.paths},
-        symlink_table={p: t for p, t in info.symlink_table.items() if p in retain.paths},
-    )
+    kept = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in retain.paths})
     slim_cll = build_command_linked_list(
         collect_system_commands(kept, search_dirs), kept, search_dirs
     )
@@ -399,10 +394,9 @@ def slim_image(
     """
     metadata, stack = load_image_archive(input_path)
     rootfs = flatten_layers(stack)
-    info = scan_rootfs(rootfs)
-    commands = collect_system_commands(info, search_dirs)
-    cll = build_command_linked_list(commands, info, search_dirs)
-    expand_command_linked_list(cll, info, search_dirs)
+    commands = collect_system_commands(rootfs, search_dirs)
+    cll = build_command_linked_list(commands, rootfs, search_dirs)
+    expand_command_linked_list(cll, rootfs, search_dirs)
 
     entry_tokens = _entrypoint_tokens(metadata)
     for token in entry_tokens:
@@ -410,12 +404,14 @@ def slim_image(
     match = match_tokens(ctl, cll)
     if conservative:
         retain = RetainList()
-        for path in info.records:
+        for path in rootfs.entries:
             retain.add(path, REASON_CONSERVATIVE)
     else:
         entry_paths = [t for t in entry_tokens if t.startswith("/")]
-        retain = build_retain_list(match.start_nodes, cll, info, rootfs, entry_paths=entry_paths)
+        # rootfs goes by name: the bench tracer (bench/trace_child.py) reads
+        # it as a keyword or as the 4th positional argument.
+        retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs, entry_paths=entry_paths)
     slim_tar = emit_slim_rootfs(rootfs, retain)
     archive = build_slim_image(metadata, slim_tar, layout=layout, gzip_layer=gzip_layer)
-    report = compute_report(rootfs, cll, retain, info, match=match, search_dirs=search_dirs)
+    report = compute_report(rootfs, cll, retain, match=match, search_dirs=search_dirs)
     return SlimResult(archive=archive, metadata=metadata, cll=cll, retain=retain, report=report)

@@ -1,4 +1,7 @@
-"""Rootfs modeling: file inventory, symlink table, and the command linked list.
+"""Path resolution and the command linked list over one flattened rootfs.
+
+Every function here reads one ``FlattenedRootfs``: its entries, in path
+order, and the symlink table it derives from them.
 
 Every command usable inside the image is modeled as a chain of nodes: the
 bare command name, then each absolute path the name resolves through (one
@@ -81,30 +84,7 @@ _COMMAND_KINDS = (KIND_REGULAR, KIND_SYMLINK, KIND_HARDLINK)
 _MAX_LINK_HOPS = 64
 
 
-@dataclass
-class FileInfoList:
-    """Scanned rootfs inventory plus the symlink relation."""
-
-    records: dict[str, FileRecord]
-    symlink_table: dict[str, str]  # symlink entry path -> absolute target
-
-
-def scan_rootfs(rootfs: FlattenedRootfs) -> FileInfoList:
-    """Collect every entry and extract the symlink relationships."""
-    records = dict(sorted(rootfs.entries.items()))
-    symlink_table = {}
-    for path, rec in records.items():
-        if rec.kind == KIND_SYMLINK and rec.link_target is not None:
-            target = rec.link_target
-            if not target.startswith("/"):
-                # Relative targets resolve against the physical parent of the
-                # entry that carries the link.
-                target = posixpath.join(posixpath.dirname(path), target)
-            symlink_table[path] = posixpath.normpath(target)
-    return FileInfoList(records=records, symlink_table=symlink_table)
-
-
-def resolve_entry(info: FileInfoList, path: str, *, follow_last: bool = False,
+def resolve_entry(rootfs: FlattenedRootfs, path: str, *, follow_last: bool = False,
                   trace: list[str] | None = None) -> str | None:
     """Walk ``path`` component by component, resolving symlinks.
 
@@ -124,7 +104,7 @@ def resolve_entry(info: FileInfoList, path: str, *, follow_last: bool = False,
             resolved = posixpath.dirname(resolved) or "/"
             continue
         nxt = posixpath.join(resolved, comp)
-        target = info.symlink_table.get(nxt)
+        target = rootfs.symlink_table.get(nxt)
         if target is not None and (stack or follow_last):
             budget -= 1
             if budget <= 0:
@@ -139,35 +119,27 @@ def resolve_entry(info: FileInfoList, path: str, *, follow_last: bool = False,
     return resolved
 
 
-def lookup_record(info: FileInfoList, path: str) -> FileRecord | None:
+def lookup_record(rootfs: FlattenedRootfs, path: str) -> FileRecord | None:
     """Record denoted by ``path`` with ancestors resolved, final left as-is."""
-    physical = resolve_entry(info, path)
+    physical = resolve_entry(rootfs, path)
     if physical is None:
         return None
-    return info.records.get(physical)
-
-
-def one_hop_target(info: FileInfoList, path: str) -> str | None:
-    """One symlink-resolution step of ``path``, or None if it is no symlink."""
-    physical = resolve_entry(info, path)
-    if physical is None:
-        return None
-    return info.symlink_table.get(physical)
+    return rootfs.entries.get(physical)
 
 
 def collect_system_commands(
-    info: FileInfoList, search_dirs=DEFAULT_SEARCH_DIRS
+    rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
 ) -> list[str]:
     """Names of executable entries found in the command search directories."""
     names: set[str] = set()
     for d in search_dirs:
-        physical = resolve_entry(info, d, follow_last=True)
+        physical = resolve_entry(rootfs, d, follow_last=True)
         if physical is None:
             continue
-        rec = info.records.get(physical)
+        rec = rootfs.entries.get(physical)
         if rec is None or rec.kind != KIND_DIRECTORY:
             continue
-        for path, r in info.records.items():
+        for path, r in rootfs.entries.items():
             if posixpath.dirname(path) != physical:
                 continue
             if r.kind in _COMMAND_KINDS and r.is_executable():
@@ -175,7 +147,7 @@ def collect_system_commands(
     return sorted(names - SHELL_BUILTINS)
 
 
-def command_abs_path(info: FileInfoList, name: str, search_dirs=DEFAULT_SEARCH_DIRS) -> str | None:
+def command_abs_path(rootfs: FlattenedRootfs, name: str, search_dirs=DEFAULT_SEARCH_DIRS) -> str | None:
     """Absolute path a bare command name resolves to via the search dirs.
 
     Directories that are themselves symlinks are skipped on the first pass so
@@ -185,14 +157,14 @@ def command_abs_path(info: FileInfoList, name: str, search_dirs=DEFAULT_SEARCH_D
     fallback = None
     for d in search_dirs:
         candidate = d + "/" + name
-        dir_rec = info.records.get(d)
+        dir_rec = rootfs.entries.get(d)
         if dir_rec is not None and dir_rec.kind == KIND_SYMLINK:
             if fallback is None:
-                physical = resolve_entry(info, candidate)
-                if physical is not None and physical in info.records:
+                physical = resolve_entry(rootfs, candidate)
+                if physical is not None and physical in rootfs.entries:
                     fallback = physical
             continue
-        if candidate in info.records:
+        if candidate in rootfs.entries:
             return candidate
     return fallback
 
@@ -245,30 +217,30 @@ class CommandLinkedList:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _extend_chain(cll: CommandLinkedList, node: CommandNode, info: FileInfoList,
+def _extend_chain(cll: CommandLinkedList, node: CommandNode, rootfs: FlattenedRootfs,
                   search_dirs) -> None:
     """Follow one-hop resolutions from ``node``, creating nodes as needed."""
     visited = {node.name}
     while True:
         name = node.name
         if not name.startswith("/"):
-            nxt = command_abs_path(info, name, search_dirs)
+            nxt = command_abs_path(rootfs, name, search_dirs)
             if nxt is None:
                 node.dangling = True
                 return
         else:
-            physical = resolve_entry(info, name)
+            physical = resolve_entry(rootfs, name)
             if physical is None:
                 node.dangling = True
                 cll.cycles.append(sorted(visited))
                 return
-            rec = info.records.get(physical)
+            rec = rootfs.entries.get(physical)
             if rec is None:
                 node.dangling = True
                 return
             if rec.kind != KIND_SYMLINK:
                 return
-            nxt = info.symlink_table[physical]
+            nxt = rootfs.symlink_table[physical]
         existing = cll.get(nxt)
         if existing is None:
             existing = cll.add(nxt)
@@ -282,14 +254,14 @@ def _extend_chain(cll: CommandLinkedList, node: CommandNode, info: FileInfoList,
 
 
 def build_command_linked_list(
-    commands, info: FileInfoList, search_dirs=DEFAULT_SEARCH_DIRS
+    commands, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
 ) -> CommandLinkedList:
     """Construct the command linked list over the given command names."""
     cll = CommandLinkedList()
     for cmd in sorted(set(commands)):
         if cmd in SHELL_BUILTINS:
             continue
-        if command_abs_path(info, cmd, search_dirs) is None:
+        if command_abs_path(rootfs, cmd, search_dirs) is None:
             log.warning("command %r is not resolvable inside the rootfs; skipped", cmd)
             cll.skipped_commands.append(cmd)
             continue
@@ -298,7 +270,7 @@ def build_command_linked_list(
             head = cll.add(cmd)
         if cmd not in cll.heads:
             cll.heads.append(cmd)
-        _extend_chain(cll, head, info, search_dirs)
+        _extend_chain(cll, head, rootfs, search_dirs)
     return cll
 
 
@@ -312,13 +284,13 @@ def _ancestor_dirs(path: str) -> list[str]:
     return list(reversed(dirs))
 
 
-def _has_command_file(info: FileInfoList, path: str) -> bool:
-    rec = lookup_record(info, path)
+def _has_command_file(rootfs: FlattenedRootfs, path: str) -> bool:
+    rec = lookup_record(rootfs, path)
     return rec is not None and rec.kind != KIND_DIRECTORY
 
 
 def expand_command_linked_list(
-    cll: CommandLinkedList, info: FileInfoList, search_dirs=DEFAULT_SEARCH_DIRS
+    cll: CommandLinkedList, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
 ) -> CommandLinkedList:
     """Add alias spellings introduced by directory symlinks.
 
@@ -328,8 +300,8 @@ def expand_command_linked_list(
     the target of a symlink the alias points back at the original node.
     """
     links_to: dict[str, list[str]] = {}
-    for src in sorted(info.symlink_table):
-        links_to.setdefault(info.symlink_table[src], []).append(src)
+    for src in sorted(rootfs.symlink_table):
+        links_to.setdefault(rootfs.symlink_table[src], []).append(src)
 
     queue = list(cll.nodes.values())
     qi = 0
@@ -341,19 +313,19 @@ def expand_command_linked_list(
             continue
         for d in _ancestor_dirs(name):
             substitutions = []
-            if d in info.symlink_table:
-                substitutions.append((info.symlink_table[d], True))
+            if d in rootfs.symlink_table:
+                substitutions.append((rootfs.symlink_table[d], True))
             else:
                 for src in links_to.get(d, ()):
                     substitutions.append((src, False))
             for replacement, is_sym in substitutions:
                 new_path = replacement + name[len(d):]
-                if new_path == name or not _has_command_file(info, new_path):
+                if new_path == name or not _has_command_file(rootfs, new_path):
                     continue
                 if new_path in cll.nodes:
                     continue
                 new_node = cll.add(new_path)
-                _extend_chain(cll, new_node, info, search_dirs)
+                _extend_chain(cll, new_node, rootfs, search_dirs)
                 if is_sym:
                     link_node.next = new_node
                 else:

@@ -52,7 +52,6 @@ from staticslim.rootfs import (
     expand_command_linked_list,
     resolve_chain,
     resolve_entry,
-    scan_rootfs,
 )
 
 from test_elf import build_random_elf_forest, oracle_bfs_closure
@@ -97,15 +96,14 @@ def _slim_pipeline(archive_bytes: bytes, tokens, tmp_path, tag: str):
 
 def _rebuilt_head_count(rootfs, retain) -> int:
     """Heads of a CLL rebuilt from the emitted slim rootfs tar."""
-    slim_info = scan_rootfs(flatten_layers(make_stack([emit_slim_rootfs(rootfs, retain)])))
-    return len(build_command_linked_list(collect_system_commands(slim_info), slim_info).heads)
+    slim_rootfs = flatten_layers(make_stack([emit_slim_rootfs(rootfs, retain)]))
+    return len(build_command_linked_list(collect_system_commands(slim_rootfs), slim_rootfs).heads)
 
 
 def test_criterion_1_fig4_reproduction(shell_rootfs):
     with _Criterion(1, "command chain reproduction (sh/dash/bin alias)", 1.0):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh", "dash"], info)
-        expand_command_linked_list(cll, info)
+        cll = build_command_linked_list(["sh", "dash"], shell_rootfs)
+        expand_command_linked_list(cll, shell_rootfs)
         assert resolve_chain(cll, "sh") == ["/usr/bin/sh", "/usr/bin/dash"]
         assert resolve_chain(cll, "/bin/sh") == ["/bin/sh", "/usr/bin/sh", "/usr/bin/dash"]
         assert cll.nodes["sh"].next is cll.nodes["/usr/bin/sh"]
@@ -120,9 +118,9 @@ def test_criterion_2_randomized_chain_properties():
             rng = random.Random(20_000 + seed)
             entries, _ = random_symlink_rootfs(rng)
             assert len(entries) <= 200
-            info = scan_rootfs(rootfs_from_ground_truth(entries))
-            commands = collect_system_commands(info)
-            cll = build_command_linked_list(commands, info)
+            rootfs = rootfs_from_ground_truth(entries)
+            commands = collect_system_commands(rootfs)
+            cll = build_command_linked_list(commands, rootfs)
 
             for cmd in commands:
                 start = oracle_command_start(entries, cmd, DEFAULT_SEARCH_DIRS)
@@ -134,10 +132,10 @@ def test_criterion_2_randomized_chain_properties():
                 assert got == expected, f"seed={seed} cmd={cmd}: {got} != {expected}"
                 assert got[-1] == expected[-1]  # terminal equality
 
-            expand_command_linked_list(cll, info)
+            expand_command_linked_list(cll, rootfs)
             node_count = len(cll.nodes)
             dump = cll.dump()
-            expand_command_linked_list(cll, info)
+            expand_command_linked_list(cll, rootfs)
             assert len(cll.nodes) == node_count, f"seed={seed}: expansion not idempotent"
             assert cll.dump() == dump, f"seed={seed}"
 
@@ -153,13 +151,12 @@ def test_criterion_3_elf_closure_oracle():
             rng = random.Random(77_000 + seed)
             rootfs, graph, placements, roots = build_random_elf_forest(rng)
             total_objects += len(graph)
-            info = scan_rootfs(rootfs)
             for root, interp in roots:
                 expected, missing = oracle_bfs_closure(graph, placements, root, interp)
                 closure = None
                 from staticslim.elf import resolve_elf_dependencies
 
-                closure = resolve_elf_dependencies(root, rootfs, info)
+                closure = resolve_elf_dependencies(root, rootfs)
                 assert closure.paths == expected, f"seed={seed} root={root}"
                 assert set(closure.missing) == missing  # reported, never fatal
         assert total_objects >= 10
@@ -282,12 +279,11 @@ def test_criterion_8_report_arithmetic():
             {"path": "/usr/bin/drop", "data": b"d" * 6000, "mode": 0o755},
         ]
         rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
-        info = scan_rootfs(rootfs)
-        cll = build_command_linked_list(collect_system_commands(info), info)
-        expand_command_linked_list(cll, info)
+        cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
+        expand_command_linked_list(cll, rootfs)
         match = match_tokens(_ctl("keep"), cll)
-        retain = build_retain_list(match.start_nodes, cll, info, rootfs)
-        report = compute_report(rootfs, cll, retain, match=match, info=info)
+        retain = build_retain_list(match.start_nodes, cll, rootfs)
+        report = compute_report(rootfs, cll, retain, match=match)
         assert report.original_size == 10000
         assert report.slim_size == 4000
         assert abs(report.slimming_ratio - 0.6) <= 0.001  # 0.1 percentage point
@@ -303,9 +299,8 @@ def test_criterion_8_report_arithmetic():
                 {"path": "/usr/bin", "kind": "directory"},
             ] + [{"path": f"/usr/bin/{n}", "data": b"b", "mode": 0o755} for n in names]
             listing_rootfs = flatten_layers(make_stack([make_layer_tar(listing_members)]))
-            listing_info = scan_rootfs(listing_rootfs)
             listing_cll = build_command_linked_list(
-                collect_system_commands(listing_info), listing_info
+                collect_system_commands(listing_rootfs), listing_rootfs
             )
             assert len(listing_cll.heads) == recorded_count
 
@@ -334,15 +329,14 @@ def test_criterion_9_safety_invariants():
                 elf_cmds.append(name)
 
             rootfs = rootfs_from_ground_truth(entries)
-            info = scan_rootfs(rootfs)
-            all_commands = collect_system_commands(info)
-            cll = build_command_linked_list(all_commands, info)
-            expand_command_linked_list(cll, info)
+            all_commands = collect_system_commands(rootfs)
+            cll = build_command_linked_list(all_commands, rootfs)
+            expand_command_linked_list(cll, rootfs)
 
             picks = rng.sample(all_commands, k=min(len(all_commands), rng.randrange(0, 5)))
             tokens = picks + ["--flag", "not-a-command", "/etc/none"] + elf_cmds
             match = match_tokens(_ctl(*tokens), cll)
-            retain = build_retain_list(match.start_nodes, cll, info, rootfs)
+            retain = build_retain_list(match.start_nodes, cll, rootfs)
 
             removed = set(rootfs.entries) - retain.paths
             assert all(in_prune_area(p) for p in removed), f"seed={seed}"
@@ -350,7 +344,7 @@ def test_criterion_9_safety_invariants():
             for path in retain.paths:
                 rec = rootfs.entries[path]
                 if rec.kind == "symlink":
-                    physical = resolve_entry(info, info.symlink_table[path])
+                    physical = resolve_entry(rootfs, rootfs.symlink_table[path])
                     if physical in rootfs.entries:
                         assert physical in retain.paths, f"seed={seed} {path}"
 
@@ -358,17 +352,17 @@ def test_criterion_9_safety_invariants():
                 rec = rootfs.entries[path]
                 if rec.kind != "regular" or not rec.is_executable():
                     continue
-                closure = resolve_elf_dependencies(path, rootfs, info)
+                closure = resolve_elf_dependencies(path, rootfs)
                 assert closure.paths <= retain.paths, f"seed={seed} {path}"
 
-            report = compute_report(rootfs, cll, retain, match=match, info=info)
+            report = compute_report(rootfs, cll, retain, match=match)
             assert report.slim_size <= report.original_size, f"seed={seed}"
             assert report.commands_after == _rebuilt_head_count(rootfs, retain), f"seed={seed}"
 
             everything = RetainList()
-            for path in info.records:
+            for path in rootfs.entries:
                 everything.add(path, "conservative")
-            kept_all = compute_report(rootfs, cll, everything, match=match, info=info)
+            kept_all = compute_report(rootfs, cll, everything, match=match)
             assert kept_all.commands_after == _rebuilt_head_count(rootfs, everything), f"seed={seed}"
 
 

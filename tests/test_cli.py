@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import io
 import json
@@ -411,3 +412,30 @@ class TestInspect:
         image.write_bytes(make_docker_archive([layer]))
         result = runner.invoke(main, ["inspect", "--input", str(image)])
         assert f"commands supported: {recorded}" in result.output
+
+
+def _malformed_layer(kind: str) -> bytes:
+    if kind == "not-a-tar":
+        return b"this layer is not a tar stream\n" * 32
+    blob = gzip.compress(make_layer_tar(shell_chain_members()), mtime=0)
+    if kind == "truncated-gzip":
+        return blob[: len(blob) // 2]
+    corrupt = bytearray(blob)
+    corrupt[11] ^= 0xFF  # first bytes of the deflate stream, after the header
+    return bytes(corrupt)
+
+
+@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip"])
+@pytest.mark.parametrize("command", ["slim", "inspect"])
+def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
+    image = tmp_path / "bad.tar"
+    image.write_bytes(make_docker_archive([make_layer_tar([{"path": "/ok", "data": b"1"}]),
+                                           _malformed_layer(kind)]))
+    args = [command, "--input", str(image)]
+    if command == "slim":
+        ctl = tmp_path / "c.ctl"
+        ctl.write_text("sh\n")
+        args += ["--output", str(tmp_path / "o.tar"), "--ctl", str(ctl)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "error: layer 1" in result.output

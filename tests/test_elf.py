@@ -9,7 +9,6 @@ import pytest
 from conftest import make_elf, make_layer_tar, make_stack
 from staticslim.elf import read_dynamic_info, resolve_elf_dependencies
 from staticslim.imageio import flatten_layers
-from staticslim.rootfs import scan_rootfs
 
 
 class TestReadDynamicInfo:
@@ -131,7 +130,8 @@ class TestClosure:
             {"path": "/usr/bin/app", "data": app, "mode": 0o755},
         ])
         closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
-        assert closure.paths == {"/usr/lib/libb.so", "/usr/lib/libc.so", interp}
+        # Both libraries are found as /lib/<name>, through the /lib link.
+        assert closure.paths == {"/lib", "/usr/lib/libb.so", "/usr/lib/libc.so", interp}
         assert closure.interpreter == interp
         assert closure.missing == []
 
@@ -151,7 +151,8 @@ class TestClosure:
             {"path": "/usr/bin/app", "data": make_elf(needed=["libreal.so.1"]), "mode": 0o755},
         ])
         closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
-        assert closure.paths == {"/usr/lib/libreal.so.1", "/usr/lib/libreal-1.2.so"}
+        # Found as /lib/libreal.so.1, through the /lib link.
+        assert closure.paths == {"/lib", "/usr/lib/libreal.so.1", "/usr/lib/libreal-1.2.so"}
 
     def test_rpath_origin_precedes_defaults(self):
         # Same soname exists next to the binary (via $ORIGIN) and in /usr/lib;
@@ -210,6 +211,27 @@ class TestClosure:
         ]
         closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/usr/lib/x86_64-linux-gnu/libt.so"}
+
+    def test_directory_symlink_on_runpath_kept(self):
+        # The loader reaches libfoo.so through the /usr/lib/app link, so the
+        # closure must hold that link as well as the library it leads to.
+        members = [
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/lib", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/opt", "kind": "directory"},
+            {"path": "/opt/applib", "kind": "directory"},
+            {"path": "/opt/applib/libfoo.so", "data": make_elf(), "mode": 0o755},
+            {"path": "/usr/lib/app", "kind": "symlink", "target": "/opt/applib"},
+            {
+                "path": "/usr/bin/app",
+                "data": make_elf(needed=["libfoo.so"], runpath="/usr/lib/app"),
+                "mode": 0o755,
+            },
+        ]
+        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        assert closure.paths == {"/usr/lib/app", "/opt/applib/libfoo.so"}
+        assert closure.missing == []
 
     def test_needed_with_slash_resolved_directly(self):
         members = _lib_members({"libabs.so": make_elf()}, extra=[
@@ -279,9 +301,8 @@ def build_random_elf_forest(rng: random.Random):
 def test_random_forest_matches_bfs_oracle(seed):
     rng = random.Random(9000 + seed)
     rootfs, graph, placements, roots = build_random_elf_forest(rng)
-    info = scan_rootfs(rootfs)
     for root, interp in roots:
         expected, missing = oracle_bfs_closure(graph, placements, root, interp)
-        closure = resolve_elf_dependencies(root, rootfs, info)
+        closure = resolve_elf_dependencies(root, rootfs)
         assert closure.paths == expected, f"seed={seed} root={root}"
         assert set(closure.missing) == missing, f"seed={seed} root={root}"

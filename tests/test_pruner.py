@@ -24,7 +24,6 @@ from staticslim.rootfs import (
     build_command_linked_list,
     collect_system_commands,
     expand_command_linked_list,
-    scan_rootfs,
 )
 
 
@@ -37,12 +36,11 @@ def ctl_of(*tokens):
 
 def build_pipeline(members, tokens, entry_paths=()):
     rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
-    info = scan_rootfs(rootfs)
-    cll = build_command_linked_list(collect_system_commands(info), info)
-    expand_command_linked_list(cll, info)
+    cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
+    expand_command_linked_list(cll, rootfs)
     match = match_tokens(ctl_of(*tokens), cll)
-    retain = build_retain_list(match.start_nodes, cll, info, rootfs, entry_paths=entry_paths)
-    return rootfs, info, cll, match, retain
+    retain = build_retain_list(match.start_nodes, cll, rootfs, entry_paths=entry_paths)
+    return rootfs, cll, match, retain
 
 
 def elf_shell_members():
@@ -87,23 +85,20 @@ class TestPruneArea:
 
 class TestMatchTokens:
     def test_bare_name_matches(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(collect_system_commands(info), info)
-        expand_command_linked_list(cll, info)
+        cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
+        expand_command_linked_list(cll, shell_rootfs)
         result = match_tokens(ctl_of("sh"), cll)
         assert result.start_nodes == ["sh"]
         assert result.unmatched == []
 
     def test_flag_token_unmatched(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(collect_system_commands(info), info)
+        cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
         result = match_tokens(ctl_of("-la"), cll)
         assert result.start_nodes == []
         assert result.unmatched == ["-la"]
 
     def test_builtin_matched_without_start_node(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(collect_system_commands(info), info)
+        cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
         result = match_tokens(ctl_of("cd", "sh"), cll)
         assert result.matched["cd"] is None
         assert result.start_nodes == ["sh"]
@@ -111,10 +106,8 @@ class TestMatchTokens:
 
     def test_both_spellings_union(self, shell_rootfs):
         from staticslim.rootfs import resolve_chain
-
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(collect_system_commands(info), info)
-        expand_command_linked_list(cll, info)
+        cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
+        expand_command_linked_list(cll, shell_rootfs)
         result = match_tokens(ctl_of("sh", "/bin/sh"), cll)
         assert result.start_nodes == ["sh", "/bin/sh"]
         union = set()
@@ -125,44 +118,44 @@ class TestMatchTokens:
 
 class TestRetainList:
     def test_empty_ctl_keeps_protected_only(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), [])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), [])
         prunable = {p for p in rootfs.entries if in_prune_area(p)}
         assert retain.paths == set(rootfs.entries) - prunable
         assert "/etc/hosts" in retain.paths
         assert "/usr/bin/perl" not in retain.paths
 
     def test_sh_keeps_chain_drops_perl(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         assert {"/usr/bin/sh", "/usr/bin/dash"} <= retain.paths
         assert "/usr/bin/perl" not in retain.paths
         assert retain.reasons["/usr/bin/dash"] == "token-match"
 
     def test_alias_spelling_token_retains_dir_symlink(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["/bin/sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["/bin/sh"])
         # The alias spelling needs the /bin symlink plus the physical chain.
         assert {"/bin", "/usr/bin/sh", "/usr/bin/dash"} <= retain.paths
         assert "/usr/bin/perl" not in retain.paths
 
     def test_elf_dependencies_retained(self):
-        rootfs, info, cll, match, retain = build_pipeline(elf_shell_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(elf_shell_members(), ["sh"])
         assert "/usr/lib/libc.so.6" in retain.paths
         assert retain.reasons["/usr/lib/libc.so.6"] == "elf-dependency"
         assert "/usr/lib/ld-linux.so.2" in retain.paths  # loader survives /lib/ pruning
         assert "/usr/bin/perl" not in retain.paths
 
     def test_symlink_chain_closed(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         for path in retain.paths:
             rec = rootfs.entries[path]
             if rec.kind == "symlink":
-                target = info.symlink_table[path]
+                target = rootfs.symlink_table[path]
                 from staticslim.rootfs import resolve_entry
 
-                physical = resolve_entry(info, target)
+                physical = resolve_entry(rootfs, target)
                 assert physical in retain.paths
 
     def test_parents_present(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         import posixpath
 
         for path in retain.paths:
@@ -172,8 +165,8 @@ class TestRetainList:
 
     def test_monotone_in_ctl(self):
         members = shell_chain_members()
-        _, _, _, _, small = build_pipeline(members, ["sh"])
-        _, _, _, _, large = build_pipeline(members, ["sh", "perl"])
+        _, _, _, small = build_pipeline(members, ["sh"])
+        _, _, _, large = build_pipeline(members, ["sh", "perl"])
         assert small.paths <= large.paths
         assert "/usr/bin/perl" in large.paths
 
@@ -186,24 +179,45 @@ class TestRetainList:
                 "mode": 0o755,
             },
         ]
-        rootfs, info, cll, match, retain = build_pipeline(members, [], entry_paths=["/srv/app"])
+        rootfs, cll, match, retain = build_pipeline(members, [], entry_paths=["/srv/app"])
         assert "/usr/lib/libc.so.6" in retain.paths
 
+    def test_directory_symlink_on_runpath_retained(self):
+        members = [
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/lib", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/opt", "kind": "directory"},
+            {"path": "/opt/applib", "kind": "directory"},
+            {"path": "/opt/applib/libfoo.so", "data": make_elf(), "mode": 0o755},
+            {"path": "/usr/lib/app", "kind": "symlink", "target": "/opt/applib"},
+            {
+                "path": "/usr/bin/app",
+                "data": make_elf(needed=["libfoo.so"], runpath="/usr/lib/app"),
+                "mode": 0o755,
+            },
+        ]
+        rootfs, _, _, retain = build_pipeline(members, ["app"])
+        assert "/opt/applib/libfoo.so" in retain.paths
+        # /usr/lib/app is in the prune area; without it the slim image's
+        # loader cannot follow the RUNPATH to the library.
+        assert "/usr/lib/app" in retain.paths
+
     def test_protection_absolute(self):
-        rootfs, _, _, _, retain = build_pipeline(elf_shell_members(), ["sh"])
+        rootfs, _, _, retain = build_pipeline(elf_shell_members(), ["sh"])
         removed = set(rootfs.entries) - retain.paths
         assert all(in_prune_area(p) for p in removed)
 
 
 class TestEmit:
     def test_member_count_equals_retain(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         data = emit_slim_rootfs(rootfs, retain)
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             assert len(tf.getmembers()) == len(retain.paths)
 
     def test_extracted_bin_sh_resolves(self, tmp_path):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         data = emit_slim_rootfs(rootfs, retain)
         dest = tmp_path / "x"
         dest.mkdir()
@@ -215,11 +229,11 @@ class TestEmit:
         assert os.path.isfile(resolved)
 
     def test_deterministic_bytes(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         assert emit_slim_rootfs(rootfs, retain) == emit_slim_rootfs(rootfs, retain)
 
     def test_symlinks_never_materialized(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         data = emit_slim_rootfs(rootfs, retain)
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             kinds = {m.name: m.type for m in tf.getmembers()}
@@ -295,15 +309,14 @@ class TestEmit:
         assert by_name["dev/pipe0"].type == tarfile.FIFOTYPE
 
     def test_reslim_fixpoint(self):
-        rootfs, info, cll, match, retain = build_pipeline(elf_shell_members(), ["sh"])
+        rootfs, cll, match, retain = build_pipeline(elf_shell_members(), ["sh"])
         first = emit_slim_rootfs(rootfs, retain)
 
         rootfs2 = flatten_layers(make_stack([first]))
-        info2 = scan_rootfs(rootfs2)
-        cll2 = build_command_linked_list(collect_system_commands(info2), info2)
-        expand_command_linked_list(cll2, info2)
+        cll2 = build_command_linked_list(collect_system_commands(rootfs2), rootfs2)
+        expand_command_linked_list(cll2, rootfs2)
         match2 = match_tokens(ctl_of("sh"), cll2)
-        retain2 = build_retain_list(match2.start_nodes, cll2, info2, rootfs2)
+        retain2 = build_retain_list(match2.start_nodes, cll2, rootfs2)
         second = emit_slim_rootfs(rootfs2, retain2)
         assert second == first
 
@@ -316,8 +329,8 @@ class TestReport:
             {"path": "/usr/bin/keepme", "data": b"k" * 4000, "mode": 0o755},
             {"path": "/usr/bin/dropme", "data": b"d" * 6000, "mode": 0o755},
         ]
-        rootfs, info, cll, match, retain = build_pipeline(members, ["keepme"])
-        report = compute_report(rootfs, cll, retain, match=match, info=info)
+        rootfs, cll, match, retain = build_pipeline(members, ["keepme"])
+        report = compute_report(rootfs, cll, retain, match=match)
         assert report.original_size == 10000
         assert report.slim_size == 4000
         assert abs(report.slimming_ratio - 0.6) < 0.001
@@ -331,8 +344,8 @@ class TestReport:
             {"path": "/srv", "kind": "directory"},
             {"path": "/srv/data", "data": b"x" * 100},
         ]
-        rootfs, info, cll, match, retain = build_pipeline(members, [])
-        report = compute_report(rootfs, cll, retain, match=match, info=info)
+        rootfs, cll, match, retain = build_pipeline(members, [])
+        report = compute_report(rootfs, cll, retain, match=match)
         assert report.slimming_ratio == 0.0
         assert report.commands_after == report.commands_before
 
@@ -346,13 +359,12 @@ class TestReport:
                 {"path": "/usr/bin", "kind": "directory"},
             ] + [{"path": f"/usr/bin/{n}", "data": b"b", "mode": 0o755} for n in names]
             rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
-            info = scan_rootfs(rootfs)
-            cll = build_command_linked_list(collect_system_commands(info), info)
+            cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
             assert len(cll.heads) == count
 
     def test_json_serializable(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        report = compute_report(rootfs, cll, retain, match=match, info=info)
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        report = compute_report(rootfs, cll, retain, match=match)
         import json
 
         doc = json.loads(report.to_json())
@@ -360,8 +372,8 @@ class TestReport:
         assert "original size" in report.table()
 
     def test_commands_after_counts_retained_heads(self):
-        rootfs, info, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        report = compute_report(rootfs, cll, retain, match=match, info=info)
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
+        report = compute_report(rootfs, cll, retain, match=match)
         # sh and dash chains survive entirely; perl's binary is gone.
         assert report.commands_before == 3
         assert report.commands_after == 2

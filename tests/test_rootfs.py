@@ -24,36 +24,34 @@ from staticslim.rootfs import (
     collect_system_commands,
     expand_command_linked_list,
     resolve_chain,
-    scan_rootfs,
+    resolve_entry,
 )
 
 
 class TestScan:
     def test_symlink_table(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        assert info.symlink_table == {
+        assert shell_rootfs.symlink_table == {
             "/usr/bin/sh": "/usr/bin/dash",
             "/bin": "/usr/bin",
         }
 
     def test_every_entry_scanned_once(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        assert set(info.records) == set(shell_rootfs.entries)
+        assert list(shell_rootfs.entries) == sorted(shell_rootfs.entries)
 
     def test_empty_rootfs(self):
         from staticslim.imageio import FlattenedRootfs
 
-        info = scan_rootfs(FlattenedRootfs(entries={}))
-        assert info.records == {}
-        assert info.symlink_table == {}
+        rootfs = FlattenedRootfs(entries={})
+        assert rootfs.entries == {}
+        assert rootfs.symlink_table == {}
 
     def test_randomized_count_matches_generator(self):
         rng = random.Random(7)
         entries, _ = random_symlink_rootfs(rng)
-        info = scan_rootfs(rootfs_from_ground_truth(entries))
-        assert len(info.records) == len(entries)
+        rootfs = rootfs_from_ground_truth(entries)
+        assert len(rootfs.entries) == len(entries)
         expected_links = {p for p, g in entries.items() if g["kind"] == "symlink"}
-        assert set(info.symlink_table) == expected_links
+        assert set(rootfs.symlink_table) == expected_links
 
     def test_500_entry_fixture_count(self):
         rng = random.Random(99)
@@ -64,13 +62,13 @@ class TestScan:
                 entries[f"/srv/l{i}"] = {"kind": "symlink", "mode": 0o777, "target": f"f{i - 1}"}
             else:
                 entries[f"/srv/f{i}"] = {"kind": "regular", "mode": 0o644, "data": b"z"}
-        info = scan_rootfs(rootfs_from_ground_truth(entries))
-        assert len(info.records) == 500
+        rootfs = rootfs_from_ground_truth(entries)
+        assert len(rootfs.entries) == 500
 
 
 class TestCollectCommands:
     def test_shell_fixture(self, shell_rootfs):
-        commands = collect_system_commands(scan_rootfs(shell_rootfs))
+        commands = collect_system_commands(shell_rootfs)
         assert "sh" in commands
         assert "dash" in commands
         assert "tool" not in commands  # /opt is not a search directory
@@ -88,7 +86,7 @@ class TestCollectCommands:
                 ]
             )
         )
-        assert collect_system_commands(scan_rootfs(rootfs)) == []
+        assert collect_system_commands(rootfs) == []
 
     def test_non_executable_excluded(self):
         rootfs = flatten_layers(
@@ -105,7 +103,7 @@ class TestCollectCommands:
                 ]
             )
         )
-        assert collect_system_commands(scan_rootfs(rootfs)) == ["run"]
+        assert collect_system_commands(rootfs) == ["run"]
 
     def test_builtin_names_excluded(self):
         rootfs = flatten_layers(
@@ -122,7 +120,7 @@ class TestCollectCommands:
                 ]
             )
         )
-        assert collect_system_commands(scan_rootfs(rootfs)) == ["ls"]
+        assert collect_system_commands(rootfs) == ["ls"]
 
     def test_recorded_listing_count(self):
         # The recorded listing is the oracle: N names in, N commands out.
@@ -132,30 +130,26 @@ class TestCollectCommands:
             {"path": "/usr/bin", "kind": "directory"},
         ] + [{"path": f"/usr/bin/{n}", "data": b"b", "mode": 0o755} for n in names]
         rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
-        assert collect_system_commands(scan_rootfs(rootfs)) == sorted(names)
+        assert collect_system_commands(rootfs) == sorted(names)
 
 
 class TestChains:
     def test_sh_chain_through_symlink(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh", "dash"], info)
+        cll = build_command_linked_list(["sh", "dash"], shell_rootfs)
         assert resolve_chain(cll, "sh") == ["/usr/bin/sh", "/usr/bin/dash"]
 
     def test_plain_file_two_node_chain(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["perl"], info)
+        cll = build_command_linked_list(["perl"], shell_rootfs)
         assert resolve_chain(cll, "perl") == ["/usr/bin/perl"]
         assert cll.nodes["perl"].next is cll.nodes["/usr/bin/perl"]
 
     def test_chains_share_nodes(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh", "dash"], info)
+        cll = build_command_linked_list(["sh", "dash"], shell_rootfs)
         assert cll.nodes["sh"].next.next is cll.nodes["/usr/bin/dash"]
         assert cll.nodes["dash"].next is cll.nodes["/usr/bin/dash"]
 
     def test_unresolvable_command_skipped(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh", "ghost"], info)
+        cll = build_command_linked_list(["sh", "ghost"], shell_rootfs)
         assert "ghost" not in cll.nodes
         assert cll.skipped_commands == ["ghost"]
 
@@ -165,8 +159,8 @@ class TestChains:
             {"path": "/usr/bin", "kind": "directory"},
             {"path": "/usr/bin/broken", "kind": "symlink", "target": "/nowhere/else"},
         ]
-        info = scan_rootfs(flatten_layers(make_stack([make_layer_tar(members)])))
-        cll = build_command_linked_list(["broken"], info)
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["broken"], rootfs)
         assert resolve_chain(cll, "broken") == ["/usr/bin/broken", "/nowhere/else"]
         assert cll.nodes["/nowhere/else"].dangling
 
@@ -177,14 +171,13 @@ class TestChains:
             {"path": "/usr/bin/a", "kind": "symlink", "target": "b"},
             {"path": "/usr/bin/b", "kind": "symlink", "target": "a"},
         ]
-        info = scan_rootfs(flatten_layers(make_stack([make_layer_tar(members)])))
-        cll = build_command_linked_list(["a"], info)
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["a"], rootfs)
         assert resolve_chain(cll, "a") == ["/usr/bin/a", "/usr/bin/b"]
         assert cll.cycles
 
     def test_unknown_start_raises(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh"], info)
+        cll = build_command_linked_list(["sh"], shell_rootfs)
         with pytest.raises(UnknownNodeError):
             resolve_chain(cll, "nope")
 
@@ -198,23 +191,21 @@ class TestChains:
             {"path": "/opt/box/bin/tool", "data": b"t", "mode": 0o755},
             {"path": "/bin", "kind": "symlink", "target": "/opt/box/bin"},
         ]
-        info = scan_rootfs(flatten_layers(make_stack([make_layer_tar(members)])))
-        commands = collect_system_commands(info)
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        commands = collect_system_commands(rootfs)
         assert commands == ["tool"]
-        cll = build_command_linked_list(commands, info)
+        cll = build_command_linked_list(commands, rootfs)
         assert resolve_chain(cll, "tool") == ["/opt/box/bin/tool"]
 
     def test_terminal_node_singleton(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh"], info)
+        cll = build_command_linked_list(["sh"], shell_rootfs)
         assert resolve_chain(cll, "/usr/bin/dash") == ["/usr/bin/dash"]
 
 
 class TestExpansion:
     def test_bin_sh_alias_chain(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh", "dash"], info)
-        expand_command_linked_list(cll, info)
+        cll = build_command_linked_list(["sh", "dash"], shell_rootfs)
+        expand_command_linked_list(cll, shell_rootfs)
         assert resolve_chain(cll, "/bin/sh") == ["/bin/sh", "/usr/bin/sh", "/usr/bin/dash"]
         assert cll.nodes["/bin/sh"].next is cll.nodes["/usr/bin/sh"]
         assert resolve_chain(cll, "/bin/dash") == ["/bin/dash", "/usr/bin/dash"]
@@ -225,10 +216,10 @@ class TestExpansion:
             {"path": "/usr/bin", "kind": "directory"},
             {"path": "/usr/bin/x", "data": b"x", "mode": 0o755},
         ]
-        info = scan_rootfs(flatten_layers(make_stack([make_layer_tar(members)])))
-        cll = build_command_linked_list(["x"], info)
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["x"], rootfs)
         before = set(cll.nodes)
-        expand_command_linked_list(cll, info)
+        expand_command_linked_list(cll, rootfs)
         assert set(cll.nodes) == before
 
     def test_alias_for_missing_file_not_created(self):
@@ -239,18 +230,17 @@ class TestExpansion:
             {"path": "/usr/bin/x", "data": b"x", "mode": 0o755},
             {"path": "/bin", "kind": "symlink", "target": "usr/bin"},
         ]
-        info = scan_rootfs(flatten_layers(make_stack([make_layer_tar(members)])))
-        cll = build_command_linked_list(["x"], info)
-        expand_command_linked_list(cll, info)
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["x"], rootfs)
+        expand_command_linked_list(cll, rootfs)
         assert "/bin/x" in cll.nodes
         assert "/bin/y" not in cll.nodes
 
     def test_idempotent(self, shell_rootfs):
-        info = scan_rootfs(shell_rootfs)
-        cll = build_command_linked_list(["sh", "dash", "perl"], info)
-        expand_command_linked_list(cll, info)
+        cll = build_command_linked_list(["sh", "dash", "perl"], shell_rootfs)
+        expand_command_linked_list(cll, shell_rootfs)
         first_dump = cll.dump()
-        expand_command_linked_list(cll, info)
+        expand_command_linked_list(cll, shell_rootfs)
         assert cll.dump() == first_dump
 
     def test_nested_dir_symlinks_match_alias_oracle(self):
@@ -273,11 +263,11 @@ class TestExpansion:
             "/bin": {"kind": "symlink", "target": "usr/bin"},
             "/usr/bin/direct": {"kind": "regular"},
         }
-        info = scan_rootfs(flatten_layers(make_stack([make_layer_tar(members)])))
-        cll = build_command_linked_list(["direct"], info)
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["direct"], rootfs)
         # Seed with a path under the doubly-aliased directory as well.
         cll.add("/usr/bin/tools/run")
-        expand_command_linked_list(cll, info)
+        expand_command_linked_list(cll, rootfs)
         path_nodes = {n for n in cll.nodes if n.startswith("/")}
         expected = oracle_alias_closure(entries, {"/usr/bin/direct", "/usr/bin/tools/run"})
         assert path_nodes == expected
@@ -288,19 +278,13 @@ class TestExpansion:
         assert "/bin/tools/run" in path_nodes
 
 
-def _build_for(entries, commands, search_dirs=DEFAULT_SEARCH_DIRS):
-    info = scan_rootfs(rootfs_from_ground_truth(entries))
-    cll = build_command_linked_list(commands, info, search_dirs)
-    return info, cll
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_random_forests_match_bruteforce_oracle(seed):
     rng = random.Random(1000 + seed)
     entries, _ = random_symlink_rootfs(rng)
-    info = scan_rootfs(rootfs_from_ground_truth(entries))
-    commands = collect_system_commands(info)
-    cll = build_command_linked_list(commands, info)
+    rootfs = rootfs_from_ground_truth(entries)
+    commands = collect_system_commands(rootfs)
+    cll = build_command_linked_list(commands, rootfs)
 
     for cmd in commands:
         start = oracle_command_start(entries, cmd, DEFAULT_SEARCH_DIRS)
@@ -311,12 +295,12 @@ def test_random_forests_match_bruteforce_oracle(seed):
         assert resolve_chain(cll, cmd) == expected, f"seed={seed} cmd={cmd}"
 
     pre_paths = {n for n in cll.nodes if n.startswith("/")}
-    expand_command_linked_list(cll, info)
+    expand_command_linked_list(cll, rootfs)
     post_paths = {n for n in cll.nodes if n.startswith("/")}
     assert post_paths == oracle_alias_closure(entries, pre_paths), f"seed={seed}"
 
     dump = cll.dump()
-    expand_command_linked_list(cll, info)
+    expand_command_linked_list(cll, rootfs)
     assert cll.dump() == dump, f"seed={seed}"
 
     for head in cll.heads:
@@ -325,12 +309,11 @@ def test_random_forests_match_bruteforce_oracle(seed):
     if not cll.cycles:
         # Chain closure: each symlink spelling's one-hop target shows up
         # further down the same chain.
-        from staticslim.rootfs import one_hop_target
-
         for name in cll.nodes:
             chain = resolve_chain(cll, name)
             for i, spelling in enumerate(chain):
-                hop = one_hop_target(info, spelling)
+                # One symlink-resolution step of the spelling, None for no symlink.
+                hop = rootfs.symlink_table.get(resolve_entry(rootfs, spelling))
                 if hop is not None:
                     assert hop in chain[i + 1 :], f"seed={seed} {spelling} -> {hop}"
 
@@ -340,9 +323,9 @@ def test_determinism_same_info_same_dump():
     entries, _ = random_symlink_rootfs(rng)
     dumps = []
     for _ in range(2):
-        info = scan_rootfs(rootfs_from_ground_truth(entries))
-        commands = collect_system_commands(info)
-        cll = build_command_linked_list(commands, info)
-        expand_command_linked_list(cll, info)
+        rootfs = rootfs_from_ground_truth(entries)
+        commands = collect_system_commands(rootfs)
+        cll = build_command_linked_list(commands, rootfs)
+        expand_command_linked_list(cll, rootfs)
         dumps.append(cll.dump())
     assert dumps[0] == dumps[1]
