@@ -6,11 +6,18 @@ expressions to constant fragments by walking definition chains. The scope is
 deliberately narrow: intra-module, flow-insensitive, with one level of
 call-site argument binding for function parameters. Anything beyond that
 resolves to a dynamic marker instead of a fabricated value.
+
+The lexer is one compiled token pattern matched at each position; only
+strings, templates and regex literals have scanners of their own, because
+they need escapes, nesting and the previous-token rule. The parser and the
+indexer share one set of span helpers for balanced brackets, function
+literals and arrow bodies.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
@@ -25,18 +32,41 @@ _KEYWORDS = frozenset(
     yield""".split()
 )
 
-_PUNCT3 = ("===", "!==", "**=", "...", ">>>", "&&=", "||=", "??=")
-_PUNCT2 = (
-    "=>", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "&&", "||",
-    "??", "++", "--", "**", "<<", ">>", "&=", "|=", "^=", "?.",
-)
-
 _REGEX_ALLOWED_AFTER = frozenset(
     {"(", ",", "=", ":", "[", "!", "&", "|", "?", "{", "}", ";", "+", "-",
      "*", "/", "%", "<", ">", "=>", "==", "!=", "===", "!==", "&&", "||",
      "??", "return", "typeof", "case", "in", "of", "new", "delete", "void",
      "instanceof", "do", "else", "yield", "await"}
 )
+
+# One alternative per token start, tried in order. Whitespace is exactly
+# " \t\r\f\v": any other space lexes as punctuation. Numbers and identifiers
+# start with str.isdigit / str.isalpha, which no character class equals, so
+# only ASCII starts are matched here; a non-ASCII start (or a "." before one)
+# is "unicode" and tokenize tests it with the str methods.
+_NUMBER_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
+_IDENT_TAIL = r"[\w$]*"
+_TOKEN = re.compile(
+    rf"""
+    (?P<nl>\n[ \t\r\f\v]*)
+    | [ \t\r\f\v]+
+    | //[^\n]*
+    | (?P<block_comment>/\*)
+    | (?P<num>(?:[0-9]|\.[0-9]){_NUMBER_TAIL})
+    | (?P<ident>[A-Za-z_$]{_IDENT_TAIL})
+    | (?P<str>['"])
+    | (?P<tpl>`)
+    | (?P<slash>/=?)
+    | (?P<unicode>\.?[^\x00-\x7f])
+    | (?P<punct>
+        ===|!==|\*\*=|\.\.\.|>>>|&&=|\|\|=|\?\?=
+        | =>|==|!=|<=|>=|\+=|-=|\*=|%=|&&|\|\||\?\?|\+\+|--|\*\*|<<|>>|&=|\|=|\^=|\?\.
+        | .)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NUMBER_REST = re.compile(_NUMBER_TAIL)
+_IDENT_REST = re.compile(_IDENT_TAIL)
 
 
 @dataclass
@@ -47,96 +77,59 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex a JavaScript module; unknown characters are skipped."""
+    """Lex a JavaScript module; an unterminated block comment ends the input."""
     toks: list[Token] = []
+    match = _TOKEN.match
     i = 0
     n = len(source)
     line = 1
-
-    def prev_significant() -> Token | None:
-        return toks[-1] if toks else None
-
     while i < n:
-        c = source[i]
-        if c == "\n":
+        m = match(source, i)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ident" or kind == "num" or kind == "punct":
+            toks.append(Token(kind, m.group(), line))
+        elif kind == "nl":
             line += 1
-            i += 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "*":
+        elif kind == "str":
+            value, end, nl = _scan_string(source, i, source[i])
+            toks.append(Token("str", value, line))
+            line += nl
+        elif kind == "tpl":
+            parts, end, nl = _scan_template(source, i)
+            toks.append(Token("tpl", parts, line))
+            line += nl
+        elif kind == "slash":
+            prev = toks[-1] if toks else None
+            regex_end = _scan_regex(source, i) if _regex_can_start(prev) else None
+            if regex_end is None:
+                toks.append(Token("punct", m.group(), line))
+            else:
+                toks.append(Token("regex", source[i:regex_end], line))
+                end = regex_end
+        elif kind == "block_comment":
             j = source.find("*/", i + 2)
             if j < 0:
                 break
             line += source.count("\n", i, j)
-            i = j + 2
-            continue
-        if c in "'\"":
-            value, i, nl = _scan_string(source, i, c)
-            toks.append(Token("str", value, line))
-            line += nl
-            continue
-        if c == "`":
-            parts, i, nl = _scan_template(source, i)
-            toks.append(Token("tpl", parts, line))
-            line += nl
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "._xXoObBeE+-"):
-                if source[j] in "+-" and source[j - 1] not in "eE":
-                    break
-                j += 1
-            toks.append(Token("num", source[i:j], line))
-            i = j
-            continue
-        if c.isalpha() or c in "_$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            toks.append(Token("ident", source[i:j], line))
-            i = j
-            continue
-        if c == "/":
-            prev = prev_significant()
-            if _regex_can_start(prev):
-                end, nl = _scan_regex(source, i)
-                if end is not None:
-                    toks.append(Token("regex", source[i:end], line))
-                    line += nl
-                    i = end
-                    continue
-            # fall through: division operator
-        matched = None
-        for group in (_PUNCT3, _PUNCT2):
-            for p in group:
-                if source.startswith(p, i):
-                    matched = p
-                    break
-            if matched:
-                break
-        if matched:
-            toks.append(Token("punct", matched, line))
-            i += len(matched)
-            continue
-        toks.append(Token("punct", c, line))
-        i += 1
+            end = j + 2
+        elif kind == "unicode":
+            c = source[i]
+            if c.isdigit() or (c == "." and source[i + 1].isdigit()):
+                end = _NUMBER_REST.match(source, i + 1).end()
+                toks.append(Token("num", source[i:end], line))
+            elif c.isalpha():
+                end = _IDENT_REST.match(source, i + 1).end()
+                toks.append(Token("ident", source[i:end], line))
+            else:
+                end = i + 1
+                toks.append(Token("punct", c, line))
+        i = end
     return toks
 
 
 def _regex_can_start(prev: Token | None) -> bool:
-    if prev is None:
-        return True
-    if prev.kind == "punct":
-        return prev.value in _REGEX_ALLOWED_AFTER
-    if prev.kind == "ident":
-        return prev.value in _REGEX_ALLOWED_AFTER
-    return False
+    return prev is None or (prev.kind in ("punct", "ident") and prev.value in _REGEX_ALLOWED_AFTER)
 
 
 def _scan_string(source: str, i: int, quote: str) -> tuple[str, int, int]:
@@ -215,18 +208,24 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
     return parts, i, newlines
 
 
-def _scan_regex(source: str, i: int) -> tuple[int | None, int]:
+def _scan_regex(source: str, i: int) -> int | None:
+    """End of the regex literal at ``i``, or None when the line ends first.
+
+    A line terminator ends the candidate even after a backslash: a regex
+    literal cannot span lines, so the "/" is then division.
+    """
     j = i + 1
     n = len(source)
     in_class = False
-    newlines = 0
     while j < n:
         c = source[j]
+        if c == "\n":
+            return None
         if c == "\\":
+            if source.startswith("\n", j + 1):
+                return None
             j += 2
             continue
-        if c == "\n":
-            return None, 0  # not a regex after all
         if c == "[":
             in_class = True
         elif c == "]":
@@ -235,9 +234,9 @@ def _scan_regex(source: str, i: int) -> tuple[int | None, int]:
             j += 1
             while j < n and (source[j].isalpha()):
                 j += 1
-            return j, newlines
+            return j
         j += 1
-    return None, 0
+    return None
 
 
 # --- expression model -------------------------------------------------------
@@ -275,18 +274,8 @@ class Alt(Expr):
 
 
 @dataclass
-class CallEx(Expr):
-    callee: str | None  # last dotted segment
-    args: list
-    line: int
-
-
-@dataclass
 class Dynamic(Expr):
     pass
-
-
-_STOP_PUNCT = frozenset({")", "]", "}", ",", ";", ":"})
 
 
 class _ExprParser:
@@ -295,7 +284,6 @@ class _ExprParser:
     def __init__(self, toks: list[Token], pos: int):
         self.toks = toks
         self.pos = pos
-        self.calls: list[CallEx] = []
 
     def peek(self) -> Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -317,8 +305,7 @@ class _ExprParser:
             elif t.value == "?":
                 self.pos += 1
                 a = self.parse()
-                t2 = self.peek()
-                if t2 is not None and t2.kind == "punct" and t2.value == ":":
+                if _is_punct(self.toks, self.pos, ":"):
                     self.pos += 1
                     b = self.parse()
                     left = Alt([a, b])
@@ -349,7 +336,7 @@ class _ExprParser:
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
-        expr, last_segment = self.parse_primary()
+        expr = self.parse_primary()
         while True:
             t = self.peek()
             if t is None or t.kind != "punct":
@@ -357,90 +344,73 @@ class _ExprParser:
             if t.value == ".":
                 nxt = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else None
                 if nxt is not None and nxt.kind == "ident":
-                    last_segment = nxt.value
                     expr = Dynamic()  # member reads are not resolved
                     self.pos += 2
                     continue
                 self.pos += 1
                 continue
             if t.value == "(":
-                args = self.parse_args()
-                call = CallEx(callee=last_segment, args=args, line=t.line)
-                self.calls.append(call)
-                expr = call
-                last_segment = None
+                self.parse_args()
+                expr = Dynamic()  # nor are call results
                 continue
             if t.value == "[":
-                self.skip_balanced("[", "]")
+                self.pos = _match_balanced(self.toks, self.pos)
                 expr = Dynamic()
-                last_segment = None
                 continue
             break
         return expr
 
-    def parse_primary(self) -> tuple[Expr, str | None]:
+    def parse_primary(self) -> Expr:
         t = self.peek()
         if t is None:
-            return Dynamic(), None
+            return Dynamic()
         if t.kind == "str":
             self.pos += 1
-            return Str(t.value), None
+            return Str(t.value)
         if t.kind == "num":
             self.pos += 1
-            return Str(str(t.value)), None
+            return Str(str(t.value))
         if t.kind == "tpl":
             self.pos += 1
             parts = []
             for kind, payload in t.value:
-                if kind == "s":
-                    parts.append(("s", payload))
-                else:
-                    sub = _ExprParser(tokenize(payload), 0)
-                    parts.append(("e", sub.parse()))
-                    self.calls.extend(sub.calls)
-            return Tpl(parts), None
-        if t.kind == "regex":
-            self.pos += 1
-            return Dynamic(), None
+                if kind == "e":
+                    payload = _ExprParser(tokenize(payload), 0).parse()
+                parts.append((kind, payload))
+            return Tpl(parts)
         if t.kind == "ident":
             if t.value == "function":
-                self.skip_function_literal()
-                return Dynamic(), None
-            if t.value in _KEYWORDS and t.value not in ("this",):
-                self.pos += 1
-                return Dynamic(), None
+                self.pos, _ = _function_literal(self.toks, self.pos)
+                return Dynamic()
             self.pos += 1
-            if self.is_arrow_ahead():
-                self.skip_arrow_body()
-                return Dynamic(), None
-            return Name(t.value, t.line), t.value
+            if t.value in _KEYWORDS and t.value != "this":
+                return Dynamic()
+            if _is_punct(self.toks, self.pos, "=>"):
+                self.pos = _arrow_body_end(self.toks, self.pos + 1)
+                return Dynamic()
+            return Name(t.value, t.line)
         if t.kind == "punct":
             if t.value == "(":
-                if self.is_arrow_params():
-                    self.skip_balanced("(", ")")
-                    self.skip_arrow_body()
-                    return Dynamic(), None
+                params_end = _match_balanced(self.toks, self.pos)
+                if _is_punct(self.toks, params_end, "=>"):
+                    self.pos = _arrow_body_end(self.toks, params_end + 1)
+                    return Dynamic()
                 self.pos += 1
                 inner = self.parse()
-                t2 = self.peek()
-                if t2 is not None and t2.kind == "punct" and t2.value == ")":
+                if _is_punct(self.toks, self.pos, ")"):
                     self.pos += 1
-                return inner, None
-            if t.value == "[":
-                self.skip_balanced("[", "]")
-                return Dynamic(), None
-            if t.value == "{":
-                self.skip_balanced("{", "}")
-                return Dynamic(), None
+                return inner
+            if t.value in ("[", "{"):
+                self.pos = _match_balanced(self.toks, self.pos)
+                return Dynamic()
         self.pos += 1
-        return Dynamic(), None
+        return Dynamic()
 
     def parse_args(self) -> list:
         # caller sits on '('
         self.pos += 1
         args = []
-        t = self.peek()
-        if t is not None and t.kind == "punct" and t.value == ")":
+        if _is_punct(self.toks, self.pos, ")"):
             self.pos += 1
             return args
         while True:
@@ -458,59 +428,6 @@ class _ExprParser:
             if self.pos >= len(self.toks):
                 break
         return args
-
-    def is_arrow_params(self) -> bool:
-        depth = 0
-        j = self.pos
-        while j < len(self.toks):
-            t = self.toks[j]
-            if t.kind == "punct" and t.value == "(":
-                depth += 1
-            elif t.kind == "punct" and t.value == ")":
-                depth -= 1
-                if depth == 0:
-                    nxt = self.toks[j + 1] if j + 1 < len(self.toks) else None
-                    return nxt is not None and nxt.kind == "punct" and nxt.value == "=>"
-            j += 1
-        return False
-
-    def is_arrow_ahead(self) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "punct" and t.value == "=>"
-
-    def skip_arrow_body(self) -> None:
-        t = self.peek()
-        if t is not None and t.kind == "punct" and t.value == "=>":
-            self.pos += 1
-        t = self.peek()
-        if t is not None and t.kind == "punct" and t.value == "{":
-            self.skip_balanced("{", "}")
-        else:
-            self.parse()  # concise body
-
-    def skip_function_literal(self) -> None:
-        # sits on 'function'
-        self.pos += 1
-        t = self.peek()
-        if t is not None and t.kind == "ident":
-            self.pos += 1
-        self.skip_balanced("(", ")")
-        self.skip_balanced("{", "}")
-
-    def skip_balanced(self, open_p: str, close_p: str) -> None:
-        t = self.peek()
-        if t is None or t.kind != "punct" or t.value != open_p:
-            return
-        depth = 0
-        while self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            self.pos += 1
-            if t.kind == "punct" and t.value == open_p:
-                depth += 1
-            elif t.kind == "punct" and t.value == close_p:
-                depth -= 1
-                if depth == 0:
-                    return
 
 
 # --- module index ------------------------------------------------------------
@@ -559,8 +476,17 @@ class ModuleIndex:
         return best
 
 
-def _match_balanced(toks: list[Token], pos: int, open_p: str, close_p: str) -> int:
-    """Index just past the matching close punct, starting at ``pos`` on open."""
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+
+
+def _is_punct(toks: list[Token], j: int, value: str) -> bool:
+    return j < len(toks) and toks[j].kind == "punct" and toks[j].value == value
+
+
+def _match_balanced(toks: list[Token], pos: int) -> int:
+    """Index just past the punct that closes the bracket at ``pos``."""
+    open_p = toks[pos].value
+    close_p = _CLOSERS[open_p]
     depth = 0
     j = pos
     while j < len(toks):
@@ -601,34 +527,24 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
     while i < len(toks):
         t = toks[i]
         if t.kind == "ident" and t.value == "function":
-            j = i + 1
-            name = None
-            if j < len(toks) and toks[j].kind == "ident":
-                name = toks[j].value
-                j += 1
-            if j < len(toks) and toks[j].kind == "punct" and toks[j].value == "(":
-                params_end = _match_balanced(toks, j, "(", ")")
-                params = _param_names(toks, j, params_end)
-                if params_end < len(toks) and toks[params_end].value == "{":
-                    body_end = _match_balanced(toks, params_end, "{", "}")
-                    if name is not None:
-                        index.functions[name] = FuncInfo(
-                            name=name, params=params, body=(params_end, body_end - 1), line=t.line
-                        )
-                    i = params_end  # keep scanning inside the body
-                    continue
+            _, literal = _function_literal(toks, i)
+            if literal is not None:
+                params, body = literal
+                if toks[i + 1].kind == "ident":
+                    name = toks[i + 1].value
+                    index.functions[name] = FuncInfo(name=name, params=params, body=body, line=t.line)
+                i = body[0]  # keep scanning inside the body
+                continue
         if (
             t.kind == "ident"
             and t.value in ("const", "let", "var")
             and i + 3 < len(toks)
             and toks[i + 1].kind == "ident"
-            and toks[i + 2].kind == "punct"
-            and toks[i + 2].value == "="
+            and _is_punct(toks, i + 2, "=")
         ):
-            fname = toks[i + 1].value
-            k = i + 3
-            arrow = _arrow_function_span(toks, k)
+            arrow = _arrow_function_span(toks, i + 3)
             if arrow is not None:
+                fname = toks[i + 1].value
                 params, body = arrow
                 index.functions[fname] = FuncInfo(
                     name=fname, params=params, body=body, line=toks[i + 1].line
@@ -662,20 +578,10 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
 
     # Calls to sinks and to declared functions, wherever they appear.
     interesting = sink_names | frozenset(index.functions)
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if (
-            t.kind == "ident"
-            and t.value in interesting
-            and i + 1 < len(toks)
-            and toks[i + 1].kind == "punct"
-            and toks[i + 1].value == "("
-        ):
-            parser = _ExprParser(toks, i + 1)
-            args = parser.parse_args()
+    for i, t in enumerate(toks):
+        if t.kind == "ident" and t.value in interesting and _is_punct(toks, i + 1, "("):
+            args = _ExprParser(toks, i + 1).parse_args()
             index.calls.append(CallSite(callee=t.value, args=args, line=t.line, token_index=i))
-        i += 1
     return index
 
 
@@ -683,40 +589,51 @@ def _is_member_prefix(tok: Token) -> bool:
     return tok.kind == "punct" and tok.value in (".", "?.")
 
 
-def _arrow_function_span(toks, k):
+def _function_literal(toks: list[Token], k: int):
+    """Read ``function [name](params) {body}`` with ``k`` on ``function``.
+
+    Returns the index just past what was read and, when both the parameter
+    list and the body are there, (params, body token range). A missing "("
+    or "{" is stepped over, which lets the expression parser resync.
+    """
+    j = k + 1
+    if j < len(toks) and toks[j].kind == "ident":
+        j += 1
+    if not _is_punct(toks, j, "("):
+        return (_match_balanced(toks, j) if _is_punct(toks, j, "{") else j), None
+    params_end = _match_balanced(toks, j)
+    if not _is_punct(toks, params_end, "{"):
+        return params_end, None
+    body_end = _match_balanced(toks, params_end)
+    return body_end, (_param_names(toks, j, params_end), (params_end, body_end - 1))
+
+
+def _arrow_body_end(toks: list[Token], k: int) -> int:
+    """Index just past the arrow-function body (a block or one expression) at ``k``."""
+    if _is_punct(toks, k, "{"):
+        return _match_balanced(toks, k)
+    parser = _ExprParser(toks, k)
+    parser.parse()
+    return parser.pos
+
+
+def _arrow_function_span(toks: list[Token], k: int):
     """Params and body range when tokens at ``k`` form an arrow/function literal."""
     if k >= len(toks):
         return None
     t = toks[k]
     if t.kind == "ident" and t.value == "function":
-        j = k + 1
-        if j < len(toks) and toks[j].kind == "ident":
-            j += 1
-        if j < len(toks) and toks[j].kind == "punct" and toks[j].value == "(":
-            pend = _match_balanced(toks, j, "(", ")")
-            params = _param_names(toks, j, pend)
-            if pend < len(toks) and toks[pend].value == "{":
-                bend = _match_balanced(toks, pend, "{", "}")
-                return params, (pend, bend - 1)
-        return None
+        return _function_literal(toks, k)[1]
     if t.kind == "punct" and t.value == "(":
-        pend = _match_balanced(toks, k, "(", ")")
-        if pend < len(toks) and toks[pend].kind == "punct" and toks[pend].value == "=>":
-            params = _param_names(toks, k, pend)
-            return params, _arrow_body_span(toks, pend + 1)
+        params_end = _match_balanced(toks, k)
+        if not _is_punct(toks, params_end, "=>"):
+            return None
+        params, body = _param_names(toks, k, params_end), params_end + 1
+    elif t.kind == "ident" and t.value not in _KEYWORDS and _is_punct(toks, k + 1, "=>"):
+        params, body = [t.value], k + 2
+    else:
         return None
-    if t.kind == "ident" and t.value not in _KEYWORDS:
-        if k + 1 < len(toks) and toks[k + 1].kind == "punct" and toks[k + 1].value == "=>":
-            return [t.value], _arrow_body_span(toks, k + 2)
-    return None
-
-
-def _arrow_body_span(toks, k):
-    if k < len(toks) and toks[k].kind == "punct" and toks[k].value == "{":
-        return (k, _match_balanced(toks, k, "{", "}") - 1)
-    parser = _ExprParser(toks, k)
-    parser.parse()
-    return (k, max(parser.pos - 1, k))
+    return params, (body, max(_arrow_body_end(toks, body) - 1, body))
 
 
 def _scan_declarators(toks, i, index: ModuleIndex) -> int:
@@ -727,7 +644,7 @@ def _scan_declarators(toks, i, index: ModuleIndex) -> int:
             return i
         name = t.value
         line = t.line
-        if i + 1 < len(toks) and toks[i + 1].kind == "punct" and toks[i + 1].value == "=":
+        if _is_punct(toks, i + 1, "="):
             parser = _ExprParser(toks, i + 2)
             expr = parser.parse()
             index.defs.setdefault(name, []).append(
@@ -736,7 +653,7 @@ def _scan_declarators(toks, i, index: ModuleIndex) -> int:
             i = parser.pos
         else:
             i += 1
-        if i < len(toks) and toks[i].kind == "punct" and toks[i].value == ",":
+        if _is_punct(toks, i, ","):
             i += 1
             continue
         return i
@@ -755,7 +672,6 @@ class Resolution:
 
     variants: list[tuple]  # each a tuple of (CONST, text) / (DYN,) segments
     used_defs: list[Definition] = field(default_factory=list)
-    via_param: bool = False
 
 
 def resolve_expr(
@@ -788,7 +704,6 @@ def resolve_expr(
             sub = resolve_expr(opt, index, enclosing, stack, depth + 1)
             out.variants.extend(sub.variants)
             out.used_defs.extend(sub.used_defs)
-            out.via_param = out.via_param or sub.via_param
         return _cap(out)
     if isinstance(expr, Name):
         return _resolve_name(expr.name, index, enclosing, stack, depth)
@@ -804,8 +719,8 @@ def _resolve_name(name, index, enclosing, stack, depth) -> Resolution:
     if enclosing is not None and name in enclosing.params:
         bindings = _call_site_args(index, enclosing, name)
         if not bindings:
-            return Resolution(variants=[((DYN,),)], via_param=True)
-        out = Resolution(variants=[], via_param=True)
+            return Resolution(variants=[((DYN,),)])
+        out = Resolution(variants=[])
         for arg_expr, caller in bindings:
             sub = resolve_expr(arg_expr, index, caller, stack, depth + 1)
             out.variants.extend(sub.variants)
@@ -825,7 +740,6 @@ def _resolve_name(name, index, enclosing, stack, depth) -> Resolution:
         out.variants.extend(sub.variants)
         out.used_defs.append(definition)
         out.used_defs.extend(sub.used_defs)
-        out.via_param = out.via_param or sub.via_param
     return _cap(out)
 
 
@@ -855,11 +769,7 @@ def _product(a: Resolution, b: Resolution) -> Resolution:
                 break
         if len(variants) >= MAX_VARIANTS:
             break
-    return Resolution(
-        variants=variants,
-        used_defs=a.used_defs + b.used_defs,
-        via_param=a.via_param or b.via_param,
-    )
+    return Resolution(variants=variants, used_defs=a.used_defs + b.used_defs)
 
 
 def _cap(res: Resolution) -> Resolution:

@@ -187,11 +187,9 @@ def build_retain_list(
     lib_dirs = rootfs_library_dirs(rootfs)
     for entry in chain_entries:
         closure = resolve_elf_dependencies(entry, rootfs, lib_dirs=lib_dirs)
+        # Closure paths are physical entries, so each is retained as it is.
         for lib in sorted(closure.paths):
-            reason = REASON_INTERP if closure.interpreter and lib == closure.interpreter else REASON_ELF
-            _retain_spelling(retain, rootfs, lib, reason)
-        if closure.interpreter:
-            _retain_spelling(retain, rootfs, closure.interpreter, REASON_INTERP)
+            retain.add(lib, REASON_INTERP if lib == closure.interpreter else REASON_ELF)
         for name in closure.missing:
             if name not in retain.missing_libraries:
                 retain.missing_libraries.append(name)

@@ -201,6 +201,7 @@ class CommandLinkedList:
 
     def dump(self) -> str:
         """Line-oriented JSON debug dump: one node per line."""
+        heads = set(self.heads)
         lines = []
         for node in self.nodes.values():
             lines.append(
@@ -208,7 +209,7 @@ class CommandLinkedList:
                     {
                         "node": node.name,
                         "next": node.next.name if node.next else None,
-                        "head": node.name in set(self.heads),
+                        "head": node.name in heads,
                         "dangling": node.dangling,
                     },
                     sort_keys=True,

@@ -1,0 +1,228 @@
+"""Reference JavaScript lexer that reads one character at a time.
+
+It is the oracle for ``staticslim.jsmodule.tokenize``, which lexes with one
+token pattern: both must give the same (kind, value, line) stream. The scanners
+and tables are those of the original per-character lexer, with one fix: a
+backslash before a newline ends a regex-literal candidate, so the "/" lexes as
+division and later line numbers stay right.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+_PUNCT3 = ("===", "!==", "**=", "...", ">>>", "&&=", "||=", "??=")
+_PUNCT2 = (
+    "=>", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "&&", "||",
+    "??", "++", "--", "**", "<<", ">>", "&=", "|=", "^=", "?.",
+)
+
+_REGEX_ALLOWED_AFTER = frozenset(
+    {"(", ",", "=", ":", "[", "!", "&", "|", "?", "{", "}", ";", "+", "-",
+     "*", "/", "%", "<", ">", "=>", "==", "!=", "===", "!==", "&&", "||",
+     "??", "return", "typeof", "case", "in", "of", "new", "delete", "void",
+     "instanceof", "do", "else", "yield", "await"}
+)
+
+
+@dataclass
+class Token:
+    kind: str  # str | tpl | num | ident | punct | regex
+    value: object
+    line: int
+
+
+def tokenize(source: str) -> list[Token]:
+    """Lex a JavaScript module one character at a time."""
+    toks: list[Token] = []
+    i = 0
+    n = len(source)
+    line = 1
+
+    def prev_significant() -> Token | None:
+        return toks[-1] if toks else None
+
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            i += 1
+            continue
+        if c in " \t\r\f\v":
+            i += 1
+            continue
+        if c == "/" and i + 1 < n and source[i + 1] == "/":
+            j = source.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if c == "/" and i + 1 < n and source[i + 1] == "*":
+            j = source.find("*/", i + 2)
+            if j < 0:
+                break
+            line += source.count("\n", i, j)
+            i = j + 2
+            continue
+        if c in "'\"":
+            value, i, nl = _scan_string(source, i, c)
+            toks.append(Token("str", value, line))
+            line += nl
+            continue
+        if c == "`":
+            parts, i, nl = _scan_template(source, i)
+            toks.append(Token("tpl", parts, line))
+            line += nl
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] in "._xXoObBeE+-"):
+                if source[j] in "+-" and source[j - 1] not in "eE":
+                    break
+                j += 1
+            toks.append(Token("num", source[i:j], line))
+            i = j
+            continue
+        if c.isalpha() or c in "_$":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] in "_$"):
+                j += 1
+            toks.append(Token("ident", source[i:j], line))
+            i = j
+            continue
+        if c == "/":
+            prev = prev_significant()
+            if _regex_can_start(prev):
+                end, nl = _scan_regex(source, i)
+                if end is not None:
+                    toks.append(Token("regex", source[i:end], line))
+                    line += nl
+                    i = end
+                    continue
+            # fall through: division operator
+        matched = None
+        for group in (_PUNCT3, _PUNCT2):
+            for p in group:
+                if source.startswith(p, i):
+                    matched = p
+                    break
+            if matched:
+                break
+        if matched:
+            toks.append(Token("punct", matched, line))
+            i += len(matched)
+            continue
+        toks.append(Token("punct", c, line))
+        i += 1
+    return toks
+
+
+def _regex_can_start(prev: Token | None) -> bool:
+    if prev is None:
+        return True
+    if prev.kind == "punct":
+        return prev.value in _REGEX_ALLOWED_AFTER
+    if prev.kind == "ident":
+        return prev.value in _REGEX_ALLOWED_AFTER
+    return False
+
+
+def _scan_string(source: str, i: int, quote: str) -> tuple[str, int, int]:
+    out = []
+    newlines = 0
+    i += 1
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\\" and i + 1 < n:
+            esc = source[i + 1]
+            out.append({"n": "\n", "t": "\t", "r": "\r", "0": "\0"}.get(esc, esc))
+            if esc == "\n":
+                newlines += 1
+            i += 2
+            continue
+        if c == quote:
+            return "".join(out), i + 1, newlines
+        if c == "\n":
+            break  # unterminated; be tolerant
+        out.append(c)
+        i += 1
+    return "".join(out), i, newlines
+
+
+def _scan_template(source: str, i: int) -> tuple[list, int, int]:
+    """Scan a template literal into [('s', text) | ('e', expr_source)] parts."""
+    parts: list[tuple[str, str]] = []
+    buf: list[str] = []
+    newlines = 0
+    i += 1
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\\" and i + 1 < n:
+            esc = source[i + 1]
+            buf.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
+            i += 2
+            continue
+        if c == "`":
+            if buf:
+                parts.append(("s", "".join(buf)))
+            return parts, i + 1, newlines
+        if c == "$" and i + 1 < n and source[i + 1] == "{":
+            if buf:
+                parts.append(("s", "".join(buf)))
+                buf = []
+            depth = 1
+            j = i + 2
+            start = j
+            while j < n and depth:
+                if source[j] == "{":
+                    depth += 1
+                elif source[j] == "}":
+                    depth -= 1
+                elif source[j] == "`":
+                    _, j2, nl2 = _scan_template(source, j)
+                    newlines += nl2
+                    j = j2 - 1
+                elif source[j] in "'\"":
+                    _, j2, nl2 = _scan_string(source, j, source[j])
+                    newlines += nl2
+                    j = j2 - 1
+                elif source[j] == "\n":
+                    newlines += 1
+                j += 1
+            parts.append(("e", source[start : j - 1]))
+            i = j
+            continue
+        if c == "\n":
+            newlines += 1
+        buf.append(c)
+        i += 1
+    if buf:
+        parts.append(("s", "".join(buf)))
+    return parts, i, newlines
+
+
+def _scan_regex(source: str, i: int) -> tuple[int | None, int]:
+    j = i + 1
+    n = len(source)
+    in_class = False
+    newlines = 0
+    while j < n:
+        c = source[j]
+        if c == "\\":
+            if source.startswith("\n", j + 1):
+                return None, 0  # a regex literal cannot span lines
+            j += 2
+            continue
+        if c == "\n":
+            return None, 0  # not a regex after all
+        if c == "[":
+            in_class = True
+        elif c == "]":
+            in_class = False
+        elif c == "/" and not in_class:
+            j += 1
+            while j < n and (source[j].isalpha()):
+                j += 1
+            return j, newlines
+        j += 1
+    return None, 0

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_lexer
 from staticslim.jsmodule import (
     constant_fragments,
     resolve_expr,
@@ -17,6 +18,20 @@ SINKS = frozenset({"exec"})
 
 def kinds(source):
     return [(t.kind, t.value) for t in tokenize(source)]
+
+
+def stream(lexer, source):
+    return [(t.kind, t.value, t.line) for t in lexer(source)]
+
+
+# JS punctuation, quotes, template pieces, escapes, newlines, number and
+# identifier starts, and the characters where str.isdigit / str.isalpha and
+# the regex classes disagree (non-ASCII digits, letters and spaces).
+_JS_PIECES = st.sampled_from(
+    list("abexE_$019.+-*/%=<>!&|?^~:;,()[]{}'\"`\\\n \t\r\f\v")
+    + ["${", "//", "/*", "*/", "return", "typeof", "in", "0x1F", "1e+5",
+       "\u00bd", "\u00b2", "\u2460", "\u00e9", "\u4e2d", "\u00a0", "\u3000", "\x85", "\u0663"]
+)
 
 
 class TestTokenize:
@@ -57,6 +72,23 @@ class TestTokenize:
         toks = tokenize("'one'\n'two'\n`three\nfour`\nfive")
         idents = [t for t in toks if t.kind == "ident"]
         assert idents[0].line == 5
+
+    def test_regex_candidate_ends_at_escaped_newline(self):
+        # A regex literal cannot span lines: the "/" is division, and the
+        # call on line 3 keeps its line number.
+        source = "x = /a\\\nb/;\nexec('ls');\n"
+        assert all(t.kind != "regex" for t in tokenize(source))
+        index = scan_module("m.js", source, SINKS)
+        assert [(c.callee, c.line) for c in index.calls] == [("exec", 3)]
+
+    @settings(max_examples=500)
+    @given(st.lists(_JS_PIECES, max_size=80).map("".join))
+    @example("x = /a\\\nb/;\nexec('ls');")
+    @example("a = \u00bd2 + \u00b2x + .\u00b2 + \u2460 + \u00e9t\u00e9 + \u4e2d\u00a0\x0b1e+5")
+    @example("/* never closed\nexec('x')")
+    @example("x = /=/; y /= 2")
+    def test_same_stream_as_reference_lexer(self, text):
+        assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
 
     @given(st.text(max_size=400))
     def test_total_on_arbitrary_text(self, text):
@@ -112,6 +144,11 @@ class TestScanModule:
         source = "config.cmd = 'rm -rf /';\nexec(other);\n"
         index = scan_module("m.js", source, SINKS)
         assert "cmd" not in index.defs
+
+    def test_string_brace_does_not_open_a_function_body(self):
+        source = "function f(c) '{' exec(c); }\nf('ls');\n"
+        index = scan_module("m.js", source, SINKS)
+        assert "f" not in index.functions
 
     def test_numeric_literal_concats(self):
         source = "exec('sleep ' + 5);\n"

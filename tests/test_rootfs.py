@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -329,3 +330,13 @@ def test_determinism_same_info_same_dump():
         expand_command_linked_list(cll, rootfs)
         dumps.append(cll.dump())
     assert dumps[0] == dumps[1]
+
+
+def test_dump_flags_exactly_the_heads(shell_rootfs):
+    cll = build_command_linked_list(["sh", "dash", "perl"], shell_rootfs)
+    expand_command_linked_list(cll, shell_rootfs)
+    rows = [json.loads(line) for line in cll.dump().splitlines()]
+    assert [row["node"] for row in rows] == list(cll.nodes)
+    flagged = {row["node"] for row in rows if row["head"]}
+    assert flagged == set(cll.heads)
+    assert len(flagged) < len(rows)  # chain and alias nodes are not heads
