@@ -73,14 +73,19 @@ class CommandToken:
 class CommandTokenList:
     tokens: list[CommandToken] = field(default_factory=list)
     unresolved_sinks: list[str] = field(default_factory=list)
+    _texts: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._texts = {t.token for t in self.tokens}
 
     def token_texts(self) -> list[str]:
         return [t.token for t in self.tokens]
 
     def add(self, token: str, provenance: str, origin: str) -> None:
-        if any(t.token == token for t in self.tokens):
+        if token in self._texts:
             return
         self.tokens.append(CommandToken(token=token, provenance=provenance, origin=origin))
+        self._texts.add(token)
 
     def write_text(self, path) -> None:
         Path(path).write_text("".join(t.token + "\n" for t in self.tokens))

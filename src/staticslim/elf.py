@@ -3,7 +3,8 @@
 Replaces running the loader (``ldd``) with a pure parse of the program
 headers and dynamic section, so nothing from an untrusted image is ever
 executed. Resolution follows the loader's documented search order inside the
-flattened rootfs.
+flattened rootfs. Each object is parsed at most once per rootfs, however many
+closures reach it.
 """
 
 from __future__ import annotations
@@ -151,15 +152,13 @@ class ElfClosure:
 def library_search_dirs(rootfs: FlattenedRootfs) -> list[str]:
     """Default library directories plus architecture-triplet subdirectories
     (``x86_64-linux-gnu`` style) discovered inside the rootfs."""
-    dirs = list(DEFAULT_LIB_DIRS)
-    for base in DEFAULT_LIB_DIRS:
-        prefix = base + "/"
-        for path, rec in rootfs.entries.items():
-            if rec.kind != KIND_DIRECTORY or not path.startswith(prefix):
-                continue
-            if posixpath.dirname(path) == base and "-linux-" in posixpath.basename(path):
-                dirs.append(path)
-    return dirs
+    triplets: dict[str, list[str]] = {base: [] for base in DEFAULT_LIB_DIRS}
+    for path, rec in rootfs.entries.items():
+        if rec.kind == KIND_DIRECTORY and "-linux-" in posixpath.basename(path):
+            base = posixpath.dirname(path)
+            if base in triplets:
+                triplets[base].append(path)
+    return list(DEFAULT_LIB_DIRS) + [p for base in DEFAULT_LIB_DIRS for p in triplets[base]]
 
 
 def _loader_conf_paths(rootfs: FlattenedRootfs) -> list[str]:
@@ -278,13 +277,20 @@ def resolve_elf_dependencies(
 
 
 def _object_info(rootfs: FlattenedRootfs, terminal: str | None, origin: str) -> DynamicInfo | None:
+    """Parsed facts of the physical object ``terminal``, read once per rootfs.
+
+    A malformed object is therefore warned about once, naming the ``origin``
+    of its first reader.
+    """
     if terminal is None:
         return None
-    try:
-        data = rootfs.data_for(terminal)
-    except KeyError:
-        return None
-    return read_dynamic_info(data, origin=origin)
+    if terminal not in rootfs._elf_info:
+        try:
+            info = read_dynamic_info(rootfs.data_for(terminal), origin=origin)
+        except KeyError:
+            info = None
+        rootfs._elf_info[terminal] = info
+    return rootfs._elf_info[terminal]
 
 
 def _object_search_dirs(obj_info: DynamicInfo, obj_path: str, base: list[str]) -> list[str]:

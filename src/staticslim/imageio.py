@@ -17,6 +17,7 @@ import posixpath
 import tarfile
 import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import (
     EmptyImageError,
@@ -25,6 +26,9 @@ from .errors import (
     LayerSecurityError,
     UnsupportedFormatError,
 )
+
+if TYPE_CHECKING:
+    from .elf import DynamicInfo
 
 log = logging.getLogger(__name__)
 
@@ -173,6 +177,14 @@ class FlattenedRootfs:
     regular-file bytes. ``symlink_table`` maps each symlink entry to its
     absolute, normalized target and is derived from ``entries`` on
     construction.
+
+    A rootfs is never mutated after construction; a different set of entries
+    (such as the retained view a prune report counts) is a new object. Two
+    private caches rely on that and are filled on first use:
+    ``_dir_cache`` maps a directory spelling to its physical directory and
+    the symlink hops crossed (``rootfs.resolve_entry``), and ``_elf_info``
+    maps a physical path to its parsed dynamic-linking facts
+    (``elf.resolve_elf_dependencies``).
     """
 
     entries: dict[str, FileRecord]
@@ -180,6 +192,10 @@ class FlattenedRootfs:
     total_size: int = 0
     warnings: list[str] = field(default_factory=list)
     symlink_table: dict[str, str] = field(init=False, repr=False)
+    _dir_cache: dict[str, tuple[str | None, tuple[str, ...]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    _elf_info: dict[str, DynamicInfo | None] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.entries = dict(sorted(self.entries.items()))

@@ -96,9 +96,9 @@ def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList) -> MatchResult:
     unmatched: list[str] = []
     for token in ctl.token_texts():
         if token in cll.nodes:
-            matched[token] = token
-            if token not in start_nodes:
+            if token not in matched:
                 start_nodes.append(token)
+            matched[token] = token
         elif token in SHELL_BUILTINS:
             matched[token] = None
         else:

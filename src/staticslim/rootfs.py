@@ -1,7 +1,11 @@
 """Path resolution and the command linked list over one flattened rootfs.
 
 Every function here reads one ``FlattenedRootfs``: its entries, in path
-order, and the symlink table it derives from them.
+order, and the symlink table it derives from them. ``resolve_entry`` keeps
+the physical directory of each directory spelling it meets in a cache on the
+rootfs, which stays valid because a rootfs is never mutated after
+construction; a lookup is then one cache probe for the parent plus one
+symlink-table probe for the last name.
 
 Every command usable inside the image is modeled as a chain of nodes: the
 bare command name, then each absolute path the name resolves through (one
@@ -86,14 +90,57 @@ _MAX_LINK_HOPS = 64
 
 def resolve_entry(rootfs: FlattenedRootfs, path: str, *, follow_last: bool = False,
                   trace: list[str] | None = None) -> str | None:
-    """Walk ``path`` component by component, resolving symlinks.
+    """Resolve ``path`` inside the rootfs, following symlinks.
 
     Ancestor directory symlinks are always followed; the final component is
     followed only when ``follow_last`` is set. Returns the physical path the
     spelling denotes, or None when a symlink loop exhausts the hop budget.
-    Symlink entries crossed during the walk are appended to ``trace``.
+    Symlink entries crossed are appended to ``trace`` in walk order.
+
+    The parent directory of an absolute spelling comes from the rootfs's
+    directory cache, so each directory spelling is walked once per rootfs.
     """
-    budget = _MAX_LINK_HOPS
+    physical, hops = _resolve(rootfs, path, follow_last, _MAX_LINK_HOPS)
+    if trace is not None:
+        trace.extend(hops)
+    return physical
+
+
+def _resolve(rootfs: FlattenedRootfs, path: str, follow_last: bool,
+             budget: int) -> tuple[str | None, tuple[str, ...]]:
+    """``_walk`` with ``budget`` hops left, split as cached parent plus last name.
+
+    Spellings that do not split that way (relative, a trailing ``/``, ``.``
+    or ``..`` last) are walked whole.
+    """
+    cut = path.rfind("/")
+    name = path[cut + 1:]
+    if not path.startswith("/") or name in ("", ".", ".."):
+        return _walk(rootfs, path, follow_last, budget)
+    parent = path[:cut] or "/"
+    cached = rootfs._dir_cache.get(parent)
+    if cached is None:
+        cached = rootfs._dir_cache[parent] = _walk(rootfs, parent, True, _MAX_LINK_HOPS)
+    directory, hops = cached
+    if directory is None or len(hops) >= budget:
+        # The walk runs out of hops inside the parent: keep the hops it made.
+        return None, hops[:budget - 1]
+    budget -= len(hops)
+    entry = "/" + name if directory == "/" else directory + "/" + name
+    target = rootfs.symlink_table.get(entry)
+    if target is None or not follow_last:
+        return entry, hops
+    budget -= 1
+    if budget <= 0:
+        return None, hops
+    physical, rest = _resolve(rootfs, target, True, budget)
+    return physical, hops + (entry,) + rest
+
+
+def _walk(rootfs: FlattenedRootfs, path: str, follow_last: bool,
+          budget: int) -> tuple[str | None, tuple[str, ...]]:
+    """The per-component walk: physical path (None on a loop) and hops crossed."""
+    trace = []
     stack = [c for c in reversed(path.split("/")) if c]
     resolved = "/"
     while stack:
@@ -108,15 +155,14 @@ def resolve_entry(rootfs: FlattenedRootfs, path: str, *, follow_last: bool = Fal
         if target is not None and (stack or follow_last):
             budget -= 1
             if budget <= 0:
-                return None
-            if trace is not None:
-                trace.append(nxt)
+                return None, tuple(trace)
+            trace.append(nxt)
             for c in reversed([c for c in target.split("/") if c]):
                 stack.append(c)
             resolved = "/"
             continue
         resolved = nxt
-    return resolved
+    return resolved, tuple(trace)
 
 
 def lookup_record(rootfs: FlattenedRootfs, path: str) -> FileRecord | None:
@@ -131,19 +177,17 @@ def collect_system_commands(
     rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
 ) -> list[str]:
     """Names of executable entries found in the command search directories."""
-    names: set[str] = set()
+    dirs = set()
     for d in search_dirs:
         physical = resolve_entry(rootfs, d, follow_last=True)
-        if physical is None:
-            continue
         rec = rootfs.entries.get(physical)
-        if rec is None or rec.kind != KIND_DIRECTORY:
-            continue
-        for path, r in rootfs.entries.items():
-            if posixpath.dirname(path) != physical:
-                continue
-            if r.kind in _COMMAND_KINDS and r.is_executable():
-                names.add(posixpath.basename(path))
+        if rec is not None and rec.kind == KIND_DIRECTORY:
+            dirs.add(physical)
+    names = {
+        posixpath.basename(path)
+        for path, r in rootfs.entries.items()
+        if r.kind in _COMMAND_KINDS and r.is_executable() and posixpath.dirname(path) in dirs
+    }
     return sorted(names - SHELL_BUILTINS)
 
 
@@ -269,8 +313,7 @@ def build_command_linked_list(
         head = cll.get(cmd)
         if head is None:
             head = cll.add(cmd)
-        if cmd not in cll.heads:
-            cll.heads.append(cmd)
+        cll.heads.append(cmd)
         _extend_chain(cll, head, rootfs, search_dirs)
     return cll
 

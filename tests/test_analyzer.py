@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from staticslim import jsmodule
 from staticslim.analyzer import (
     DEFAULT_SINKS,
+    CommandToken,
     CommandTokenList,
     TaintPath,
     analyze_data_dependencies,
@@ -398,6 +399,13 @@ class TestCtlFile:
         assert out.read_text() == "ls\ntar\n"
         loaded = CommandTokenList.read_text(out)
         assert loaded.token_texts() == ["ls", "tar"]
+
+    def test_add_keeps_first_occurrence_in_order(self):
+        ctl = CommandTokenList(tokens=[CommandToken("ls", "exec-argument", "a.js:1")])
+        for i, token in enumerate(["tar", "ls", "id", "tar"]):
+            ctl.add(token, "shell-script", f"b.sh:{i}")
+        assert ctl.token_texts() == ["ls", "tar", "id"]
+        assert [t.origin for t in ctl.tokens] == ["a.js:1", "b.sh:0", "b.sh:2"]
 
 
 class TestAnalyzeProject:

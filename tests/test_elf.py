@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
-from conftest import make_elf, make_layer_tar, make_stack
+from conftest import default_config, make_docker_archive, make_elf, make_layer_tar, make_stack
+from staticslim import elf
+from staticslim.analyzer import CommandTokenList
 from staticslim.elf import read_dynamic_info, resolve_elf_dependencies
 from staticslim.imageio import flatten_layers
+from staticslim.pruner import slim_image
 
 
 class TestReadDynamicInfo:
@@ -67,6 +71,55 @@ def _lib_members(libs: dict[str, bytes], extra=()):
 
 def _rootfs(members):
     return flatten_layers(make_stack([make_layer_tar(members)]))
+
+
+def _slim(tmp_path, members, tokens):
+    layer = make_layer_tar(members)
+    src = tmp_path / "image.tar"
+    src.write_bytes(make_docker_archive([layer], default_config([layer])))
+    ctl = CommandTokenList()
+    for token in tokens:
+        ctl.add(token, "exec-argument", "test")
+    return slim_image(src, ctl)
+
+
+class TestParseOnce:
+    def test_slim_parses_each_object_once(self, tmp_path, monkeypatch):
+        interp = "/lib/ld-test.so"
+        libs = {
+            "libc.so.6": make_elf(filler=b"libc"),
+            "libm.so.6": make_elf(needed=["libc.so.6"]),
+            "ld-test.so": make_elf(filler=b"ld"),
+        }
+        apps = [
+            {"path": f"/usr/bin/app{i}", "mode": 0o755,
+             "data": make_elf(needed=["libm.so.6", "libc.so.6"], interp=interp, filler=b"app%d" % i)}
+            for i in range(3)
+        ]
+        parsed = collections.Counter()
+        real = elf.read_dynamic_info
+
+        def counting(data, origin=""):
+            parsed[data] += 1
+            return real(data, origin)
+
+        monkeypatch.setattr(elf, "read_dynamic_info", counting)
+        result = _slim(tmp_path, _lib_members(libs, extra=apps), ["app0", "app1", "app2"])
+        assert "/usr/lib/libm.so.6" in result.retain.paths
+        assert set(parsed) == {*libs.values(), *(a["data"] for a in apps)}
+        assert max(parsed.values()) == 1
+
+    def test_malformed_library_of_two_closures_warned_once(self, tmp_path, caplog):
+        libs = {"libbad.so.1": make_elf(needed=["libx.so"])[:70]}
+        apps = [
+            {"path": f"/usr/bin/app{i}", "mode": 0o755,
+             "data": make_elf(needed=["libbad.so.1"], filler=b"app%d" % i)}
+            for i in range(2)
+        ]
+        with caplog.at_level("WARNING"):
+            result = _slim(tmp_path, _lib_members(libs, extra=apps), ["app0", "app1"])
+        assert "/usr/lib/libbad.so.1" in result.retain.paths
+        assert sum("malformed ELF" in r.message for r in caplog.records) == 1
 
 
 def oracle_bfs_closure(graph: dict[str, list[str]], placements: dict[str, list[str]],

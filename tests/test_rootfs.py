@@ -6,7 +6,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_resolver
 from conftest import (
     make_layer_tar,
     make_stack,
@@ -18,9 +21,17 @@ from conftest import (
     shell_chain_members,
 )
 from staticslim.errors import UnknownNodeError
-from staticslim.imageio import flatten_layers
+from staticslim.imageio import (
+    KIND_DIRECTORY,
+    KIND_REGULAR,
+    KIND_SYMLINK,
+    FileRecord,
+    FlattenedRootfs,
+    flatten_layers,
+)
 from staticslim.rootfs import (
     DEFAULT_SEARCH_DIRS,
+    SHELL_BUILTINS,
     build_command_linked_list,
     collect_system_commands,
     expand_command_linked_list,
@@ -148,6 +159,12 @@ class TestChains:
         cll = build_command_linked_list(["sh", "dash"], shell_rootfs)
         assert cll.nodes["sh"].next.next is cll.nodes["/usr/bin/dash"]
         assert cll.nodes["dash"].next is cll.nodes["/usr/bin/dash"]
+
+    def test_heads_are_sorted_unique_resolvable_commands(self, shell_rootfs):
+        commands = ["sh", "perl", "cd", "ghost", "sh", "dash", "exit", "perl"]
+        cll = build_command_linked_list(commands, shell_rootfs)
+        assert cll.heads == sorted(set(commands) - SHELL_BUILTINS - {"ghost"})
+        assert cll.skipped_commands == ["ghost"]
 
     def test_unresolvable_command_skipped(self, shell_rootfs):
         cll = build_command_linked_list(["sh", "ghost"], shell_rootfs)
@@ -340,3 +357,89 @@ def test_dump_flags_exactly_the_heads(shell_rootfs):
     flagged = {row["node"] for row in rows if row["head"]}
     assert flagged == set(cll.heads)
     assert len(flagged) < len(rows)  # chain and alias nodes are not heads
+
+
+# --- cached resolver against the per-component walk ---------------------------
+
+_NAMES = ("a", "b", "d", "p", "lib")
+_SEGMENTS = st.lists(st.sampled_from(_NAMES + (".", "..", "")), max_size=5)
+# Spellings: absolute or relative, with ".", ".." and empty segments (so
+# doubled and trailing "/") anywhere.
+_SPELLING = st.builds(lambda absolute, segs: "/" * absolute + "/".join(segs), st.booleans(), _SEGMENTS)
+_ENTRY_PATH = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3).map(lambda c: "/" + "/".join(c))
+_ENTRY = st.tuples(st.sampled_from([KIND_DIRECTORY, KIND_REGULAR, KIND_SYMLINK]), _SPELLING)
+# With (n + 1) * (dir_hops + 1) == 65, the parent of the target of the n-th
+# file link needs exactly the hops left: dir_hops 4 and 12 reach that edge.
+_CHAIN = st.sampled_from([0, 1, 4, 12, 31, 62, 63, 64, 65])
+
+
+def _link(path: str, target: str) -> FileRecord:
+    return FileRecord(path=path, kind=KIND_SYMLINK, mode=0o777, link_target=target)
+
+
+def _chain_forest(dir_hops: int, file_hops: int) -> dict[str, FileRecord]:
+    """Hop chains around the budget of 64.
+
+    ``/p/0`` reaches a file in exactly 63 hops and ``/q/0`` needs 64. Under
+    ``/d``, ``/d/0`` reaches a directory in ``dir_hops`` hops; ``f0`` in it
+    starts a chain of ``file_hops`` links whose targets are all spelled
+    through ``/d/0``, so each hop also pays ``dir_hops`` hops in the parent.
+    """
+    entries = {}
+    for top, hops in (("/p", 63), ("/q", 64)):
+        for i in range(hops):
+            entries[f"{top}/{i}"] = _link(f"{top}/{i}", str(i + 1) if i % 2 else f"{top}/{i + 1}")
+        entries[f"{top}/{hops}"] = FileRecord(path=f"{top}/{hops}", kind=KIND_REGULAR, mode=0o755)
+    for i in range(dir_hops):
+        entries[f"/d/{i}"] = _link(f"/d/{i}", f"../d/{i + 1}" if i % 2 else f"/d/{i + 1}")
+    home = f"/d/{dir_hops}"
+    entries[home] = FileRecord(path=home, kind=KIND_DIRECTORY, mode=0o755)
+    for j in range(file_hops):
+        entries[f"{home}/f{j}"] = _link(f"{home}/f{j}", f"/d/0/f{j + 1}")
+    entries[f"{home}/f{file_hops}"] = FileRecord(path=f"{home}/f{file_hops}", kind=KIND_REGULAR, mode=0o755)
+    return entries
+
+
+_CHAIN_QUERIES = [
+    "/p/0", "/p/1", "/p/0/x", "/q/0", "/q/1", "/q/0/x", "/q/0/",
+    "/d/0", "/d/0/", "/d/0/f0", "/d/0/f1", "/d/0/f0/..", "/d/0/./f0", "/d/1/../0/f0",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(_ENTRY_PATH, _ENTRY, max_size=20),
+    _CHAIN,
+    _CHAIN,
+    st.lists(_SPELLING, max_size=25),
+    st.randoms(use_true_random=False),
+)
+def test_cached_resolver_matches_reference_walk(forest, dir_hops, file_hops, queries, rng):
+    entries = _chain_forest(dir_hops, file_hops)
+    for path, (kind, target) in forest.items():
+        if kind == KIND_SYMLINK:
+            entries[path] = _link(path, target)
+        else:
+            entries[path] = FileRecord(path=path, kind=kind, mode=0o755)
+    rootfs = FlattenedRootfs(entries=entries)
+    spellings = queries + _CHAIN_QUERIES + [p + tail for p in forest for tail in ("", "/", "/.", "/..", "/x")]
+    # Every spelling twice, in shuffled order, on one rootfs: what the cache
+    # holds from earlier queries must not change any answer.
+    asked = [(s, follow) for s in spellings for follow in (False, True)] * 2
+    rng.shuffle(asked)
+    for spelling, follow in asked:
+        want_trace: list[str] = []
+        want = reference_resolver.resolve_entry(rootfs, spelling, follow_last=follow, trace=want_trace)
+        got_trace: list[str] = []
+        got = resolve_entry(rootfs, spelling, follow_last=follow, trace=got_trace)
+        assert (got, got_trace) == (want, want_trace), (spelling, follow)
+
+
+def test_hop_budget_allows_63_hops():
+    rootfs = FlattenedRootfs(entries=_chain_forest(0, 0))
+    trace: list[str] = []
+    assert resolve_entry(rootfs, "/p/0", follow_last=True, trace=trace) == "/p/63"
+    assert len(trace) == 63
+    trace.clear()
+    assert resolve_entry(rootfs, "/q/0", follow_last=True, trace=trace) is None
+    assert trace == [f"/q/{i}" for i in range(63)]
