@@ -8,6 +8,7 @@ in-memory rootfs with union-filesystem semantics.
 
 from __future__ import annotations
 
+import bisect
 import gzip
 import hashlib
 import io
@@ -255,33 +256,56 @@ def _ensure_parents(entries: dict[str, FileRecord], path: str) -> None:
         entries[p] = FileRecord(path=p, kind=KIND_DIRECTORY, mode=0o755)
 
 
-def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
-                 warnings: list[str]) -> None:
-    """Apply the members of one layer to the flattened state in place."""
+def _pop_range(entries: dict, content: dict, keys: list[str], prefix: str) -> None:
+    """Drop every path under ``prefix`` (which ends in "/") listed in ``keys``.
+
+    ``keys`` is sorted and "0" is the character right after "/", so the keys
+    that start with ``prefix`` are those from ``prefix`` up to, not
+    including, ``prefix`` with its "/" replaced by "0".
+    """
+    lo = bisect.bisect_left(keys, prefix)
+    hi = bisect.bisect_left(keys, prefix[:-1] + "0", lo)
+    for p in keys[lo:hi]:
+        entries.pop(p, None)
+        content.pop(p, None)
+
+
+def _apply_layer(index: int, tf: tarfile.TarFile, tar: bytes | None, entries: dict,
+                 content: dict, warnings: list[str]) -> None:
+    """Apply the members of one layer to the flattened state in place.
+
+    ``tar`` is the byte stream ``tf`` reads, and a regular member's bytes are
+    one slice of it. It is None when member offsets do not index the bytes
+    at hand; members are then read through ``tf``.
+    """
     members = tf.getmembers()
-
-    # Whiteouts of this layer act on the state built from lower layers.
+    paths = []  # each member's clean path; None for the root and for whiteouts
+    whiteouts = []  # (parent, name) of the whiteouts and opaque markers
     for m in members:
         path = _clean_member_path(m.name)
-        if path is None:
-            continue
-        base = posixpath.basename(path)
-        parent = posixpath.dirname(path)
-        if base == OPAQUE_MARKER:
-            prefix = parent.rstrip("/") + "/"
-            for p in [p for p in entries if p.startswith(prefix)]:
-                entries.pop(p, None)
-                content.pop(p, None)
-        elif base.startswith(WHITEOUT_PREFIX):
-            target = posixpath.join(parent, base[len(WHITEOUT_PREFIX):])
-            _delete_subtree(entries, content, target)
+        if path is not None:
+            parent, _, base = path.rpartition("/")
+            if base.startswith(WHITEOUT_PREFIX):
+                whiteouts.append((parent or "/", base))
+                path = None
+        paths.append(path)
 
-    for m in members:
-        path = _clean_member_path(m.name)
+    # Whiteouts of this layer act on the state built from lower layers: each
+    # removes a key range of that state in sorted order. The popped keys stay
+    # in the sorted list; popping them again is a no-op.
+    if whiteouts:
+        keys = sorted(entries)
+        for parent, base in whiteouts:
+            if base == OPAQUE_MARKER:
+                _pop_range(entries, content, keys, parent.rstrip("/") + "/")
+            else:
+                target = posixpath.join(parent, base[len(WHITEOUT_PREFIX):])
+                entries.pop(target, None)
+                content.pop(target, None)
+                _pop_range(entries, content, keys, target + "/")
+
+    for m, path in zip(members, paths):
         if path is None:
-            continue
-        base = posixpath.basename(path)
-        if base.startswith(WHITEOUT_PREFIX):
             continue
         kind = _TAR_KIND.get(m.type)
         if kind is None:
@@ -320,20 +344,37 @@ def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
         _ensure_parents(entries, path)
         entries[path] = record
         if kind == KIND_REGULAR:
-            fobj = tf.extractfile(m)
-            content[path] = fobj.read() if fobj is not None else b""
+            if tar is not None and m.sparse is None:
+                content[path] = tar[m.offset_data:m.offset_data + m.size]
+            else:
+                # A sparse member stores a map and its data blocks, not its bytes.
+                fobj = tf.extractfile(m)
+                content[path] = fobj.read() if fobj is not None else b""
 
 
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
-    """Apply all layers in order with whiteout/opaque semantics."""
+    """Apply all layers in order with whiteout/opaque semantics.
+
+    Cost per layer: one decompression (gzip layers), one ``getmembers`` pass
+    over the tar headers, one slice per regular member and, only when the
+    layer has whiteouts or opaque markers, one sort of the lower state's
+    paths plus a bisect per marker; the paths a marker removes are the only
+    ones it touches. A directory replaced by a non-directory still scans the
+    whole state for its subtree.
+    """
     entries: dict[str, FileRecord] = {}
     content: dict[str, bytes] = {}
     warnings: list[str] = []
 
     for index, layer in enumerate(stack.layers):
+        tar = layer.tar_bytes()
+        buf = io.BytesIO(tar)
         try:
-            with tarfile.open(fileobj=io.BytesIO(layer.tar_bytes())) as tf:
-                _apply_layer(index, tf, entries, content, warnings)
+            with tarfile.open(fileobj=buf) as tf:
+                # Offsets index ``tar`` unless tarfile decompressed it itself
+                # (a layer whose media type says tar but that holds gzip).
+                _apply_layer(index, tf, tar if tf.fileobj is buf else None,
+                             entries, content, warnings)
         except _LAYER_STREAM_ERRORS as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
@@ -390,12 +431,10 @@ def _is_gzip(data: bytes) -> bool:
     return data[:2] == b"\x1f\x8b"
 
 
-def _layer_from_blob(data: bytes, media_type: str, declared_digest: str | None) -> LayerBlob:
-    digest = sha256_digest(data)
-    if declared_digest is not None and digest != declared_digest:
-        raise IntegrityError(
-            f"layer digest mismatch: stored {declared_digest}, recomputed {digest}"
-        )
+def _layer_from_blob(data: bytes, media_type: str, verified_digest: str | None) -> LayerBlob:
+    """One layer; ``verified_digest`` is the digest ``_read_blob`` already
+    checked ``data`` against, or None to hash ``data`` here."""
+    digest = verified_digest or sha256_digest(data)
     tar_data = gzip.decompress(data) if media_type in MEDIA_LAYER_GZIP else data
     return LayerBlob(
         media_type=media_type,
@@ -406,12 +445,12 @@ def _layer_from_blob(data: bytes, media_type: str, declared_digest: str | None) 
 
 
 def _layer_stack(blobs, cfg: dict) -> LayerStack:
-    """Layers from (data, media type, declared digest) triples, base first,
-    checked against the diff_ids the config declares."""
+    """Layers from (data, media type, verified digest or None) triples, base
+    first, checked against the diff_ids the config declares."""
     layers = []
-    for index, (data, media_type, declared_digest) in enumerate(blobs):
+    for index, (data, media_type, verified_digest) in enumerate(blobs):
         try:
-            layers.append(_layer_from_blob(data, media_type, declared_digest))
+            layers.append(_layer_from_blob(data, media_type, verified_digest))
         except _LAYER_STREAM_ERRORS as exc:
             raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
     stack = LayerStack(layers=layers)
@@ -484,6 +523,7 @@ def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata,
         lmedia = layer_desc.get("mediaType", "")
         if lmedia not in MEDIA_LAYER_TAR and lmedia not in MEDIA_LAYER_GZIP:
             raise UnsupportedFormatError(f"unknown layer media type {lmedia!r}")
+        # _read_blob has checked the bytes against the declared digest.
         data = _read_blob(tf, members, layer_desc["digest"])
         blobs.append((data, lmedia, layer_desc["digest"]))
     return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)

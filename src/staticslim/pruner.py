@@ -152,9 +152,11 @@ def _close_links(retain: RetainList, rootfs: FlattenedRootfs) -> None:
 
 
 def _retain_parents(retain: RetainList, rootfs: FlattenedRootfs) -> None:
+    # Ancestors sort before their descendants, so by the time a walk meets a
+    # retained ancestor, that ancestor's own ancestors are retained too.
     for path in sorted(retain.paths):
         parent = posixpath.dirname(path)
-        while parent and parent != "/":
+        while parent and parent != "/" and parent not in retain.paths:
             if parent in rootfs.entries:
                 retain.add(parent, REASON_PARENT)
             parent = posixpath.dirname(parent)
@@ -216,6 +218,13 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> bytes:
     Within each hardlink group the lexicographically first retained path
     carries the file content and the others reference it, so extraction
     never sees a forward link reference.
+
+    The stream is the one ``tarfile`` writes in GNU format: each entry is its
+    header blocks from ``TarInfo.tobuf``, then for a regular file its bytes
+    padded with NULs to a whole block; two zero blocks and NULs up to a whole
+    record end it. Each entry costs one header encoding and one buffer write
+    per part, without ``TarFile.addfile``'s copy of the ``TarInfo`` and
+    round trip through a file object.
     """
     groups: dict[str, list[str]] = {}
     for path in retain.paths:
@@ -232,46 +241,46 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> bytes:
             carrier[m] = members[0]
 
     out = io.BytesIO()
-    with tarfile.open(fileobj=out, mode="w", format=tarfile.GNU_FORMAT) as tf:
-        for path in sorted(retain.paths):
-            rec = rootfs.entries[path]
-            ti = tarfile.TarInfo(name=path.lstrip("/"))
-            ti.mode = rec.mode
-            ti.uid = rec.uid
-            ti.gid = rec.gid
-            ti.mtime = rec.mtime
-            ti.uname = rec.uname
-            ti.gname = rec.gname
+    for path in sorted(retain.paths):
+        rec = rootfs.entries[path]
+        ti = tarfile.TarInfo(name=path.lstrip("/"))
+        ti.mode = rec.mode
+        ti.uid = rec.uid
+        ti.gid = rec.gid
+        ti.mtime = rec.mtime
+        ti.uname = rec.uname
+        ti.gname = rec.gname
 
-            kind = rec.kind
-            if path in carrier:
-                kind = KIND_REGULAR if carrier[path] == path else KIND_HARDLINK
+        kind = rec.kind
+        if path in carrier:
+            kind = KIND_REGULAR if carrier[path] == path else KIND_HARDLINK
 
-            if kind == KIND_REGULAR:
-                data = rootfs.data_for(path)
-                ti.type = tarfile.REGTYPE
-                ti.size = len(data)
-                tf.addfile(ti, io.BytesIO(data))
-            elif kind == KIND_DIRECTORY:
-                ti.type = tarfile.DIRTYPE
-                tf.addfile(ti)
-            elif kind == KIND_SYMLINK:
-                ti.type = tarfile.SYMTYPE
-                ti.linkname = rec.link_target or ""
-                tf.addfile(ti)
-            elif kind == KIND_HARDLINK:
-                ti.type = tarfile.LNKTYPE
-                target = carrier.get(path, rec.link_target or "")
-                ti.linkname = target.lstrip("/")
-                tf.addfile(ti)
-            elif kind == KIND_DEVICE:
-                ti.type = tarfile.BLKTYPE if rec.block_device else tarfile.CHRTYPE
-                ti.devmajor = rec.devmajor
-                ti.devminor = rec.devminor
-                tf.addfile(ti)
-            else:  # fifo
-                ti.type = tarfile.FIFOTYPE
-                tf.addfile(ti)
+        data = b""
+        if kind == KIND_REGULAR:
+            data = rootfs.data_for(path)
+            ti.type = tarfile.REGTYPE
+            ti.size = len(data)
+        elif kind == KIND_DIRECTORY:
+            ti.type = tarfile.DIRTYPE
+        elif kind == KIND_SYMLINK:
+            ti.type = tarfile.SYMTYPE
+            ti.linkname = rec.link_target or ""
+        elif kind == KIND_HARDLINK:
+            ti.type = tarfile.LNKTYPE
+            target = carrier.get(path, rec.link_target or "")
+            ti.linkname = target.lstrip("/")
+        elif kind == KIND_DEVICE:
+            ti.type = tarfile.BLKTYPE if rec.block_device else tarfile.CHRTYPE
+            ti.devmajor = rec.devmajor
+            ti.devminor = rec.devminor
+        else:  # fifo
+            ti.type = tarfile.FIFOTYPE
+        out.write(ti.tobuf(tarfile.GNU_FORMAT, tarfile.ENCODING, "surrogateescape"))
+        if data:
+            out.write(data)
+            out.write(tarfile.NUL * (-len(data) % tarfile.BLOCKSIZE))
+    out.write(tarfile.NUL * (2 * tarfile.BLOCKSIZE))
+    out.write(tarfile.NUL * (-out.tell() % tarfile.RECORDSIZE))
     return out.getvalue()
 
 

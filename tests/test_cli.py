@@ -417,6 +417,11 @@ class TestInspect:
 def _malformed_layer(kind: str) -> bytes:
     if kind == "not-a-tar":
         return b"this layer is not a tar stream\n" * 32
+    if kind == "truncated-tar":
+        # The last member's data is cut short and no end-of-archive blocks
+        # follow: a reader that slices member data must still see the cut.
+        tar = make_layer_tar([{"path": "/a", "data": b"a"}, {"path": "/big", "data": b"b" * 2000}])
+        return tar[:512 * 3 + 1000]
     blob = gzip.compress(make_layer_tar(shell_chain_members()), mtime=0)
     if kind == "truncated-gzip":
         return blob[: len(blob) // 2]
@@ -425,7 +430,7 @@ def _malformed_layer(kind: str) -> bytes:
     return bytes(corrupt)
 
 
-@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip"])
+@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "truncated-tar"])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
 def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     image = tmp_path / "bad.tar"
@@ -439,3 +444,4 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
     assert "error: layer 1" in result.output
+    assert "Traceback" not in result.output

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gzip
 import io
 import json
 import random
 import tarfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     default_config,
@@ -30,10 +33,14 @@ from staticslim.errors import (
 from staticslim.imageio import (
     FlattenedRootfs,
     ImageMetadata,
+    LayerBlob,
+    LayerStack,
     build_slim_image,
     flatten_layers,
     load_image_archive,
 )
+
+import reference_flatten
 
 
 def _write(tmp_path, name, data):
@@ -405,6 +412,103 @@ def test_flatten_matches_sequential_apply_oracle(tmp_path, seed):
     expected = snapshot_dir(str(dest))
     actual = flattened_snapshot(flatten_layers(make_stack(layers)))
     assert actual == expected
+
+
+# Names that sort next to each other: "a-b", "a.b" and "a/b" fall between
+# "a" and "a0", so a whiteout of "a" must take "a/b" and leave the others.
+_SEGMENTS = ("a", "a-b", "a.b", "a0", "b")
+_PATH = st.lists(st.sampled_from(_SEGMENTS), min_size=1, max_size=3).map("/".join)
+_DIR = st.lists(st.sampled_from(_SEGMENTS), max_size=2).map("/".join)
+_MEMBER = st.one_of(
+    st.tuples(st.just("dir"), _PATH),
+    st.tuples(st.just("file"), _PATH, st.binary(max_size=1100)),
+    st.tuples(st.just("sparse"), _PATH, st.binary(min_size=1, max_size=20)),
+    st.tuples(st.just("symlink"), _PATH, _PATH),
+    st.tuples(st.just("hardlink"), _PATH, _PATH),
+    st.tuples(st.just("fifo"), _PATH),
+    st.tuples(st.just("contiguous"), _PATH, st.binary(max_size=20)),
+    st.tuples(st.just("whiteout"), _DIR, st.sampled_from(_SEGMENTS)),
+    st.tuples(st.just("opaque"), _DIR),
+)
+# How a layer is stored: plain tar, gzip, or gzip bytes under the tar media
+# type (which tarfile decompresses itself, so member offsets do not index the
+# stored bytes).
+_ENCODING = st.sampled_from(["tar", "gzip", "gzip-as-tar"])
+
+
+def _layer_blob(members, encoding: str) -> LayerBlob:
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=tarfile.PAX_FORMAT) as tf:
+        for kind, *args in members:
+            if kind == "whiteout":
+                name = "/".join(filter(None, (args[0], ".wh." + args[1])))
+            elif kind == "opaque":
+                name = "/".join(filter(None, (args[0], ".wh..wh..opq")))
+            else:
+                name = args[0]
+            ti = tarfile.TarInfo(name)
+            # mtime and directory modes vary with the layer, so a record one
+            # layer replaces differs from the one it replaced.
+            ti.mode = 0o644
+            ti.mtime = len(members)
+            data = None
+            if kind == "dir":
+                ti.type = tarfile.DIRTYPE
+                ti.mode = 0o700 + len(members) % 0o100
+            elif kind in ("file", "contiguous", "whiteout", "opaque"):
+                data = args[1] if kind in ("file", "contiguous") else b""
+                ti.type = tarfile.CONTTYPE if kind == "contiguous" else tarfile.REGTYPE
+            elif kind == "sparse":
+                # GNU sparse 0.1 in PAX headers: the stored blocks hold only
+                # the map's data; the file is its 12 bytes with holes as NULs.
+                data = args[1]
+                cut = len(data) // 2
+                ti.pax_headers = {"GNU.sparse.map": f"0,{cut},12,{len(data) - cut}",
+                                  "GNU.sparse.realsize": str(12 + len(data) - cut)}
+            elif kind == "symlink":
+                ti.type = tarfile.SYMTYPE
+                ti.linkname = args[1]
+            elif kind == "hardlink":
+                ti.type = tarfile.LNKTYPE
+                ti.linkname = args[1]
+            else:
+                ti.type = tarfile.FIFOTYPE
+            if data is not None:
+                ti.size = len(data)
+                tf.addfile(ti, io.BytesIO(data))
+            else:
+                tf.addfile(ti)
+    tar = buf.getvalue()
+    media = "application/vnd.oci.image.layer.v1.tar"
+    if encoding == "tar":
+        return LayerBlob(media, "", "", tar)
+    return LayerBlob(media + "+gzip" if encoding == "gzip" else media, "", "", gzip.compress(tar, mtime=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(_MEMBER, max_size=12), _ENCODING), min_size=1, max_size=4))
+@example([([("dir", "a"), ("file", "a/b", b"1"), ("file", "a-b", b"2"), ("file", "a.b", b"3"),
+            ("file", "a0", b"4")], "tar"), ([("whiteout", "", "a")], "tar")])
+@example([([("dir", "a"), ("file", "a/b", b"1"), ("file", "a0", b"2")], "tar"),
+          ([("opaque", "a"), ("sparse", "a0", b"sparse")], "tar")])
+@example([([("file", "a", b"1"), ("dir", "b"), ("file", "b/a", b"2")], "gzip"),
+          ([("opaque", ""), ("file", "a0", b"z"), ("sparse", "b/s", b"xyz")], "gzip-as-tar")])
+@example([([("dir", "a"), ("file", "a/b", b"x" * 512), ("hardlink", "b", "a/b")], "tar"),
+          ([("whiteout", "", "a"), ("file", "a", b"now a file")], "tar")])
+def test_flatten_matches_reference_flatten(layers):
+    stack = LayerStack(layers=[_layer_blob(members, encoding) for members, encoding in layers])
+    got = flatten_layers(stack)
+    want = reference_flatten.flatten_layers(stack)
+    assert got.entries == want.entries
+    assert got.content == want.content
+    assert got.warnings == want.warnings
+    assert got.symlink_table == want.symlink_table
+    assert got.total_size == want.total_size
+
+
+def test_sparse_member_content_has_holes():
+    stack = LayerStack(layers=[_layer_blob([("sparse", "s", b"abcd")], "tar")])
+    assert flatten_layers(stack).content["/s"] == b"ab" + b"\0" * 10 + b"cd"
 
 
 class TestBuildSlimImage:

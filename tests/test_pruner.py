@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import tarfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_emit
 from conftest import make_elf, make_layer_tar, make_stack, shell_chain_members
 from staticslim.analyzer import CommandTokenList
 from staticslim.errors import PruneConsistencyError
-from staticslim.imageio import flatten_layers
+from staticslim.imageio import FileRecord, FlattenedRootfs, flatten_layers
 from staticslim.pruner import (
     RetainList,
     build_retain_list,
@@ -319,6 +323,72 @@ class TestEmit:
         retain2 = build_retain_list(match2.start_nodes, cll2, rootfs2)
         second = emit_slim_rootfs(rootfs2, retain2)
         assert second == first
+
+
+# Name parts that reach the GNU long-name path (over 100 bytes, also once
+# UTF-8 encoded), non-ASCII and surrogate-escaped bytes.
+_NAME = st.lists(
+    st.sampled_from(["a", "é", "中文", "\udcff", "n" * 60, "ü" * 40, "x.so.1"]),
+    min_size=1, max_size=3,
+).map(lambda parts: "/" + "/".join(parts))
+# 2**21 and above need GNU base-256 in the 8-byte uid/gid fields. Sizes
+# straddle block ends and, with one header, the end of a 10240-byte record.
+_ID = st.sampled_from([0, 1, 65534, 2**21 - 1, 2**21, 2**40])
+_SIZE = st.sampled_from([0, 1, 511, 512, 513, 1024, 1500, 8704, 9216])
+
+
+@st.composite
+def _retained_rootfs(draw):
+    entries: dict[str, FileRecord] = {}
+    content: dict[str, bytes] = {}
+    for path in draw(st.lists(_NAME, min_size=1, max_size=12, unique=True)):
+        kind = draw(st.sampled_from(
+            ["regular", "directory", "symlink", "hardlink", "device", "fifo"]))
+        common = dict(path=path, mode=draw(st.sampled_from([0o644, 0o755, 0o4755, 0o777])),
+                      uid=draw(_ID), gid=draw(_ID), mtime=draw(st.sampled_from([0, 1, 2**33])),
+                      uname=draw(st.sampled_from(["", "root", "ünïcode"])), gname="")
+        if kind == "regular":
+            data = bytes([len(content) % 256]) * draw(_SIZE)
+            content[path] = data
+            entries[path] = FileRecord(kind=kind, size=len(data), **common)
+        elif kind == "symlink":
+            entries[path] = FileRecord(kind=kind, link_target=draw(_NAME).lstrip("/"), **common)
+        elif kind == "device":
+            entries[path] = FileRecord(kind=kind, devmajor=draw(st.sampled_from([0, 1, 259])),
+                                       devminor=draw(st.sampled_from([3, 2**20])),
+                                       block_device=draw(st.booleans()), **common)
+        else:
+            entries[path] = FileRecord(kind=kind, **common)
+    # Hardlinks point at a regular file, which may or may not be retained.
+    regular = sorted(content)
+    for path, rec in list(entries.items()):
+        if rec.kind == "hardlink":
+            if regular:
+                entries[path] = dataclasses.replace(rec, link_target=draw(st.sampled_from(regular)))
+            else:
+                del entries[path]
+    if not entries:
+        entries["/d"] = FileRecord(path="/d", kind="directory", mode=0o755)
+    retain = RetainList()
+    for path in draw(st.lists(st.sampled_from(sorted(entries)), min_size=1)):
+        retain.add(path, "non-protected")
+    return FlattenedRootfs(entries=entries, content=content), retain
+
+
+def _one_file(size: int):
+    rootfs = FlattenedRootfs(entries={"/f": FileRecord(path="/f", kind="regular", mode=0o644, size=size)},
+                             content={"/f": b"f" * size})
+    retain = RetainList()
+    retain.add("/f", "non-protected")
+    return rootfs, retain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_retained_rootfs())
+@example(_one_file(9216))  # with its header and the two end blocks, 512 bytes past a record
+def test_emit_matches_addfile_reference(case):
+    rootfs, retain = case
+    assert emit_slim_rootfs(rootfs, retain) == reference_emit.emit_slim_rootfs(rootfs, retain)
 
 
 class TestReport:
