@@ -4,18 +4,21 @@ Replaces running the loader (``ldd``) with a pure parse of the program
 headers and dynamic section, so nothing from an untrusted image is ever
 executed. Resolution follows the loader's documented search order inside the
 flattened rootfs. Each object is parsed at most once per rootfs, however many
-closures reach it.
+closures reach it. The closures of one retain pass share a ``LibrarySearch``:
+each library directory is listed once, a needed name found there is one dict
+probe, and each spelling's symlink chain is walked once.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import posixpath
 import struct
 from dataclasses import dataclass, field
 
 from .imageio import KIND_DIRECTORY, KIND_SYMLINK, FlattenedRootfs
-from .rootfs import lookup_record, resolve_entry
+from .rootfs import lookup_record, resolve_directory, resolve_entry
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +124,8 @@ def _parse(data: bytes) -> DynamicInfo:
     strtab = data[strtab_off:strtab_end]
 
     def read_str(offset: int) -> str:
-        return strtab[offset:].split(b"\x00", 1)[0].decode()
+        end = strtab.find(b"\x00", offset)
+        return strtab[offset : end if end >= 0 else None].decode()
 
     for tag, val in entries:
         if tag == DT_NEEDED:
@@ -184,7 +188,7 @@ def _loader_conf_dirs(rootfs: FlattenedRootfs, conf_paths) -> list[str]:
     return dirs
 
 
-def _chain_entries(rootfs: FlattenedRootfs, path: str) -> tuple[list[str], str | None]:
+def _chain_entries(rootfs: FlattenedRootfs, path: str) -> tuple[tuple[str, ...], str | None]:
     """Every entry the loader crosses to open ``path``, plus the terminal entry.
 
     The entries are each spelling on the symlink chain of ``path`` and every
@@ -196,14 +200,14 @@ def _chain_entries(rootfs: FlattenedRootfs, path: str) -> tuple[list[str], str |
     while True:
         physical = resolve_entry(rootfs, current, trace=out)
         if physical is None or physical in seen:
-            return out, None
+            return tuple(out), None
         rec = rootfs.entries.get(physical)
         if rec is None:
-            return out, None
+            return tuple(out), None
         seen.add(physical)
         out.append(physical)
         if rec.kind != KIND_SYMLINK:
-            return out, physical
+            return tuple(out), physical
         current = rootfs.symlink_table[physical]
 
 
@@ -213,10 +217,74 @@ def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
     return conf_dirs + library_search_dirs(rootfs)
 
 
+class LibrarySearch:
+    """Needed-name lookups against one rootfs, shared by many closures.
+
+    ``index`` maps a library name to the spelling ``d + "/" + name`` of the
+    first directory ``d`` of ``rootfs_library_dirs`` whose physical directory
+    holds a non-directory entry of that name; a dangling symlink counts, as
+    it does for a probe of that spelling. Each directory is resolved once,
+    through the same cache a probe of a child spelling uses, and its children
+    are one key range of the rootfs's sorted entries. ``chain`` memoizes
+    ``_chain_entries`` per spelling.
+
+    Build one per retain pass rather than keeping it on the rootfs, so its
+    memory is freed before the slim image is written.
+    """
+
+    def __init__(self, rootfs: FlattenedRootfs):
+        self.rootfs = rootfs
+        self.base_dirs = rootfs_library_dirs(rootfs)
+        self.index: dict[str, str] = {}
+        self._chains: dict[str, tuple[tuple[str, ...], str | None]] = {}
+        keys = list(rootfs.entries)
+        for d in self.base_dirs:
+            directory, _ = resolve_directory(rootfs, d)
+            if directory is None:
+                continue
+            prefix = "/" if directory == "/" else directory + "/"
+            i = bisect.bisect_left(keys, prefix)
+            while i < len(keys) and keys[i].startswith(prefix):
+                name = keys[i][len(prefix):]
+                cut = name.find("/")
+                if cut >= 0:
+                    # Not a child: skip the subtree of the child it lies under.
+                    i = bisect.bisect_left(keys, prefix + name[:cut] + "0", i)
+                    continue
+                if rootfs.entries[keys[i]].kind != KIND_DIRECTORY:
+                    self.index.setdefault(name, d + "/" + name)
+                i += 1
+
+    def find(self, name: str, own_dirs: list[str]) -> str | None:
+        """Spelling the loader opens for a needed ``name``, or None.
+
+        The requesting object's own expanded rpath and runpath directories
+        are probed first, then the index answers. A name with a ``/`` is
+        opened as spelled. ``""``, ``.`` and ``..`` do not name a child of
+        the directory, so those are probed in every directory.
+        """
+        if "/" in name:
+            return name if lookup_record(self.rootfs, name) is not None else None
+        walked_whole = name in ("", ".", "..")
+        for d in own_dirs + self.base_dirs if walked_whole else own_dirs:
+            candidate = d + "/" + name
+            rec = lookup_record(self.rootfs, candidate)
+            if rec is not None and rec.kind != KIND_DIRECTORY:
+                return candidate
+        return None if walked_whole else self.index.get(name)
+
+    def chain(self, spelling: str) -> tuple[tuple[str, ...], str | None]:
+        """``_chain_entries`` of ``spelling``, walked once per search."""
+        hit = self._chains.get(spelling)
+        if hit is None:
+            hit = self._chains[spelling] = _chain_entries(self.rootfs, spelling)
+        return hit
+
+
 def resolve_elf_dependencies(
     binary_path: str,
     rootfs: FlattenedRootfs,
-    lib_dirs: list[str] | None = None,
+    search: LibrarySearch | None = None,
 ) -> ElfClosure:
     """Transitive needed-library closure of ``binary_path`` inside the rootfs.
 
@@ -224,14 +292,14 @@ def resolve_elf_dependencies(
     needed names are recorded as missing, never fatal. The returned paths
     include every symlink hop crossed while resolving library names, directory
     symlinks on the way included, plus the program interpreter of the root
-    object. Pass a precomputed ``lib_dirs`` (from rootfs_library_dirs) when
-    resolving many binaries against one rootfs.
+    object. Pass one ``LibrarySearch`` of this rootfs to every call when
+    resolving many binaries, so each library is looked up once.
     """
     closure = ElfClosure()
-    if lib_dirs is None:
-        lib_dirs = rootfs_library_dirs(rootfs)
+    if search is None:
+        search = LibrarySearch(rootfs)
 
-    _, root_terminal = _chain_entries(rootfs, binary_path)
+    _, root_terminal = search.chain(binary_path)
     root_info = _object_info(rootfs, root_terminal, binary_path)
     if root_info is None or not root_info.is_dynamic:
         return closure
@@ -241,7 +309,7 @@ def resolve_elf_dependencies(
     seen_names: set[str] = set()
     if root_info.interpreter:
         closure.interpreter = root_info.interpreter
-        hops, terminal = _chain_entries(rootfs, root_info.interpreter)
+        hops, terminal = search.chain(root_info.interpreter)
         closure.paths.update(hops)
         if terminal is None:
             closure.missing.append(root_info.interpreter)
@@ -253,16 +321,16 @@ def resolve_elf_dependencies(
 
     while queue:
         obj_path, obj_info = queue.pop(0)
-        obj_dirs = _object_search_dirs(obj_info, obj_path, lib_dirs)
+        own_dirs = _object_search_dirs(obj_info, obj_path)
         for name in obj_info.needed:
             if name in seen_names:
                 continue
             seen_names.add(name)
-            spelled = _find_library(rootfs, name, obj_dirs)
+            spelled = search.find(name, own_dirs)
             if spelled is None:
                 closure.missing.append(name)
                 continue
-            hops, terminal = _chain_entries(rootfs, spelled)
+            hops, terminal = search.chain(spelled)
             closure.paths.update(hops)
             if terminal is None:
                 closure.missing.append(name)
@@ -293,21 +361,10 @@ def _object_info(rootfs: FlattenedRootfs, terminal: str | None, origin: str) -> 
     return rootfs._elf_info[terminal]
 
 
-def _object_search_dirs(obj_info: DynamicInfo, obj_path: str, base: list[str]) -> list[str]:
+def _object_search_dirs(obj_info: DynamicInfo, obj_path: str) -> list[str]:
+    """The object's own rpath and runpath directories, ``$ORIGIN`` expanded."""
+    own = obj_info.rpath + obj_info.runpath
+    if not own:
+        return own
     origin = posixpath.dirname(obj_path)
-    expanded = []
-    for p in obj_info.rpath + obj_info.runpath:
-        expanded.append(posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin)))
-    return expanded + base
-
-
-def _find_library(rootfs: FlattenedRootfs, name: str, search_dirs) -> str | None:
-    if "/" in name:
-        rec = lookup_record(rootfs, name)
-        return name if rec is not None else None
-    for d in search_dirs:
-        candidate = d + "/" + name
-        rec = lookup_record(rootfs, candidate)
-        if rec is not None and rec.kind != KIND_DIRECTORY:
-            return candidate
-    return None
+    return [posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin)) for p in own]

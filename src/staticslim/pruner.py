@@ -18,7 +18,7 @@ import tarfile
 from dataclasses import dataclass, field
 
 from .analyzer import CommandTokenList
-from .elf import resolve_elf_dependencies, rootfs_library_dirs
+from .elf import LibrarySearch, resolve_elf_dependencies
 from .errors import PruneConsistencyError
 from .imageio import (
     KIND_DEVICE,
@@ -168,7 +168,13 @@ def build_retain_list(
     rootfs: FlattenedRootfs,
     entry_paths=(),
 ) -> RetainList:
-    """Closed retain set: chains, ELF closures, protected files, parents."""
+    """Closed retain set: chains, ELF closures, protected files, parents.
+
+    The ELF closures of all chain entries share one ``LibrarySearch``, so the
+    library directories are listed once and each library spelling is
+    resolved once per call, however many closures need it. The search is
+    dropped when this returns.
+    """
     retain = RetainList()
 
     chain_entries: list[str] = []
@@ -186,9 +192,9 @@ def build_retain_list(
             seen_entries.add(entry)
             chain_entries.append(entry)
 
-    lib_dirs = rootfs_library_dirs(rootfs)
+    search = LibrarySearch(rootfs)
     for entry in chain_entries:
-        closure = resolve_elf_dependencies(entry, rootfs, lib_dirs=lib_dirs)
+        closure = resolve_elf_dependencies(entry, rootfs, search=search)
         # Closure paths are physical entries, so each is retained as it is.
         for lib in sorted(closure.paths):
             retain.add(lib, REASON_INTERP if lib == closure.interpreter else REASON_ELF)

@@ -117,11 +117,7 @@ def _resolve(rootfs: FlattenedRootfs, path: str, follow_last: bool,
     name = path[cut + 1:]
     if not path.startswith("/") or name in ("", ".", ".."):
         return _walk(rootfs, path, follow_last, budget)
-    parent = path[:cut] or "/"
-    cached = rootfs._dir_cache.get(parent)
-    if cached is None:
-        cached = rootfs._dir_cache[parent] = _walk(rootfs, parent, True, _MAX_LINK_HOPS)
-    directory, hops = cached
+    directory, hops = resolve_directory(rootfs, path[:cut] or "/")
     if directory is None or len(hops) >= budget:
         # The walk runs out of hops inside the parent: keep the hops it made.
         return None, hops[:budget - 1]
@@ -135,6 +131,20 @@ def _resolve(rootfs: FlattenedRootfs, path: str, follow_last: bool,
         return None, hops
     physical, rest = _resolve(rootfs, target, True, budget)
     return physical, hops + (entry,) + rest
+
+
+def resolve_directory(rootfs: FlattenedRootfs, spelling: str) -> tuple[str | None, tuple[str, ...]]:
+    """Physical directory a directory spelling denotes (None on a loop) and
+    the symlink hops crossed, walked once per rootfs.
+
+    ``resolve_entry`` takes the parent of every absolute spelling from here,
+    so a caller that lists a directory's children through this function sees
+    the same directory, loops and hop budget as a probe of each child.
+    """
+    cached = rootfs._dir_cache.get(spelling)
+    if cached is None:
+        cached = rootfs._dir_cache[spelling] = _walk(rootfs, spelling, True, _MAX_LINK_HOPS)
+    return cached
 
 
 def _walk(rootfs: FlattenedRootfs, path: str, follow_last: bool,

@@ -1,0 +1,130 @@
+"""Reference ELF closure that probes every library directory per needed name.
+
+It is the oracle for ``staticslim.elf.resolve_elf_dependencies``, which looks
+library names up in an index built once per retain pass and memoizes symlink
+chains: both must give the same closure paths, the same missing names in the
+same order and the same interpreter. This is the original per-closure search,
+unchanged, resolving paths with ``reference_resolver``.
+"""
+
+from __future__ import annotations
+
+import posixpath
+
+from reference_resolver import resolve_entry
+from staticslim.elf import DynamicInfo, ElfClosure, _object_info, rootfs_library_dirs
+from staticslim.imageio import KIND_DIRECTORY, KIND_SYMLINK
+
+
+def lookup_record(rootfs, path: str):
+    """Record denoted by ``path`` with ancestors resolved, final left as-is."""
+    physical = resolve_entry(rootfs, path)
+    if physical is None:
+        return None
+    return rootfs.entries.get(physical)
+
+
+def _chain_entries(rootfs, path: str) -> tuple[list[str], str | None]:
+    """Every entry the loader crosses to open ``path``, plus the terminal entry.
+
+    The entries are each spelling on the symlink chain of ``path`` and every
+    directory symlink crossed while resolving those spellings.
+    """
+    out: list[str] = []
+    seen = set()
+    current = path
+    while True:
+        physical = resolve_entry(rootfs, current, trace=out)
+        if physical is None or physical in seen:
+            return out, None
+        rec = rootfs.entries.get(physical)
+        if rec is None:
+            return out, None
+        seen.add(physical)
+        out.append(physical)
+        if rec.kind != KIND_SYMLINK:
+            return out, physical
+        current = rootfs.symlink_table[physical]
+
+
+def resolve_elf_dependencies(
+    binary_path: str,
+    rootfs,
+    lib_dirs: list[str] | None = None,
+) -> ElfClosure:
+    """Transitive needed-library closure of ``binary_path`` inside the rootfs.
+
+    Non-ELF and statically linked files yield an empty closure. Unresolvable
+    needed names are recorded as missing, never fatal. The returned paths
+    include every symlink hop crossed while resolving library names, directory
+    symlinks on the way included, plus the program interpreter of the root
+    object. Pass a precomputed ``lib_dirs`` (from rootfs_library_dirs) when
+    resolving many binaries against one rootfs.
+    """
+    closure = ElfClosure()
+    if lib_dirs is None:
+        lib_dirs = rootfs_library_dirs(rootfs)
+
+    _, root_terminal = _chain_entries(rootfs, binary_path)
+    root_info = _object_info(rootfs, root_terminal, binary_path)
+    if root_info is None or not root_info.is_dynamic:
+        return closure
+
+    queue: list[tuple[str, DynamicInfo]] = [(binary_path, root_info)]
+    seen_objects = {root_terminal}
+    seen_names: set[str] = set()
+    if root_info.interpreter:
+        closure.interpreter = root_info.interpreter
+        hops, terminal = _chain_entries(rootfs, root_info.interpreter)
+        closure.paths.update(hops)
+        if terminal is None:
+            closure.missing.append(root_info.interpreter)
+        elif terminal not in seen_objects:
+            seen_objects.add(terminal)
+            interp_info = _object_info(rootfs, terminal, terminal)
+            if interp_info is not None and interp_info.is_dynamic:
+                queue.append((terminal, interp_info))
+
+    while queue:
+        obj_path, obj_info = queue.pop(0)
+        obj_dirs = _object_search_dirs(obj_info, obj_path, lib_dirs)
+        for name in obj_info.needed:
+            if name in seen_names:
+                continue
+            seen_names.add(name)
+            spelled = _find_library(rootfs, name, obj_dirs)
+            if spelled is None:
+                closure.missing.append(name)
+                continue
+            hops, terminal = _chain_entries(rootfs, spelled)
+            closure.paths.update(hops)
+            if terminal is None:
+                closure.missing.append(name)
+                continue
+            if terminal in seen_objects:
+                continue
+            seen_objects.add(terminal)
+            dep_info = _object_info(rootfs, terminal, terminal)
+            if dep_info is not None and dep_info.is_dynamic:
+                queue.append((terminal, dep_info))
+    return closure
+
+
+def _object_search_dirs(obj_info: DynamicInfo, obj_path: str, base: list[str]) -> list[str]:
+    origin = posixpath.dirname(obj_path)
+    expanded = []
+    for p in obj_info.rpath + obj_info.runpath:
+        expanded.append(posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin)))
+    return expanded + base
+
+
+def _find_library(rootfs, name: str, search_dirs) -> str | None:
+    if "/" in name:
+        rec = lookup_record(rootfs, name)
+        return name if rec is not None else None
+    for d in search_dirs:
+        candidate = d + "/" + name
+        rec = lookup_record(rootfs, candidate)
+        if rec is not None and rec.kind != KIND_DIRECTORY:
+            return candidate
+    return None

@@ -4,15 +4,28 @@ from __future__ import annotations
 
 import collections
 import random
+import struct
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_elf
 from conftest import default_config, make_docker_archive, make_elf, make_layer_tar, make_stack
-from staticslim import elf
+from staticslim import elf, pruner, rootfs as rootfs_mod
 from staticslim.analyzer import CommandTokenList
-from staticslim.elf import read_dynamic_info, resolve_elf_dependencies
-from staticslim.imageio import flatten_layers
-from staticslim.pruner import slim_image
+from staticslim.elf import LibrarySearch, read_dynamic_info, resolve_elf_dependencies
+from staticslim.imageio import (
+    KIND_DIRECTORY,
+    KIND_REGULAR,
+    KIND_SYMLINK,
+    FileRecord,
+    FlattenedRootfs,
+    flatten_layers,
+)
+from staticslim.pruner import build_retain_list, slim_image
+from staticslim.rootfs import CommandLinkedList
 
 
 class TestReadDynamicInfo:
@@ -46,6 +59,18 @@ class TestReadDynamicInfo:
         assert info is not None
         assert not info.is_dynamic
         assert info.needed == []
+
+    def test_string_past_table_end_and_unterminated_string(self):
+        data = bytearray(make_elf(needed=["liba.so", "libbb.so"]))
+        # The dynamic entries follow the header and two program headers:
+        # NEEDED, NEEDED, STRTAB, STRSZ, NULL over the string table
+        # "\0liba.so\0libbb.so\0". Point the first DT_NEEDED past the table's
+        # end and cut the table before its last NUL.
+        dyn = 64 + 2 * 56
+        for index, old, new in ((0, (1, 1), (1, 100)), (3, (10, 18), (10, 17))):
+            assert struct.unpack_from("<qQ", data, dyn + 16 * index) == old
+            struct.pack_into("<qQ", data, dyn + 16 * index, *new)
+        assert read_dynamic_info(bytes(data)).needed == ["", "libbb.so"]
 
     def test_malformed_treated_as_non_elf(self, caplog):
         data = make_elf(needed=["libx.so"])
@@ -359,3 +384,154 @@ def test_random_forest_matches_bfs_oracle(seed):
         closure = resolve_elf_dependencies(root, rootfs)
         assert closure.paths == expected, f"seed={seed} root={root}"
         assert set(closure.missing) == missing, f"seed={seed} root={root}"
+
+
+_LIB_NAMES = ["liba.so", "libb.so", "libc.so", "libd.so"]
+# Bare names, names the loader opens as spelled (absolute and relative), a
+# name found nowhere, and the names a directory probe walks whole.
+_NEEDED = _LIB_NAMES + ["libgone.so", "/usr/lib/liba.so", "/opt/libs/libb.so", "lib/libc.so", "", ".", ".."]
+_RUNPATHS = [None, None, "$ORIGIN", "${ORIGIN}/lib", "$ORIGIN/../libs", "/opt/libs", "/srv/real:$ORIGIN/lib"]
+_INTERP = "/lib/ld.so"
+
+
+def random_loader_rootfs(rng: random.Random) -> tuple[FlattenedRootfs, list[str]]:
+    """A rootfs that exercises every rule of the library search, plus root spellings.
+
+    Merged-usr links (``/lib``, ``/bin``); ``/lib64`` as a two-link loop,
+    a merged link or absent; ``/etc/ld.so.conf`` listing ``/`` and the
+    symlinked ``/opt/libs``; each library placed in one to three directories
+    as an ELF object, a directory, a dangling symlink or a symlink into
+    another directory, so earlier directories shadow later ones (or do not);
+    ``$ORIGIN`` rpaths and runpaths.
+    """
+    entries: dict[str, FileRecord] = {}
+    content: dict[str, bytes] = {}
+
+    def directory(path):
+        entries[path] = FileRecord(path=path, kind=KIND_DIRECTORY, mode=0o755)
+
+    def link(path, target):
+        entries[path] = FileRecord(path=path, kind=KIND_SYMLINK, mode=0o777, link_target=target)
+
+    def elf_object(path, **kwargs):
+        entries[path] = FileRecord(path=path, kind=KIND_REGULAR, mode=0o755)
+        content[path] = make_elf(filler=path.encode(), **kwargs)
+
+    def random_elf(path, interp=None):
+        elf_object(path, needed=rng.sample(_NEEDED, k=rng.randrange(0, 4)), interp=interp,
+                   rpath=rng.choice(_RUNPATHS), runpath=rng.choice(_RUNPATHS))
+
+    for d in ("/usr", "/usr/lib", "/usr/bin", "/usr/lib/x86_64-linux-gnu", "/opt", "/opt/app",
+              "/opt/app/lib", "/srv", "/srv/real", "/etc"):
+        directory(d)
+    link("/lib", "usr/lib")
+    link("/bin", "usr/bin")
+    link("/opt/libs", "/srv/real")
+    # Physical directories; the search reaches most of them through links.
+    homes = ["/", "/srv/real", "/usr/lib", "/usr/lib/x86_64-linux-gnu", "/opt/app", "/opt/app/lib"]
+    lib64 = rng.choice(["loop", "merged", "absent"])
+    if lib64 == "loop":
+        link("/lib64", "usr/lib64")
+        link("/usr/lib64", "/lib64")
+    elif lib64 == "merged":
+        link("/lib64", "usr/lib64")
+        directory("/usr/lib64")
+        homes.append("/usr/lib64")
+    conf = [d for d in ("/", "/opt/libs", "/lib64", "/srv/real") if rng.random() < 0.7]
+    rng.shuffle(conf)
+    entries["/etc/ld.so.conf"] = FileRecord(path="/etc/ld.so.conf", kind=KIND_REGULAR, mode=0o644)
+    content["/etc/ld.so.conf"] = ("# loader\n" + "".join(d + "\n" for d in conf)).encode()
+
+    for name in _LIB_NAMES:
+        for home in rng.sample(homes, k=rng.randrange(1, 4)):
+            path = home.rstrip("/") + "/" + name
+            shape = rng.choice(["elf", "elf", "elf", "directory", "dangling", "link"])
+            if shape == "elf":
+                random_elf(path)
+            elif shape == "directory":
+                directory(path)
+            elif shape == "dangling":
+                link(path, "/nowhere/" + name)
+            else:
+                link(path, rng.choice(["/usr/lib/", "../lib/", "/opt/libs/"]) + name)
+    interp_shape = rng.choice(["elf", "dynamic", "dangling", "absent"])
+    if interp_shape == "elf":
+        elf_object("/usr/lib/ld.so")
+    elif interp_shape == "dynamic":
+        random_elf("/usr/lib/ld.so")
+    elif interp_shape == "dangling":
+        link("/usr/lib/ld.so", "ld-2.so")
+
+    for i in range(3):
+        random_elf(f"/usr/bin/app{i}", interp=_INTERP if rng.random() < 0.7 else None)
+    random_elf("/opt/app/run", interp=_INTERP)
+    roots = ["/usr/bin/app0", "/bin/app1", "/usr/bin/app2", "/opt/app/run", "/bin/app0", "/lib/liba.so",
+             "/usr/lib/libb.so", "/opt/libs/libc.so", "/opt/app/libd.so"]
+    return FlattenedRootfs(entries=entries, content=content), roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_library_search_matches_reference_closure(rng):
+    rootfs, roots = random_loader_rootfs(rng)
+    # One search for every root, as in a retain pass: what earlier closures
+    # put in the memo must not change a later closure.
+    search = LibrarySearch(rootfs)
+    for root in roots:
+        want = reference_elf.resolve_elf_dependencies(root, rootfs)
+        got = resolve_elf_dependencies(root, rootfs, search=search)
+        assert (got.paths, got.missing, got.interpreter) == (want.paths, want.missing, want.interpreter), root
+
+    def reference(path, fs, search=None):
+        return reference_elf.resolve_elf_dependencies(path, fs)
+
+    with mock.patch.object(pruner, "resolve_elf_dependencies", reference):
+        want_retain = build_retain_list([], CommandLinkedList(), rootfs, entry_paths=roots)
+    got_retain = build_retain_list([], CommandLinkedList(), rootfs, entry_paths=roots)
+    assert list(got_retain.reasons.items()) == list(want_retain.reasons.items())
+    assert got_retain.missing_libraries == want_retain.missing_libraries
+
+
+def _shared_chain_image(n_roots: int, dynamic: bool) -> FlattenedRootfs:
+    """``n_roots`` binaries that all need libone -> libtwo -> libthree, or none of it."""
+    libs = {
+        "libone.so.1": make_elf(needed=["libtwo.so.1"]),
+        "libtwo.so.1": make_elf(needed=["libthree.so.1"]),
+        "libthree.so.1": make_elf(filler=b"three"),
+        "ld-test.so": make_elf(filler=b"ld"),
+    }
+    apps = [
+        {"path": f"/usr/bin/app{i}", "mode": 0o755,
+         "data": make_elf(needed=["libone.so.1"], interp="/lib/ld-test.so", filler=b"app%d" % i)
+         if dynamic else make_elf(dynamic=False, filler=b"app%d" % i)}
+        for i in range(n_roots)
+    ]
+    return _rootfs(_lib_members(libs, extra=apps))
+
+
+class TestLookupsPerRetain:
+    def test_library_probes_do_not_grow_with_roots(self, monkeypatch):
+        # Every lookup_record/resolve_entry goes through rootfs._resolve. A
+        # static root costs only its own chain, so whatever the dynamic
+        # roots cost beyond that is the library search: paid once per
+        # retain pass, not once per root.
+        probes = []
+        real = rootfs_mod._resolve
+
+        def counting(*args):
+            probes.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(rootfs_mod, "_resolve", counting)
+
+        def count(n_roots, dynamic):
+            rootfs = _shared_chain_image(n_roots, dynamic)
+            probes.clear()
+            retain = build_retain_list([], CommandLinkedList(), rootfs,
+                                       entry_paths=[f"/usr/bin/app{i}" for i in range(n_roots)])
+            assert retain.missing_libraries == []
+            return len(probes)
+
+        extra = [count(n, dynamic=True) - count(n, dynamic=False) for n in (1, 3, 6)]
+        assert extra[0] > 0
+        assert extra == [extra[0]] * 3
