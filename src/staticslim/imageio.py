@@ -4,21 +4,46 @@ Supports the docker-save layout (top-level ``manifest.json``) and the OCI
 image layout (``oci-layout`` / ``index.json`` / ``blobs``) on input, and
 emits either on output (OCI by default). Layers are flattened into a single
 in-memory rootfs with union-filesystem semantics.
+
+Layer headers are read, and the headers of every written tar stream are
+written, by one ``struct``-based tar header codec (``read_tar_headers`` and
+``gnu_header``) that gives what ``tarfile`` gives. ``tarfile`` itself reads
+only the outer image archive and a layer that holds a GNU sparse member.
 """
 
 from __future__ import annotations
 
 import bisect
+import bz2
 import gzip
 import hashlib
 import io
 import json
 import logging
+import lzma
 import posixpath
+import re
+import struct
 import tarfile
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from tarfile import (
+    AREGTYPE,
+    BLKTYPE,
+    BLOCKSIZE,
+    CHRTYPE,
+    DIRTYPE,
+    FIFOTYPE,
+    GNUTYPE_LONGLINK,
+    GNUTYPE_LONGNAME,
+    GNUTYPE_SPARSE,
+    LNKTYPE,
+    RECORDSIZE,
+    REGTYPE,
+    SYMTYPE,
+    XGLTYPE,
+)
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import (
     EmptyImageError,
@@ -69,20 +94,344 @@ KIND_HARDLINK = "hardlink"
 KIND_DEVICE = "device"
 KIND_FIFO = "fifo"
 
-# What a damaged layer stream raises: tarfile's own errors and, underneath
-# them, those of gzip and zlib (a truncated stream ends in EOFError).
-_LAYER_STREAM_ERRORS = (tarfile.TarError, gzip.BadGzipFile, EOFError, zlib.error)
-
+# The FileRecord.kind of each tar member type a layer may hold.
 _TAR_KIND = {
-    tarfile.REGTYPE: KIND_REGULAR,
-    tarfile.AREGTYPE: KIND_REGULAR,
-    tarfile.DIRTYPE: KIND_DIRECTORY,
-    tarfile.SYMTYPE: KIND_SYMLINK,
-    tarfile.LNKTYPE: KIND_HARDLINK,
-    tarfile.CHRTYPE: KIND_DEVICE,
-    tarfile.BLKTYPE: KIND_DEVICE,
-    tarfile.FIFOTYPE: KIND_FIFO,
+    REGTYPE: KIND_REGULAR,
+    AREGTYPE: KIND_REGULAR,
+    DIRTYPE: KIND_DIRECTORY,
+    SYMTYPE: KIND_SYMLINK,
+    LNKTYPE: KIND_HARDLINK,
+    CHRTYPE: KIND_DEVICE,
+    BLKTYPE: KIND_DEVICE,
+    FIFOTYPE: KIND_FIFO,
 }
+
+
+# --- the tar header codec ---------------------------------------------------
+
+
+class TarHeaderError(ImageFormatError):
+    """A tar stream has a damaged or truncated header, or its member data
+    runs past the end of the stream."""
+
+
+class SparseMember(Exception):
+    """``read_tar_headers`` met a GNU sparse member, whose data layout only
+    ``tarfile`` reads."""
+
+
+# What a damaged layer stream raises: the header codec's error, tarfile's own
+# errors (layers with sparse members) and, underneath them, those of the
+# decompressors (a truncated gzip stream ends in EOFError).
+_LAYER_STREAM_ERRORS = (TarHeaderError, tarfile.TarError, gzip.BadGzipFile, EOFError, zlib.error)
+
+# One 512-byte header block: name, mode, uid, gid, size, mtime, chksum,
+# typeflag, linkname, magic and version, uname, gname, devmajor, devminor,
+# prefix and 12 unused bytes. Packing pads or cuts each string field to its
+# width with NULs, as tarfile's ``stn`` does.
+_HEADER = struct.Struct("100s8s8s8s12s12s8sc100s8s32s32s8s8s155s12x")
+_ZERO_BLOCK = bytes(BLOCKSIZE)
+_ASCII = bytes(range(128))
+# Member names are encoded as tarfile encodes them by default.
+_ENCODING = tarfile.ENCODING
+_ERRORS = "surrogateescape"
+# Types whose data blocks follow the header (tarfile's ``isreg()`` types plus
+# any type it does not know); the others own no data blocks.
+_NO_DATA_TYPES = frozenset(tarfile.SUPPORTED_TYPES) - frozenset(tarfile.REGULAR_TYPES)
+_PAX_TYPES = frozenset((tarfile.XHDTYPE, XGLTYPE, tarfile.SOLARIS_XHDTYPE))
+# The pax keywords tarfile applies to a member, and the field each sets.
+_PAX_STRINGS = {"path": "name", "linkpath": "linkname", "uname": "uname", "gname": "gname"}
+_PAX_NUMBERS = {"size": int, "mtime": float, "uid": int, "gid": int}
+_PAX_RECORD = re.compile(rb"(\d+) ([^=]+)=")
+_PAX_HDRCHARSET = re.compile(rb"\d+ hdrcharset=([^\n]+)\n")
+
+
+class TarHeader(NamedTuple):
+    """One member of a tar stream: the fields ``tarfile`` gives its
+    ``TarInfo``, and the offset where the member's data starts."""
+
+    name: str
+    type: bytes
+    mode: int
+    uid: int
+    gid: int
+    size: int
+    mtime: int | float  # a pax mtime record is fractional
+    linkname: str
+    uname: str
+    gname: str
+    devmajor: int
+    devminor: int
+    offset_data: int
+
+
+def _blocks(size: int) -> int:
+    """``size`` rounded up to whole blocks."""
+    return -(-size // BLOCKSIZE) * BLOCKSIZE
+
+
+def _byte_sum(block: bytes) -> int:
+    """The sum of the bytes of a 512-byte block. The low half of Adler-32 is
+    one plus the byte sum modulo 65521, and 256 bytes sum to at most 65280,
+    so the checksums of the two halves give the exact sum at C speed."""
+    return (zlib.adler32(block[:256]) & 0xFFFF) + (zlib.adler32(block[256:]) & 0xFFFF) - 2
+
+
+def _nts(field: bytes) -> str:
+    return field.partition(b"\0")[0].decode(_ENCODING, _ERRORS)
+
+
+def _nti(field: bytes, offset: int) -> int:
+    """A number field as tarfile's ``nti`` reads it: GNU base-256 after a
+    0o200 (positive) or 0o377 (negative) byte, else octal up to the first
+    NUL, blanks around it ignored. ``offset`` is the header's, for the error
+    message."""
+    lead = field[0]
+    if lead == 0o200 or lead == 0o377:
+        n = int.from_bytes(field[1:], "big")
+        return n - 256 ** (len(field) - 1) if lead == 0o377 else n
+    digits = field.partition(b"\0")[0]
+    if not digits:
+        return 0
+    try:
+        # ``int`` of bytes takes the ASCII subset of what ``int`` of str
+        # takes; the rest (a blank field, Unicode blanks) goes the long way.
+        return int(digits, 8)
+    except ValueError:
+        pass
+    try:
+        return int(digits.decode("ascii").strip() or "0", 8)
+    except ValueError:
+        raise TarHeaderError(f"invalid number field in the header at offset {offset}") from None
+
+
+def _pax_records(payload: bytes, into: dict[str, str]) -> None:
+    """Add the ``"%d %s=%s\\n"`` records of a pax header to ``into``, decoded
+    as tarfile decodes them."""
+    match = _PAX_HDRCHARSET.search(payload)
+    if match is not None:
+        into["hdrcharset"] = match.group(1).decode("utf-8", _ERRORS)
+    name_encoding = _ENCODING if into.get("hdrcharset") == "BINARY" else "utf-8"
+    pos = 0
+    while (match := _PAX_RECORD.match(payload, pos)) is not None:
+        length = int(match.group(1))
+        if length == 0:
+            raise TarHeaderError("pax record of length 0")
+        keyword = match.group(2).decode("utf-8", _ERRORS)
+        value = payload[match.end(2) + 1:match.start(1) + length - 1]
+        if keyword in tarfile.PAX_NAME_FIELDS:
+            encoding, fallback = name_encoding, _ENCODING
+        else:
+            encoding = fallback = "utf-8"
+        try:
+            into[keyword] = value.decode(encoding)
+        except UnicodeDecodeError:
+            into[keyword] = value.decode(fallback, _ERRORS)
+        pos += length
+
+
+def _fold_records(header: TarHeader, global_pax: dict[str, str], pending: list,
+                  has_data: bool, next_offset: int, offset: int) -> tuple[TarHeader, int]:
+    """Apply extension records to the member they precede, as tarfile does:
+    the global pax records, then each ``L``, ``K`` or ``x`` record from the
+    one nearest the member outwards. An ``x`` record that sets the size also
+    moves the next header; the new header and that offset are returned."""
+    fields = header._asdict()
+    is_dir = header.type == DIRTYPE
+    for kind, record in ((XGLTYPE, global_pax), *reversed(pending)):
+        if kind == GNUTYPE_LONGNAME or kind == GNUTYPE_LONGLINK:
+            fields["name" if kind == GNUTYPE_LONGNAME else "linkname"] = _nts(record)
+            if is_dir:
+                fields["name"] = fields["name"].removesuffix("/")
+            continue
+        for keyword, value in record.items():
+            if keyword.startswith("GNU.sparse."):
+                raise SparseMember(offset)
+            if keyword in _PAX_STRINGS:
+                fields[_PAX_STRINGS[keyword]] = value.rstrip("/") if keyword == "path" else value
+            elif keyword in _PAX_NUMBERS:
+                try:
+                    fields[keyword] = _PAX_NUMBERS[keyword](value)
+                except ValueError:
+                    fields[keyword] = 0
+        if kind == XGLTYPE:
+            if is_dir:
+                fields["name"] = fields["name"].rstrip("/")
+        elif "size" in record and has_data:
+            next_offset = header.offset_data + _blocks(fields["size"])
+    return TarHeader(**fields), next_offset
+
+
+def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
+    """Yield the members of an uncompressed tar stream as ``tarfile`` lists
+    them, without building a ``TarInfo`` per header.
+
+    Each header block is unpacked with one ``struct`` and its checksum is
+    checked, accepting the unsigned or the signed sum. Numbers are octal or
+    GNU base-256. GNU long-name (``L``) and long-link (``K``) records and pax
+    extended (``x``) and global (``g``) records are folded into the member
+    they precede; a ustar ``prefix`` is joined to the name, and an old-style
+    regular member whose name ends in "/" is a directory.
+
+    The stream ends at its end, at a zero block or at a trailing partial
+    block of NULs. A bad checksum or number, a partial header, a record that
+    no member follows, or member data past the end raise ``TarHeaderError``
+    wherever they are; tarfile raises only at the first header and otherwise
+    stops there without a word. An empty stream raises too; one that starts
+    with a zero block has no members. A GNU sparse member raises
+    ``SparseMember``.
+    """
+    end = len(tar)
+    unpack = _HEADER.unpack_from
+    global_pax: dict[str, str] = {}
+    offset = 0
+    pending: list[tuple[bytes, object]] = []  # the L, K and x records read so far
+    awaiting = False  # a record, global ones too, was read and no member yet
+    while True:
+        block = tar[offset:offset + BLOCKSIZE]
+        if len(block) < BLOCKSIZE or block == _ZERO_BLOCK:
+            if offset == 0 and block != _ZERO_BLOCK:
+                raise TarHeaderError("empty stream" if not block else "truncated header at offset 0")
+            if awaiting:
+                raise TarHeaderError(f"no member header follows the record before offset {offset}")
+            if block.count(0) != len(block):
+                raise TarHeaderError(f"truncated header at offset {offset}")
+            return
+        (name, mode, uid, gid, size, mtime, chksum, type_, linkname, _magic, uname, gname,
+         devmajor, devminor, prefix) = unpack(block)
+        stored = _nti(chksum, offset)
+        unsigned = _byte_sum(block) - sum(chksum) + 256
+        if stored != unsigned and stored != unsigned - 256 * len(
+                (block[:148] + block[156:]).translate(None, _ASCII)):
+            raise TarHeaderError(f"bad checksum in the header at offset {offset}")
+        mode = _nti(mode, offset)
+        uid = _nti(uid, offset)
+        gid = _nti(gid, offset)
+        size = _nti(size, offset)
+        mtime = _nti(mtime, offset)
+        devmajor = _nti(devmajor, offset)
+        devminor = _nti(devminor, offset)
+        offset_data = offset + BLOCKSIZE
+
+        if type_ in (GNUTYPE_LONGNAME, GNUTYPE_LONGLINK) or type_ in _PAX_TYPES:
+            if size < 0:
+                raise TarHeaderError(f"negative size in the header at offset {offset}")
+            offset = offset_data + _blocks(size)
+            payload = tar[offset_data:offset]
+            awaiting = True
+            if type_ == XGLTYPE:
+                _pax_records(payload, global_pax)
+            elif type_ in _PAX_TYPES:
+                records = global_pax.copy()
+                _pax_records(payload, records)
+                pending.append((type_, records))
+            else:
+                pending.append((type_, payload))
+            continue
+        if type_ == GNUTYPE_SPARSE:
+            raise SparseMember(offset)
+
+        name = _nts(name)
+        if type_ == AREGTYPE and name.endswith("/"):
+            type_ = DIRTYPE
+        if prefix[0]:
+            name = _nts(prefix) + "/" + name
+        if type_ == DIRTYPE:
+            name = name.rstrip("/")
+        linkname = _nts(linkname) if linkname[0] else ""
+        uname = _nts(uname) if uname[0] else ""
+        gname = _nts(gname) if gname[0] else ""
+        has_data = type_ not in _NO_DATA_TYPES
+        next_offset = offset_data + _blocks(size) if has_data else offset_data
+
+        header = TarHeader(name, type_, mode, uid, gid, size, mtime, linkname, uname, gname,
+                           devmajor, devminor, offset_data)
+        if pending or global_pax:
+            header, next_offset = _fold_records(header, global_pax, pending, has_data,
+                                                next_offset, offset)
+            pending.clear()
+        awaiting = False
+        if next_offset < offset_data:
+            raise TarHeaderError(f"negative size in the header at offset {offset}")
+        if next_offset > end:
+            raise TarHeaderError(f"the data of {header.name!r} runs past the end of the stream")
+        yield header
+        offset = next_offset
+
+
+def _itn(n: int, digits: int) -> bytes:
+    """A number field as tarfile's ``itn`` writes it in GNU format: octal
+    with a NUL, or base-256 after a 0o200 or 0o377 byte when octal is too
+    narrow."""
+    if 0 <= n < 8 ** (digits - 1):
+        return b"%0*o\0" % (digits - 1, n)
+    if -256 ** (digits - 1) <= n < 256 ** (digits - 1):
+        lead = b"\x80" if n >= 0 else b"\xff"
+        return lead + (n % 256 ** (digits - 1)).to_bytes(digits - 1, "big")
+    raise ValueError("overflow in number field")
+
+
+def _header_block(name: bytes, type_: bytes, mode: int, uid: int, gid: int, size: int,
+                  mtime: int, linkname: bytes, uname: bytes, gname: bytes,
+                  devmajor: bytes, devminor: bytes) -> bytes:
+    block = _HEADER.pack(name, _itn(mode & 0o7777, 8), _itn(uid, 8), _itn(gid, 8),
+                         _itn(size, 12), _itn(mtime, 12), b"        ", type_, linkname,
+                         tarfile.GNU_MAGIC, uname, gname, devmajor, devminor, b"")
+    # The checksum sums the block with its own field read as eight spaces.
+    return block[:148] + b"%06o\0 " % _byte_sum(block) + block[156:]
+
+
+def _gnu_long_record(value: bytes, type_: bytes) -> bytes:
+    """A GNU ``L`` or ``K`` record: a header, then ``value`` and a NUL
+    padded to whole blocks."""
+    value += b"\0"
+    return (_header_block(b"././@LongLink", type_, 0, 0, 0, len(value), 0, b"", b"", b"",
+                          b"", b"")
+            + value + bytes(-len(value) % BLOCKSIZE))
+
+
+def gnu_header(name: str, type_: bytes, mode: int, uid: int = 0, gid: int = 0, size: int = 0,
+               mtime: int = 0, linkname: str = "", uname: str = "", gname: str = "",
+               devmajor: int = 0, devminor: int = 0) -> bytes:
+    """The header blocks of one member, byte for byte what
+    ``TarInfo.tobuf(GNU_FORMAT, tarfile.ENCODING, "surrogateescape")`` gives
+    for the same fields: a directory name ends in "/", a name or link name
+    over 100 bytes is carried by a GNU long-link and then long-name record
+    before the header (whose own field keeps the first 100 bytes), numbers
+    too wide for octal are base-256, and the device fields are filled only
+    for character and block devices."""
+    if type_ == DIRTYPE and not name.endswith("/"):
+        name += "/"
+    bname = name.encode(_ENCODING, _ERRORS)
+    blink = linkname.encode(_ENCODING, _ERRORS)
+    if type_ == CHRTYPE or type_ == BLKTYPE:
+        major, minor = _itn(devmajor, 8), _itn(devminor, 8)
+    else:
+        major = minor = b""
+    header = _header_block(bname, type_, mode, uid, gid, size, mtime, blink,
+                           uname.encode(_ENCODING, _ERRORS), gname.encode(_ENCODING, _ERRORS),
+                           major, minor)
+    if len(bname) > tarfile.LENGTH_NAME:
+        header = _gnu_long_record(bname, GNUTYPE_LONGNAME) + header
+    if len(blink) > tarfile.LENGTH_LINK:
+        header = _gnu_long_record(blink, GNUTYPE_LONGLINK) + header
+    return header
+
+
+def tar_stream(members: Iterable[tuple[bytes, bytes]]) -> bytes:
+    """The tar stream ``tarfile`` writes for (header blocks, data) members:
+    each header, then the data padded with NULs to a whole block, and at the
+    end two zero blocks and NULs up to a whole record."""
+    out = io.BytesIO()
+    for header, data in members:
+        out.write(header)
+        if data:
+            out.write(data)
+            out.write(bytes(-len(data) % BLOCKSIZE))
+    out.write(bytes(2 * BLOCKSIZE + -(out.tell() + 2 * BLOCKSIZE) % RECORDSIZE))
+    return out.getvalue()
+
+# --- image model and layer flattening ---------------------------------------
 
 
 def sha256_digest(data: bytes) -> str:
@@ -270,15 +619,13 @@ def _pop_range(entries: dict, content: dict, keys: list[str], prefix: str) -> No
         content.pop(p, None)
 
 
-def _apply_layer(index: int, tf: tarfile.TarFile, tar: bytes | None, entries: dict,
-                 content: dict, warnings: list[str]) -> None:
+def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[int, bytes],
+                 entries: dict, content: dict, warnings: list[str]) -> None:
     """Apply the members of one layer to the flattened state in place.
 
-    ``tar`` is the byte stream ``tf`` reads, and a regular member's bytes are
-    one slice of it. It is None when member offsets do not index the bytes
-    at hand; members are then read through ``tf``.
+    A regular member's bytes are one slice of ``tar``, the layer's tar
+    stream, unless ``sparse`` holds them under the member's data offset.
     """
-    members = tf.getmembers()
     paths = []  # each member's clean path; None for the root and for whiteouts
     whiteouts = []  # (parent, name) of the whiteouts and opaque markers
     for m in members:
@@ -304,12 +651,13 @@ def _apply_layer(index: int, tf: tarfile.TarFile, tar: bytes | None, entries: di
                 content.pop(target, None)
                 _pop_range(entries, content, keys, target + "/")
 
-    for m, path in zip(members, paths):
+    for (_, type_, mode, uid, gid, size, mtime, linkname, uname, gname, devmajor, devminor,
+         offset_data), path in zip(members, paths):
         if path is None:
             continue
-        kind = _TAR_KIND.get(m.type)
+        kind = _TAR_KIND.get(type_)
         if kind is None:
-            msg = f"layer {index}: unknown tar entry type {m.type!r} for {path}, skipped"
+            msg = f"layer {index}: unknown tar entry type {type_!r} for {path}, skipped"
             log.warning(msg)
             warnings.append(msg)
             continue
@@ -322,59 +670,104 @@ def _apply_layer(index: int, tf: tarfile.TarFile, tar: bytes | None, entries: di
 
         link_target = None
         if kind == KIND_SYMLINK:
-            link_target = m.linkname
+            link_target = linkname
         elif kind == KIND_HARDLINK:
-            link_target = _clean_member_path(m.linkname)
+            link_target = _clean_member_path(linkname)
 
         record = FileRecord(
             path=path,
             kind=kind,
-            mode=m.mode,
-            size=m.size if kind == KIND_REGULAR else 0,
+            mode=mode,
+            size=size if kind == KIND_REGULAR else 0,
             link_target=link_target,
-            uid=m.uid,
-            gid=m.gid,
-            mtime=int(m.mtime),
-            uname=m.uname or "",
-            gname=m.gname or "",
-            devmajor=m.devmajor,
-            devminor=m.devminor,
-            block_device=m.type == tarfile.BLKTYPE,
+            uid=uid,
+            gid=gid,
+            mtime=int(mtime),
+            uname=uname,
+            gname=gname,
+            devmajor=devmajor,
+            devminor=devminor,
+            block_device=type_ == BLKTYPE,
         )
         _ensure_parents(entries, path)
         entries[path] = record
         if kind == KIND_REGULAR:
-            if tar is not None and m.sparse is None:
-                content[path] = tar[m.offset_data:m.offset_data + m.size]
+            if offset_data in sparse:
+                content[path] = sparse[offset_data]
             else:
-                # A sparse member stores a map and its data blocks, not its bytes.
-                fobj = tf.extractfile(m)
-                content[path] = fobj.read() if fobj is not None else b""
+                content[path] = tar[offset_data:offset_data + size]
+
+
+# Compressed streams that tarfile's "r:*" mode opens, by their magic bytes.
+_DECOMPRESSORS = (
+    (b"\x1f\x8b", gzip.decompress),
+    (b"BZh", bz2.decompress),
+    (b"\xfd7zXZ\x00", lzma.decompress),
+)
+_DECOMPRESS_ERRORS = (OSError, EOFError, ValueError, zlib.error, lzma.LZMAError)
+
+
+def _layer_tar(layer: LayerBlob) -> bytes:
+    """The layer's tar stream. Bytes that start with the gzip, bzip2 or xz
+    magic are decompressed whatever the media type says, as tarfile opens
+    them; like tarfile, a plain tar stream whose first name happens to start
+    with a magic is read as it is."""
+    tar = layer.tar_bytes()
+    for magic, decompress in _DECOMPRESSORS:
+        if tar.startswith(magic):
+            try:
+                return decompress(tar)
+            except _DECOMPRESS_ERRORS as exc:
+                try:
+                    next(read_tar_headers(tar), None)
+                except SparseMember:
+                    pass
+                except TarHeaderError:
+                    raise TarHeaderError(f"cannot decompress: {exc}") from exc
+                break
+    return tar
+
+
+def _tarfile_members(tar: bytes) -> tuple[list[TarHeader], dict[int, bytes]]:
+    """The members of a tar stream that holds a GNU sparse member, as tarfile
+    reads them, and the bytes of each sparse member by its data offset."""
+    with tarfile.open(fileobj=io.BytesIO(tar), mode="r:") as tf:
+        infos = tf.getmembers()
+        # tarfile stops without a word at a damaged header after the first.
+        rest = tar[tf.offset:tf.offset + BLOCKSIZE]
+        if rest.count(0) != len(rest):
+            raise TarHeaderError(f"damaged header at offset {tf.offset}")
+        sparse = {m.offset_data: tf.extractfile(m).read() for m in infos if m.sparse is not None}
+    members = [TarHeader(m.name, m.type, m.mode, m.uid, m.gid, m.size, m.mtime, m.linkname,
+                         m.uname, m.gname, m.devmajor, m.devminor, m.offset_data) for m in infos]
+    return members, sparse
 
 
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     """Apply all layers in order with whiteout/opaque semantics.
 
-    Cost per layer: one decompression (gzip layers), one ``getmembers`` pass
-    over the tar headers, one slice per regular member and, only when the
-    layer has whiteouts or opaque markers, one sort of the lower state's
-    paths plus a bisect per marker; the paths a marker removes are the only
-    ones it touches. A directory replaced by a non-directory still scans the
-    whole state for its subtree.
+    Cost per layer: one decompression (gzip layers, or compressed bytes under
+    the tar media type), one ``read_tar_headers`` pass over the headers (one
+    ``struct`` unpack, one byte sum and a few number decodes per header; no
+    ``TarInfo``), one slice per regular member and, only when the layer has
+    whiteouts or opaque markers, one sort of the lower state's paths plus a
+    bisect per marker; the paths a marker removes are the only ones it
+    touches. A directory replaced by a non-directory still scans the whole
+    state for its subtree. A layer with a GNU sparse member is listed by
+    ``tarfile`` instead, which also reads the sparse members' bytes.
     """
     entries: dict[str, FileRecord] = {}
     content: dict[str, bytes] = {}
     warnings: list[str] = []
 
     for index, layer in enumerate(stack.layers):
-        tar = layer.tar_bytes()
-        buf = io.BytesIO(tar)
         try:
-            with tarfile.open(fileobj=buf) as tf:
-                # Offsets index ``tar`` unless tarfile decompressed it itself
-                # (a layer whose media type says tar but that holds gzip).
-                _apply_layer(index, tf, tar if tf.fileobj is buf else None,
-                             entries, content, warnings)
+            tar = _layer_tar(layer)
+            try:
+                members, sparse = list(read_tar_headers(tar)), {}
+            except SparseMember:
+                members, sparse = _tarfile_members(tar)
+            _apply_layer(index, members, tar, sparse, entries, content, warnings)
         except _LAYER_STREAM_ERRORS as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
@@ -555,18 +948,14 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
         )
 
 
-def _struct_member(name: str, data: bytes | None = None, isdir: bool = False) -> tarfile.TarInfo:
-    ti = tarfile.TarInfo(name=name)
-    ti.mtime = 0
-    ti.uid = ti.gid = 0
-    ti.uname = ti.gname = ""
-    if isdir:
-        ti.type = tarfile.DIRTYPE
-        ti.mode = 0o755
-    else:
-        ti.mode = 0o444
-        ti.size = len(data or b"")
-    return ti
+def _image_tar(members: list[tuple[str, bytes | None]]) -> bytes:
+    """The image archive of (name, bytes) files and (name, None) directories,
+    in order: files 0o444 and directories 0o755, owned by 0:0 at mtime 0."""
+    return tar_stream(
+        (gnu_header(name, DIRTYPE, 0o755), b"") if data is None
+        else (gnu_header(name, REGTYPE, 0o444, size=len(data)), data)
+        for name, data in members
+    )
 
 
 def _json_bytes(obj) -> bytes:
@@ -608,9 +997,16 @@ def build_slim_image(
 
     ``layout`` selects the output family ("oci" or "docker"); docker-save
     output always stores the layer uncompressed.
+
+    Cost: one header read to refuse an empty rootfs, one sha256 of the layer
+    (its diff_id), one level-9 gzip compression and one more sha256 with
+    ``gzip_layer``, and one copy of the layer into the archive, whose few
+    headers ``gnu_header`` writes.
     """
-    with tarfile.open(fileobj=io.BytesIO(slim_rootfs_tar)) as tf:
-        empty = tf.next() is None
+    try:
+        empty = next(read_tar_headers(slim_rootfs_tar), None) is None
+    except SparseMember:
+        empty = False
     if empty:
         raise EmptyImageError("slim rootfs tar contains no entries; refusing to build an image")
     if layout not in ("oci", "docker"):
@@ -619,27 +1015,22 @@ def build_slim_image(
     diff_id = sha256_digest(slim_rootfs_tar)
     config_bytes = _config_json(metadata, [diff_id])
 
-    out = io.BytesIO()
     if layout == "docker":
-        with tarfile.open(fileobj=out, mode="w", format=tarfile.GNU_FORMAT) as tf:
-            cfg_hex = sha256_digest(config_bytes).split(":", 1)[1]
-            layer_hex = diff_id.split(":", 1)[1]
-            manifest = [
-                {
-                    "Config": f"{cfg_hex}.json",
-                    "RepoTags": [metadata.reference] if metadata.reference else [],
-                    "Layers": [f"{layer_hex}/layer.tar"],
-                }
-            ]
-            tf.addfile(_struct_member(f"{cfg_hex}.json", config_bytes), io.BytesIO(config_bytes))
-            tf.addfile(_struct_member(f"{layer_hex}", isdir=True))
-            tf.addfile(
-                _struct_member(f"{layer_hex}/layer.tar", slim_rootfs_tar),
-                io.BytesIO(slim_rootfs_tar),
-            )
-            manifest_bytes = _json_bytes(manifest)
-            tf.addfile(_struct_member("manifest.json", manifest_bytes), io.BytesIO(manifest_bytes))
-        return out.getvalue()
+        cfg_hex = sha256_digest(config_bytes).split(":", 1)[1]
+        layer_hex = diff_id.split(":", 1)[1]
+        manifest = [
+            {
+                "Config": f"{cfg_hex}.json",
+                "RepoTags": [metadata.reference] if metadata.reference else [],
+                "Layers": [f"{layer_hex}/layer.tar"],
+            }
+        ]
+        return _image_tar([
+            (f"{cfg_hex}.json", config_bytes),
+            (layer_hex, None),
+            (f"{layer_hex}/layer.tar", slim_rootfs_tar),
+            ("manifest.json", _json_bytes(manifest)),
+        ])
 
     if gzip_layer:
         layer_data = gzip.compress(slim_rootfs_tar, mtime=0)
@@ -676,13 +1067,10 @@ def build_slim_image(
     layout_bytes = _json_bytes({"imageLayoutVersion": "1.0.0"})
 
     blobs = {config_digest: config_bytes, manifest_digest: manifest_bytes, layer_digest: layer_data}
-    with tarfile.open(fileobj=out, mode="w", format=tarfile.GNU_FORMAT) as tf:
-        tf.addfile(_struct_member("oci-layout", layout_bytes), io.BytesIO(layout_bytes))
-        tf.addfile(_struct_member("index.json", index_bytes), io.BytesIO(index_bytes))
-        tf.addfile(_struct_member("blobs", isdir=True))
-        tf.addfile(_struct_member("blobs/sha256", isdir=True))
-        for digest in sorted(blobs):
-            data = blobs[digest]
-            hexd = digest.split(":", 1)[1]
-            tf.addfile(_struct_member(f"blobs/sha256/{hexd}", data), io.BytesIO(data))
-    return out.getvalue()
+    return _image_tar([
+        ("oci-layout", layout_bytes),
+        ("index.json", index_bytes),
+        ("blobs", None),
+        ("blobs/sha256", None),
+        *((f"blobs/sha256/{digest.split(':', 1)[1]}", blobs[digest]) for digest in sorted(blobs)),
+    ])

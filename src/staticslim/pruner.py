@@ -14,23 +14,31 @@ import io
 import json
 import logging
 import posixpath
-import tarfile
 from dataclasses import dataclass, field
 
 from .analyzer import CommandTokenList
 from .elf import LibrarySearch, resolve_elf_dependencies
 from .errors import PruneConsistencyError
 from .imageio import (
+    BLKTYPE,
+    CHRTYPE,
+    DIRTYPE,
+    FIFOTYPE,
     KIND_DEVICE,
     KIND_DIRECTORY,
     KIND_HARDLINK,
     KIND_REGULAR,
     KIND_SYMLINK,
+    LNKTYPE,
+    REGTYPE,
+    SYMTYPE,
     FlattenedRootfs,
     ImageMetadata,
     build_slim_image,
     flatten_layers,
+    gnu_header,
     load_image_archive,
+    tar_stream,
 )
 from .rootfs import (
     DEFAULT_SEARCH_DIRS,
@@ -68,6 +76,7 @@ class RetainList:
     paths: set[str] = field(default_factory=set)
     reasons: dict[str, str] = field(default_factory=dict)
     missing_libraries: list[str] = field(default_factory=list)
+    missing_interpreters: list[str] = field(default_factory=list)
 
     def add(self, path: str, reason: str) -> bool:
         added = path not in self.paths
@@ -199,7 +208,12 @@ def build_retain_list(
         for lib in sorted(closure.paths):
             retain.add(lib, REASON_INTERP if lib == closure.interpreter else REASON_ELF)
         for name in closure.missing:
-            if name not in retain.missing_libraries:
+            if name == closure.interpreter:
+                if name not in retain.missing_interpreters:
+                    retain.missing_interpreters.append(name)
+                    log.warning("%s: program interpreter %r unresolved inside the rootfs",
+                                entry, name)
+            elif name not in retain.missing_libraries:
                 retain.missing_libraries.append(name)
                 log.warning("%s: needed library %r unresolved inside the rootfs", entry, name)
 
@@ -225,12 +239,10 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> bytes:
     carries the file content and the others reference it, so extraction
     never sees a forward link reference.
 
-    The stream is the one ``tarfile`` writes in GNU format: each entry is its
-    header blocks from ``TarInfo.tobuf``, then for a regular file its bytes
-    padded with NULs to a whole block; two zero blocks and NULs up to a whole
-    record end it. Each entry costs one header encoding and one buffer write
-    per part, without ``TarFile.addfile``'s copy of the ``TarInfo`` and
-    round trip through a file object.
+    The stream is the one ``tarfile`` writes in GNU format (``tar_stream``).
+    Each entry costs one ``gnu_header`` call (one ``struct`` pack, a few
+    number encodings and one byte sum; no ``TarInfo``) and one buffer write
+    per part.
     """
     groups: dict[str, list[str]] = {}
     for path in retain.paths:
@@ -246,48 +258,36 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> bytes:
         for m in members:
             carrier[m] = members[0]
 
-    out = io.BytesIO()
-    for path in sorted(retain.paths):
-        rec = rootfs.entries[path]
-        ti = tarfile.TarInfo(name=path.lstrip("/"))
-        ti.mode = rec.mode
-        ti.uid = rec.uid
-        ti.gid = rec.gid
-        ti.mtime = rec.mtime
-        ti.uname = rec.uname
-        ti.gname = rec.gname
+    def entries():
+        for path in sorted(retain.paths):
+            rec = rootfs.entries[path]
+            kind = rec.kind
+            if path in carrier:
+                kind = KIND_REGULAR if carrier[path] == path else KIND_HARDLINK
 
-        kind = rec.kind
-        if path in carrier:
-            kind = KIND_REGULAR if carrier[path] == path else KIND_HARDLINK
+            data = b""
+            linkname = ""
+            if kind == KIND_REGULAR:
+                data = rootfs.data_for(path)
+                type_ = REGTYPE
+            elif kind == KIND_DIRECTORY:
+                type_ = DIRTYPE
+            elif kind == KIND_SYMLINK:
+                type_ = SYMTYPE
+                linkname = rec.link_target or ""
+            elif kind == KIND_HARDLINK:
+                type_ = LNKTYPE
+                linkname = carrier.get(path, rec.link_target or "").lstrip("/")
+            elif kind == KIND_DEVICE:
+                type_ = BLKTYPE if rec.block_device else CHRTYPE
+            else:  # fifo
+                type_ = FIFOTYPE
+            header = gnu_header(path.lstrip("/"), type_, rec.mode, rec.uid, rec.gid, len(data),
+                                rec.mtime, linkname, rec.uname, rec.gname, rec.devmajor,
+                                rec.devminor)
+            yield header, data
 
-        data = b""
-        if kind == KIND_REGULAR:
-            data = rootfs.data_for(path)
-            ti.type = tarfile.REGTYPE
-            ti.size = len(data)
-        elif kind == KIND_DIRECTORY:
-            ti.type = tarfile.DIRTYPE
-        elif kind == KIND_SYMLINK:
-            ti.type = tarfile.SYMTYPE
-            ti.linkname = rec.link_target or ""
-        elif kind == KIND_HARDLINK:
-            ti.type = tarfile.LNKTYPE
-            target = carrier.get(path, rec.link_target or "")
-            ti.linkname = target.lstrip("/")
-        elif kind == KIND_DEVICE:
-            ti.type = tarfile.BLKTYPE if rec.block_device else tarfile.CHRTYPE
-            ti.devmajor = rec.devmajor
-            ti.devminor = rec.devminor
-        else:  # fifo
-            ti.type = tarfile.FIFOTYPE
-        out.write(ti.tobuf(tarfile.GNU_FORMAT, tarfile.ENCODING, "surrogateescape"))
-        if data:
-            out.write(data)
-            out.write(tarfile.NUL * (-len(data) % tarfile.BLOCKSIZE))
-    out.write(tarfile.NUL * (2 * tarfile.BLOCKSIZE))
-    out.write(tarfile.NUL * (-out.tell() % tarfile.RECORDSIZE))
-    return out.getvalue()
+    return tar_stream(entries())
 
 
 @dataclass
@@ -302,6 +302,7 @@ class PruneReport:
     commands_before: int
     commands_after: int
     missing_libraries: list[str] = field(default_factory=list)
+    missing_interpreters: list[str] = field(default_factory=list)
     cycles: list[list[str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -367,6 +368,7 @@ def compute_report(
         commands_before=len(cll.heads),
         commands_after=len(slim_cll.heads),
         missing_libraries=list(retain.missing_libraries),
+        missing_interpreters=list(retain.missing_interpreters),
         cycles=list(cll.cycles),
         warnings=list(rootfs.warnings),
     )

@@ -422,6 +422,15 @@ def _malformed_layer(kind: str) -> bytes:
         # follow: a reader that slices member data must still see the cut.
         tar = make_layer_tar([{"path": "/a", "data": b"a"}, {"path": "/big", "data": b"b" * 2000}])
         return tar[:512 * 3 + 1000]
+    if kind in ("corrupt-header", "truncated-header"):
+        # Three members of one header block and one data block each; the
+        # damage is in the second header, after a member that reads fine.
+        tar = make_layer_tar([{"path": f"/{c}", "data": c.encode()} for c in "abc"])
+        if kind == "truncated-header":
+            return tar[:1024 + 300]
+        corrupt = bytearray(tar)
+        corrupt[1024 + 1] ^= 0x01  # a byte of the second member's name
+        return bytes(corrupt)
     blob = gzip.compress(make_layer_tar(shell_chain_members()), mtime=0)
     if kind == "truncated-gzip":
         return blob[: len(blob) // 2]
@@ -430,7 +439,8 @@ def _malformed_layer(kind: str) -> bytes:
     return bytes(corrupt)
 
 
-@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "truncated-tar"])
+@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "truncated-tar",
+                                  "corrupt-header", "truncated-header"])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
 def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     image = tmp_path / "bad.tar"

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import io
 import json
+import lzma
 import random
+import shutil
+import subprocess
 import tarfile
 
 import pytest
@@ -31,14 +35,21 @@ from staticslim.errors import (
     UnsupportedFormatError,
 )
 from staticslim.imageio import (
+    FileRecord,
     FlattenedRootfs,
     ImageMetadata,
     LayerBlob,
     LayerStack,
+    SparseMember,
+    TarHeader,
+    TarHeaderError,
     build_slim_image,
     flatten_layers,
+    gnu_header,
     load_image_archive,
+    read_tar_headers,
 )
+from staticslim.pruner import RetainList, emit_slim_rootfs
 
 import reference_flatten
 
@@ -578,3 +589,267 @@ class TestBuildSlimImage:
         loaded, _ = load_image_archive(_write(tmp_path, "out.tar", archive))
         assert loaded.image_name == ""
         assert loaded.architecture == "arm64"
+
+
+# --- the tar header codec ---------------------------------------------------
+
+_HEADER_FIELDS = TarHeader._fields
+# Segments that need a ustar prefix, a GNU long-name record or a pax path
+# record once joined, or that are not ASCII (pax then writes hdrcharset).
+_TAR_NAME = st.lists(st.sampled_from(["a", "b.c", "é", "\udcff", "d" * 60, "x" * 99]),
+                     min_size=1, max_size=4).map("/".join)
+# 8**7 and 2**40 need base-256 in GNU and a pax record in PAX; ustar cannot
+# hold them and the member is left out.
+_TAR_ID = st.sampled_from([0, 1000, 8**7 - 1, 8**7, 2**40])
+_TAR_MEMBER = st.fixed_dictionaries({
+    "kind": st.sampled_from(["file", "dir", "symlink", "hardlink", "fifo", "chr", "blk"]),
+    "name": _TAR_NAME,
+    "link": _TAR_NAME,
+    "uid": _TAR_ID,
+    "gid": _TAR_ID,
+    "mtime": st.sampled_from([0, 1, 2**33, -1, 1.5]),
+    "data": st.binary(max_size=1100),
+    # The size a member without data blocks records: 2**40 is base-256.
+    "size": st.sampled_from([0, 2**40]),
+    "uname": st.sampled_from(["", "root", "ünï"]),
+    # Records a pax member carries of its own; "size" repeats the data size.
+    "pax": st.sampled_from([{}, {"uid": "x1"}, {"comment": "c"}, {"mtime": "1.25"}, "size"]),
+})
+_TAR_TYPES = {"file": tarfile.REGTYPE, "dir": tarfile.DIRTYPE, "symlink": tarfile.SYMTYPE,
+              "hardlink": tarfile.LNKTYPE, "fifo": tarfile.FIFOTYPE, "chr": tarfile.CHRTYPE,
+              "blk": tarfile.BLKTYPE}
+
+
+def _tar_of(fmt, members, global_pax) -> bytes:
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=fmt, pax_headers=global_pax) as tf:
+        for m in members:
+            ti = tarfile.TarInfo(m["name"])
+            ti.type = _TAR_TYPES[m["kind"]]
+            ti.uid, ti.gid, ti.mtime, ti.uname = m["uid"], m["gid"], m["mtime"], m["uname"]
+            ti.linkname = m["link"] if m["kind"] in ("symlink", "hardlink") else ""
+            ti.devmajor, ti.devminor = m["uid"], 3
+            data = m["data"] if m["kind"] == "file" else None
+            ti.size = len(data) if data is not None else m["size"]
+            ti.pax_headers = {"size": str(ti.size)} if m["pax"] == "size" else dict(m["pax"])
+            try:
+                tf.addfile(ti, io.BytesIO(data) if data is not None else None)
+            except ValueError:  # a field this format cannot hold; nothing was written
+                pass
+    return buf.getvalue()
+
+
+def _rechecksum(tar: bytearray, at: int, signed: bool) -> None:
+    """Rewrite a header's checksum: the sum of its bytes, read as signed or
+    unsigned, with the checksum field counted as eight spaces."""
+    block = tar[at:at + 512]
+    block[148:156] = b"        "
+    total = sum(b - 256 if signed and b >= 128 else b for b in block)
+    if total >= 0:  # six octal digits
+        tar[at + 148:at + 156] = b"%06o\0 " % total
+
+
+def _pax_path_records(path: str) -> bytes:
+    """The pax ``x`` header and records that give a member the path ``path``."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=tarfile.PAX_FORMAT) as tf:
+        tf.addfile(tarfile.TarInfo(path))
+    with tarfile.open(fileobj=io.BytesIO(buf.getvalue())) as tf:
+        return buf.getvalue()[:tf.getmembers()[0].offset_data - 512]
+
+
+_SPLICED_PATH = "spliced/" + "s" * 100
+
+
+def _patched(tar: bytes, patches) -> bytes:
+    """Rewrite members the way other tar writers leave them: an old-style
+    regular typeflag on a directory whose name ends in "/", a checksum summed
+    over signed bytes, a zero size field under a pax size record, or a pax
+    path record spliced in front of the member's own records."""
+    try:
+        with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+            members = tf.getmembers()
+    except tarfile.ReadError:
+        return tar
+    out = bytearray(tar)
+    # Back to front, so that a splice leaves the offsets still to patch alone.
+    for m, patch in reversed(list(zip(members, patches))):
+        at = m.offset_data - 512
+        if patch == "aregtype" and out[at + 156:at + 157] == tarfile.DIRTYPE \
+                and out[at:at + 100].rstrip(b"\0").endswith(b"/"):
+            out[at + 156] = 0
+            _rechecksum(out, at, signed=False)
+        elif patch == "signed" and any(b >= 128 for b in out[at:at + 512]):
+            _rechecksum(out, at, signed=True)
+        elif patch == "zero-size" and "size" in m.pax_headers:
+            out[at + 124:at + 136] = b"0" * 11 + b"\0"
+            _rechecksum(out, at, signed=False)
+        elif patch == "splice":
+            out[m.offset:m.offset] = _pax_path_records(_SPLICED_PATH)
+    return bytes(out)
+
+
+_PLAIN_FILE = {"kind": "file", "name": "a", "link": "a", "uid": 0, "gid": 0, "mtime": 0,
+               "data": b"abc", "size": 0, "uname": "root", "pax": {}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([tarfile.USTAR_FORMAT, tarfile.GNU_FORMAT, tarfile.PAX_FORMAT]),
+       st.lists(_TAR_MEMBER, max_size=8),
+       st.sampled_from([None, {"comment": "g"}, {"uname": "glob"}]),
+       st.lists(st.sampled_from([None, "aregtype", "signed", "zero-size", "splice"]), max_size=8))
+@example(tarfile.GNU_FORMAT,
+         [{"kind": "dir", "name": "é/" + "d" * 60, "link": "a", "uid": 2**40, "gid": 0,
+           "mtime": -1, "data": b"", "size": 2**40, "uname": "ünï", "pax": {}}],
+         None, ["signed"])
+# ustar splits a 160-byte name into a prefix and a name.
+@example(tarfile.USTAR_FORMAT, [{**_PLAIN_FILE, "name": "d" * 60 + "/" + "x" * 99}], None, [])
+# A GNU long name of a directory ends in "/", which the member drops.
+@example(tarfile.GNU_FORMAT, [{**_PLAIN_FILE, "kind": "dir", "name": "d" * 60 + "/" + "x" * 99}],
+         None, [])
+# A global record reaches a member that has no records of its own.
+@example(tarfile.PAX_FORMAT, [_PLAIN_FILE], {"uname": "glob"}, [])
+# The spliced pax path is read before the GNU long name, so it wins.
+@example(tarfile.GNU_FORMAT, [{**_PLAIN_FILE, "name": "d" * 60 + "/" + "x" * 99}], None,
+         ["splice"])
+# Only the pax size record says where the next header starts.
+@example(tarfile.PAX_FORMAT, [{**_PLAIN_FILE, "pax": "size"}, _PLAIN_FILE], None, ["zero-size"])
+def test_read_tar_headers_matches_getmembers(fmt, members, global_pax, patches):
+    tar = _patched(_tar_of(fmt if global_pax is None else tarfile.PAX_FORMAT, members,
+                           global_pax), patches)
+    try:
+        with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+            want = [tuple(getattr(m, f) for f in _HEADER_FIELDS) for m in tf.getmembers()]
+    except tarfile.ReadError:  # a global record that no member follows
+        with pytest.raises(TarHeaderError):
+            list(read_tar_headers(tar))
+        return
+    assert [tuple(h) for h in read_tar_headers(tar)] == want
+
+
+# Names and links from 95 to 105 bytes straddle the 100-byte field.
+_HEADER_NAME = st.one_of(_TAR_NAME, st.integers(95, 105).map(lambda n: "n" * n))
+# 2**70 overflows even base-256: both writers refuse it.
+_HEADER_NUMBER = st.sampled_from([0, 7, 8**7 - 1, 8**7, 2**40, -1, 2**70])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HEADER_NAME, st.sampled_from(sorted(_TAR_TYPES.values())),
+       st.sampled_from([0o644, 0o4755, 0o100755, 0o170777]), _HEADER_NUMBER, _HEADER_NUMBER,
+       st.sampled_from([0, 512, 8**11, 2**40]), _HEADER_NUMBER, _HEADER_NAME,
+       st.sampled_from(["", "root", "ünï", "u" * 40]), _HEADER_NUMBER, _HEADER_NUMBER)
+# A 100-byte name fits its field; a 101-byte link needs a record. The mode
+# loses its file-type bits, a negative gid is base-256, uname is cut to 32.
+@example("n" * 100, tarfile.REGTYPE, 0o100755, 8**7, -1, 512, 2**33, "n" * 101, "u" * 40, 0, 0)
+# The "/" a directory gets makes 99 bytes 100: still no record.
+@example("n" * 99, tarfile.DIRTYPE, 0o755, 0, 0, 0, 0, "", "", 0, 0)
+@example("n" * 100, tarfile.DIRTYPE, 0o755, 0, 0, 0, 0, "", "", 0, 0)
+@example("dev", tarfile.CHRTYPE, 0o620, 0, 0, 0, 0, "", "", 8**7, -1)
+def test_gnu_header_matches_tobuf(name, type_, mode, uid, gid, size, mtime, linkname, uname,
+                                  devmajor, devminor):
+    ti = tarfile.TarInfo(name)
+    ti.type, ti.mode, ti.uid, ti.gid, ti.size, ti.mtime = type_, mode, uid, gid, size, mtime
+    ti.linkname, ti.uname, ti.gname, ti.devmajor, ti.devminor = (
+        linkname, uname, uname, devmajor, devminor)
+    args = (name, type_, mode, uid, gid, size, mtime, linkname, uname, uname, devmajor, devminor)
+    try:
+        want = ti.tobuf(tarfile.GNU_FORMAT, tarfile.ENCODING, "surrogateescape")
+    except ValueError:
+        with pytest.raises(ValueError):
+            gnu_header(*args)
+        return
+    assert gnu_header(*args) == want
+
+
+class TestTarHeaders:
+    def _three(self) -> bytes:
+        return make_layer_tar([{"path": f"/{c}", "data": c.encode()} for c in "abc"])
+
+    def test_zero_layer_has_no_members(self):
+        assert list(read_tar_headers(bytes(1024))) == []
+
+    def test_empty_layer_is_an_error(self):
+        with pytest.raises(TarHeaderError, match="empty"):
+            list(read_tar_headers(b""))
+
+    @pytest.mark.parametrize("at", [0, 1024, 2048])
+    def test_bad_checksum_anywhere_is_an_error(self, at):
+        tar = bytearray(self._three())
+        tar[at + 1] ^= 0x01
+        with pytest.raises(TarHeaderError, match=f"checksum in the header at offset {at}"):
+            list(read_tar_headers(bytes(tar)))
+
+    def test_partial_header_is_an_error(self):
+        with pytest.raises(TarHeaderError, match="truncated header at offset 1024"):
+            list(read_tar_headers(self._three()[:1024 + 300]))
+
+    def test_partial_zero_block_ends_the_stream(self):
+        tar = self._three()
+        assert [h.name for h in read_tar_headers(tar[:3 * 1024 + 300])] == ["a", "b", "c"]
+
+    def test_record_without_member_is_an_error(self):
+        long_name = make_layer_tar([{"path": "/" + "n" * 150, "data": b""}])
+        with pytest.raises(TarHeaderError, match="no member header follows"):
+            list(read_tar_headers(long_name[:1024] + bytes(1024)))
+
+    def test_sparse_member_is_left_to_tarfile(self):
+        tar = _layer_blob([("file", "a", b"1"), ("sparse", "s", b"abcd")], "tar").data
+        with pytest.raises(SparseMember):
+            list(read_tar_headers(tar))
+
+
+@pytest.mark.parametrize("magic", ["gzip", "bz2", "xz"])
+def test_compressed_bytes_under_the_tar_media_type(magic):
+    tar = make_layer_tar([{"path": "/a", "data": b"1"}])
+    packed = {"gzip": lambda d: gzip.compress(d, mtime=0), "bz2": bz2.compress,
+              "xz": lzma.compress}[magic](tar)
+    stack = LayerStack(layers=[LayerBlob("application/vnd.oci.image.layer.v1.tar", "", "", packed)])
+    assert flatten_layers(stack).content == {"/a": b"1"}
+
+
+def test_plain_tar_named_like_a_magic_is_read_as_it_is():
+    tar = make_layer_tar([{"path": "/BZh91AY", "data": b"1"}])
+    assert flatten_layers(make_stack([tar])).content == {"/BZh91AY": b"1"}
+
+
+@pytest.mark.skipif(shutil.which("tar") is None, reason="needs a tar program")
+def test_emitted_stream_lists_with_system_tar(tmp_path):
+    """The system ``tar``, a reader independent of tarfile, lists every
+    emitted field: long names and links, base-256 ids, devices, hardlinks."""
+    long_dir = "/opt/" + "long" * 30
+    records = [
+        FileRecord(path="/opt", kind="directory", mode=0o755),
+        FileRecord(path=long_dir, kind="directory", mode=0o750, uid=2**21, gid=7),
+        FileRecord(path=long_dir + "/f", kind="regular", mode=0o4755, size=600, uid=2**32 - 2,
+                   mtime=2**33),
+        FileRecord(path="/opt/z-hard", kind="hardlink", mode=0o644, link_target=long_dir + "/f"),
+        FileRecord(path="/opt/sym", kind="symlink", mode=0o777, link_target="x" * 150),
+        FileRecord(path="/opt/tty", kind="device", mode=0o620, devmajor=4, devminor=2**20),
+        FileRecord(path="/opt/sda", kind="device", mode=0o660, devmajor=8, devminor=1,
+                   block_device=True),
+        FileRecord(path="/opt/pipe", kind="fifo", mode=0o600),
+    ]
+    rootfs = FlattenedRootfs(entries={r.path: r for r in records},
+                             content={long_dir + "/f": b"z" * 600})
+    retain = RetainList()
+    for r in records:
+        retain.add(r.path, "non-protected")
+    archive = tmp_path / "slim.tar"
+    archive.write_bytes(emit_slim_rootfs(rootfs, retain))
+    listing = subprocess.run(
+        ["tar", "--list", "--verbose", "--numeric-owner", "--file", str(archive)],
+        capture_output=True, text=True, check=True, env={"TZ": "UTC", "LC_ALL": "C"},
+    ).stdout.splitlines()
+    f = long_dir.lstrip("/") + "/f"
+    assert listing == [
+        line.format(f=f, d=long_dir.lstrip("/"), x="x" * 150) for line in (
+            "drwxr-xr-x 0/0               0 1970-01-01 00:00 opt/",
+            "drwxr-x--- 2097152/7         0 1970-01-01 00:00 {d}/",
+            "-rwsr-xr-x 4294967294/0    600 2242-03-16 12:56 {f}",
+            "prw------- 0/0               0 1970-01-01 00:00 opt/pipe",
+            "brw-rw---- 0/0             8,1 1970-01-01 00:00 opt/sda",
+            "lrwxrwxrwx 0/0               0 1970-01-01 00:00 opt/sym -> {x}",
+            "crw--w---- 0/0       4,1048576 1970-01-01 00:00 opt/tty",
+            "hrw-r--r-- 0/0               0 1970-01-01 00:00 opt/z-hard link to {f}",
+        )
+    ]

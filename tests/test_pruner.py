@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import os
 import tarfile
 
@@ -206,6 +207,23 @@ class TestRetainList:
         # /usr/lib/app is in the prune area; without it the slim image's
         # loader cannot follow the RUNPATH to the library.
         assert "/usr/lib/app" in retain.paths
+
+    def test_missing_interpreter_reported_apart_from_libraries(self, caplog):
+        members = [m for m in elf_shell_members() if m["path"] != "/usr/lib/ld-linux.so.2"]
+        members.append({"path": "/usr/bin/tool", "mode": 0o755,
+                        "data": make_elf(needed=["libc.so.6", "libgone.so.1"],
+                                         interp="/lib/ld-linux.so.2")})
+        with caplog.at_level("WARNING", logger="staticslim.pruner"):
+            rootfs, cll, match, retain = build_pipeline(members, ["sh", "tool"])
+        assert retain.missing_interpreters == ["/lib/ld-linux.so.2"]
+        assert retain.missing_libraries == ["libgone.so.1"]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert sum("program interpreter '/lib/ld-linux.so.2' unresolved" in w for w in warnings) == 1
+        assert not any("needed library '/lib/ld-linux.so.2'" in w for w in warnings)
+        report = compute_report(rootfs, cll, retain, match=match)
+        assert report.missing_interpreters == ["/lib/ld-linux.so.2"]
+        assert report.missing_libraries == ["libgone.so.1"]
+        assert json.loads(report.to_json())["missing_interpreters"] == ["/lib/ld-linux.so.2"]
 
     def test_protection_absolute(self):
         rootfs, _, _, retain = build_pipeline(elf_shell_members(), ["sh"])
