@@ -5,22 +5,22 @@ image layout (``oci-layout`` / ``index.json`` / ``blobs``) on input, and
 emits either on output (OCI by default). Layers are flattened into a single
 in-memory rootfs with union-filesystem semantics.
 
-Layer headers are read, and the headers of every written tar stream are
-written, by one ``struct``-based tar header codec (``read_tar_headers`` and
-``gnu_header``) that gives what ``tarfile`` gives. ``tarfile`` itself reads
-only the outer image archive and a layer that holds a GNU sparse member.
+The image archive and its layers are listed, and the headers of every
+written tar stream are written, by one ``struct``-based tar header codec
+(``read_tar_headers`` and ``gnu_header``) that gives what ``tarfile`` gives.
+``tarfile`` itself reads only a layer that holds a GNU sparse member.
 """
 
 from __future__ import annotations
 
 import bisect
-import bz2
 import gzip
 import hashlib
+import importlib
 import io
 import json
 import logging
-import lzma
+import os
 import posixpath
 import re
 import struct
@@ -120,9 +120,9 @@ class SparseMember(Exception):
     ``tarfile`` reads."""
 
 
-# What a damaged layer stream raises: the header codec's error, tarfile's own
-# errors (layers with sparse members) and, underneath them, those of the
-# decompressors (a truncated gzip stream ends in EOFError).
+# What a damaged layer stream or image archive raises: the header codec's
+# error, tarfile's own errors (layers with sparse members) and, underneath
+# them, those of the decompressors (a truncated gzip stream ends in EOFError).
 _LAYER_STREAM_ERRORS = (TarHeaderError, tarfile.TarError, gzip.BadGzipFile, EOFError, zlib.error)
 
 # One 512-byte header block: name, mode, uid, gid, size, mtime, chksum,
@@ -142,8 +142,9 @@ _PAX_TYPES = frozenset((tarfile.XHDTYPE, XGLTYPE, tarfile.SOLARIS_XHDTYPE))
 # The pax keywords tarfile applies to a member, and the field each sets.
 _PAX_STRINGS = {"path": "name", "linkpath": "linkname", "uname": "uname", "gname": "gname"}
 _PAX_NUMBERS = {"size": int, "mtime": float, "uid": int, "gid": int}
-_PAX_RECORD = re.compile(rb"(\d+) ([^=]+)=")
-_PAX_HDRCHARSET = re.compile(rb"\d+ hdrcharset=([^\n]+)\n")
+# The length that starts a pax record. Its 20-digit cap keeps each match,
+# and the ``int`` of it, to a few bytes whatever the payload holds.
+_PAX_LENGTH = re.compile(rb"([0-9]{1,20}) ")
 
 
 class TarHeader(NamedTuple):
@@ -205,29 +206,43 @@ def _nti(field: bytes, offset: int) -> int:
         raise TarHeaderError(f"invalid number field in the header at offset {offset}") from None
 
 
-def _pax_records(payload: bytes, into: dict[str, str]) -> None:
-    """Add the ``"%d %s=%s\\n"`` records of a pax header to ``into``, decoded
-    as tarfile decodes them."""
-    match = _PAX_HDRCHARSET.search(payload)
-    if match is not None:
-        into["hdrcharset"] = match.group(1).decode("utf-8", _ERRORS)
-    name_encoding = _ENCODING if into.get("hdrcharset") == "BINARY" else "utf-8"
-    pos = 0
-    while (match := _PAX_RECORD.match(payload, pos)) is not None:
-        length = int(match.group(1))
-        if length == 0:
-            raise TarHeaderError("pax record of length 0")
-        keyword = match.group(2).decode("utf-8", _ERRORS)
-        value = payload[match.end(2) + 1:match.start(1) + length - 1]
+def _pax_records(payload: bytes, into: dict[str, str], offset: int) -> None:
+    """Add the ``"%d %s=%s\\n"`` records of a pax header to ``into``, read
+    and decoded as ``tarfile`` reads them since the fix for CVE-2024-6232.
+
+    The records run up to the end of the payload or its first NUL. Each must
+    start with a length of at most 20 digits and a blank, be at least 5
+    bytes, end within the payload with a newline, and hold a keyword and an
+    "=". Anything else raises ``TarHeaderError``. Each step looks only at
+    the record's own bytes, so the work is linear in the payload. The
+    header's own first ``hdrcharset`` record alone picks how names decode.
+    ``offset`` is the header's, for the error message."""
+    records = []
+    name_encoding = None
+    pos, end = 0, len(payload)
+    while pos < end and payload[pos]:
+        match = _PAX_LENGTH.match(payload, pos)
+        length = int(match.group(1)) if match is not None else 0
+        last = pos + length - 1  # the record's closing newline
+        if length < 5 or last >= end or payload[last] != 0x0A:
+            raise TarHeaderError(f"invalid pax record in the header at offset {offset}")
+        keyword, equals, value = payload[match.end():last].partition(b"=")
+        if not keyword or not equals:
+            raise TarHeaderError(f"invalid pax record in the header at offset {offset}")
+        if keyword == b"hdrcharset" and name_encoding is None:
+            name_encoding = _ENCODING if value == b"BINARY" else "utf-8"
+        records.append((keyword, value))
+        pos += length
+    for keyword, value in records:
+        keyword = keyword.decode("utf-8", _ERRORS)
         if keyword in tarfile.PAX_NAME_FIELDS:
-            encoding, fallback = name_encoding, _ENCODING
+            encoding, fallback = name_encoding or "utf-8", _ENCODING
         else:
             encoding = fallback = "utf-8"
         try:
             into[keyword] = value.decode(encoding)
         except UnicodeDecodeError:
             into[keyword] = value.decode(fallback, _ERRORS)
-        pos += length
 
 
 def _fold_records(header: TarHeader, global_pax: dict[str, str], pending: list,
@@ -320,10 +335,10 @@ def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
             payload = tar[offset_data:offset]
             awaiting = True
             if type_ == XGLTYPE:
-                _pax_records(payload, global_pax)
+                _pax_records(payload, global_pax, offset_data - BLOCKSIZE)
             elif type_ in _PAX_TYPES:
                 records = global_pax.copy()
-                _pax_records(payload, records)
+                _pax_records(payload, records, offset_data - BLOCKSIZE)
                 pending.append((type_, records))
             else:
                 pending.append((type_, payload))
@@ -698,26 +713,26 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[
                 content[path] = tar[offset_data:offset_data + size]
 
 
-# Compressed streams that tarfile's "r:*" mode opens, by their magic bytes.
-_DECOMPRESSORS = (
-    (b"\x1f\x8b", gzip.decompress),
-    (b"BZh", bz2.decompress),
-    (b"\xfd7zXZ\x00", lzma.decompress),
-)
-_DECOMPRESS_ERRORS = (OSError, EOFError, ValueError, zlib.error, lzma.LZMAError)
+# Compressed streams that tarfile's "r:*" mode opens: the magic bytes of
+# each and the module that decompresses it. bz2 and lzma are imported only
+# when their magic is seen.
+_COMPRESSIONS = ((b"\x1f\x8b", "gzip"), (b"BZh", "bz2"), (b"\xfd7zXZ\x00", "lzma"))
 
 
-def _layer_tar(layer: LayerBlob) -> bytes:
-    """The layer's tar stream. Bytes that start with the gzip, bzip2 or xz
-    magic are decompressed whatever the media type says, as tarfile opens
-    them; like tarfile, a plain tar stream whose first name happens to start
-    with a magic is read as it is."""
-    tar = layer.tar_bytes()
-    for magic, decompress in _DECOMPRESSORS:
+def _uncompressed_tar(tar: bytes) -> bytes:
+    """The tar stream in ``tar``. Bytes that start with the gzip, bzip2 or xz
+    magic are decompressed, whatever a layer's media type says, as tarfile
+    opens them; like tarfile, a plain tar stream whose first name happens to
+    start with a magic is read as it is."""
+    for magic, module_name in _COMPRESSIONS:
         if tar.startswith(magic):
+            module = importlib.import_module(module_name)
+            # lzma's own error is not an OSError; gzip's and bz2's are.
+            errors = (OSError, EOFError, ValueError, zlib.error,
+                      getattr(module, "LZMAError", OSError))
             try:
-                return decompress(tar)
-            except _DECOMPRESS_ERRORS as exc:
+                return module.decompress(tar)
+            except errors as exc:
                 try:
                     next(read_tar_headers(tar), None)
                 except SparseMember:
@@ -762,7 +777,7 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
 
     for index, layer in enumerate(stack.layers):
         try:
-            tar = _layer_tar(layer)
+            tar = _uncompressed_tar(layer.tar_bytes())
             try:
                 members, sparse = list(read_tar_headers(tar)), {}
             except SparseMember:
@@ -775,24 +790,56 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     return FlattenedRootfs(entries=entries, content=content, total_size=total, warnings=warnings)
 
 
-def _member_map(tf: tarfile.TarFile) -> dict[str, tarfile.TarInfo]:
-    out = {}
-    for m in tf.getmembers():
-        name = m.name
-        while name.startswith("./"):
-            name = name[2:]
-        out[name.lstrip("/")] = m
-    return out
+class _FileBytes:
+    """An open file read as ``bytes`` slices, so that ``read_tar_headers``
+    lists an image archive by reading its header blocks alone; each member's
+    bytes are read when they are asked for."""
+
+    def __init__(self, file):
+        self._file = file
+        self._size = os.fstat(file.fileno()).st_size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, span: slice) -> bytes:
+        self._file.seek(span.start)
+        return self._file.read(max(0, span.stop - span.start))
 
 
-def _read_member(tf: tarfile.TarFile, members: dict, name: str) -> bytes:
-    member = members.get(name.lstrip("/"))
+def _member_key(name: str) -> str:
+    while name.startswith("./"):
+        name = name[2:]
+    return name.lstrip("/")
+
+
+def _archive_members(archive) -> dict[str, TarHeader]:
+    """The members of the image archive by name; the last of a name wins."""
+    try:
+        return {_member_key(m.name): m for m in read_tar_headers(archive)}
+    except SparseMember:
+        raise TarHeaderError("the archive holds a GNU sparse member") from None
+
+
+def _read_member(archive, members: dict[str, TarHeader], name: str) -> bytes:
+    """A member's bytes. A symlink or hardlink gives its target's, found by
+    name as tarfile's ``extractfile`` finds it: a symlink's target is joined
+    to the link's directory."""
+    member = members.get(_member_key(name))
     if member is None:
         raise ImageFormatError(f"archive is missing member {name!r}")
-    fobj = tf.extractfile(member)
-    if fobj is None:
+    hops = 0  # more hops than members means a cycle
+    while member.type in (SYMTYPE, LNKTYPE) and hops <= len(members):
+        target = member.linkname
+        if member.type == SYMTYPE:
+            target = "/".join(filter(None, (posixpath.dirname(member.name), target)))
+        member = members.get(_member_key(posixpath.normpath(target)))
+        if member is None:
+            raise ImageFormatError(f"archive member {name!r} links to a missing member")
+        hops += 1
+    if member.type in _NO_DATA_TYPES:
         raise ImageFormatError(f"archive member {name!r} is not a readable file")
-    return fobj.read()
+    return archive[member.offset_data:member.offset_data + member.size]
 
 
 def _split_reference(ref: str) -> tuple[str, str]:
@@ -855,8 +902,8 @@ def _layer_stack(blobs, cfg: dict) -> LayerStack:
     return stack
 
 
-def _load_docker_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata, LayerStack]:
-    manifest = json.loads(_read_member(tf, members, "manifest.json"))
+def _load_docker_layout(archive, members: dict) -> tuple[ImageMetadata, LayerStack]:
+    manifest = json.loads(_read_member(archive, members, "manifest.json"))
     if not isinstance(manifest, list) or not manifest:
         raise ImageFormatError("manifest.json is not a non-empty list")
     if len(manifest) > 1:
@@ -866,14 +913,14 @@ def _load_docker_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetada
     config_name = entry.get("Config")
     if not config_name:
         raise ImageFormatError("manifest.json entry has no Config member")
-    cfg = json.loads(_read_member(tf, members, config_name))
+    cfg = json.loads(_read_member(archive, members, config_name))
 
     repo_tags = entry.get("RepoTags") or []
     name, tag = _split_reference(repo_tags[0]) if repo_tags else ("", "")
 
     blobs = []
     for layer_name in entry.get("Layers") or []:
-        data = _read_member(tf, members, layer_name)
+        data = _read_member(archive, members, layer_name)
         if _is_gzip(data):
             media = "application/vnd.oci.image.layer.v1.tar+gzip"
         else:
@@ -882,8 +929,8 @@ def _load_docker_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetada
     return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
 
 
-def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata, LayerStack]:
-    index = json.loads(_read_member(tf, members, "index.json"))
+def _load_oci_layout(archive, members: dict) -> tuple[ImageMetadata, LayerStack]:
+    index = json.loads(_read_member(archive, members, "index.json"))
     if index.get("schemaVersion") != 2:
         raise UnsupportedFormatError(
             f"unsupported index schemaVersion {index.get('schemaVersion')!r}"
@@ -901,7 +948,7 @@ def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata,
     ref = (desc.get("annotations") or {}).get("org.opencontainers.image.ref.name", "")
     name, tag = _split_reference(ref) if ref else ("", "")
 
-    manifest_bytes = _read_blob(tf, members, desc["digest"])
+    manifest_bytes = _read_blob(archive, members, desc["digest"])
     manifest = json.loads(manifest_bytes)
     if manifest.get("schemaVersion") != 2:
         raise UnsupportedFormatError(
@@ -909,7 +956,7 @@ def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata,
         )
 
     cfg_desc = manifest.get("config") or {}
-    cfg = json.loads(_read_blob(tf, members, cfg_desc["digest"]))
+    cfg = json.loads(_read_blob(archive, members, cfg_desc["digest"]))
 
     blobs = []
     for layer_desc in manifest.get("layers") or []:
@@ -917,14 +964,14 @@ def _load_oci_layout(tf: tarfile.TarFile, members: dict) -> tuple[ImageMetadata,
         if lmedia not in MEDIA_LAYER_TAR and lmedia not in MEDIA_LAYER_GZIP:
             raise UnsupportedFormatError(f"unknown layer media type {lmedia!r}")
         # _read_blob has checked the bytes against the declared digest.
-        data = _read_blob(tf, members, layer_desc["digest"])
+        data = _read_blob(archive, members, layer_desc["digest"])
         blobs.append((data, lmedia, layer_desc["digest"]))
     return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
 
 
-def _read_blob(tf: tarfile.TarFile, members: dict, digest: str) -> bytes:
+def _read_blob(archive, members: dict, digest: str) -> bytes:
     alg, _, hexd = digest.partition(":")
-    data = _read_member(tf, members, f"blobs/{alg}/{hexd}")
+    data = _read_member(archive, members, f"blobs/{alg}/{hexd}")
     actual = sha256_digest(data)
     if actual != digest:
         raise IntegrityError(f"blob digest mismatch: stored {digest}, recomputed {actual}")
@@ -932,20 +979,29 @@ def _read_blob(tf: tarfile.TarFile, members: dict, digest: str) -> bytes:
 
 
 def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
-    """Parse a docker-save or OCI layout tar into metadata plus ordered layers."""
+    """Parse a docker-save or OCI layout tar into metadata plus ordered layers.
+
+    The archive is listed by ``read_tar_headers``, which reads only its
+    header blocks, and each member the layout names is then read once. A
+    gzip, bzip2 or xz archive is decompressed whole first. A damaged header
+    anywhere in the archive, like a damaged compressed stream, is an
+    ``ImageFormatError``.
+    """
     try:
-        tf = tarfile.open(archive_path)
-    except tarfile.TarError as exc:
+        with open(archive_path, "rb") as file:
+            archive = _FileBytes(file)
+            if archive[0:6].startswith(tuple(magic for magic, _ in _COMPRESSIONS)):
+                archive = _uncompressed_tar(archive[0:len(archive)])
+            members = _archive_members(archive)
+            if "oci-layout" in members:
+                return _load_oci_layout(archive, members)
+            if "manifest.json" in members:
+                return _load_docker_layout(archive, members)
+    except _LAYER_STREAM_ERRORS as exc:
         raise ImageFormatError(f"not a readable tar archive: {exc}") from exc
-    with tf:
-        members = _member_map(tf)
-        if "oci-layout" in members:
-            return _load_oci_layout(tf, members)
-        if "manifest.json" in members:
-            return _load_docker_layout(tf, members)
-        raise ImageFormatError(
-            "archive has neither 'oci-layout' nor 'manifest.json'; not an image archive"
-        )
+    raise ImageFormatError(
+        "archive has neither 'oci-layout' nor 'manifest.json'; not an image archive"
+    )
 
 
 def _image_tar(members: list[tuple[str, bytes | None]]) -> bytes:

@@ -72,9 +72,26 @@ def make_layer_tar(members) -> bytes:
                 ti.devmajor = m.get("devmajor", 1)
                 ti.devminor = m.get("devminor", 3)
                 tf.addfile(ti)
+            elif kind == "pax-records":
+                # A raw pax extended header whose record block is ``data``;
+                # a reader applies it to the member that follows.
+                ti.type = tarfile.XHDTYPE
+                ti.size = len(m["data"])
+                tf.addfile(ti, io.BytesIO(m["data"]))
             else:
                 raise ValueError(f"unknown member kind {kind!r}")
     return buf.getvalue()
+
+
+# Pax record blocks that a reader with no bound on a record's span takes
+# quadratic time over: a megabyte of digits, which an uncapped length pattern
+# rescans from every start (and whose ``int`` is over Python's digit limit),
+# and records without "=", which an unbounded keyword pattern scans past up
+# to the one "=" at the very end. A reader must refuse both at once.
+HOSTILE_PAX_RECORDS = {
+    "pax-digits": b"1" * 2**20,
+    "pax-no-equals": b"5 ab\n" * 2**18 + b"=",
+}
 
 
 def make_stack(layer_tars) -> LayerStack:

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import (
+    HOSTILE_PAX_RECORDS,
     default_config,
     make_docker_archive,
     make_layer_tar,
@@ -431,6 +432,10 @@ def _malformed_layer(kind: str) -> bytes:
         corrupt = bytearray(tar)
         corrupt[1024 + 1] ^= 0x01  # a byte of the second member's name
         return bytes(corrupt)
+    if kind in HOSTILE_PAX_RECORDS:
+        return make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
+                                "data": HOSTILE_PAX_RECORDS[kind]},
+                               {"path": "/a", "data": b"a"}])
     blob = gzip.compress(make_layer_tar(shell_chain_members()), mtime=0)
     if kind == "truncated-gzip":
         return blob[: len(blob) // 2]
@@ -440,7 +445,7 @@ def _malformed_layer(kind: str) -> bytes:
 
 
 @pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "truncated-tar",
-                                  "corrupt-header", "truncated-header"])
+                                  "corrupt-header", "truncated-header", *HOSTILE_PAX_RECORDS])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
 def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     image = tmp_path / "bad.tar"

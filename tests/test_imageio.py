@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HOSTILE_PAX_RECORDS,
     default_config,
     flattened_snapshot,
     make_docker_archive,
@@ -27,6 +28,7 @@ from conftest import (
     sha256,
     snapshot_dir,
 )
+from staticslim import imageio
 from staticslim.errors import (
     EmptyImageError,
     ImageFormatError,
@@ -58,6 +60,12 @@ def _write(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
     return path
+
+
+def _add(tf: tarfile.TarFile, name: str, type_=tarfile.REGTYPE, *, data=b"", link=""):
+    ti = tarfile.TarInfo(name)
+    ti.type, ti.linkname, ti.size = type_, link, len(data)
+    tf.addfile(ti, io.BytesIO(data) if data else None)
 
 
 BASE_MEMBERS = [
@@ -236,6 +244,75 @@ class TestLoadArchive:
         archive = _write(tmp_path, "img.tar", b"\x00\x01garbage")
         with pytest.raises(ImageFormatError, match="not a readable tar"):
             load_image_archive(archive)
+
+    @pytest.mark.parametrize("damage", ["last-header", "truncated-gzip"])
+    def test_damaged_archive_is_an_error(self, tmp_path, damage):
+        data = make_docker_archive([make_layer_tar(BASE_MEMBERS)])
+        if damage == "last-header":
+            # tarfile alone stops at a damaged header after the first without
+            # a word, and manifest.json, the last member, would go missing.
+            with tarfile.open(fileobj=io.BytesIO(data)) as tf:
+                at = tf.getmembers()[-1].offset
+            data = data[:at + 1] + bytes([data[at + 1] ^ 1]) + data[at + 2:]
+        else:
+            packed = gzip.compress(data, mtime=0)
+            data = packed[:len(packed) // 2]
+        with pytest.raises(ImageFormatError, match="not a readable tar archive"):
+            load_image_archive(_write(tmp_path, "img.tar", data))
+
+    @pytest.mark.parametrize("packing", ["gzip", "bz2", "xz"])
+    def test_compressed_archive(self, tmp_path, packing):
+        layer = make_layer_tar(BASE_MEMBERS)
+        plain = make_docker_archive([layer], repo_tag="web:1")
+        packed = {"gzip": lambda d: gzip.compress(d, mtime=0), "bz2": bz2.compress,
+                  "xz": lzma.compress}[packing](plain)
+        metadata, stack = load_image_archive(_write(tmp_path, "img.tar", packed))
+        assert metadata.reference == "web:1"
+        assert [l.data for l in stack.layers] == [layer]
+
+    def test_layers_linked_to_another_member(self, tmp_path):
+        """docker save stores a repeated layer once and links the others to
+        it; tarfile's ``extractfile`` follows such links, and so does the
+        loader."""
+        layer = make_layer_tar(BASE_MEMBERS)
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w") as tf:
+            _add(tf, "./layer0/layer.tar", data=layer)
+            _add(tf, "layer1/layer.tar", tarfile.SYMTYPE, link="../layer0/layer.tar")
+            _add(tf, "layer2/layer.tar", tarfile.LNKTYPE, link="./layer0/layer.tar")
+            _add(tf, "layer1", tarfile.DIRTYPE)
+            _add(tf, "layer4.tar", tarfile.SYMTYPE, link="layer1/layer.tar")
+            names = ["layer0/layer.tar", "layer1/layer.tar", "layer2/layer.tar", "layer4.tar"]
+            _add(tf, "config.json", data=json.dumps(default_config([layer] * 4)).encode())
+            _add(tf, "manifest.json",
+                 data=json.dumps([{"Config": "config.json", "Layers": names}]).encode())
+        _, stack = load_image_archive(_write(tmp_path, "img.tar", buf.getvalue()))
+        assert [l.data for l in stack.layers] == [layer] * 4
+
+    @pytest.mark.parametrize("links, match", [
+        ([("manifest.json", "missing.json")], "links to a missing member"),
+        ([("manifest.json", "a.json"), ("a.json", "manifest.json")], "not a readable file"),
+        ([("manifest.json", "d")], "not a readable file"),
+    ], ids=["dangling", "cycle", "directory"])
+    def test_unreadable_linked_member_is_an_error(self, tmp_path, links, match):
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w") as tf:
+            _add(tf, "d", tarfile.DIRTYPE)
+            for name, target in links:
+                _add(tf, name, tarfile.SYMTYPE, link=target)
+        with pytest.raises(ImageFormatError, match=match):
+            load_image_archive(_write(tmp_path, "img.tar", buf.getvalue()))
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_PAX_RECORDS))
+    def test_hostile_pax_records_in_the_archive_are_refused(self, tmp_path, monkeypatch, kind):
+        length = _CountingPattern(imageio._PAX_LENGTH)
+        monkeypatch.setattr(imageio, "_PAX_LENGTH", length)
+        archive = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
+                                   "data": HOSTILE_PAX_RECORDS[kind]},
+                                  {"path": "/manifest.json", "data": b"[]"}])
+        with pytest.raises(ImageFormatError, match="not a readable tar archive: invalid pax"):
+            load_image_archive(_write(tmp_path, "img.tar", archive))
+        assert length.calls == 1
 
     def test_missing_layer_member_named(self, tmp_path):
         layer = make_layer_tar(BASE_MEMBERS)
@@ -761,6 +838,17 @@ def test_gnu_header_matches_tobuf(name, type_, mode, uid, gid, size, mtime, link
     assert gnu_header(*args) == want
 
 
+class _CountingPattern:
+    """A compiled pattern that counts its ``match`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
 class TestTarHeaders:
     def _three(self) -> bytes:
         return make_layer_tar([{"path": f"/{c}", "data": c.encode()} for c in "abc"])
@@ -791,6 +879,39 @@ class TestTarHeaders:
         long_name = make_layer_tar([{"path": "/" + "n" * 150, "data": b""}])
         with pytest.raises(TarHeaderError, match="no member header follows"):
             list(read_tar_headers(long_name[:1024] + bytes(1024)))
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_PAX_RECORDS))
+    def test_hostile_pax_records_are_refused_at_the_first(self, monkeypatch, kind):
+        """The length pattern is matched once, over at most 21 bytes, and
+        the first record's own bytes are the only others looked at."""
+        length = _CountingPattern(imageio._PAX_LENGTH)
+        monkeypatch.setattr(imageio, "_PAX_LENGTH", length)
+        tar = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
+                               "data": HOSTILE_PAX_RECORDS[kind]}, {"path": "/a", "data": b"a"}])
+        with pytest.raises(TarHeaderError, match="invalid pax record in the header at offset 0"):
+            list(read_tar_headers(tar))
+        assert length.calls == 1
+
+    def test_each_pax_record_is_matched_once(self, monkeypatch):
+        length = _CountingPattern(imageio._PAX_LENGTH)
+        monkeypatch.setattr(imageio, "_PAX_LENGTH", length)
+        tar = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
+                               "data": b"13 comment=x\n" * 1000 + b"10 uid=42\n"},
+                              {"path": "/a", "data": b"a"}])
+        assert [(h.name, h.uid) for h in read_tar_headers(tar)] == [("a", 42)]
+        assert length.calls == 1001
+
+    # The last holds a length past Python's 4300-digit limit for ``int``.
+    @pytest.mark.parametrize("records", [b"4 a=\n", b"6 a=b\n\n", b"5 =b\n", b"6 ab\n\n",
+                                         b"9 a=b\n", b"05a=b\n", b"6 a=b\n!",
+                                         b"1" * 5000 + b" a=b\n"],
+                             ids=["short", "stray-newline", "no-keyword", "no-equals",
+                                  "no-closing-newline", "no-blank", "stray-byte", "int-limit"])
+    def test_malformed_pax_record_is_an_error(self, records):
+        tar = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records", "data": records},
+                              {"path": "/a", "data": b"a"}])
+        with pytest.raises(TarHeaderError, match="invalid pax record"):
+            list(read_tar_headers(tar))
 
     def test_sparse_member_is_left_to_tarfile(self):
         tar = _layer_blob([("file", "a", b"1"), ("sparse", "s", b"abcd")], "tar").data
