@@ -16,6 +16,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import jsmodule
 from .errors import AnalysisError
@@ -119,22 +120,34 @@ def _read_manifest(pkg_dir: Path) -> dict:
         raise AnalysisError(f"cannot read {manifest}: {exc}") from exc
 
 
-def _walk_files(top: Path, include_dependencies: bool = False) -> list[Path]:
-    """Every file below ``top`` in ``Path`` order.
+def _walk_files(
+    top: Path, keep: Callable[[str], bool], include_dependencies: bool = False
+) -> list[Path]:
+    """Every file below ``top`` whose name passes ``keep``, in ``Path`` order.
 
     Installed ``node_modules`` trees are not entered unless
-    ``include_dependencies`` is set. Broken symlinks are dropped.
+    ``include_dependencies`` is set. Broken symlinks are dropped. Paths are
+    joined and sorted as strings; splitting on "/" gives the parts ``Path``
+    compares, and only the files kept become ``Path`` objects.
     """
     found = []
     for dirpath, dirnames, filenames in os.walk(top):
         if not include_dependencies and "node_modules" in dirnames:
             dirnames.remove("node_modules")
-        found.extend(Path(dirpath, name) for name in filenames)
-    return sorted(path for path in found if path.is_file())
+        prefix = os.path.join(dirpath, "")
+        found.extend(prefix + name for name in filenames if keep(name))
+    found = [path for path in found if os.path.isfile(path)]
+    found.sort(key=lambda path: path.split("/"))
+    return [Path(path) for path in found]
+
+
+def _is_source_name(name: str) -> bool:
+    # ``Path.suffix`` of a name that is only a suffix, such as ".js", is "".
+    return name.endswith(_SOURCE_SUFFIXES) and name not in _SOURCE_SUFFIXES
 
 
 def _source_files(pkg_dir: Path) -> list[Path]:
-    return [path for path in _walk_files(pkg_dir) if path.suffix in _SOURCE_SUFFIXES]
+    return _walk_files(pkg_dir, _is_source_name)
 
 
 def _find_installed(name: str, start_dir: Path, project_dir: Path) -> Path | None:
@@ -204,9 +217,30 @@ _CALL_GAP = r"(?:\s|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|//[^\n]*\n)*"
 def exec_call_pattern(sink_names=DEFAULT_SINKS) -> re.Pattern:
     """Text the module scanner may lex as a sink call: a sink name not glued to
     a preceding ASCII identifier or number character (``\\b`` would miss
-    ``½exec(``, which the scanner lexes as a call), a gap, then ``(``."""
-    alternatives = "|".join(re.escape(s) for s in sorted(sink_names))
+    ``½exec(``, which the scanner lexes as a call), a gap, then ``(``.
+
+    This pattern alone decides which files get lexed; ``sink_gate`` only
+    skips the search on texts it cannot match. The lookbehind that opens it
+    keeps ``re`` from scanning for a literal prefix, so a search tries every
+    position of the text. An empty sink set matches nothing.
+    """
+    alternatives = "|".join(re.escape(s) for s in sorted(sink_names)) or "(?!)"
     return re.compile(rf"(?<![A-Za-z0-9_$])(?:{alternatives}){_CALL_GAP}\(")
+
+
+def sink_gate(sink_names=DEFAULT_SINKS) -> Callable[[str], bool]:
+    """Whether ``exec_call_pattern(sink_names)`` matches a text, tested cheaply.
+
+    A text costs one substring scan per sink literal, and the regex search
+    runs only on a text that holds a literal. The literals are the sink names
+    that contain no other sink name (``exec`` and ``spawn`` for
+    ``DEFAULT_SINKS``). The test is exact, not a heuristic: every match of
+    the pattern holds a sink name verbatim, and every sink name holds one of
+    the literals, so a text without any literal cannot match.
+    """
+    literals = [s for s in sink_names if not any(o != s and o in s for o in sink_names)]
+    search = exec_call_pattern(sink_names).search
+    return lambda text: any(s in text for s in literals) and search(text) is not None
 
 
 def analyze_data_dependencies(package: PackageRef, sink_names=DEFAULT_SINKS) -> list[TaintPath]:
@@ -220,9 +254,12 @@ def _resolve_sources(files: list[Path], sinks: frozenset[str]) -> tuple[list[Tai
 
     Each file is read once. Only files that match ``exec_call_pattern`` are
     lexed: resolution never looks beyond the file's own module index, so any
-    other file cannot yield a path.
+    other file cannot yield a path. The test (``sink_gate``) costs one
+    substring scan per sink literal per file, and the regex runs only on the
+    files that hold a literal; since every match holds a sink name, which
+    holds a literal, this skips no file the regex alone would pass.
     """
-    gate = exec_call_pattern(sinks)
+    gate = sink_gate(sinks)
     paths: list[TaintPath] = []
     lexed = 0
     for src in files:
@@ -231,7 +268,7 @@ def _resolve_sources(files: list[Path], sinks: frozenset[str]) -> tuple[list[Tai
         except OSError as exc:
             log.warning("cannot read %s: %s; skipped", src, exc)
             continue
-        if not gate.search(text):
+        if not gate(text):
             continue
         lexed += 1
         try:
@@ -284,11 +321,7 @@ def _resolve_sources(files: list[Path], sinks: frozenset[str]) -> tuple[list[Tai
 
 def find_shell_scripts(project_dir, include_dependencies: bool = False) -> list[Path]:
     """Shell scripts in the project folder plus any docker-entrypoint.sh."""
-    return [
-        path
-        for path in _walk_files(Path(project_dir), include_dependencies)
-        if path.name.endswith(".sh")
-    ]
+    return _walk_files(Path(project_dir), lambda name: name.endswith(".sh"), include_dependencies)
 
 
 def extract_command_tokens(paths: list[TaintPath], shell_files: list[Path]) -> CommandTokenList:

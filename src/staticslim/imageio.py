@@ -611,11 +611,13 @@ def _delete_subtree(entries: dict, content: dict, path: str) -> None:
 
 
 def _ensure_parents(entries: dict[str, FileRecord], path: str) -> None:
-    parent = posixpath.dirname(path)
+    # ``path`` is clean and absolute (``_clean_member_path``), so its parent
+    # is everything before the last "/", or "/" when that is empty.
+    parent = path[:path.rfind("/")] or "/"
     missing = []
     while parent != "/" and parent not in entries:
         missing.append(parent)
-        parent = posixpath.dirname(parent)
+        parent = parent[:parent.rfind("/")] or "/"
     for p in reversed(missing):
         entries[p] = FileRecord(path=p, kind=KIND_DIRECTORY, mode=0o755)
 

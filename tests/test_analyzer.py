@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from staticslim import jsmodule
+import reference_walk
+from staticslim import analyzer, jsmodule
 from staticslim.analyzer import (
     DEFAULT_SINKS,
     CommandToken,
@@ -154,6 +156,80 @@ class TestDependencyChain:
             "lib/m.cjs",
         ]
 
+    def test_walk_matches_the_path_walk(self, tmp_path):
+        # The walk joins, filters and sorts names as strings; the reference
+        # builds and stats a Path per file. Names around "/" in sort order,
+        # names that are only a suffix, and files that are not regular files
+        # must come out the same.
+        root = tmp_path / "app"
+        for name in ("a", "a-b", "a.b", "a0"):
+            write_package(root / name, name, files={"m.js": "", "s.sh": "", "m.txt": ""})
+        for name in (".js", "x.JS", "y.mjs", "z.cjs", ".sh", "run.sh", "a.b.js"):
+            (root / name).write_text("")
+        (root / "a" / "deep" / "er").mkdir(parents=True)
+        (root / "a" / "deep" / "er" / "d.cjs").write_text("")
+        os.symlink("missing.js", root / "dangling.js")
+        os.symlink("a", root / "linkdir")
+        os.symlink("a/m.js", root / "linked.js")
+        os.mkfifo(root / "fifo.js")
+        write_package(root / "node_modules" / "dep", "dep", files={"d.js": "", "d.sh": ""})
+        write_package(
+            root / "node_modules" / "dep" / "node_modules" / "inner",
+            "inner",
+            files={"i.js": "", "i.sh": ""},
+        )
+        write_package(root / "a" / "node_modules" / "n", "n", files={"n.js": ""})
+
+        sources = analyzer._source_files(root)
+        assert sources == reference_walk.source_files(root)
+        assert [p.relative_to(root).as_posix() for p in sources] == [
+            "a/deep/er/d.cjs", "a/m.js", "a-b/m.js", "a.b/m.js", "a.b.js", "a0/m.js",
+            "linked.js", "y.mjs", "z.cjs",
+        ]
+        for include_dependencies in (False, True):
+            assert analyzer._walk_files(
+                root, lambda name: True, include_dependencies
+            ) == reference_walk.walk_files(root, include_dependencies)
+            assert find_shell_scripts(root, include_dependencies) == reference_walk.shell_scripts(
+                root, include_dependencies
+            )
+
+
+_NESTED_SINK_SETS = (
+    frozenset({"run", "rerun"}),
+    frozenset({"exec", "execSync"}),
+    frozenset({"a.b", "x+"}),
+    DEFAULT_SINKS,
+)
+
+
+@st.composite
+def _sinks_and_texts(draw):
+    """A sink set and a few source texts made of its names, near misses and
+    comments."""
+    sinks = draw(
+        st.one_of(
+            st.sampled_from(_NESTED_SINK_SETS),
+            st.frozensets(st.text(alphabet="aerun.+x", min_size=1, max_size=4), min_size=1, max_size=3),
+        )
+    )
+    name = st.sampled_from(sorted(sinks) or ["exec"])
+    word = st.one_of(
+        name,
+        name.map(lambda s: s[:-1]),
+        name.map(lambda s: s[1:]),
+        name.map(str.upper),
+        st.sampled_from(["x", "1", "$"]),
+    )
+    piece = st.tuples(
+        st.sampled_from(["", " ", ".", "\n", ";", "x", "\u00bd"]),
+        word,
+        st.sampled_from(["", " ", "/* c */", "// c\n", "/*", "\n"]),
+        st.sampled_from(["(", "('x')", "", ")", "x"]),
+    ).map("".join)
+    texts = st.lists(piece, max_size=4).map("".join)
+    return sinks, draw(st.lists(texts, min_size=1, max_size=4))
+
 
 class TestFilterPackages:
     """Which files ``analyze_project`` lexes: only those with sink-call text."""
@@ -240,6 +316,36 @@ class TestFilterPackages:
         # search backtrack over every way to split the comments.
         text = "exec " + "/**/ // c\n" * 200 + "x"
         assert exec_call_pattern().search(text) is None
+
+    def test_empty_sink_set_lexes_nothing(self, tmp_path, lexed):
+        # No call can be a sink, so no file is worth lexing; an empty
+        # alternation must not turn every "(" into a match.
+        root = write_package(tmp_path / "app", "app", files={"i.js": "if (x) exec('ls');\n"})
+        assert analyze_project(root, frozenset()).token_texts() == []
+        assert lexed == []
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=_sinks_and_texts())
+    @example(case=(frozenset({"run", "rerun"}), ["run(", "rerun(", "xrerun(", "re run ("]))
+    @example(case=(DEFAULT_SINKS, ["spawn('ls')", "execSync('id')", "x.exec /* c */ ()"]))
+    @example(case=(frozenset(), ["exec('ls')", "f()"]))
+    def test_literal_prefilter_lexes_what_the_pattern_passes(self, lexed, case):
+        # The substring test ahead of the regex must change nothing: the files
+        # lexed are exactly those the call pattern alone passes, for sink sets
+        # with nested names and regex metacharacters too.
+        sinks, texts = case
+        pattern = exec_call_pattern(sinks)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_package(
+                Path(tmp) / "app", "app", files={f"f{i}.js": t for i, t in enumerate(texts)}
+            )
+            lexed.clear()
+            analyze_project(root, sinks)
+            assert _relative(lexed, root) == sorted(
+                f"f{i}.js" for i, t in enumerate(texts) if pattern.search(t)
+            )
 
 
 def _single_package(tmp_path, source: str):
