@@ -19,6 +19,7 @@ from .errors import (
     LayerSecurityError,
     PruneConsistencyError,
     SlimError,
+    SpoolError,
     UnknownNodeError,
     UnsupportedFormatError,
 )

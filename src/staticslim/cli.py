@@ -160,7 +160,8 @@ def inspect(input_path, search_dirs) -> None:
     dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
     try:
         metadata, stack = load_image_archive(input_path)
-        rootfs = flatten_layers(stack)
+        with stack:
+            rootfs = flatten_layers(stack)
     except SlimError as exc:
         _fail(EXIT_FORMAT, str(exc))
         return

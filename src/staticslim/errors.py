@@ -24,6 +24,10 @@ class LayerSecurityError(SlimError):
     """A layer tar entry would escape the virtual root."""
 
 
+class SpoolError(SlimError):
+    """A decompressed layer or archive cannot be written to its temporary file."""
+
+
 class EmptyImageError(SlimError):
     """Refusing to build an image with an empty root filesystem."""
 

@@ -9,15 +9,23 @@ The image archive and its layers are listed, and the headers of every
 written tar stream are written, by one ``struct``-based tar header codec
 (``read_tar_headers`` and ``gnu_header``) that gives what ``tarfile`` gives.
 ``tarfile`` itself reads only a layer that holds a GNU sparse member.
+
+Compressed layers and archives are decompressed once, a chunk at a time,
+into spools: unlinked temporary files in ``TMPDIR`` that the codec reads
+like bytes, so no decompressed layer is held whole in memory. The slim
+layer is written as a stream of chunks; it is held whole only compressed,
+or when it is stored uncompressed, since its header needs its size.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import gzip
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -50,6 +58,7 @@ from .errors import (
     ImageFormatError,
     IntegrityError,
     LayerSecurityError,
+    SpoolError,
     UnsupportedFormatError,
 )
 
@@ -131,6 +140,9 @@ _LAYER_STREAM_ERRORS = (TarHeaderError, tarfile.TarError, gzip.BadGzipFile, EOFE
 # width with NULs, as tarfile's ``stn`` does.
 _HEADER = struct.Struct("100s8s8s8s12s12s8sc100s8s32s32s8s8s155s12x")
 _ZERO_BLOCK = bytes(BLOCKSIZE)
+# The bytes a compressed stream is read, decompressed and written in per
+# step, and the size of the chunks ``tar_stream`` yields.
+_CHUNK = 1 << 18
 _ASCII = bytes(range(128))
 # Member names are encoded as tarfile encodes them by default.
 _ENCODING = tarfile.ENCODING
@@ -433,18 +445,311 @@ def gnu_header(name: str, type_: bytes, mode: int, uid: int = 0, gid: int = 0, s
     return header
 
 
-def tar_stream(members: Iterable[tuple[bytes, bytes]]) -> bytes:
-    """The tar stream ``tarfile`` writes for (header blocks, data) members:
-    each header, then the data padded with NULs to a whole block, and at the
-    end two zero blocks and NULs up to a whole record."""
-    out = io.BytesIO()
+def tar_stream(members: Iterable[tuple[bytes, bytes]]) -> Iterator[bytes]:
+    """The tar stream ``tarfile`` writes for (header blocks, data) members,
+    in chunks: each header, then the data padded with NULs to a whole block,
+    and at the end two zero blocks and NULs up to a whole record.
+
+    Members are read as the chunks are asked for. Parts are joined into
+    chunks of about ``_CHUNK`` bytes; data of that size or more is yielded
+    as it is, not copied into a chunk.
+    """
+    chunk: list[bytes] = []
+    size = offset = 0  # the bytes in ``chunk``, and those yielded before it
     for header, data in members:
-        out.write(header)
+        chunk.append(header)
+        size += len(header)
         if data:
-            out.write(data)
-            out.write(bytes(-len(data) % BLOCKSIZE))
-    out.write(bytes(2 * BLOCKSIZE + -(out.tell() + 2 * BLOCKSIZE) % RECORDSIZE))
-    return out.getvalue()
+            if len(data) >= _CHUNK:
+                yield b"".join(chunk)
+                yield data
+                offset += size + len(data)
+                chunk, size = [], 0
+            else:
+                chunk.append(data)
+                size += len(data)
+            chunk.append(bytes(-len(data) % BLOCKSIZE))
+            size += -len(data) % BLOCKSIZE
+        if size >= _CHUNK:
+            yield b"".join(chunk)
+            offset += size
+            chunk, size = [], 0
+    chunk.append(bytes(2 * BLOCKSIZE + -(offset + size + 2 * BLOCKSIZE) % RECORDSIZE))
+    yield b"".join(chunk)
+
+
+# --- streaming decompression into spools ------------------------------------
+#
+# A spool is an unlinked temporary file that holds one decompressed stream.
+# It is written once, in chunks, and then read as ``bytes`` slices through
+# ``_FileBytes``, so no decompressed layer or archive is ever held whole.
+
+# Compressed streams that tarfile's "r:*" mode opens: the magic bytes of
+# each and the module that decompresses it. bz2 and lzma are imported only
+# when their magic is seen.
+_COMPRESSIONS = ((b"\x1f\x8b", "gzip"), (b"BZh", "bz2"), (b"\xfd7zXZ\x00", "lzma"))
+_GZIP_TRUNCATED = "Compressed file ended before the end-of-stream marker was reached"
+_STREAM_TRUNCATED = "Compressed data ended before the end-of-stream marker was reached"
+
+
+class _FileBytes:
+    """An open file read as ``bytes`` slices, so that ``read_tar_headers``
+    lists an image archive or a spooled layer by reading its header blocks
+    alone; each member's bytes are read when they are asked for."""
+
+    def __init__(self, file):
+        self.file = file
+        self._size = os.fstat(file.fileno()).st_size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, span: slice) -> bytes:
+        self.file.seek(span.start)
+        return self.file.read(max(0, span.stop - span.start))
+
+    def close(self) -> None:
+        self.file.close()
+
+
+class _Spool:
+    """A new spool being written: each write is hashed as it goes, and the
+    writes since a ``mark`` can be taken back."""
+
+    def __init__(self):
+        import tempfile
+
+        try:
+            self.file = tempfile.TemporaryFile()
+        except OSError as exc:
+            raise SpoolError(f"cannot create a temporary file: {exc}") from exc
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data: bytes) -> None:
+        self.sha256.update(data)
+        try:
+            self.file.write(data)
+        except OSError as exc:
+            raise SpoolError(f"cannot write a temporary file: {exc}") from exc
+
+    def mark(self):
+        return self.file.tell(), self.sha256.copy()
+
+    def reset(self, mark) -> None:
+        position, self.sha256 = mark
+        self.file.seek(position)
+        self.file.truncate()
+
+    def finish(self) -> _FileBytes:
+        try:
+            self.file.flush()
+        except OSError as exc:
+            raise SpoolError(f"cannot write a temporary file: {exc}") from exc
+        return _FileBytes(self.file)
+
+    def discard(self) -> None:
+        try:
+            self.file.close()
+        except OSError:  # flushing what a full disk refused
+            pass
+
+
+class _Input:
+    """A compressed stream read ``_CHUNK`` bytes at a time, with the bytes a
+    decoder did not use put back in front of the rest."""
+
+    def __init__(self, read):
+        self._read = read
+        self._head = b""
+
+    def chunk(self) -> bytes:
+        """The next bytes; b"" at the end."""
+        head, self._head = self._head, b""
+        return head or self._read(_CHUNK)
+
+    def unread(self, data: bytes) -> None:
+        self._head = data + self._head
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` bytes, fewer only at the end."""
+        data = self._head
+        while len(data) < n:
+            more = self._read(_CHUNK)
+            if not more:
+                break
+            data += more
+        self._head = data[n:]
+        return data[:n]
+
+    def skip_past(self, byte: bytes) -> None:
+        """Skip up to and including the next ``byte``, or to the end."""
+        while data := self.chunk():
+            at = data.find(byte)
+            if at >= 0:
+                self._head = data[at + 1:]
+                return
+
+    def skip_nuls(self) -> None:
+        while data := self.chunk():
+            data = data.lstrip(b"\0")
+            if data:
+                self._head = data
+                return
+
+
+def _gzip_header(src: _Input) -> bool:
+    """Skip one gzip member header as ``gzip.decompress`` reads it (its
+    optional header CRC is skipped, not checked); False at the end."""
+    magic = src.take(2)
+    if not magic:
+        return False
+    if magic != b"\x1f\x8b":
+        raise gzip.BadGzipFile(f"Not a gzipped file ({magic!r})")
+    fixed = src.take(8)  # method, flags, mtime, extra flags, OS
+    if len(fixed) < 8:
+        raise EOFError(_GZIP_TRUNCATED)
+    if fixed[0] != 8:
+        raise gzip.BadGzipFile("Unknown compression method")
+    flags = fixed[1]
+    if flags & gzip.FEXTRA:
+        length = src.take(2)
+        extra = int.from_bytes(length, "little")
+        if len(length) < 2 or len(src.take(extra)) < extra:
+            raise EOFError(_GZIP_TRUNCATED)
+    if flags & gzip.FNAME:
+        src.skip_past(b"\0")
+    if flags & gzip.FCOMMENT:
+        src.skip_past(b"\0")
+    if flags & gzip.FHCRC and len(src.take(2)) < 2:
+        raise EOFError(_GZIP_TRUNCATED)
+    return True
+
+
+def _gunzip(src: _Input, out: _Spool) -> None:
+    """Write what ``gzip.decompress`` returns, or raise what it raises: the
+    members one after another, NULs between them skipped, each member's
+    CRC-32 and length checked. Each step inflates at most ``_CHUNK`` bytes."""
+    while _gzip_header(src):
+        inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+        crc = size = 0
+        while not inflater.eof:
+            data = src.chunk()
+            if not data:
+                raise EOFError(_GZIP_TRUNCATED)
+            while True:
+                piece = inflater.decompress(data, _CHUNK)
+                crc = zlib.crc32(piece, crc)
+                size += len(piece)
+                out.write(piece)
+                data = inflater.unconsumed_tail
+                # A full piece may leave output behind with no input left.
+                if inflater.eof or (not data and len(piece) < _CHUNK):
+                    break
+        src.unread(inflater.unused_data)
+        trailer = src.take(8)
+        if len(trailer) < 8:
+            raise EOFError(_GZIP_TRUNCATED)
+        if int.from_bytes(trailer[:4], "little") != crc:
+            raise gzip.BadGzipFile("CRC check failed")
+        if int.from_bytes(trailer[4:], "little") != size & 0xFFFFFFFF:
+            raise gzip.BadGzipFile("Incorrect length of data produced")
+        src.skip_nuls()
+
+
+def _unchain(src: _Input, compression: str, out: _Spool) -> None:
+    """Write what ``bz2.decompress`` or ``lzma.decompress`` returns, or raise
+    what it raises: streams one after another up to the end of the input,
+    where input after a whole stream that its decoder refuses is dropped,
+    with the output it gave. Each step decodes at most ``_CHUNK`` bytes."""
+    module = importlib.import_module(compression)
+    if compression == "bz2":
+        decoder_type, refused, truncated = module.BZ2Decompressor, OSError, ValueError
+    else:
+        decoder_type, refused, truncated = module.LZMADecompressor, module.LZMAError, module.LZMAError
+    first = True
+    while True:
+        decoder = decoder_type()
+        mark = out.mark()
+        ended = False  # the input is used up
+        while not decoder.eof:
+            data = b""
+            if decoder.needs_input and not ended:
+                data = src.chunk()
+                ended = not data
+            try:
+                piece = decoder.decompress(data, _CHUNK)
+            except refused:
+                if first:
+                    raise
+                out.reset(mark)
+                return
+            out.write(piece)
+            # bz2 asks for input once it has taken all it was given, even
+            # with output still held back, so the end of the input is the
+            # end of the stream only when no more output comes.
+            if ended and not piece and decoder.needs_input and not decoder.eof:
+                raise truncated(_STREAM_TRUNCATED)
+        first = False
+        src.unread(decoder.unused_data)
+        rest = src.chunk()
+        if not rest:
+            return
+        src.unread(rest)
+
+
+def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
+    """Decompress ``source`` (``bytes`` or ``_FileBytes``) into a new spool,
+    reading it ``_CHUNK`` bytes at a time; ``compression`` names the module
+    whose ``decompress`` this accepts and refuses exactly what it does.
+    Returns the spool and the sha256 digest of the bytes it holds."""
+    if isinstance(source, _FileBytes):
+        source.file.seek(0)
+        read = source.file.read
+    else:
+        read = io.BytesIO(source).read
+    out = _Spool()
+    try:
+        if compression == "gzip":
+            _gunzip(_Input(read), out)
+        else:
+            _unchain(_Input(read), compression, out)
+        return out.finish(), "sha256:" + out.sha256.hexdigest()
+    except BaseException:
+        out.discard()
+        raise
+
+
+@contextlib.contextmanager
+def _uncompressed(source):
+    """The tar stream in ``source`` (``bytes`` or ``_FileBytes``), for the
+    ``with`` block. A stream that starts with the gzip, bzip2 or xz magic is
+    decompressed into a spool, closed at the end of the block, as tarfile
+    opens it; like tarfile, a plain tar stream whose first name happens to
+    start with a magic is read as it is."""
+    compression = next((name for magic, name in _COMPRESSIONS
+                        if source[0:len(magic)] == magic), None)
+    spool = None
+    if compression is not None:
+        # lzma's own error is not an OSError; gzip's and bz2's are.
+        errors = (OSError, EOFError, ValueError, zlib.error)
+        if compression == "lzma":
+            errors += (importlib.import_module("lzma").LZMAError,)
+        try:
+            spool, _ = _decompress(source, compression)
+        except errors as exc:
+            try:
+                next(read_tar_headers(source), None)
+            except SparseMember:
+                pass
+            except TarHeaderError:
+                raise TarHeaderError(f"cannot decompress: {exc}") from exc
+    if spool is None:
+        yield source
+        return
+    try:
+        yield spool
+    finally:
+        spool.close()
 
 # --- image model and layer flattening ---------------------------------------
 
@@ -483,28 +788,64 @@ class ImageMetadata:
 
 @dataclass(frozen=True)
 class LayerBlob:
-    """One layer as stored in the archive plus its identity digests."""
+    """One layer as stored in the archive plus its identity digests.
+
+    ``spool`` holds the decompressed tar stream of a gzip layer that
+    ``load_image_archive`` read; ``close`` closes it. A gzip layer built
+    without one is decompressed into a new spool each time its tar stream
+    is read.
+    """
 
     media_type: str
     digest: str  # digest of the blob bytes as stored
     diff_id: str  # digest of the uncompressed tar stream
     data: bytes
+    spool: _FileBytes | None = field(default=None, repr=False, compare=False)
+
+    @contextlib.contextmanager
+    def stored_tar(self) -> Iterator[bytes | _FileBytes]:
+        """The tar stream the media type names, for the ``with`` block: the
+        stored bytes, or the spool of a gzip layer."""
+        if self.media_type not in MEDIA_LAYER_GZIP:
+            yield self.data
+        elif self.spool is not None:
+            yield self.spool
+        else:
+            spool, _ = _decompress(self.data, "gzip")
+            try:
+                yield spool
+            finally:
+                spool.close()
 
     def tar_bytes(self) -> bytes:
-        if self.media_type in MEDIA_LAYER_GZIP:
-            return gzip.decompress(self.data)
-        return self.data
+        with self.stored_tar() as tar:
+            return tar[0:len(tar)]
+
+    def close(self) -> None:
+        if self.spool is not None:
+            self.spool.close()
 
 
 @dataclass
 class LayerStack:
-    """Ordered layers, base first."""
+    """Ordered layers, base first. Closing the stack closes its layers'
+    spools; it is a context manager that does so on exit."""
 
     layers: list[LayerBlob]
 
     @property
     def diff_ids(self) -> list[str]:
         return [layer.diff_id for layer in self.layers]
+
+    def close(self) -> None:
+        for layer in self.layers:
+            layer.close()
+
+    def __enter__(self) -> LayerStack:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -641,7 +982,8 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[
     """Apply the members of one layer to the flattened state in place.
 
     A regular member's bytes are one slice of ``tar``, the layer's tar
-    stream, unless ``sparse`` holds them under the member's data offset.
+    stream (bytes, or a spool read as bytes), unless ``sparse`` holds them
+    under the member's data offset.
     """
     paths = []  # each member's clean path; None for the root and for whiteouts
     whiteouts = []  # (parent, name) of the whiteouts and opaque markers
@@ -715,36 +1057,6 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[
                 content[path] = tar[offset_data:offset_data + size]
 
 
-# Compressed streams that tarfile's "r:*" mode opens: the magic bytes of
-# each and the module that decompresses it. bz2 and lzma are imported only
-# when their magic is seen.
-_COMPRESSIONS = ((b"\x1f\x8b", "gzip"), (b"BZh", "bz2"), (b"\xfd7zXZ\x00", "lzma"))
-
-
-def _uncompressed_tar(tar: bytes) -> bytes:
-    """The tar stream in ``tar``. Bytes that start with the gzip, bzip2 or xz
-    magic are decompressed, whatever a layer's media type says, as tarfile
-    opens them; like tarfile, a plain tar stream whose first name happens to
-    start with a magic is read as it is."""
-    for magic, module_name in _COMPRESSIONS:
-        if tar.startswith(magic):
-            module = importlib.import_module(module_name)
-            # lzma's own error is not an OSError; gzip's and bz2's are.
-            errors = (OSError, EOFError, ValueError, zlib.error,
-                      getattr(module, "LZMAError", OSError))
-            try:
-                return module.decompress(tar)
-            except errors as exc:
-                try:
-                    next(read_tar_headers(tar), None)
-                except SparseMember:
-                    pass
-                except TarHeaderError:
-                    raise TarHeaderError(f"cannot decompress: {exc}") from exc
-                break
-    return tar
-
-
 def _tarfile_members(tar: bytes) -> tuple[list[TarHeader], dict[int, bytes]]:
     """The members of a tar stream that holds a GNU sparse member, as tarfile
     reads them, and the bytes of each sparse member by its data offset."""
@@ -763,15 +1075,20 @@ def _tarfile_members(tar: bytes) -> tuple[list[TarHeader], dict[int, bytes]]:
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     """Apply all layers in order with whiteout/opaque semantics.
 
-    Cost per layer: one decompression (gzip layers, or compressed bytes under
-    the tar media type), one ``read_tar_headers`` pass over the headers (one
-    ``struct`` unpack, one byte sum and a few number decodes per header; no
-    ``TarInfo``), one slice per regular member and, only when the layer has
-    whiteouts or opaque markers, one sort of the lower state's paths plus a
-    bisect per marker; the paths a marker removes are the only ones it
-    touches. A directory replaced by a non-directory still scans the whole
-    state for its subtree. A layer with a GNU sparse member is listed by
-    ``tarfile`` instead, which also reads the sparse members' bytes.
+    Cost per layer: no decompression for a gzip layer ``load_image_archive``
+    read, whose tar stream is the spool it wrote (a ``LayerBlob`` built
+    without a spool is decompressed into one here); compressed bytes under
+    the tar media type are decompressed into a spool once. Then one
+    ``read_tar_headers`` pass over the headers (one ``struct`` unpack, one
+    byte sum and a few number decodes per header; no ``TarInfo``), which
+    reads a spool's header blocks alone, one read per regular member and,
+    only when the layer has whiteouts or opaque markers, one sort of the
+    lower state's paths plus a bisect per marker; the paths a marker removes
+    are the only ones it touches. A directory replaced by a non-directory
+    still scans the whole state for its subtree. A layer with a GNU sparse
+    member is read whole and listed by ``tarfile`` instead, which also reads
+    the sparse members' bytes. Memory: the model plus one chunk of a spool
+    at a time.
     """
     entries: dict[str, FileRecord] = {}
     content: dict[str, bytes] = {}
@@ -779,34 +1096,18 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
 
     for index, layer in enumerate(stack.layers):
         try:
-            tar = _uncompressed_tar(layer.tar_bytes())
-            try:
-                members, sparse = list(read_tar_headers(tar)), {}
-            except SparseMember:
-                members, sparse = _tarfile_members(tar)
-            _apply_layer(index, members, tar, sparse, entries, content, warnings)
+            with layer.stored_tar() as stored, _uncompressed(stored) as tar:
+                try:
+                    members, sparse = list(read_tar_headers(tar)), {}
+                except SparseMember:
+                    tar = tar[0:len(tar)]
+                    members, sparse = _tarfile_members(tar)
+                _apply_layer(index, members, tar, sparse, entries, content, warnings)
         except _LAYER_STREAM_ERRORS as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)
     return FlattenedRootfs(entries=entries, content=content, total_size=total, warnings=warnings)
-
-
-class _FileBytes:
-    """An open file read as ``bytes`` slices, so that ``read_tar_headers``
-    lists an image archive by reading its header blocks alone; each member's
-    bytes are read when they are asked for."""
-
-    def __init__(self, file):
-        self._file = file
-        self._size = os.fstat(file.fileno()).st_size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, span: slice) -> bytes:
-        self._file.seek(span.start)
-        return self._file.read(max(0, span.stop - span.start))
 
 
 def _member_key(name: str) -> str:
@@ -875,32 +1176,35 @@ def _is_gzip(data: bytes) -> bool:
 
 def _layer_from_blob(data: bytes, media_type: str, verified_digest: str | None) -> LayerBlob:
     """One layer; ``verified_digest`` is the digest ``_read_blob`` already
-    checked ``data`` against, or None to hash ``data`` here."""
+    checked ``data`` against, or None to hash ``data`` here. A gzip layer is
+    decompressed once, into the spool the layer keeps, and its diff_id is
+    hashed on the way."""
     digest = verified_digest or sha256_digest(data)
-    tar_data = gzip.decompress(data) if media_type in MEDIA_LAYER_GZIP else data
-    return LayerBlob(
-        media_type=media_type,
-        digest=digest,
-        diff_id=sha256_digest(tar_data),
-        data=data,
-    )
+    if media_type in MEDIA_LAYER_GZIP:
+        spool, diff_id = _decompress(data, "gzip")
+        return LayerBlob(media_type, digest, diff_id, data, spool)
+    return LayerBlob(media_type, digest, sha256_digest(data), data)
 
 
 def _layer_stack(blobs, cfg: dict) -> LayerStack:
     """Layers from (data, media type, verified digest or None) triples, base
-    first, checked against the diff_ids the config declares."""
-    layers = []
-    for index, (data, media_type, verified_digest) in enumerate(blobs):
-        try:
-            layers.append(_layer_from_blob(data, media_type, verified_digest))
-        except _LAYER_STREAM_ERRORS as exc:
-            raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
-    stack = LayerStack(layers=layers)
-    declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
-    if declared and declared != stack.diff_ids:
-        raise IntegrityError(
-            f"rootfs diff_ids mismatch: config declares {declared}, layers are {stack.diff_ids}"
-        )
+    first, checked against the diff_ids the config declares. On an error
+    the spools of the layers read so far are closed."""
+    stack = LayerStack(layers=[])
+    try:
+        for index, (data, media_type, verified_digest) in enumerate(blobs):
+            try:
+                stack.layers.append(_layer_from_blob(data, media_type, verified_digest))
+            except _LAYER_STREAM_ERRORS as exc:
+                raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
+        declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
+        if declared and declared != stack.diff_ids:
+            raise IntegrityError(
+                f"rootfs diff_ids mismatch: config declares {declared}, layers are {stack.diff_ids}"
+            )
+    except BaseException:
+        stack.close()
+        raise
     return stack
 
 
@@ -985,15 +1289,18 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
 
     The archive is listed by ``read_tar_headers``, which reads only its
     header blocks, and each member the layout names is then read once. A
-    gzip, bzip2 or xz archive is decompressed whole first. A damaged header
+    gzip, bzip2 or xz archive is first decompressed, a chunk at a time, into
+    a spool that is read the same way and closed on return. A damaged header
     anywhere in the archive, like a damaged compressed stream, is an
     ``ImageFormatError``.
+
+    Each gzip layer is decompressed once, a chunk at a time, into a spool
+    that ``flatten_layers`` reads, and its diff_id is hashed on the way, so
+    memory holds the stored layer blobs and one chunk, never a decompressed
+    layer. The spools are closed with the returned ``LayerStack``.
     """
     try:
-        with open(archive_path, "rb") as file:
-            archive = _FileBytes(file)
-            if archive[0:6].startswith(tuple(magic for magic, _ in _COMPRESSIONS)):
-                archive = _uncompressed_tar(archive[0:len(archive)])
+        with open(archive_path, "rb") as file, _uncompressed(_FileBytes(file)) as archive:
             members = _archive_members(archive)
             if "oci-layout" in members:
                 return _load_oci_layout(archive, members)
@@ -1009,11 +1316,11 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
 def _image_tar(members: list[tuple[str, bytes | None]]) -> bytes:
     """The image archive of (name, bytes) files and (name, None) directories,
     in order: files 0o444 and directories 0o755, owned by 0:0 at mtime 0."""
-    return tar_stream(
+    return b"".join(tar_stream(
         (gnu_header(name, DIRTYPE, 0o755), b"") if data is None
         else (gnu_header(name, REGTYPE, 0o444, size=len(data)), data)
         for name, data in members
-    )
+    ))
 
 
 def _json_bytes(obj) -> bytes:
@@ -1044,33 +1351,58 @@ def _config_json(metadata: ImageMetadata, diff_ids: list[str]) -> bytes:
     )
 
 
+def _gzip_layer(chunks: Iterable[bytes]) -> tuple[bytes, str]:
+    """The gzip layer ``gzip.compress(tar, mtime=0)`` writes for the tar
+    stream given in ``chunks``, and the sha256 digest of that stream (its
+    diff_id); the stream itself is never held whole."""
+    compressor = zlib.compressobj(9, zlib.DEFLATED, 31)
+    tar_sha256 = hashlib.sha256()
+    parts = []
+    for chunk in chunks:
+        tar_sha256.update(chunk)
+        parts.append(compressor.compress(chunk))
+    parts.append(compressor.flush())
+    return b"".join(parts), "sha256:" + tar_sha256.hexdigest()
+
+
 def build_slim_image(
     metadata: ImageMetadata,
-    slim_rootfs_tar: bytes,
+    slim_rootfs_tar: Iterable[bytes],
     *,
     layout: str = "oci",
     gzip_layer: bool = False,
 ) -> bytes:
-    """Assemble a single-layer image archive around the slim rootfs tar.
+    """Assemble a single-layer image archive around the slim rootfs tar,
+    given as the chunks of the stream (``emit_slim_rootfs`` returns them).
 
     ``layout`` selects the output family ("oci" or "docker"); docker-save
     output always stores the layer uncompressed.
 
-    Cost: one header read to refuse an empty rootfs, one sha256 of the layer
-    (its diff_id), one level-9 gzip compression and one more sha256 with
-    ``gzip_layer``, and one copy of the layer into the archive, whose few
-    headers ``gnu_header`` writes.
+    Cost: with ``gzip_layer`` the chunks are fed once through a level-9 gzip
+    compressor and an incremental sha256 (the diff_id) and the compressed
+    layer is hashed once, so the uncompressed layer is never held whole.
+    Otherwise the chunks are joined, because the layer's size must be known
+    before it is written, and hashed once. Then one copy of the layer into
+    the archive, whose few headers ``gnu_header`` writes. A stream whose
+    first block is zeros, which is how a stream without members starts, is
+    refused.
     """
-    try:
-        empty = next(read_tar_headers(slim_rootfs_tar), None) is None
-    except SparseMember:
-        empty = False
-    if empty:
+    chunks = iter(slim_rootfs_tar)
+    first = next((chunk for chunk in chunks if chunk), b"")
+    if first[:BLOCKSIZE].count(0) == len(first[:BLOCKSIZE]):
         raise EmptyImageError("slim rootfs tar contains no entries; refusing to build an image")
     if layout not in ("oci", "docker"):
         raise ValueError(f"unknown output layout {layout!r}")
+    chunks = itertools.chain((first,), chunks)
 
-    diff_id = sha256_digest(slim_rootfs_tar)
+    if layout == "oci" and gzip_layer:
+        layer_data, diff_id = _gzip_layer(chunks)
+        layer_media = "application/vnd.oci.image.layer.v1.tar+gzip"
+        layer_digest = sha256_digest(layer_data)
+    else:
+        layer_data = b"".join(chunks)
+        layer_media = "application/vnd.oci.image.layer.v1.tar"
+        diff_id = layer_digest = sha256_digest(layer_data)
     config_bytes = _config_json(metadata, [diff_id])
 
     if layout == "docker":
@@ -1086,17 +1418,10 @@ def build_slim_image(
         return _image_tar([
             (f"{cfg_hex}.json", config_bytes),
             (layer_hex, None),
-            (f"{layer_hex}/layer.tar", slim_rootfs_tar),
+            (f"{layer_hex}/layer.tar", layer_data),
             ("manifest.json", _json_bytes(manifest)),
         ])
 
-    if gzip_layer:
-        layer_data = gzip.compress(slim_rootfs_tar, mtime=0)
-        layer_media = "application/vnd.oci.image.layer.v1.tar+gzip"
-    else:
-        layer_data = slim_rootfs_tar
-        layer_media = "application/vnd.oci.image.layer.v1.tar"
-    layer_digest = sha256_digest(layer_data)
     config_digest = sha256_digest(config_bytes)
 
     manifest = {

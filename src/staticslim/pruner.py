@@ -10,11 +10,11 @@ one ``FlattenedRootfs`` that every stage reads.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import posixpath
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .analyzer import CommandTokenList
 from .elf import LibrarySearch, resolve_elf_dependencies
@@ -232,17 +232,20 @@ def build_retain_list(
     return retain
 
 
-def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> bytes:
-    """Tar stream of exactly the retained entries, sorted by path.
+def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> Iterator[bytes]:
+    """Tar stream of exactly the retained entries, sorted by path, as an
+    iterator of chunks.
 
     Within each hardlink group the lexicographically first retained path
     carries the file content and the others reference it, so extraction
     never sees a forward link reference.
 
-    The stream is the one ``tarfile`` writes in GNU format (``tar_stream``).
-    Each entry costs one ``gnu_header`` call (one ``struct`` pack, a few
-    number encodings and one byte sum; no ``TarInfo``) and one buffer write
-    per part.
+    The retain list is checked against the rootfs here, so a
+    ``PruneConsistencyError`` is raised by the call; the entries are written
+    as the chunks are asked for. The stream is the one ``tarfile`` writes in
+    GNU format (``tar_stream``). Each entry costs one ``gnu_header`` call
+    (one ``struct`` pack, a few number encodings and one byte sum; no
+    ``TarInfo``); the stream is never held whole, only one chunk of it.
     """
     groups: dict[str, list[str]] = {}
     for path in retain.paths:
@@ -408,7 +411,9 @@ def slim_image(
     Raises a ``SlimError`` subclass when the input cannot be slimmed.
     """
     metadata, stack = load_image_archive(input_path)
-    rootfs = flatten_layers(stack)
+    with stack:
+        rootfs = flatten_layers(stack)
+    del stack  # the stored layer blobs are not needed past flatten
     commands = collect_system_commands(rootfs, search_dirs)
     cll = build_command_linked_list(commands, rootfs, search_dirs)
     expand_command_linked_list(cll, rootfs, search_dirs)

@@ -96,7 +96,7 @@ def _slim_pipeline(archive_bytes: bytes, tokens, tmp_path, tag: str):
 
 def _rebuilt_head_count(rootfs, retain) -> int:
     """Heads of a CLL rebuilt from the emitted slim rootfs tar."""
-    slim_rootfs = flatten_layers(make_stack([emit_slim_rootfs(rootfs, retain)]))
+    slim_rootfs = flatten_layers(make_stack([b"".join(emit_slim_rootfs(rootfs, retain))]))
     return len(build_command_linked_list(collect_system_commands(slim_rootfs), slim_rootfs).heads)
 
 

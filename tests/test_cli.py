@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import errno
 import gzip
 import hashlib
 import io
 import json
+import os
 import tarfile
+import tempfile
 
 import pytest
 from click.testing import CliRunner
@@ -314,8 +317,9 @@ class TestSlim:
         )
         assert result.exit_code == 0, result.output
         _, stack = load_image_archive(out)
-        assert stack.layers[0].media_type.endswith("+gzip")
-        assert "/usr/bin/dash" in flatten_layers(stack).entries
+        with stack:
+            assert stack.layers[0].media_type.endswith("+gzip")
+            assert "/usr/bin/dash" in flatten_layers(stack).entries
 
     def test_multi_layer_image_with_whiteout(self, runner, tmp_path):
         base = make_layer_tar(shell_chain_members())
@@ -460,3 +464,90 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     assert result.exit_code == 3, result.output
     assert "error: layer 1" in result.output
     assert "Traceback" not in result.output
+
+
+# --- spools -----------------------------------------------------------------
+
+
+def _slim(runner, tmp_path, image, out_name="slim.tar"):
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    out = tmp_path / out_name
+    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
+                                  "--ctl", str(ctl), "--gzip"])
+    return result, out
+
+
+def test_gzipped_docker_save_archive_slims_like_the_plain_one(runner, tmp_path):
+    """``docker save | gzip`` is read through a spool, to the same image."""
+    plain = write_shell_image(tmp_path)
+    packed = tmp_path / "fat.tar.gz"
+    packed.write_bytes(gzip.compress(plain.read_bytes(), mtime=0))
+    first, out_plain = _slim(runner, tmp_path, plain, "from-plain.tar")
+    second, out_packed = _slim(runner, tmp_path, packed, "from-packed.tar")
+    assert first.exit_code == second.exit_code == 0, second.output
+    assert first.output == second.output
+    assert out_plain.read_bytes() == out_packed.read_bytes()
+
+
+@pytest.fixture
+def spools(monkeypatch, tmp_path):
+    """Every temporary file made during the test, with TMPDIR and
+    ``tempfile``'s own cached directory pointed at an empty directory."""
+    made = []
+    real = tempfile.TemporaryFile
+
+    def tracked(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    monkeypatch.setattr(tempfile, "TemporaryFile", tracked)
+    return made, tmpdir
+
+
+def _gzip_image(tmp_path, damage=None):
+    """A docker-save image of two gzip layers; ``damage`` spoils it so that
+    loading (the second layer's gzip stream), flattening (the second
+    layer's tar stream) or the diff_id check fails after the first layer
+    was spooled."""
+    layers = [make_layer_tar(shell_chain_members()), make_layer_tar([{"path": "/a", "data": b"1"}])]
+    config = default_config(layers)
+    if damage == "diff-id":
+        config["rootfs"]["diff_ids"][1] = "sha256:" + "0" * 64
+    if damage == "tar":
+        layers[1] = layers[1][:600]
+        config = default_config(layers)
+    blobs = [gzip.compress(layer, mtime=0) for layer in layers]
+    if damage == "gzip":
+        blobs[1] = blobs[1][:-12]
+    image = tmp_path / "fat.tar"
+    image.write_bytes(make_docker_archive(blobs, config=config))
+    return image
+
+
+@pytest.mark.parametrize("damage", [None, "gzip", "tar", "diff-id"])
+def test_spools_are_closed_and_leave_no_file(runner, tmp_path, spools, damage):
+    made, tmpdir = spools
+    result, _ = _slim(runner, tmp_path, _gzip_image(tmp_path, damage))
+    assert result.exit_code == (0 if damage is None else 3), result.output
+    assert "Traceback" not in result.output
+    assert made and all(f.closed for f in made)
+    assert list(tmpdir.iterdir()) == []
+
+
+def test_a_spool_that_cannot_be_written_exits_3(runner, tmp_path, monkeypatch):
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: FullDisk())
+    result, out = _slim(runner, tmp_path, _gzip_image(tmp_path))
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and os.strerror(errno.ENOSPC) in errors[0]
+    assert not out.exists()

@@ -11,6 +11,9 @@ import random
 import shutil
 import subprocess
 import tarfile
+import tracemalloc
+import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,7 @@ from conftest import (
     snapshot_dir,
 )
 from staticslim import imageio
+from staticslim.analyzer import CommandTokenList
 from staticslim.errors import (
     EmptyImageError,
     ImageFormatError,
@@ -51,7 +55,7 @@ from staticslim.imageio import (
     load_image_archive,
     read_tar_headers,
 )
-from staticslim.pruner import RetainList, emit_slim_rootfs
+from staticslim.pruner import RetainList, emit_slim_rootfs, slim_image
 
 import reference_flatten
 
@@ -125,8 +129,9 @@ class TestLoadArchive:
         layer = make_layer_tar(BASE_MEMBERS)
         archive = _write(tmp_path, "img.tar", make_oci_archive([layer], gzip_layers=True))
         _, stack = load_image_archive(archive)
-        assert stack.layers[0].diff_id == sha256(layer)
-        assert stack.layers[0].tar_bytes() == layer
+        with stack:
+            assert stack.layers[0].diff_id == sha256(layer)
+            assert stack.layers[0].tar_bytes() == layer
 
     def test_missing_manifest_names_member(self, tmp_path):
         buf = io.BytesIO()
@@ -621,24 +626,26 @@ class TestBuildSlimImage:
     @pytest.mark.parametrize("layout", ["oci", "docker"])
     def test_round_trip_metadata(self, tmp_path, layout):
         tar = self._rootfs_tar()
-        archive = build_slim_image(self.METADATA, tar, layout=layout)
+        archive = build_slim_image(self.METADATA, [tar], layout=layout)
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
-        assert loaded == self.METADATA
-        assert stack.layers[0].tar_bytes() == tar
+        with stack:
+            assert loaded == self.METADATA
+            assert stack.layers[0].tar_bytes() == tar
         assert stack.layers[0].diff_id == sha256(tar)
 
     def test_gzip_layer_round_trip(self, tmp_path):
         tar = self._rootfs_tar()
-        archive = build_slim_image(self.METADATA, tar, gzip_layer=True)
+        archive = build_slim_image(self.METADATA, [tar], gzip_layer=True)
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
-        assert loaded == self.METADATA
-        assert stack.layers[0].tar_bytes() == tar
+        with stack:
+            assert loaded == self.METADATA
+            assert stack.layers[0].tar_bytes() == tar
 
     def test_absent_entrypoint_stays_absent(self, tmp_path):
         metadata = ImageMetadata(
             image_name="noentry", tag="v1", architecture="amd64", os="linux"
         )
-        archive = build_slim_image(metadata, self._rootfs_tar())
+        archive = build_slim_image(metadata, [self._rootfs_tar()])
         loaded, _ = load_image_archive(_write(tmp_path, "out.tar", archive))
         assert loaded.entrypoint is None
         assert loaded.cmd is None
@@ -648,21 +655,21 @@ class TestBuildSlimImage:
         with tarfile.open(fileobj=empty, mode="w"):
             pass
         with pytest.raises(EmptyImageError):
-            build_slim_image(self.METADATA, empty.getvalue())
+            build_slim_image(self.METADATA, [empty.getvalue()])
 
     def test_deterministic_bytes(self):
         tar = self._rootfs_tar()
-        assert build_slim_image(self.METADATA, tar) == build_slim_image(self.METADATA, tar)
+        assert build_slim_image(self.METADATA, [tar]) == build_slim_image(self.METADATA, [tar])
 
     def test_size_within_framing_overhead(self):
         tar = self._rootfs_tar()
-        archive = build_slim_image(self.METADATA, tar)
+        archive = build_slim_image(self.METADATA, [tar])
         overhead = len(archive) - len(tar)
         assert 0 < overhead < 20480  # headers, config, manifest, record padding
 
     def test_untagged_image(self, tmp_path):
         metadata = ImageMetadata(image_name="", tag="", architecture="arm64", os="linux")
-        archive = build_slim_image(metadata, self._rootfs_tar())
+        archive = build_slim_image(metadata, [self._rootfs_tar()])
         loaded, _ = load_image_archive(_write(tmp_path, "out.tar", archive))
         assert loaded.image_name == ""
         assert loaded.architecture == "arm64"
@@ -956,7 +963,7 @@ def test_emitted_stream_lists_with_system_tar(tmp_path):
     for r in records:
         retain.add(r.path, "non-protected")
     archive = tmp_path / "slim.tar"
-    archive.write_bytes(emit_slim_rootfs(rootfs, retain))
+    archive.write_bytes(b"".join(emit_slim_rootfs(rootfs, retain)))
     listing = subprocess.run(
         ["tar", "--list", "--verbose", "--numeric-owner", "--file", str(archive)],
         capture_output=True, text=True, check=True, env={"TZ": "UTC", "LC_ALL": "C"},
@@ -974,3 +981,170 @@ def test_emitted_stream_lists_with_system_tar(tmp_path):
             "hrw-r--r-- 0/0               0 1970-01-01 00:00 opt/z-hard link to {f}",
         )
     ]
+
+
+# --- streaming decompression ------------------------------------------------
+
+_GZIP_MEDIA = "application/vnd.oci.image.layer.v1.tar+gzip"
+# What the one-shot decompressors raise on input they refuse.
+_REFUSALS = (OSError, EOFError, ValueError, zlib.error, lzma.LZMAError)
+
+
+def _gzip_member(data: bytes, flags: int, level: int) -> bytes:
+    """One gzip member whose header carries the optional fields ``flags``
+    names (reserved bits included, which readers ignore)."""
+    header = b"\x1f\x8b\x08" + bytes([flags]) + bytes(4) + b"\x02\xff"
+    if flags & gzip.FEXTRA:
+        header += (3).to_bytes(2, "little") + b"abc"
+    if flags & gzip.FNAME:
+        header += b"layer.tar\0"
+    if flags & gzip.FCOMMENT:
+        header += b"note\0"
+    if flags & gzip.FHCRC:
+        header += (zlib.crc32(header) & 0xFFFF).to_bytes(2, "little")
+    deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return (header + deflate.compress(data) + deflate.flush()
+            + zlib.crc32(data).to_bytes(4, "little") + len(data).to_bytes(4, "little"))
+
+
+@st.composite
+def _compressed_blobs(draw):
+    """1-3 members of one compression, each followed by 0-6 NULs, then maybe
+    cut at any byte, maybe one byte flipped, and trailing garbage; decoded
+    ``chunk`` bytes at a time, so members, headers and trailers straddle
+    chunk boundaries."""
+    kind = draw(st.sampled_from(["gzip", "bz2", "lzma"]))
+    blob = b""
+    for data in draw(st.lists(st.binary(max_size=3000) | st.binary(min_size=1, max_size=40).map(
+            lambda b: b * 200), min_size=1, max_size=3)):
+        if kind == "gzip":
+            blob += _gzip_member(data, draw(st.integers(0, 255)), draw(st.sampled_from([0, 1, 9])))
+        else:
+            blob += {"bz2": bz2, "lzma": lzma}[kind].compress(data)
+        blob += bytes(draw(st.integers(0, 6)))
+    cut = draw(st.none() | st.integers(0, len(blob)))
+    if cut is not None:
+        blob = blob[:cut]
+    if blob and draw(st.booleans()):
+        at = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    blob += draw(st.sampled_from([b"", b"\x1f", b"\x1f\x8b", b"BZh", b"\xfd7zXZ\x00", b"garbage"])
+                 | st.binary(max_size=8))
+    return blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and text of the refusal it raises."""
+    try:
+        return call()
+    except (*_REFUSALS, TarHeaderError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_shot_uncompressed(tar: bytes) -> bytes:
+    """The tar stream of a layer under the tar media type, read the way the
+    whole-buffer reader read it: decompressed by its magic in one call, or
+    left as it is when it reads as a tar stream."""
+    for magic, module in ((b"\x1f\x8b", gzip), (b"BZh", bz2), (b"\xfd7zXZ\x00", lzma)):
+        if tar.startswith(magic):
+            try:
+                return module.decompress(tar)
+            except _REFUSALS as exc:
+                try:
+                    next(read_tar_headers(tar), None)
+                except SparseMember:
+                    pass
+                except TarHeaderError:
+                    raise TarHeaderError(f"cannot decompress: {exc}") from exc
+                break
+    return tar
+
+
+def _spooled_layer(blob: bytes) -> bytes:
+    layer = imageio._layer_from_blob(blob, _GZIP_MEDIA, None)
+    with LayerStack([layer]):
+        tar = layer.tar_bytes()
+        assert layer.diff_id == sha256(tar)
+        return tar
+
+
+def _spooled_uncompressed(blob: bytes) -> bytes:
+    with imageio._uncompressed(blob) as tar:
+        return tar[0:len(tar)]
+
+
+# A bz2 stream whose combined CRC is damaged: its decoder gives all of its
+# output before it refuses the stream.
+_LATE_BAD_BZ2 = bytearray(bz2.compress(random.Random(3).randbytes(3000)))
+_LATE_BAD_BZ2[-3] ^= 0x10
+
+
+@settings(max_examples=300, deadline=None)
+@given(_compressed_blobs())
+@example((gzip.compress(b"a" * 700, mtime=0) + bytes(3) + gzip.compress(b"b", mtime=0), 7))
+@example((gzip.compress(b"abc" * 99, mtime=0)[:-3], 512))
+@example((_gzip_member(b"x" * 900, gzip.FNAME | gzip.FEXTRA | gzip.FHCRC | 0xE0, 9), 1))
+@example((bz2.compress(b"a" * 99) + bytes(_LATE_BAD_BZ2), 512))
+# A damaged bz2 stream that is refused only when its decoder is asked for
+# the output it holds back after the last input byte.
+@example((b"BZh91AY&SY0\xb0Db\x00\x00\x00\xc0@\xc0\x00\x00\x02\x00\x08 \x00!&A\x98\x1f", 1))
+def test_streaming_decompression_matches_one_shot(case):
+    """Under the gzip media type the spool holds what ``gzip.decompress``
+    returns, and its digest is the diff_id; under the tar media type it
+    holds what the one-shot reader returned. Each refuses what the one-shot
+    call refuses, with the same error, and that error exits 3."""
+    blob, chunk = case
+    with mock.patch.object(imageio, "_CHUNK", chunk):
+        spooled = _outcome(lambda: _spooled_layer(blob))
+        assert spooled == _outcome(lambda: gzip.decompress(blob))
+        if isinstance(spooled, tuple):
+            assert issubclass(spooled[0], imageio._LAYER_STREAM_ERRORS)
+        uncompressed = _outcome(lambda: _spooled_uncompressed(blob))
+        assert uncompressed == _outcome(lambda: _one_shot_uncompressed(blob))
+        if isinstance(uncompressed, tuple):
+            assert issubclass(uncompressed[0], imageio._LAYER_STREAM_ERRORS)
+
+
+# --- bounded memory ---------------------------------------------------------
+
+_MIB = 1 << 20
+# Allocations besides the data itself: decoder and compressor state, one
+# chunk of input and output, file buffers, the model's records.
+_SLACK = _MIB
+
+
+def _eight_file_image(tmp_path):
+    """A one-layer gzip OCI image of 8 files of 1 MiB each, outside the
+    prune area, whose repetitive content compresses to a few KiB."""
+    members = [{"path": "/data", "kind": "directory"}]
+    members += [{"path": f"/data/f{i}", "data": random.Random(i).randbytes(4096) * 256}
+                for i in range(8)]
+    return _write(tmp_path, "img.tar", make_oci_archive([make_layer_tar(members)], gzip_layers=True))
+
+
+def _traced_peak(call):
+    """``call``'s result and the peak of traced allocations during the call,
+    above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_no_decompressed_layer(tmp_path):
+    image = _eight_file_image(tmp_path)
+    (_, stack), peak = _traced_peak(lambda: load_image_archive(image))
+    assert peak < _MIB + _SLACK
+    with stack:
+        assert stack.layers[0].diff_id == sha256(stack.layers[0].tar_bytes())
+
+
+def test_gzip_slim_holds_the_content_and_one_file(tmp_path):
+    image = _eight_file_image(tmp_path)
+    result, peak = _traced_peak(lambda: slim_image(image, CommandTokenList(), gzip_layer=True))
+    assert {f"/data/f{i}" for i in range(8)} <= result.retain.paths
+    assert peak < 8 * _MIB + _MIB + _SLACK

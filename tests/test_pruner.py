@@ -234,13 +234,13 @@ class TestRetainList:
 class TestEmit:
     def test_member_count_equals_retain(self):
         rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        data = emit_slim_rootfs(rootfs, retain)
+        data = b"".join(emit_slim_rootfs(rootfs, retain))
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             assert len(tf.getmembers()) == len(retain.paths)
 
     def test_extracted_bin_sh_resolves(self, tmp_path):
         rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        data = emit_slim_rootfs(rootfs, retain)
+        data = b"".join(emit_slim_rootfs(rootfs, retain))
         dest = tmp_path / "x"
         dest.mkdir()
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
@@ -252,11 +252,12 @@ class TestEmit:
 
     def test_deterministic_bytes(self):
         rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        assert emit_slim_rootfs(rootfs, retain) == emit_slim_rootfs(rootfs, retain)
+        first = b"".join(emit_slim_rootfs(rootfs, retain))
+        assert b"".join(emit_slim_rootfs(rootfs, retain)) == first
 
     def test_symlinks_never_materialized(self):
         rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
-        data = emit_slim_rootfs(rootfs, retain)
+        data = b"".join(emit_slim_rootfs(rootfs, retain))
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             kinds = {m.name: m.type for m in tf.getmembers()}
         assert kinds["usr/bin/sh"] == tarfile.SYMTYPE
@@ -271,7 +272,7 @@ class TestEmit:
         retain = RetainList()
         retain.add("/etc", "non-protected")
         retain.add("/etc/conf", "non-protected")
-        data = emit_slim_rootfs(rootfs, retain)
+        data = b"".join(emit_slim_rootfs(rootfs, retain))
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             conf = tf.getmember("etc/conf")
             assert (conf.mode, conf.uid, conf.gid, conf.mtime) == (0o600, 12, 34, 99)
@@ -289,7 +290,7 @@ class TestEmit:
         retain = RetainList()
         retain.add("/zz-target", "non-protected")
         retain.add("/aa-link", "non-protected")
-        data = emit_slim_rootfs(rootfs, retain)
+        data = b"".join(emit_slim_rootfs(rootfs, retain))
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             members_by_name = {m.name: m for m in tf.getmembers()}
             assert members_by_name["aa-link"].type == tarfile.REGTYPE
@@ -308,7 +309,7 @@ class TestEmit:
         retain.add("/a", "non-protected")
         retain.add("/ghost", "non-protected")
         with pytest.raises(PruneConsistencyError):
-            emit_slim_rootfs(rootfs, retain)
+            emit_slim_rootfs(rootfs, retain)  # raised by the call, before any chunk
 
     def test_device_and_fifo_round_trip(self):
         members = [
@@ -321,7 +322,7 @@ class TestEmit:
         retain = RetainList()
         for p in rootfs.entries:
             retain.add(p, "non-protected")
-        data = emit_slim_rootfs(rootfs, retain)
+        data = b"".join(emit_slim_rootfs(rootfs, retain))
         with tarfile.open(fileobj=io.BytesIO(data)) as tf:
             by_name = {m.name: m for m in tf.getmembers()}
         assert by_name["dev/null0"].type == tarfile.CHRTYPE
@@ -332,14 +333,14 @@ class TestEmit:
 
     def test_reslim_fixpoint(self):
         rootfs, cll, match, retain = build_pipeline(elf_shell_members(), ["sh"])
-        first = emit_slim_rootfs(rootfs, retain)
+        first = b"".join(emit_slim_rootfs(rootfs, retain))
 
         rootfs2 = flatten_layers(make_stack([first]))
         cll2 = build_command_linked_list(collect_system_commands(rootfs2), rootfs2)
         expand_command_linked_list(cll2, rootfs2)
         match2 = match_tokens(ctl_of("sh"), cll2)
         retain2 = build_retain_list(match2.start_nodes, cll2, rootfs2)
-        second = emit_slim_rootfs(rootfs2, retain2)
+        second = b"".join(emit_slim_rootfs(rootfs2, retain2))
         assert second == first
 
 
@@ -406,7 +407,7 @@ def _one_file(size: int):
 @example(_one_file(9216))  # with its header and the two end blocks, 512 bytes past a record
 def test_emit_matches_addfile_reference(case):
     rootfs, retain = case
-    assert emit_slim_rootfs(rootfs, retain) == reference_emit.emit_slim_rootfs(rootfs, retain)
+    assert b"".join(emit_slim_rootfs(rootfs, retain)) == reference_emit.emit_slim_rootfs(rootfs, retain)
 
 
 class TestReport:
