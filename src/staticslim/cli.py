@@ -14,7 +14,7 @@ from . import pruner as pruner_mod
 from .analyzer import DEFAULT_SINKS, CommandTokenList
 from .errors import AnalysisError, PruneConsistencyError, SlimError
 from .imageio import flatten_layers, load_image_archive
-from .rootfs import DEFAULT_SEARCH_DIRS, build_command_linked_list, collect_system_commands
+from .rootfs import DEFAULT_SEARCH_DIRS, collect_system_commands, command_heads
 
 log = logging.getLogger(__name__)
 
@@ -166,8 +166,7 @@ def inspect(input_path, search_dirs) -> None:
         _fail(EXIT_FORMAT, str(exc))
         return
 
-    commands = collect_system_commands(rootfs, dirs)
-    cll = build_command_linked_list(commands, rootfs, dirs)
+    heads = command_heads(collect_system_commands(rootfs, dirs), rootfs, dirs)
 
     def show(label, value):
         click.echo(f"{label}: {value}")
@@ -183,7 +182,7 @@ def inspect(input_path, search_dirs) -> None:
     show("layers", len(stack.layers))
     show("entries", len(rootfs.entries))
     show("rootfs size", rootfs.total_size)
-    show("commands supported", len(cll.heads))
+    show("commands supported", len(heads))
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 Replaces running the loader (``ldd``) with a pure parse of the program
 headers and dynamic section, so nothing from an untrusted image is ever
 executed. Resolution follows the loader's documented search order inside the
-flattened rootfs. Each object is parsed at most once per rootfs, however many
-closures reach it. The closures of one retain pass share a ``LibrarySearch``:
-each library directory is listed once, a needed name found there is one dict
-probe, and each spelling's symlink chain is walked once.
+flattened rootfs. Each object is parsed at most once per rootfs. One
+``LibrarySearch`` serves a whole retain pass: each library directory is
+listed once and each spelling's symlink chain is walked once. A needed name
+is resolved for the object that needs it (``LibrarySearch.needed``), the one
+resolution both the retain graph and ``resolve_elf_dependencies`` use.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
 
 
 class LibrarySearch:
-    """Needed-name lookups against one rootfs, shared by many closures.
+    """Needed-name lookups against one rootfs, shared by a whole retain pass.
 
     ``index`` maps a library name to the spelling ``d + "/" + name`` of the
     first directory ``d`` of ``rootfs_library_dirs`` whose physical directory
@@ -280,6 +281,24 @@ class LibrarySearch:
             hit = self._chains[spelling] = _chain_entries(self.rootfs, spelling)
         return hit
 
+    def dynamic_info(self, path: str) -> DynamicInfo | None:
+        """Parsed facts of the object ``path`` opens; None unless it is dynamic ELF."""
+        info = _object_info(self.rootfs, self.chain(path)[1], path)
+        return info if info is not None and info.is_dynamic else None
+
+    def needed(self, obj_path: str, name: str) -> tuple[tuple[str, ...], str | None]:
+        """``chain`` of what the loader opens for the needed ``name`` of the
+        dynamic object ``obj_path``: ``find`` with the object's own rpath and
+        runpath, ``$ORIGIN`` expanded to the directory of ``obj_path``. An
+        unresolved name gives ``((), None)``.
+        """
+        info = self.dynamic_info(obj_path)
+        origin = posixpath.dirname(obj_path) if info.rpath or info.runpath else ""
+        own_dirs = [posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin))
+                    for p in info.rpath + info.runpath]
+        spelled = self.find(name, own_dirs)
+        return ((), None) if spelled is None else self.chain(spelled)
+
 
 def resolve_elf_dependencies(
     binary_path: str,
@@ -292,20 +311,20 @@ def resolve_elf_dependencies(
     needed names are recorded as missing, never fatal. The returned paths
     include every symlink hop crossed while resolving library names, directory
     symlinks on the way included, plus the program interpreter of the root
-    object. Pass one ``LibrarySearch`` of this rootfs to every call when
-    resolving many binaries, so each library is looked up once.
+    object. Each needed name is resolved once per closure, through the
+    first object that needs it. Pass one ``LibrarySearch`` of this rootfs to
+    every call when resolving many binaries, so the library directories are
+    listed once.
     """
     closure = ElfClosure()
     if search is None:
         search = LibrarySearch(rootfs)
-
-    _, root_terminal = search.chain(binary_path)
-    root_info = _object_info(rootfs, root_terminal, binary_path)
-    if root_info is None or not root_info.is_dynamic:
+    root_info = search.dynamic_info(binary_path)
+    if root_info is None:
         return closure
 
-    queue: list[tuple[str, DynamicInfo]] = [(binary_path, root_info)]
-    seen_objects = {root_terminal}
+    queue = [binary_path]
+    seen_objects = {search.chain(binary_path)[1]}
     seen_names: set[str] = set()
     if root_info.interpreter:
         closure.interpreter = root_info.interpreter
@@ -315,32 +334,24 @@ def resolve_elf_dependencies(
             closure.missing.append(root_info.interpreter)
         elif terminal not in seen_objects:
             seen_objects.add(terminal)
-            interp_info = _object_info(rootfs, terminal, terminal)
-            if interp_info is not None and interp_info.is_dynamic:
-                queue.append((terminal, interp_info))
+            queue.append(terminal)
 
     while queue:
-        obj_path, obj_info = queue.pop(0)
-        own_dirs = _object_search_dirs(obj_info, obj_path)
+        obj_path = queue.pop(0)
+        obj_info = search.dynamic_info(obj_path)
+        if obj_info is None:
+            continue
         for name in obj_info.needed:
             if name in seen_names:
                 continue
             seen_names.add(name)
-            spelled = search.find(name, own_dirs)
-            if spelled is None:
-                closure.missing.append(name)
-                continue
-            hops, terminal = search.chain(spelled)
+            hops, terminal = search.needed(obj_path, name)
             closure.paths.update(hops)
             if terminal is None:
                 closure.missing.append(name)
-                continue
-            if terminal in seen_objects:
-                continue
-            seen_objects.add(terminal)
-            dep_info = _object_info(rootfs, terminal, terminal)
-            if dep_info is not None and dep_info.is_dynamic:
-                queue.append((terminal, dep_info))
+            elif terminal not in seen_objects:
+                seen_objects.add(terminal)
+                queue.append(terminal)
     return closure
 
 
@@ -359,12 +370,3 @@ def _object_info(rootfs: FlattenedRootfs, terminal: str | None, origin: str) -> 
             info = None
         rootfs._elf_info[terminal] = info
     return rootfs._elf_info[terminal]
-
-
-def _object_search_dirs(obj_info: DynamicInfo, obj_path: str) -> list[str]:
-    """The object's own rpath and runpath directories, ``$ORIGIN`` expanded."""
-    own = obj_info.rpath + obj_info.runpath
-    if not own:
-        return own
-    origin = posixpath.dirname(obj_path)
-    return [posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin)) for p in own]

@@ -890,7 +890,7 @@ class FlattenedRootfs:
     ``_dir_cache`` maps a directory spelling to its physical directory and
     the symlink hops crossed (``rootfs.resolve_entry``), and ``_elf_info``
     maps a physical path to its parsed dynamic-linking facts
-    (``elf.resolve_elf_dependencies``).
+    (``elf.LibrarySearch.dynamic_info``).
     """
 
     entries: dict[str, FileRecord]

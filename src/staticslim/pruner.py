@@ -1,9 +1,11 @@
-"""Rootfs pruning: match tokens against command chains and keep the closure.
+"""Rootfs pruning: match tokens against command chains and keep what they reach.
 
 Only paths containing ``/bin/``, ``/sbin/``, or ``/lib/`` are ever pruned
-(substring semantics, so ``/usr/bin/`` and ``/usr/lib/`` count). Everything
-retained is closed under symlink chains, hardlink targets, parent
-directories, and the needed-library set of dynamic executables.
+(substring semantics, so ``/usr/bin/`` and ``/usr/lib/`` count). The retain
+set is everything reachable in one graph (``build_retain_list``): symlink
+chains, hardlink targets and parent directories of every retained entry,
+plus the program interpreter and needed libraries of the matched programs,
+each needed name resolved for the object that needs it.
 ``slim_image`` runs the whole pipeline, from input archive to report, on the
 one ``FlattenedRootfs`` that every stage reads.
 """
@@ -13,11 +15,12 @@ from __future__ import annotations
 import json
 import logging
 import posixpath
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .analyzer import CommandTokenList
-from .elf import LibrarySearch, resolve_elf_dependencies
+from .elf import LibrarySearch
 from .errors import PruneConsistencyError
 from .imageio import (
     BLKTYPE,
@@ -46,6 +49,7 @@ from .rootfs import (
     CommandLinkedList,
     build_command_linked_list,
     collect_system_commands,
+    command_heads,
     expand_command_linked_list,
     resolve_chain,
     resolve_entry,
@@ -115,60 +119,10 @@ def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList) -> MatchResult:
     return MatchResult(matched=matched, start_nodes=start_nodes, unmatched=unmatched)
 
 
-def _retain_spelling(retain: RetainList, rootfs: FlattenedRootfs, path: str,
-                     reason: str) -> str | None:
-    """Retain the entries that make one path spelling resolvable.
-
-    Adds every ancestor symlink crossed plus the entry the spelling denotes;
-    returns that entry path (or None when the spelling dangles).
-    """
-    trace: list[str] = []
-    physical = resolve_entry(rootfs, path, trace=trace)
-    for hop in trace:
-        retain.add(hop, REASON_SYMLINK)
-    if physical is None or physical not in rootfs.entries:
-        return None
-    retain.add(physical, reason)
-    return physical
-
-
-def _close_links(retain: RetainList, rootfs: FlattenedRootfs) -> None:
-    """Fixed point: symlink one-hop targets and hardlink targets stay inside."""
-    pending = sorted(retain.paths)
-    while pending:
-        path = pending.pop()
-        rec = rootfs.entries.get(path)
-        if rec is None:
-            continue
-        target = None
-        reason = None
-        if rec.kind == KIND_SYMLINK:
-            target = rootfs.symlink_table.get(path)
-            reason = REASON_SYMLINK
-        elif rec.kind == KIND_HARDLINK and rec.link_target:
-            target = rec.link_target
-            reason = REASON_HARDLINK
-        if target is None:
-            continue
-        trace: list[str] = []
-        physical = resolve_entry(rootfs, target, trace=trace)
-        for hop in trace:
-            if retain.add(hop, REASON_SYMLINK):
-                pending.append(hop)
-        if physical is not None and physical in rootfs.entries:
-            if retain.add(physical, reason):
-                pending.append(physical)
-
-
-def _retain_parents(retain: RetainList, rootfs: FlattenedRootfs) -> None:
-    # Ancestors sort before their descendants, so by the time a walk meets a
-    # retained ancestor, that ancestor's own ancestors are retained too.
-    for path in sorted(retain.paths):
-        parent = posixpath.dirname(path)
-        while parent and parent != "/" and parent not in retain.paths:
-            if parent in rootfs.entries:
-                retain.add(parent, REASON_PARENT)
-            parent = posixpath.dirname(parent)
+def _note_missing(missing: list[str], name: str, requester: str, what: str) -> None:
+    if name not in missing:
+        missing.append(name)
+        log.warning("%s: %s %r unresolved inside the rootfs", requester, what, name)
 
 
 def build_retain_list(
@@ -177,52 +131,81 @@ def build_retain_list(
     rootfs: FlattenedRootfs,
     entry_paths=(),
 ) -> RetainList:
-    """Closed retain set: chains, ELF closures, protected files, parents.
+    """Every entry the seeds reach in the retain graph, each visited once.
 
-    The ELF closures of all chain entries share one ``LibrarySearch``, so the
-    library directories are listed once and each library spelling is
-    resolved once per call, however many closures need it. The search is
-    dropped when this returns.
+    Seeds: each spelling on a matched chain, each absolute entrypoint path
+    (the entries these denote are program roots), then every entry outside
+    the prune area. Edges: the symlink hops a spelling crosses, a symlink's
+    one-hop target, a hardlink's target, the nearest existing parent, a
+    dynamic root's ``PT_INTERP``, and the ``DT_NEEDED`` names of roots and of
+    the objects these reach, each resolved for the object that needs it.
+    Roots are walked breadth first in seed order, which orders the missing
+    names. A path's reason is the seed or edge that reached it first.
     """
     retain = RetainList()
+    work: list[str] = []
 
-    chain_entries: list[str] = []
-    seen_entries: set[str] = set()
-    for start in start_nodes:
-        for path in resolve_chain(cll, start):
-            entry = _retain_spelling(retain, rootfs, path, REASON_TOKEN)
-            if entry is not None and entry not in seen_entries:
-                seen_entries.add(entry)
-                chain_entries.append(entry)
+    def reach(path: str, reason: str) -> None:
+        if retain.add(path, reason):
+            work.append(path)
 
-    for spelled in entry_paths:
-        entry = _retain_spelling(retain, rootfs, spelled, REASON_TOKEN)
-        if entry is not None and entry not in seen_entries:
-            seen_entries.add(entry)
-            chain_entries.append(entry)
+    def reach_spelling(spelled: str, reason: str) -> str | None:
+        hops: list[str] = []
+        entry = resolve_entry(rootfs, spelled, trace=hops)
+        for hop in hops:
+            reach(hop, REASON_SYMLINK)
+        if entry is None or entry not in rootfs.entries:
+            return None
+        reach(entry, reason)
+        return entry
 
-    search = LibrarySearch(rootfs)
-    for entry in chain_entries:
-        closure = resolve_elf_dependencies(entry, rootfs, search=search)
-        # Closure paths are physical entries, so each is retained as it is.
-        for lib in sorted(closure.paths):
-            retain.add(lib, REASON_INTERP if lib == closure.interpreter else REASON_ELF)
-        for name in closure.missing:
-            if name == closure.interpreter:
-                if name not in retain.missing_interpreters:
-                    retain.missing_interpreters.append(name)
-                    log.warning("%s: program interpreter %r unresolved inside the rootfs",
-                                entry, name)
-            elif name not in retain.missing_libraries:
-                retain.missing_libraries.append(name)
-                log.warning("%s: needed library %r unresolved inside the rootfs", entry, name)
-
+    spellings = [path for start in start_nodes for path in resolve_chain(cll, start)]
+    roots = dict.fromkeys(reach_spelling(spelled, REASON_TOKEN) for spelled in spellings + list(entry_paths))
+    roots.pop(None, None)  # a dangling spelling roots nothing
     for path in rootfs.entries:
         if not in_prune_area(path):
-            retain.add(path, REASON_PROTECTED)
+            reach(path, REASON_PROTECTED)
 
-    _close_links(retain, rootfs)
-    _retain_parents(retain, rootfs)
+    search = LibrarySearch(rootfs)
+    walked: set[str] = set()
+    for root in roots:
+        info = search.dynamic_info(root)
+        objects = deque([root])
+        if info is not None and info.interpreter:
+            hops, interp = search.chain(info.interpreter)
+            for hop in hops:
+                reach(hop, REASON_INTERP)
+            if interp is None:
+                _note_missing(retain.missing_interpreters, info.interpreter, root, "program interpreter")
+            else:
+                objects.append(interp)
+        while objects:
+            obj = objects.popleft()
+            info = None if obj in walked else search.dynamic_info(obj)
+            walked.add(obj)
+            if info is None:
+                continue
+            for name in info.needed:
+                hops, terminal = search.needed(obj, name)
+                for hop in hops:
+                    reach(hop, REASON_ELF)
+                if terminal is None:
+                    _note_missing(retain.missing_libraries, name, obj, "needed library")
+                elif terminal not in walked:
+                    objects.append(terminal)
+
+    while work:
+        path = work.pop()
+        rec = rootfs.entries[path]
+        if path in rootfs.symlink_table:
+            reach_spelling(rootfs.symlink_table[path], REASON_SYMLINK)
+        elif rec.kind == KIND_HARDLINK and rec.link_target:
+            reach_spelling(rec.link_target, REASON_HARDLINK)
+        parent = posixpath.dirname(path)
+        while parent not in ("", "/") and parent not in rootfs.entries:
+            parent = posixpath.dirname(parent)
+        if parent not in ("", "/"):
+            reach(parent, REASON_PARENT)
 
     missing = [p for p in retain.paths if p not in rootfs.entries]
     if missing:
@@ -345,9 +328,9 @@ def compute_report(
 ) -> PruneReport:
     """Sizes, ratio, and supported-command counts before and after pruning.
 
-    ``commands_after`` counts the heads of a command linked list built over
-    the retained entries of ``rootfs``: the commands ``inspect`` reports on
-    the slim image, dangling command links included.
+    ``commands_after`` counts the ``command_heads`` of the retained entries
+    of ``rootfs``: the commands ``inspect`` reports on the slim image,
+    dangling command links included. No chain is built for it.
     """
     slim_size = sum(
         rec.size
@@ -357,9 +340,7 @@ def compute_report(
     original = rootfs.total_size
     ratio = 0.0 if original == 0 else 1.0 - slim_size / original
     kept = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in retain.paths})
-    slim_cll = build_command_linked_list(
-        collect_system_commands(kept, search_dirs), kept, search_dirs
-    )
+    heads_after = command_heads(collect_system_commands(kept, search_dirs), kept, search_dirs)
     return PruneReport(
         matched_tokens=dict(match.matched) if match else {},
         unmatched_tokens=list(match.unmatched) if match else [],
@@ -369,7 +350,7 @@ def compute_report(
         slim_size=slim_size,
         slimming_ratio=ratio,
         commands_before=len(cll.heads),
-        commands_after=len(slim_cll.heads),
+        commands_after=len(heads_after),
         missing_libraries=list(retain.missing_libraries),
         missing_interpreters=list(retain.missing_interpreters),
         cycles=list(cll.cycles),

@@ -308,23 +308,26 @@ def _extend_chain(cll: CommandLinkedList, node: CommandNode, rootfs: FlattenedRo
         visited.add(node.name)
 
 
+def command_heads(commands, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS) -> list[str]:
+    """The commands that head a chain, sorted: no shell built-in, and none
+    that ``command_abs_path`` does not resolve (each of those is warned about)."""
+    heads = []
+    for cmd in sorted(set(commands) - SHELL_BUILTINS):
+        if command_abs_path(rootfs, cmd, search_dirs) is None:
+            log.warning("command %r is not resolvable inside the rootfs; skipped", cmd)
+        else:
+            heads.append(cmd)
+    return heads
+
+
 def build_command_linked_list(
     commands, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
 ) -> CommandLinkedList:
     """Construct the command linked list over the given command names."""
-    cll = CommandLinkedList()
-    for cmd in sorted(set(commands)):
-        if cmd in SHELL_BUILTINS:
-            continue
-        if command_abs_path(rootfs, cmd, search_dirs) is None:
-            log.warning("command %r is not resolvable inside the rootfs; skipped", cmd)
-            cll.skipped_commands.append(cmd)
-            continue
-        head = cll.get(cmd)
-        if head is None:
-            head = cll.add(cmd)
-        cll.heads.append(cmd)
-        _extend_chain(cll, head, rootfs, search_dirs)
+    cll = CommandLinkedList(heads=command_heads(commands, rootfs, search_dirs))
+    cll.skipped_commands = sorted(set(commands) - SHELL_BUILTINS - set(cll.heads))
+    for cmd in cll.heads:
+        _extend_chain(cll, cll.add(cmd), rootfs, search_dirs)
     return cll
 
 

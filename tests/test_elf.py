@@ -3,29 +3,44 @@
 from __future__ import annotations
 
 import collections
+import posixpath
 import random
 import struct
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_elf
-from conftest import default_config, make_docker_archive, make_elf, make_layer_tar, make_stack
-from staticslim import elf, pruner, rootfs as rootfs_mod
+import reference_retain
+from conftest import (
+    default_config,
+    make_docker_archive,
+    make_elf,
+    make_layer_tar,
+    make_stack,
+    random_symlink_rootfs,
+    rootfs_from_ground_truth,
+)
+from staticslim import elf, rootfs as rootfs_mod
 from staticslim.analyzer import CommandTokenList
 from staticslim.elf import LibrarySearch, read_dynamic_info, resolve_elf_dependencies
 from staticslim.imageio import (
     KIND_DIRECTORY,
+    KIND_HARDLINK,
     KIND_REGULAR,
     KIND_SYMLINK,
     FileRecord,
     FlattenedRootfs,
     flatten_layers,
 )
-from staticslim.pruner import build_retain_list, slim_image
-from staticslim.rootfs import CommandLinkedList
+from staticslim.pruner import build_retain_list, match_tokens, slim_image
+from staticslim.rootfs import (
+    CommandLinkedList,
+    build_command_linked_list,
+    collect_system_commands,
+    expand_command_linked_list,
+)
 
 
 class TestReadDynamicInfo:
@@ -470,6 +485,38 @@ def random_loader_rootfs(rng: random.Random) -> tuple[FlattenedRootfs, list[str]
     return FlattenedRootfs(entries=entries, content=content), roots
 
 
+def _carries_own_dirs(rootfs: FlattenedRootfs) -> bool:
+    """Whether any ELF object of ``rootfs`` has a DT_RPATH or DT_RUNPATH."""
+    infos = (read_dynamic_info(data) for data in rootfs.content.values())
+    return any(info is not None and (info.rpath or info.runpath) for info in infos)
+
+
+def _without_own_dirs(rootfs: FlattenedRootfs) -> FlattenedRootfs:
+    """``rootfs`` with every dynamic object rebuilt without rpath or runpath."""
+    content = dict(rootfs.content)
+    for path, data in rootfs.content.items():
+        info = read_dynamic_info(data)
+        if info is not None and info.is_dynamic:
+            content[path] = make_elf(needed=info.needed, interp=info.interpreter, filler=path.encode())
+    return FlattenedRootfs(entries=rootfs.entries, content=content)
+
+
+def assert_retain_matches_reference(start_nodes, cll, rootfs, entry_paths):
+    """The retain graph keeps what the five-pass reference keeps, and more
+    only where an object resolves a needed name through its own rpath or
+    runpath: the reference resolves each name once per closure, through the
+    first object that needs it."""
+    want = reference_retain.build_retain_list(start_nodes, cll, rootfs, entry_paths)
+    got = build_retain_list(start_nodes, cll, rootfs, entry_paths=entry_paths)
+    assert got.paths >= want.paths
+    assert set(got.missing_libraries) >= set(want.missing_libraries)
+    assert set(got.missing_interpreters) >= set(want.missing_interpreters)
+    if not _carries_own_dirs(rootfs):
+        assert got.paths == want.paths
+        assert got.missing_libraries == want.missing_libraries
+        assert got.missing_interpreters == want.missing_interpreters
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_library_search_matches_reference_closure(rng):
@@ -482,14 +529,39 @@ def test_library_search_matches_reference_closure(rng):
         got = resolve_elf_dependencies(root, rootfs, search=search)
         assert (got.paths, got.missing, got.interpreter) == (want.paths, want.missing, want.interpreter), root
 
-    def reference(path, fs, search=None):
-        return reference_elf.resolve_elf_dependencies(path, fs)
+    assert_retain_matches_reference([], CommandLinkedList(), rootfs, roots)
 
-    with mock.patch.object(pruner, "resolve_elf_dependencies", reference):
-        want_retain = build_retain_list([], CommandLinkedList(), rootfs, entry_paths=roots)
-    got_retain = build_retain_list([], CommandLinkedList(), rootfs, entry_paths=roots)
-    assert list(got_retain.reasons.items()) == list(want_retain.reasons.items())
-    assert got_retain.missing_libraries == want_retain.missing_libraries
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_retain_graph_keeps_reference_set(rng, own_dirs):
+    """Library roots plus random command chains that end in dynamic objects,
+    and commands hardlinked to files of the library tree, matched by a random CTL."""
+    loader, roots = random_loader_rootfs(rng)
+    forest = rootfs_from_ground_truth(random_symlink_rootfs(rng)[0])
+    entries = {p: r for p, r in forest.entries.items()
+               if posixpath.dirname(p) not in loader.symlink_table}
+    content = {p: d for p, d in forest.content.items() if p in entries}
+    for path in content:
+        if path.startswith(("/usr/bin/", "/usr/sbin/", "/bin/", "/sbin/")):
+            content[path] = make_elf(needed=rng.sample(_NEEDED, k=rng.randrange(0, 4)),
+                                     interp=_INTERP if rng.random() < 0.7 else None,
+                                     rpath=rng.choice(_RUNPATHS), runpath=rng.choice(_RUNPATHS))
+    for i in range(rng.randrange(0, 3)):
+        entries[f"/usr/bin/hard{i}"] = FileRecord(path=f"/usr/bin/hard{i}", kind=KIND_HARDLINK, mode=0o755,
+                                                  link_target=rng.choice(sorted(loader.content)))
+    rootfs = FlattenedRootfs(entries={**entries, **loader.entries}, content={**content, **loader.content})
+    if not own_dirs:
+        rootfs = _without_own_dirs(rootfs)
+
+    cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
+    expand_command_linked_list(cll, rootfs)
+    ctl = CommandTokenList()
+    for token in rng.sample(sorted(cll.nodes), k=rng.randrange(0, min(len(cll.nodes), 6) + 1)) + ["ghost"]:
+        ctl.add(token, "exec-argument", "test")
+    start_nodes = match_tokens(ctl, cll).start_nodes
+    entry_paths = rng.sample(roots, k=rng.randrange(0, 4))
+    assert_retain_matches_reference(start_nodes, cll, rootfs, entry_paths)
 
 
 def _shared_chain_image(n_roots: int, dynamic: bool) -> FlattenedRootfs:
@@ -523,15 +595,30 @@ class TestLookupsPerRetain:
             return real(*args)
 
         monkeypatch.setattr(rootfs_mod, "_resolve", counting)
+        finds = []
+        real_find = LibrarySearch.find
+
+        def counting_find(self, name, own_dirs):
+            finds.append(name)
+            return real_find(self, name, own_dirs)
+
+        monkeypatch.setattr(LibrarySearch, "find", counting_find)
 
         def count(n_roots, dynamic):
             rootfs = _shared_chain_image(n_roots, dynamic)
             probes.clear()
+            finds.clear()
             retain = build_retain_list([], CommandLinkedList(), rootfs,
                                        entry_paths=[f"/usr/bin/app{i}" for i in range(n_roots)])
             assert retain.missing_libraries == []
-            return len(probes)
+            return len(probes), len(finds)
 
-        extra = [count(n, dynamic=True) - count(n, dynamic=False) for n in (1, 3, 6)]
+        extra = []
+        for n in (1, 3, 6):
+            (dynamic_probes, dynamic_finds), (static_probes, static_finds) = count(n, True), count(n, False)
+            extra.append(dynamic_probes - static_probes)
+            # One find per distinct (object, name) edge: each root's libone,
+            # then libone's libtwo and libtwo's libthree once for all roots.
+            assert (dynamic_finds, static_finds) == (n + 2, 0)
         assert extra[0] > 0
         assert extra == [extra[0]] * 3

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import reference_emit
 from conftest import make_elf, make_layer_tar, make_stack, shell_chain_members
+from staticslim import rootfs as rootfs_mod
 from staticslim.analyzer import CommandTokenList
 from staticslim.errors import PruneConsistencyError
 from staticslim.imageio import FileRecord, FlattenedRootfs, flatten_layers
@@ -207,6 +208,25 @@ class TestRetainList:
         # /usr/lib/app is in the prune area; without it the slim image's
         # loader cannot follow the RUNPATH to the library.
         assert "/usr/lib/app" in retain.paths
+
+    def test_needed_name_resolved_per_requesting_object(self):
+        # app finds libfoo through its own RUNPATH; libbar, which has none,
+        # needs the same name and gets the default directory's copy.
+        members = [
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/usr/lib", "kind": "directory"},
+            {"path": "/usr/lib/x", "kind": "directory"},
+            {"path": "/usr/lib/x/libfoo.so", "data": make_elf(filler=b"x"), "mode": 0o755},
+            {"path": "/usr/lib/libfoo.so", "data": make_elf(filler=b"default"), "mode": 0o755},
+            {"path": "/usr/lib/libbar.so", "data": make_elf(needed=["libfoo.so"]), "mode": 0o755},
+            {"path": "/usr/bin/app", "mode": 0o755,
+             "data": make_elf(needed=["libfoo.so", "libbar.so"], runpath="/usr/lib/x")},
+        ]
+        rootfs, _, _, retain = build_pipeline(members, ["app"])
+        assert {"/usr/lib/x/libfoo.so", "/usr/lib/libbar.so", "/usr/lib/libfoo.so"} <= retain.paths
+        assert retain.reasons["/usr/lib/libfoo.so"] == "elf-dependency"
+        assert retain.missing_libraries == []
 
     def test_missing_interpreter_reported_apart_from_libraries(self, caplog):
         members = [m for m in elf_shell_members() if m["path"] != "/usr/lib/ld-linux.so.2"]
@@ -466,3 +486,15 @@ class TestReport:
         # sh and dash chains survive entirely; perl's binary is gone.
         assert report.commands_before == 3
         assert report.commands_after == 2
+
+    def test_commands_after_builds_no_chain(self, monkeypatch):
+        rootfs, cll, match, retain = build_pipeline(elf_shell_members(), ["sh"])
+        kept = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in retain.paths})
+        rebuilt = build_command_linked_list(collect_system_commands(kept), kept)
+
+        def no_chain(*args):
+            raise AssertionError("a command count built a chain")
+
+        monkeypatch.setattr(rootfs_mod, "_extend_chain", no_chain)
+        report = compute_report(rootfs, cll, retain, match=match)
+        assert report.commands_after == len(rebuilt.heads) == 2
