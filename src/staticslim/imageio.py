@@ -7,14 +7,15 @@ in-memory rootfs with union-filesystem semantics.
 
 The image archive and its layers are listed, and the headers of every
 written tar stream are written, by one ``struct``-based tar header codec
-(``read_tar_headers`` and ``gnu_header``) that gives what ``tarfile`` gives.
-``tarfile`` itself reads only a layer that holds a GNU sparse member.
+(``read_tar_headers`` and ``gnu_header``) that gives what ``tarfile`` gives,
+GNU sparse maps included; ``tarfile`` lends it constants only.
 
 Compressed layers and archives are decompressed once, a chunk at a time,
 into spools: unlinked temporary files in ``TMPDIR`` that the codec reads
-like bytes, so no decompressed layer is held whole in memory. The slim
-layer is written as a stream of chunks; it is held whole only compressed,
-or when it is stored uncompressed, since its header needs its size.
+like bytes, so no decompressed layer is held whole in memory. Each layer's
+tar stream is made once, at load. The slim layer is written as a stream of
+chunks; it is held whole only compressed, or when it is stored
+uncompressed, since its header needs its size.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ KIND_FIFO = "fifo"
 _TAR_KIND = {
     REGTYPE: KIND_REGULAR,
     AREGTYPE: KIND_REGULAR,
+    GNUTYPE_SPARSE: KIND_REGULAR,
     DIRTYPE: KIND_DIRECTORY,
     SYMTYPE: KIND_SYMLINK,
     LNKTYPE: KIND_HARDLINK,
@@ -120,19 +122,14 @@ _TAR_KIND = {
 
 
 class TarHeaderError(ImageFormatError):
-    """A tar stream has a damaged or truncated header, or its member data
-    runs past the end of the stream."""
-
-
-class SparseMember(Exception):
-    """``read_tar_headers`` met a GNU sparse member, whose data layout only
-    ``tarfile`` reads."""
+    """A tar stream has a damaged or truncated header or sparse map, or its
+    member data runs past the end of the stream."""
 
 
 # What a damaged layer stream or image archive raises: the header codec's
-# error, tarfile's own errors (layers with sparse members) and, underneath
-# them, those of the decompressors (a truncated gzip stream ends in EOFError).
-_LAYER_STREAM_ERRORS = (TarHeaderError, tarfile.TarError, gzip.BadGzipFile, EOFError, zlib.error)
+# error and, underneath it, those of the decompressors (a truncated gzip
+# stream ends in EOFError).
+_LAYER_STREAM_ERRORS = (TarHeaderError, gzip.BadGzipFile, EOFError, zlib.error)
 
 # One 512-byte header block: name, mode, uid, gid, size, mtime, chksum,
 # typeflag, linkname, magic and version, uname, gname, devmajor, devminor,
@@ -157,11 +154,14 @@ _PAX_NUMBERS = {"size": int, "mtime": float, "uid": int, "gid": int}
 # The length that starts a pax record. Its 20-digit cap keeps each match,
 # and the ``int`` of it, to a few bytes whatever the payload holds.
 _PAX_LENGTH = re.compile(rb"([0-9]{1,20}) ")
+# The pax keywords of a GNU sparse 0.0 map, one record of each per region.
+_SPARSE_00 = ("GNU.sparse.offset", "GNU.sparse.numbytes")
 
 
 class TarHeader(NamedTuple):
     """One member of a tar stream: the fields ``tarfile`` gives its
-    ``TarInfo``, and the offset where the member's data starts."""
+    ``TarInfo``, the offset where the member's data starts and the map of a
+    GNU sparse file, whose regions are stored in turn from there."""
 
     name: str
     type: bytes
@@ -176,6 +176,7 @@ class TarHeader(NamedTuple):
     devmajor: int
     devminor: int
     offset_data: int
+    sparse: tuple[tuple[int, int], ...] | None = None
 
 
 def _blocks(size: int) -> int:
@@ -218,7 +219,14 @@ def _nti(field: bytes, offset: int) -> int:
         raise TarHeaderError(f"invalid number field in the header at offset {offset}") from None
 
 
-def _pax_records(payload: bytes, into: dict[str, str], offset: int) -> None:
+def _decimal(text: str | bytes, offset: int) -> int:
+    """A number of a pax sparse map: 1 to 20 ASCII digits."""
+    if not (0 < len(text) <= 20 and text.isascii() and text.isdigit()):
+        raise TarHeaderError(f"invalid sparse map in the header at offset {offset}")
+    return int(text)
+
+
+def _pax_records(payload: bytes, into: dict, offset: int) -> None:
     """Add the ``"%d %s=%s\\n"`` records of a pax header to ``into``, read
     and decoded as ``tarfile`` reads them since the fix for CVE-2024-6232.
 
@@ -228,7 +236,8 @@ def _pax_records(payload: bytes, into: dict[str, str], offset: int) -> None:
     "=". Anything else raises ``TarHeaderError``. Each step looks only at
     the record's own bytes, so the work is linear in the payload. The
     header's own first ``hdrcharset`` record alone picks how names decode.
-    ``offset`` is the header's, for the error message."""
+    The records of a sparse 0.0 map are kept as lists; any other keyword
+    keeps its last value. ``offset`` is the header's, for error messages."""
     records = []
     name_encoding = None
     pos, end = 0, len(payload)
@@ -252,19 +261,75 @@ def _pax_records(payload: bytes, into: dict[str, str], offset: int) -> None:
         else:
             encoding = fallback = "utf-8"
         try:
-            into[keyword] = value.decode(encoding)
+            value = value.decode(encoding)
         except UnicodeDecodeError:
-            into[keyword] = value.decode(fallback, _ERRORS)
+            value = value.decode(fallback, _ERRORS)
+        if keyword in _SPARSE_00:
+            into.setdefault(keyword, []).append(value)
+        else:
+            into[keyword] = value
 
 
-def _fold_records(header: TarHeader, global_pax: dict[str, str], pending: list,
+def _old_gnu_map(tar: bytes, block: bytes, at: int, offset: int) -> tuple[tuple, int, int]:
+    """The map of the old GNU ``S`` header ``block`` at ``offset``: four
+    (offset, size) pairs in the header, then 21 in each extension block
+    that follows from ``at`` while the last one's "isextended" byte is set.
+    Returns the map, the file's real size and where the data start."""
+    parts, extended = [block[386:482]], block[482]
+    while extended:
+        part = tar[at:at + BLOCKSIZE]
+        if len(part) < BLOCKSIZE:
+            raise TarHeaderError(f"the sparse map in the header at offset {offset} is cut short")
+        parts.append(part[:504])
+        extended, at = part[504], at + BLOCKSIZE
+    fields = b"".join(parts)
+    numbers = [_nti(fields[p:p + 12], offset) for p in range(0, len(fields), 12)]
+    return tuple(zip(numbers[::2], numbers[1::2])), _nti(block[483:495], offset), at
+
+
+def _pax_sparse_map(tar: bytes, record: dict, at: int, end: int, size: int,
+                    offset: int) -> tuple[tuple, int, int]:
+    """The map of a member whose pax ``record`` holds ``GNU.sparse.``
+    keywords, in the format tarfile picks: 0.1, 0.0 (``_SPARSE_00``) or 1.0,
+    whose data blocks from ``at`` to ``end`` start with decimal lines: a
+    count, then an offset and a size per region. A line of over 20 digits
+    is refused, so each block is read once. Returns the map, where the data
+    start and the real size, or else the stored ``size``."""
+    if "GNU.sparse.map" in record:
+        numbers = [_decimal(n, offset) for n in record["GNU.sparse.map"].split(",")]
+    elif "GNU.sparse.size" in record:
+        offsets, sizes = (record.get(keyword, []) for keyword in _SPARSE_00)
+        if len(offsets) != len(sizes):
+            raise TarHeaderError(f"invalid sparse map in the header at offset {offset}")
+        numbers = [_decimal(n, offset) for region in zip(offsets, sizes) for n in region]
+    elif record.get("GNU.sparse.major") == "1" and record.get("GNU.sparse.minor") == "0":
+        numbers, rest = [], b""
+        while not numbers or len(numbers) <= 2 * numbers[0]:
+            if len(rest) > 20 or at + BLOCKSIZE > end:
+                raise TarHeaderError(f"invalid sparse map in the header at offset {offset}")
+            *lines, rest = (rest + tar[at:at + BLOCKSIZE]).split(b"\n")
+            numbers += [_decimal(line, offset) for line in lines]
+            at += BLOCKSIZE
+        numbers = numbers[1:1 + 2 * numbers[0]]
+    else:
+        raise TarHeaderError(f"unsupported GNU sparse records in the header at offset {offset}")
+    if len(numbers) % 2:
+        raise TarHeaderError(f"invalid sparse map in the header at offset {offset}")
+    real_size = record.get("GNU.sparse.realsize", record.get("GNU.sparse.size"))
+    size = size if real_size is None else _decimal(real_size, offset)
+    return tuple(zip(numbers[::2], numbers[1::2])), at, size
+
+
+def _fold_records(tar: bytes, header: TarHeader, global_pax: dict, pending: list,
                   has_data: bool, next_offset: int, offset: int) -> tuple[TarHeader, int]:
     """Apply extension records to the member they precede, as tarfile does:
     the global pax records, then each ``L``, ``K`` or ``x`` record from the
     one nearest the member outwards. An ``x`` record that sets the size also
-    moves the next header; the new header and that offset are returned."""
+    moves the next header; the new header and that offset are returned. The
+    outermost record with ``GNU.sparse.`` keywords gives a sparse map."""
     fields = header._asdict()
     is_dir = header.type == DIRTYPE
+    sparse = None
     for kind, record in ((XGLTYPE, global_pax), *reversed(pending)):
         if kind == GNUTYPE_LONGNAME or kind == GNUTYPE_LONGLINK:
             fields["name" if kind == GNUTYPE_LONGNAME else "linkname"] = _nts(record)
@@ -272,8 +337,6 @@ def _fold_records(header: TarHeader, global_pax: dict[str, str], pending: list,
                 fields["name"] = fields["name"].removesuffix("/")
             continue
         for keyword, value in record.items():
-            if keyword.startswith("GNU.sparse."):
-                raise SparseMember(offset)
             if keyword in _PAX_STRINGS:
                 fields[_PAX_STRINGS[keyword]] = value.rstrip("/") if keyword == "path" else value
             elif keyword in _PAX_NUMBERS:
@@ -281,11 +344,18 @@ def _fold_records(header: TarHeader, global_pax: dict[str, str], pending: list,
                     fields[keyword] = _PAX_NUMBERS[keyword](value)
                 except ValueError:
                     fields[keyword] = 0
+            elif keyword.startswith("GNU.sparse."):
+                sparse = record
+                if keyword == "GNU.sparse.name":
+                    fields["name"] = value
         if kind == XGLTYPE:
             if is_dir:
                 fields["name"] = fields["name"].rstrip("/")
         elif "size" in record and has_data:
             next_offset = header.offset_data + _blocks(fields["size"])
+    if sparse is not None:
+        fields["sparse"], fields["offset_data"], fields["size"] = _pax_sparse_map(
+            tar, sparse, header.offset_data, min(next_offset, len(tar)), fields["size"], offset)
     return TarHeader(**fields), next_offset
 
 
@@ -298,15 +368,17 @@ def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
     GNU base-256. GNU long-name (``L``) and long-link (``K``) records and pax
     extended (``x``) and global (``g``) records are folded into the member
     they precede; a ustar ``prefix`` is joined to the name, and an old-style
-    regular member whose name ends in "/" is a directory.
+    regular member whose name ends in "/" is a directory. A GNU sparse
+    member (an old GNU ``S`` header, or pax format 0.0, 0.1 or 1.0) has its
+    map in ``sparse`` and its real size in ``size``.
 
     The stream ends at its end, at a zero block or at a trailing partial
     block of NULs. A bad checksum or number, a partial header, a record that
-    no member follows, or member data past the end raise ``TarHeaderError``
-    wherever they are; tarfile raises only at the first header and otherwise
-    stops there without a word. An empty stream raises too; one that starts
-    with a zero block has no members. A GNU sparse member raises
-    ``SparseMember``.
+    no member follows, member data past the end, or a sparse map that is
+    damaged or does not fit its member raise ``TarHeaderError`` wherever
+    they are; tarfile raises only at the first header and otherwise stops
+    there without a word. An empty stream raises too; one that starts with a
+    zero block has no members.
     """
     end = len(tar)
     unpack = _HEADER.unpack_from
@@ -349,19 +421,21 @@ def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
             if type_ == XGLTYPE:
                 _pax_records(payload, global_pax, offset_data - BLOCKSIZE)
             elif type_ in _PAX_TYPES:
-                records = global_pax.copy()
+                records: dict = {}
                 _pax_records(payload, records, offset_data - BLOCKSIZE)
-                pending.append((type_, records))
+                pending.append((type_, {**global_pax, **records}))
             else:
                 pending.append((type_, payload))
             continue
-        if type_ == GNUTYPE_SPARSE:
-            raise SparseMember(offset)
 
         name = _nts(name)
         if type_ == AREGTYPE and name.endswith("/"):
             type_ = DIRTYPE
-        if prefix[0]:
+        sparse = None
+        if type_ == GNUTYPE_SPARSE:
+            # An old GNU header keeps its map where ustar keeps the prefix.
+            sparse, real_size, offset_data = _old_gnu_map(tar, block, offset_data, offset)
+        elif prefix[0]:
             name = _nts(prefix) + "/" + name
         if type_ == DIRTYPE:
             name = name.rstrip("/")
@@ -371,10 +445,10 @@ def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
         has_data = type_ not in _NO_DATA_TYPES
         next_offset = offset_data + _blocks(size) if has_data else offset_data
 
-        header = TarHeader(name, type_, mode, uid, gid, size, mtime, linkname, uname, gname,
-                           devmajor, devminor, offset_data)
+        header = TarHeader(name, type_, mode, uid, gid, size if sparse is None else real_size,
+                           mtime, linkname, uname, gname, devmajor, devminor, offset_data, sparse)
         if pending or global_pax:
-            header, next_offset = _fold_records(header, global_pax, pending, has_data,
+            header, next_offset = _fold_records(tar, header, global_pax, pending, has_data,
                                                 next_offset, offset)
             pending.clear()
         awaiting = False
@@ -382,6 +456,13 @@ def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
             raise TarHeaderError(f"negative size in the header at offset {offset}")
         if next_offset > end:
             raise TarHeaderError(f"the data of {header.name!r} runs past the end of the stream")
+        # A sparse map must fit: each region in the file and the bytes of all
+        # in the data blocks, which tarfile would read past.
+        regions = header.sparse
+        if regions is not None and (
+                header.size < 0 or sum(n for _, n in regions) > next_offset - header.offset_data
+                or any(at < 0 or n < 0 or at + n > header.size for at, n in regions)):
+            raise TarHeaderError(f"the sparse map in the header at offset {offset} does not fit")
         yield header
         offset = next_offset
 
@@ -554,78 +635,52 @@ class _Spool:
             pass
 
 
-class _Input:
-    """A compressed stream read ``_CHUNK`` bytes at a time, with the bytes a
-    decoder did not use put back in front of the rest."""
-
-    def __init__(self, read):
-        self._read = read
-        self._head = b""
-
-    def chunk(self) -> bytes:
-        """The next bytes; b"" at the end."""
-        head, self._head = self._head, b""
-        return head or self._read(_CHUNK)
-
-    def unread(self, data: bytes) -> None:
-        self._head = data + self._head
-
-    def take(self, n: int) -> bytes:
-        """The next ``n`` bytes, fewer only at the end."""
-        data = self._head
-        while len(data) < n:
-            more = self._read(_CHUNK)
-            if not more:
-                break
-            data += more
-        self._head = data[n:]
-        return data[:n]
-
-    def skip_past(self, byte: bytes) -> None:
-        """Skip up to and including the next ``byte``, or to the end."""
-        while data := self.chunk():
-            at = data.find(byte)
-            if at >= 0:
-                self._head = data[at + 1:]
-                return
-
-    def skip_nuls(self) -> None:
-        while data := self.chunk():
-            data = data.lstrip(b"\0")
-            if data:
-                self._head = data
-                return
+def _skip_past_nul(src) -> None:
+    """Move the file ``src`` past its next NUL, or to its end."""
+    while data := src.read(_CHUNK):
+        at = data.find(b"\0")
+        if at >= 0:
+            src.seek(at + 1 - len(data), io.SEEK_CUR)
+            return
 
 
-def _gzip_header(src: _Input) -> bool:
-    """Skip one gzip member header as ``gzip.decompress`` reads it (its
-    optional header CRC is skipped, not checked); False at the end."""
-    magic = src.take(2)
+def _skip_nuls(src) -> None:
+    """Move the file ``src`` past the NULs in front of it."""
+    while data := src.read(_CHUNK):
+        rest = data.lstrip(b"\0")
+        if rest:
+            src.seek(-len(rest), io.SEEK_CUR)
+            return
+
+
+def _gzip_header(src) -> bool:
+    """Skip one gzip member header in the file ``src`` as ``gzip.decompress``
+    does (its header CRC is skipped, not checked); False at the end."""
+    magic = src.read(2)
     if not magic:
         return False
     if magic != b"\x1f\x8b":
         raise gzip.BadGzipFile(f"Not a gzipped file ({magic!r})")
-    fixed = src.take(8)  # method, flags, mtime, extra flags, OS
+    fixed = src.read(8)  # method, flags, mtime, extra flags, OS
     if len(fixed) < 8:
         raise EOFError(_GZIP_TRUNCATED)
     if fixed[0] != 8:
         raise gzip.BadGzipFile("Unknown compression method")
     flags = fixed[1]
     if flags & gzip.FEXTRA:
-        length = src.take(2)
+        length = src.read(2)
         extra = int.from_bytes(length, "little")
-        if len(length) < 2 or len(src.take(extra)) < extra:
+        if len(length) < 2 or len(src.read(extra)) < extra:
             raise EOFError(_GZIP_TRUNCATED)
-    if flags & gzip.FNAME:
-        src.skip_past(b"\0")
-    if flags & gzip.FCOMMENT:
-        src.skip_past(b"\0")
-    if flags & gzip.FHCRC and len(src.take(2)) < 2:
+    for flag in (gzip.FNAME, gzip.FCOMMENT):
+        if flags & flag:
+            _skip_past_nul(src)
+    if flags & gzip.FHCRC and len(src.read(2)) < 2:
         raise EOFError(_GZIP_TRUNCATED)
     return True
 
 
-def _gunzip(src: _Input, out: _Spool) -> None:
+def _gunzip(src, out: _Spool) -> None:
     """Write what ``gzip.decompress`` returns, or raise what it raises: the
     members one after another, NULs between them skipped, each member's
     CRC-32 and length checked. Each step inflates at most ``_CHUNK`` bytes."""
@@ -633,7 +688,7 @@ def _gunzip(src: _Input, out: _Spool) -> None:
         inflater = zlib.decompressobj(-zlib.MAX_WBITS)
         crc = size = 0
         while not inflater.eof:
-            data = src.chunk()
+            data = src.read(_CHUNK)
             if not data:
                 raise EOFError(_GZIP_TRUNCATED)
             while True:
@@ -645,18 +700,18 @@ def _gunzip(src: _Input, out: _Spool) -> None:
                 # A full piece may leave output behind with no input left.
                 if inflater.eof or (not data and len(piece) < _CHUNK):
                     break
-        src.unread(inflater.unused_data)
-        trailer = src.take(8)
+        src.seek(-len(inflater.unused_data), io.SEEK_CUR)
+        trailer = src.read(8)
         if len(trailer) < 8:
             raise EOFError(_GZIP_TRUNCATED)
         if int.from_bytes(trailer[:4], "little") != crc:
             raise gzip.BadGzipFile("CRC check failed")
         if int.from_bytes(trailer[4:], "little") != size & 0xFFFFFFFF:
             raise gzip.BadGzipFile("Incorrect length of data produced")
-        src.skip_nuls()
+        _skip_nuls(src)
 
 
-def _unchain(src: _Input, compression: str, out: _Spool) -> None:
+def _unchain(src, compression: str, out: _Spool) -> None:
     """Write what ``bz2.decompress`` or ``lzma.decompress`` returns, or raise
     what it raises: streams one after another up to the end of the input,
     where input after a whole stream that its decoder refuses is dropped,
@@ -674,7 +729,7 @@ def _unchain(src: _Input, compression: str, out: _Spool) -> None:
         while not decoder.eof:
             data = b""
             if decoder.needs_input and not ended:
-                data = src.chunk()
+                data = src.read(_CHUNK)
                 ended = not data
             try:
                 piece = decoder.decompress(data, _CHUNK)
@@ -690,66 +745,53 @@ def _unchain(src: _Input, compression: str, out: _Spool) -> None:
             if ended and not piece and decoder.needs_input and not decoder.eof:
                 raise truncated(_STREAM_TRUNCATED)
         first = False
-        src.unread(decoder.unused_data)
-        rest = src.chunk()
-        if not rest:
+        src.seek(-len(decoder.unused_data), io.SEEK_CUR)
+        if not src.read(1):
             return
-        src.unread(rest)
+        src.seek(-1, io.SEEK_CUR)
 
 
 def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
     """Decompress ``source`` (``bytes`` or ``_FileBytes``) into a new spool,
-    reading it ``_CHUNK`` bytes at a time; ``compression`` names the module
-    whose ``decompress`` this accepts and refuses exactly what it does.
-    Returns the spool and the sha256 digest of the bytes it holds."""
-    if isinstance(source, _FileBytes):
-        source.file.seek(0)
-        read = source.file.read
-    else:
-        read = io.BytesIO(source).read
+    reading it ``_CHUNK`` bytes at a time and seeking back over what a
+    decoder did not use; ``compression`` names the module whose
+    ``decompress`` this accepts and refuses exactly what it does. Returns
+    the spool and the sha256 digest of the bytes it holds."""
+    src = source.file if isinstance(source, _FileBytes) else io.BytesIO(source)
+    src.seek(0)
     out = _Spool()
     try:
         if compression == "gzip":
-            _gunzip(_Input(read), out)
+            _gunzip(src, out)
         else:
-            _unchain(_Input(read), compression, out)
+            _unchain(src, compression, out)
         return out.finish(), "sha256:" + out.sha256.hexdigest()
     except BaseException:
         out.discard()
         raise
 
 
-@contextlib.contextmanager
 def _uncompressed(source):
-    """The tar stream in ``source`` (``bytes`` or ``_FileBytes``), for the
-    ``with`` block. A stream that starts with the gzip, bzip2 or xz magic is
-    decompressed into a spool, closed at the end of the block, as tarfile
-    opens it; like tarfile, a plain tar stream whose first name happens to
-    start with a magic is read as it is."""
+    """The tar stream in ``source`` (``bytes`` or ``_FileBytes``): ``source``,
+    or a new spool of what it decompresses to when it starts with the gzip,
+    bzip2 or xz magic, as tarfile opens it; like tarfile, a plain tar stream
+    whose first name happens to start with a magic is read as it is."""
     compression = next((name for magic, name in _COMPRESSIONS
                         if source[0:len(magic)] == magic), None)
-    spool = None
-    if compression is not None:
-        # lzma's own error is not an OSError; gzip's and bz2's are.
-        errors = (OSError, EOFError, ValueError, zlib.error)
-        if compression == "lzma":
-            errors += (importlib.import_module("lzma").LZMAError,)
-        try:
-            spool, _ = _decompress(source, compression)
-        except errors as exc:
-            try:
-                next(read_tar_headers(source), None)
-            except SparseMember:
-                pass
-            except TarHeaderError:
-                raise TarHeaderError(f"cannot decompress: {exc}") from exc
-    if spool is None:
-        yield source
-        return
+    if compression is None:
+        return source
+    # lzma's own error is not an OSError; gzip's and bz2's are.
+    errors = (OSError, EOFError, ValueError, zlib.error)
+    if compression == "lzma":
+        errors += (importlib.import_module("lzma").LZMAError,)
     try:
-        yield spool
-    finally:
-        spool.close()
+        return _decompress(source, compression)[0]
+    except errors as exc:
+        try:
+            next(read_tar_headers(source), None)
+        except TarHeaderError:
+            raise TarHeaderError(f"cannot decompress: {exc}") from exc
+    return source
 
 # --- image model and layer flattening ---------------------------------------
 
@@ -788,42 +830,19 @@ class ImageMetadata:
 
 @dataclass(frozen=True)
 class LayerBlob:
-    """One layer as stored in the archive plus its identity digests.
-
-    ``spool`` holds the decompressed tar stream of a gzip layer that
-    ``load_image_archive`` read; ``close`` closes it. A gzip layer built
-    without one is decompressed into a new spool each time its tar stream
-    is read.
-    """
+    """One layer as stored in the archive, its identity digests and its tar
+    stream: the stored bytes or a spool of what they decompress to, which
+    ``close`` closes."""
 
     media_type: str
     digest: str  # digest of the blob bytes as stored
     diff_id: str  # digest of the uncompressed tar stream
     data: bytes
-    spool: _FileBytes | None = field(default=None, repr=False, compare=False)
-
-    @contextlib.contextmanager
-    def stored_tar(self) -> Iterator[bytes | _FileBytes]:
-        """The tar stream the media type names, for the ``with`` block: the
-        stored bytes, or the spool of a gzip layer."""
-        if self.media_type not in MEDIA_LAYER_GZIP:
-            yield self.data
-        elif self.spool is not None:
-            yield self.spool
-        else:
-            spool, _ = _decompress(self.data, "gzip")
-            try:
-                yield spool
-            finally:
-                spool.close()
-
-    def tar_bytes(self) -> bytes:
-        with self.stored_tar() as tar:
-            return tar[0:len(tar)]
+    tar: bytes | _FileBytes = field(repr=False, compare=False)
 
     def close(self) -> None:
-        if self.spool is not None:
-            self.spool.close()
+        if isinstance(self.tar, _FileBytes):
+            self.tar.close()
 
 
 @dataclass
@@ -977,13 +996,12 @@ def _pop_range(entries: dict, content: dict, keys: list[str], prefix: str) -> No
         content.pop(p, None)
 
 
-def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[int, bytes],
-                 entries: dict, content: dict, warnings: list[str]) -> None:
+def _apply_layer(index: int, members: list[TarHeader], tar: bytes, entries: dict, content: dict,
+                 warnings: list[str]) -> None:
     """Apply the members of one layer to the flattened state in place.
 
     A regular member's bytes are one slice of ``tar``, the layer's tar
-    stream (bytes, or a spool read as bytes), unless ``sparse`` holds them
-    under the member's data offset.
+    stream (bytes, or a spool read as bytes), or a sparse member's regions.
     """
     paths = []  # each member's clean path; None for the root and for whiteouts
     whiteouts = []  # (parent, name) of the whiteouts and opaque markers
@@ -1011,7 +1029,7 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[
                 _pop_range(entries, content, keys, target + "/")
 
     for (_, type_, mode, uid, gid, size, mtime, linkname, uname, gname, devmajor, devminor,
-         offset_data), path in zip(members, paths):
+         offset_data, sparse), path in zip(members, paths):
         if path is None:
             continue
         kind = _TAR_KIND.get(type_)
@@ -1050,45 +1068,28 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes, sparse: dict[
         )
         _ensure_parents(entries, path)
         entries[path] = record
-        if kind == KIND_REGULAR:
-            if offset_data in sparse:
-                content[path] = sparse[offset_data]
-            else:
-                content[path] = tar[offset_data:offset_data + size]
-
-
-def _tarfile_members(tar: bytes) -> tuple[list[TarHeader], dict[int, bytes]]:
-    """The members of a tar stream that holds a GNU sparse member, as tarfile
-    reads them, and the bytes of each sparse member by its data offset."""
-    with tarfile.open(fileobj=io.BytesIO(tar), mode="r:") as tf:
-        infos = tf.getmembers()
-        # tarfile stops without a word at a damaged header after the first.
-        rest = tar[tf.offset:tf.offset + BLOCKSIZE]
-        if rest.count(0) != len(rest):
-            raise TarHeaderError(f"damaged header at offset {tf.offset}")
-        sparse = {m.offset_data: tf.extractfile(m).read() for m in infos if m.sparse is not None}
-    members = [TarHeader(m.name, m.type, m.mode, m.uid, m.gid, m.size, m.mtime, m.linkname,
-                         m.uname, m.gname, m.devmajor, m.devminor, m.offset_data) for m in infos]
-    return members, sparse
+        if kind == KIND_REGULAR and sparse is None:
+            content[path] = tar[offset_data:offset_data + size]
+        elif kind == KIND_REGULAR:
+            data = bytearray(size)  # the stored regions in turn, NULs in the holes
+            for at, length in sparse:
+                data[at:at + length] = tar[offset_data:offset_data + length]
+                offset_data += length
+            content[path] = bytes(data)
 
 
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     """Apply all layers in order with whiteout/opaque semantics.
 
-    Cost per layer: no decompression for a gzip layer ``load_image_archive``
-    read, whose tar stream is the spool it wrote (a ``LayerBlob`` built
-    without a spool is decompressed into one here); compressed bytes under
-    the tar media type are decompressed into a spool once. Then one
-    ``read_tar_headers`` pass over the headers (one ``struct`` unpack, one
-    byte sum and a few number decodes per header; no ``TarInfo``), which
-    reads a spool's header blocks alone, one read per regular member and,
-    only when the layer has whiteouts or opaque markers, one sort of the
-    lower state's paths plus a bisect per marker; the paths a marker removes
-    are the only ones it touches. A directory replaced by a non-directory
-    still scans the whole state for its subtree. A layer with a GNU sparse
-    member is read whole and listed by ``tarfile`` instead, which also reads
-    the sparse members' bytes. Memory: the model plus one chunk of a spool
-    at a time.
+    Cost per layer: no decompression (``load_image_archive`` made each
+    layer's tar stream), one ``read_tar_headers`` pass over the headers (one
+    ``struct`` unpack, one byte sum and a few number decodes per header; no
+    ``TarInfo``), which reads a spool's header blocks alone, one read per
+    regular member or sparse region and, only when the layer has whiteouts
+    or opaque markers, one sort of the lower state's paths plus a bisect
+    per marker; the paths a marker removes are the only ones it touches. A
+    directory replaced by a non-directory still scans the whole state for
+    its subtree. Memory: the model plus one chunk of a spool at a time.
     """
     entries: dict[str, FileRecord] = {}
     content: dict[str, bytes] = {}
@@ -1096,14 +1097,9 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
 
     for index, layer in enumerate(stack.layers):
         try:
-            with layer.stored_tar() as stored, _uncompressed(stored) as tar:
-                try:
-                    members, sparse = list(read_tar_headers(tar)), {}
-                except SparseMember:
-                    tar = tar[0:len(tar)]
-                    members, sparse = _tarfile_members(tar)
-                _apply_layer(index, members, tar, sparse, entries, content, warnings)
-        except _LAYER_STREAM_ERRORS as exc:
+            _apply_layer(index, list(read_tar_headers(layer.tar)), layer.tar, entries, content,
+                         warnings)
+        except TarHeaderError as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)
@@ -1117,17 +1113,18 @@ def _member_key(name: str) -> str:
 
 
 def _archive_members(archive) -> dict[str, TarHeader]:
-    """The members of the image archive by name; the last of a name wins."""
-    try:
-        return {_member_key(m.name): m for m in read_tar_headers(archive)}
-    except SparseMember:
-        raise TarHeaderError("the archive holds a GNU sparse member") from None
+    """The members of the image archive by name; the last of a name wins. A
+    sparse member is refused: its bytes are not one slice of the archive."""
+    headers = list(read_tar_headers(archive))
+    if any(m.sparse is not None for m in headers):
+        raise TarHeaderError("the archive holds a GNU sparse member")
+    return {_member_key(m.name): m for m in headers}
 
 
 def _read_member(archive, members: dict[str, TarHeader], name: str) -> bytes:
     """A member's bytes. A symlink or hardlink gives its target's, found by
-    name as tarfile's ``extractfile`` finds it: a symlink's target is joined
-    to the link's directory."""
+    name as tarfile finds it when it extracts a member: a symlink's target
+    is joined to the link's directory."""
     member = members.get(_member_key(name))
     if member is None:
         raise ImageFormatError(f"archive is missing member {name!r}")
@@ -1170,20 +1167,22 @@ def _metadata_from_config(cfg: dict, name: str, tag: str) -> ImageMetadata:
     )
 
 
-def _is_gzip(data: bytes) -> bool:
-    return data[:2] == b"\x1f\x8b"
-
-
 def _layer_from_blob(data: bytes, media_type: str, verified_digest: str | None) -> LayerBlob:
-    """One layer; ``verified_digest`` is the digest ``_read_blob`` already
-    checked ``data`` against, or None to hash ``data`` here. A gzip layer is
-    decompressed once, into the spool the layer keeps, and its diff_id is
-    hashed on the way."""
+    """One layer and its tar stream; ``verified_digest`` is the digest
+    ``_read_blob`` already checked ``data`` against, or None to hash
+    ``data`` here. A gzip layer is decompressed once, into a spool, and its
+    diff_id is hashed on the way; then ``_uncompressed`` reads the magic."""
     digest = verified_digest or sha256_digest(data)
+    stored, diff_id = data, digest
     if media_type in MEDIA_LAYER_GZIP:
-        spool, diff_id = _decompress(data, "gzip")
-        return LayerBlob(media_type, digest, diff_id, data, spool)
-    return LayerBlob(media_type, digest, sha256_digest(data), data)
+        stored, diff_id = _decompress(data, "gzip")
+    tar = None
+    try:
+        tar = _uncompressed(stored)
+    finally:
+        if tar is not stored and isinstance(stored, _FileBytes):
+            stored.close()
+    return LayerBlob(media_type, digest, diff_id, data, tar)
 
 
 def _layer_stack(blobs, cfg: dict) -> LayerStack:
@@ -1195,6 +1194,8 @@ def _layer_stack(blobs, cfg: dict) -> LayerStack:
         for index, (data, media_type, verified_digest) in enumerate(blobs):
             try:
                 stack.layers.append(_layer_from_blob(data, media_type, verified_digest))
+            except TarHeaderError as exc:
+                raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
             except _LAYER_STREAM_ERRORS as exc:
                 raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
         declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
@@ -1227,11 +1228,8 @@ def _load_docker_layout(archive, members: dict) -> tuple[ImageMetadata, LayerSta
     blobs = []
     for layer_name in entry.get("Layers") or []:
         data = _read_member(archive, members, layer_name)
-        if _is_gzip(data):
-            media = "application/vnd.oci.image.layer.v1.tar+gzip"
-        else:
-            media = "application/vnd.oci.image.layer.v1.tar"
-        blobs.append((data, media, None))
+        media = "application/vnd.oci.image.layer.v1.tar"
+        blobs.append((data, media + "+gzip" if data[:2] == b"\x1f\x8b" else media, None))
     return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
 
 
@@ -1294,13 +1292,15 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
     anywhere in the archive, like a damaged compressed stream, is an
     ``ImageFormatError``.
 
-    Each gzip layer is decompressed once, a chunk at a time, into a spool
-    that ``flatten_layers`` reads, and its diff_id is hashed on the way, so
-    memory holds the stored layer blobs and one chunk, never a decompressed
-    layer. The spools are closed with the returned ``LayerStack``.
+    Each layer's tar stream is made here: a gzip layer is decompressed once,
+    a chunk at a time, into a spool that ``flatten_layers`` reads, and its
+    diff_id is hashed on the way, so memory holds the stored layer blobs and
+    one chunk, never a decompressed layer. The spools are closed with the
+    returned ``LayerStack``.
     """
     try:
-        with open(archive_path, "rb") as file, _uncompressed(_FileBytes(file)) as archive:
+        with open(archive_path, "rb") as file, \
+                contextlib.closing(_uncompressed(_FileBytes(file))) as archive:
             members = _archive_members(archive)
             if "oci-layout" in members:
                 return _load_oci_layout(archive, members)

@@ -20,7 +20,7 @@ import tarfile
 
 import pytest
 
-from staticslim.imageio import LayerBlob, LayerStack
+from staticslim.imageio import LayerStack, _layer_from_blob
 
 
 def sha256(data: bytes) -> str:
@@ -78,6 +78,12 @@ def make_layer_tar(members) -> bytes:
                 ti.type = tarfile.XHDTYPE
                 ti.size = len(m["data"])
                 tf.addfile(ti, io.BytesIO(m["data"]))
+            elif kind == "sparse":
+                # Blocks tarfile cannot write, put where addfile puts its own.
+                raw = make_sparse_member(m["path"].lstrip("/"), m["format"], m["regions"],
+                                         m.get("tail", 0))
+                tf.fileobj.write(raw)
+                tf.offset += len(raw)
             else:
                 raise ValueError(f"unknown member kind {kind!r}")
     return buf.getvalue()
@@ -94,18 +100,111 @@ HOSTILE_PAX_RECORDS = {
 }
 
 
+def _pax_record(keyword: str, value: str) -> bytes:
+    """One ``"%d %s=%s\n"`` pax record, its length counting its own digits."""
+    body = f" {keyword}={value}\n".encode()
+    length = len(body) + 1
+    while length != len(body) + len(str(length)):
+        length = len(body) + len(str(length))
+    return str(length).encode() + body
+
+
+def _blocks_of(data: bytes) -> bytes:
+    return data + bytes(-len(data) % 512)
+
+
+def rechecksum(tar: bytearray, at: int, signed: bool = False) -> None:
+    """Rewrite a header's checksum: the sum of its bytes, read as signed or
+    unsigned, with the checksum field counted as eight spaces."""
+    block = tar[at:at + 512]
+    block[148:156] = b"        "
+    total = sum(b - 256 if signed and b >= 128 else b for b in block)
+    if total >= 0:  # six octal digits
+        tar[at + 148:at + 156] = b"%06o\0 " % total
+
+
+def sparse_map(regions) -> list[tuple[int, int]]:
+    """The (offset, size) map of a file of (hole, data) ``regions``."""
+    regions_map, at = [], 0
+    for hole, data in regions:
+        regions_map.append((at + hole, len(data)))
+        at += hole + len(data)
+    return regions_map
+
+
+def sparse_file_bytes(regions, tail: int = 0) -> bytes:
+    """The file of (hole, data) ``regions`` and a hole of ``tail`` bytes."""
+    return b"".join(bytes(hole) + data for hole, data in regions) + bytes(tail)
+
+
+def make_sparse_member(name: str, fmt: str, regions, tail: int = 0) -> bytes:
+    """The blocks of one GNU sparse member, written by hand after GNU tar's
+    formats since tarfile writes none. ``regions`` are (hole, data) pairs in
+    file order and ``tail`` the hole after the last, so the file is each
+    hole's NULs then its data. ``fmt`` is "gnu" (an old GNU ``S`` header
+    with four map entries, and extension blocks of 21 for the rest) or the
+    pax sparse version "0.0", "0.1" or "1.0"."""
+    regions_map = sparse_map(regions)
+    real_size = len(sparse_file_bytes(regions, tail))
+    stored = b"".join(data for _, data in regions)
+    ti = tarfile.TarInfo(name)
+    ti.mode, ti.mtime, ti.size = 0o644, 1000000, len(stored)
+    if fmt == "gnu":
+        ti.type = tarfile.GNUTYPE_SPARSE
+        blocks = bytearray(ti.tobuf(tarfile.GNU_FORMAT, "utf-8", "surrogateescape"))
+        entries = b"".join(b"%011o\0%011o\0" % region for region in regions_map)
+        at = len(blocks) - 512  # the header, after any long-name record
+        blocks[at + 386:at + 482] = entries[:96].ljust(96, b"\0")
+        blocks[at + 482] = len(entries) > 96
+        blocks[at + 483:at + 495] = b"%011o\0" % real_size
+        rechecksum(blocks, at)
+        for start in range(96, len(entries), 504):
+            more = start + 504 < len(entries)
+            blocks += entries[start:start + 504].ljust(504, b"\0") + bytes([more]) + bytes(7)
+        return bytes(blocks) + _blocks_of(stored)
+    if fmt == "0.0":
+        # Repeated keywords, which tarfile's pax_headers dict cannot hold.
+        records = _pax_record("GNU.sparse.size", str(real_size))
+        records += _pax_record("GNU.sparse.numblocks", str(len(regions_map)))
+        for offset, size in regions_map:
+            records += _pax_record("GNU.sparse.offset", str(offset))
+            records += _pax_record("GNU.sparse.numbytes", str(size))
+        pax = tarfile.TarInfo("PaxHeaders/" + name.rsplit("/", 1)[-1])
+        pax.type, pax.size = tarfile.XHDTYPE, len(records)
+        return (pax.tobuf(tarfile.USTAR_FORMAT, "utf-8", "surrogateescape") + _blocks_of(records)
+                + ti.tobuf(tarfile.PAX_FORMAT, "utf-8", "surrogateescape") + _blocks_of(stored))
+    # 0.1 and 1.0 give the real name in a record and a stand-in in the header.
+    ti.name = "GNUSparseFile.0/" + name.rsplit("/", 1)[-1]
+    if fmt == "0.1":
+        numbers = ",".join(str(n) for region in regions_map for n in region)
+        ti.pax_headers = {"GNU.sparse.major": "0", "GNU.sparse.minor": "1",
+                          "GNU.sparse.name": name, "GNU.sparse.size": str(real_size),
+                          "GNU.sparse.map": numbers}
+    else:
+        lines = [len(regions_map), *(n for region in regions_map for n in region)]
+        stored = _blocks_of("".join(f"{n}\n" for n in lines).encode()) + stored
+        ti.size = len(stored)
+        ti.pax_headers = {"GNU.sparse.major": "1", "GNU.sparse.minor": "0",
+                          "GNU.sparse.name": name, "GNU.sparse.realsize": str(real_size)}
+    return ti.tobuf(tarfile.PAX_FORMAT, "utf-8", "surrogateescape") + _blocks_of(stored)
+
+
+def hostile_pax_after_sparse(kind: str) -> bytes:
+    """A layer of a GNU sparse member, then a pax header of the
+    ``HOSTILE_PAX_RECORDS`` of ``kind`` cut to 6 KiB, which a reader without
+    a bound on a record's span still takes well under a second over, then a
+    file."""
+    records = HOSTILE_PAX_RECORDS[kind]
+    return make_layer_tar([
+        {"path": "/s", "kind": "sparse", "format": "0.1", "regions": [(2, b"s")]},
+        {"path": "/PaxHeader", "kind": "pax-records", "data": records[:6 * 1024 - 1] + records[-1:]},
+        {"path": "/a", "data": b"a"},
+    ])
+
+
 def make_stack(layer_tars) -> LayerStack:
-    layers = []
-    for data in layer_tars:
-        layers.append(
-            LayerBlob(
-                media_type="application/vnd.oci.image.layer.v1.tar",
-                digest=sha256(data),
-                diff_id=sha256(data),
-                data=data,
-            )
-        )
-    return LayerStack(layers=layers)
+    return LayerStack(layers=[_layer_from_blob(data, "application/vnd.oci.image.layer.v1.tar",
+                                               None) for data in layer_tars])
 
 
 def default_config(layer_tars, **overrides) -> dict:

@@ -4,8 +4,10 @@ It is the oracle for ``staticslim.imageio.flatten_layers``, which removes a
 whited-out subtree as one key range of the sorted lower state and reads
 member bytes as slices of the layer: both must give the same entries,
 content, warnings, symlink table and total size. ``_apply_layer``,
-``_delete_subtree`` and ``flatten_layers`` are the original scan-based code,
-unchanged; the member-path, parent and record helpers they call are shared.
+``_delete_subtree`` and ``flatten_layers`` are the original scan-based code;
+the member-path, parent and record helpers they call are shared. Each
+layer's stored bytes are opened by ``tarfile`` itself, which decompresses
+them, lists the members and reads their bytes, GNU sparse files included.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
 
     for index, layer in enumerate(stack.layers):
         try:
-            with tarfile.open(fileobj=io.BytesIO(layer.tar_bytes())) as tf:
+            with tarfile.open(fileobj=io.BytesIO(layer.data), mode="r:*") as tf:
                 _apply_layer(index, tf, entries, content, warnings)
-        except _LAYER_STREAM_ERRORS as exc:
+        except (tarfile.TarError, *_LAYER_STREAM_ERRORS) as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)

@@ -424,7 +424,7 @@ def test_criterion_10_network_smoke(tmp_path):
     _, stack = load_image_archive(out)
     scratch = tmp_path / "scratch"
     scratch.mkdir()
-    with tarfile.open(fileobj=io.BytesIO(stack.layers[0].tar_bytes())) as tf:
+    with tarfile.open(fileobj=io.BytesIO(stack.layers[0].data), mode="r:*") as tf:
         tf.extractall(scratch)
     shell = scratch / "bin" / "sh"
     assert shell.exists()

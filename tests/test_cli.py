@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from conftest import (
     HOSTILE_PAX_RECORDS,
     default_config,
+    hostile_pax_after_sparse,
     make_docker_archive,
     make_layer_tar,
     make_oci_archive,
@@ -436,6 +437,8 @@ def _malformed_layer(kind: str) -> bytes:
         corrupt = bytearray(tar)
         corrupt[1024 + 1] ^= 0x01  # a byte of the second member's name
         return bytes(corrupt)
+    if kind.startswith("sparse-then-"):
+        return hostile_pax_after_sparse(kind.removeprefix("sparse-then-"))
     if kind in HOSTILE_PAX_RECORDS:
         return make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
                                 "data": HOSTILE_PAX_RECORDS[kind]},
@@ -449,7 +452,8 @@ def _malformed_layer(kind: str) -> bytes:
 
 
 @pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "truncated-tar",
-                                  "corrupt-header", "truncated-header", *HOSTILE_PAX_RECORDS])
+                                  "corrupt-header", "truncated-header", *HOSTILE_PAX_RECORDS,
+                                  *(f"sparse-then-{kind}" for kind in sorted(HOSTILE_PAX_RECORDS))])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
 def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     image = tmp_path / "bad.tar"
@@ -464,6 +468,21 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     assert result.exit_code == 3, result.output
     assert "error: layer 1" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("fmt", ["gnu", "0.0", "0.1", "1.0"])
+def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
+    """The image archive's members are read as slices of it, which a sparse
+    member's bytes are not."""
+    image = tmp_path / "sparse.tar"
+    image.write_bytes(make_layer_tar([
+        {"path": "/manifest.json", "data": b"[]"},
+        {"path": "/layer.tar", "kind": "sparse", "format": fmt, "regions": [(9, b"x")]},
+    ]))
+    result = runner.invoke(main, ["inspect", "--input", str(image)])
+    assert result.exit_code == 3, result.output
+    assert result.output == ("error: not a readable tar archive: "
+                             "the archive holds a GNU sparse member\n")
 
 
 # --- spools -----------------------------------------------------------------

@@ -23,13 +23,18 @@ from conftest import (
     HOSTILE_PAX_RECORDS,
     default_config,
     flattened_snapshot,
+    hostile_pax_after_sparse,
     make_docker_archive,
     make_layer_tar,
     make_oci_archive,
+    make_sparse_member,
     make_stack,
+    rechecksum,
     sequential_apply_oracle,
     sha256,
     snapshot_dir,
+    sparse_file_bytes,
+    sparse_map,
 )
 from staticslim import imageio
 from staticslim.analyzer import CommandTokenList
@@ -46,7 +51,6 @@ from staticslim.imageio import (
     ImageMetadata,
     LayerBlob,
     LayerStack,
-    SparseMember,
     TarHeader,
     TarHeaderError,
     build_slim_image,
@@ -64,6 +68,10 @@ def _write(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
     return path
+
+
+def _tar_of_layer(layer: LayerBlob) -> bytes:
+    return layer.tar[0:len(layer.tar)]
 
 
 def _add(tf: tarfile.TarFile, name: str, type_=tarfile.REGTYPE, *, data=b"", link=""):
@@ -131,7 +139,7 @@ class TestLoadArchive:
         _, stack = load_image_archive(archive)
         with stack:
             assert stack.layers[0].diff_id == sha256(layer)
-            assert stack.layers[0].tar_bytes() == layer
+            assert _tar_of_layer(stack.layers[0]) == layer
 
     def test_missing_manifest_names_member(self, tmp_path):
         buf = io.BytesIO()
@@ -512,10 +520,27 @@ def test_flatten_matches_sequential_apply_oracle(tmp_path, seed):
 _SEGMENTS = ("a", "a-b", "a.b", "a0", "b")
 _PATH = st.lists(st.sampled_from(_SEGMENTS), min_size=1, max_size=3).map("/".join)
 _DIR = st.lists(st.sampled_from(_SEGMENTS), max_size=2).map("/".join)
+_SPARSE_FORMATS = ("gnu", "0.0", "0.1", "1.0")
+
+
+def _sparse_layer(fmt: str, regions, tail: int = 0) -> bytes:
+    """A layer of the file "a", the sparse file "s" and the file "b"."""
+    return make_layer_tar([{"path": "/a", "data": b"1"},
+                           {"path": "/s", "kind": "sparse", "format": fmt, "regions": regions,
+                            "tail": tail},
+                           {"path": "/b", "data": b"2"}])
+
+
+# A GNU sparse file in one of the four formats: (hole, data) regions and the
+# hole after them. Past four regions an old GNU map needs an extension block.
+# An empty 0.1 map, which GNU tar does not write, is refused.
+_SPARSE_FORMAT = st.sampled_from(_SPARSE_FORMATS)
+_SPARSE_REGIONS = st.lists(st.tuples(st.integers(0, 600), st.binary(min_size=1, max_size=20)),
+                           min_size=1, max_size=6)
 _MEMBER = st.one_of(
     st.tuples(st.just("dir"), _PATH),
     st.tuples(st.just("file"), _PATH, st.binary(max_size=1100)),
-    st.tuples(st.just("sparse"), _PATH, st.binary(min_size=1, max_size=20)),
+    st.tuples(st.just("sparse"), _PATH, _SPARSE_FORMAT, _SPARSE_REGIONS, st.integers(0, 600)),
     st.tuples(st.just("symlink"), _PATH, _PATH),
     st.tuples(st.just("hardlink"), _PATH, _PATH),
     st.tuples(st.just("fifo"), _PATH),
@@ -533,6 +558,12 @@ def _layer_blob(members, encoding: str) -> LayerBlob:
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w", format=tarfile.PAX_FORMAT) as tf:
         for kind, *args in members:
+            if kind == "sparse":
+                # The file is its regions' data with holes as NULs.
+                raw = make_sparse_member(*args)
+                tf.fileobj.write(raw)
+                tf.offset += len(raw)
+                continue
             if kind == "whiteout":
                 name = "/".join(filter(None, (args[0], ".wh." + args[1])))
             elif kind == "opaque":
@@ -551,13 +582,6 @@ def _layer_blob(members, encoding: str) -> LayerBlob:
             elif kind in ("file", "contiguous", "whiteout", "opaque"):
                 data = args[1] if kind in ("file", "contiguous") else b""
                 ti.type = tarfile.CONTTYPE if kind == "contiguous" else tarfile.REGTYPE
-            elif kind == "sparse":
-                # GNU sparse 0.1 in PAX headers: the stored blocks hold only
-                # the map's data; the file is its 12 bytes with holes as NULs.
-                data = args[1]
-                cut = len(data) // 2
-                ti.pax_headers = {"GNU.sparse.map": f"0,{cut},12,{len(data) - cut}",
-                                  "GNU.sparse.realsize": str(12 + len(data) - cut)}
             elif kind == "symlink":
                 ti.type = tarfile.SYMTYPE
                 ti.linkname = args[1]
@@ -574,8 +598,9 @@ def _layer_blob(members, encoding: str) -> LayerBlob:
     tar = buf.getvalue()
     media = "application/vnd.oci.image.layer.v1.tar"
     if encoding == "tar":
-        return LayerBlob(media, "", "", tar)
-    return LayerBlob(media + "+gzip" if encoding == "gzip" else media, "", "", gzip.compress(tar, mtime=0))
+        return imageio._layer_from_blob(tar, media, None)
+    return imageio._layer_from_blob(gzip.compress(tar, mtime=0),
+                                    media + "+gzip" if encoding == "gzip" else media, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -583,14 +608,18 @@ def _layer_blob(members, encoding: str) -> LayerBlob:
 @example([([("dir", "a"), ("file", "a/b", b"1"), ("file", "a-b", b"2"), ("file", "a.b", b"3"),
             ("file", "a0", b"4")], "tar"), ([("whiteout", "", "a")], "tar")])
 @example([([("dir", "a"), ("file", "a/b", b"1"), ("file", "a0", b"2")], "tar"),
-          ([("opaque", "a"), ("sparse", "a0", b"sparse")], "tar")])
+          ([("opaque", "a"), ("sparse", "a0", "0.1", [(0, b"spa"), (9, b"rse")], 3)], "tar")])
 @example([([("file", "a", b"1"), ("dir", "b"), ("file", "b/a", b"2")], "gzip"),
-          ([("opaque", ""), ("file", "a0", b"z"), ("sparse", "b/s", b"xyz")], "gzip-as-tar")])
+          ([("opaque", ""), ("file", "a0", b"z"), ("sparse", "b/s", "1.0", [(5, b"xyz")], 0)],
+           "gzip-as-tar")])
+# Six regions: the old GNU map goes on in an extension block.
+@example([([("sparse", "a", "gnu", [(1, b"a"), (0, b"b"), (600, b"c"), (2, b"d"), (3, b"e"),
+                                     (4, b"f")], 7), ("sparse", "b", "0.0", [], 5)], "tar")])
 @example([([("dir", "a"), ("file", "a/b", b"x" * 512), ("hardlink", "b", "a/b")], "tar"),
           ([("whiteout", "", "a"), ("file", "a", b"now a file")], "tar")])
 def test_flatten_matches_reference_flatten(layers):
-    stack = LayerStack(layers=[_layer_blob(members, encoding) for members, encoding in layers])
-    got = flatten_layers(stack)
+    with LayerStack(layers=[_layer_blob(members, encoding) for members, encoding in layers]) as stack:
+        got = flatten_layers(stack)
     want = reference_flatten.flatten_layers(stack)
     assert got.entries == want.entries
     assert got.content == want.content
@@ -600,8 +629,48 @@ def test_flatten_matches_reference_flatten(layers):
 
 
 def test_sparse_member_content_has_holes():
-    stack = LayerStack(layers=[_layer_blob([("sparse", "s", b"abcd")], "tar")])
-    assert flatten_layers(stack).content["/s"] == b"ab" + b"\0" * 10 + b"cd"
+    for fmt in _SPARSE_FORMATS:
+        stack = make_stack([make_layer_tar([{"path": "/s", "kind": "sparse", "format": fmt,
+                                             "regions": [(0, b"ab"), (10, b"cd")], "tail": 3}])])
+        assert flatten_layers(stack).content["/s"] == b"ab" + b"\0" * 10 + b"cd" + b"\0" * 3, fmt
+
+
+@pytest.mark.parametrize("stored", ["tar", "gzip"])
+@pytest.mark.parametrize("fmt", _SPARSE_FORMATS)
+def test_sparse_layers_are_read_without_tarfile(fmt, stored):
+    regions = [(3, b"abc"), (600, b"d"), (0, b"ef"), (1, b"g"), (9, b"h")]
+    tar = _sparse_layer(fmt, regions, tail=2)
+    blob = gzip.compress(tar, mtime=0) if stored == "gzip" else tar
+    refuse = mock.Mock(side_effect=AssertionError("tarfile was asked to read a layer"))
+    with mock.patch.object(tarfile, "TarFile", refuse), mock.patch.object(tarfile, "open", refuse):
+        with make_stack([blob]) as stack:
+            content = flatten_layers(stack).content
+    assert content == {"/a": b"1", "/s": sparse_file_bytes(regions, 2), "/b": b"2"}
+
+
+@pytest.mark.skipif(shutil.which("tar") is None, reason="needs a tar program")
+@pytest.mark.parametrize("args", [["--format=gnu"], *(["--format=pax", f"--sparse-version={v}"]
+                                                     for v in ("0.0", "0.1", "1.0"))],
+                         ids=["gnu", "pax-0.0", "pax-0.1", "pax-1.0"])
+def test_gnu_tar_sparse_file_flattens_to_its_bytes(tmp_path, args):
+    """GNU tar, a writer independent of the codec, archives a file with data
+    at 1 MiB and 3 MiB and holes around it as a sparse member."""
+    path = tmp_path / "f"
+    with open(path, "wb") as f:
+        f.seek(1 << 20)
+        f.write(b"A" * 5000)
+        f.seek(3 << 20)
+        f.write(b"B" * 7000)
+        f.truncate((4 << 20) + 100)
+    subprocess.run(["tar", "--sparse", *args, "--create", "--file", str(tmp_path / "layer.tar"),
+                    "--directory", str(tmp_path), "f"], check=True)
+    tar = (tmp_path / "layer.tar").read_bytes()
+    assert [h.sparse is not None for h in read_tar_headers(tar)] == [True]
+    with make_stack([tar]) as stack:
+        got = flatten_layers(stack)
+    want = reference_flatten.flatten_layers(stack)
+    assert got.content["/f"] == path.read_bytes()
+    assert (got.entries, got.content) == (want.entries, want.content)
 
 
 class TestBuildSlimImage:
@@ -630,7 +699,7 @@ class TestBuildSlimImage:
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
         with stack:
             assert loaded == self.METADATA
-            assert stack.layers[0].tar_bytes() == tar
+            assert _tar_of_layer(stack.layers[0]) == tar
         assert stack.layers[0].diff_id == sha256(tar)
 
     def test_gzip_layer_round_trip(self, tmp_path):
@@ -639,7 +708,7 @@ class TestBuildSlimImage:
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
         with stack:
             assert loaded == self.METADATA
-            assert stack.layers[0].tar_bytes() == tar
+            assert _tar_of_layer(stack.layers[0]) == tar
 
     def test_absent_entrypoint_stays_absent(self, tmp_path):
         metadata = ImageMetadata(
@@ -723,16 +792,6 @@ def _tar_of(fmt, members, global_pax) -> bytes:
     return buf.getvalue()
 
 
-def _rechecksum(tar: bytearray, at: int, signed: bool) -> None:
-    """Rewrite a header's checksum: the sum of its bytes, read as signed or
-    unsigned, with the checksum field counted as eight spaces."""
-    block = tar[at:at + 512]
-    block[148:156] = b"        "
-    total = sum(b - 256 if signed and b >= 128 else b for b in block)
-    if total >= 0:  # six octal digits
-        tar[at + 148:at + 156] = b"%06o\0 " % total
-
-
 def _pax_path_records(path: str) -> bytes:
     """The pax ``x`` header and records that give a member the path ``path``."""
     buf = io.BytesIO()
@@ -762,12 +821,12 @@ def _patched(tar: bytes, patches) -> bytes:
         if patch == "aregtype" and out[at + 156:at + 157] == tarfile.DIRTYPE \
                 and out[at:at + 100].rstrip(b"\0").endswith(b"/"):
             out[at + 156] = 0
-            _rechecksum(out, at, signed=False)
+            rechecksum(out, at, signed=False)
         elif patch == "signed" and any(b >= 128 for b in out[at:at + 512]):
-            _rechecksum(out, at, signed=True)
+            rechecksum(out, at, signed=True)
         elif patch == "zero-size" and "size" in m.pax_headers:
             out[at + 124:at + 136] = b"0" * 11 + b"\0"
-            _rechecksum(out, at, signed=False)
+            rechecksum(out, at, signed=False)
         elif patch == "splice":
             out[m.offset:m.offset] = _pax_path_records(_SPLICED_PATH)
     return bytes(out)
@@ -920,10 +979,64 @@ class TestTarHeaders:
         with pytest.raises(TarHeaderError, match="invalid pax record"):
             list(read_tar_headers(tar))
 
-    def test_sparse_member_is_left_to_tarfile(self):
-        tar = _layer_blob([("file", "a", b"1"), ("sparse", "s", b"abcd")], "tar").data
-        with pytest.raises(SparseMember):
-            list(read_tar_headers(tar))
+    # Thirty regions fill an old GNU header and two extension blocks.
+    @pytest.mark.parametrize("fmt, regions", [
+        *((fmt, [(0, b"ab"), (10, b"cd")]) for fmt in _SPARSE_FORMATS),
+        ("gnu", [(3, bytes([i])) for i in range(30)]),
+        ("1.0", [(1, b"x")] * 100),
+    ], ids=[*_SPARSE_FORMATS, "gnu-extended", "1.0-long-map"])
+    def test_sparse_map_is_read(self, fmt, regions):
+        """The map and real size are tarfile's, but for the empty entries of
+        old GNU extension blocks, which tarfile drops; the data start after
+        the extension blocks or the 1.0 map."""
+        tar = _sparse_layer(fmt, regions, tail=5)
+        with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+            want = tf.getmembers()
+        headers = list(read_tar_headers(tar))
+        assert [h.name for h in headers] == [m.name for m in want] == ["a", "s", "b"]
+        got = headers[1]
+        assert [r for r in got.sparse if r != (0, 0)] == sparse_map(regions)
+        assert [r for r in want[1].sparse if r != (0, 0)] == sparse_map(regions)
+        assert (got.size, got.offset_data) == (want[1].size, want[1].offset_data)
+        assert got.size == len(sparse_file_bytes(regions, 5))
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_PAX_RECORDS))
+    def test_hostile_pax_records_after_a_sparse_member_are_refused(self, kind):
+        with pytest.raises(TarHeaderError, match="invalid pax record"):
+            list(read_tar_headers(hostile_pax_after_sparse(kind)))
+
+    @pytest.mark.parametrize("damage", ["gnu-number", "gnu-extension-past-end", "0.1-number",
+                                        "0.1-odd", "0.0-unpaired", "1.0-number",
+                                        "1.0-past-data", "past-size", "past-data"])
+    def test_damaged_sparse_map_is_an_error(self, damage):
+        fmt = damage.partition("-")[0] if damage[0] in "g01" else "0.1"
+        tar = bytearray(_sparse_layer(fmt, [(4, b"abc"), (2, b"de")], tail=1))
+        at = 1024  # the sparse member's first block
+        if damage == "past-data":
+            # A region larger than the member's one data block.
+            records = b"24 GNU.sparse.size=2000\n25 GNU.sparse.map=0,1000\n"
+            tar = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records", "data": records},
+                                  {"path": "/s", "data": b"abcde"}])
+        elif damage == "gnu-number":
+            tar[at + 386:at + 387] = b"9"
+            rechecksum(tar, at, signed=False)
+        elif damage == "gnu-extension-past-end":
+            tar[at + 482] = 1
+            rechecksum(tar, at, signed=False)
+            del tar[at + 512:]
+        else:
+            old, new = {
+                "0.1-number": (b"=4,3,9,2\n", b"=4,x,9,2\n"),
+                "0.1-odd": (b"=4,3,9,2\n", b"=4,3,999\n"),
+                "0.0-unpaired": (b"numbytes=2\n", b"numbyte=22\n"),
+                "1.0-number": (b"\n9\n2\n", b"\n9\n-\n"),
+                "1.0-past-data": (b"2\n4\n", b"9\n4\n"),
+                "past-size": (b"=4,3,9,2\n", b"=4,3,9,4\n"),
+            }[damage]
+            assert tar.count(old) == 1
+            tar = tar.replace(old, new)
+        with pytest.raises(TarHeaderError):
+            list(read_tar_headers(bytes(tar)))
 
 
 @pytest.mark.parametrize("magic", ["gzip", "bz2", "xz"])
@@ -931,8 +1044,8 @@ def test_compressed_bytes_under_the_tar_media_type(magic):
     tar = make_layer_tar([{"path": "/a", "data": b"1"}])
     packed = {"gzip": lambda d: gzip.compress(d, mtime=0), "bz2": bz2.compress,
               "xz": lzma.compress}[magic](tar)
-    stack = LayerStack(layers=[LayerBlob("application/vnd.oci.image.layer.v1.tar", "", "", packed)])
-    assert flatten_layers(stack).content == {"/a": b"1"}
+    with make_stack([packed]) as stack:
+        assert flatten_layers(stack).content == {"/a": b"1"}
 
 
 def test_plain_tar_named_like_a_magic_is_read_as_it_is():
@@ -1042,9 +1155,9 @@ def _outcome(call):
 
 
 def _one_shot_uncompressed(tar: bytes) -> bytes:
-    """The tar stream of a layer under the tar media type, read the way the
-    whole-buffer reader read it: decompressed by its magic in one call, or
-    left as it is when it reads as a tar stream."""
+    """The tar stream in ``tar``, read the way the whole-buffer reader read
+    it: decompressed by its magic in one call, or left as it is when it
+    reads as a tar stream."""
     for magic, module in ((b"\x1f\x8b", gzip), (b"BZh", bz2), (b"\xfd7zXZ\x00", lzma)):
         if tar.startswith(magic):
             try:
@@ -1052,25 +1165,28 @@ def _one_shot_uncompressed(tar: bytes) -> bytes:
             except _REFUSALS as exc:
                 try:
                     next(read_tar_headers(tar), None)
-                except SparseMember:
-                    pass
                 except TarHeaderError:
                     raise TarHeaderError(f"cannot decompress: {exc}") from exc
                 break
     return tar
 
 
-def _spooled_layer(blob: bytes) -> bytes:
-    layer = imageio._layer_from_blob(blob, _GZIP_MEDIA, None)
+def _spooled(blob: bytes) -> bytes:
+    spool, digest = imageio._decompress(blob, "gzip")
+    try:
+        tar = spool[0:len(spool)]
+    finally:
+        spool.close()
+    assert digest == sha256(tar)
+    return tar
+
+
+def _layer_tar(blob: bytes, media_type: str) -> list:
+    """The diff_id and tar stream of a layer stored as ``blob``, in a list,
+    since a tuple ``_outcome`` is a refusal."""
+    layer = imageio._layer_from_blob(blob, media_type, None)
     with LayerStack([layer]):
-        tar = layer.tar_bytes()
-        assert layer.diff_id == sha256(tar)
-        return tar
-
-
-def _spooled_uncompressed(blob: bytes) -> bytes:
-    with imageio._uncompressed(blob) as tar:
-        return tar[0:len(tar)]
+        return [layer.diff_id, _tar_of_layer(layer)]
 
 
 # A bz2 stream whose combined CRC is damaged: its decoder gives all of its
@@ -1089,18 +1205,23 @@ _LATE_BAD_BZ2[-3] ^= 0x10
 # the output it holds back after the last input byte.
 @example((b"BZh91AY&SY0\xb0Db\x00\x00\x00\xc0@\xc0\x00\x00\x02\x00\x08 \x00!&A\x98\x1f", 1))
 def test_streaming_decompression_matches_one_shot(case):
-    """Under the gzip media type the spool holds what ``gzip.decompress``
-    returns, and its digest is the diff_id; under the tar media type it
-    holds what the one-shot reader returned. Each refuses what the one-shot
-    call refuses, with the same error, and that error exits 3."""
+    """The gzip spool holds what ``gzip.decompress`` returns, and its digest
+    is the diff_id of a layer under the gzip media type, whose tar stream is
+    what the one-shot reader makes of the spool; under the tar media type
+    the tar stream is what the one-shot reader returned. Each refuses what
+    the one-shot call refuses, with the same error, and that error exits 3."""
     blob, chunk = case
     with mock.patch.object(imageio, "_CHUNK", chunk):
-        spooled = _outcome(lambda: _spooled_layer(blob))
+        spooled = _outcome(lambda: _spooled(blob))
         assert spooled == _outcome(lambda: gzip.decompress(blob))
+        layer = _outcome(lambda: _layer_tar(blob, _GZIP_MEDIA))
         if isinstance(spooled, tuple):
             assert issubclass(spooled[0], imageio._LAYER_STREAM_ERRORS)
-        uncompressed = _outcome(lambda: _spooled_uncompressed(blob))
-        assert uncompressed == _outcome(lambda: _one_shot_uncompressed(blob))
+            assert layer == spooled
+        else:
+            assert layer == _outcome(lambda: [sha256(spooled), _one_shot_uncompressed(spooled)])
+        uncompressed = _outcome(lambda: _layer_tar(blob, "application/vnd.oci.image.layer.v1.tar"))
+        assert uncompressed == _outcome(lambda: [sha256(blob), _one_shot_uncompressed(blob)])
         if isinstance(uncompressed, tuple):
             assert issubclass(uncompressed[0], imageio._LAYER_STREAM_ERRORS)
 
@@ -1140,7 +1261,7 @@ def test_load_holds_no_decompressed_layer(tmp_path):
     (_, stack), peak = _traced_peak(lambda: load_image_archive(image))
     assert peak < _MIB + _SLACK
     with stack:
-        assert stack.layers[0].diff_id == sha256(stack.layers[0].tar_bytes())
+        assert stack.layers[0].diff_id == sha256(_tar_of_layer(stack.layers[0]))
 
 
 def test_gzip_slim_holds_the_content_and_one_file(tmp_path):
