@@ -3,17 +3,19 @@
 Supports the docker-save layout (top-level ``manifest.json``) and the OCI
 image layout (``oci-layout`` / ``index.json`` / ``blobs``) on input, and
 emits either on output (OCI by default). Layers are flattened into a single
-in-memory rootfs with union-filesystem semantics.
+rootfs model with union-filesystem semantics, whose regular files are
+references into the layers' tar streams, read when their bytes are asked for.
 
 The image archive and its layers are listed, and the headers of every
 written tar stream are written, by one ``struct``-based tar header codec
 (``read_tar_headers`` and ``gnu_header``) that gives what ``tarfile`` gives,
 GNU sparse maps included; ``tarfile`` lends it constants only.
 
-Compressed layers and archives are decompressed once, a chunk at a time,
-into spools: unlinked temporary files in ``TMPDIR`` that the codec reads
-like bytes, so no decompressed layer is held whole in memory. Each layer's
-tar stream is made once, at load. The slim layer is written as a stream of
+The image archive is read in place: each layer is a range of it. Compressed
+layers and archives are decompressed once, a chunk at a time, into spools:
+unlinked temporary files in ``TMPDIR`` that the codec reads like bytes, so no
+layer, stored or decompressed, is held whole in memory. Each layer's tar
+stream is made once, at load. The slim layer is written as a stream of
 chunks; it is held whole only compressed, or when it is stored
 uncompressed, since its header needs its size.
 """
@@ -21,7 +23,6 @@ uncompressed, since its header needs its size.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import gzip
 import hashlib
 import importlib
@@ -35,6 +36,7 @@ import re
 import struct
 import tarfile
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from tarfile import (
     AREGTYPE,
@@ -555,6 +557,7 @@ def tar_stream(members: Iterable[tuple[bytes, bytes]]) -> Iterator[bytes]:
             yield b"".join(chunk)
             offset += size
             chunk, size = [], 0
+        del data  # not held while the next member's data is read
     chunk.append(bytes(2 * BLOCKSIZE + -(offset + size + 2 * BLOCKSIZE) % RECORDSIZE))
     yield b"".join(chunk)
 
@@ -574,23 +577,55 @@ _STREAM_TRUNCATED = "Compressed data ended before the end-of-stream marker was r
 
 
 class _FileBytes:
-    """An open file read as ``bytes`` slices, so that ``read_tar_headers``
-    lists an image archive or a spooled layer by reading its header blocks
-    alone; each member's bytes are read when they are asked for."""
+    """An open file, or ``size`` bytes of it from ``start``, read as
+    ``bytes`` slices, so that ``read_tar_headers`` lists an image archive, a
+    layer stored in one or a spooled layer by reading its header blocks
+    alone; each member's bytes are read when they are asked for. A ``view``
+    shares the file, which only the whole file's owner closes."""
 
-    def __init__(self, file):
+    def __init__(self, file, start: int = 0, size: int | None = None):
         self.file = file
-        self._size = os.fstat(file.fileno()).st_size
+        self.start = start
+        self._size = os.fstat(file.fileno()).st_size if size is None else size
 
     def __len__(self) -> int:
         return self._size
 
     def __getitem__(self, span: slice) -> bytes:
-        self.file.seek(span.start)
-        return self.file.read(max(0, span.stop - span.start))
+        start = span.start or 0
+        stop = self._size if span.stop is None else min(span.stop, self._size)
+        if stop <= start:
+            return b""
+        self.file.seek(self.start + start)
+        return self.file.read(stop - start)
+
+    def view(self, start: int, size: int) -> _FileBytes:
+        return _FileBytes(self.file, self.start + start, size)
+
+    def reader(self) -> _RangeReader:
+        return _RangeReader(self.file, self.start, self.start + self._size)
 
     def close(self) -> None:
         self.file.close()
+
+
+class _RangeReader:
+    """A file read from ``start`` up to ``end`` alone, through the ``read``
+    and ``seek`` the decompressors use; each read seeks first, so readers of
+    one file do not disturb each other."""
+
+    def __init__(self, file, start: int, end: int):
+        self.file, self.start, self.end = file, start, end
+        self.position = start
+
+    def read(self, size: int) -> bytes:
+        self.file.seek(self.position)
+        data = self.file.read(max(0, min(size, self.end - self.position)))
+        self.position += len(data)
+        return data
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> None:
+        self.position = (self.position if whence == io.SEEK_CUR else self.start) + offset
 
 
 class _Spool:
@@ -757,8 +792,7 @@ def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
     decoder did not use; ``compression`` names the module whose
     ``decompress`` this accepts and refuses exactly what it does. Returns
     the spool and the sha256 digest of the bytes it holds."""
-    src = source.file if isinstance(source, _FileBytes) else io.BytesIO(source)
-    src.seek(0)
+    src = source.reader() if isinstance(source, _FileBytes) else io.BytesIO(source)
     out = _Spool()
     try:
         if compression == "gzip":
@@ -800,6 +834,14 @@ def sha256_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _chunked_digest(source: bytes | _FileBytes) -> str:
+    """``sha256_digest`` of ``source``, read ``_CHUNK`` bytes at a time."""
+    sha256 = hashlib.sha256()
+    for at in range(0, len(source), _CHUNK):
+        sha256.update(source[at:at + _CHUNK])
+    return "sha256:" + sha256.hexdigest()
+
+
 @dataclass(frozen=True)
 class ImageMetadata:
     """Configuration carried from the fat image to the slim image."""
@@ -830,41 +872,88 @@ class ImageMetadata:
 
 @dataclass(frozen=True)
 class LayerBlob:
-    """One layer as stored in the archive, its identity digests and its tar
-    stream: the stored bytes or a spool of what they decompress to, which
-    ``close`` closes."""
+    """One layer: its identity digests, its blob as stored (``source``, a
+    range of the image archive) and its tar stream, which is ``source`` or
+    a spool of what it decompresses to that ``close`` closes. Both are read
+    as ``bytes`` slices; neither is held in memory."""
 
     media_type: str
     digest: str  # digest of the blob bytes as stored
     diff_id: str  # digest of the uncompressed tar stream
-    data: bytes
+    source: bytes | _FileBytes = field(repr=False, compare=False)
     tar: bytes | _FileBytes = field(repr=False, compare=False)
 
+    @property
+    def data(self) -> bytes:
+        """The stored blob, read whole."""
+        return self.source[:]
+
     def close(self) -> None:
-        if isinstance(self.tar, _FileBytes):
+        if self.tar is not self.source and isinstance(self.tar, _FileBytes):
             self.tar.close()
 
 
 @dataclass
 class LayerStack:
-    """Ordered layers, base first. Closing the stack closes its layers'
-    spools; it is a context manager that does so on exit."""
+    """Ordered layers, base first, and the image archive file (or a spool of
+    it) whose ranges they are. The stack owns that file and the layers'
+    spools: ``close`` closes them, after which no file of a rootfs
+    flattened from the stack can be read. It is a context manager that
+    closes on exit."""
 
     layers: list[LayerBlob]
+    archive: _FileBytes | None = field(default=None, repr=False)
+    closed: bool = field(default=False, init=False)
 
     @property
     def diff_ids(self) -> list[str]:
         return [layer.diff_id for layer in self.layers]
 
     def close(self) -> None:
+        self.closed = True
         for layer in self.layers:
             layer.close()
+        if self.archive is not None:
+            self.archive.close()
 
     def __enter__(self) -> LayerStack:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _LayerContent(Mapping[str, bytes]):
+    """The regular-file bytes of a rootfs flattened from ``stack``, read
+    from the layers' tar streams when a path is looked up. ``refs`` maps
+    each path to its (tar stream, data offset, size, sparse map) reference;
+    a sparse file's stored regions are laid out in turn over NUL holes.
+    Looking a path up once the stack is closed raises ``ValueError``."""
+
+    def __init__(self, refs: dict[str, tuple], stack: LayerStack):
+        self._refs = refs
+        self._stack = stack
+
+    def __getitem__(self, path: str) -> bytes:
+        tar, offset, size, sparse = self._refs[path]
+        if self._stack.closed:
+            raise ValueError(f"cannot read {path}: its layer stack is closed")
+        if sparse is None:
+            return tar[offset:offset + size]
+        data = bytearray(size)
+        for at, length in sparse:
+            data[at:at + length] = tar[offset:offset + length]
+            offset += length
+        return bytes(data)
+
+    def __contains__(self, path) -> bool:
+        return path in self._refs
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._refs)
+
+    def __len__(self) -> int:
+        return len(self._refs)
 
 
 @dataclass(frozen=True)
@@ -898,10 +987,13 @@ class FileRecord:
 class FlattenedRootfs:
     """Union of all layers: the one model of the image file system.
 
-    ``entries`` maps path -> record in path order; ``content`` holds the
-    regular-file bytes. ``symlink_table`` maps each symlink entry to its
-    absolute, normalized target and is derived from ``entries`` on
-    construction.
+    ``entries`` maps path -> record in path order; ``content`` maps each
+    regular file's path to its bytes. ``flatten_layers`` fills it with a
+    mapping that reads them from the layers' tar streams on lookup, so the
+    rootfs holds no file bytes and its ``LayerStack`` must stay open while
+    ``data_for`` is called; any ``Mapping`` of bytes, such as a ``dict``,
+    will do. ``symlink_table`` maps each symlink entry to its absolute,
+    normalized target and is derived from ``entries`` on construction.
 
     A rootfs is never mutated after construction; a different set of entries
     (such as the retained view a prune report counts) is a new object. Two
@@ -913,7 +1005,7 @@ class FlattenedRootfs:
     """
 
     entries: dict[str, FileRecord]
-    content: dict[str, bytes] = field(default_factory=dict)
+    content: Mapping[str, bytes] = field(default_factory=dict)
     total_size: int = 0
     warnings: list[str] = field(default_factory=list)
     symlink_table: dict[str, str] = field(init=False, repr=False)
@@ -935,7 +1027,9 @@ class FlattenedRootfs:
                 self.symlink_table[path] = posixpath.normpath(target)
 
     def data_for(self, path: str) -> bytes:
-        """Bytes of a regular file, following hardlinks."""
+        """Bytes of a regular file, following hardlinks; read from its layer
+        when the rootfs was flattened, which raises once the stack is
+        closed."""
         seen = set()
         while True:
             if path in self.content:
@@ -996,12 +1090,13 @@ def _pop_range(entries: dict, content: dict, keys: list[str], prefix: str) -> No
         content.pop(p, None)
 
 
-def _apply_layer(index: int, members: list[TarHeader], tar: bytes, entries: dict, content: dict,
-                 warnings: list[str]) -> None:
+def _apply_layer(index: int, members: list[TarHeader], tar: bytes | _FileBytes, entries: dict,
+                 content: dict, warnings: list[str]) -> None:
     """Apply the members of one layer to the flattened state in place.
 
-    A regular member's bytes are one slice of ``tar``, the layer's tar
-    stream (bytes, or a spool read as bytes), or a sparse member's regions.
+    ``content`` maps a regular file to a reference into ``tar``, the
+    layer's tar stream: (``tar``, data offset, size, sparse map or None).
+    No member's data is read.
     """
     paths = []  # each member's clean path; None for the root and for whiteouts
     whiteouts = []  # (parent, name) of the whiteouts and opaque markers
@@ -1068,14 +1163,8 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes, entries: dict
         )
         _ensure_parents(entries, path)
         entries[path] = record
-        if kind == KIND_REGULAR and sparse is None:
-            content[path] = tar[offset_data:offset_data + size]
-        elif kind == KIND_REGULAR:
-            data = bytearray(size)  # the stored regions in turn, NULs in the holes
-            for at, length in sparse:
-                data[at:at + length] = tar[offset_data:offset_data + length]
-                offset_data += length
-            content[path] = bytes(data)
+        if kind == KIND_REGULAR:
+            content[path] = (tar, offset_data, size, sparse)
 
 
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
@@ -1084,26 +1173,31 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     Cost per layer: no decompression (``load_image_archive`` made each
     layer's tar stream), one ``read_tar_headers`` pass over the headers (one
     ``struct`` unpack, one byte sum and a few number decodes per header; no
-    ``TarInfo``), which reads a spool's header blocks alone, one read per
-    regular member or sparse region and, only when the layer has whiteouts
-    or opaque markers, one sort of the lower state's paths plus a bisect
-    per marker; the paths a marker removes are the only ones it touches. A
-    directory replaced by a non-directory still scans the whole state for
-    its subtree. Memory: the model plus one chunk of a spool at a time.
+    ``TarInfo``), which reads the header, pax and long-name blocks alone,
+    and, only when the layer has whiteouts or opaque markers, one sort of
+    the lower state's paths plus a bisect per marker; the paths a marker
+    removes are the only ones it touches. A directory replaced by a
+    non-directory still scans the whole state for its subtree.
+
+    Memory: the entries and one reference per regular file into its
+    layer's tar stream (offset, size and sparse map); no file's bytes are
+    read here. ``content`` reads them on lookup, one file at a time, while
+    ``stack`` is open; it raises once the stack is closed.
     """
     entries: dict[str, FileRecord] = {}
-    content: dict[str, bytes] = {}
+    refs: dict[str, tuple] = {}
     warnings: list[str] = []
 
     for index, layer in enumerate(stack.layers):
         try:
-            _apply_layer(index, list(read_tar_headers(layer.tar)), layer.tar, entries, content,
+            _apply_layer(index, list(read_tar_headers(layer.tar)), layer.tar, entries, refs,
                          warnings)
         except TarHeaderError as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)
-    return FlattenedRootfs(entries=entries, content=content, total_size=total, warnings=warnings)
+    return FlattenedRootfs(entries=entries, content=_LayerContent(refs, stack), total_size=total,
+                           warnings=warnings)
 
 
 def _member_key(name: str) -> str:
@@ -1121,10 +1215,11 @@ def _archive_members(archive) -> dict[str, TarHeader]:
     return {_member_key(m.name): m for m in headers}
 
 
-def _read_member(archive, members: dict[str, TarHeader], name: str) -> bytes:
-    """A member's bytes. A symlink or hardlink gives its target's, found by
-    name as tarfile finds it when it extracts a member: a symlink's target
-    is joined to the link's directory."""
+def _member_view(archive: _FileBytes, members: dict[str, TarHeader], name: str) -> _FileBytes:
+    """A member's range of the archive, which reads nothing. A symlink or
+    hardlink gives its target's, found by name as tarfile finds it when it
+    extracts a member: a symlink's target is joined to the link's
+    directory."""
     member = members.get(_member_key(name))
     if member is None:
         raise ImageFormatError(f"archive is missing member {name!r}")
@@ -1139,7 +1234,7 @@ def _read_member(archive, members: dict[str, TarHeader], name: str) -> bytes:
         hops += 1
     if member.type in _NO_DATA_TYPES:
         raise ImageFormatError(f"archive member {name!r} is not a readable file")
-    return archive[member.offset_data:member.offset_data + member.size]
+    return archive.view(member.offset_data, member.size)
 
 
 def _split_reference(ref: str) -> tuple[str, str]:
@@ -1167,50 +1262,46 @@ def _metadata_from_config(cfg: dict, name: str, tag: str) -> ImageMetadata:
     )
 
 
-def _layer_from_blob(data: bytes, media_type: str, verified_digest: str | None) -> LayerBlob:
-    """One layer and its tar stream; ``verified_digest`` is the digest
-    ``_read_blob`` already checked ``data`` against, or None to hash
-    ``data`` here. A gzip layer is decompressed once, into a spool, and its
+def _layer_from_blob(source: bytes | _FileBytes, media_type: str,
+                     verified_digest: str | None) -> LayerBlob:
+    """One layer and its tar stream; ``source`` is the blob as stored (bytes,
+    or its range of the archive) and ``verified_digest`` the digest
+    ``_read_blob`` already checked it against, or None to hash it here. A
+    gzip layer is decompressed once, from its range into a spool, and its
     diff_id is hashed on the way; then ``_uncompressed`` reads the magic."""
-    digest = verified_digest or sha256_digest(data)
-    stored, diff_id = data, digest
+    digest = verified_digest or _chunked_digest(source)
+    stored, diff_id = source, digest
     if media_type in MEDIA_LAYER_GZIP:
-        stored, diff_id = _decompress(data, "gzip")
+        stored, diff_id = _decompress(source, "gzip")
     tar = None
     try:
         tar = _uncompressed(stored)
     finally:
-        if tar is not stored and isinstance(stored, _FileBytes):
+        if tar is not stored and stored is not source:
             stored.close()
-    return LayerBlob(media_type, digest, diff_id, data, tar)
+    return LayerBlob(media_type, digest, diff_id, source, tar)
 
 
-def _layer_stack(blobs, cfg: dict) -> LayerStack:
-    """Layers from (data, media type, verified digest or None) triples, base
-    first, checked against the diff_ids the config declares. On an error
-    the spools of the layers read so far are closed."""
-    stack = LayerStack(layers=[])
-    try:
-        for index, (data, media_type, verified_digest) in enumerate(blobs):
-            try:
-                stack.layers.append(_layer_from_blob(data, media_type, verified_digest))
-            except TarHeaderError as exc:
-                raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
-            except _LAYER_STREAM_ERRORS as exc:
-                raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
-        declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
-        if declared and declared != stack.diff_ids:
-            raise IntegrityError(
-                f"rootfs diff_ids mismatch: config declares {declared}, layers are {stack.diff_ids}"
-            )
-    except BaseException:
-        stack.close()
-        raise
-    return stack
+def _add_layers(stack: LayerStack, blobs, cfg: dict) -> None:
+    """Add the layers of (source, media type, verified digest or None)
+    triples to ``stack``, base first, and check them against the diff_ids
+    the config declares."""
+    for index, (source, media_type, verified_digest) in enumerate(blobs):
+        try:
+            stack.layers.append(_layer_from_blob(source, media_type, verified_digest))
+        except TarHeaderError as exc:
+            raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
+        except _LAYER_STREAM_ERRORS as exc:
+            raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
+    declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
+    if declared and declared != stack.diff_ids:
+        raise IntegrityError(
+            f"rootfs diff_ids mismatch: config declares {declared}, layers are {stack.diff_ids}"
+        )
 
 
-def _load_docker_layout(archive, members: dict) -> tuple[ImageMetadata, LayerStack]:
-    manifest = json.loads(_read_member(archive, members, "manifest.json"))
+def _load_docker_layout(archive: _FileBytes, members: dict, stack: LayerStack) -> ImageMetadata:
+    manifest = json.loads(_member_view(archive, members, "manifest.json")[:])
     if not isinstance(manifest, list) or not manifest:
         raise ImageFormatError("manifest.json is not a non-empty list")
     if len(manifest) > 1:
@@ -1220,21 +1311,22 @@ def _load_docker_layout(archive, members: dict) -> tuple[ImageMetadata, LayerSta
     config_name = entry.get("Config")
     if not config_name:
         raise ImageFormatError("manifest.json entry has no Config member")
-    cfg = json.loads(_read_member(archive, members, config_name))
+    cfg = json.loads(_member_view(archive, members, config_name)[:])
 
     repo_tags = entry.get("RepoTags") or []
     name, tag = _split_reference(repo_tags[0]) if repo_tags else ("", "")
 
     blobs = []
     for layer_name in entry.get("Layers") or []:
-        data = _read_member(archive, members, layer_name)
+        source = _member_view(archive, members, layer_name)
         media = "application/vnd.oci.image.layer.v1.tar"
-        blobs.append((data, media + "+gzip" if data[:2] == b"\x1f\x8b" else media, None))
-    return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
+        blobs.append((source, media + "+gzip" if source[0:2] == b"\x1f\x8b" else media, None))
+    _add_layers(stack, blobs, cfg)
+    return _metadata_from_config(cfg, name, tag)
 
 
-def _load_oci_layout(archive, members: dict) -> tuple[ImageMetadata, LayerStack]:
-    index = json.loads(_read_member(archive, members, "index.json"))
+def _load_oci_layout(archive: _FileBytes, members: dict, stack: LayerStack) -> ImageMetadata:
+    index = json.loads(_member_view(archive, members, "index.json")[:])
     if index.get("schemaVersion") != 2:
         raise UnsupportedFormatError(
             f"unsupported index schemaVersion {index.get('schemaVersion')!r}"
@@ -1252,15 +1344,14 @@ def _load_oci_layout(archive, members: dict) -> tuple[ImageMetadata, LayerStack]
     ref = (desc.get("annotations") or {}).get("org.opencontainers.image.ref.name", "")
     name, tag = _split_reference(ref) if ref else ("", "")
 
-    manifest_bytes = _read_blob(archive, members, desc["digest"])
-    manifest = json.loads(manifest_bytes)
+    manifest = json.loads(_read_blob(archive, members, desc["digest"])[:])
     if manifest.get("schemaVersion") != 2:
         raise UnsupportedFormatError(
             f"unsupported manifest schemaVersion {manifest.get('schemaVersion')!r}"
         )
 
     cfg_desc = manifest.get("config") or {}
-    cfg = json.loads(_read_blob(archive, members, cfg_desc["digest"]))
+    cfg = json.loads(_read_blob(archive, members, cfg_desc["digest"])[:])
 
     blobs = []
     for layer_desc in manifest.get("layers") or []:
@@ -1268,49 +1359,62 @@ def _load_oci_layout(archive, members: dict) -> tuple[ImageMetadata, LayerStack]
         if lmedia not in MEDIA_LAYER_TAR and lmedia not in MEDIA_LAYER_GZIP:
             raise UnsupportedFormatError(f"unknown layer media type {lmedia!r}")
         # _read_blob has checked the bytes against the declared digest.
-        data = _read_blob(archive, members, layer_desc["digest"])
-        blobs.append((data, lmedia, layer_desc["digest"]))
-    return _metadata_from_config(cfg, name, tag), _layer_stack(blobs, cfg)
+        source = _read_blob(archive, members, layer_desc["digest"])
+        blobs.append((source, lmedia, layer_desc["digest"]))
+    _add_layers(stack, blobs, cfg)
+    return _metadata_from_config(cfg, name, tag)
 
 
-def _read_blob(archive, members: dict, digest: str) -> bytes:
+def _read_blob(archive: _FileBytes, members: dict, digest: str) -> _FileBytes:
+    """The range of the blob named by ``digest``, whose bytes are hashed a
+    chunk at a time and checked against it."""
     alg, _, hexd = digest.partition(":")
-    data = _read_member(archive, members, f"blobs/{alg}/{hexd}")
-    actual = sha256_digest(data)
+    source = _member_view(archive, members, f"blobs/{alg}/{hexd}")
+    actual = _chunked_digest(source)
     if actual != digest:
         raise IntegrityError(f"blob digest mismatch: stored {digest}, recomputed {actual}")
-    return data
+    return source
 
 
 def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
     """Parse a docker-save or OCI layout tar into metadata plus ordered layers.
 
     The archive is listed by ``read_tar_headers``, which reads only its
-    header blocks, and each member the layout names is then read once. A
-    gzip, bzip2 or xz archive is first decompressed, a chunk at a time, into
-    a spool that is read the same way and closed on return. A damaged header
-    anywhere in the archive, like a damaged compressed stream, is an
+    header blocks. A gzip, bzip2 or xz archive is first decompressed, a
+    chunk at a time, into a spool that is read the same way. A damaged
+    header anywhere in the archive, like a damaged compressed stream, is an
     ``ImageFormatError``.
 
-    Each layer's tar stream is made here: a gzip layer is decompressed once,
-    a chunk at a time, into a spool that ``flatten_layers`` reads, and its
-    diff_id is hashed on the way, so memory holds the stored layer blobs and
-    one chunk, never a decompressed layer. The spools are closed with the
-    returned ``LayerStack``.
+    Each layer is a range of the archive (or of its spool), and its tar
+    stream is made here: a gzip layer is decompressed once, a chunk at a
+    time, from its range into a spool that ``flatten_layers`` reads, and its
+    diff_id is hashed on the way. Blob digests are hashed a chunk at a time
+    too, so memory holds the manifest, the config and one chunk, never a
+    layer blob. The returned ``LayerStack`` keeps the archive file (or its
+    spool) and the layers' spools open until it is closed; the archive must
+    not change meanwhile.
     """
+    file = open(archive_path, "rb")
+    stack = LayerStack(layers=[], archive=_FileBytes(file))
     try:
-        with open(archive_path, "rb") as file, \
-                contextlib.closing(_uncompressed(_FileBytes(file))) as archive:
-            members = _archive_members(archive)
-            if "oci-layout" in members:
-                return _load_oci_layout(archive, members)
-            if "manifest.json" in members:
-                return _load_docker_layout(archive, members)
+        archive = _uncompressed(stack.archive)
+        if archive is not stack.archive:
+            stack.archive.close()
+            stack.archive = archive
+        members = _archive_members(archive)
+        if "oci-layout" in members:
+            return _load_oci_layout(archive, members, stack), stack
+        if "manifest.json" in members:
+            return _load_docker_layout(archive, members, stack), stack
+        raise ImageFormatError(
+            "archive has neither 'oci-layout' nor 'manifest.json'; not an image archive"
+        )
     except _LAYER_STREAM_ERRORS as exc:
+        stack.close()
         raise ImageFormatError(f"not a readable tar archive: {exc}") from exc
-    raise ImageFormatError(
-        "archive has neither 'oci-layout' nor 'manifest.json'; not an image archive"
-    )
+    except BaseException:
+        stack.close()
+        raise
 
 
 def _image_tar(members: list[tuple[str, bytes | None]]) -> bytes:
@@ -1361,6 +1465,7 @@ def _gzip_layer(chunks: Iterable[bytes]) -> tuple[bytes, str]:
     for chunk in chunks:
         tar_sha256.update(chunk)
         parts.append(compressor.compress(chunk))
+        del chunk  # not held while the next chunk is made
     parts.append(compressor.flush())
     return b"".join(parts), "sha256:" + tar_sha256.hexdigest()
 

@@ -392,27 +392,29 @@ def slim_image(
     Raises a ``SlimError`` subclass when the input cannot be slimmed.
     """
     metadata, stack = load_image_archive(input_path)
+    # The rootfs reads file bytes from the layers (ELF objects, ld.so.conf,
+    # emitted files), so the stack stays open until the image is built.
     with stack:
         rootfs = flatten_layers(stack)
-    del stack  # the stored layer blobs are not needed past flatten
-    commands = collect_system_commands(rootfs, search_dirs)
-    cll = build_command_linked_list(commands, rootfs, search_dirs)
-    expand_command_linked_list(cll, rootfs, search_dirs)
+        commands = collect_system_commands(rootfs, search_dirs)
+        cll = build_command_linked_list(commands, rootfs, search_dirs)
+        expand_command_linked_list(cll, rootfs, search_dirs)
 
-    entry_tokens = _entrypoint_tokens(metadata)
-    for token in entry_tokens:
-        ctl.add(token, "exec-argument", "image-config")
-    match = match_tokens(ctl, cll)
-    if conservative:
-        retain = RetainList()
-        for path in rootfs.entries:
-            retain.add(path, REASON_CONSERVATIVE)
-    else:
-        entry_paths = [t for t in entry_tokens if t.startswith("/")]
-        # rootfs goes by name: the bench tracer (bench/trace_child.py) reads
-        # it as a keyword or as the 4th positional argument.
-        retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs, entry_paths=entry_paths)
-    slim_tar = emit_slim_rootfs(rootfs, retain)
-    archive = build_slim_image(metadata, slim_tar, layout=layout, gzip_layer=gzip_layer)
+        entry_tokens = _entrypoint_tokens(metadata)
+        for token in entry_tokens:
+            ctl.add(token, "exec-argument", "image-config")
+        match = match_tokens(ctl, cll)
+        if conservative:
+            retain = RetainList()
+            for path in rootfs.entries:
+                retain.add(path, REASON_CONSERVATIVE)
+        else:
+            entry_paths = [t for t in entry_tokens if t.startswith("/")]
+            # rootfs goes by name: the bench tracer (bench/trace_child.py)
+            # reads it as a keyword or as the 4th positional argument.
+            retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs,
+                                       entry_paths=entry_paths)
+        slim_tar = emit_slim_rootfs(rootfs, retain)
+        archive = build_slim_image(metadata, slim_tar, layout=layout, gzip_layer=gzip_layer)
     report = compute_report(rootfs, cll, retain, match=match, search_dirs=search_dirs)
     return SlimResult(archive=archive, metadata=metadata, cll=cll, retain=retain, report=report)

@@ -145,7 +145,7 @@ def make_sparse_member(name: str, fmt: str, regions, tail: int = 0) -> bytes:
     with four map entries, and extension blocks of 21 for the rest) or the
     pax sparse version "0.0", "0.1" or "1.0"."""
     regions_map = sparse_map(regions)
-    real_size = len(sparse_file_bytes(regions, tail))
+    real_size = sum(hole + len(data) for hole, data in regions) + tail
     stored = b"".join(data for _, data in regions)
     ti = tarfile.TarInfo(name)
     ti.mode, ti.mtime, ti.size = 0o644, 1000000, len(stored)

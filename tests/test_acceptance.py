@@ -212,8 +212,9 @@ def test_criterion_5_round_trip_and_idempotence(tmp_path):
         out.write_bytes(first)
         loaded, stack = load_image_archive(out)
         assert loaded == metadata  # every field preserved
-        layer_blob = stack.layers[0]
-        assert layer_blob.digest == sha256(layer_blob.data)  # digest matches content
+        with stack:
+            layer_blob = stack.layers[0]
+            assert layer_blob.digest == sha256(layer_blob.data)  # digest matches content
 
         second = _slim_pipeline(first, ["sh"], tmp_path, "slim-again").archive
         assert second == first  # second pass byte-identical
@@ -247,7 +248,8 @@ def test_criterion_6_static_coverage_of_unreached_branch(tmp_path):
         out = tmp_path / "fig2-slim.tar"
         out.write_bytes(archive)
         _, stack = load_image_archive(out)
-        slim_rootfs = flatten_layers(stack)
+        with stack:
+            slim_rootfs = flatten_layers(stack)
         assert "/usr/bin/ls" in slim_rootfs.entries
 
 
@@ -265,7 +267,8 @@ def test_criterion_7_no_entry_point(tmp_path):
 
         out = tmp_path / "noentry-slim.tar"
         out.write_bytes(archive)
-        loaded, _ = load_image_archive(out)
+        loaded, stack = load_image_archive(out)
+        stack.close()
         assert loaded.entrypoint is None
         assert loaded.cmd is None
 
@@ -424,7 +427,7 @@ def test_criterion_10_network_smoke(tmp_path):
     _, stack = load_image_archive(out)
     scratch = tmp_path / "scratch"
     scratch.mkdir()
-    with tarfile.open(fileobj=io.BytesIO(stack.layers[0].data), mode="r:*") as tf:
+    with stack, tarfile.open(fileobj=io.BytesIO(stack.layers[0].data), mode="r:*") as tf:
         tf.extractall(scratch)
     shell = scratch / "bin" / "sh"
     assert shell.exists()

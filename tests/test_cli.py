@@ -115,7 +115,8 @@ class TestSlim:
         )
         assert result.exit_code == 0, result.output
         _, stack = load_image_archive(out)
-        rootfs = flatten_layers(stack)
+        with stack:
+            rootfs = flatten_layers(stack)
         assert "/usr/bin/sh" in rootfs.entries
         assert "/usr/bin/dash" in rootfs.entries
         assert "/bin" in rootfs.entries
@@ -151,11 +152,12 @@ class TestSlim:
         )
         assert result.exit_code == 0, result.output
         _, fat_stack = load_image_archive(image)
-        fat = flatten_layers(fat_stack)
         _, slim_stack = load_image_archive(out)
-        slim = flatten_layers(slim_stack)
-        assert slim.entries == fat.entries
-        assert slim.content == fat.content
+        with fat_stack, slim_stack:
+            fat = flatten_layers(fat_stack)
+            slim = flatten_layers(slim_stack)
+            assert slim.entries == fat.entries
+            assert slim.content == fat.content
 
     def test_strict_mode_aborts_on_unresolved(self, runner, tmp_path):
         image = write_shell_image(tmp_path)
@@ -344,7 +346,8 @@ class TestSlim:
         )
         assert result.exit_code == 0, result.output
         _, stack = load_image_archive(out)
-        rootfs = flatten_layers(stack)
+        with stack:
+            rootfs = flatten_layers(stack)
         assert "/usr/bin/newtool" in rootfs.entries
         assert "/usr/bin/perl" not in rootfs.entries  # whiteout consumed upstream
         assert "/usr/bin/sh" not in rootfs.entries  # unmatched command pruned
@@ -483,6 +486,35 @@ def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
     assert result.exit_code == 3, result.output
     assert result.output == ("error: not a readable tar archive: "
                              "the archive holds a GNU sparse member\n")
+
+
+def test_declared_size_of_a_sparse_file_is_never_laid_out(runner, tmp_path):
+    """A sparse file of one stored byte that declares 2**60 bytes, in the
+    prune area: ``inspect`` sizes it and ``slim`` drops it, and neither
+    lays the file out in memory."""
+    members = [*shell_chain_members(),
+               {"path": "/usr/lib/huge.img", "kind": "sparse", "format": "0.1",
+                "regions": [(0, b"x")], "tail": 2**60 - 1}]
+    image = tmp_path / "huge.tar"
+    image.write_bytes(make_docker_archive([make_layer_tar(members)]))
+    size = 2**60 + sum(len(m.get("data", b"")) for m in shell_chain_members())
+
+    result = runner.invoke(main, ["inspect", "--input", str(image)])
+    assert result.exit_code == 0, result.output
+    assert f"rootfs size: {size}\n" in result.output
+
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    out, report = tmp_path / "slim.tar", tmp_path / "report.json"
+    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
+                                  "--ctl", str(ctl), "--report", str(report)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(report.read_text())["original_size"] == size
+    _, stack = load_image_archive(out)
+    with stack:
+        entries = flatten_layers(stack).entries
+    assert "/usr/bin/dash" in entries
+    assert "/usr/lib/huge.img" not in entries
 
 
 # --- spools -----------------------------------------------------------------

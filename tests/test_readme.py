@@ -30,7 +30,8 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
 
     # The slim_image block writes the slim archive and prints its table.
     _, stack = load_image_archive(tmp_path / "slim.tar")
-    slim = flatten_layers(stack)
+    with stack:
+        slim = flatten_layers(stack)
     assert "/usr/bin/dash" in slim.entries
     assert "/usr/bin/perl" not in slim.entries
     assert "slimming ratio" in capsys.readouterr().out
