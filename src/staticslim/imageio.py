@@ -830,15 +830,11 @@ def _uncompressed(source):
 # --- image model and layer flattening ---------------------------------------
 
 
-def sha256_digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _chunked_digest(source: bytes | _FileBytes) -> str:
-    """``sha256_digest`` of ``source``, read ``_CHUNK`` bytes at a time."""
+def sha256_digest(data: bytes | _FileBytes) -> str:
+    """The digest of ``data``, read ``_CHUNK`` bytes at a time."""
     sha256 = hashlib.sha256()
-    for at in range(0, len(source), _CHUNK):
-        sha256.update(source[at:at + _CHUNK])
+    for at in range(0, len(data), _CHUNK):
+        sha256.update(data[at:at + _CHUNK])
     return "sha256:" + sha256.hexdigest()
 
 
@@ -1269,7 +1265,7 @@ def _layer_from_blob(source: bytes | _FileBytes, media_type: str,
     ``_read_blob`` already checked it against, or None to hash it here. A
     gzip layer is decompressed once, from its range into a spool, and its
     diff_id is hashed on the way; then ``_uncompressed`` reads the magic."""
-    digest = verified_digest or _chunked_digest(source)
+    digest = verified_digest or sha256_digest(source)
     stored, diff_id = source, digest
     if media_type in MEDIA_LAYER_GZIP:
         stored, diff_id = _decompress(source, "gzip")
@@ -1370,7 +1366,7 @@ def _read_blob(archive: _FileBytes, members: dict, digest: str) -> _FileBytes:
     chunk at a time and checked against it."""
     alg, _, hexd = digest.partition(":")
     source = _member_view(archive, members, f"blobs/{alg}/{hexd}")
-    actual = _chunked_digest(source)
+    actual = sha256_digest(source)
     if actual != digest:
         raise IntegrityError(f"blob digest mismatch: stored {digest}, recomputed {actual}")
     return source
