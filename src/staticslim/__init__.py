@@ -10,13 +10,14 @@ from .analyzer import (
     enumerate_dependency_chain,
     extract_command_tokens,
 )
-from .elf import ElfClosure, read_dynamic_info, resolve_elf_dependencies
+from .elf import read_dynamic_info
 from .errors import (
     AnalysisError,
     EmptyImageError,
     ImageFormatError,
     IntegrityError,
     LayerSecurityError,
+    OversizedFileError,
     PruneConsistencyError,
     SlimError,
     SpoolError,

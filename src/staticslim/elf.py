@@ -3,11 +3,12 @@
 Replaces running the loader (``ldd``) with a pure parse of the program
 headers and dynamic section, so nothing from an untrusted image is ever
 executed. Resolution follows the loader's documented search order inside the
-flattened rootfs. Each object is parsed at most once per rootfs. One
+flattened rootfs. ``LibrarySearch.edges`` is the one loader walk: from each
+program root it yields the ``PT_INTERP`` and ``DT_NEEDED`` edges the loader
+follows, each needed name resolved for the object that needs it. One
 ``LibrarySearch`` serves a whole retain pass: each library directory is
-listed once and each spelling's symlink chain is walked once. A needed name
-is resolved for the object that needs it (``LibrarySearch.needed``), the one
-resolution both the retain graph and ``resolve_elf_dependencies`` use.
+listed once, each spelling's symlink chain is walked once and each object is
+parsed once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import bisect
 import logging
 import posixpath
 import struct
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .imageio import KIND_DIRECTORY, KIND_SYMLINK, FlattenedRootfs
 from .rootfs import lookup_record, resolve_directory, resolve_entry
@@ -145,15 +148,6 @@ def _vaddr_to_offset(loads, vaddr: int) -> int:
     raise ValueError(f"vaddr {vaddr:#x} not covered by any PT_LOAD segment")
 
 
-@dataclass
-class ElfClosure:
-    """Transitive dependency closure of one dynamic executable."""
-
-    paths: set[str] = field(default_factory=set)
-    missing: list[str] = field(default_factory=list)
-    interpreter: str | None = None
-
-
 def library_search_dirs(rootfs: FlattenedRootfs) -> list[str]:
     """Default library directories plus architecture-triplet subdirectories
     (``x86_64-linux-gnu`` style) discovered inside the rootfs."""
@@ -219,7 +213,7 @@ def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
 
 
 class LibrarySearch:
-    """Needed-name lookups against one rootfs, shared by a whole retain pass.
+    """The loader's view of one rootfs, shared by a whole retain pass.
 
     ``index`` maps a library name to the spelling ``d + "/" + name`` of the
     first directory ``d`` of ``rootfs_library_dirs`` whose physical directory
@@ -227,10 +221,11 @@ class LibrarySearch:
     it does for a probe of that spelling. Each directory is resolved once,
     through the same cache a probe of a child spelling uses, and its children
     are one key range of the rootfs's sorted entries. ``chain`` memoizes
-    ``_chain_entries`` per spelling.
+    ``_chain_entries`` per spelling, and the parse of each object is kept
+    for the walk (``edges``).
 
     Build one per retain pass rather than keeping it on the rootfs, so its
-    memory is freed before the slim image is written.
+    memory, parses included, is freed before the slim image is written.
     """
 
     def __init__(self, rootfs: FlattenedRootfs):
@@ -238,6 +233,7 @@ class LibrarySearch:
         self.base_dirs = rootfs_library_dirs(rootfs)
         self.index: dict[str, str] = {}
         self._chains: dict[str, tuple[tuple[str, ...], str | None]] = {}
+        self._infos: dict[str, DynamicInfo | None] = {}
         keys = list(rootfs.entries)
         for d in self.base_dirs:
             directory, _ = resolve_directory(rootfs, d)
@@ -281,92 +277,55 @@ class LibrarySearch:
             hit = self._chains[spelling] = _chain_entries(self.rootfs, spelling)
         return hit
 
-    def dynamic_info(self, path: str) -> DynamicInfo | None:
-        """Parsed facts of the object ``path`` opens; None unless it is dynamic ELF."""
-        info = _object_info(self.rootfs, self.chain(path)[1], path)
-        return info if info is not None and info.is_dynamic else None
-
-    def needed(self, obj_path: str, name: str) -> tuple[tuple[str, ...], str | None]:
-        """``chain`` of what the loader opens for the needed ``name`` of the
-        dynamic object ``obj_path``: ``find`` with the object's own rpath and
-        runpath, ``$ORIGIN`` expanded to the directory of ``obj_path``. An
-        unresolved name gives ``((), None)``.
-        """
-        info = self.dynamic_info(obj_path)
-        origin = posixpath.dirname(obj_path) if info.rpath or info.runpath else ""
-        own_dirs = [posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin))
-                    for p in info.rpath + info.runpath]
-        spelled = self.find(name, own_dirs)
-        return ((), None) if spelled is None else self.chain(spelled)
-
-
-def resolve_elf_dependencies(
-    binary_path: str,
-    rootfs: FlattenedRootfs,
-    search: LibrarySearch | None = None,
-) -> ElfClosure:
-    """Transitive needed-library closure of ``binary_path`` inside the rootfs.
-
-    Non-ELF and statically linked files yield an empty closure. Unresolvable
-    needed names are recorded as missing, never fatal. The returned paths
-    include every symlink hop crossed while resolving library names, directory
-    symlinks on the way included, plus the program interpreter of the root
-    object. Each needed name is resolved once per closure, through the
-    first object that needs it. Pass one ``LibrarySearch`` of this rootfs to
-    every call when resolving many binaries, so the library directories are
-    listed once.
-    """
-    closure = ElfClosure()
-    if search is None:
-        search = LibrarySearch(rootfs)
-    root_info = search.dynamic_info(binary_path)
-    if root_info is None:
-        return closure
-
-    queue = [binary_path]
-    seen_objects = {search.chain(binary_path)[1]}
-    seen_names: set[str] = set()
-    if root_info.interpreter:
-        closure.interpreter = root_info.interpreter
-        hops, terminal = search.chain(root_info.interpreter)
-        closure.paths.update(hops)
+    def _dynamic_info(self, path: str) -> DynamicInfo | None:
+        """Parsed facts of the object ``path`` opens; None unless it is
+        dynamic ELF. Each physical object is parsed once per search, so a
+        malformed one is warned about once, naming its first reader."""
+        terminal = self.chain(path)[1]
         if terminal is None:
-            closure.missing.append(root_info.interpreter)
-        elif terminal not in seen_objects:
-            seen_objects.add(terminal)
-            queue.append(terminal)
+            return None
+        if terminal not in self._infos:
+            try:
+                info = read_dynamic_info(self.rootfs.data_for(terminal), origin=path)
+            except KeyError:
+                info = None
+            self._infos[terminal] = info if info is not None and info.is_dynamic else None
+        return self._infos[terminal]
 
-    while queue:
-        obj_path = queue.pop(0)
-        obj_info = search.dynamic_info(obj_path)
-        if obj_info is None:
-            continue
-        for name in obj_info.needed:
-            if name in seen_names:
-                continue
-            seen_names.add(name)
-            hops, terminal = search.needed(obj_path, name)
-            closure.paths.update(hops)
-            if terminal is None:
-                closure.missing.append(name)
-            elif terminal not in seen_objects:
-                seen_objects.add(terminal)
-                queue.append(terminal)
-    return closure
+    def edges(self, roots: Iterable[str]) -> Iterator[tuple[str, str, tuple[str, ...], str | None, bool]]:
+        """Every edge the loader follows to start the program ``roots``.
 
-
-def _object_info(rootfs: FlattenedRootfs, terminal: str | None, origin: str) -> DynamicInfo | None:
-    """Parsed facts of the physical object ``terminal``, read once per rootfs.
-
-    A malformed object is therefore warned about once, naming the ``origin``
-    of its first reader.
-    """
-    if terminal is None:
-        return None
-    if terminal not in rootfs._elf_info:
-        try:
-            info = read_dynamic_info(rootfs.data_for(terminal), origin=origin)
-        except KeyError:
-            info = None
-        rootfs._elf_info[terminal] = info
-    return rootfs._elf_info[terminal]
+        An edge is (requester, name, hops, terminal, is_interpreter): the
+        object that names ``name``, every entry crossed to open it and the
+        object opened, or None when the name does not resolve. For each
+        root in turn, a dynamic root's ``PT_INTERP`` comes first, then the
+        ``DT_NEEDED`` names of the root and of every object reached from
+        it, breadth first. An object walked for an earlier root is not
+        walked again. A needed name is resolved for the object that needs
+        it: ``find`` with the object's own rpath and runpath, ``$ORIGIN``
+        expanded to the directory of the object's spelling.
+        """
+        walked: set[str] = set()
+        for root in roots:
+            info = self._dynamic_info(root)
+            objects = deque([root])
+            if info is not None and info.interpreter:
+                hops, interp = self.chain(info.interpreter)
+                yield root, info.interpreter, hops, interp, True
+                if interp is not None:
+                    objects.append(interp)
+            while objects:
+                obj = objects.popleft()
+                info = None if obj in walked else self._dynamic_info(obj)
+                walked.add(obj)
+                if info is None:
+                    continue
+                origin = posixpath.dirname(obj) if info.rpath or info.runpath else ""
+                own_dirs = [posixpath.normpath(p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin))
+                            for p in info.rpath + info.runpath]
+                for name in info.needed:
+                    spelled = self.find(name, own_dirs)
+                    hops, terminal = ((), None) if spelled is None else self.chain(spelled)
+                    yield obj, name, hops, terminal, False
+                    if terminal is not None and terminal not in walked:
+                        objects.append(terminal)

@@ -24,6 +24,10 @@ class LayerSecurityError(SlimError):
     """A layer tar entry would escape the virtual root."""
 
 
+class OversizedFileError(SlimError):
+    """A file of the image is too large to be laid out in memory."""
+
+
 class SpoolError(SlimError):
     """A decompressed layer or archive cannot be written to its temporary file."""
 

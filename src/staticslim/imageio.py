@@ -54,19 +54,17 @@ from tarfile import (
     SYMTYPE,
     XGLTYPE,
 )
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     EmptyImageError,
     ImageFormatError,
     IntegrityError,
     LayerSecurityError,
+    OversizedFileError,
     SpoolError,
     UnsupportedFormatError,
 )
-
-if TYPE_CHECKING:
-    from .elf import DynamicInfo
 
 log = logging.getLogger(__name__)
 
@@ -923,8 +921,9 @@ class _LayerContent(Mapping[str, bytes]):
     """The regular-file bytes of a rootfs flattened from ``stack``, read
     from the layers' tar streams when a path is looked up. ``refs`` maps
     each path to its (tar stream, data offset, size, sparse map) reference;
-    a sparse file's stored regions are laid out in turn over NUL holes.
-    Looking a path up once the stack is closed raises ``ValueError``."""
+    a sparse file's stored regions are laid out in turn over NUL holes, and
+    one too large for memory raises ``OversizedFileError``. Looking a path
+    up once the stack is closed raises ``ValueError``."""
 
     def __init__(self, refs: dict[str, tuple], stack: LayerStack):
         self._refs = refs
@@ -936,11 +935,15 @@ class _LayerContent(Mapping[str, bytes]):
             raise ValueError(f"cannot read {path}: its layer stack is closed")
         if sparse is None:
             return tar[offset:offset + size]
-        data = bytearray(size)
-        for at, length in sparse:
-            data[at:at + length] = tar[offset:offset + length]
-            offset += length
-        return bytes(data)
+        try:
+            data = bytearray(size)
+            for at, length in sparse:
+                data[at:at + length] = tar[offset:offset + length]
+                offset += length
+            return bytes(data)
+        except MemoryError:
+            raise OversizedFileError(
+                f"{path}: a sparse file of {size} bytes does not fit in memory") from None
 
     def __contains__(self, path) -> bool:
         return path in self._refs
@@ -992,12 +995,10 @@ class FlattenedRootfs:
     normalized target and is derived from ``entries`` on construction.
 
     A rootfs is never mutated after construction; a different set of entries
-    (such as the retained view a prune report counts) is a new object. Two
-    private caches rely on that and are filled on first use:
-    ``_dir_cache`` maps a directory spelling to its physical directory and
-    the symlink hops crossed (``rootfs.resolve_entry``), and ``_elf_info``
-    maps a physical path to its parsed dynamic-linking facts
-    (``elf.LibrarySearch.dynamic_info``).
+    (such as the retained view a prune report counts) is a new object. The
+    private cache ``_dir_cache`` relies on that and is filled on first use:
+    it maps a directory spelling to its physical directory and the symlink
+    hops crossed (``rootfs.resolve_entry``).
     """
 
     entries: dict[str, FileRecord]
@@ -1006,8 +1007,6 @@ class FlattenedRootfs:
     warnings: list[str] = field(default_factory=list)
     symlink_table: dict[str, str] = field(init=False, repr=False)
     _dir_cache: dict[str, tuple[str | None, tuple[str, ...]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _elf_info: dict[str, DynamicInfo | None] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):

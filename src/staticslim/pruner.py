@@ -4,8 +4,8 @@ Only paths containing ``/bin/``, ``/sbin/``, or ``/lib/`` are ever pruned
 (substring semantics, so ``/usr/bin/`` and ``/usr/lib/`` count). The retain
 set is everything reachable in one graph (``build_retain_list``): symlink
 chains, hardlink targets and parent directories of every retained entry,
-plus the program interpreter and needed libraries of the matched programs,
-each needed name resolved for the object that needs it.
+plus what the loader opens to start the matched programs, walked by
+``elf.LibrarySearch.edges``: their interpreters and needed libraries.
 ``slim_image`` runs the whole pipeline, from input archive to report, on the
 one ``FlattenedRootfs`` that every stage reads.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import posixpath
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -136,11 +135,10 @@ def build_retain_list(
     Seeds: each spelling on a matched chain, each absolute entrypoint path
     (the entries these denote are program roots), then every entry outside
     the prune area. Edges: the symlink hops a spelling crosses, a symlink's
-    one-hop target, a hardlink's target, the nearest existing parent, a
-    dynamic root's ``PT_INTERP``, and the ``DT_NEEDED`` names of roots and of
-    the objects these reach, each resolved for the object that needs it.
-    Roots are walked breadth first in seed order, which orders the missing
-    names. A path's reason is the seed or edge that reached it first.
+    one-hop target, a hardlink's target, the nearest existing parent, and
+    the loader's edges from the roots (``LibrarySearch.edges``), whose
+    order orders the missing names. A path's reason is the seed or edge
+    that reached it first.
     """
     retain = RetainList()
     work: list[str] = []
@@ -166,33 +164,13 @@ def build_retain_list(
         if not in_prune_area(path):
             reach(path, REASON_PROTECTED)
 
-    search = LibrarySearch(rootfs)
-    walked: set[str] = set()
-    for root in roots:
-        info = search.dynamic_info(root)
-        objects = deque([root])
-        if info is not None and info.interpreter:
-            hops, interp = search.chain(info.interpreter)
-            for hop in hops:
-                reach(hop, REASON_INTERP)
-            if interp is None:
-                _note_missing(retain.missing_interpreters, info.interpreter, root, "program interpreter")
-            else:
-                objects.append(interp)
-        while objects:
-            obj = objects.popleft()
-            info = None if obj in walked else search.dynamic_info(obj)
-            walked.add(obj)
-            if info is None:
-                continue
-            for name in info.needed:
-                hops, terminal = search.needed(obj, name)
-                for hop in hops:
-                    reach(hop, REASON_ELF)
-                if terminal is None:
-                    _note_missing(retain.missing_libraries, name, obj, "needed library")
-                elif terminal not in walked:
-                    objects.append(terminal)
+    for requester, name, hops, terminal, is_interpreter in LibrarySearch(rootfs).edges(roots):
+        for hop in hops:
+            reach(hop, REASON_INTERP if is_interpreter else REASON_ELF)
+        if terminal is None and is_interpreter:
+            _note_missing(retain.missing_interpreters, name, requester, "program interpreter")
+        elif terminal is None:
+            _note_missing(retain.missing_libraries, name, requester, "needed library")
 
     while work:
         path = work.pop()
@@ -387,8 +365,9 @@ def slim_image(
 ) -> SlimResult:
     """Slim one image archive: load, model, match, retain, emit, build, report.
 
-    The image's entrypoint and cmd words are added to ``ctl`` before
-    matching. ``conservative`` keeps every entry instead of pruning.
+    The image's entrypoint and cmd words are matched with ``ctl``'s tokens;
+    ``ctl`` itself is left as it is. ``conservative`` keeps every entry
+    instead of pruning.
     Raises a ``SlimError`` subclass when the input cannot be slimmed.
     """
     metadata, stack = load_image_archive(input_path)
@@ -401,9 +380,10 @@ def slim_image(
         expand_command_linked_list(cll, rootfs, search_dirs)
 
         entry_tokens = _entrypoint_tokens(metadata)
+        image_ctl = CommandTokenList(tokens=list(ctl.tokens))
         for token in entry_tokens:
-            ctl.add(token, "exec-argument", "image-config")
-        match = match_tokens(ctl, cll)
+            image_ctl.add(token, "exec-argument", "image-config")
+        match = match_tokens(image_ctl, cll)
         if conservative:
             retain = RetainList()
             for path in rootfs.entries:

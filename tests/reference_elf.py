@@ -1,19 +1,43 @@
-"""Reference ELF closure that probes every library directory per needed name.
+"""Reference ELF closures that probe every library directory per needed name.
 
-It is the oracle for ``staticslim.elf.resolve_elf_dependencies``, which looks
-library names up in an index built once per retain pass and memoizes symlink
-chains: both must give the same closure paths, the same missing names in the
-same order and the same interpreter. This is the original per-closure search,
-unchanged, resolving paths with ``reference_resolver``.
+They are the oracles for the loader walk ``staticslim.elf.LibrarySearch.edges``,
+which looks library names up in an index built once per retain pass and
+memoizes symlink chains and parses. ``object_closure`` resolves each needed
+name for each object that needs it, as the walk does: a one-root walk must
+give the same paths, the same missing names in the same order and the same
+interpreter. ``resolve_elf_dependencies`` is the original per-closure search,
+unchanged, resolving each name once through the first object that needs it;
+``reference_retain`` builds on it. Both resolve paths with
+``reference_resolver`` and parse every object afresh.
 """
 
 from __future__ import annotations
 
 import posixpath
+from dataclasses import dataclass, field
 
 from reference_resolver import resolve_entry
-from staticslim.elf import DynamicInfo, ElfClosure, _object_info, rootfs_library_dirs
+from staticslim.elf import DynamicInfo, read_dynamic_info, rootfs_library_dirs
 from staticslim.imageio import KIND_DIRECTORY, KIND_SYMLINK
+
+
+@dataclass
+class Closure:
+    """What the loader opens to start one program."""
+
+    paths: set[str] = field(default_factory=set)
+    missing: list[str] = field(default_factory=list)
+    interpreter: str | None = None
+
+
+def _object_info(rootfs, terminal: str | None, origin: str) -> DynamicInfo | None:
+    """Parsed facts of the physical object ``terminal``, or None."""
+    if terminal is None:
+        return None
+    try:
+        return read_dynamic_info(rootfs.data_for(terminal), origin=origin)
+    except KeyError:
+        return None
 
 
 def lookup_record(rootfs, path: str):
@@ -51,7 +75,7 @@ def resolve_elf_dependencies(
     binary_path: str,
     rootfs,
     lib_dirs: list[str] | None = None,
-) -> ElfClosure:
+) -> Closure:
     """Transitive needed-library closure of ``binary_path`` inside the rootfs.
 
     Non-ELF and statically linked files yield an empty closure. Unresolvable
@@ -61,7 +85,7 @@ def resolve_elf_dependencies(
     object. Pass a precomputed ``lib_dirs`` (from rootfs_library_dirs) when
     resolving many binaries against one rootfs.
     """
-    closure = ElfClosure()
+    closure = Closure()
     if lib_dirs is None:
         lib_dirs = rootfs_library_dirs(rootfs)
 
@@ -107,6 +131,46 @@ def resolve_elf_dependencies(
             dep_info = _object_info(rootfs, terminal, terminal)
             if dep_info is not None and dep_info.is_dynamic:
                 queue.append((terminal, dep_info))
+    return closure
+
+
+def object_closure(binary_path: str, rootfs) -> Closure:
+    """Loader closure of ``binary_path``, each needed name resolved for each
+    object that needs it.
+
+    A dynamic root's interpreter is opened first, then objects are walked
+    breadth first, each once: the root under its own spelling, every other
+    object as the physical entry it was opened as. Missing names are listed
+    once each, in the order they are first met.
+    """
+    closure = Closure()
+    lib_dirs = rootfs_library_dirs(rootfs)
+    root_info = _object_info(rootfs, _chain_entries(rootfs, binary_path)[1], binary_path)
+    queue = [binary_path]
+    walked: set[str] = set()
+
+    def opened(name: str, spelled: str | None) -> None:
+        hops, terminal = ([], None) if spelled is None else _chain_entries(rootfs, spelled)
+        closure.paths.update(hops)
+        if terminal is not None:
+            queue.append(terminal)
+        elif name not in closure.missing:
+            closure.missing.append(name)
+
+    if root_info is not None and root_info.is_dynamic and root_info.interpreter:
+        closure.interpreter = root_info.interpreter
+        opened(root_info.interpreter, root_info.interpreter)
+    while queue:
+        obj_path = queue.pop(0)
+        if obj_path in walked:
+            continue
+        walked.add(obj_path)
+        obj_info = _object_info(rootfs, _chain_entries(rootfs, obj_path)[1], obj_path)
+        if obj_info is None or not obj_info.is_dynamic:
+            continue
+        obj_dirs = _object_search_dirs(obj_info, obj_path, lib_dirs)
+        for name in obj_info.needed:
+            opened(name, _find_library(rootfs, name, obj_dirs))
     return closure
 
 

@@ -54,7 +54,7 @@ from staticslim.rootfs import (
     resolve_entry,
 )
 
-from test_elf import build_random_elf_forest, oracle_bfs_closure
+from test_elf import build_random_elf_forest, oracle_bfs_closure, walk_closure
 
 
 class _Criterion:
@@ -153,10 +153,7 @@ def test_criterion_3_elf_closure_oracle():
             total_objects += len(graph)
             for root, interp in roots:
                 expected, missing = oracle_bfs_closure(graph, placements, root, interp)
-                closure = None
-                from staticslim.elf import resolve_elf_dependencies
-
-                closure = resolve_elf_dependencies(root, rootfs)
+                closure = walk_closure(root, rootfs)
                 assert closure.paths == expected, f"seed={seed} root={root}"
                 assert set(closure.missing) == missing  # reported, never fatal
         assert total_objects >= 10
@@ -309,8 +306,6 @@ def test_criterion_8_report_arithmetic():
 
 
 def test_criterion_9_safety_invariants():
-    from staticslim.elf import resolve_elf_dependencies
-
     with _Criterion(9, "safety invariants on randomized prune cases", 30.0):
         for seed in range(200):
             rng = random.Random(55_000 + seed)
@@ -355,7 +350,7 @@ def test_criterion_9_safety_invariants():
                 rec = rootfs.entries[path]
                 if rec.kind != "regular" or not rec.is_executable():
                     continue
-                closure = resolve_elf_dependencies(path, rootfs)
+                closure = walk_closure(path, rootfs)
                 assert closure.paths <= retain.paths, f"seed={seed} {path}"
 
             report = compute_report(rootfs, cll, retain, match=match)

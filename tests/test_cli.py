@@ -488,15 +488,21 @@ def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
                              "the archive holds a GNU sparse member\n")
 
 
-def test_declared_size_of_a_sparse_file_is_never_laid_out(runner, tmp_path):
-    """A sparse file of one stored byte that declares 2**60 bytes, in the
-    prune area: ``inspect`` sizes it and ``slim`` drops it, and neither
-    lays the file out in memory."""
+def _huge_sparse_image(tmp_path):
+    """The shell-chain image plus a sparse file of one stored byte that
+    declares 2**60 bytes, in the prune area."""
     members = [*shell_chain_members(),
                {"path": "/usr/lib/huge.img", "kind": "sparse", "format": "0.1",
                 "regions": [(0, b"x")], "tail": 2**60 - 1}]
     image = tmp_path / "huge.tar"
     image.write_bytes(make_docker_archive([make_layer_tar(members)]))
+    return image
+
+
+def test_declared_size_of_a_sparse_file_is_never_laid_out(runner, tmp_path):
+    """``inspect`` sizes the huge sparse file and ``slim`` drops it, and
+    neither lays the file out in memory."""
+    image = _huge_sparse_image(tmp_path)
     size = 2**60 + sum(len(m.get("data", b"")) for m in shell_chain_members())
 
     result = runner.invoke(main, ["inspect", "--input", str(image)])
@@ -515,6 +521,24 @@ def test_declared_size_of_a_sparse_file_is_never_laid_out(runner, tmp_path):
         entries = flatten_layers(stack).entries
     assert "/usr/bin/dash" in entries
     assert "/usr/lib/huge.img" not in entries
+
+
+@pytest.mark.parametrize("gzip_layer", [False, True])
+def test_retained_sparse_file_too_large_to_lay_out_exits_3(runner, tmp_path, gzip_layer):
+    """``--conservative`` keeps the huge sparse file, which cannot be laid
+    out to be written: the run ends with one error line, not a
+    ``MemoryError`` traceback."""
+    image = _huge_sparse_image(tmp_path)
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    out = tmp_path / "slim.tar"
+    args = ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl), "--conservative"]
+    result = runner.invoke(main, args + (["--gzip"] if gzip_layer else []))
+    assert result.exit_code == 3, result.output
+    assert result.output.count("error:") == 1
+    assert f"error: /usr/lib/huge.img: a sparse file of {2**60} bytes" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 # --- spools -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from conftest import (
 )
 from staticslim import elf, rootfs as rootfs_mod
 from staticslim.analyzer import CommandTokenList
-from staticslim.elf import LibrarySearch, read_dynamic_info, resolve_elf_dependencies
+from staticslim.elf import LibrarySearch, read_dynamic_info
 from staticslim.imageio import (
     KIND_DIRECTORY,
     KIND_HARDLINK,
@@ -123,6 +123,19 @@ def _slim(tmp_path, members, tokens):
     return slim_image(src, ctl)
 
 
+def walk_closure(root: str, rootfs: FlattenedRootfs, search: LibrarySearch | None = None):
+    """The one-root loader walk as a closure: every entry its edges cross,
+    each unresolved name once in the order met, and the root's interpreter."""
+    closure = reference_elf.Closure()
+    for _requester, name, hops, terminal, is_interpreter in (search or LibrarySearch(rootfs)).edges([root]):
+        closure.paths.update(hops)
+        if is_interpreter:
+            closure.interpreter = name
+        if terminal is None and name not in closure.missing:
+            closure.missing.append(name)
+    return closure
+
+
 class TestParseOnce:
     def test_slim_parses_each_object_once(self, tmp_path, monkeypatch):
         interp = "/lib/ld-test.so"
@@ -200,7 +213,7 @@ class TestClosure:
             {"path": "/usr/bin/app", "data": make_elf(dynamic=False), "mode": 0o755},
         ])
         rootfs = _rootfs(members)
-        closure = resolve_elf_dependencies("/usr/bin/app", rootfs)
+        closure = walk_closure("/usr/bin/app", rootfs)
         assert closure.paths == set()
         assert closure.missing == []
 
@@ -208,7 +221,7 @@ class TestClosure:
         members = _lib_members({}, extra=[
             {"path": "/usr/bin/script", "data": b"#!/bin/sh\n", "mode": 0o755},
         ])
-        closure = resolve_elf_dependencies("/usr/bin/script", _rootfs(members))
+        closure = walk_closure("/usr/bin/script", _rootfs(members))
         assert closure.paths == set()
 
     def test_chain_a_b_c_with_interpreter(self):
@@ -222,7 +235,7 @@ class TestClosure:
         members = _lib_members(libs, extra=[
             {"path": "/usr/bin/app", "data": app, "mode": 0o755},
         ])
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         # Both libraries are found as /lib/<name>, through the /lib link.
         assert closure.paths == {"/lib", "/usr/lib/libb.so", "/usr/lib/libc.so", interp}
         assert closure.interpreter == interp
@@ -233,7 +246,7 @@ class TestClosure:
         members = _lib_members({}, extra=[
             {"path": "/usr/bin/app", "data": app, "mode": 0o755},
         ])
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == set()
         assert closure.missing == ["libgone.so"]
 
@@ -243,7 +256,7 @@ class TestClosure:
             {"path": "/usr/lib/libreal.so.1", "kind": "symlink", "target": "libreal-1.2.so"},
             {"path": "/usr/bin/app", "data": make_elf(needed=["libreal.so.1"]), "mode": 0o755},
         ])
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         # Found as /lib/libreal.so.1, through the /lib link.
         assert closure.paths == {"/lib", "/usr/lib/libreal.so.1", "/usr/lib/libreal-1.2.so"}
 
@@ -262,7 +275,7 @@ class TestClosure:
                 "mode": 0o755,
             },
         ])
-        closure = resolve_elf_dependencies("/opt/app/run", _rootfs(members))
+        closure = walk_closure("/opt/app/run", _rootfs(members))
         assert closure.paths == {"/opt/app/libpick.so"}
         assert "libmarker.so" not in closure.missing
 
@@ -277,7 +290,7 @@ class TestClosure:
                 "mode": 0o755,
             },
         ])
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/srv/libs/libweb.so"}
 
     def test_ld_so_conf_directories(self):
@@ -290,7 +303,7 @@ class TestClosure:
             {"path": "/opt/vendor/lib/libv.so", "data": make_elf(), "mode": 0o755},
             {"path": "/usr/bin/app", "data": make_elf(needed=["libv.so"]), "mode": 0o755},
         ])
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/opt/vendor/lib/libv.so"}
 
     def test_arch_triplet_subdir(self):
@@ -302,7 +315,7 @@ class TestClosure:
             {"path": "/usr/bin", "kind": "directory"},
             {"path": "/usr/bin/app", "data": make_elf(needed=["libt.so"]), "mode": 0o755},
         ]
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/usr/lib/x86_64-linux-gnu/libt.so"}
 
     def test_directory_symlink_on_runpath_kept(self):
@@ -322,7 +335,7 @@ class TestClosure:
                 "mode": 0o755,
             },
         ]
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/usr/lib/app", "/opt/applib/libfoo.so"}
         assert closure.missing == []
 
@@ -334,7 +347,7 @@ class TestClosure:
                 "mode": 0o755,
             },
         ])
-        closure = resolve_elf_dependencies("/usr/bin/app", _rootfs(members))
+        closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/usr/lib/libabs.so"}
 
 
@@ -396,7 +409,7 @@ def test_random_forest_matches_bfs_oracle(seed):
     rootfs, graph, placements, roots = build_random_elf_forest(rng)
     for root, interp in roots:
         expected, missing = oracle_bfs_closure(graph, placements, root, interp)
-        closure = resolve_elf_dependencies(root, rootfs)
+        closure = walk_closure(root, rootfs)
         assert closure.paths == expected, f"seed={seed} root={root}"
         assert set(closure.missing) == missing, f"seed={seed} root={root}"
 
@@ -521,12 +534,12 @@ def assert_retain_matches_reference(start_nodes, cll, rootfs, entry_paths):
 @given(st.randoms(use_true_random=False))
 def test_library_search_matches_reference_closure(rng):
     rootfs, roots = random_loader_rootfs(rng)
-    # One search for every root, as in a retain pass: what earlier closures
-    # put in the memo must not change a later closure.
+    # One search for every root, as in a retain pass: what earlier walks put
+    # in the memo must not change a later walk.
     search = LibrarySearch(rootfs)
     for root in roots:
-        want = reference_elf.resolve_elf_dependencies(root, rootfs)
-        got = resolve_elf_dependencies(root, rootfs, search=search)
+        want = reference_elf.object_closure(root, rootfs)
+        got = walk_closure(root, rootfs, search=search)
         assert (got.paths, got.missing, got.interpreter) == (want.paths, want.missing, want.interpreter), root
 
     assert_retain_matches_reference([], CommandLinkedList(), rootfs, roots)

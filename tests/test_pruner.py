@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_emit
-from conftest import make_elf, make_layer_tar, make_stack, shell_chain_members
+from conftest import (
+    default_config,
+    make_docker_archive,
+    make_elf,
+    make_layer_tar,
+    make_stack,
+    shell_chain_members,
+)
 from staticslim import rootfs as rootfs_mod
 from staticslim.analyzer import CommandTokenList
 from staticslim.errors import PruneConsistencyError
@@ -25,6 +32,7 @@ from staticslim.pruner import (
     emit_slim_rootfs,
     in_prune_area,
     match_tokens,
+    slim_image,
 )
 from staticslim.rootfs import (
     build_command_linked_list,
@@ -498,3 +506,25 @@ class TestReport:
         monkeypatch.setattr(rootfs_mod, "_extend_chain", no_chain)
         report = compute_report(rootfs, cll, retain, match=match)
         assert report.commands_after == len(rebuilt.heads) == 2
+
+
+def test_slim_image_leaves_the_ctl_alone(tmp_path):
+    """One CTL slims two images: each image's entrypoint words are matched
+    for that image only, and the CTL keeps its own tokens."""
+    layer = make_layer_tar(shell_chain_members())
+
+    def image(name, entrypoint):
+        path = tmp_path / name
+        config = default_config([layer], config={"Entrypoint": entrypoint})
+        path.write_bytes(make_docker_archive([layer], config))
+        return path
+
+    shared = ctl_of("sh")
+    tokens = list(shared.tokens)
+    first = slim_image(image("first.tar", ["perl", "-e"]), shared).report
+    second = slim_image(image("second.tar", ["dash"]), shared).report
+    assert shared.tokens == tokens
+    assert first.matched_tokens == {"sh": "sh", "perl": "perl"}
+    assert first.unmatched_tokens == ["-e"]
+    assert second.matched_tokens == {"sh": "sh", "dash": "dash"}
+    assert second.unmatched_tokens == []
