@@ -4,8 +4,6 @@ from .analyzer import (
     CommandToken,
     CommandTokenList,
     PackageRef,
-    TaintPath,
-    analyze_data_dependencies,
     analyze_project,
     enumerate_dependency_chain,
     extract_command_tokens,

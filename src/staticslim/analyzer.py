@@ -2,9 +2,12 @@
 
 Walks the installed dependency tree, reads each source file once, lexes
 only files that textually contain an exec-family call (resolution is
-intra-module, so no other file can contribute), resolves the call arguments
-through the module scanner, and tokenizes shell scripts. Everything runs
-offline against the files on disk.
+intra-module, so no other file can contribute), and resolves the first
+argument of each sink call through the module scanner to its constant
+values. The command token list (CTL) is the one result: the words of those
+values, each with its sink call as origin, the sink calls that yield no
+constant, and the words of the shell scripts. Everything runs offline
+against the files on disk.
 """
 
 from __future__ import annotations
@@ -44,22 +47,6 @@ class PackageRef:
 
 
 @dataclass
-class TaintPath:
-    """One resolved flow from a definition site into an exec-family argument.
-
-    ``source_kind`` names where the resolved text originated: a variable
-    declarator, a plain assignment, or a call expression (literal arguments
-    and call-site parameter bindings both count as the latter).
-    """
-
-    source_kind: str  # variable-declarator | assignment | call-result
-    source_location: str  # file:line
-    steps: list[str]  # intermediate definition sites, source to sink
-    sink_location: str  # file:line
-    resolved_values: list[str]
-
-
-@dataclass
 class CommandToken:
     token: str
     provenance: str
@@ -93,11 +80,25 @@ class CommandTokenList:
 
     @staticmethod
     def read_text(path) -> "CommandTokenList":
+        """Read a CTL file: one token per line, blank lines and ``#`` comments
+        skipped. A file that is not UTF-8 text of such lines raises
+        ``AnalysisError`` naming ``path:line``."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            # The bytes before the bad one decode; a character put in its place
+            # lands on the bad byte's line.
+            lineno = len((data[: exc.start].decode() + "?").splitlines())
+            raise AnalysisError(f"{path}:{lineno}: not UTF-8 text") from exc
         ctl = CommandTokenList()
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             word = line.strip()
             if word and not word.startswith("#"):
-                ctl.add(word, PROVENANCE_EXEC, f"{path}:{lineno}")
+                try:
+                    ctl.add(word, PROVENANCE_EXEC, f"{path}:{lineno}")
+                except ValueError as exc:
+                    raise AnalysisError(f"{path}:{lineno}: {exc}") from exc
         return ctl
 
     def report(self) -> dict:
@@ -115,9 +116,23 @@ def _read_manifest(pkg_dir: Path) -> dict:
     if not manifest.is_file():
         raise AnalysisError(f"no package manifest at {manifest}")
     try:
-        return json.loads(manifest.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(manifest.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text, or not JSON
         raise AnalysisError(f"cannot read {manifest}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise AnalysisError(f"{manifest}: not a JSON object")
+    return data
+
+
+def _dependency_names(pkg_dir: Path, manifest: dict, *fields: str) -> set[str]:
+    """The package names under ``fields`` of a manifest read from ``pkg_dir``."""
+    names: set[str] = set()
+    for key in fields:
+        deps = manifest.get(key) or {}
+        if not isinstance(deps, dict):
+            raise AnalysisError(f"{pkg_dir / 'package.json'}: {key!r} is not a JSON object")
+        names.update(deps)
+    return names
 
 
 def _walk_files(
@@ -173,8 +188,7 @@ def enumerate_dependency_chain(project_dir) -> list[PackageRef]:
         root_dir=project_dir,
         source_files=_source_files(project_dir),
     )
-    deps = dict(manifest.get("dependencies") or {})
-    deps.update(manifest.get("devDependencies") or {})
+    deps = _dependency_names(project_dir, manifest, "dependencies", "devDependencies")
     if deps and not (project_dir / "node_modules").is_dir():
         raise AnalysisError(
             f"{project_dir} declares dependencies but has no node_modules; "
@@ -203,7 +217,7 @@ def enumerate_dependency_chain(project_dir) -> list[PackageRef]:
                 source_files=_source_files(found),
             )
         )
-        for dep in sorted(pkg_manifest.get("dependencies") or {}):
+        for dep in sorted(_dependency_names(found, pkg_manifest, "dependencies")):
             queue.append((dep, found))
     return packages
 
@@ -243,24 +257,24 @@ def sink_gate(sink_names=DEFAULT_SINKS) -> Callable[[str], bool]:
     return lambda text: any(s in text for s in literals) and search(text) is not None
 
 
-def analyze_data_dependencies(package: PackageRef, sink_names=DEFAULT_SINKS) -> list[TaintPath]:
-    """Resolve the command argument of every exec-family call in the package."""
-    paths, _ = _resolve_sources(package.source_files, frozenset(sink_names))
-    return paths
+def _resolve_sources(
+    files: list[Path], sinks: frozenset[str]
+) -> tuple[list[tuple[str, list[str]]], int]:
+    """The constant values of every sink call in ``files``, and how many files
+    were lexed.
 
-
-def _resolve_sources(files: list[Path], sinks: frozenset[str]) -> tuple[list[TaintPath], int]:
-    """Taint paths of every sink call in ``files``, and how many files were lexed.
-
-    Each file is read once. Only files that match ``exec_call_pattern`` are
-    lexed: resolution never looks beyond the file's own module index, so any
-    other file cannot yield a path. The test (``sink_gate``) costs one
-    substring scan per sink literal per file, and the regex runs only on the
-    files that hold a literal; since every match holds a sink name, which
-    holds a literal, this skips no file the regex alone would pass.
+    Each sink call gives one ``(file:line, values)`` pair, in file and call
+    order: the constant strings its first argument resolves to (none when it
+    has no argument or resolves to nothing constant). Each file is read
+    once. Only files that match ``exec_call_pattern`` are lexed: resolution
+    never looks beyond the file's own module index, so any other file cannot
+    add a pair. The test (``sink_gate``) costs one substring scan per
+    sink literal per file, and the regex runs only on the files that hold a
+    literal; since every match holds a sink name, which holds a literal,
+    this skips no file the regex alone would pass.
     """
     gate = sink_gate(sinks)
-    paths: list[TaintPath] = []
+    resolved: list[tuple[str, list[str]]] = []
     lexed = 0
     for src in files:
         try:
@@ -279,60 +293,39 @@ def _resolve_sources(files: list[Path], sinks: frozenset[str]) -> tuple[list[Tai
         for call in index.calls:
             if call.callee not in sinks:
                 continue
-            sink_location = f"{src}:{call.line}"
-            if not call.args:
-                paths.append(
-                    TaintPath(
-                        source_kind="call-result",
-                        source_location=sink_location,
-                        steps=[],
-                        sink_location=sink_location,
-                        resolved_values=[],
-                    )
-                )
-                continue
-            enclosing = index.enclosing_function(call.token_index)
-            res = jsmodule.resolve_expr(call.args[0], index, enclosing)
-            values, _ = jsmodule.constant_fragments(res)
-            if res.used_defs:
-                first = res.used_defs[0]
-                kind = "variable-declarator" if first.kind == "decl" else "assignment"
-                source_location = f"{src}:{first.line}"
-                steps = []
-                for d in res.used_defs:
-                    site = f"{src}:{d.line}"
-                    if site not in steps:
-                        steps.append(site)
-            else:
-                kind = "call-result"
-                source_location = sink_location
-                steps = []
-            paths.append(
-                TaintPath(
-                    source_kind=kind,
-                    source_location=source_location,
-                    steps=steps,
-                    sink_location=sink_location,
-                    resolved_values=values,
-                )
-            )
-    return paths, lexed
+            values = []
+            if call.args:
+                enclosing = index.enclosing_function(call.token_index)
+                variants = jsmodule.resolve_expr(call.args[0], index, enclosing)
+                values = jsmodule.constant_fragments(variants)
+            resolved.append((f"{src}:{call.line}", values))
+    return resolved, lexed
 
 
 def find_shell_scripts(project_dir, include_dependencies: bool = False) -> list[Path]:
-    """Shell scripts in the project folder plus any docker-entrypoint.sh."""
+    """Every ``.sh`` file below the project folder, in path order.
+
+    Scripts inside installed ``node_modules`` trees are included only with
+    ``include_dependencies``.
+    """
     return _walk_files(Path(project_dir), lambda name: name.endswith(".sh"), include_dependencies)
 
 
-def extract_command_tokens(paths: list[TaintPath], shell_files: list[Path]) -> CommandTokenList:
-    """Split resolved constants and shell script words into the token list."""
+def extract_command_tokens(
+    resolved: list[tuple[str, list[str]]], shell_files: list[Path]
+) -> CommandTokenList:
+    """Split resolved constants and shell script words into the token list.
+
+    ``resolved`` holds one ``(sink location, values)`` pair per sink call;
+    a sink with no value is listed in ``unresolved_sinks``.
+    """
     ctl = CommandTokenList()
-    for taint in paths:
-        for value in taint.resolved_values:
+    for sink_location, values in resolved:
+        for value in values:
             for word in value.split():
-                ctl.add(word, PROVENANCE_EXEC, taint.sink_location)
-        if not taint.resolved_values:
-            ctl.unresolved_sinks.append(taint.sink_location)
+                ctl.add(word, PROVENANCE_EXEC, sink_location)
+        if not values:
+            ctl.unresolved_sinks.append(sink_location)
 
     for shell_file in shell_files:
         shell_file = Path(shell_file)
@@ -360,7 +353,7 @@ def analyze_project(
     """Full step-one pipeline: dependency chain, gated resolve, tokenize."""
     packages = enumerate_dependency_chain(project_dir)
     sources = [src for pkg in packages for src in pkg.source_files]
-    taint_paths, lexed = _resolve_sources(sources, frozenset(sink_names))
+    resolved, lexed = _resolve_sources(sources, frozenset(sink_names))
     log.info("lexed %d of %d source files", lexed, len(sources))
     shell_files = find_shell_scripts(project_dir, include_dependency_scripts)
-    return extract_command_tokens(taint_paths, shell_files)
+    return extract_command_tokens(resolved, shell_files)

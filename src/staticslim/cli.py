@@ -112,14 +112,14 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
     dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
     sink_names = frozenset(_parse_list(sinks, DEFAULT_SINKS))
 
-    if ctl_path:
-        ctl = CommandTokenList.read_text(ctl_path)
-    else:
-        try:
+    try:
+        if ctl_path:
+            ctl = CommandTokenList.read_text(ctl_path)
+        else:
             ctl = analyzer_mod.analyze_project(project, sink_names)
-        except AnalysisError as exc:
-            _fail(EXIT_ANALYSIS, f"analyze: {exc}")
-            return
+    except AnalysisError as exc:
+        _fail(EXIT_ANALYSIS, str(exc) if ctl_path else f"analyze: {exc}")
+        return
     if ctl.unresolved_sinks:
         for sink in ctl.unresolved_sinks:
             click.echo(f"warning: unresolved exec argument at {sink}", err=True)

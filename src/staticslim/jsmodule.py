@@ -435,11 +435,8 @@ class _ExprParser:
 
 @dataclass
 class Definition:
-    name: str
     expr: Expr
-    line: int
-    kind: str  # "decl" | "assign"
-    op: str = "="
+    op: str = "="  # "=" or "+="
 
 
 @dataclass
@@ -447,7 +444,6 @@ class FuncInfo:
     name: str
     params: list[str]
     body: tuple[int, int]  # token index range
-    line: int
 
 
 @dataclass
@@ -532,7 +528,7 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
                 params, body = literal
                 if toks[i + 1].kind == "ident":
                     name = toks[i + 1].value
-                    index.functions[name] = FuncInfo(name=name, params=params, body=body, line=t.line)
+                    index.functions[name] = FuncInfo(name=name, params=params, body=body)
                 i = body[0]  # keep scanning inside the body
                 continue
         if (
@@ -546,9 +542,7 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
             if arrow is not None:
                 fname = toks[i + 1].value
                 params, body = arrow
-                index.functions[fname] = FuncInfo(
-                    name=fname, params=params, body=body, line=toks[i + 1].line
-                )
+                index.functions[fname] = FuncInfo(name=fname, params=params, body=body)
         i += 1
 
     # Declarations and assignments.
@@ -569,9 +563,7 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
             op = toks[i + 1].value
             parser = _ExprParser(toks, i + 2)
             expr = parser.parse()
-            index.defs.setdefault(t.value, []).append(
-                Definition(name=t.value, expr=expr, line=t.line, kind="assign", op=op)
-            )
+            index.defs.setdefault(t.value, []).append(Definition(expr=expr, op=op))
             i = max(parser.pos, i + 2)
             continue
         i += 1
@@ -642,14 +634,10 @@ def _scan_declarators(toks, i, index: ModuleIndex) -> int:
         t = toks[i]
         if t.kind != "ident":
             return i
-        name = t.value
-        line = t.line
         if _is_punct(toks, i + 1, "="):
             parser = _ExprParser(toks, i + 2)
             expr = parser.parse()
-            index.defs.setdefault(name, []).append(
-                Definition(name=name, expr=expr, line=line, kind="decl")
-            )
+            index.defs.setdefault(t.value, []).append(Definition(expr=expr))
             i = parser.pos
         else:
             i += 1
@@ -666,81 +654,71 @@ CONST = "c"
 DYN = "d"
 
 
-@dataclass
-class Resolution:
-    """All constant knowledge about one expression."""
-
-    variants: list[tuple]  # each a tuple of (CONST, text) / (DYN,) segments
-    used_defs: list[Definition] = field(default_factory=list)
-
-
 def resolve_expr(
     expr: Expr,
     index: ModuleIndex,
     enclosing: FuncInfo | None,
     stack: frozenset = frozenset(),
     depth: int = 0,
-) -> Resolution:
+) -> list[tuple]:
+    """The variants an expression may take, at most ``MAX_VARIANTS``.
+
+    Each variant is a tuple of ``(CONST, text)`` and ``(DYN,)`` segments.
+    """
     if depth > MAX_DEPTH:
-        return Resolution(variants=[((DYN,),)])
+        return [((DYN,),)]
     if isinstance(expr, Str):
-        return Resolution(variants=[((CONST, expr.value),)])
+        return [((CONST, expr.value),)]
     if isinstance(expr, Tpl):
-        res = Resolution(variants=[()])
+        variants = [()]
         for kind, payload in expr.parts:
             if kind == "s":
-                part = Resolution(variants=[((CONST, payload),)])
+                part = [((CONST, payload),)]
             else:
                 part = resolve_expr(payload, index, enclosing, stack, depth + 1)
-            res = _product(res, part)
-        return res
+            variants = _product(variants, part)
+        return variants
     if isinstance(expr, Concat):
         left = resolve_expr(expr.left, index, enclosing, stack, depth + 1)
         right = resolve_expr(expr.right, index, enclosing, stack, depth + 1)
         return _product(left, right)
     if isinstance(expr, Alt):
-        out = Resolution(variants=[])
+        out = []
         for opt in expr.options:
-            sub = resolve_expr(opt, index, enclosing, stack, depth + 1)
-            out.variants.extend(sub.variants)
-            out.used_defs.extend(sub.used_defs)
-        return _cap(out)
+            out.extend(resolve_expr(opt, index, enclosing, stack, depth + 1))
+        return out[:MAX_VARIANTS]
     if isinstance(expr, Name):
         return _resolve_name(expr.name, index, enclosing, stack, depth)
-    return Resolution(variants=[((DYN,),)])
+    return [((DYN,),)]
 
 
-def _resolve_name(name, index, enclosing, stack, depth) -> Resolution:
+def _resolve_name(name, index, enclosing, stack, depth) -> list[tuple]:
     key = (enclosing.name if enclosing else None, name)
     if key in stack:
-        return Resolution(variants=[((DYN,),)])
+        return [((DYN,),)]
     stack = stack | {key}
 
     if enclosing is not None and name in enclosing.params:
         bindings = _call_site_args(index, enclosing, name)
         if not bindings:
-            return Resolution(variants=[((DYN,),)])
-        out = Resolution(variants=[])
+            return [((DYN,),)]
+        out = []
         for arg_expr, caller in bindings:
-            sub = resolve_expr(arg_expr, index, caller, stack, depth + 1)
-            out.variants.extend(sub.variants)
-            out.used_defs.extend(sub.used_defs)
-        return _cap(out)
+            out.extend(resolve_expr(arg_expr, index, caller, stack, depth + 1))
+        return out[:MAX_VARIANTS]
 
     defs = index.defs.get(name)
     if not defs:
-        return Resolution(variants=[((DYN,),)])
-    out = Resolution(variants=[])
+        return [((DYN,),)]
+    out = []
     for definition in defs:
         sub = resolve_expr(definition.expr, index, enclosing, stack, depth + 1)
         if definition.op == "+=":
             # Appending to an unknown accumulation point: keep the appended
             # text as a fragment behind a dynamic prefix.
-            sub.variants = [((DYN,),) + v for v in sub.variants]
-        out.variants.extend(sub.variants)
-        out.used_defs.append(definition)
-        out.used_defs.extend(sub.used_defs)
-    return _cap(out)
+            sub = [((DYN,),) + v for v in sub]
+        out.extend(sub)
+    return out[:MAX_VARIANTS]
 
 
 def _call_site_args(index: ModuleIndex, fn: FuncInfo, param: str):
@@ -760,22 +738,14 @@ def _call_site_args(index: ModuleIndex, fn: FuncInfo, param: str):
     return out
 
 
-def _product(a: Resolution, b: Resolution) -> Resolution:
+def _product(a: list[tuple], b: list[tuple]) -> list[tuple]:
     variants = []
-    for va in a.variants:
-        for vb in b.variants:
+    for va in a:
+        for vb in b:
             variants.append(va + vb)
             if len(variants) >= MAX_VARIANTS:
-                break
-        if len(variants) >= MAX_VARIANTS:
-            break
-    return Resolution(variants=variants, used_defs=a.used_defs + b.used_defs)
-
-
-def _cap(res: Resolution) -> Resolution:
-    if len(res.variants) > MAX_VARIANTS:
-        res.variants = res.variants[:MAX_VARIANTS]
-    return res
+                return variants
+    return variants
 
 
 def merge_segments(variant: tuple) -> list[tuple]:
@@ -796,28 +766,24 @@ def merge_segments(variant: tuple) -> list[tuple]:
     return out
 
 
-def constant_fragments(res: Resolution) -> tuple[list[str], bool]:
-    """Distinct constant strings carried by a resolution.
+def constant_fragments(variants: list[tuple]) -> list[str]:
+    """Distinct constant strings carried by the variants, in first-seen order.
 
-    Returns the fragments in first-seen order and whether at least one
-    variant resolved fully (no dynamic segment).
+    A variant with no dynamic segment gives its whole text; any other gives
+    each of its constant fragments.
     """
     fragments: list[str] = []
-    fully = False
     seen = set()
-    for variant in res.variants:
+    for variant in variants:
         merged = merge_segments(variant)
         if not merged:
             continue
         if all(seg[0] == CONST for seg in merged):
-            fully = True
-            text = "".join(seg[1] for seg in merged)
+            texts = ["".join(seg[1] for seg in merged)]
+        else:
+            texts = [seg[1] for seg in merged if seg[0] == CONST]
+        for text in texts:
             if text and text not in seen:
                 seen.add(text)
                 fragments.append(text)
-        else:
-            for seg in merged:
-                if seg[0] == CONST and seg[1] and seg[1] not in seen:
-                    seen.add(seg[1])
-                    fragments.append(seg[1])
-    return fragments, fully
+    return fragments

@@ -18,8 +18,6 @@ from staticslim.analyzer import (
     DEFAULT_SINKS,
     CommandToken,
     CommandTokenList,
-    TaintPath,
-    analyze_data_dependencies,
     analyze_project,
     enumerate_dependency_chain,
     exec_call_pattern,
@@ -348,18 +346,17 @@ class TestFilterPackages:
             )
 
 
-def _single_package(tmp_path, source: str):
+def _resolved(tmp_path, source: str, sinks=DEFAULT_SINKS) -> list[list[str]]:
+    """The constant values of each sink call of a one-file package, in order."""
     pkg = write_package(tmp_path / "p", "p", files={"main.js": source})
-    return enumerate_dependency_chain(pkg)[0]
+    resolved, _ = analyzer._resolve_sources(enumerate_dependency_chain(pkg)[0].source_files, sinks)
+    assert all(location.startswith(str(pkg.resolve() / "main.js:")) for location, _ in resolved)
+    return [values for _, values in resolved]
 
 
 class TestDataDependencies:
     def test_constant_argument(self, tmp_path):
-        pkg = _single_package(tmp_path, 'const c = "tar -xzf a.tgz";\nexec(c);\n')
-        paths = analyze_data_dependencies(pkg)
-        assert len(paths) == 1
-        assert paths[0].resolved_values == ["tar -xzf a.tgz"]
-        assert paths[0].source_kind == "variable-declarator"
+        assert _resolved(tmp_path, 'const c = "tar -xzf a.tgz";\nexec(c);\n') == [["tar -xzf a.tgz"]]
 
     def test_dynamic_suffix_keeps_constant_fragment(self, tmp_path):
         source = (
@@ -370,10 +367,7 @@ class TestDataDependencies:
             "  });\n"
             "});\n"
         )
-        pkg = _single_package(tmp_path, source)
-        paths = analyze_data_dependencies(pkg)
-        assert len(paths) == 1
-        assert paths[0].resolved_values == ["ls "]
+        assert _resolved(tmp_path, source) == [["ls "]]
 
     def test_three_hop_chain_across_functions(self, tmp_path):
         source = (
@@ -386,24 +380,15 @@ class TestDataDependencies:
             "  unpack(full);\n"
             "}\n"
         )
-        pkg = _single_package(tmp_path, source)
-        paths = analyze_data_dependencies(pkg)
-        assert len(paths) == 1
         # Hand-traced: archive -> full -> cmdline -> sink.
-        assert paths[0].resolved_values == ["tar -xzf pkg.tgz"]
-        assert len(paths[0].steps) >= 2
+        assert _resolved(tmp_path, source) == [["tar -xzf pkg.tgz"]]
 
     def test_fully_dynamic_is_unresolved(self, tmp_path):
-        pkg = _single_package(tmp_path, "exec(process.argv[2]);\n")
-        paths = analyze_data_dependencies(pkg)
-        assert len(paths) == 1
-        assert paths[0].resolved_values == []
+        assert _resolved(tmp_path, "exec(process.argv[2]);\n") == [[]]
 
     def test_reassignment_yields_both_values(self, tmp_path):
         source = 'var t = "gzip f";\nif (x) { t = "bzip2 f"; }\nexecSync(t);\n'
-        pkg = _single_package(tmp_path, source)
-        paths = analyze_data_dependencies(pkg)
-        assert sorted(paths[0].resolved_values) == ["bzip2 f", "gzip f"]
+        assert [sorted(values) for values in _resolved(tmp_path, source)] == [["bzip2 f", "gzip f"]]
 
     def test_member_and_required_callee(self, tmp_path):
         source = (
@@ -411,44 +396,28 @@ class TestDataDependencies:
             "cp.exec('gzip -9 data');\n"
             "require('child_process').execFile('/usr/bin/stat', ['-c', '%s']);\n"
         )
-        pkg = _single_package(tmp_path, source)
-        values = sorted(v for p in analyze_data_dependencies(pkg) for v in p.resolved_values)
+        values = sorted(v for values in _resolved(tmp_path, source) for v in values)
         assert values == ["/usr/bin/stat", "gzip -9 data"]
 
     def test_unreached_branch_still_analyzed(self, tmp_path):
         source = "if (false) {\n  exec('ls /never');\n}\n"
-        pkg = _single_package(tmp_path, source)
-        paths = analyze_data_dependencies(pkg)
-        assert paths[0].resolved_values == ["ls /never"]
+        assert _resolved(tmp_path, source)[0] == ["ls /never"]
 
     def test_template_literal(self, tmp_path):
         source = 'const d = "/srv";\nexec(`du -sh ${d}`);\n'
-        pkg = _single_package(tmp_path, source)
-        assert analyze_data_dependencies(pkg)[0].resolved_values == ["du -sh /srv"]
+        assert _resolved(tmp_path, source)[0] == ["du -sh /srv"]
 
-    def test_direct_literal_is_call_result(self, tmp_path):
-        pkg = _single_package(tmp_path, "spawnSync('mount');\n")
-        path = analyze_data_dependencies(pkg)[0]
-        assert path.source_kind == "call-result"
-        assert path.resolved_values == ["mount"]
-        assert path.steps == []
+    def test_direct_literal(self, tmp_path):
+        assert _resolved(tmp_path, "spawnSync('mount');\n")[0] == ["mount"]
 
     def test_custom_sink_set(self, tmp_path):
-        pkg = _single_package(tmp_path, "runCommand('fdisk -l');\nexec('ls');\n")
-        paths = analyze_data_dependencies(pkg, sink_names=frozenset({"runCommand"}))
-        assert [p.resolved_values for p in paths] == [["fdisk -l"]]
+        source = "runCommand('fdisk -l');\nexec('ls');\n"
+        assert _resolved(tmp_path, source, frozenset({"runCommand"})) == [["fdisk -l"]]
 
 
 class TestExtractTokens:
     def test_whitespace_split(self):
-        taint = TaintPath(
-            source_kind="call-result",
-            source_location="x.js:1",
-            steps=[],
-            sink_location="x.js:1",
-            resolved_values=["ls -la /tmp"],
-        )
-        ctl = extract_command_tokens([taint], [])
+        ctl = extract_command_tokens([("x.js:1", ["ls -la /tmp"])], [])
         assert ctl.token_texts() == ["ls", "-la", "/tmp"]
 
     def test_shell_script_and_interpreter(self, tmp_path):
@@ -469,29 +438,15 @@ class TestExtractTokens:
         assert ctl.unresolved_sinks == []
 
     def test_dedup_keeps_first_provenance(self, tmp_path):
-        taint = TaintPath(
-            source_kind="call-result",
-            source_location="x.js:1",
-            steps=[],
-            sink_location="x.js:1",
-            resolved_values=["tar xf"],
-        )
         script = tmp_path / "s.sh"
         script.write_text("tar cf out.tar .\n")
-        ctl = extract_command_tokens([taint], [script])
+        ctl = extract_command_tokens([("x.js:1", ["tar xf"])], [script])
         tars = [t for t in ctl.tokens if t.token == "tar"]
         assert len(tars) == 1
         assert tars[0].provenance == "exec-argument"
 
     def test_unresolved_sinks_carried(self):
-        taint = TaintPath(
-            source_kind="call-result",
-            source_location="x.js:9",
-            steps=[],
-            sink_location="x.js:9",
-            resolved_values=[],
-        )
-        ctl = extract_command_tokens([taint], [])
+        ctl = extract_command_tokens([("x.js:9", [])], [])
         assert ctl.unresolved_sinks == ["x.js:9"]
 
 

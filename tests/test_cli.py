@@ -98,6 +98,142 @@ class TestAnalyze:
         doc = json.loads(report.read_text())
         assert any(t["token"] == "du" for t in doc["tokens"])
 
+    def test_report_pins_tokens_origins_and_unresolved_sinks(self, runner, tmp_path):
+        # One sink resolves fully, one to a constant fragment before a dynamic
+        # part, and one to nothing; the entrypoint script adds its own words.
+        project = write_project(
+            tmp_path,
+            {
+                "index.js": "const cp = require('child_process');\n"
+                "cp.exec('tar -xzf a.tgz');\n"
+                "cp.execSync('du -sh ' + process.argv[2]);\n"
+                "cp.spawn(process.env.CMD);\n",
+                "docker-entrypoint.sh": "#!/bin/sh\ntar -czf b.tgz .\nnode index.js\n",
+            },
+        ).resolve()
+        report = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["analyze", "--project", str(project), "--report", str(report)]
+        )
+        assert result.exit_code == 0, result.output
+        js, sh = f"{project}/index.js", f"{project}/docker-entrypoint.sh"
+
+        def token(word, provenance, origin):
+            return {"token": word, "provenance": provenance, "origin": origin}
+
+        assert json.loads(report.read_text()) == {
+            "tokens": [
+                token("tar", "exec-argument", f"{js}:2"),
+                token("-xzf", "exec-argument", f"{js}:2"),
+                token("a.tgz", "exec-argument", f"{js}:2"),
+                token("du", "exec-argument", f"{js}:3"),
+                token("-sh", "exec-argument", f"{js}:3"),
+                token("/bin/sh", "entrypoint-script", f"{sh}:1"),
+                token("-czf", "entrypoint-script", f"{sh}:2"),
+                token("b.tgz", "entrypoint-script", f"{sh}:2"),
+                token(".", "entrypoint-script", f"{sh}:2"),
+                token("node", "entrypoint-script", f"{sh}:3"),
+                token("index.js", "entrypoint-script", f"{sh}:3"),
+            ],
+            "unresolved_sinks": [f"{js}:4"],
+        }
+        assert result.stdout.splitlines() == [
+            "tar", "-xzf", "a.tgz", "du", "-sh", "/bin/sh", "-czf", "b.tgz", ".", "node", "index.js",
+        ]
+        assert result.stderr == f"11 tokens extracted\nwarning: unresolved exec argument at {js}:4\n"
+
+    def test_sinks_option_replaces_the_sink_names(self, runner, tmp_path):
+        project = write_project(tmp_path, {"a.js": "runCommand('fdisk -l');\nexec('ls');\n"})
+        result = runner.invoke(main, ["analyze", "--project", str(project)])
+        assert result.stdout.splitlines() == ["ls"]
+        result = runner.invoke(
+            main, ["analyze", "--project", str(project), "--sinks", "runCommand, spawn"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == ["fdisk", "-l"]
+
+    def test_include_dep_scripts_tokenizes_installed_scripts(self, runner, tmp_path):
+        project = write_project(
+            tmp_path, {"start.sh": "mount -a\n", "a.js": "exec('ls');\n"}, dependencies=["dep"]
+        )
+        dep = project / "node_modules" / "dep"
+        dep.mkdir(parents=True)
+        (dep / "package.json").write_text('{"name": "dep"}')
+        (dep / "build.sh").write_text("make install\n")
+        result = runner.invoke(main, ["analyze", "--project", str(project)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == ["ls", "mount", "-a"]
+        result = runner.invoke(
+            main, ["analyze", "--project", str(project), "--include-dep-scripts"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == ["ls", "make", "install", "mount", "-a"]
+
+
+def _project_with_manifest(tmp_path, where, manifest):
+    """A project whose own manifest (``root``) or whose one installed
+    dependency's manifest (``dependency``) is ``manifest``."""
+    project = write_project(tmp_path, {"a.js": "exec('ls');\n"}, dependencies=["dep"]).resolve()
+    dep = project / "node_modules" / "dep"
+    dep.mkdir(parents=True)
+    (dep / "package.json").write_text('{"name": "dep"}')
+    broken = project if where == "root" else dep
+    (broken / "package.json").write_bytes(manifest)
+    return project, broken / "package.json"
+
+
+# devDependencies are read from the project's own manifest only.
+@pytest.mark.parametrize(
+    "where, manifest",
+    [
+        ("root", b"[]"),
+        ("root", b'{"name": "x", "dependencies": ["dep"]}'),
+        ("root", b'{"name": "x", "devDependencies": ["dep"]}'),
+        ("root", b'{"name": "\xff"}'),
+        ("dependency", b"[]"),
+        ("dependency", b'{"name": "dep", "dependencies": ["a"]}'),
+        ("dependency", b'{"name": "\xff"}'),
+    ],
+    ids=["root-list", "root-dependencies-list", "root-dev-dependencies-list", "root-not-utf-8",
+         "dependency-list", "dependency-dependencies-list", "dependency-not-utf-8"],
+)
+def test_package_json_of_the_wrong_shape_exits_4(runner, tmp_path, where, manifest):
+    project, manifest = _project_with_manifest(tmp_path, where, manifest)
+    image = write_shell_image(tmp_path)
+    runs = [
+        (["analyze", "--project", str(project)], "error: "),
+        (["slim", "--input", str(image), "--output", str(tmp_path / "s.tar"),
+          "--project", str(project)], "error: analyze: "),
+    ]
+    for args, prefix in runs:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert "Traceback" not in result.output
+        assert result.output.count("error:") == 1
+        assert result.output.startswith(prefix)
+        assert str(manifest) in result.output
+    assert not (tmp_path / "s.tar").exists()
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [(b"sh\n# comment\ntar -xzf\n", 3), (b"sh\n\nls\xff\n", 3), (b"\xfe\n", 1)],
+    ids=["interior-whitespace", "not-utf-8", "not-utf-8-first-line"],
+)
+def test_ctl_that_breaks_the_format_exits_4(runner, tmp_path, content, line):
+    image = write_shell_image(tmp_path)
+    ctl = tmp_path / "bad.ctl"
+    ctl.write_bytes(content)
+    out = tmp_path / "slim.tar"
+    result = runner.invoke(
+        main, ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl)]
+    )
+    assert result.exit_code == 4, result.output
+    assert "Traceback" not in result.output
+    assert result.output.count("error:") == 1
+    assert result.output.startswith(f"error: {ctl}:{line}: ")
+    assert not out.exists()
+
 
 class TestSlim:
     def _ctl(self, tmp_path, *tokens):

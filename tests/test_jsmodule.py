@@ -117,14 +117,14 @@ class TestScanModule:
         sinks = [c for c in index.calls if c.callee == "exec"]
         assert len(sinks) == 1
         res = resolve_expr(sinks[0].args[0], index, None)
-        assert constant_fragments(res) == (["sync"], True)
+        assert constant_fragments(res) == ["sync"]
 
     def test_arrow_function_param_binding(self):
         source = "const run = (c) => { exec(c); };\nrun('blkid -o list');\n"
         index = scan_module("m.js", source, SINKS)
         sink = next(c for c in index.calls if c.callee == "exec")
         res = resolve_expr(sink.args[0], index, index.enclosing_function(sink.token_index))
-        assert constant_fragments(res) == (["blkid -o list"], True)
+        assert constant_fragments(res) == ["blkid -o list"]
 
     def test_self_recursive_function_terminates(self):
         source = "function f(x) { exec(x); f(x + '!'); }\n"
@@ -137,8 +137,8 @@ class TestScanModule:
         source = "var a = b + 'x';\nvar b = a + 'y';\nexec(a);\n"
         index = scan_module("m.js", source, SINKS)
         sink = next(c for c in index.calls if c.callee == "exec")
-        fragments, fully = constant_fragments(resolve_expr(sink.args[0], index, None))
-        assert not fully  # the cycle can never fully resolve
+        # The cycle can never fully resolve: only the appended constants survive.
+        assert constant_fragments(resolve_expr(sink.args[0], index, None)) == ["yx"]
 
     def test_member_assignment_not_tracked_as_variable(self):
         source = "config.cmd = 'rm -rf /';\nexec(other);\n"
@@ -154,7 +154,7 @@ class TestScanModule:
         source = "exec('sleep ' + 5);\n"
         index = scan_module("m.js", source, SINKS)
         sink = index.calls[0]
-        assert constant_fragments(resolve_expr(sink.args[0], index, None)) == (["sleep 5"], True)
+        assert constant_fragments(resolve_expr(sink.args[0], index, None)) == ["sleep 5"]
 
     @given(st.text(max_size=300))
     def test_scan_total_on_arbitrary_text(self, text):
