@@ -166,13 +166,23 @@ def _source_files(pkg_dir: Path) -> list[Path]:
 
 
 def _find_installed(name: str, start_dir: Path, project_dir: Path) -> Path | None:
-    """Resolve an installed dependency like the module loader would."""
+    """Resolve an installed dependency like the module loader would.
+
+    Only a package name is looked up: ``name`` or ``@scope/name``, with no
+    part empty, ``.`` or ``..``, so the lookup stays inside a
+    ``node_modules`` directory. Any other name, like a name that no
+    ``node_modules`` holds, is warned about and gives None."""
+    parts = name.removeprefix("@").split("/")
+    if len(parts) != 1 + name.startswith("@") or any(p in ("", ".", "..") for p in parts):
+        log.warning("dependency %r of %s is not a package name; skipped", name, start_dir)
+        return None
     current = start_dir
     while True:
         candidate = current / "node_modules" / name
         if (candidate / "package.json").is_file():
             return candidate
         if current == project_dir or current == current.parent:
+            log.warning("dependency %r of %s is not installed; skipped", name, start_dir)
             return None
         current = current.parent
 
@@ -202,7 +212,6 @@ def enumerate_dependency_chain(project_dir) -> list[PackageRef]:
         name, wanted_by = queue.popleft()
         found = _find_installed(name, wanted_by, project_dir)
         if found is None:
-            log.warning("dependency %r of %s is not installed; skipped", name, wanted_by)
             continue
         found = found.resolve()
         if found in seen_dirs:

@@ -108,6 +108,10 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
         _fail(EXIT_ANALYSIS, "provide --project or --ctl (an empty CTL still needs a file)")
     if Path(input_path).resolve() == Path(output_path).resolve():
         _fail(EXIT_ANALYSIS, "--input and --output must differ")
+    for option, path in (("--output", output_path), ("--report", report),
+                         ("--dump-cll", dump_cll), ("--dump-retain", dump_retain)):
+        if path and not Path(path).parent.is_dir():
+            _fail(EXIT_ANALYSIS, f"{option}: no such directory: {Path(path).parent}")
 
     dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
     sink_names = frozenset(_parse_list(sinks, DEFAULT_SINKS))
@@ -127,9 +131,12 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
             _fail(EXIT_ANALYSIS, f"strict mode: unresolved exec arguments at {', '.join(ctl.unresolved_sinks)}")
 
     try:
+        # --output is written through a temporary file beside it and
+        # renamed over it once the image is whole.
         result = pruner_mod.slim_image(
             input_path,
             ctl,
+            output_path,
             search_dirs=dirs,
             conservative=mode == "conservative",
             layout=layout,
@@ -146,7 +153,6 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
         Path(dump_cll).write_text(result.cll.dump())
     if dump_retain:
         Path(dump_retain).write_text("".join(p + "\n" for p in sorted(result.retain.paths)))
-    Path(output_path).write_bytes(result.archive)
     if report:
         Path(report).write_text(result.report.to_json())
     click.echo(result.report.table())

@@ -54,43 +54,68 @@ class DynamicInfo:
     is_dynamic: bool = False
 
 
-def read_dynamic_info(data: bytes, origin: str = "") -> DynamicInfo | None:
-    """Parse the dynamic-linking structures of an ELF image in memory.
+# The bytes ``read_dynamic_info`` reads first. The ELF header, program
+# headers, interpreter, dynamic section and dynamic string table of common
+# objects lie within them, so each such object costs one read.
+HEAD_WINDOW = 1 << 16
+
+
+def read_dynamic_info(data, origin: str = "") -> DynamicInfo | None:
+    """Parse the dynamic-linking structures of an ELF object.
+
+    ``data`` is the object as a sized range: ``bytes``, or anything with
+    ``len()`` whose slices are bytes, such as ``FlattenedRootfs.data_for``
+    gives. Its first ``HEAD_WINDOW`` bytes are read once; the program
+    headers, the ``PT_INTERP`` and ``PT_DYNAMIC`` ranges and the dynamic
+    string table are each read on their own only when they end past that
+    window, so the object is never read whole unless a range spans it.
 
     Returns None for non-ELF input; malformed ELF content is logged and also
     treated as non-ELF.
     """
-    if len(data) < 52 or data[:4] != ELF_MAGIC:
+    head = data[:HEAD_WINDOW]
+    if len(head) < 52 or head[:4] != ELF_MAGIC:
         return None
     try:
-        return _parse(data)
+        return _parse(data, head)
     except (struct.error, IndexError, ValueError, KeyError) as exc:
         log.warning("malformed ELF %s: %s; treated as non-ELF", origin or "object", exc)
         return None
 
 
-def _parse(data: bytes) -> DynamicInfo:
-    ei_class = data[4]
-    ei_data = data[5]
+def _parse(data, head: bytes) -> DynamicInfo:
+    whole = len(head) == len(data)
+
+    def span(offset: int, size: int) -> bytes:
+        """``data[offset:offset + size]``, from ``head`` when it holds it."""
+        if whole or offset + size <= len(head):
+            return head[offset:offset + size]
+        return data[offset:offset + size]
+
+    ei_class = head[4]
+    ei_data = head[5]
     if ei_class not in (1, 2) or ei_data not in (1, 2):
         raise ValueError(f"bad ident class={ei_class} data={ei_data}")
     end = "<" if ei_data == 1 else ">"
     is64 = ei_class == 2
 
     if is64:
-        e_phoff, = struct.unpack_from(end + "Q", data, 0x20)
-        e_phentsize, e_phnum = struct.unpack_from(end + "HH", data, 0x36)
-        phdr_fmt = end + "IIQQQQQQ"  # type, flags, offset, vaddr, paddr, filesz, memsz, align
+        e_phoff, = struct.unpack_from(end + "Q", head, 0x20)
+        e_phentsize, e_phnum = struct.unpack_from(end + "HH", head, 0x36)
+        phdr = struct.Struct(end + "IIQQQQQQ")  # type, flags, offset, vaddr, paddr, filesz, memsz, align
     else:
-        e_phoff, = struct.unpack_from(end + "I", data, 0x1C)
-        e_phentsize, e_phnum = struct.unpack_from(end + "HH", data, 0x2A)
-        phdr_fmt = end + "IIIIIIII"  # type, offset, vaddr, paddr, filesz, memsz, flags, align
+        e_phoff, = struct.unpack_from(end + "I", head, 0x1C)
+        e_phentsize, e_phnum = struct.unpack_from(end + "HH", head, 0x2A)
+        phdr = struct.Struct(end + "IIIIIIII")  # type, offset, vaddr, paddr, filesz, memsz, flags, align
 
+    # The table runs to the end of its last entry as the format reads it,
+    # so an entry past the object's end fails to unpack.
+    table = span(e_phoff, (e_phnum - 1) * e_phentsize + phdr.size) if e_phnum else b""
     loads: list[tuple[int, int, int]] = []  # (vaddr, offset, filesz)
     dyn_span: tuple[int, int] | None = None
     interpreter = None
     for i in range(e_phnum):
-        raw = struct.unpack_from(phdr_fmt, data, e_phoff + i * e_phentsize)
+        raw = phdr.unpack_from(table, i * e_phentsize)
         if is64:
             p_type, _flags, p_offset, p_vaddr, _pa, p_filesz = raw[:6]
         else:
@@ -100,19 +125,22 @@ def _parse(data: bytes) -> DynamicInfo:
         elif p_type == PT_DYNAMIC:
             dyn_span = (p_offset, p_filesz)
         elif p_type == PT_INTERP:
-            interpreter = data[p_offset : p_offset + p_filesz].split(b"\x00", 1)[0].decode()
+            interpreter = span(p_offset, p_filesz).split(b"\x00", 1)[0].decode()
 
     out = DynamicInfo(elf_class=64 if is64 else 32, interpreter=interpreter)
     if dyn_span is None:
         return out
     out.is_dynamic = True
 
-    entry_fmt = end + ("qQ" if is64 else "iI")
-    entry_size = 16 if is64 else 8
+    entry = struct.Struct(end + ("qQ" if is64 else "iI"))
     dyn_off, dyn_size = dyn_span
+    # As for the table: the last entry that starts in the segment is read
+    # whole, and one past the object's end fails to unpack.
+    last = dyn_size - 1 - (dyn_size - 1) % entry.size
+    dynamic = span(dyn_off, last + entry.size) if dyn_size > 0 else b""
     entries = []
-    for off in range(dyn_off, dyn_off + dyn_size, entry_size):
-        d_tag, d_val = struct.unpack_from(entry_fmt, data, off)
+    for off in range(0, dyn_size, entry.size):
+        d_tag, d_val = entry.unpack_from(dynamic, off)
         if d_tag == DT_NULL:
             break
         entries.append((d_tag, d_val))
@@ -124,8 +152,7 @@ def _parse(data: bytes) -> DynamicInfo:
             raise ValueError("dynamic section has DT_NEEDED but no DT_STRTAB")
         return out
     strtab_off = _vaddr_to_offset(loads, strtab_vaddr)
-    strtab_end = strtab_off + (strsz if strsz is not None else len(data) - strtab_off)
-    strtab = data[strtab_off:strtab_end]
+    strtab = span(strtab_off, strsz if strsz is not None else len(data) - strtab_off)
 
     def read_str(offset: int) -> str:
         end = strtab.find(b"\x00", offset)
@@ -173,7 +200,7 @@ def _loader_conf_dirs(rootfs: FlattenedRootfs, conf_paths) -> list[str]:
     dirs = []
     for conf in conf_paths:
         try:
-            text = rootfs.data_for(conf).decode(errors="replace")
+            text = rootfs.data_for(conf)[:].decode(errors="replace")
         except KeyError:
             continue
         for line in text.splitlines():

@@ -15,9 +15,11 @@ The image archive is read in place: each layer is a range of it. Compressed
 layers and archives are decompressed once, a chunk at a time, into spools:
 unlinked temporary files in ``TMPDIR`` that the codec reads like bytes, so no
 layer, stored or decompressed, is held whole in memory. Each layer's tar
-stream is made once, at load. The slim layer is written as a stream of
-chunks; it is held whole only compressed, or when it is stored
-uncompressed, since its header needs its size.
+stream is made once, at load. A regular file's bytes are a range of its
+layer, read in chunks. The slim layer is written, a chunk at a time, to a
+spool (its size and digest must be known before its header is written) and
+copied from there into the image archive, which is written to a file; no
+file, layer or archive is held whole.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import struct
 import tarfile
 import zlib
 from collections.abc import Mapping
+from contextlib import closing
 from dataclasses import dataclass, field
 from tarfile import (
     AREGTYPE,
@@ -526,31 +529,33 @@ def gnu_header(name: str, type_: bytes, mode: int, uid: int = 0, gid: int = 0, s
     return header
 
 
-def tar_stream(members: Iterable[tuple[bytes, bytes]]) -> Iterator[bytes]:
+def tar_stream(members: Iterable[tuple[bytes, object]]) -> Iterator[bytes]:
     """The tar stream ``tarfile`` writes for (header blocks, data) members,
     in chunks: each header, then the data padded with NULs to a whole block,
     and at the end two zero blocks and NULs up to a whole record.
 
-    Members are read as the chunks are asked for. Parts are joined into
-    chunks of about ``_CHUNK`` bytes; data of that size or more is yielded
-    as it is, not copied into a chunk.
+    ``data`` is a sized range: anything with ``len()`` whose slices are
+    bytes, such as ``bytes`` or a ``_FileBytes`` view of a layer. Members
+    are read as the chunks are asked for, each member's data ``_CHUNK``
+    bytes at a time, so no member is held whole. Parts are joined into
+    chunks of at least ``_CHUNK`` bytes, but the last.
     """
     chunk: list[bytes] = []
     size = offset = 0  # the bytes in ``chunk``, and those yielded before it
     for header, data in members:
         chunk.append(header)
         size += len(header)
-        if data:
-            if len(data) >= _CHUNK:
+        length = len(data)
+        for at in range(0, length, _CHUNK):
+            chunk.append(data[at:at + _CHUNK])
+            size += min(length - at, _CHUNK)
+            if size >= _CHUNK:
                 yield b"".join(chunk)
-                yield data
-                offset += size + len(data)
+                offset += size
                 chunk, size = [], 0
-            else:
-                chunk.append(data)
-                size += len(data)
-            chunk.append(bytes(-len(data) % BLOCKSIZE))
-            size += -len(data) % BLOCKSIZE
+        if length % BLOCKSIZE:
+            chunk.append(bytes(BLOCKSIZE - length % BLOCKSIZE))
+            size += BLOCKSIZE - length % BLOCKSIZE
         if size >= _CHUNK:
             yield b"".join(chunk)
             offset += size
@@ -917,33 +922,35 @@ class LayerStack:
         self.close()
 
 
-class _LayerContent(Mapping[str, bytes]):
-    """The regular-file bytes of a rootfs flattened from ``stack``, read
-    from the layers' tar streams when a path is looked up. ``refs`` maps
-    each path to its (tar stream, data offset, size, sparse map) reference;
-    a sparse file's stored regions are laid out in turn over NUL holes, and
-    one too large for memory raises ``OversizedFileError``. Looking a path
-    up once the stack is closed raises ``ValueError``."""
+class _LayerContent(Mapping[str, "_FileBytes | bytes | bytearray"]):
+    """The regular files of a rootfs flattened from ``stack``, each a sized
+    range of its layer's tar stream. ``refs`` maps each path to its (tar
+    stream, data offset, size, sparse map) reference. Looking a path up
+    reads nothing: it gives a ``_FileBytes.view`` of the stream (a slice
+    when the stream is ``bytes``), read when it is sliced. A sparse file's
+    stored regions are laid out once, in turn over NUL holes, into a
+    ``bytearray``; one too large for memory raises ``OversizedFileError``.
+    Looking a path up once the stack is closed raises ``ValueError``."""
 
     def __init__(self, refs: dict[str, tuple], stack: LayerStack):
         self._refs = refs
         self._stack = stack
 
-    def __getitem__(self, path: str) -> bytes:
+    def __getitem__(self, path: str) -> _FileBytes | bytes | bytearray:
         tar, offset, size, sparse = self._refs[path]
         if self._stack.closed:
             raise ValueError(f"cannot read {path}: its layer stack is closed")
         if sparse is None:
-            return tar[offset:offset + size]
+            return tar.view(offset, size) if isinstance(tar, _FileBytes) else tar[offset:offset + size]
         try:
             data = bytearray(size)
-            for at, length in sparse:
-                data[at:at + length] = tar[offset:offset + length]
-                offset += length
-            return bytes(data)
-        except MemoryError:
+        except (MemoryError, OverflowError):
             raise OversizedFileError(
                 f"{path}: a sparse file of {size} bytes does not fit in memory") from None
+        for at, length in sparse:
+            data[at:at + length] = tar[offset:offset + length]
+            offset += length
+        return data
 
     def __contains__(self, path) -> bool:
         return path in self._refs
@@ -987,11 +994,12 @@ class FlattenedRootfs:
     """Union of all layers: the one model of the image file system.
 
     ``entries`` maps path -> record in path order; ``content`` maps each
-    regular file's path to its bytes. ``flatten_layers`` fills it with a
-    mapping that reads them from the layers' tar streams on lookup, so the
+    regular file's path to its bytes as a sized range: anything with
+    ``len()`` whose slices are bytes. ``flatten_layers`` fills it with a
+    mapping whose ranges are views of the layers' tar streams, so the
     rootfs holds no file bytes and its ``LayerStack`` must stay open while
-    ``data_for`` is called; any ``Mapping`` of bytes, such as a ``dict``,
-    will do. ``symlink_table`` maps each symlink entry to its absolute,
+    the ranges ``data_for`` gives are read; a ``dict`` of bytes will do as
+    well. ``symlink_table`` maps each symlink entry to its absolute,
     normalized target and is derived from ``entries`` on construction.
 
     A rootfs is never mutated after construction; a different set of entries
@@ -1002,7 +1010,7 @@ class FlattenedRootfs:
     """
 
     entries: dict[str, FileRecord]
-    content: Mapping[str, bytes] = field(default_factory=dict)
+    content: Mapping[str, _FileBytes | bytes | bytearray] = field(default_factory=dict)
     total_size: int = 0
     warnings: list[str] = field(default_factory=list)
     symlink_table: dict[str, str] = field(init=False, repr=False)
@@ -1021,10 +1029,12 @@ class FlattenedRootfs:
                     target = posixpath.join(posixpath.dirname(path), target)
                 self.symlink_table[path] = posixpath.normpath(target)
 
-    def data_for(self, path: str) -> bytes:
-        """Bytes of a regular file, following hardlinks; read from its layer
-        when the rootfs was flattened, which raises once the stack is
-        closed."""
+    def data_for(self, path: str) -> _FileBytes | bytes | bytearray:
+        """The bytes of a regular file as a sized range, following
+        hardlinks: ``len()`` gives its size and a slice reads that part
+        (``data_for(path)[:]`` the whole file). Once the stack of a
+        flattened rootfs is closed, this raises ``ValueError``, and so does
+        reading a range it gave before."""
         seen = set()
         while True:
             if path in self.content:
@@ -1176,8 +1186,9 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
 
     Memory: the entries and one reference per regular file into its
     layer's tar stream (offset, size and sparse map); no file's bytes are
-    read here. ``content`` reads them on lookup, one file at a time, while
-    ``stack`` is open; it raises once the stack is closed.
+    read here. ``content`` gives each file as a range of its layer, read
+    when it is sliced, while ``stack`` is open; it raises once the stack is
+    closed.
     """
     entries: dict[str, FileRecord] = {}
     refs: dict[str, tuple] = {}
@@ -1412,14 +1423,17 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
         raise
 
 
-def _image_tar(members: list[tuple[str, bytes | None]]) -> bytes:
-    """The image archive of (name, bytes) files and (name, None) directories,
-    in order: files 0o444 and directories 0o755, owned by 0:0 at mtime 0."""
-    return b"".join(tar_stream(
+def _write_image(out, members: list[tuple[str, object]]) -> None:
+    """Write to the binary file ``out`` the image archive of (name, data)
+    files and (name, None) directories, in order: files 0o444 and
+    directories 0o755, owned by 0:0 at mtime 0. ``data`` is a sized range,
+    copied a chunk at a time (``tar_stream``)."""
+    for chunk in tar_stream(
         (gnu_header(name, DIRTYPE, 0o755), b"") if data is None
         else (gnu_header(name, REGTYPE, 0o444, size=len(data)), data)
         for name, data in members
-    ))
+    ):
+        out.write(chunk)
 
 
 def _json_bytes(obj) -> bytes:
@@ -1450,42 +1464,59 @@ def _config_json(metadata: ImageMetadata, diff_ids: list[str]) -> bytes:
     )
 
 
-def _gzip_layer(chunks: Iterable[bytes]) -> tuple[bytes, str]:
-    """The gzip layer ``gzip.compress(tar, mtime=0)`` writes for the tar
-    stream given in ``chunks``, and the sha256 digest of that stream (its
-    diff_id); the stream itself is never held whole."""
-    compressor = zlib.compressobj(9, zlib.DEFLATED, 31)
-    tar_sha256 = hashlib.sha256()
-    parts = []
-    for chunk in chunks:
-        tar_sha256.update(chunk)
-        parts.append(compressor.compress(chunk))
-        del chunk  # not held while the next chunk is made
-    parts.append(compressor.flush())
-    return b"".join(parts), "sha256:" + tar_sha256.hexdigest()
+def _spool_layer(chunks: Iterable[bytes], gzip_layer: bool) -> tuple[_FileBytes, str, str]:
+    """The layer of the tar stream given in ``chunks``, spooled a chunk at a
+    time, with its digest and the stream's (its diff_id). With
+    ``gzip_layer`` the spool holds what ``gzip.compress(tar, mtime=0)``
+    gives, and the stream is hashed apart on the way; otherwise it holds
+    the stream, and the two digests are one. The caller closes the
+    spool."""
+    spool = _Spool()
+    try:
+        if gzip_layer:
+            compressor = zlib.compressobj(9, zlib.DEFLATED, 31)
+            tar_sha256 = hashlib.sha256()
+            for chunk in chunks:
+                tar_sha256.update(chunk)
+                spool.write(compressor.compress(chunk))
+                del chunk  # not held while the next chunk is made
+            spool.write(compressor.flush())
+        else:
+            for chunk in chunks:
+                spool.write(chunk)
+                del chunk
+            tar_sha256 = spool.sha256
+        layer = spool.finish()
+    except BaseException:
+        spool.discard()
+        raise
+    return layer, "sha256:" + spool.sha256.hexdigest(), "sha256:" + tar_sha256.hexdigest()
 
 
 def build_slim_image(
     metadata: ImageMetadata,
     slim_rootfs_tar: Iterable[bytes],
+    out,
     *,
     layout: str = "oci",
     gzip_layer: bool = False,
-) -> bytes:
-    """Assemble a single-layer image archive around the slim rootfs tar,
-    given as the chunks of the stream (``emit_slim_rootfs`` returns them).
+) -> None:
+    """Write to the binary file ``out`` a single-layer image archive around
+    the slim rootfs tar, given as the chunks of the stream
+    (``emit_slim_rootfs`` returns them).
 
     ``layout`` selects the output family ("oci" or "docker"); docker-save
     output always stores the layer uncompressed.
 
-    Cost: with ``gzip_layer`` the chunks are fed once through a level-9 gzip
-    compressor and an incremental sha256 (the diff_id) and the compressed
-    layer is hashed once, so the uncompressed layer is never held whole.
-    Otherwise the chunks are joined, because the layer's size must be known
-    before it is written, and hashed once. Then one copy of the layer into
-    the archive, whose few headers ``gnu_header`` writes. A stream whose
-    first block is zeros, which is how a stream without members starts, is
-    refused.
+    Cost: the chunks are written once to a spool in ``TMPDIR`` (through a
+    level-9 gzip compressor with ``gzip_layer``) and hashed on the way: the
+    spool's bytes for the layer digest, the stream apart for the diff_id
+    under gzip. The layer's size and digest name and place it in the
+    archive, so it is then copied from the spool into ``out`` a chunk at a
+    time, among a few small members that ``gnu_header`` frames. Memory
+    holds a fixed number of chunks, never the layer or the archive. A
+    stream whose first block is zeros, which is how a stream without
+    members starts, is refused before anything is written.
     """
     chunks = iter(slim_rootfs_tar)
     first = next((chunk for chunk in chunks if chunk), b"")
@@ -1493,16 +1524,16 @@ def build_slim_image(
         raise EmptyImageError("slim rootfs tar contains no entries; refusing to build an image")
     if layout not in ("oci", "docker"):
         raise ValueError(f"unknown output layout {layout!r}")
-    chunks = itertools.chain((first,), chunks)
+    gzip_layer = gzip_layer and layout == "oci"
+    layer, layer_digest, diff_id = _spool_layer(itertools.chain((first,), chunks), gzip_layer)
+    del first
+    with closing(layer):
+        _write_layout(out, metadata, layout, layer, layer_digest, diff_id, gzip_layer)
 
-    if layout == "oci" and gzip_layer:
-        layer_data, diff_id = _gzip_layer(chunks)
-        layer_media = "application/vnd.oci.image.layer.v1.tar+gzip"
-        layer_digest = sha256_digest(layer_data)
-    else:
-        layer_data = b"".join(chunks)
-        layer_media = "application/vnd.oci.image.layer.v1.tar"
-        diff_id = layer_digest = sha256_digest(layer_data)
+
+def _write_layout(out, metadata: ImageMetadata, layout: str, layer: _FileBytes,
+                  layer_digest: str, diff_id: str, gzip_layer: bool) -> None:
+    """Write the archive of ``build_slim_image`` around its spooled layer."""
     config_bytes = _config_json(metadata, [diff_id])
 
     if layout == "docker":
@@ -1515,15 +1546,16 @@ def build_slim_image(
                 "Layers": [f"{layer_hex}/layer.tar"],
             }
         ]
-        return _image_tar([
+        _write_image(out, [
             (f"{cfg_hex}.json", config_bytes),
             (layer_hex, None),
-            (f"{layer_hex}/layer.tar", layer_data),
+            (f"{layer_hex}/layer.tar", layer),
             ("manifest.json", _json_bytes(manifest)),
         ])
+        return
 
     config_digest = sha256_digest(config_bytes)
-
+    layer_media = "application/vnd.oci.image.layer.v1.tar" + ("+gzip" if gzip_layer else "")
     manifest = {
         "schemaVersion": 2,
         "mediaType": "application/vnd.oci.image.manifest.v1+json",
@@ -1533,7 +1565,7 @@ def build_slim_image(
             "size": len(config_bytes),
         },
         "layers": [
-            {"mediaType": layer_media, "digest": layer_digest, "size": len(layer_data)}
+            {"mediaType": layer_media, "digest": layer_digest, "size": len(layer)}
         ],
     }
     manifest_bytes = _json_bytes(manifest)
@@ -1549,8 +1581,8 @@ def build_slim_image(
     index_bytes = _json_bytes({"schemaVersion": 2, "manifests": [index_entry]})
     layout_bytes = _json_bytes({"imageLayoutVersion": "1.0.0"})
 
-    blobs = {config_digest: config_bytes, manifest_digest: manifest_bytes, layer_digest: layer_data}
-    return _image_tar([
+    blobs = {config_digest: config_bytes, manifest_digest: manifest_bytes, layer_digest: layer}
+    _write_image(out, [
         ("oci-layout", layout_bytes),
         ("index.json", index_bytes),
         ("blobs", None),

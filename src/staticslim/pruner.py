@@ -12,9 +12,12 @@ one ``FlattenedRootfs`` that every stage reads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 import posixpath
+import tempfile
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -206,7 +209,8 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> Iterator[by
     as the chunks are asked for. The stream is the one ``tarfile`` writes in
     GNU format (``tar_stream``). Each entry costs one ``gnu_header`` call
     (one ``struct`` pack, a few number encodings and one byte sum; no
-    ``TarInfo``); the stream is never held whole, only one chunk of it.
+    ``TarInfo``); each file is read from its layer a chunk at a time, and
+    neither a file nor the stream is held whole, only a chunk of it.
     """
     groups: dict[str, list[str]] = {}
     for path in retain.paths:
@@ -338,9 +342,8 @@ def compute_report(
 
 @dataclass
 class SlimResult:
-    """What one slim run produced: the archive and the models behind it."""
+    """What one slim run produced besides the archive: the models behind it."""
 
-    archive: bytes
     metadata: ImageMetadata
     cll: CommandLinkedList
     retain: RetainList
@@ -354,9 +357,33 @@ def _entrypoint_tokens(metadata: ImageMetadata) -> list[str]:
     return tokens
 
 
+@contextlib.contextmanager
+def _replacing(path) -> Iterator:
+    """A new binary file that replaces ``path`` when the block ends: a
+    temporary file beside it, renamed over it (over the file a symlink
+    ``path`` points to, which stays a symlink). On any failure the
+    temporary file is removed and ``path`` is left as it was. The file is
+    created with the permissions ``open`` gives, not ``mkstemp``'s 0o600."""
+    path = os.path.realpath(path)
+    directory, name = os.path.split(path)
+    fd, temporary = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, "wb") as out:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield out
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
 def slim_image(
     input_path,
     ctl: CommandTokenList,
+    output,
     *,
     search_dirs=DEFAULT_SEARCH_DIRS,
     conservative: bool = False,
@@ -365,11 +392,18 @@ def slim_image(
 ) -> SlimResult:
     """Slim one image archive: load, model, match, retain, emit, build, report.
 
+    The slim image is written to ``output``: a binary file, or a path that
+    is replaced only when the run succeeds (``_replacing``), so a failed run
+    leaves it as it was and leaves no temporary file beside it.
     The image's entrypoint and cmd words are matched with ``ctl``'s tokens;
     ``ctl`` itself is left as it is. ``conservative`` keeps every entry
     instead of pruning.
     Raises a ``SlimError`` subclass when the input cannot be slimmed.
     """
+    if isinstance(output, (str, os.PathLike)):
+        with _replacing(output) as out:
+            return slim_image(input_path, ctl, out, search_dirs=search_dirs,
+                              conservative=conservative, layout=layout, gzip_layer=gzip_layer)
     metadata, stack = load_image_archive(input_path)
     # The rootfs reads file bytes from the layers (ELF objects, ld.so.conf,
     # emitted files), so the stack stays open until the image is built.
@@ -395,6 +429,6 @@ def slim_image(
             retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs,
                                        entry_paths=entry_paths)
         slim_tar = emit_slim_rootfs(rootfs, retain)
-        archive = build_slim_image(metadata, slim_tar, layout=layout, gzip_layer=gzip_layer)
+        build_slim_image(metadata, slim_tar, output, layout=layout, gzip_layer=gzip_layer)
     report = compute_report(rootfs, cll, retain, match=match, search_dirs=search_dirs)
-    return SlimResult(archive=archive, metadata=metadata, cll=cll, retain=retain, report=report)
+    return SlimResult(metadata=metadata, cll=cll, retain=retain, report=report)

@@ -355,8 +355,11 @@ def make_elf(
     little_endian=True,
     dynamic=True,
     filler=b"",
+    gap=0,
 ) -> bytes:
-    """Minimal valid ELF with the given dynamic-linking facts."""
+    """Minimal valid ELF with the given dynamic-linking facts; ``gap`` NULs
+    between the ELF header and the program headers move those and all that
+    follows them that far into the file."""
     end = "<" if little_endian else ">"
     is64 = elf_class == 64
     ehsize = 64 if is64 else 52
@@ -383,7 +386,8 @@ def make_elf(
 
     interp_bytes = (interp.encode() + b"\x00") if interp else b""
     phnum = 1 + (1 if dynamic else 0) + (1 if interp else 0)
-    off_interp = ehsize + phnum * phentsize
+    phoff = ehsize + gap
+    off_interp = phoff + phnum * phentsize
     off_dyn = off_interp + len(interp_bytes)
     n_dyn = (len(dyn_entries) + 3) if dynamic else 0  # + STRTAB, STRSZ, NULL
     off_strtab = off_dyn + n_dyn * dyn_entry_size
@@ -412,14 +416,14 @@ def make_elf(
     ident = b"\x7fELF" + bytes([2 if is64 else 1, 1 if little_endian else 2, 1, 0]) + b"\x00" * 8
     if is64:
         ehdr = ident + struct.pack(
-            end + "HHIQQQIHHHHHH", 3, 0x3E, 1, vbase, 64, 0, 0, 64, phentsize, phnum, 0, 0, 0
+            end + "HHIQQQIHHHHHH", 3, 0x3E, 1, vbase, phoff, 0, 0, 64, phentsize, phnum, 0, 0, 0
         )
     else:
         ehdr = ident + struct.pack(
-            end + "HHIIIIIHHHHHH", 3, 0x03, 1, vbase, 52, 0, 0, 52, phentsize, phnum, 0, 0, 0
+            end + "HHIIIIIHHHHHH", 3, 0x03, 1, vbase, phoff, 0, 0, 52, phentsize, phnum, 0, 0, 0
         )
 
-    out = ehdr + b"".join(phdrs) + interp_bytes + bytes(dyn) + bytes(strtab) + filler
+    out = ehdr + bytes(gap) + b"".join(phdrs) + interp_bytes + bytes(dyn) + bytes(strtab) + filler
     assert len(out) == total
     return out
 
@@ -484,6 +488,11 @@ def snapshot_dir(dest: str) -> dict:
     return out
 
 
+def content_bytes(content) -> dict:
+    """A rootfs ``content`` mapping with each sized range read whole."""
+    return {path: data[:] for path, data in content.items()}
+
+
 def flattened_snapshot(rootfs) -> dict:
     """The flattened model in the oracle's snapshot shape."""
     out = {}
@@ -493,7 +502,7 @@ def flattened_snapshot(rootfs) -> dict:
         elif rec.kind == "directory":
             out[path] = ("directory", rec.mode & 0o7777, None)
         elif rec.kind == "regular":
-            out[path] = ("regular", rec.mode & 0o7777, rootfs.data_for(path))
+            out[path] = ("regular", rec.mode & 0o7777, rootfs.data_for(path)[:])
         else:
             out[path] = (rec.kind, rec.mode & 0o7777, rec.link_target)
     return out

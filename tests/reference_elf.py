@@ -9,15 +9,33 @@ interpreter. ``resolve_elf_dependencies`` is the original per-closure search,
 unchanged, resolving each name once through the first object that needs it;
 ``reference_retain`` builds on it. Both resolve paths with
 ``reference_resolver`` and parse every object afresh.
+
+``parse_whole`` is the original parse of an object held whole, unchanged:
+the oracle for ``read_dynamic_info``, which reads an object by range.
 """
 
 from __future__ import annotations
 
 import posixpath
+import struct
 from dataclasses import dataclass, field
 
 from reference_resolver import resolve_entry
-from staticslim.elf import DynamicInfo, read_dynamic_info, rootfs_library_dirs
+from staticslim.elf import (
+    DT_NEEDED,
+    DT_NULL,
+    DT_RPATH,
+    DT_RUNPATH,
+    DT_STRSZ,
+    DT_STRTAB,
+    ELF_MAGIC,
+    PT_DYNAMIC,
+    PT_INTERP,
+    PT_LOAD,
+    DynamicInfo,
+    read_dynamic_info,
+    rootfs_library_dirs,
+)
 from staticslim.imageio import KIND_DIRECTORY, KIND_SYMLINK
 
 
@@ -192,3 +210,94 @@ def _find_library(rootfs, name: str, search_dirs) -> str | None:
         if rec is not None and rec.kind != KIND_DIRECTORY:
             return candidate
     return None
+
+
+def parse_whole(data: bytes) -> DynamicInfo | None:
+    """The dynamic-linking facts of an ELF object held whole in memory, as
+    ``read_dynamic_info`` parsed it before it read by range: None for
+    non-ELF or malformed input."""
+    if len(data) < 52 or data[:4] != ELF_MAGIC:
+        return None
+    try:
+        return _parse(data)
+    except (struct.error, IndexError, ValueError, KeyError):
+        return None
+
+
+def _parse(data: bytes) -> DynamicInfo:
+    ei_class = data[4]
+    ei_data = data[5]
+    if ei_class not in (1, 2) or ei_data not in (1, 2):
+        raise ValueError(f"bad ident class={ei_class} data={ei_data}")
+    end = "<" if ei_data == 1 else ">"
+    is64 = ei_class == 2
+
+    if is64:
+        e_phoff, = struct.unpack_from(end + "Q", data, 0x20)
+        e_phentsize, e_phnum = struct.unpack_from(end + "HH", data, 0x36)
+        phdr_fmt = end + "IIQQQQQQ"  # type, flags, offset, vaddr, paddr, filesz, memsz, align
+    else:
+        e_phoff, = struct.unpack_from(end + "I", data, 0x1C)
+        e_phentsize, e_phnum = struct.unpack_from(end + "HH", data, 0x2A)
+        phdr_fmt = end + "IIIIIIII"  # type, offset, vaddr, paddr, filesz, memsz, flags, align
+
+    loads: list[tuple[int, int, int]] = []  # (vaddr, offset, filesz)
+    dyn_span: tuple[int, int] | None = None
+    interpreter = None
+    for i in range(e_phnum):
+        raw = struct.unpack_from(phdr_fmt, data, e_phoff + i * e_phentsize)
+        if is64:
+            p_type, _flags, p_offset, p_vaddr, _pa, p_filesz = raw[:6]
+        else:
+            p_type, p_offset, p_vaddr, _pa, p_filesz = raw[:5]
+        if p_type == PT_LOAD:
+            loads.append((p_vaddr, p_offset, p_filesz))
+        elif p_type == PT_DYNAMIC:
+            dyn_span = (p_offset, p_filesz)
+        elif p_type == PT_INTERP:
+            interpreter = data[p_offset : p_offset + p_filesz].split(b"\x00", 1)[0].decode()
+
+    out = DynamicInfo(elf_class=64 if is64 else 32, interpreter=interpreter)
+    if dyn_span is None:
+        return out
+    out.is_dynamic = True
+
+    entry_fmt = end + ("qQ" if is64 else "iI")
+    entry_size = 16 if is64 else 8
+    dyn_off, dyn_size = dyn_span
+    entries = []
+    for off in range(dyn_off, dyn_off + dyn_size, entry_size):
+        d_tag, d_val = struct.unpack_from(entry_fmt, data, off)
+        if d_tag == DT_NULL:
+            break
+        entries.append((d_tag, d_val))
+
+    strtab_vaddr = next((v for t, v in entries if t == DT_STRTAB), None)
+    strsz = next((v for t, v in entries if t == DT_STRSZ), None)
+    if strtab_vaddr is None:
+        if any(t == DT_NEEDED for t, _ in entries):
+            raise ValueError("dynamic section has DT_NEEDED but no DT_STRTAB")
+        return out
+    strtab_off = _vaddr_to_offset(loads, strtab_vaddr)
+    strtab_end = strtab_off + (strsz if strsz is not None else len(data) - strtab_off)
+    strtab = data[strtab_off:strtab_end]
+
+    def read_str(offset: int) -> str:
+        end = strtab.find(b"\x00", offset)
+        return strtab[offset : end if end >= 0 else None].decode()
+
+    for tag, val in entries:
+        if tag == DT_NEEDED:
+            out.needed.append(read_str(val))
+        elif tag == DT_RPATH:
+            out.rpath.extend(p for p in read_str(val).split(":") if p)
+        elif tag == DT_RUNPATH:
+            out.runpath.extend(p for p in read_str(val).split(":") if p)
+    return out
+
+
+def _vaddr_to_offset(loads, vaddr: int) -> int:
+    for p_vaddr, p_offset, p_filesz in loads:
+        if p_vaddr <= vaddr < p_vaddr + p_filesz:
+            return p_offset + (vaddr - p_vaddr)
+    raise ValueError(f"vaddr {vaddr:#x} not covered by any PT_LOAD segment")

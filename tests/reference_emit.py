@@ -61,7 +61,7 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> bytes:
                 kind = KIND_REGULAR if carrier[path] == path else KIND_HARDLINK
 
             if kind == KIND_REGULAR:
-                data = rootfs.data_for(path)
+                data = rootfs.data_for(path)[:]
                 ti.type = tarfile.REGTYPE
                 ti.size = len(data)
                 tf.addfile(ti, io.BytesIO(data))

@@ -88,10 +88,13 @@ def _ctl(*tokens) -> CommandTokenList:
 
 
 def _slim_pipeline(archive_bytes: bytes, tokens, tmp_path, tag: str):
-    """load -> flatten -> model -> match -> retain -> emit -> build -> report."""
+    """load -> flatten -> model -> match -> retain -> emit -> build -> report:
+    the slim archive's bytes and the ``SlimResult``."""
     src = tmp_path / f"{tag}.tar"
     src.write_bytes(archive_bytes)
-    return slim_image(src, _ctl(*tokens))
+    out = tmp_path / f"{tag}-slim.tar"
+    result = slim_image(src, _ctl(*tokens), out)
+    return out.read_bytes(), result
 
 
 def _rebuilt_head_count(rootfs, retain) -> int:
@@ -203,8 +206,8 @@ def test_criterion_5_round_trip_and_idempotence(tmp_path):
         )
         fat = make_docker_archive([layer], cfg, repo_tag="roundtrip:fat")
 
-        slimmed = _slim_pipeline(fat, ["sh"], tmp_path, "fat")
-        first, metadata = slimmed.archive, slimmed.metadata
+        first, slimmed = _slim_pipeline(fat, ["sh"], tmp_path, "fat")
+        metadata = slimmed.metadata
         out = tmp_path / "first.tar"
         out.write_bytes(first)
         loaded, stack = load_image_archive(out)
@@ -213,7 +216,7 @@ def test_criterion_5_round_trip_and_idempotence(tmp_path):
             layer_blob = stack.layers[0]
             assert layer_blob.digest == sha256(layer_blob.data)  # digest matches content
 
-        second = _slim_pipeline(first, ["sh"], tmp_path, "slim-again").archive
+        second, _ = _slim_pipeline(first, ["sh"], tmp_path, "slim-again")
         assert second == first  # second pass byte-identical
 
 
@@ -238,8 +241,8 @@ def test_criterion_6_static_coverage_of_unreached_branch(tmp_path):
 
         layer = make_layer_tar(_elf_image_members())
         fat = make_docker_archive([layer], default_config([layer]))
-        slimmed = _slim_pipeline(fat, ctl.token_texts(), tmp_path, "fig2")
-        archive, retain = slimmed.archive, slimmed.retain
+        archive, slimmed = _slim_pipeline(fat, ctl.token_texts(), tmp_path, "fig2")
+        retain = slimmed.retain
         assert "/usr/bin/ls" in retain.paths
 
         out = tmp_path / "fig2-slim.tar"
@@ -256,8 +259,8 @@ def test_criterion_7_no_entry_point(tmp_path):
         cfg = default_config([layer])  # no Entrypoint, no Cmd
         fat = make_docker_archive([layer], cfg, repo_tag="noentry:latest")
 
-        slimmed = _slim_pipeline(fat, ["sh"], tmp_path, "noentry")
-        archive, metadata, retain = slimmed.archive, slimmed.metadata, slimmed.retain
+        archive, slimmed = _slim_pipeline(fat, ["sh"], tmp_path, "noentry")
+        metadata, retain = slimmed.metadata, slimmed.retain
         assert metadata.entrypoint is None
         assert metadata.cmd is None
         assert {"/usr/bin/sh", "/usr/bin/dash"} <= retain.paths
@@ -416,7 +419,7 @@ def test_criterion_10_network_smoke(tmp_path):
     cfg["rootfs"]["diff_ids"] = [sha256(t) for t in layer_tars]
     fat = make_docker_archive(layer_tars, cfg, repo_tag="busybox:smoke")
 
-    archive = _slim_pipeline(fat, ["sh", "echo"], tmp_path, "busybox").archive
+    archive, _ = _slim_pipeline(fat, ["sh", "echo"], tmp_path, "busybox")
     out = tmp_path / "busybox-slim.tar"
     out.write_bytes(archive)
     _, stack = load_image_archive(out)

@@ -137,6 +137,25 @@ class TestDependencyChain:
         assert _relative(lexed, root) == ["node_modules/@org/util/u.js"]
         assert ctl.token_texts() == ["renice", "5"]
 
+    def test_dependency_name_outside_node_modules_is_refused(self, tmp_path, caplog):
+        """A manifest entry that walks out of ``node_modules`` names no
+        package: it is warned about and skipped, and the code it points at
+        adds no token."""
+        root = write_package(tmp_path / "app", "app", dependencies=["../../outside"])
+        (root / "node_modules").mkdir()
+        write_package(tmp_path / "outside", "outside", files={"x.js": "exec('rm -rf /data');\n"})
+        assert [p.name for p in enumerate_dependency_chain(root)] == ["app"]
+        assert "'../../outside'" in caplog.text
+        assert analyze_project(root).token_texts() == []
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a/..", "@org", "@/util",
+                                      "@org/", "@org/..", "@../util", "@org/util/lib"])
+    def test_only_plain_and_scoped_package_names_are_looked_up(self, tmp_path, name, caplog):
+        root = write_package(tmp_path / "app", "app", dependencies=[name])
+        (root / "node_modules").mkdir()
+        assert analyzer._find_installed(name, root, root) is None
+        assert "not a package name" in caplog.text
+
     def test_source_files_in_path_order_without_dependencies(self, tmp_path):
         root = write_package(
             tmp_path / "app",

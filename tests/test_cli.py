@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from conftest import (
     HOSTILE_PAX_RECORDS,
+    content_bytes,
     default_config,
     hostile_pax_after_sparse,
     make_docker_archive,
@@ -24,6 +25,7 @@ from conftest import (
     make_stack,
     shell_chain_members,
 )
+from staticslim import pruner as pruner_mod
 from staticslim.cli import main
 from staticslim.imageio import flatten_layers, load_image_archive
 
@@ -293,7 +295,7 @@ class TestSlim:
             fat = flatten_layers(fat_stack)
             slim = flatten_layers(slim_stack)
             assert slim.entries == fat.entries
-            assert slim.content == fat.content
+            assert content_bytes(slim.content) == content_bytes(fat.content)
 
     def test_strict_mode_aborts_on_unresolved(self, runner, tmp_path):
         image = write_shell_image(tmp_path)
@@ -609,6 +611,82 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     assert "Traceback" not in result.output
 
 
+# --- the output file ----------------------------------------------------------
+
+
+def _slim_into(runner, tmp_path, image, *extra):
+    """Run ``slim`` with ``--output`` in a directory of its own, which holds
+    an earlier output; the result, the output path and its directory."""
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "slim.tar"
+    out.write_bytes(b"an earlier output")
+    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
+                                  "--ctl", str(ctl), *extra])
+    return result, out, out_dir
+
+
+@pytest.mark.parametrize("gzip_layer", [False, True])
+def test_failed_slim_leaves_the_output_as_it_was(runner, tmp_path, gzip_layer):
+    image = tmp_path / "bad.tar"
+    image.write_bytes(make_docker_archive([make_layer_tar([{"path": "/ok", "data": b"1"}]),
+                                           _malformed_layer("truncated-tar")]))
+    result, out, out_dir = _slim_into(runner, tmp_path, image, *(["--gzip"] if gzip_layer else []))
+    assert result.exit_code == 3, result.output
+    assert out.read_bytes() == b"an earlier output"
+    assert [p.name for p in out_dir.iterdir()] == ["slim.tar"]  # no temporary file left
+
+
+def test_successful_slim_replaces_the_output(runner, tmp_path):
+    result, out, out_dir = _slim_into(runner, tmp_path, write_shell_image(tmp_path))
+    assert result.exit_code == 0, result.output
+    _, stack = load_image_archive(out)
+    with stack:
+        assert "/usr/bin/dash" in flatten_layers(stack).entries
+    assert [p.name for p in out_dir.iterdir()] == ["slim.tar"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # as ``open`` creates a file
+
+
+def test_output_through_a_symlink_replaces_its_target(runner, tmp_path):
+    target_dir = tmp_path / "images"
+    target_dir.mkdir()
+    (target_dir / "slim.tar").write_bytes(b"an earlier output")
+    link = tmp_path / "slim.tar"
+    link.symlink_to(target_dir / "slim.tar")
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    result = runner.invoke(main, ["slim", "--input", str(write_shell_image(tmp_path)),
+                                  "--output", str(link), "--ctl", str(ctl)])
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink()
+    assert [p.name for p in target_dir.iterdir()] == ["slim.tar"]
+    _, stack = load_image_archive(link)
+    stack.close()
+
+
+@pytest.mark.parametrize("option", ["--output", "--report", "--dump-cll", "--dump-retain"])
+def test_missing_output_directory_exits_4_before_the_input_is_read(runner, tmp_path, monkeypatch,
+                                                                  option):
+    def unread(path):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(pruner_mod, "load_image_archive", unread)
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    paths = {"--output": tmp_path / "slim.tar", option: tmp_path / "missing" / "file"}
+    args = ["slim", "--input", str(write_shell_image(tmp_path)), "--ctl", str(ctl)]
+    for name, path in paths.items():
+        args += [name, str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert result.output == f"error: {option}: no such directory: {tmp_path / 'missing'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ctl", "fat.tar"]
+
+
 @pytest.mark.parametrize("fmt", ["gnu", "0.0", "0.1", "1.0"])
 def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
     """The image archive's members are read as slices of it, which a sparse
@@ -674,7 +752,7 @@ def test_retained_sparse_file_too_large_to_lay_out_exits_3(runner, tmp_path, gzi
     assert result.output.count("error:") == 1
     assert f"error: /usr/lib/huge.img: a sparse file of {2**60} bytes" in result.output
     assert "Traceback" not in result.output
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ctl", "huge.tar"]  # no output, no temporary
 
 
 # --- spools -----------------------------------------------------------------

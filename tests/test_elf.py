@@ -6,6 +6,7 @@ import collections
 import posixpath
 import random
 import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from staticslim.imageio import (
     KIND_SYMLINK,
     FileRecord,
     FlattenedRootfs,
+    _FileBytes,
     flatten_layers,
 )
 from staticslim.pruner import build_retain_list, match_tokens, slim_image
@@ -95,6 +97,83 @@ class TestReadDynamicInfo:
         assert any("malformed ELF" in r.message for r in caplog.records)
 
 
+class _CountedReads:
+    """An object read as a sized range that records the size of each read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.reads: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, span: slice) -> bytes:
+        piece = self.data[span]
+        self.reads.append(len(piece))
+        return piece
+
+
+class TestReadByRange:
+    FACTS = dict(needed=["liba.so.1", "libb.so.2"], interp="/lib/ld-test.so.1", runpath="/srv/lib")
+
+    def test_object_inside_the_head_window_is_read_once(self):
+        data = make_elf(**self.FACTS, filler=b"x" * 1000)
+        counted = _CountedReads(data)
+        assert read_dynamic_info(counted) == read_dynamic_info(data)
+        assert counted.reads == [len(data)]
+
+    def test_large_object_is_read_as_its_head_window(self):
+        data = make_elf(**self.FACTS, filler=b"x" * (4 << 20))
+        counted = _CountedReads(data)
+        assert read_dynamic_info(counted).needed == ["liba.so.1", "libb.so.2"]
+        assert counted.reads == [elf.HEAD_WINDOW]
+
+    def test_headers_past_the_head_window_are_read_by_range(self):
+        """Program headers, interpreter, dynamic section and string table
+        far into a large object: each is read on its own, the object never
+        whole."""
+        data = make_elf(**self.FACTS, gap=2 * elf.HEAD_WINDOW, filler=b"x" * (4 << 20))
+        counted = _CountedReads(data)
+        info = read_dynamic_info(counted)
+        assert (info.interpreter, info.needed, info.runpath) == (
+            "/lib/ld-test.so.1", ["liba.so.1", "libb.so.2"], ["/srv/lib"])
+        assert len(counted.reads) == 5
+        assert sum(counted.reads) < elf.HEAD_WINDOW + 1024
+
+
+_NAMES = st.text("abcl./$-_", min_size=1, max_size=12)
+
+
+@st.composite
+def _elf_objects(draw) -> bytes:
+    """ELF objects, valid or damaged: a few bytes of the ELF header or of
+    the tables at the end overwritten, or the object cut short. Some have
+    their headers straddling or past ``HEAD_WINDOW``."""
+    data = bytearray(draw(st.builds(
+        make_elf, needed=st.lists(_NAMES, max_size=3), interp=st.none() | _NAMES,
+        rpath=st.none() | _NAMES, runpath=st.none() | _NAMES, elf_class=st.sampled_from([32, 64]),
+        little_endian=st.booleans(), dynamic=st.booleans(), filler=st.binary(max_size=64),
+        gap=st.sampled_from([0, elf.HEAD_WINDOW - 300, elf.HEAD_WINDOW - 120, elf.HEAD_WINDOW]))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, 63) | st.integers(max(0, len(data) - 400), len(data) - 1))
+        data[at] = draw(st.integers(0, 255))
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return bytes(data[:cut])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_elf_objects(), pad=st.integers(0, 700))
+def test_file_range_parses_as_bytes(data, pad):
+    """A ``_FileBytes`` view of an object, in a file with other bytes
+    around it, parses to what its bytes parse to, and both to what the
+    parse of the object held whole gives."""
+    with tempfile.TemporaryFile() as file:
+        file.write(b"\x7f" * pad + data + b"\xff" * 9)
+        file.flush()
+        view = _FileBytes(file).view(pad, len(data))
+        assert read_dynamic_info(view) == read_dynamic_info(data) == reference_elf.parse_whole(data)
+
+
 def _lib_members(libs: dict[str, bytes], extra=()):
     """Rootfs skeleton hosting the given name -> bytes libraries in /usr/lib."""
     members = [
@@ -120,7 +199,7 @@ def _slim(tmp_path, members, tokens):
     ctl = CommandTokenList()
     for token in tokens:
         ctl.add(token, "exec-argument", "test")
-    return slim_image(src, ctl)
+    return slim_image(src, ctl, tmp_path / "slim.tar")
 
 
 def walk_closure(root: str, rootfs: FlattenedRootfs, search: LibrarySearch | None = None):
@@ -153,7 +232,7 @@ class TestParseOnce:
         real = elf.read_dynamic_info
 
         def counting(data, origin=""):
-            parsed[data] += 1
+            parsed[data[:]] += 1
             return real(data, origin)
 
         monkeypatch.setattr(elf, "read_dynamic_info", counting)

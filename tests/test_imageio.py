@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     HOSTILE_PAX_RECORDS,
+    content_bytes,
     default_config,
     flattened_snapshot,
     hostile_pax_after_sparse,
     make_docker_archive,
+    make_elf,
     make_layer_tar,
     make_oci_archive,
     make_sparse_member,
@@ -32,6 +34,7 @@ from conftest import (
     rechecksum,
     sequential_apply_oracle,
     sha256,
+    shell_chain_members,
     snapshot_dir,
     sparse_file_bytes,
     sparse_map,
@@ -641,7 +644,7 @@ def _file_bytes(rootfs: FlattenedRootfs) -> dict:
     for path, rec in rootfs.entries.items():
         if rec.kind in ("regular", "hardlink"):
             try:
-                out[path] = rootfs.data_for(path)
+                out[path] = rootfs.data_for(path)[:]
             except KeyError:
                 out[path] = KeyError
     return out
@@ -663,8 +666,8 @@ def test_sparse_layers_are_read_without_tarfile(fmt, stored):
     refuse = mock.Mock(side_effect=AssertionError("tarfile was asked to read a layer"))
     with mock.patch.object(tarfile, "TarFile", refuse), mock.patch.object(tarfile, "open", refuse):
         with make_stack([blob]) as stack:
-            assert flatten_layers(stack).content == {"/a": b"1", "/s": sparse_file_bytes(regions, 2),
-                                                     "/b": b"2"}
+            assert content_bytes(flatten_layers(stack).content) == {
+                "/a": b"1", "/s": sparse_file_bytes(regions, 2), "/b": b"2"}
 
 
 @pytest.mark.skipif(shutil.which("tar") is None, reason="needs a tar program")
@@ -750,10 +753,17 @@ def test_data_for_raises_once_the_stack_is_closed(tmp_path, stored):
         _, stack = load_image_archive(_write(tmp_path, "img.tar", archive))
     with stack:
         rootfs = flatten_layers(stack)
-        assert rootfs.data_for("/etc/issue") == b"hello\n"
+        assert rootfs.data_for("/etc/issue")[:] == b"hello\n"
     with pytest.raises(ValueError, match="closed"):
         rootfs.data_for("/etc/issue")
     assert "/etc/issue" in rootfs.content
+
+
+def _build(metadata: ImageMetadata, chunks, **options) -> bytes:
+    """The image archive ``build_slim_image`` writes."""
+    out = io.BytesIO()
+    build_slim_image(metadata, chunks, out, **options)
+    return out.getvalue()
 
 
 class TestBuildSlimImage:
@@ -778,7 +788,7 @@ class TestBuildSlimImage:
     @pytest.mark.parametrize("layout", ["oci", "docker"])
     def test_round_trip_metadata(self, tmp_path, layout):
         tar = self._rootfs_tar()
-        archive = build_slim_image(self.METADATA, [tar], layout=layout)
+        archive = _build(self.METADATA, [tar], layout=layout)
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
         with stack:
             assert loaded == self.METADATA
@@ -787,7 +797,7 @@ class TestBuildSlimImage:
 
     def test_gzip_layer_round_trip(self, tmp_path):
         tar = self._rootfs_tar()
-        archive = build_slim_image(self.METADATA, [tar], gzip_layer=True)
+        archive = _build(self.METADATA, [tar], gzip_layer=True)
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
         with stack:
             assert loaded == self.METADATA
@@ -797,7 +807,7 @@ class TestBuildSlimImage:
         metadata = ImageMetadata(
             image_name="noentry", tag="v1", architecture="amd64", os="linux"
         )
-        archive = build_slim_image(metadata, [self._rootfs_tar()])
+        archive = _build(metadata, [self._rootfs_tar()])
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
         stack.close()
         assert loaded.entrypoint is None
@@ -808,21 +818,21 @@ class TestBuildSlimImage:
         with tarfile.open(fileobj=empty, mode="w"):
             pass
         with pytest.raises(EmptyImageError):
-            build_slim_image(self.METADATA, [empty.getvalue()])
+            _build(self.METADATA, [empty.getvalue()])
 
     def test_deterministic_bytes(self):
         tar = self._rootfs_tar()
-        assert build_slim_image(self.METADATA, [tar]) == build_slim_image(self.METADATA, [tar])
+        assert _build(self.METADATA, [tar]) == _build(self.METADATA, [tar])
 
     def test_size_within_framing_overhead(self):
         tar = self._rootfs_tar()
-        archive = build_slim_image(self.METADATA, [tar])
+        archive = _build(self.METADATA, [tar])
         overhead = len(archive) - len(tar)
         assert 0 < overhead < 20480  # headers, config, manifest, record padding
 
     def test_untagged_image(self, tmp_path):
         metadata = ImageMetadata(image_name="", tag="", architecture="arm64", os="linux")
-        archive = build_slim_image(metadata, [self._rootfs_tar()])
+        archive = _build(metadata, [self._rootfs_tar()])
         loaded, stack = load_image_archive(_write(tmp_path, "out.tar", archive))
         stack.close()
         assert loaded.image_name == ""
@@ -1130,7 +1140,7 @@ def test_compressed_bytes_under_the_tar_media_type(magic):
     packed = {"gzip": lambda d: gzip.compress(d, mtime=0), "bz2": bz2.compress,
               "xz": lzma.compress}[magic](tar)
     with make_stack([packed]) as stack:
-        assert flatten_layers(stack).content == {"/a": b"1"}
+        assert content_bytes(flatten_layers(stack).content) == {"/a": b"1"}
 
 
 def test_plain_tar_named_like_a_magic_is_read_as_it_is():
@@ -1353,6 +1363,43 @@ def test_gzip_slim_holds_one_file_at_a_time(tmp_path):
     """The rootfs holds references, not file bytes, and emit reads each
     retained file when it is written: 8 MiB of files, 1 MiB at a time."""
     image = _eight_file_image(tmp_path)
-    result, peak = _traced_peak(lambda: slim_image(image, CommandTokenList(), gzip_layer=True))
+    result, peak = _traced_peak(lambda: slim_image(image, CommandTokenList(), tmp_path / "slim.tar",
+                                                    gzip_layer=True))
     assert {f"/data/f{i}" for i in range(8)} <= result.retain.paths
     assert peak < _MIB + _SLACK
+
+
+@pytest.mark.parametrize("layout,gzip_layer", [("docker", False), ("oci", True)])
+def test_slim_holds_neither_a_whole_file_nor_the_output(tmp_path, layout, gzip_layer):
+    """A retained 16 MiB ELF executable is parsed from its head and written
+    a chunk at a time, and the slim layer and the archive go to files, so
+    the whole run holds a few chunks: far less than the file or the
+    output."""
+    big = make_elf(needed=["libc.so.6"], filler=random.Random(7).randbytes(4096) * 4096)
+    members = [*shell_chain_members(), {"path": "/usr/bin/big", "data": big, "mode": 0o755}]
+    image = _write(tmp_path, "img.tar", make_docker_archive([make_layer_tar(members)]))
+    del members
+    ctl = CommandTokenList()
+    ctl.add("big", "exec-argument", "test")
+    out = tmp_path / "slim.tar"
+    result, peak = _traced_peak(
+        lambda: slim_image(image, ctl, out, layout=layout, gzip_layer=gzip_layer))
+    assert "/usr/bin/big" in result.retain.paths
+    assert peak < 4 * _MIB
+    _, stack = load_image_archive(out)
+    with stack:
+        assert flatten_layers(stack).data_for("/usr/bin/big")[:] == big
+
+
+def test_retained_sparse_file_is_laid_out_once(tmp_path):
+    """``--conservative`` keeps a sparse file of one stored byte that
+    declares 16 MiB; it is laid out once to be written, not copied."""
+    size = 16 * _MIB
+    members = [*shell_chain_members(), {"path": "/usr/lib/sparse.img", "kind": "sparse",
+                                        "format": "0.1", "regions": [(0, b"x")], "tail": size - 1}]
+    image = _write(tmp_path, "img.tar", make_docker_archive([make_layer_tar(members)]))
+    out = tmp_path / "slim.tar"
+    result, peak = _traced_peak(
+        lambda: slim_image(image, CommandTokenList(), out, conservative=True))
+    assert "/usr/lib/sparse.img" in result.retain.paths
+    assert peak < 1.5 * size

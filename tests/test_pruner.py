@@ -433,6 +433,7 @@ def _one_file(size: int):
 @settings(max_examples=300, deadline=None)
 @given(_retained_rootfs())
 @example(_one_file(9216))  # with its header and the two end blocks, 512 bytes past a record
+@example(_one_file(2 * (1 << 18) + 100))  # read and written in three chunks
 def test_emit_matches_addfile_reference(case):
     rootfs, retain = case
     assert b"".join(emit_slim_rootfs(rootfs, retain)) == reference_emit.emit_slim_rootfs(rootfs, retain)
@@ -521,8 +522,8 @@ def test_slim_image_leaves_the_ctl_alone(tmp_path):
 
     shared = ctl_of("sh")
     tokens = list(shared.tokens)
-    first = slim_image(image("first.tar", ["perl", "-e"]), shared).report
-    second = slim_image(image("second.tar", ["dash"]), shared).report
+    first = slim_image(image("first.tar", ["perl", "-e"]), shared, tmp_path / "slim.tar").report
+    second = slim_image(image("second.tar", ["dash"]), shared, tmp_path / "slim.tar").report
     assert shared.tokens == tokens
     assert first.matched_tokens == {"sh": "sh", "perl": "perl"}
     assert first.unmatched_tokens == ["-e"]
