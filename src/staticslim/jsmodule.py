@@ -1,21 +1,28 @@
 """Lightweight JavaScript module scanner for command-string extraction.
 
-Tokenizes a source file, records variable declarations, assignments,
-function declarations, and call sites, then resolves string-valued
+Tokenizes a source file and indexes it in one walk over the tokens:
+definitions (declarators and assignments, inside function bodies too),
+function declarations, and call sites. It then resolves string-valued
 expressions to constant fragments by walking definition chains. The scope is
 deliberately narrow: intra-module, flow-insensitive, with one level of
-call-site argument binding for function parameters. Anything beyond that
-resolves to a dynamic marker instead of a fabricated value.
+call-site argument binding for function parameters; a parameter also takes
+its default and what the function body assigns to it. Anything beyond that
+resolves to a dynamic marker instead of a fabricated value. A function or
+method declaration head, such as ``exec (cmd) {``, is not a call.
 
 The lexer is one compiled token pattern matched at each position; only
 strings, templates and regex literals have scanners of their own, because
-they need escapes, nesting and the previous-token rule. The parser and the
-indexer share one set of span helpers for balanced brackets, function
-literals and arrow bodies.
+they need escapes, nesting and the previous-token rule. One expression
+parser reads every right-hand side and argument; it gives a ``Func`` for a
+function literal or an arrow function, which is how the indexer learns that
+``name = …`` declares a function. Brackets are matched from one table per
+module (``Tokens.closers``), so stepping over a function body costs the
+same at any nesting depth.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -76,9 +83,32 @@ class Token:
     line: int
 
 
-def tokenize(source: str) -> list[Token]:
+_OPENERS = {")": "(", "]": "[", "}": "{"}
+
+
+class Tokens(list):
+    """The tokens of one module, and where each of its brackets closes."""
+
+    @functools.cached_property
+    def closers(self) -> dict[int, int]:
+        """Index just past the punct that closes each bracket, by the
+        bracket's index; an unclosed bracket has none. A bracket of one kind
+        is matched by counting that kind only."""
+        table = {}
+        open_at = {"(": [], "[": [], "{": []}
+        for j, t in enumerate(self):
+            if t.kind != "punct":
+                continue
+            if t.value in open_at:
+                open_at[t.value].append(j)
+            elif t.value in _OPENERS and open_at[_OPENERS[t.value]]:
+                table[open_at[_OPENERS[t.value]].pop()] = j + 1
+        return table
+
+
+def tokenize(source: str) -> Tokens:
     """Lex a JavaScript module; an unterminated block comment ends the input."""
-    toks: list[Token] = []
+    toks = Tokens()
     match = _TOKEN.match
     i = 0
     n = len(source)
@@ -278,10 +308,18 @@ class Dynamic(Expr):
     pass
 
 
+@dataclass
+class Func(Expr):
+    """A function literal; its value resolves as dynamic."""
+
+    params: list[str]
+    body: tuple[int, int]  # token index range
+
+
 class _ExprParser:
     """Recursive-descent parser for the expression subset we resolve."""
 
-    def __init__(self, toks: list[Token], pos: int):
+    def __init__(self, toks: Tokens, pos: int):
         self.toks = toks
         self.pos = pos
 
@@ -380,21 +418,20 @@ class _ExprParser:
             return Tpl(parts)
         if t.kind == "ident":
             if t.value == "function":
-                self.pos, _ = _function_literal(self.toks, self.pos)
-                return Dynamic()
+                self.pos, literal = _function_literal(self.toks, self.pos)
+                return Dynamic() if literal is None else Func(*literal)
             self.pos += 1
             if t.value in _KEYWORDS and t.value != "this":
                 return Dynamic()
             if _is_punct(self.toks, self.pos, "=>"):
-                self.pos = _arrow_body_end(self.toks, self.pos + 1)
-                return Dynamic()
+                return self.parse_arrow([t.value], self.pos + 1)
             return Name(t.value, t.line)
         if t.kind == "punct":
             if t.value == "(":
                 params_end = _match_balanced(self.toks, self.pos)
                 if _is_punct(self.toks, params_end, "=>"):
-                    self.pos = _arrow_body_end(self.toks, params_end + 1)
-                    return Dynamic()
+                    params = _param_names(self.toks, self.pos, params_end)
+                    return self.parse_arrow(params, params_end + 1)
                 self.pos += 1
                 inner = self.parse()
                 if _is_punct(self.toks, self.pos, ")"):
@@ -405,6 +442,15 @@ class _ExprParser:
                 return Dynamic()
         self.pos += 1
         return Dynamic()
+
+    def parse_arrow(self, params: list[str], body: int) -> Func:
+        """The arrow function whose body, a block or one expression, starts at ``body``."""
+        if _is_punct(self.toks, body, "{"):
+            self.pos = _match_balanced(self.toks, body)
+        else:
+            self.pos = body
+            self.parse()
+        return Func(params, (body, max(self.pos - 1, body)))
 
     def parse_args(self) -> list:
         # caller sits on '('
@@ -472,29 +518,14 @@ class ModuleIndex:
         return best
 
 
-_CLOSERS = {"(": ")", "[": "]", "{": "}"}
-
-
 def _is_punct(toks: list[Token], j: int, value: str) -> bool:
     return j < len(toks) and toks[j].kind == "punct" and toks[j].value == value
 
 
-def _match_balanced(toks: list[Token], pos: int) -> int:
-    """Index just past the punct that closes the bracket at ``pos``."""
-    open_p = toks[pos].value
-    close_p = _CLOSERS[open_p]
-    depth = 0
-    j = pos
-    while j < len(toks):
-        t = toks[j]
-        if t.kind == "punct" and t.value == open_p:
-            depth += 1
-        elif t.kind == "punct" and t.value == close_p:
-            depth -= 1
-            if depth == 0:
-                return j + 1
-        j += 1
-    return len(toks)
+def _match_balanced(toks: Tokens, pos: int) -> int:
+    """Index just past the punct that closes the bracket at ``pos``, or the
+    end of the tokens when none does."""
+    return toks.closers.get(pos, len(toks))
 
 
 def _param_names(toks: list[Token], start: int, end: int) -> list[str]:
@@ -514,74 +545,67 @@ def _param_names(toks: list[Token], start: int, end: int) -> list[str]:
 
 
 def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleIndex:
-    """Index a module: definitions, function declarations, and call sites."""
+    """Index a module: definitions, function declarations, and call sites.
+
+    One walk over the tokens visits every identifier, inside function bodies
+    and function expressions too. It notes each ``name(``, registers each
+    ``function name(…) {…}``, and parses the right-hand side of each
+    ``name = …`` and ``name += …`` that is not a member write into a
+    definition; a right-hand side that is a function literal also declares
+    ``name``. Then each ``name(`` of a sink or declared function that is not
+    a declaration head becomes a call site with its parsed arguments.
+    """
     toks = tokenize(source)
     index = ModuleIndex(path=path)
-
-    # Function declarations first so call collection can bind parameters.
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "ident" and t.value == "function":
-            _, literal = _function_literal(toks, i)
+    heads = []
+    for i, (t, nxt) in enumerate(zip(toks, toks[1:])):
+        if t.kind != "ident":
+            continue
+        if t.value == "function" and nxt.kind == "ident":
+            literal = _function_literal(toks, i)[1]
             if literal is not None:
-                params, body = literal
-                if toks[i + 1].kind == "ident":
-                    name = toks[i + 1].value
-                    index.functions[name] = FuncInfo(name=name, params=params, body=body)
-                i = body[0]  # keep scanning inside the body
-                continue
-        if (
-            t.kind == "ident"
-            and t.value in ("const", "let", "var")
-            and i + 3 < len(toks)
-            and toks[i + 1].kind == "ident"
-            and _is_punct(toks, i + 2, "=")
-        ):
-            arrow = _arrow_function_span(toks, i + 3)
-            if arrow is not None:
-                fname = toks[i + 1].value
-                params, body = arrow
-                index.functions[fname] = FuncInfo(name=fname, params=params, body=body)
-        i += 1
-
-    # Declarations and assignments.
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "ident" and t.value in ("const", "let", "var"):
-            i = _scan_declarators(toks, i + 1, index)
+                index.functions[nxt.value] = FuncInfo(nxt.value, *literal)
+        elif nxt.kind != "punct":
             continue
-        if (
-            t.kind == "ident"
-            and t.value not in _KEYWORDS
-            and i + 1 < len(toks)
-            and toks[i + 1].kind == "punct"
-            and toks[i + 1].value in ("=", "+=")
-            and (i == 0 or not _is_member_prefix(toks[i - 1]))
-        ):
-            op = toks[i + 1].value
-            parser = _ExprParser(toks, i + 2)
-            expr = parser.parse()
-            index.defs.setdefault(t.value, []).append(Definition(expr=expr, op=op))
-            i = max(parser.pos, i + 2)
-            continue
-        i += 1
+        elif nxt.value == "(":
+            heads.append(i)
+        elif nxt.value in ("=", "+=") and _binds_name(toks, i):
+            expr = _ExprParser(toks, i + 2).parse()
+            index.defs.setdefault(t.value, []).append(Definition(expr, nxt.value))
+            if isinstance(expr, Func):
+                index.functions[t.value] = FuncInfo(t.value, expr.params, expr.body)
 
-    # Calls to sinks and to declared functions, wherever they appear.
     interesting = sink_names | frozenset(index.functions)
-    for i, t in enumerate(toks):
-        if t.kind == "ident" and t.value in interesting and _is_punct(toks, i + 1, "("):
+    for i in heads:
+        t = toks[i]
+        if t.value in interesting and not _is_declaration_head(toks, i):
             args = _ExprParser(toks, i + 1).parse_args()
             index.calls.append(CallSite(callee=t.value, args=args, line=t.line, token_index=i))
     return index
 
 
-def _is_member_prefix(tok: Token) -> bool:
-    return tok.kind == "punct" and tok.value in (".", "?.")
+def _binds_name(toks: list[Token], i: int) -> bool:
+    """Whether the identifier at ``i``, followed by ``=`` or ``+=``, names a
+    variable: it is not a member, and a keyword only as a declarator name
+    (``let of = …``, ``var a, of = …``)."""
+    prev = toks[i - 1] if i else None
+    if prev is not None and prev.kind == "punct" and prev.value in (".", "?."):
+        return False
+    return toks[i].value not in _KEYWORDS or (
+        prev is not None and prev.kind in ("ident", "punct") and prev.value in (",", "const", "let", "var")
+    )
 
 
-def _function_literal(toks: list[Token], k: int):
+def _is_declaration_head(toks: Tokens, i: int) -> bool:
+    """Whether ``name(`` at ``i`` declares a function or method rather than
+    calling it: it follows ``function``, or its ``)`` is followed by ``{``."""
+    prev = toks[i - 1] if i else None
+    if prev is not None and prev.kind == "ident" and prev.value == "function":
+        return True
+    return _is_punct(toks, _match_balanced(toks, i + 1), "{")
+
+
+def _function_literal(toks: Tokens, k: int):
     """Read ``function [name](params) {body}`` with ``k`` on ``function``.
 
     Returns the index just past what was read and, when both the parameter
@@ -598,54 +622,6 @@ def _function_literal(toks: list[Token], k: int):
         return params_end, None
     body_end = _match_balanced(toks, params_end)
     return body_end, (_param_names(toks, j, params_end), (params_end, body_end - 1))
-
-
-def _arrow_body_end(toks: list[Token], k: int) -> int:
-    """Index just past the arrow-function body (a block or one expression) at ``k``."""
-    if _is_punct(toks, k, "{"):
-        return _match_balanced(toks, k)
-    parser = _ExprParser(toks, k)
-    parser.parse()
-    return parser.pos
-
-
-def _arrow_function_span(toks: list[Token], k: int):
-    """Params and body range when tokens at ``k`` form an arrow/function literal."""
-    if k >= len(toks):
-        return None
-    t = toks[k]
-    if t.kind == "ident" and t.value == "function":
-        return _function_literal(toks, k)[1]
-    if t.kind == "punct" and t.value == "(":
-        params_end = _match_balanced(toks, k)
-        if not _is_punct(toks, params_end, "=>"):
-            return None
-        params, body = _param_names(toks, k, params_end), params_end + 1
-    elif t.kind == "ident" and t.value not in _KEYWORDS and _is_punct(toks, k + 1, "=>"):
-        params, body = [t.value], k + 2
-    else:
-        return None
-    return params, (body, max(_arrow_body_end(toks, body) - 1, body))
-
-
-def _scan_declarators(toks, i, index: ModuleIndex) -> int:
-    """Parse ``name = expr [, name = expr]*`` after a var/let/const keyword."""
-    while i < len(toks):
-        t = toks[i]
-        if t.kind != "ident":
-            return i
-        if _is_punct(toks, i + 1, "="):
-            parser = _ExprParser(toks, i + 2)
-            expr = parser.parse()
-            index.defs.setdefault(t.value, []).append(Definition(expr=expr))
-            i = parser.pos
-        else:
-            i += 1
-        if _is_punct(toks, i, ","):
-            i += 1
-            continue
-        return i
-    return i
 
 
 # --- constant resolution ------------------------------------------------------
@@ -698,27 +674,21 @@ def _resolve_name(name, index, enclosing, stack, depth) -> list[tuple]:
         return [((DYN,),)]
     stack = stack | {key}
 
-    if enclosing is not None and name in enclosing.params:
-        bindings = _call_site_args(index, enclosing, name)
-        if not bindings:
-            return [((DYN,),)]
-        out = []
-        for arg_expr, caller in bindings:
-            out.extend(resolve_expr(arg_expr, index, caller, stack, depth + 1))
-        return out[:MAX_VARIANTS]
-
-    defs = index.defs.get(name)
-    if not defs:
-        return [((DYN,),)]
+    # A name takes each of its definitions; a parameter also takes the
+    # argument of each call, and its definitions are its default and what
+    # the body assigns to it.
     out = []
-    for definition in defs:
+    for definition in index.defs.get(name, ()):
         sub = resolve_expr(definition.expr, index, enclosing, stack, depth + 1)
         if definition.op == "+=":
             # Appending to an unknown accumulation point: keep the appended
             # text as a fragment behind a dynamic prefix.
             sub = [((DYN,),) + v for v in sub]
         out.extend(sub)
-    return out[:MAX_VARIANTS]
+    if enclosing is not None and name in enclosing.params:
+        for arg_expr, caller in _call_site_args(index, enclosing, name):
+            out.extend(resolve_expr(arg_expr, index, caller, stack, depth + 1))
+    return out[:MAX_VARIANTS] or [((DYN,),)]
 
 
 def _call_site_args(index: ModuleIndex, fn: FuncInfo, param: str):

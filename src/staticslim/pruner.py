@@ -305,7 +305,7 @@ def compute_report(
     rootfs: FlattenedRootfs,
     cll: CommandLinkedList,
     retain: RetainList,
-    match: MatchResult | None = None,
+    match: MatchResult,
     search_dirs=DEFAULT_SEARCH_DIRS,
 ) -> PruneReport:
     """Sizes, ratio, and supported-command counts before and after pruning.
@@ -324,8 +324,8 @@ def compute_report(
     kept = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in retain.paths})
     heads_after = command_heads(collect_system_commands(kept, search_dirs), kept, search_dirs)
     return PruneReport(
-        matched_tokens=dict(match.matched) if match else {},
-        unmatched_tokens=list(match.unmatched) if match else [],
+        matched_tokens=dict(match.matched),
+        unmatched_tokens=list(match.unmatched),
         retained_count=len(retain.paths),
         removed_count=len(rootfs.entries) - len(retain.paths),
         original_size=original,

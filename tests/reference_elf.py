@@ -220,7 +220,8 @@ def parse_whole(data: bytes) -> DynamicInfo | None:
         return None
     try:
         return _parse(data)
-    except (struct.error, IndexError, ValueError, KeyError):
+    except (struct.error, IndexError, ValueError, KeyError, OverflowError):
+        # OverflowError: a header offset past what unpack_from can index.
         return None
 
 

@@ -433,6 +433,44 @@ class TestDataDependencies:
         source = "runCommand('fdisk -l');\nexec('ls');\n"
         assert _resolved(tmp_path, source, frozenset({"runCommand"})) == [["fdisk -l"]]
 
+    def test_definition_inside_a_function_expression(self, tmp_path):
+        source = (
+            "const run = () => { const cmd = 'curl -s'; exec(cmd); };\n"
+            "const get = function () { const url = 'wget -q'; exec(url); };\n"
+        )
+        assert _resolved(tmp_path, source) == [["curl -s"], ["wget -q"]]
+
+    def test_assigned_function_expression_binds_its_parameters(self, tmp_path):
+        source = "let run;\nrun = function (c) { cp.execSync(c) };\nrun('tar -xf a.tar');\n"
+        assert _resolved(tmp_path, source) == [["tar -xf a.tar"]]
+
+    def test_sink_named_declarations_are_not_sink_calls(self, tmp_path):
+        source = (
+            "class Runner {\n"
+            "  exec (cmd) { return this.run(cmd) }\n"
+            "}\n"
+            "function spawn (what) { log(what) }\n"
+            "new Runner().exec('df -h');\n"
+            "spawn('uptime');\n"
+        )
+        assert _resolved(tmp_path, source) == [["df -h"], ["uptime"]]
+
+    def test_parameter_default_reaches_the_sink(self, tmp_path):
+        source = (
+            "function sh(cmd = 'ls -l') { exec(cmd) }\n"
+            "sh();\n"
+            "const run = (what = 'uptime') => exec(what);\n"
+        )
+        assert _resolved(tmp_path, source) == [["ls -l"], ["uptime"]]
+
+    def test_parameter_reassigned_in_the_body_reaches_the_sink(self, tmp_path):
+        source = (
+            "function run(cmd) { cmd = cmd || 'ls'; exec(cmd) }\n"
+            "function tar(args) { args = 'tar ' + args; execSync(args) }\n"
+            "tar('-xf a.tar');\n"
+        )
+        assert _resolved(tmp_path, source) == [["ls"], ["tar ", "-xf a.tar"]]
+
 
 class TestExtractTokens:
     def test_whitespace_split(self):

@@ -9,7 +9,7 @@ import struct
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_elf
@@ -161,8 +161,14 @@ def _elf_objects(draw) -> bytes:
     return bytes(data[:cut])
 
 
+# One byte of e_phoff set so that it reads 2**63 + 64, past any offset
+# ``struct.unpack_from`` can take: malformed, so every parse gives None.
+_PHOFF_PAST_ANY_INDEX = make_elf()[:39] + b"\x80" + make_elf()[40:]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=_elf_objects(), pad=st.integers(0, 700))
+@example(data=_PHOFF_PAST_ANY_INDEX, pad=0)
 def test_file_range_parses_as_bytes(data, pad):
     """A ``_FileBytes`` view of an object, in a file with other bytes
     around it, parses to what its bytes parse to, and both to what the

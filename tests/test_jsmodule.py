@@ -5,8 +5,16 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_index
 import reference_lexer
 from staticslim.jsmodule import (
+    Alt,
+    Concat,
+    Dynamic,
+    Func,
+    Tokens,
+    Tpl,
+    _match_balanced,
     constant_fragments,
     resolve_expr,
     scan_module,
@@ -159,3 +167,174 @@ class TestScanModule:
     @given(st.text(max_size=300))
     def test_scan_total_on_arbitrary_text(self, text):
         scan_module("fuzz.js", text, SINKS)
+
+    def test_function_literal_is_a_func_node(self):
+        source = "a = function (x, y) { };\nb = (z) => z;\nc = w => { };\n"
+        index = scan_module("m.js", source, SINKS)
+        assert [type(index.defs[n][0].expr) for n in "abc"] == [Func, Func, Func]
+        assert [index.functions[n].params for n in "abc"] == [["x", "y"], ["z"], ["w"]]
+        # A function literal resolves as dynamic.
+        assert resolve_expr(index.defs["a"][0].expr, index, None) == [(("d",),)]
+
+    def test_declaration_heads_are_not_call_sites(self):
+        source = (
+            "class Runner {\n"
+            "  exec (cmd) { return cmd }\n"
+            "  async exec (args, { path = '.' } = {}) { }\n"
+            "  get exec () { return 1 }\n"
+            "  #exec (cmd) {}\n"
+            "}\n"
+            "const o = { exec(x) { } };\n"
+            "(function exec() { })\n"
+            "function exec (what) { }\n"
+            "if (exec('ls')) { }\n"
+        )
+        index = scan_module("m.js", source, SINKS)
+        assert [(c.callee, c.line) for c in index.calls] == [("exec", 10)]
+
+    def test_deep_nesting_reads_each_token_a_bounded_number_of_times(self, monkeypatch):
+        """Brackets are matched from a table built once per module, so a
+        function literal nested 1,000 deep is not read again at each of the
+        literals around it."""
+        reads = 0
+
+        def counted(toks, key):
+            nonlocal reads
+            reads += 1
+            return list.__getitem__(toks, key)
+
+        for head, tail in (("a=()=>{", "}"), ("a=function(){", "}"), ("const a=()=>{", "}")):
+            source = head * 1000 + "exec(cmd)" + tail * 1000
+            size = len(tokenize(source))
+            with monkeypatch.context() as patch:
+                patch.setattr(Tokens, "__getitem__", counted, raising=False)
+                reads = 0
+                index = scan_module("m.js", source, SINKS)
+            assert (len(index.calls), len(index.defs["a"])) == (1, 1000)
+            assert reads < 5 * size, head
+
+    @given(st.text("([{}]) a'", max_size=60))
+    def test_brackets_match_by_counting_their_own_kind(self, text):
+        toks = tokenize(text)
+        for i, t in enumerate(toks):
+            if t.kind != "punct" or t.value not in "([{":
+                continue
+            close = {"(": ")", "[": "]", "{": "}"}[t.value]
+            depth, j = 0, i
+            while j < len(toks):
+                if toks[j].kind == "punct" and toks[j].value in (t.value, close):
+                    depth += 1 if toks[j].value == t.value else -1
+                    if depth == 0:
+                        break
+                j += 1
+            assert _match_balanced(toks, i) == min(j + 1, len(toks))
+
+
+# Programs of declarations, assignments, function literals and calls, nested
+# to any depth. A function literal is a whole right-hand side or a whole
+# argument, never an operand or a callee: see ``reference_index``.
+_NAMES = st.sampled_from(["a", "b", "run", "cmd", "of", "exec", "spawn"])
+_PARAMS = st.lists(_NAMES, max_size=2).map(", ".join)
+_ATOMS = st.one_of(
+    st.sampled_from(["'ls -l'", "'curl -s'", "`tar ${a}`", "1"]),
+    _NAMES,
+    st.builds("{}.{}".format, _NAMES, _NAMES),
+)
+_EXPRS = st.deferred(lambda: st.one_of(_ATOMS, st.builds("{} + {}".format, _ATOMS, _ATOMS), _CALLS, _FUNCS))
+_CALLS = st.builds(
+    "{}({})".format, st.one_of(_NAMES, st.builds("cp.{}".format, _NAMES)),
+    st.lists(_EXPRS, max_size=2).map(", ".join),
+)
+_BLOCKS = st.deferred(lambda: st.lists(_STATEMENTS, max_size=3).map("\n".join))
+_FUNCS = st.one_of(
+    st.builds("function {}({}) {{ {} }}".format, st.sampled_from(["", "run", "exec"]), _PARAMS, _BLOCKS),
+    st.builds("({}) => {{ {} }}".format, _PARAMS, _BLOCKS),
+    st.builds("{} => {}".format, st.sampled_from(["a", "cmd"]), _EXPRS),
+)
+_STATEMENTS = st.one_of(
+    st.builds("{} {} = {};".format, st.sampled_from(["const", "let", "var"]), _NAMES, _EXPRS),
+    st.builds("let {}, {} = {};".format, _NAMES, _NAMES, _EXPRS),
+    st.builds("var {} = {}, {} = {};".format, _NAMES, _EXPRS, _NAMES, _EXPRS),
+    st.builds("{} = {};".format, _NAMES, _EXPRS),
+    st.builds("{} += {};".format, _NAMES, _EXPRS),
+    st.builds("obj.{} = {};".format, _NAMES, _EXPRS),
+    st.builds("{};".format, _CALLS),
+    st.builds("function {}({}) {{ {} }}".format, _NAMES, _PARAMS, _BLOCKS),
+    st.builds("class K {{ {}({}) {{ {} }} }}".format, _NAMES, _PARAMS, _BLOCKS),
+    st.builds("if ({}) {{ {} }}".format, _EXPRS, _BLOCKS),
+)
+_INDEX_SINKS = frozenset({"exec", "spawn"})
+
+
+def _plain(expr):
+    """``expr`` with every ``Func`` read as ``Dynamic``."""
+    if isinstance(expr, Func):
+        return Dynamic()
+    if isinstance(expr, Concat):
+        return Concat(_plain(expr.left), _plain(expr.right))
+    if isinstance(expr, Alt):
+        return Alt([_plain(o) for o in expr.options])
+    if isinstance(expr, Tpl):
+        return Tpl([(k, _plain(p) if k == "e" else p) for k, p in expr.parts])
+    return expr
+
+
+def _declaration_heads(toks) -> set[int]:
+    """Each ``name(`` that follows ``function`` or whose ``)`` is followed by ``{``."""
+    heads = set()
+    for i in range(1, len(toks) - 1):
+        if toks[i].kind != "ident" or (toks[i + 1].kind, toks[i + 1].value) != ("punct", "("):
+            continue
+        if (toks[i - 1].kind, toks[i - 1].value) == ("ident", "function"):
+            heads.add(i)
+            continue
+        depth, j = 0, i + 1
+        while j < len(toks):
+            if toks[j].kind == "punct" and toks[j].value in "()":
+                depth += 1 if toks[j].value == "(" else -1
+                if depth == 0:
+                    break
+            j += 1
+        if j + 1 < len(toks) and (toks[j + 1].kind, toks[j + 1].value) == ("punct", "{"):
+            heads.add(i)
+    return heads
+
+
+def _is_subsequence(short: list, long: list) -> bool:
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+class TestOneWalkIndex:
+    """``scan_module`` against the three-pass ``reference_index``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_BLOCKS)
+    @example("const run = () => { const cmd = 'curl -s'; exec(cmd); };")
+    @example("let run; run = function (c) { cp.exec(c) }; run('tar -xf a.tar');")
+    @example("class K { exec (cmd) { spawn(cmd) } }\nfunction spawn (what) { exec(what) }")
+    @example("var a = 1, of = 'x';\nlet of = 'y';\nof = 'z';")
+    def test_keeps_every_reference_call_and_definition(self, source):
+        ref = reference_index.scan_module("p.js", source, _INDEX_SINKS)
+        new = scan_module("p.js", source, _INDEX_SINKS)
+        heads = _declaration_heads(tokenize(source))
+
+        calls = {c.token_index: (c.callee, c.line, [_plain(a) for a in c.args]) for c in new.calls}
+        assert heads.isdisjoint(calls)
+        for c in ref.calls:
+            if c.token_index not in heads:
+                assert calls.get(c.token_index) == (c.callee, c.line, [_plain(a) for a in c.args])
+
+        for name, defs in ref.defs.items():
+            assert _is_subsequence(
+                [(_plain(d.expr), d.op) for d in defs],
+                [(_plain(d.expr), d.op) for d in new.defs.get(name, [])],
+            ), name
+
+    def test_nested_function_literals(self):
+        # Definitions the reference steps over: the one-walk index has them.
+        source = "a = () => { b = function () { cmd = 'ls'; }; };"
+        assert "cmd" not in reference_index.scan_module("p.js", source, _INDEX_SINKS).defs
+        new = scan_module("p.js", source, _INDEX_SINKS)
+        assert set(new.defs) == {"a", "b", "cmd"}
+        assert set(new.functions) == {"a", "b"}
