@@ -320,18 +320,24 @@ def find_shell_scripts(project_dir, include_dependencies: bool = False) -> list[
     return _walk_files(Path(project_dir), lambda name: name.endswith(".sh"), include_dependencies)
 
 
+# Deletes the quote characters of a string (str.translate).
+_NO_QUOTES = str.maketrans("", "", "'\"")
+
+
 def extract_command_tokens(
     resolved: list[tuple[str, list[str]]], shell_files: list[Path]
 ) -> CommandTokenList:
     """Split resolved constants and shell script words into the token list.
 
     ``resolved`` holds one ``(sink location, values)`` pair per sink call;
-    a sink with no value is listed in ``unresolved_sinks``.
+    a sink with no value is listed in ``unresolved_sinks``. Quote characters
+    are shell syntax, not part of a command, so they are taken out of each
+    value before it is split on whitespace.
     """
     ctl = CommandTokenList()
     for sink_location, values in resolved:
         for value in values:
-            for word in value.split():
+            for word in value.translate(_NO_QUOTES).split():
                 ctl.add(word, PROVENANCE_EXEC, sink_location)
         if not values:
             ctl.unresolved_sinks.append(sink_location)

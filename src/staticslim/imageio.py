@@ -577,6 +577,12 @@ def tar_stream(members: Iterable[tuple[bytes, object]]) -> Iterator[bytes]:
 _COMPRESSIONS = ((b"\x1f\x8b", "gzip"), (b"BZh", "bz2"), (b"\xfd7zXZ\x00", "lzma"))
 _GZIP_TRUNCATED = "Compressed file ended before the end-of-stream marker was reached"
 _STREAM_TRUNCATED = "Compressed data ended before the end-of-stream marker was reached"
+# The sizes, in KiB, of the blocks of the output buffer that a one-shot
+# ``bz2.decompress`` or ``lzma.decompress`` fills for each stream, one
+# after another (CPython's blocks output buffer); every later block holds
+# 256 MiB.
+_ONE_SHOT_BLOCKS_KIB = (32, 64, 256, 1024, 4096, 8192, 16384, 16384,
+                        32768, 32768, 32768, 32768, 65536, 65536, 131072, 131072)
 
 
 class _FileBytes:
@@ -749,11 +755,20 @@ def _gunzip(src, out: _Spool) -> None:
         _skip_nuls(src)
 
 
+def _one_shot_edges() -> Iterator[int]:
+    """The output offsets, within one stream, at which a one-shot decoder
+    has filled a block of its output buffer."""
+    blocks = itertools.chain(_ONE_SHOT_BLOCKS_KIB, itertools.repeat(256 << 10))
+    return (kib << 10 for kib in itertools.accumulate(blocks))
+
+
 def _unchain(src, compression: str, out: _Spool) -> None:
     """Write what ``bz2.decompress`` or ``lzma.decompress`` returns, or raise
     what it raises: streams one after another up to the end of the input,
     where input after a whole stream that its decoder refuses is dropped,
-    with the output it gave. Each step decodes at most ``_CHUNK`` bytes."""
+    with the output it gave. Each step decodes at most ``_CHUNK`` bytes of
+    input and 32 KiB of output, and never past an edge of the one-shot
+    output buffer (``_one_shot_edges``)."""
     module = importlib.import_module(compression)
     if compression == "bz2":
         decoder_type, refused, truncated = module.BZ2Decompressor, OSError, ValueError
@@ -764,24 +779,32 @@ def _unchain(src, compression: str, out: _Spool) -> None:
         decoder = decoder_type()
         mark = out.mark()
         ended = False  # the input is used up
+        edges = _one_shot_edges()
+        edge, produced, piece, limit = next(edges), 0, b"", 1
         while not decoder.eof:
             data = b""
             if decoder.needs_input and not ended:
                 data = src.read(_CHUNK)
                 ended = not data
+            # A decoder that wants input past the end of the input is cut
+            # short. bz2 also asks for input with output still held back
+            # (its last piece was full); the one-shot call decodes that
+            # output, and so finds a damaged block, only up to the edge of
+            # its output buffer's block.
+            if ended and decoder.needs_input and (len(piece) < limit or produced == edge):
+                raise truncated(_STREAM_TRUNCATED)
+            if produced == edge:
+                edge = next(edges)
+            limit = min(_CHUNK, _ONE_SHOT_BLOCKS_KIB[0] << 10, edge - produced)
             try:
-                piece = decoder.decompress(data, _CHUNK)
+                piece = decoder.decompress(data, limit)
             except refused:
                 if first:
                     raise
                 out.reset(mark)
                 return
             out.write(piece)
-            # bz2 asks for input once it has taken all it was given, even
-            # with output still held back, so the end of the input is the
-            # end of the stream only when no more output comes.
-            if ended and not piece and decoder.needs_input and not decoder.eof:
-                raise truncated(_STREAM_TRUNCATED)
+            produced += len(piece)
         first = False
         src.seek(-len(decoder.unused_data), io.SEEK_CUR)
         if not src.read(1):
@@ -841,32 +864,121 @@ def sha256_digest(data: bytes | _FileBytes) -> str:
     return "sha256:" + sha256.hexdigest()
 
 
+# How the JSON type of a member of an image document is named, by the
+# kind ``_typed`` checks it against.
+_STRINGS = "a list of strings"
+_OBJECTS = "a list of objects"
+_KIND_NAMES = {dict: "an object", str: "a string", _STRINGS: _STRINGS, _OBJECTS: _OBJECTS}
+
+# The members of a config's "config" object that staticslim reads, and
+# the kind of each.
+_CONFIG_FIELDS = (("Entrypoint", _STRINGS), ("Cmd", _STRINGS), ("Env", _STRINGS),
+                  ("ExposedPorts", dict), ("Labels", dict), ("WorkingDir", str))
+
+
+def _fits(value, kind) -> bool:
+    if kind in (_STRINGS, _OBJECTS):
+        item = str if kind is _STRINGS else dict
+        return isinstance(value, list) and all(isinstance(v, item) for v in value)
+    return isinstance(value, kind)
+
+
+def _typed(obj: dict, key: str, kind, what: str):
+    """``obj[key]``, or None when it is absent or null; an ``ImageFormatError``
+    naming ``what`` unless it is a ``kind``: ``dict``, ``str``, ``_STRINGS``
+    or ``_OBJECTS``."""
+    value = obj.get(key)
+    if value is not None and not _fits(value, kind):
+        raise ImageFormatError(f"{what}: {key} is not {_KIND_NAMES[kind]}")
+    return value
+
+
+def _not_json(constant: str):
+    """Refuse ``NaN`` and ``Infinity``, which ``json`` reads but JSON lacks."""
+    raise ValueError(f"{constant} is not a JSON value")
+
+
+def _json_member(view: _FileBytes, what: str, kind):
+    """The JSON document in the archive member ``view``; an
+    ``ImageFormatError`` naming ``what`` unless it parses and is a
+    ``kind`` (as for ``_typed``)."""
+    try:
+        document = json.loads(view[:], parse_constant=_not_json)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and deep nesting too
+        raise ImageFormatError(f"{what} is not JSON: {exc}") from exc
+    if not _fits(document, kind):
+        raise ImageFormatError(f"{what} is not {_KIND_NAMES[kind]}")
+    return document
+
+
 @dataclass(frozen=True)
 class ImageMetadata:
-    """Configuration carried from the fat image to the slim image."""
+    """The input image's name, tag and config, carried to the slim image.
+
+    ``config`` is the image config object as it was read. The slim image's
+    config is ``config`` with ``rootfs`` naming the one slim layer and
+    ``history``, whose entries describe the input's layers, dropped
+    (``_config_json``); every other field, ``User``, ``Healthcheck`` and
+    ``StopSignal`` among them, is carried as it is. The type of each field
+    staticslim reads is checked here, once: ``architecture`` and ``os`` are
+    non-empty strings; ``Entrypoint``, ``Cmd`` and ``Env`` lists of
+    strings; ``ExposedPorts`` and ``Labels`` objects; ``WorkingDir`` a
+    string; anything else is an ``ImageFormatError``. The other attributes
+    are read-only views of those fields, never copies.
+    """
 
     image_name: str
     tag: str
-    architecture: str
-    os: str
-    exposed_ports: frozenset[str] = frozenset()
-    env_vars: tuple[str, ...] = ()
-    entrypoint: tuple[str, ...] | None = None
-    cmd: tuple[str, ...] | None = None
-    working_dir: str | None = None
-    labels: tuple[tuple[str, str], ...] = ()  # sorted (key, value) pairs
+    config: dict
 
     def __post_init__(self):
-        if not self.architecture:
-            raise ImageFormatError("image config has an empty architecture")
-        if not self.os:
-            raise ImageFormatError("image config has an empty os")
+        for key in ("architecture", "os"):
+            if not _typed(self.config, key, str, "image config"):
+                raise ImageFormatError(f"image config has an empty {key}")
+        fields = _typed(self.config, "config", dict, "image config") or {}
+        for key, kind in _CONFIG_FIELDS:
+            _typed(fields, key, kind, "image config")
+        rootfs = _typed(self.config, "rootfs", dict, "image config") or {}
+        _typed(rootfs, "diff_ids", _STRINGS, "image config rootfs")
 
     @property
     def reference(self) -> str:
         if not self.image_name:
             return ""
         return f"{self.image_name}:{self.tag}" if self.tag else self.image_name
+
+    @property
+    def _fields(self) -> dict:
+        return self.config.get("config") or {}
+
+    @property
+    def architecture(self) -> str:
+        return self.config["architecture"]
+
+    @property
+    def os(self) -> str:
+        return self.config["os"]
+
+    @property
+    def exposed_ports(self):
+        """The exposed ports, as the keys of the ``ExposedPorts`` object."""
+        return (self._fields.get("ExposedPorts") or {}).keys()
+
+    @property
+    def env_vars(self) -> list[str]:
+        return self._fields.get("Env") or []
+
+    @property
+    def entrypoint(self) -> list[str] | None:
+        return self._fields.get("Entrypoint")
+
+    @property
+    def cmd(self) -> list[str] | None:
+        return self._fields.get("Cmd")
+
+    @property
+    def working_dir(self) -> str | None:
+        return self._fields.get("WorkingDir") or None
 
 
 @dataclass(frozen=True)
@@ -1250,24 +1362,6 @@ def _split_reference(ref: str) -> tuple[str, str]:
     return ref, ""
 
 
-def _metadata_from_config(cfg: dict, name: str, tag: str) -> ImageMetadata:
-    conf = cfg.get("config") or {}
-    entrypoint = conf.get("Entrypoint")
-    cmd = conf.get("Cmd")
-    return ImageMetadata(
-        image_name=name,
-        tag=tag,
-        architecture=cfg.get("architecture") or "",
-        os=cfg.get("os") or "",
-        exposed_ports=frozenset((conf.get("ExposedPorts") or {}).keys()),
-        env_vars=tuple(conf.get("Env") or ()),
-        entrypoint=tuple(entrypoint) if entrypoint is not None else None,
-        cmd=tuple(cmd) if cmd is not None else None,
-        working_dir=conf.get("WorkingDir") or None,
-        labels=tuple(sorted((conf.get("Labels") or {}).items())),
-    )
-
-
 def _layer_from_blob(source: bytes | _FileBytes, media_type: str,
                      verified_digest: str | None) -> LayerBlob:
     """One layer and its tar stream; ``source`` is the blob as stored (bytes,
@@ -1307,68 +1401,78 @@ def _add_layers(stack: LayerStack, blobs, cfg: dict) -> None:
 
 
 def _load_docker_layout(archive: _FileBytes, members: dict, stack: LayerStack) -> ImageMetadata:
-    manifest = json.loads(_member_view(archive, members, "manifest.json")[:])
-    if not isinstance(manifest, list) or not manifest:
+    manifest = _json_member(_member_view(archive, members, "manifest.json"), "manifest.json", _OBJECTS)
+    if not manifest:
         raise ImageFormatError("manifest.json is not a non-empty list")
     if len(manifest) > 1:
         raise UnsupportedFormatError("multi-image archives are not supported")
     entry = manifest[0]
 
-    config_name = entry.get("Config")
+    config_name = _typed(entry, "Config", str, "manifest.json entry")
     if not config_name:
         raise ImageFormatError("manifest.json entry has no Config member")
-    cfg = json.loads(_member_view(archive, members, config_name)[:])
+    cfg = _json_member(_member_view(archive, members, config_name), config_name, dict)
 
-    repo_tags = entry.get("RepoTags") or []
-    name, tag = _split_reference(repo_tags[0]) if repo_tags else ("", "")
+    repo_tags = _typed(entry, "RepoTags", _STRINGS, "manifest.json entry") or []
+    metadata = ImageMetadata(*_split_reference(repo_tags[0] if repo_tags else ""), cfg)
 
     blobs = []
-    for layer_name in entry.get("Layers") or []:
+    for layer_name in _typed(entry, "Layers", _STRINGS, "manifest.json entry") or []:
         source = _member_view(archive, members, layer_name)
         media = "application/vnd.oci.image.layer.v1.tar"
         blobs.append((source, media + "+gzip" if source[0:2] == b"\x1f\x8b" else media, None))
     _add_layers(stack, blobs, cfg)
-    return _metadata_from_config(cfg, name, tag)
+    return metadata
+
+
+def _digest_of(descriptor: dict, what: str) -> str:
+    digest = _typed(descriptor, "digest", str, what)
+    if not digest:
+        raise ImageFormatError(f"{what} has no digest")
+    return digest
 
 
 def _load_oci_layout(archive: _FileBytes, members: dict, stack: LayerStack) -> ImageMetadata:
-    index = json.loads(_member_view(archive, members, "index.json")[:])
+    index = _json_member(_member_view(archive, members, "index.json"), "index.json", dict)
     if index.get("schemaVersion") != 2:
         raise UnsupportedFormatError(
             f"unsupported index schemaVersion {index.get('schemaVersion')!r}"
         )
-    manifests = index.get("manifests") or []
+    manifests = _typed(index, "manifests", _OBJECTS, "index.json") or []
     if not manifests:
         raise ImageFormatError("index.json lists no manifests")
     desc = manifests[0]
-    media = desc.get("mediaType", "")
+    media = _typed(desc, "mediaType", str, "index.json manifest") or ""
     if media in MEDIA_INDEX:
         raise UnsupportedFormatError("multi-platform manifest lists are not supported")
     if media not in MEDIA_MANIFEST:
         raise UnsupportedFormatError(f"unknown manifest media type {media!r}")
 
-    ref = (desc.get("annotations") or {}).get("org.opencontainers.image.ref.name", "")
-    name, tag = _split_reference(ref) if ref else ("", "")
+    annotations = _typed(desc, "annotations", dict, "index.json manifest") or {}
+    ref = _typed(annotations, "org.opencontainers.image.ref.name", str, "index.json manifest") or ""
 
-    manifest = json.loads(_read_blob(archive, members, desc["digest"])[:])
+    digest = _digest_of(desc, "index.json manifest")
+    manifest = _json_member(_read_blob(archive, members, digest), "image manifest", dict)
     if manifest.get("schemaVersion") != 2:
         raise UnsupportedFormatError(
             f"unsupported manifest schemaVersion {manifest.get('schemaVersion')!r}"
         )
 
-    cfg_desc = manifest.get("config") or {}
-    cfg = json.loads(_read_blob(archive, members, cfg_desc["digest"])[:])
+    cfg_desc = _typed(manifest, "config", dict, "image manifest") or {}
+    digest = _digest_of(cfg_desc, "image manifest config")
+    cfg = _json_member(_read_blob(archive, members, digest), "image config", dict)
+    metadata = ImageMetadata(*_split_reference(ref), cfg)
 
     blobs = []
-    for layer_desc in manifest.get("layers") or []:
-        lmedia = layer_desc.get("mediaType", "")
+    for layer_desc in _typed(manifest, "layers", _OBJECTS, "image manifest") or []:
+        lmedia = _typed(layer_desc, "mediaType", str, "image manifest layer") or ""
         if lmedia not in MEDIA_LAYER_TAR and lmedia not in MEDIA_LAYER_GZIP:
             raise UnsupportedFormatError(f"unknown layer media type {lmedia!r}")
         # _read_blob has checked the bytes against the declared digest.
-        source = _read_blob(archive, members, layer_desc["digest"])
-        blobs.append((source, lmedia, layer_desc["digest"]))
+        digest = _digest_of(layer_desc, "image manifest layer")
+        blobs.append((_read_blob(archive, members, digest), lmedia, digest))
     _add_layers(stack, blobs, cfg)
-    return _metadata_from_config(cfg, name, tag)
+    return metadata
 
 
 def _read_blob(archive: _FileBytes, members: dict, digest: str) -> _FileBytes:
@@ -1440,28 +1544,11 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _config_json(metadata: ImageMetadata, diff_ids: list[str]) -> bytes:
-    conf: dict = {}
-    if metadata.exposed_ports:
-        conf["ExposedPorts"] = {p: {} for p in sorted(metadata.exposed_ports)}
-    if metadata.env_vars:
-        conf["Env"] = list(metadata.env_vars)
-    if metadata.entrypoint is not None:
-        conf["Entrypoint"] = list(metadata.entrypoint)
-    if metadata.cmd is not None:
-        conf["Cmd"] = list(metadata.cmd)
-    if metadata.working_dir:
-        conf["WorkingDir"] = metadata.working_dir
-    if metadata.labels:
-        conf["Labels"] = dict(metadata.labels)
-    return _json_bytes(
-        {
-            "architecture": metadata.architecture,
-            "os": metadata.os,
-            "config": conf,
-            "rootfs": {"type": "layers", "diff_ids": diff_ids},
-        }
-    )
+def _config_json(metadata: ImageMetadata, diff_id: str) -> bytes:
+    """The slim image's config: the input's, but for ``rootfs`` and
+    ``history`` (``ImageMetadata``)."""
+    config = {key: value for key, value in metadata.config.items() if key != "history"}
+    return _json_bytes({**config, "rootfs": {"type": "layers", "diff_ids": [diff_id]}})
 
 
 def _spool_layer(chunks: Iterable[bytes], gzip_layer: bool) -> tuple[_FileBytes, str, str]:
@@ -1534,7 +1621,7 @@ def build_slim_image(
 def _write_layout(out, metadata: ImageMetadata, layout: str, layer: _FileBytes,
                   layer_digest: str, diff_id: str, gzip_layer: bool) -> None:
     """Write the archive of ``build_slim_image`` around its spooled layer."""
-    config_bytes = _config_json(metadata, [diff_id])
+    config_bytes = _config_json(metadata, diff_id)
 
     if layout == "docker":
         cfg_hex = sha256_digest(config_bytes).split(":", 1)[1]

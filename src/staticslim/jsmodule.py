@@ -31,6 +31,10 @@ log = logging.getLogger(__name__)
 
 MAX_VARIANTS = 16
 MAX_DEPTH = 12
+# How deep the expression parser nests (parentheses, arguments, arrow
+# bodies, ternaries, template expressions); a deeper expression is stepped
+# over and read as dynamic, so no source exhausts the Python stack.
+MAX_NESTING = 64
 
 _KEYWORDS = frozenset(
     """await break case catch class const continue debugger default delete do
@@ -84,6 +88,8 @@ class Token:
 
 
 _OPENERS = {")": "(", "]": "[", "}": "{"}
+# The punctuation that ends an expression inside a statement or a group.
+_EXPRESSION_ENDS = frozenset({",", ";", ":", ")", "]", "}"})
 
 
 class Tokens(list):
@@ -317,16 +323,36 @@ class Func(Expr):
 
 
 class _ExprParser:
-    """Recursive-descent parser for the expression subset we resolve."""
+    """Recursive-descent parser for the expression subset we resolve,
+    ``depth`` levels deep in the expressions around it; at ``MAX_NESTING``
+    it steps over the rest of the expression (``skip``)."""
 
-    def __init__(self, toks: Tokens, pos: int):
+    def __init__(self, toks: Tokens, pos: int, depth: int = 0):
         self.toks = toks
         self.pos = pos
+        self.depth = depth
 
     def peek(self) -> Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def parse(self) -> Expr:
+        if self.depth >= MAX_NESTING:
+            return self.skip()
+        self.depth += 1
+        try:
+            return self._parse()
+        finally:
+            self.depth -= 1
+
+    def skip(self) -> Dynamic:
+        """Step over the expression here, up to the token that ends it, and
+        over each bracketed group in it whole."""
+        while (t := self.peek()) is not None and not (t.kind == "punct" and t.value in _EXPRESSION_ENDS):
+            opens = t.kind == "punct" and t.value in "([{"
+            self.pos = _match_balanced(self.toks, self.pos) if opens else self.pos + 1
+        return Dynamic()
+
+    def _parse(self) -> Expr:
         left = self.parse_unary()
         while True:
             t = self.peek()
@@ -360,18 +386,18 @@ class _ExprParser:
         return left
 
     def parse_unary(self) -> Expr:
-        t = self.peek()
-        if t is None:
-            return Dynamic()
-        if t.kind == "punct" and t.value in ("!", "-", "+", "~", "++", "--"):
+        """A chain of prefix operators, read in a loop, then its operand;
+        only ``await`` keeps the operand's value."""
+        dynamic = False
+        while (t := self.peek()) is not None:
+            if t.kind == "punct" and t.value in ("!", "-", "+", "~", "++", "--") or (
+                    t.kind == "ident" and t.value in ("typeof", "void", "delete", "new")):
+                dynamic = True
+            elif not (t.kind == "ident" and t.value == "await"):
+                break
             self.pos += 1
-            self.parse_unary()
-            return Dynamic()
-        if t.kind == "ident" and t.value in ("typeof", "void", "delete", "new", "await"):
-            self.pos += 1
-            inner = self.parse_unary()
-            return inner if t.value == "await" else Dynamic()
-        return self.parse_postfix()
+        operand = self.parse_postfix()
+        return Dynamic() if dynamic else operand
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
@@ -413,7 +439,7 @@ class _ExprParser:
             parts = []
             for kind, payload in t.value:
                 if kind == "e":
-                    payload = _ExprParser(tokenize(payload), 0).parse()
+                    payload = _ExprParser(tokenize(payload), 0, self.depth).parse()
                 parts.append((kind, payload))
             return Tpl(parts)
         if t.kind == "ident":

@@ -352,7 +352,7 @@ class SlimResult:
 
 def _entrypoint_tokens(metadata: ImageMetadata) -> list[str]:
     tokens = []
-    for part in (metadata.entrypoint or ()) + (metadata.cmd or ()):
+    for part in [*(metadata.entrypoint or ()), *(metadata.cmd or ())]:
         tokens.extend(part.split())
     return tokens
 

@@ -472,10 +472,43 @@ class TestDataDependencies:
         assert _resolved(tmp_path, source) == [["ls"], ["tar ", "-xf a.tar"]]
 
 
+# Expressions nested past any real program, each next to two plain sink
+# calls: a parenthesized literal, an arrow function chain, prefix operators,
+# nested sink calls, a ternary chain and nested templates.
+_DEEP = {
+    "parentheses": "x = " + "(" * 400 + "1" + ")" * 400 + ";",
+    "arrows": "f = " + "a => " * 800 + "a;",
+    "prefix-operators": "y = " + "!~-typeof void " * 1000 + "x;",
+    "sink-calls": "exec(" * 400 + "'rm'" + ")" * 400 + ";",
+    "ternaries": "t = " + "c ? 'a' : " * 1500 + "'b';",
+    "templates": "u = " + "`${" * 300 + "'v'" + "}`" * 300 + ";",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEEP))
+def test_deep_nesting_keeps_the_other_sink_calls(tmp_path, caplog, case):
+    source = "exec('ls -l');\n" + _DEEP[case] + "\nexec('tar -xf a');\n"
+    resolved = _resolved(tmp_path, source)
+    assert (resolved[0], resolved[-1]) == (["ls -l"], ["tar -xf a"])
+    assert "cannot parse" not in caplog.text
+
+
+def test_nesting_under_the_bound_still_resolves(tmp_path):
+    source = "x = " + "(" * 50 + "'ls -l'" + ")" * 50 + ";\nexec(x);\n"
+    assert _resolved(tmp_path, source) == [["ls -l"]]
+
+
 class TestExtractTokens:
     def test_whitespace_split(self):
         ctl = extract_command_tokens([("x.js:1", ["ls -la /tmp"])], [])
         assert ctl.token_texts() == ["ls", "-la", "/tmp"]
+
+    def test_quote_characters_are_not_commands(self):
+        """Quotes around exec-argument words are shell syntax, not part of a
+        command: they are dropped, and so is a word of quotes only."""
+        values = ['start ""', '"', "'ls' -l", '"${exec}" --name="x"', "''"]
+        ctl = extract_command_tokens([("x.js:1", values)], [])
+        assert ctl.token_texts() == ["start", "ls", "-l", "${exec}", "--name=x"]
 
     def test_shell_script_and_interpreter(self, tmp_path):
         script = tmp_path / "setup.sh"

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import errno
 import gzip
 import hashlib
 import io
 import json
 import os
+import pathlib
 import tarfile
 import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     HOSTILE_PAX_RECORDS,
@@ -840,3 +844,223 @@ def test_a_spool_that_cannot_be_written_exits_3(runner, tmp_path, monkeypatch):
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and os.strerror(errno.ENOSPC) in errors[0]
     assert not out.exists()
+
+
+# --- the image documents ------------------------------------------------------
+
+_FULL_CONFIG = {
+    "User": "node",
+    "Volumes": {"/data": {}},
+    "StopSignal": "SIGQUIT",
+    "Healthcheck": {"Test": ["CMD", "true"], "Interval": 30000000000},
+    "Shell": ["/bin/sh", "-c"],
+    "OnBuild": ["RUN true"],
+    "Labels": {"team": "infra"},
+    "Entrypoint": ["/bin/sh"],
+    "Cmd": ["-c", "true"],
+    "Env": ["PATH=/usr/bin:/bin"],
+    "ExposedPorts": {"80/tcp": {}},
+    "WorkingDir": "/srv",
+}
+
+
+def _full_config(layer: bytes) -> dict:
+    """The config of an image of ``layer`` that holds fields staticslim
+    does not read, as the OCI config spec defines them."""
+    config = default_config([layer], config=copy.deepcopy(_FULL_CONFIG), variant="v8")
+    config.update({
+        "os.version": "10.0.17763.1040",
+        "created": "2024-01-02T03:04:05Z",
+        "author": "ops",
+        "history": [{"created_by": "/bin/sh -c #(nop) ADD file:abc in /"}],
+    })
+    return config
+
+
+def _write_image(path, layer: bytes, layout: str, config: dict, damage=None) -> None:
+    """An image archive of ``layer`` and ``config`` in ``layout``. Each of its
+    documents ("config", "manifest", "index"), once the digests of those
+    it names are filled in, is replaced by ``damage(name, document)``: any
+    JSON value, or ``bytes`` written as they are."""
+    def encode(name, document):
+        document = damage(name, document) if damage else document
+        return document if isinstance(document, bytes) else json.dumps(document).encode()
+
+    def descriptor(media, data):
+        return {"mediaType": media, "digest": _digest(data), "size": len(data)}
+
+    config = encode("config", config)
+    if layout == "docker":
+        members = [("config.json", config), ("layer0/layer.tar", layer), ("manifest.json", encode(
+            "manifest", [{"Config": "config.json", "RepoTags": ["demo:latest"],
+                          "Layers": ["layer0/layer.tar"]}]))]
+    else:
+        manifest = encode("manifest", {
+            "schemaVersion": 2,
+            "mediaType": "application/vnd.oci.image.manifest.v1+json",
+            "config": descriptor("application/vnd.oci.image.config.v1+json", config),
+            "layers": [descriptor("application/vnd.oci.image.layer.v1.tar", layer)],
+        })
+        index_entry = descriptor("application/vnd.oci.image.manifest.v1+json", manifest)
+        index_entry["annotations"] = {"org.opencontainers.image.ref.name": "demo:latest"}
+        members = [("oci-layout", b'{"imageLayoutVersion": "1.0.0"}'),
+                   ("index.json", encode("index", {"schemaVersion": 2, "manifests": [index_entry]}))]
+        members += [(f"blobs/sha256/{_digest(data)[7:]}", data)
+                    for data in dict.fromkeys([config, manifest, layer])]
+    with tarfile.open(path, "w") as tf:
+        for name, data in members:
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tf.addfile(info, io.BytesIO(data))
+
+
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _read_config(path) -> dict:
+    """The config of the image archive at ``path``, read with tarfile and
+    json alone."""
+    with tarfile.open(path) as tf:
+        def member(name):
+            return json.loads(tf.extractfile(name).read())
+
+        if "manifest.json" in tf.getnames():
+            return member(member("manifest.json")[0]["Config"])
+        digest = member("index.json")["manifests"][0]["digest"]
+        config_digest = member("blobs/sha256/" + digest[7:])["config"]["digest"]
+        return member("blobs/sha256/" + config_digest[7:])
+
+
+@pytest.mark.parametrize("in_layout", ["docker", "oci"])
+@pytest.mark.parametrize("out_layout", ["docker", "oci"])
+def test_slim_config_is_the_input_config(runner, tmp_path, in_layout, out_layout):
+    """Every config field reaches the slim image as it was: only ``rootfs``
+    names the slim layer, and ``history``, which describes the input's
+    layers, is dropped. Slimming the slim image again is the identity."""
+    layer = make_layer_tar(shell_chain_members())
+    config = _full_config(layer)
+    image = tmp_path / "fat.tar"
+    _write_image(image, layer, in_layout, config)
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    outputs = []
+    for source in (image, tmp_path / "slim-0.tar"):
+        outputs.append(tmp_path / f"slim-{len(outputs)}.tar")
+        result = runner.invoke(main, ["slim", "--input", str(source), "--output", str(outputs[-1]),
+                                      "--ctl", str(ctl), "--format", out_layout])
+        assert result.exit_code == 0, result.output
+    _, stack = load_image_archive(outputs[0])
+    with stack:
+        diff_ids = stack.diff_ids
+    expected = {key: value for key, value in config.items() if key != "history"}
+    expected["rootfs"] = {"type": "layers", "diff_ids": diff_ids}
+    assert len(diff_ids) == 1
+    assert _read_config(outputs[0]) == expected
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
+
+
+def _run_both(runner, tmp_path, image):
+    """The results of ``slim`` and ``inspect`` on ``image``."""
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    return [runner.invoke(main, ["slim", "--input", str(image), "--output", str(tmp_path / "o.tar"),
+                                 "--ctl", str(ctl)]),
+            runner.invoke(main, ["inspect", "--input", str(image)])]
+
+
+def _config_with(**fields):
+    return default_config([make_layer_tar(shell_chain_members())], config=fields)
+
+
+_MALFORMED_DOCUMENTS = {
+    "index-is-a-list": ("oci", "index", []),
+    "index-is-not-json": ("oci", "index", b"{not json"),
+    "index-is-not-utf8": ("oci", "index", b'{"schemaVersion": 2, "x": "\xff"}'),
+    "manifest-descriptor-without-digest": (
+        "oci", "index",
+        {"schemaVersion": 2, "manifests": [{"mediaType": "application/vnd.oci.image.manifest.v1+json"}]}),
+    "manifest-json-of-strings": ("docker", "manifest", ["x"]),
+    "manifest-json-is-not-json": ("docker", "manifest", b"[{"),
+    "manifest-json-nested-too-deep": ("docker", "manifest", b"[" * 100_000 + b"]" * 100_000),
+    "config-is-a-list": ("docker", "config", [1, 2]),
+    "config-holds-nan": ("oci", "config", b'{"architecture": "amd64", "os": "linux", "created": NaN}'),
+    "config-config-is-a-string": ("docker", "config", {"architecture": "amd64", "os": "linux",
+                                                       "config": "x"}),
+    "cmd-is-a-number": ("docker", "config", _config_with(Cmd=5)),
+    "cmd-is-a-string": ("oci", "config", _config_with(Cmd="sh -c true")),
+    "entrypoint-holds-a-number": ("docker", "config", _config_with(Entrypoint=["sh", 1])),
+    "env-is-an-object": ("oci", "config", _config_with(Env={"PATH": "/bin"})),
+    "exposed-ports-is-a-list": ("docker", "config", _config_with(ExposedPorts=["80/tcp"])),
+    "labels-is-a-string": ("docker", "config", _config_with(Labels="a=b")),
+    "architecture-is-a-number": ("docker", "config", {"architecture": 5, "os": "linux"}),
+    "rootfs-is-a-string": ("docker", "config", {"architecture": "amd64", "os": "linux",
+                                                "rootfs": "layers"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DOCUMENTS))
+def test_malformed_image_document_exits_3(runner, tmp_path, case):
+    layout, name, bad = _MALFORMED_DOCUMENTS[case]
+    image = tmp_path / "bad.tar"
+    layer = make_layer_tar(shell_chain_members())
+    _write_image(image, layer, layout, default_config([layer]),
+                 lambda document_name, document: bad if document_name == name else document)
+    for result in _run_both(runner, tmp_path, image):
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.output.startswith("error: ")
+        assert "Traceback" not in result.output
+    assert not (tmp_path / "o.tar").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(["", "sha256:", "amd64", "/bin/sh", "config.json"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(document, at=()):
+    """The path of each value in ``document``: key and index steps."""
+    yield at
+    items = document.items() if isinstance(document, dict) else (
+        enumerate(document) if isinstance(document, list) else ())
+    for key, value in items:
+        yield from _paths(value, at + (key,))
+
+
+def _put(document, path, value):
+    if not path:
+        return value
+    document[path[0]] = _put(document[path[0]], path[1:], value)
+    return document
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("docker", "manifest"), ("docker", "config"), ("oci", "index"),
+                        ("oci", "manifest"), ("oci", "config")]), st.data())
+def test_any_json_in_an_image_document_exits_0_3_or_4(target, data):
+    """Any JSON value at any path of any document, or under a new key of
+    one of its objects, ends ``slim`` and ``inspect`` with a documented
+    exit code, never a traceback."""
+    layout, target_name = target
+
+    def damage(name, document):
+        if name != target_name:
+            return document
+        path = data.draw(st.sampled_from(list(_paths(document))), label="path")
+        parent = document
+        for step in path:
+            parent = parent[step]
+        if isinstance(parent, dict) and data.draw(st.booleans(), label="new key"):
+            path += (data.draw(st.sampled_from(["Cmd", "Env", "digest", "mediaType", "x"]), label="key"),)
+            parent[path[-1]] = None
+        return _put(document, path, data.draw(_JSON, label="value"))
+
+    layer = make_layer_tar(shell_chain_members())
+    with tempfile.TemporaryDirectory() as work:
+        image = os.path.join(work, "img.tar")
+        _write_image(image, layer, layout, _full_config(layer), damage)
+        for result in _run_both(CliRunner(), pathlib.Path(work), image):
+            assert result.exit_code in (0, 3, 4), (result.output, result.exception)

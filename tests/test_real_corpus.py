@@ -97,3 +97,8 @@ def test_no_unresolved_sink_is_a_declaration_head(npm_analysis):
         text = Path(path).read_text(errors="replace").split("\n")[int(line) - 1]
         calls = [m for m in _SINK_PAREN.finditer(text) if not _is_declaration_head(text, m)]
         assert calls, f"{location} holds only declaration heads: {text.strip()[:120]}"
+
+
+def test_no_token_holds_a_quote(npm_analysis):
+    ctl, _ = npm_analysis
+    assert [t for t in ctl.token_texts() if "'" in t or '"' in t] == []
