@@ -577,12 +577,6 @@ def tar_stream(members: Iterable[tuple[bytes, object]]) -> Iterator[bytes]:
 _COMPRESSIONS = ((b"\x1f\x8b", "gzip"), (b"BZh", "bz2"), (b"\xfd7zXZ\x00", "lzma"))
 _GZIP_TRUNCATED = "Compressed file ended before the end-of-stream marker was reached"
 _STREAM_TRUNCATED = "Compressed data ended before the end-of-stream marker was reached"
-# The sizes, in KiB, of the blocks of the output buffer that a one-shot
-# ``bz2.decompress`` or ``lzma.decompress`` fills for each stream, one
-# after another (CPython's blocks output buffer); every later block holds
-# 256 MiB.
-_ONE_SHOT_BLOCKS_KIB = (32, 64, 256, 1024, 4096, 8192, 16384, 16384,
-                        32768, 32768, 32768, 32768, 65536, 65536, 131072, 131072)
 
 
 class _FileBytes:
@@ -638,8 +632,7 @@ class _RangeReader:
 
 
 class _Spool:
-    """A new spool being written: each write is hashed as it goes, and the
-    writes since a ``mark`` can be taken back."""
+    """A new spool being written: each write is hashed as it goes."""
 
     def __init__(self):
         import tempfile
@@ -656,14 +649,6 @@ class _Spool:
             self.file.write(data)
         except OSError as exc:
             raise SpoolError(f"cannot write a temporary file: {exc}") from exc
-
-    def mark(self):
-        return self.file.tell(), self.sha256.copy()
-
-    def reset(self, mark) -> None:
-        position, self.sha256 = mark
-        self.file.seek(position)
-        self.file.truncate()
 
     def finish(self) -> _FileBytes:
         try:
@@ -755,69 +740,42 @@ def _gunzip(src, out: _Spool) -> None:
         _skip_nuls(src)
 
 
-def _one_shot_edges() -> Iterator[int]:
-    """The output offsets, within one stream, at which a one-shot decoder
-    has filled a block of its output buffer."""
-    blocks = itertools.chain(_ONE_SHOT_BLOCKS_KIB, itertools.repeat(256 << 10))
-    return (kib << 10 for kib in itertools.accumulate(blocks))
-
-
 def _unchain(src, compression: str, out: _Spool) -> None:
-    """Write what ``bz2.decompress`` or ``lzma.decompress`` returns, or raise
-    what it raises: streams one after another up to the end of the input,
-    where input after a whole stream that its decoder refuses is dropped,
-    with the output it gave. Each step decodes at most ``_CHUNK`` bytes of
-    input and 32 KiB of output, and never past an edge of the one-shot
-    output buffer (``_one_shot_edges``)."""
+    """Write the bz2 or xz streams of the file ``src`` one after another,
+    each decoded whole. NULs after a stream are skipped; input that then
+    starts with the first stream's magic must be a whole stream too, and any
+    other input is ignored. A stream cut short raises
+    ``EOFError(_STREAM_TRUNCATED)``, a damaged one its decoder's error. Each
+    step decodes at most ``_CHUNK`` bytes of input and of output."""
     module = importlib.import_module(compression)
-    if compression == "bz2":
-        decoder_type, refused, truncated = module.BZ2Decompressor, OSError, ValueError
-    else:
-        decoder_type, refused, truncated = module.LZMADecompressor, module.LZMAError, module.LZMAError
-    first = True
+    decoder_type = module.BZ2Decompressor if compression == "bz2" else module.LZMADecompressor
+    magic = next(magic for magic, name in _COMPRESSIONS if name == compression)
     while True:
         decoder = decoder_type()
-        mark = out.mark()
-        ended = False  # the input is used up
-        edges = _one_shot_edges()
-        edge, produced, piece, limit = next(edges), 0, b"", 1
+        piece = b""
         while not decoder.eof:
-            data = b""
-            if decoder.needs_input and not ended:
-                data = src.read(_CHUNK)
-                ended = not data
-            # A decoder that wants input past the end of the input is cut
-            # short. bz2 also asks for input with output still held back
-            # (its last piece was full); the one-shot call decodes that
-            # output, and so finds a damaged block, only up to the edge of
-            # its output buffer's block.
-            if ended and decoder.needs_input and (len(piece) < limit or produced == edge):
-                raise truncated(_STREAM_TRUNCATED)
-            if produced == edge:
-                edge = next(edges)
-            limit = min(_CHUNK, _ONE_SHOT_BLOCKS_KIB[0] << 10, edge - produced)
-            try:
-                piece = decoder.decompress(data, limit)
-            except refused:
-                if first:
-                    raise
-                out.reset(mark)
-                return
+            data = src.read(_CHUNK) if decoder.needs_input else b""
+            # bz2 asks for input while it still holds output back, so only a
+            # decoder that gives nothing more at the end of the input is cut.
+            if not data and decoder.needs_input and not piece:
+                raise EOFError(_STREAM_TRUNCATED)
+            piece = decoder.decompress(data, _CHUNK)
             out.write(piece)
-            produced += len(piece)
-        first = False
         src.seek(-len(decoder.unused_data), io.SEEK_CUR)
-        if not src.read(1):
+        _skip_nuls(src)
+        head = src.read(len(magic))
+        src.seek(-len(head), io.SEEK_CUR)
+        if head != magic:
             return
-        src.seek(-1, io.SEEK_CUR)
 
 
 def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
     """Decompress ``source`` (``bytes`` or ``_FileBytes``) into a new spool,
     reading it ``_CHUNK`` bytes at a time and seeking back over what a
-    decoder did not use; ``compression`` names the module whose
-    ``decompress`` this accepts and refuses exactly what it does. Returns
-    the spool and the sha256 digest of the bytes it holds."""
+    decoder did not use. ``compression`` names the format: gzip is read as
+    ``gzip.decompress`` reads it, bz2 and lzma (xz) as ``_unchain`` states;
+    either way every stream is decoded whole or the input is refused.
+    Returns the spool and the sha256 digest of the bytes it holds."""
     src = source.reader() if isinstance(source, _FileBytes) else io.BytesIO(source)
     out = _Spool()
     try:
@@ -834,14 +792,16 @@ def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
 def _uncompressed(source):
     """The tar stream in ``source`` (``bytes`` or ``_FileBytes``): ``source``,
     or a new spool of what it decompresses to when it starts with the gzip,
-    bzip2 or xz magic, as tarfile opens it; like tarfile, a plain tar stream
-    whose first name happens to start with a magic is read as it is."""
+    bzip2 or xz magic, as tarfile opens it, each of its streams decoded
+    whole (``_decompress``); like tarfile, a plain tar stream whose first
+    name happens to start with a magic is read as it is."""
     compression = next((name for magic, name in _COMPRESSIONS
                         if source[0:len(magic)] == magic), None)
     if compression is None:
         return source
-    # lzma's own error is not an OSError; gzip's and bz2's are.
-    errors = (OSError, EOFError, ValueError, zlib.error)
+    # A cut stream raises EOFError; a damaged one OSError or zlib.error, or
+    # lzma's own error, which is not an OSError.
+    errors = (OSError, EOFError, zlib.error)
     if compression == "lzma":
         errors += (importlib.import_module("lzma").LZMAError,)
     try:

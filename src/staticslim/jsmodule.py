@@ -213,27 +213,10 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
             if buf:
                 parts.append(("s", "".join(buf)))
                 buf = []
-            depth = 1
-            j = i + 2
-            start = j
-            while j < n and depth:
-                if source[j] == "{":
-                    depth += 1
-                elif source[j] == "}":
-                    depth -= 1
-                elif source[j] == "`":
-                    _, j2, nl2 = _scan_template(source, j)
-                    newlines += nl2
-                    j = j2 - 1
-                elif source[j] in "'\"":
-                    _, j2, nl2 = _scan_string(source, j, source[j])
-                    newlines += nl2
-                    j = j2 - 1
-                elif source[j] == "\n":
-                    newlines += 1
-                j += 1
-            parts.append(("e", source[start : j - 1]))
-            i = j
+            end, nl = _skip_substitution(source, i + 2)
+            newlines += nl
+            parts.append(("e", source[i + 2 : end - 1]))
+            i = end
             continue
         if c == "\n":
             newlines += 1
@@ -242,6 +225,43 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
     if buf:
         parts.append(("s", "".join(buf)))
     return parts, i, newlines
+
+
+def _skip_substitution(source: str, j: int) -> tuple[int, int]:
+    """Index just past the ``}`` that closes the template substitution whose
+    expression starts at ``j`` (the end of ``source`` when none does), and
+    the newlines on the way. What is open is kept on a stack, a brace depth
+    for each substitution and None for each template, so templates nested
+    to any depth cost no recursion."""
+    n = len(source)
+    newlines = 0
+    open_ = [1]
+    while j < n and open_:
+        c = source[j]
+        if c == "\n":
+            newlines += 1
+        if open_[-1] is None:  # in a template
+            if c == "\\" and j + 1 < n:
+                j += 1
+            elif c == "`":
+                open_.pop()
+            elif c == "$" and source.startswith("{", j + 1):
+                open_.append(1)
+                j += 1
+        elif c == "{":
+            open_[-1] += 1
+        elif c == "}":
+            open_[-1] -= 1
+            if not open_[-1]:
+                open_.pop()
+        elif c == "`":
+            open_.append(None)
+        elif c in "'\"":
+            _, end, nl = _scan_string(source, j, c)
+            newlines += nl
+            j = end - 1
+        j += 1
+    return j, newlines
 
 
 def _scan_regex(source: str, i: int) -> int | None:

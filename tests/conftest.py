@@ -8,10 +8,12 @@ the generators.
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import hashlib
 import io
 import json
+import lzma
 import os
 import posixpath
 import shutil
@@ -200,6 +202,23 @@ def hostile_pax_after_sparse(kind: str) -> bytes:
         {"path": "/PaxHeader", "kind": "pax-records", "data": records[:6 * 1024 - 1] + records[-1:]},
         {"path": "/a", "data": b"a"},
     ])
+
+
+# The two files of ``two_stream_layer``: the first stream holds a.js, the
+# second b.js.
+TWO_STREAM_FILES = {"/app/a.js": b"exec('ls')\n", "/app/b.js": bytes(range(256)) * 12}
+
+
+def two_stream_layer(packing: str, *, damaged: bool = False, between: bytes = b"") -> bytes:
+    """A layer tar packed as two bz2 or xz streams, split after the first
+    file's data block, with ``between`` after the first; ``damaged`` flips
+    a byte in the middle of the second stream."""
+    compress = {"bz2": bz2.compress, "xz": lzma.compress}[packing]
+    tar = make_layer_tar([{"path": path, "data": data} for path, data in TWO_STREAM_FILES.items()])
+    second = bytearray(compress(tar[1024:]))
+    if damaged:
+        second[len(second) // 2] ^= 0x01
+    return compress(tar[:1024]) + between + bytes(second)
 
 
 def make_stack(layer_tars) -> LayerStack:

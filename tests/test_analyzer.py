@@ -493,6 +493,12 @@ def test_deep_nesting_keeps_the_other_sink_calls(tmp_path, caplog, case):
     assert "cannot parse" not in caplog.text
 
 
+def test_templates_nested_past_the_recursion_limit_keep_the_file(tmp_path, caplog):
+    source = "u = " + "`${" * 1000 + "'v'" + "}`" * 1000 + ";\nexecSync('ls');\n"
+    assert _resolved(tmp_path, source) == [["ls"]]
+    assert "cannot parse" not in caplog.text
+
+
 def test_nesting_under_the_bound_still_resolves(tmp_path):
     source = "x = " + "(" * 50 + "'ls -l'" + ")" * 50 + ";\nexec(x);\n"
     assert _resolved(tmp_path, source) == [["ls -l"]]

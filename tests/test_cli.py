@@ -28,6 +28,7 @@ from conftest import (
     make_oci_archive,
     make_stack,
     shell_chain_members,
+    two_stream_layer,
 )
 from staticslim import pruner as pruner_mod
 from staticslim.cli import main
@@ -613,6 +614,23 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     assert result.exit_code == 3, result.output
     assert "error: layer 1" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("packing", ["bz2", "xz"])
+@pytest.mark.parametrize("command", ["slim", "inspect"])
+def test_damaged_later_stream_exits_3(runner, tmp_path, command, packing):
+    image = tmp_path / "bad.tar"
+    image.write_bytes(make_docker_archive([two_stream_layer(packing, damaged=True)]))
+    args = [command, "--input", str(image)]
+    if command == "slim":
+        ctl = tmp_path / "c.ctl"
+        ctl.write_text("sh\n")
+        args += ["--output", str(tmp_path / "o.tar"), "--ctl", str(ctl)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "error: layer 0: " in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "o.tar").exists()
 
 
 # --- the output file ----------------------------------------------------------

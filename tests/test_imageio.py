@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     HOSTILE_PAX_RECORDS,
+    TWO_STREAM_FILES,
     content_bytes,
     default_config,
     flattened_snapshot,
@@ -38,6 +39,7 @@ from conftest import (
     snapshot_dir,
     sparse_file_bytes,
     sparse_map,
+    two_stream_layer,
 )
 from staticslim import imageio
 from staticslim.analyzer import CommandTokenList
@@ -1153,6 +1155,20 @@ def test_compressed_bytes_under_the_tar_media_type(magic):
         assert content_bytes(flatten_layers(stack).content) == {"/a": b"1"}
 
 
+@pytest.mark.parametrize("packing", ["bz2", "xz"])
+def test_damaged_later_stream_refuses_the_layer(packing):
+    """A layer whose second stream is damaged is refused, not read as its
+    first stream alone, which would drop the second stream's files."""
+    with pytest.raises(TarHeaderError, match="cannot decompress"):
+        make_stack([two_stream_layer(packing, damaged=True)])
+
+
+@pytest.mark.parametrize("packing", ["bz2", "xz"])
+def test_nuls_between_streams_are_skipped(packing):
+    with make_stack([two_stream_layer(packing, between=bytes(4))]) as stack:
+        assert content_bytes(flatten_layers(stack).content) == TWO_STREAM_FILES
+
+
 def test_plain_tar_named_like_a_magic_is_read_as_it_is():
     tar = make_layer_tar([{"path": "/BZh91AY", "data": b"1"}])
     assert flatten_layers(make_stack([tar])).content == {"/BZh91AY": b"1"}
@@ -1259,14 +1275,40 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _one_shot_uncompressed(tar: bytes) -> bytes:
-    """The tar stream in ``tar``, read the way the whole-buffer reader read
-    it: decompressed by its magic in one call, or left as it is when it
-    reads as a tar stream."""
-    for magic, module in ((b"\x1f\x8b", gzip), (b"BZh", bz2), (b"\xfd7zXZ\x00", lzma)):
+# What a cut bz2 or xz stream raises.
+_CUT = "Compressed data ended before the end-of-stream marker was reached"
+
+
+def _streams(blob: bytes, decoder_type, magic: bytes) -> bytes:
+    """The bz2 and xz stream contract, one stream at a time: each decoder
+    is given all that is left in one call, then asked for the output it
+    holds back; a stream it does not end is cut. NULs after a stream are
+    stripped, and what is left is decoded on only if it starts with
+    ``magic``."""
+    out = b""
+    while True:
+        decoder = decoder_type()
+        out += decoder.decompress(blob)
+        while not decoder.eof and (held := decoder.decompress(b"")):
+            out += held
+        if not decoder.eof:
+            raise EOFError(_CUT)
+        blob = decoder.unused_data.lstrip(b"\0")
+        if not blob.startswith(magic):
+            return out
+
+
+def _contract_uncompressed(tar: bytes) -> bytes:
+    """The tar stream in ``tar``: decompressed by its magic, gzip by
+    ``gzip.decompress`` and bz2 and xz by ``_streams``, or left as it is
+    when that refuses it and it reads as a tar stream."""
+    for magic, decompress in (
+            (b"\x1f\x8b", gzip.decompress),
+            (b"BZh", lambda b: _streams(b, bz2.BZ2Decompressor, b"BZh")),
+            (b"\xfd7zXZ\x00", lambda b: _streams(b, lzma.LZMADecompressor, b"\xfd7zXZ\x00"))):
         if tar.startswith(magic):
             try:
-                return module.decompress(tar)
+                return decompress(tar)
             except _REFUSALS as exc:
                 try:
                     next(read_tar_headers(tar), None)
@@ -1305,23 +1347,23 @@ _LATE_BAD_BZ2[-3] ^= 0x10
 @example((gzip.compress(b"a" * 700, mtime=0) + bytes(3) + gzip.compress(b"b", mtime=0), 7))
 @example((gzip.compress(b"abc" * 99, mtime=0)[:-3], 512))
 @example((_gzip_member(b"x" * 900, gzip.FNAME | gzip.FEXTRA | gzip.FHCRC | 0xE0, 9), 1))
+# A damaged second stream refuses the blob; it is not dropped.
 @example((bz2.compress(b"a" * 99) + bytes(_LATE_BAD_BZ2), 512))
 # A damaged bz2 stream that is refused only when its decoder is asked for
 # the output it holds back after the last input byte.
 @example((b"BZh91AY&SY0\xb0Db\x00\x00\x00\xc0@\xc0\x00\x00\x02\x00\x08 \x00!&A\x98\x1f", 1))
-# A whole bz2 stream, then a stream cut after its damaged block, whose
-# 32,890 bytes of output pass the one-shot decoder's first 32 KiB edge: the
-# one-shot call stops there, so it reads the second stream as cut short,
-# and never reaches the damage that would make it a refused trailing one.
+# A whole bz2 stream, then a stream cut after its damaged block, which
+# holds 32,890 bytes of output: the damage is found before the cut.
 @example((b'BZh91AY&SY\xbe\x12\xc6\x82\x00\x00c\xfc\x00`\x00@\x00@\x00@\x00@\x00 \x000\xc0\x02\x95'
           b'\x0c\x9a"\xe0\x8b\xa2/\x08\xb0E\xa2/\x8b\xb9"\x9c(H_\tcA\x00'
           b'BZh91AY&SY\x88\xe1\xc8\x03\x00\x01+\xe1\x00`\x00@\x00\x00\x10 \x000\xcd4\nPh\x8b\x04\\"\x1f', 1))
 def test_streaming_decompression_matches_one_shot(case):
     """The gzip spool holds what ``gzip.decompress`` returns, and its digest
     is the diff_id of a layer under the gzip media type, whose tar stream is
-    what the one-shot reader makes of the spool; under the tar media type
-    the tar stream is what the one-shot reader returned. Each refuses what
-    the one-shot call refuses, with the same error, and that error exits 3."""
+    what ``_contract_uncompressed`` makes of the spool; under the tar media
+    type the tar stream is what it makes of the blob. Each refuses what the
+    one-shot gzip call or the bz2/xz contract refuses, with the same error,
+    and that error exits 3."""
     blob, chunk = case
     with mock.patch.object(imageio, "_CHUNK", chunk):
         spooled = _outcome(lambda: _spooled(blob))
@@ -1331,11 +1373,46 @@ def test_streaming_decompression_matches_one_shot(case):
             assert issubclass(spooled[0], imageio._LAYER_STREAM_ERRORS)
             assert layer == spooled
         else:
-            assert layer == _outcome(lambda: [sha256(spooled), _one_shot_uncompressed(spooled)])
+            assert layer == _outcome(lambda: [sha256(spooled), _contract_uncompressed(spooled)])
         uncompressed = _outcome(lambda: _layer_tar(blob, "application/vnd.oci.image.layer.v1.tar"))
-        assert uncompressed == _outcome(lambda: [sha256(blob), _one_shot_uncompressed(blob)])
+        assert uncompressed == _outcome(lambda: [sha256(blob), _contract_uncompressed(blob)])
         if isinstance(uncompressed, tuple):
             assert issubclass(uncompressed[0], imageio._LAYER_STREAM_ERRORS)
+
+
+# Bytes that start neither a bz2 stream nor any stream ``lzma.decompress``
+# reads (an .lzma header's first byte is at most 224): after a whole
+# stream, both one-shot calls ignore input that starts with one.
+_NO_STREAM_START = [b for b in range(225, 256) if b != 0xFD]
+
+
+@st.composite
+def _whole_chains(draw):
+    """1-3 whole bz2 or xz streams with nothing between them, then nothing
+    or input that starts with a byte of ``_NO_STREAM_START``."""
+    module = draw(st.sampled_from([bz2, lzma]))
+    blob = b"".join(module.compress(data) for data in draw(st.lists(
+        st.binary(max_size=3000) | st.binary(min_size=1, max_size=40).map(lambda b: b * 200),
+        min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        blob += bytes([draw(st.sampled_from(_NO_STREAM_START))]) + draw(st.binary(max_size=8))
+    return module, blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_whole_chains())
+def test_whole_streams_decompress_as_the_one_shot_call_does(case):
+    """Where the contract and the one-shot call agree by construction, the
+    spool holds what ``bz2.decompress`` or ``lzma.decompress`` returns."""
+    module, blob, chunk = case
+    with mock.patch.object(imageio, "_CHUNK", chunk):
+        spool, digest = imageio._decompress(blob, module.__name__)
+    try:
+        data = spool[0:len(spool)]
+    finally:
+        spool.close()
+    assert data == module.decompress(blob)
+    assert digest == sha256(data)
 
 
 # --- bounded memory ---------------------------------------------------------

@@ -76,6 +76,13 @@ class TestTokenize:
         assert inner[0] == "e"
         assert "`b ${c}`" in inner[1]
 
+    def test_deeply_nested_template(self):
+        source = "`${" * 5000 + "'v'\n" + "}`" * 5000 + "\nx"
+        toks = tokenize(source)
+        assert [t.kind for t in toks] == ["tpl", "ident"]
+        assert toks[0].value == [("e", source[3:-4])]
+        assert toks[1].line == 3
+
     def test_line_numbers_across_strings(self):
         toks = tokenize("'one'\n'two'\n`three\nfour`\nfive")
         idents = [t for t in toks if t.kind == "ident"]
@@ -95,6 +102,8 @@ class TestTokenize:
     @example("a = \u00bd2 + \u00b2x + .\u00b2 + \u2460 + \u00e9t\u00e9 + \u4e2d\u00a0\x0b1e+5")
     @example("/* never closed\nexec('x')")
     @example("x = /=/; y /= 2")
+    # Braces, strings, escapes and unclosed templates inside substitutions.
+    @example("`a${ {b: `c${'}'}\\`\n${\"d\n}`} }e`\n`${`${\n")
     def test_same_stream_as_reference_lexer(self, text):
         assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
 
