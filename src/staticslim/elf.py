@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .imageio import KIND_DIRECTORY, KIND_SYMLINK, FlattenedRootfs
+from .imageio import KIND_DIRECTORY, FlattenedRootfs
 from .rootfs import lookup_record, resolve_directory, resolve_entry
 
 log = logging.getLogger(__name__)
@@ -210,29 +210,6 @@ def _loader_conf_dirs(rootfs: FlattenedRootfs, conf_paths) -> list[str]:
     return dirs
 
 
-def _chain_entries(rootfs: FlattenedRootfs, path: str) -> tuple[tuple[str, ...], str | None]:
-    """Every entry the loader crosses to open ``path``, plus the terminal entry.
-
-    The entries are each spelling on the symlink chain of ``path`` and every
-    directory symlink crossed while resolving those spellings.
-    """
-    out: list[str] = []
-    seen = set()
-    current = path
-    while True:
-        physical = resolve_entry(rootfs, current, trace=out)
-        if physical is None or physical in seen:
-            return tuple(out), None
-        rec = rootfs.entries.get(physical)
-        if rec is None:
-            return tuple(out), None
-        seen.add(physical)
-        out.append(physical)
-        if rec.kind != KIND_SYMLINK:
-            return tuple(out), physical
-        current = rootfs.symlink_table[physical]
-
-
 def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
     """Loader-configured directories followed by the default set."""
     conf_dirs = _loader_conf_dirs(rootfs, _loader_conf_paths(rootfs))
@@ -248,8 +225,9 @@ class LibrarySearch:
     it does for a probe of that spelling. Each directory is resolved once,
     through the same cache a probe of a child spelling uses, and its children
     are one key range of the rootfs's sorted entries. ``chain`` memoizes
-    ``_chain_entries`` per spelling, and the parse of each object is kept
-    for the walk (``edges``).
+    each spelling's walk to the object it opens (``resolve_entry``, whose
+    hop budget spans the whole symlink chain), and the parse of each object
+    is kept for the walk (``edges``).
 
     Build one per retain pass rather than keeping it on the rootfs, so its
     memory, parses included, is freed before the slim image is written.
@@ -298,10 +276,19 @@ class LibrarySearch:
         return None if walked_whole else self.index.get(name)
 
     def chain(self, spelling: str) -> tuple[tuple[str, ...], str | None]:
-        """``_chain_entries`` of ``spelling``, walked once per search."""
+        """Every entry the loader crosses to open ``spelling`` (each link of
+        its symlink chain and every directory symlink crossed on the way,
+        then the terminal entry) and that terminal, or None when the
+        spelling does not resolve to an entry; walked once per search."""
         hit = self._chains.get(spelling)
         if hit is None:
-            hit = self._chains[spelling] = _chain_entries(self.rootfs, spelling)
+            hops: list[str] = []
+            terminal = resolve_entry(self.rootfs, spelling, follow_last=True, trace=hops)
+            if terminal is None or terminal not in self.rootfs.entries:
+                terminal = None
+            else:
+                hops.append(terminal)
+            hit = self._chains[spelling] = (tuple(hops), terminal)
         return hit
 
     def _dynamic_info(self, path: str) -> DynamicInfo | None:

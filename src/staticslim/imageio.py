@@ -3,8 +3,9 @@
 Supports the docker-save layout (top-level ``manifest.json``) and the OCI
 image layout (``oci-layout`` / ``index.json`` / ``blobs``) on input, and
 emits either on output (OCI by default). Layers are flattened into a single
-rootfs model with union-filesystem semantics, whose regular files are
-references into the layers' tar streams, read when their bytes are asked for.
+rootfs model with union-filesystem semantics, in which each regular file's
+record holds its byte range of its layer's tar stream, read when its bytes
+are asked for.
 
 The image archive and its layers are listed, and the headers of every
 written tar stream are written, by one ``struct``-based tar header codec
@@ -15,8 +16,9 @@ The image archive is read in place: each layer is a range of it. Compressed
 layers and archives are decompressed once, a chunk at a time, into spools:
 unlinked temporary files in ``TMPDIR`` that the codec reads like bytes, so no
 layer, stored or decompressed, is held whole in memory. Each layer's tar
-stream is made once, at load. A regular file's bytes are a range of its
-layer, read in chunks. The slim layer is written, a chunk at a time, to a
+stream is made once, at load. Every layer, archive and spool is read through
+one type, ``_FileBytes``, and a regular file's bytes are a view of its
+layer's, read in chunks. The slim layer is written, a chunk at a time, to a
 spool (its size and digest must be known before its header is written) and
 copied from there into the image archive, which is written to a file; no
 file, layer or archive is held whole.
@@ -38,7 +40,6 @@ import re
 import struct
 import tarfile
 import zlib
-from collections.abc import Mapping
 from contextlib import closing
 from dataclasses import dataclass, field
 from tarfile import (
@@ -584,7 +585,11 @@ class _FileBytes:
     ``bytes`` slices, so that ``read_tar_headers`` lists an image archive, a
     layer stored in one or a spooled layer by reading its header blocks
     alone; each member's bytes are read when they are asked for. A ``view``
-    shares the file, which only the whole file's owner closes."""
+    shares the file, which only the whole file's owner closes; once it is
+    closed, reading any view of it raises ``ValueError``. Each regular file
+    of a flattened rootfs holds one view, so the class has slots."""
+
+    __slots__ = ("file", "start", "_size")
 
     def __init__(self, file, start: int = 0, size: int | None = None):
         self.file = file
@@ -769,14 +774,14 @@ def _unchain(src, compression: str, out: _Spool) -> None:
             return
 
 
-def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
-    """Decompress ``source`` (``bytes`` or ``_FileBytes``) into a new spool,
-    reading it ``_CHUNK`` bytes at a time and seeking back over what a
-    decoder did not use. ``compression`` names the format: gzip is read as
-    ``gzip.decompress`` reads it, bz2 and lzma (xz) as ``_unchain`` states;
-    either way every stream is decoded whole or the input is refused.
-    Returns the spool and the sha256 digest of the bytes it holds."""
-    src = source.reader() if isinstance(source, _FileBytes) else io.BytesIO(source)
+def _decompress(source: _FileBytes, compression: str) -> tuple[_FileBytes, str]:
+    """Decompress ``source`` into a new spool, reading it ``_CHUNK`` bytes
+    at a time and seeking back over what a decoder did not use.
+    ``compression`` names the format: gzip is read as ``gzip.decompress``
+    reads it, bz2 and lzma (xz) as ``_unchain`` states; either way every
+    stream is decoded whole or the input is refused. Returns the spool and
+    the sha256 digest of the bytes it holds."""
+    src = source.reader()
     out = _Spool()
     try:
         if compression == "gzip":
@@ -789,12 +794,12 @@ def _decompress(source, compression: str) -> tuple[_FileBytes, str]:
         raise
 
 
-def _uncompressed(source):
-    """The tar stream in ``source`` (``bytes`` or ``_FileBytes``): ``source``,
-    or a new spool of what it decompresses to when it starts with the gzip,
-    bzip2 or xz magic, as tarfile opens it, each of its streams decoded
-    whole (``_decompress``); like tarfile, a plain tar stream whose first
-    name happens to start with a magic is read as it is."""
+def _uncompressed(source: _FileBytes) -> _FileBytes:
+    """The tar stream in ``source``: ``source``, or a new spool of what it
+    decompresses to when it starts with the gzip, bzip2 or xz magic, as
+    tarfile opens it, each of its streams decoded whole (``_decompress``);
+    like tarfile, a plain tar stream whose first name happens to start with
+    a magic is read as it is."""
     compression = next((name for magic, name in _COMPRESSIONS
                         if source[0:len(magic)] == magic), None)
     if compression is None:
@@ -951,8 +956,8 @@ class LayerBlob:
     media_type: str
     digest: str  # digest of the blob bytes as stored
     diff_id: str  # digest of the uncompressed tar stream
-    source: bytes | _FileBytes = field(repr=False, compare=False)
-    tar: bytes | _FileBytes = field(repr=False, compare=False)
+    source: _FileBytes = field(repr=False, compare=False)
+    tar: _FileBytes = field(repr=False, compare=False)
 
     @property
     def data(self) -> bytes:
@@ -960,7 +965,7 @@ class LayerBlob:
         return self.source[:]
 
     def close(self) -> None:
-        if self.tar is not self.source and isinstance(self.tar, _FileBytes):
+        if self.tar is not self.source:
             self.tar.close()
 
 
@@ -968,20 +973,18 @@ class LayerBlob:
 class LayerStack:
     """Ordered layers, base first, and the image archive file (or a spool of
     it) whose ranges they are. The stack owns that file and the layers'
-    spools: ``close`` closes them, after which no file of a rootfs
-    flattened from the stack can be read. It is a context manager that
-    closes on exit."""
+    spools: ``close`` closes them, after which reading a file of a rootfs
+    flattened from the stack raises ``ValueError``. It is a context manager
+    that closes on exit."""
 
     layers: list[LayerBlob]
     archive: _FileBytes | None = field(default=None, repr=False)
-    closed: bool = field(default=False, init=False)
 
     @property
     def diff_ids(self) -> list[str]:
         return [layer.diff_id for layer in self.layers]
 
     def close(self) -> None:
-        self.closed = True
         for layer in self.layers:
             layer.close()
         if self.archive is not None:
@@ -994,44 +997,30 @@ class LayerStack:
         self.close()
 
 
-class _LayerContent(Mapping[str, "_FileBytes | bytes | bytearray"]):
-    """The regular files of a rootfs flattened from ``stack``, each a sized
-    range of its layer's tar stream. ``refs`` maps each path to its (tar
-    stream, data offset, size, sparse map) reference. Looking a path up
-    reads nothing: it gives a ``_FileBytes.view`` of the stream (a slice
-    when the stream is ``bytes``), read when it is sliced. A sparse file's
-    stored regions are laid out once, in turn over NUL holes, into a
-    ``bytearray``; one too large for memory raises ``OversizedFileError``.
-    Looking a path up once the stack is closed raises ``ValueError``."""
+class _SparseFile(NamedTuple):
+    """A GNU sparse file of a layer: ``regions``, its map of (offset,
+    length) pairs, are stored in turn in ``tar`` from ``offset``, and the
+    holes between them read as NULs up to ``size``."""
 
-    def __init__(self, refs: dict[str, tuple], stack: LayerStack):
-        self._refs = refs
-        self._stack = stack
+    path: str
+    tar: _FileBytes
+    offset: int
+    size: int
+    regions: tuple[tuple[int, int], ...]
 
-    def __getitem__(self, path: str) -> _FileBytes | bytes | bytearray:
-        tar, offset, size, sparse = self._refs[path]
-        if self._stack.closed:
-            raise ValueError(f"cannot read {path}: its layer stack is closed")
-        if sparse is None:
-            return tar.view(offset, size) if isinstance(tar, _FileBytes) else tar[offset:offset + size]
+    def layout(self) -> bytearray:
+        """The file's bytes, its stored regions laid out over NUL holes; one
+        too large for memory raises ``OversizedFileError``."""
         try:
-            data = bytearray(size)
+            data = bytearray(self.size)
         except (MemoryError, OverflowError):
             raise OversizedFileError(
-                f"{path}: a sparse file of {size} bytes does not fit in memory") from None
-        for at, length in sparse:
-            data[at:at + length] = tar[offset:offset + length]
+                f"{self.path}: a sparse file of {self.size} bytes does not fit in memory") from None
+        offset = self.offset
+        for at, length in self.regions:
+            data[at:at + length] = self.tar[offset:offset + length]
             offset += length
         return data
-
-    def __contains__(self, path) -> bool:
-        return path in self._refs
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._refs)
-
-    def __len__(self) -> int:
-        return len(self._refs)
 
 
 @dataclass(frozen=True)
@@ -1040,7 +1029,11 @@ class FileRecord:
 
     ``link_target`` keeps the raw tar linkname for symlinks (relative targets
     stay relative so they re-emit byte-identically); hardlink targets are
-    normalized to an absolute in-rootfs path.
+    normalized to an absolute in-rootfs path. ``data`` is a regular file's
+    bytes: a sized range (anything with ``len()`` whose slices are bytes,
+    such as its ``_FileBytes`` view of its layer's tar stream, or ``bytes``)
+    or, for a GNU sparse file, a ``_SparseFile``. Read it through
+    ``FlattenedRootfs.data_for``.
     """
 
     path: str
@@ -1056,6 +1049,7 @@ class FileRecord:
     devmajor: int = 0
     devminor: int = 0
     block_device: bool = False  # distinguishes the two device flavors
+    data: _FileBytes | _SparseFile | bytes | None = field(default=None, compare=False, repr=False)
 
     def is_executable(self) -> bool:
         return bool(self.mode & 0o111)
@@ -1065,14 +1059,13 @@ class FileRecord:
 class FlattenedRootfs:
     """Union of all layers: the one model of the image file system.
 
-    ``entries`` maps path -> record in path order; ``content`` maps each
-    regular file's path to its bytes as a sized range: anything with
-    ``len()`` whose slices are bytes. ``flatten_layers`` fills it with a
-    mapping whose ranges are views of the layers' tar streams, so the
-    rootfs holds no file bytes and its ``LayerStack`` must stay open while
-    the ranges ``data_for`` gives are read; a ``dict`` of bytes will do as
-    well. ``symlink_table`` maps each symlink entry to its absolute,
-    normalized target and is derived from ``entries`` on construction.
+    ``entries`` maps path -> record in path order; each regular file's
+    record holds its bytes (``FileRecord.data``). ``flatten_layers`` gives
+    each one a range of its layer's tar stream, so the rootfs holds no file
+    bytes and its ``LayerStack`` must stay open while the ranges
+    ``data_for`` gives are read. ``symlink_table`` maps each symlink entry
+    to its absolute, normalized target and is derived from ``entries`` on
+    construction.
 
     A rootfs is never mutated after construction; a different set of entries
     (such as the retained view a prune report counts) is a new object. The
@@ -1082,7 +1075,6 @@ class FlattenedRootfs:
     """
 
     entries: dict[str, FileRecord]
-    content: Mapping[str, _FileBytes | bytes | bytearray] = field(default_factory=dict)
     total_size: int = 0
     warnings: list[str] = field(default_factory=list)
     symlink_table: dict[str, str] = field(init=False, repr=False)
@@ -1104,20 +1096,28 @@ class FlattenedRootfs:
     def data_for(self, path: str) -> _FileBytes | bytes | bytearray:
         """The bytes of a regular file as a sized range, following
         hardlinks: ``len()`` gives its size and a slice reads that part
-        (``data_for(path)[:]`` the whole file). Once the stack of a
-        flattened rootfs is closed, this raises ``ValueError``, and so does
-        reading a range it gave before."""
+        (``data_for(path)[:]`` the whole file). A sparse file is laid out
+        here (``_SparseFile.layout``). Once the stack of a flattened rootfs
+        is closed, reading a range raises ``ValueError``, as does laying
+        out a sparse file. A path that is not a regular file, nor a
+        hardlink to one, raises ``KeyError``."""
         seen = set()
-        while True:
-            if path in self.content:
-                return self.content[path]
-            rec = self.entries.get(path)
-            if rec is None or rec.kind != KIND_HARDLINK or rec.link_target is None:
-                raise KeyError(path)
-            if path in seen:
-                raise KeyError(path)
+        rec = self.entries.get(path)
+        while rec is not None and rec.kind == KIND_HARDLINK and path not in seen:
             seen.add(path)
             path = rec.link_target
+            rec = self.entries.get(path)
+        if rec is None or rec.kind != KIND_REGULAR:
+            raise KeyError(path)
+        return rec.data.layout() if isinstance(rec.data, _SparseFile) else rec.data
+
+    @property
+    def content(self) -> dict[str, _FileBytes | bytes | bytearray]:
+        """Each regular file's ``data_for`` by path, built from ``entries``
+        on each call: a map for a reader that walks every file's bytes (the
+        benchmark's trace of ``flatten_layers`` sums their sizes)."""
+        return {path: self.data_for(path) for path, rec in self.entries.items()
+                if rec.kind == KIND_REGULAR}
 
 
 def _clean_member_path(name: str) -> str | None:
@@ -1134,11 +1134,10 @@ def _clean_member_path(name: str) -> str | None:
     return "/" + "/".join(segments)
 
 
-def _delete_subtree(entries: dict, content: dict, path: str) -> None:
+def _delete_subtree(entries: dict, path: str) -> None:
     prefix = path + "/"
     for p in [p for p in entries if p == path or p.startswith(prefix)]:
         entries.pop(p, None)
-        content.pop(p, None)
 
 
 def _ensure_parents(entries: dict[str, FileRecord], path: str) -> None:
@@ -1153,7 +1152,7 @@ def _ensure_parents(entries: dict[str, FileRecord], path: str) -> None:
         entries[p] = FileRecord(path=p, kind=KIND_DIRECTORY, mode=0o755)
 
 
-def _pop_range(entries: dict, content: dict, keys: list[str], prefix: str) -> None:
+def _pop_range(entries: dict, keys: list[str], prefix: str) -> None:
     """Drop every path under ``prefix`` (which ends in "/") listed in ``keys``.
 
     ``keys`` is sorted and "0" is the character right after "/", so the keys
@@ -1164,16 +1163,14 @@ def _pop_range(entries: dict, content: dict, keys: list[str], prefix: str) -> No
     hi = bisect.bisect_left(keys, prefix[:-1] + "0", lo)
     for p in keys[lo:hi]:
         entries.pop(p, None)
-        content.pop(p, None)
 
 
-def _apply_layer(index: int, members: list[TarHeader], tar: bytes | _FileBytes, entries: dict,
-                 content: dict, warnings: list[str]) -> None:
+def _apply_layer(index: int, members: list[TarHeader], tar: _FileBytes, entries: dict,
+                 warnings: list[str]) -> None:
     """Apply the members of one layer to the flattened state in place.
 
-    ``content`` maps a regular file to a reference into ``tar``, the
-    layer's tar stream: (``tar``, data offset, size, sparse map or None).
-    No member's data is read.
+    A regular file's record holds its range of ``tar``, the layer's tar
+    stream, or a ``_SparseFile`` of it. No member's data is read.
     """
     paths = []  # each member's clean path; None for the root and for whiteouts
     whiteouts = []  # (parent, name) of the whiteouts and opaque markers
@@ -1193,12 +1190,11 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes | _FileBytes, 
         keys = sorted(entries)
         for parent, base in whiteouts:
             if base == OPAQUE_MARKER:
-                _pop_range(entries, content, keys, parent.rstrip("/") + "/")
+                _pop_range(entries, keys, parent.rstrip("/") + "/")
             else:
                 target = posixpath.join(parent, base[len(WHITEOUT_PREFIX):])
                 entries.pop(target, None)
-                content.pop(target, None)
-                _pop_range(entries, content, keys, target + "/")
+                _pop_range(entries, keys, target + "/")
 
     for (_, type_, mode, uid, gid, size, mtime, linkname, uname, gname, devmajor, devminor,
          offset_data, sparse), path in zip(members, paths):
@@ -1213,15 +1209,16 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes | _FileBytes, 
 
         existing = entries.get(path)
         if existing is not None and existing.kind == KIND_DIRECTORY and kind != KIND_DIRECTORY:
-            _delete_subtree(entries, content, path)
-        elif existing is not None and kind != existing.kind:
-            content.pop(path, None)
+            _delete_subtree(entries, path)
 
-        link_target = None
+        link_target = data = None
         if kind == KIND_SYMLINK:
             link_target = linkname
         elif kind == KIND_HARDLINK:
             link_target = _clean_member_path(linkname)
+        elif kind == KIND_REGULAR:
+            data = (tar.view(offset_data, size) if sparse is None
+                    else _SparseFile(path, tar, offset_data, size, sparse))
 
         record = FileRecord(
             path=path,
@@ -1237,11 +1234,10 @@ def _apply_layer(index: int, members: list[TarHeader], tar: bytes | _FileBytes, 
             devmajor=devmajor,
             devminor=devminor,
             block_device=type_ == BLKTYPE,
+            data=data,
         )
         _ensure_parents(entries, path)
         entries[path] = record
-        if kind == KIND_REGULAR:
-            content[path] = (tar, offset_data, size, sparse)
 
 
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
@@ -1256,26 +1252,23 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     removes are the only ones it touches. A directory replaced by a
     non-directory still scans the whole state for its subtree.
 
-    Memory: the entries and one reference per regular file into its
-    layer's tar stream (offset, size and sparse map); no file's bytes are
-    read here. ``content`` gives each file as a range of its layer, read
-    when it is sliced, while ``stack`` is open; it raises once the stack is
-    closed.
+    Memory: the entries, each regular file's record holding its range of
+    its layer's tar stream (a ``_FileBytes`` view, or a ``_SparseFile`` with
+    its sparse map); no file's bytes are read here. A range is read when it
+    is sliced, while ``stack`` is open; reading it raises ``ValueError``
+    once the stack is closed.
     """
     entries: dict[str, FileRecord] = {}
-    refs: dict[str, tuple] = {}
     warnings: list[str] = []
 
     for index, layer in enumerate(stack.layers):
         try:
-            _apply_layer(index, list(read_tar_headers(layer.tar)), layer.tar, entries, refs,
-                         warnings)
+            _apply_layer(index, list(read_tar_headers(layer.tar)), layer.tar, entries, warnings)
         except TarHeaderError as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)
-    return FlattenedRootfs(entries=entries, content=_LayerContent(refs, stack), total_size=total,
-                           warnings=warnings)
+    return FlattenedRootfs(entries=entries, total_size=total, warnings=warnings)
 
 
 def _member_key(name: str) -> str:
@@ -1322,10 +1315,10 @@ def _split_reference(ref: str) -> tuple[str, str]:
     return ref, ""
 
 
-def _layer_from_blob(source: bytes | _FileBytes, media_type: str,
+def _layer_from_blob(source: _FileBytes, media_type: str,
                      verified_digest: str | None) -> LayerBlob:
-    """One layer and its tar stream; ``source`` is the blob as stored (bytes,
-    or its range of the archive) and ``verified_digest`` the digest
+    """One layer and its tar stream; ``source`` is the blob as stored, its
+    range of the archive, and ``verified_digest`` the digest
     ``_read_blob`` already checked it against, or None to hash it here. A
     gzip layer is decompressed once, from its range into a spool, and its
     diff_id is hashed on the way; then ``_uncompressed`` reads the magic."""

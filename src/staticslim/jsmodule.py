@@ -203,6 +203,8 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
         if c == "\\" and i + 1 < n:
             esc = source[i + 1]
             buf.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
+            if esc == "\n":
+                newlines += 1
             i += 2
             continue
         if c == "`":
@@ -243,6 +245,8 @@ def _skip_substitution(source: str, j: int) -> tuple[int, int]:
         if open_[-1] is None:  # in a template
             if c == "\\" and j + 1 < n:
                 j += 1
+                if source[j] == "\n":
+                    newlines += 1
             elif c == "`":
                 open_.pop()
             elif c == "$" and source.startswith("{", j + 1):

@@ -83,7 +83,6 @@ SHELL_BUILTINS = frozenset(
     }
 )
 
-_LINK_KINDS = (KIND_SYMLINK, KIND_HARDLINK)
 _COMMAND_KINDS = (KIND_REGULAR, KIND_SYMLINK, KIND_HARDLINK)
 _MAX_LINK_HOPS = 64
 

@@ -22,7 +22,7 @@ import tarfile
 
 import pytest
 
-from staticslim.imageio import LayerStack, _layer_from_blob
+from staticslim.imageio import LayerStack, _FileBytes, _layer_from_blob
 
 
 def sha256(data: bytes) -> str:
@@ -221,9 +221,34 @@ def two_stream_layer(packing: str, *, damaged: bool = False, between: bytes = b"
     return compress(tar[:1024]) + between + bytes(second)
 
 
+TAR_MEDIA = "application/vnd.oci.image.layer.v1.tar"
+
+
+def memory_bytes(data: bytes) -> _FileBytes:
+    """``data`` as the layer code reads every file: an in-memory buffer
+    read through ``_FileBytes``."""
+    return _FileBytes(io.BytesIO(data), 0, len(data))
+
+
+def memory_stack(blobs) -> LayerStack:
+    """A stack of in-memory layers from (stored blob, media type) pairs,
+    base first. The blobs are ranges of one buffer that the stack owns, as
+    it owns an image archive: closing the stack closes it."""
+    archive = memory_bytes(b"".join(blob for blob, _ in blobs))
+    stack = LayerStack(layers=[], archive=archive)
+    at = 0
+    try:
+        for blob, media_type in blobs:
+            stack.layers.append(_layer_from_blob(archive.view(at, len(blob)), media_type, None))
+            at += len(blob)
+    except BaseException:
+        stack.close()
+        raise
+    return stack
+
+
 def make_stack(layer_tars) -> LayerStack:
-    return LayerStack(layers=[_layer_from_blob(data, "application/vnd.oci.image.layer.v1.tar",
-                                               None) for data in layer_tars])
+    return memory_stack([(data, TAR_MEDIA) for data in layer_tars])
 
 
 def default_config(layer_tars, **overrides) -> dict:
@@ -507,9 +532,10 @@ def snapshot_dir(dest: str) -> dict:
     return out
 
 
-def content_bytes(content) -> dict:
-    """A rootfs ``content`` mapping with each sized range read whole."""
-    return {path: data[:] for path, data in content.items()}
+def content_bytes(rootfs) -> dict:
+    """Each regular file of ``rootfs`` and its bytes, read whole."""
+    return {path: rootfs.data_for(path)[:] for path, rec in rootfs.entries.items()
+            if rec.kind == "regular"}
 
 
 def flattened_snapshot(rootfs) -> dict:
@@ -741,21 +767,20 @@ def rootfs_from_ground_truth(entries: dict):
     from staticslim.imageio import FileRecord, FlattenedRootfs
 
     records = {}
-    content = {}
     for path in sorted(entries):
         g = entries[path]
+        regular = g["kind"] == "regular"
         data = g.get("data", b"")
         records[path] = FileRecord(
             path=path,
             kind=g["kind"],
             mode=g.get("mode", 0o755),
-            size=len(data) if g["kind"] == "regular" else 0,
+            size=len(data) if regular else 0,
             link_target=g.get("target"),
+            data=data if regular else None,
         )
-        if g["kind"] == "regular":
-            content[path] = data
     total = sum(r.size for r in records.values() if r.kind == "regular")
-    return FlattenedRootfs(entries=records, content=content, total_size=total)
+    return FlattenedRootfs(entries=records, total_size=total)
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from staticslim.elf import (
     read_dynamic_info,
     rootfs_library_dirs,
 )
-from staticslim.imageio import KIND_DIRECTORY, KIND_SYMLINK
+from staticslim.imageio import KIND_DIRECTORY
 
 
 @dataclass
@@ -69,24 +69,16 @@ def lookup_record(rootfs, path: str):
 def _chain_entries(rootfs, path: str) -> tuple[list[str], str | None]:
     """Every entry the loader crosses to open ``path``, plus the terminal entry.
 
-    The entries are each spelling on the symlink chain of ``path`` and every
-    directory symlink crossed while resolving those spellings.
+    The entries are each link of the symlink chain of ``path`` and every
+    directory symlink crossed on the way, in walk order. One hop budget
+    spans the whole chain: a chain that exhausts it has no terminal.
     """
     out: list[str] = []
-    seen = set()
-    current = path
-    while True:
-        physical = resolve_entry(rootfs, current, trace=out)
-        if physical is None or physical in seen:
-            return out, None
-        rec = rootfs.entries.get(physical)
-        if rec is None:
-            return out, None
-        seen.add(physical)
-        out.append(physical)
-        if rec.kind != KIND_SYMLINK:
-            return out, physical
-        current = rootfs.symlink_table[physical]
+    physical = resolve_entry(rootfs, path, follow_last=True, trace=out)
+    if physical is None or physical not in rootfs.entries:
+        return out, None
+    out.append(physical)
+    return out, physical
 
 
 def resolve_elf_dependencies(

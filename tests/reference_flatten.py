@@ -3,11 +3,13 @@
 It is the oracle for ``staticslim.imageio.flatten_layers``, which removes a
 whited-out subtree as one key range of the sorted lower state and reads
 member bytes as slices of the layer: both must give the same entries,
-content, warnings, symlink table and total size. ``_apply_layer``,
-``_delete_subtree`` and ``flatten_layers`` are the original scan-based code;
-the member-path, parent and record helpers they call are shared. Each
-layer's stored bytes are opened by ``tarfile`` itself, which decompresses
-them, lists the members and reads their bytes, GNU sparse files included.
+file bytes, warnings, symlink table and total size. ``_apply_layer``,
+``_delete_subtree`` and ``flatten_layers`` are the original scan-based code,
+but for where a regular file's bytes are kept: on its record, read whole
+here, as the flattener keeps its range there; the member-path, parent and
+record helpers they call are shared. Each layer's stored bytes are opened by
+``tarfile`` itself, which decompresses them, lists the members and reads
+their bytes, GNU sparse files included.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ from staticslim.imageio import (
 )
 
 
-def _delete_subtree(entries: dict, content: dict, path: str) -> None:
+def _delete_subtree(entries: dict, path: str) -> None:
     prefix = path + "/"
     for p in [p for p in entries if p == path or p.startswith(prefix)]:
         entries.pop(p, None)
-        content.pop(p, None)
 
 
-def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
-                 warnings: list[str]) -> None:
+def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, warnings: list[str]) -> None:
     """Apply the members of one layer to the flattened state in place."""
     members = tf.getmembers()
 
@@ -58,10 +58,9 @@ def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
             prefix = parent.rstrip("/") + "/"
             for p in [p for p in entries if p.startswith(prefix)]:
                 entries.pop(p, None)
-                content.pop(p, None)
         elif base.startswith(WHITEOUT_PREFIX):
             target = posixpath.join(parent, base[len(WHITEOUT_PREFIX):])
-            _delete_subtree(entries, content, target)
+            _delete_subtree(entries, target)
 
     for m in members:
         path = _clean_member_path(m.name)
@@ -79,15 +78,16 @@ def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
 
         existing = entries.get(path)
         if existing is not None and existing.kind == KIND_DIRECTORY and kind != KIND_DIRECTORY:
-            _delete_subtree(entries, content, path)
-        elif existing is not None and kind != existing.kind:
-            content.pop(path, None)
+            _delete_subtree(entries, path)
 
-        link_target = None
+        link_target = data = None
         if kind == KIND_SYMLINK:
             link_target = m.linkname
         elif kind == KIND_HARDLINK:
             link_target = _clean_member_path(m.linkname)
+        elif kind == KIND_REGULAR:
+            fobj = tf.extractfile(m)
+            data = fobj.read() if fobj is not None else b""
 
         record = FileRecord(
             path=path,
@@ -103,26 +103,23 @@ def _apply_layer(index: int, tf: tarfile.TarFile, entries: dict, content: dict,
             devmajor=m.devmajor,
             devminor=m.devminor,
             block_device=m.type == tarfile.BLKTYPE,
+            data=data,
         )
         _ensure_parents(entries, path)
         entries[path] = record
-        if kind == KIND_REGULAR:
-            fobj = tf.extractfile(m)
-            content[path] = fobj.read() if fobj is not None else b""
 
 
 def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
     """Apply all layers in order with whiteout/opaque semantics."""
     entries: dict[str, FileRecord] = {}
-    content: dict[str, bytes] = {}
     warnings: list[str] = []
 
     for index, layer in enumerate(stack.layers):
         try:
             with tarfile.open(fileobj=io.BytesIO(layer.data), mode="r:*") as tf:
-                _apply_layer(index, tf, entries, content, warnings)
+                _apply_layer(index, tf, entries, warnings)
         except (tarfile.TarError, *_LAYER_STREAM_ERRORS) as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)
-    return FlattenedRootfs(entries=entries, content=content, total_size=total, warnings=warnings)
+    return FlattenedRootfs(entries=entries, total_size=total, warnings=warnings)

@@ -2,9 +2,10 @@
 
 It is the oracle for ``staticslim.jsmodule.tokenize``, which lexes with one
 token pattern: both must give the same (kind, value, line) stream. The scanners
-and tables are those of the original per-character lexer, with one fix: a
+and tables are those of the original per-character lexer, with two fixes: a
 backslash before a newline ends a regex-literal candidate, so the "/" lexes as
-division and later line numbers stay right.
+division, and a backslash before a newline in a template literal counts that
+line, as one in a quoted string does; both keep later line numbers right.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
         if c == "\\" and i + 1 < n:
             esc = source[i + 1]
             buf.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
+            if esc == "\n":
+                newlines += 1
             i += 2
             continue
         if c == "`":

@@ -300,7 +300,7 @@ class TestSlim:
             fat = flatten_layers(fat_stack)
             slim = flatten_layers(slim_stack)
             assert slim.entries == fat.entries
-            assert content_bytes(slim.content) == content_bytes(fat.content)
+            assert content_bytes(slim) == content_bytes(fat)
 
     def test_strict_mode_aborts_on_unresolved(self, runner, tmp_path):
         image = write_shell_image(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import posixpath
 import random
 import struct
@@ -518,7 +519,6 @@ def random_loader_rootfs(rng: random.Random) -> tuple[FlattenedRootfs, list[str]
     ``$ORIGIN`` rpaths and runpaths.
     """
     entries: dict[str, FileRecord] = {}
-    content: dict[str, bytes] = {}
 
     def directory(path):
         entries[path] = FileRecord(path=path, kind=KIND_DIRECTORY, mode=0o755)
@@ -527,8 +527,8 @@ def random_loader_rootfs(rng: random.Random) -> tuple[FlattenedRootfs, list[str]
         entries[path] = FileRecord(path=path, kind=KIND_SYMLINK, mode=0o777, link_target=target)
 
     def elf_object(path, **kwargs):
-        entries[path] = FileRecord(path=path, kind=KIND_REGULAR, mode=0o755)
-        content[path] = make_elf(filler=path.encode(), **kwargs)
+        entries[path] = FileRecord(path=path, kind=KIND_REGULAR, mode=0o755,
+                                   data=make_elf(filler=path.encode(), **kwargs))
 
     def random_elf(path, interp=None):
         elf_object(path, needed=rng.sample(_NEEDED, k=rng.randrange(0, 4)), interp=interp,
@@ -552,8 +552,8 @@ def random_loader_rootfs(rng: random.Random) -> tuple[FlattenedRootfs, list[str]
         homes.append("/usr/lib64")
     conf = [d for d in ("/", "/opt/libs", "/lib64", "/srv/real") if rng.random() < 0.7]
     rng.shuffle(conf)
-    entries["/etc/ld.so.conf"] = FileRecord(path="/etc/ld.so.conf", kind=KIND_REGULAR, mode=0o644)
-    content["/etc/ld.so.conf"] = ("# loader\n" + "".join(d + "\n" for d in conf)).encode()
+    entries["/etc/ld.so.conf"] = FileRecord(path="/etc/ld.so.conf", kind=KIND_REGULAR, mode=0o644,
+                                            data=("# loader\n" + "".join(d + "\n" for d in conf)).encode())
 
     for name in _LIB_NAMES:
         for home in rng.sample(homes, k=rng.randrange(1, 4)):
@@ -580,23 +580,24 @@ def random_loader_rootfs(rng: random.Random) -> tuple[FlattenedRootfs, list[str]
     random_elf("/opt/app/run", interp=_INTERP)
     roots = ["/usr/bin/app0", "/bin/app1", "/usr/bin/app2", "/opt/app/run", "/bin/app0", "/lib/liba.so",
              "/usr/lib/libb.so", "/opt/libs/libc.so", "/opt/app/libd.so"]
-    return FlattenedRootfs(entries=entries, content=content), roots
+    return FlattenedRootfs(entries=entries), roots
 
 
 def _carries_own_dirs(rootfs: FlattenedRootfs) -> bool:
     """Whether any ELF object of ``rootfs`` has a DT_RPATH or DT_RUNPATH."""
-    infos = (read_dynamic_info(data) for data in rootfs.content.values())
+    infos = (read_dynamic_info(rec.data) for rec in rootfs.entries.values() if rec.kind == KIND_REGULAR)
     return any(info is not None and (info.rpath or info.runpath) for info in infos)
 
 
 def _without_own_dirs(rootfs: FlattenedRootfs) -> FlattenedRootfs:
     """``rootfs`` with every dynamic object rebuilt without rpath or runpath."""
-    content = dict(rootfs.content)
-    for path, data in rootfs.content.items():
-        info = read_dynamic_info(data)
+    entries = dict(rootfs.entries)
+    for path, rec in rootfs.entries.items():
+        info = read_dynamic_info(rec.data) if rec.kind == KIND_REGULAR else None
         if info is not None and info.is_dynamic:
-            content[path] = make_elf(needed=info.needed, interp=info.interpreter, filler=path.encode())
-    return FlattenedRootfs(entries=rootfs.entries, content=content)
+            entries[path] = dataclasses.replace(rec, data=make_elf(
+                needed=info.needed, interp=info.interpreter, filler=path.encode()))
+    return FlattenedRootfs(entries=entries)
 
 
 def assert_retain_matches_reference(start_nodes, cll, rootfs, entry_paths):
@@ -630,6 +631,24 @@ def test_library_search_matches_reference_closure(rng):
     assert_retain_matches_reference([], CommandLinkedList(), rootfs, roots)
 
 
+@pytest.mark.parametrize("links", [63, 64])
+def test_library_chain_shares_one_hop_budget(links):
+    """The 64-hop budget spans a library's whole symlink chain, not each
+    link of it: 63 links of one hop each reach the library, 64 do not, and
+    the reference chain agrees on the entries crossed."""
+    entries = {"/lib": FileRecord(path="/lib", kind=KIND_DIRECTORY, mode=0o755)}
+    for i in range(links):
+        entries[f"/lib/libz.so.{i}"] = FileRecord(path=f"/lib/libz.so.{i}", kind=KIND_SYMLINK, mode=0o777,
+                                                  link_target=f"libz.so.{i + 1}")
+    library = make_elf()
+    last = f"/lib/libz.so.{links}"
+    entries[last] = FileRecord(path=last, kind=KIND_REGULAR, mode=0o755, size=len(library), data=library)
+    rootfs = FlattenedRootfs(entries=entries)
+    hops, terminal = LibrarySearch(rootfs).chain("/lib/libz.so.0")
+    assert terminal == (last if links < 64 else None)
+    assert (list(hops), terminal) == reference_elf._chain_entries(rootfs, "/lib/libz.so.0")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_retain_graph_keeps_reference_set(rng, own_dirs):
@@ -639,16 +658,17 @@ def test_retain_graph_keeps_reference_set(rng, own_dirs):
     forest = rootfs_from_ground_truth(random_symlink_rootfs(rng)[0])
     entries = {p: r for p, r in forest.entries.items()
                if posixpath.dirname(p) not in loader.symlink_table}
-    content = {p: d for p, d in forest.content.items() if p in entries}
-    for path in content:
-        if path.startswith(("/usr/bin/", "/usr/sbin/", "/bin/", "/sbin/")):
-            content[path] = make_elf(needed=rng.sample(_NEEDED, k=rng.randrange(0, 4)),
-                                     interp=_INTERP if rng.random() < 0.7 else None,
-                                     rpath=rng.choice(_RUNPATHS), runpath=rng.choice(_RUNPATHS))
+    for path, rec in entries.items():
+        if rec.kind == KIND_REGULAR and path.startswith(("/usr/bin/", "/usr/sbin/", "/bin/", "/sbin/")):
+            entries[path] = dataclasses.replace(rec, data=make_elf(
+                needed=rng.sample(_NEEDED, k=rng.randrange(0, 4)),
+                interp=_INTERP if rng.random() < 0.7 else None,
+                rpath=rng.choice(_RUNPATHS), runpath=rng.choice(_RUNPATHS)))
+    loader_files = sorted(p for p, r in loader.entries.items() if r.kind == KIND_REGULAR)
     for i in range(rng.randrange(0, 3)):
         entries[f"/usr/bin/hard{i}"] = FileRecord(path=f"/usr/bin/hard{i}", kind=KIND_HARDLINK, mode=0o755,
-                                                  link_target=rng.choice(sorted(loader.content)))
-    rootfs = FlattenedRootfs(entries={**entries, **loader.entries}, content={**content, **loader.content})
+                                                  link_target=rng.choice(loader_files))
+    rootfs = FlattenedRootfs(entries={**entries, **loader.entries})
     if not own_dirs:
         rootfs = _without_own_dirs(rootfs)
 

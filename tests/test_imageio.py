@@ -32,6 +32,8 @@ from conftest import (
     make_oci_archive,
     make_sparse_member,
     make_stack,
+    memory_bytes,
+    memory_stack,
     rechecksum,
     sequential_apply_oracle,
     sha256,
@@ -374,7 +376,7 @@ class TestFlatten:
         layer1 = make_layer_tar([{"path": "/a", "kind": "directory"}, {"path": "/a/x", "data": b"one"}])
         layer2 = make_layer_tar([{"path": "/a/x", "data": b"two", "mode": 0o600}])
         rootfs = flatten_layers(make_stack([layer1, layer2]))
-        assert rootfs.data_for("/a/x") == b"two"
+        assert rootfs.data_for("/a/x")[:] == b"two"
         assert rootfs.entries["/a/x"].mode == 0o600
 
     def test_opaque_directory_hides_lower_content(self):
@@ -396,7 +398,7 @@ class TestFlatten:
         rootfs = flatten_layers(make_stack([layer1, layer2]))
         assert "/d/old1" not in rootfs.entries
         assert "/d/sub" not in rootfs.entries
-        assert rootfs.data_for("/d/new") == b"3"
+        assert rootfs.data_for("/d/new")[:] == b"3"
 
     def test_whiteout_of_directory_removes_subtree(self):
         layer1 = make_layer_tar(
@@ -450,7 +452,7 @@ class TestFlatten:
         )
         rootfs = flatten_layers(make_stack([layer]))
         assert rootfs.entries["/link"].kind == "hardlink"
-        assert rootfs.data_for("/link") == b"payload"
+        assert rootfs.data_for("/link")[:] == b"payload"
 
     def test_dir_replaced_by_file_drops_children(self):
         layer1 = make_layer_tar(
@@ -469,7 +471,7 @@ class TestFlatten:
         first = flatten_layers(make_stack(layers))
         second = flatten_layers(make_stack(layers))
         assert first.entries == second.entries
-        assert first.content == second.content
+        assert content_bytes(first) == content_bytes(second)
 
 
 def random_layers(rng: random.Random) -> list[bytes]:
@@ -564,7 +566,8 @@ _MEMBER = st.one_of(
 _ENCODING = st.sampled_from(["tar", "gzip", "gzip-as-tar"])
 
 
-def _layer_blob(members, encoding: str) -> LayerBlob:
+def _layer_blob(members, encoding: str) -> tuple[bytes, str]:
+    """A layer of ``members`` stored as ``encoding``, and its media type."""
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w", format=tarfile.PAX_FORMAT) as tf:
         for kind, *args in members:
@@ -608,9 +611,8 @@ def _layer_blob(members, encoding: str) -> LayerBlob:
     tar = buf.getvalue()
     media = "application/vnd.oci.image.layer.v1.tar"
     if encoding == "tar":
-        return imageio._layer_from_blob(tar, media, None)
-    return imageio._layer_from_blob(gzip.compress(tar, mtime=0),
-                                    media + "+gzip" if encoding == "gzip" else media, None)
+        return tar, media
+    return gzip.compress(tar, mtime=0), media + "+gzip" if encoding == "gzip" else media
 
 
 @settings(max_examples=300, deadline=None)
@@ -628,11 +630,10 @@ def _layer_blob(members, encoding: str) -> LayerBlob:
 @example([([("dir", "a"), ("file", "a/b", b"x" * 512), ("hardlink", "b", "a/b")], "tar"),
           ([("whiteout", "", "a"), ("file", "a", b"now a file")], "tar")])
 def test_flatten_matches_reference_flatten(layers):
-    with LayerStack(layers=[_layer_blob(members, encoding) for members, encoding in layers]) as stack:
+    with memory_stack([_layer_blob(members, encoding) for members, encoding in layers]) as stack:
         got = flatten_layers(stack)
         want = reference_flatten.flatten_layers(stack)
         assert got.entries == want.entries
-        assert set(got.content) == set(want.content)
         assert _file_bytes(got) == _file_bytes(want)
     assert got.warnings == want.warnings
     assert got.symlink_table == want.symlink_table
@@ -656,7 +657,7 @@ def test_sparse_member_content_has_holes():
     for fmt in _SPARSE_FORMATS:
         stack = make_stack([make_layer_tar([{"path": "/s", "kind": "sparse", "format": fmt,
                                              "regions": [(0, b"ab"), (10, b"cd")], "tail": 3}])])
-        assert flatten_layers(stack).content["/s"] == b"ab" + b"\0" * 10 + b"cd" + b"\0" * 3, fmt
+        assert flatten_layers(stack).data_for("/s") == b"ab" + b"\0" * 10 + b"cd" + b"\0" * 3, fmt
 
 
 @pytest.mark.parametrize("stored", ["tar", "gzip"])
@@ -668,7 +669,7 @@ def test_sparse_layers_are_read_without_tarfile(fmt, stored):
     refuse = mock.Mock(side_effect=AssertionError("tarfile was asked to read a layer"))
     with mock.patch.object(tarfile, "TarFile", refuse), mock.patch.object(tarfile, "open", refuse):
         with make_stack([blob]) as stack:
-            assert content_bytes(flatten_layers(stack).content) == {
+            assert content_bytes(flatten_layers(stack)) == {
                 "/a": b"1", "/s": sparse_file_bytes(regions, 2), "/b": b"2"}
 
 
@@ -693,23 +694,22 @@ def test_gnu_tar_sparse_file_flattens_to_its_bytes(tmp_path, args):
     with make_stack([tar]) as stack:
         got = flatten_layers(stack)
         want = reference_flatten.flatten_layers(stack)
-        assert got.content["/f"] == path.read_bytes()
-        assert (got.entries, got.content) == (want.entries, want.content)
+        assert got.data_for("/f") == path.read_bytes()
+        assert (got.entries, content_bytes(got)) == (want.entries, content_bytes(want))
 
 
-class _RecordedReads:
-    """A layer's tar stream that records the span of each read."""
+class _RecordedReads(io.BytesIO):
+    """A layer's tar stream, in memory, that records the span of each read,
+    whether made through the layer or through a view of one of its files."""
 
     def __init__(self, tar: bytes):
-        self.tar = tar
+        super().__init__(tar)
         self.spans: list[tuple[int, int]] = []
 
-    def __len__(self) -> int:
-        return len(self.tar)
-
-    def __getitem__(self, span: slice) -> bytes:
-        data = self.tar[span]
-        self.spans.append((span.start, span.start + len(data)))
+    def read(self, size: int | None = -1) -> bytes:
+        start = self.tell()
+        data = super().read(size)
+        self.spans.append((start, start + len(data)))
         return data
 
 
@@ -732,12 +732,14 @@ def test_flatten_reads_header_blocks_alone():
                                                    else sum(n for _, n in h.sparse)))
                   for h in read_tar_headers(tar) if h.type not in imageio._NO_DATA_TYPES]
     recorded = _RecordedReads(tar)
+    stream = imageio._FileBytes(recorded, 0, len(tar))
     media = "application/vnd.oci.image.layer.v1.tar"
-    with LayerStack([LayerBlob(media, sha256(tar), sha256(tar), tar, recorded)]) as stack:
+    layer = LayerBlob(media, sha256(tar), sha256(tar), stream, stream)
+    with LayerStack([layer], archive=stream) as stack:
         rootfs = flatten_layers(stack)
         reads = list(recorded.spans)
-        assert rootfs.data_for("/etc/hard") == b"hello\n" * 200
-        assert rootfs.content["/sg"] == b"\0c\0\0d\0\0\0e\0\0\0\0f\0\0\0\0\0g"
+        assert rootfs.data_for("/etc/hard")[:] == b"hello\n" * 200
+        assert rootfs.data_for("/sg") == b"\0c\0\0d\0\0\0e\0\0\0\0f\0\0\0\0\0g"
     assert rootfs.entries["/etc/owned"].uname == "me"
     assert not [(read, data) for read in reads for data in data_spans
                 if read[0] < data[1] and data[0] < read[1]]
@@ -747,7 +749,10 @@ def test_flatten_reads_header_blocks_alone():
 
 @pytest.mark.parametrize("stored", ["bytes", "tar", "gzip"])
 def test_data_for_raises_once_the_stack_is_closed(tmp_path, stored):
-    layer = make_layer_tar(BASE_MEMBERS)
+    """Once the stack is closed, a file can still be looked up, but reading
+    its range, or laying out a sparse file, raises: its layer is closed."""
+    layer = make_layer_tar([*BASE_MEMBERS, {"path": "/s", "kind": "sparse", "format": "0.1",
+                                            "regions": [(2, b"s")]}])
     if stored == "bytes":
         stack = make_stack([layer])
     else:
@@ -756,9 +761,13 @@ def test_data_for_raises_once_the_stack_is_closed(tmp_path, stored):
     with stack:
         rootfs = flatten_layers(stack)
         assert rootfs.data_for("/etc/issue")[:] == b"hello\n"
+        view = rootfs.data_for("/etc/issue")
     with pytest.raises(ValueError, match="closed"):
-        rootfs.data_for("/etc/issue")
-    assert "/etc/issue" in rootfs.content
+        rootfs.data_for("/etc/issue")[:]
+    with pytest.raises(ValueError, match="closed"):
+        view[:]
+    with pytest.raises(ValueError, match="closed"):
+        rootfs.data_for("/s")
 
 
 def _without_rootfs(metadata: ImageMetadata) -> ImageMetadata:
@@ -1152,7 +1161,7 @@ def test_compressed_bytes_under_the_tar_media_type(magic):
     packed = {"gzip": lambda d: gzip.compress(d, mtime=0), "bz2": bz2.compress,
               "xz": lzma.compress}[magic](tar)
     with make_stack([packed]) as stack:
-        assert content_bytes(flatten_layers(stack).content) == {"/a": b"1"}
+        assert content_bytes(flatten_layers(stack)) == {"/a": b"1"}
 
 
 @pytest.mark.parametrize("packing", ["bz2", "xz"])
@@ -1166,12 +1175,12 @@ def test_damaged_later_stream_refuses_the_layer(packing):
 @pytest.mark.parametrize("packing", ["bz2", "xz"])
 def test_nuls_between_streams_are_skipped(packing):
     with make_stack([two_stream_layer(packing, between=bytes(4))]) as stack:
-        assert content_bytes(flatten_layers(stack).content) == TWO_STREAM_FILES
+        assert content_bytes(flatten_layers(stack)) == TWO_STREAM_FILES
 
 
 def test_plain_tar_named_like_a_magic_is_read_as_it_is():
     tar = make_layer_tar([{"path": "/BZh91AY", "data": b"1"}])
-    assert flatten_layers(make_stack([tar])).content == {"/BZh91AY": b"1"}
+    assert content_bytes(flatten_layers(make_stack([tar]))) == {"/BZh91AY": b"1"}
 
 
 @pytest.mark.skipif(shutil.which("tar") is None, reason="needs a tar program")
@@ -1183,7 +1192,7 @@ def test_emitted_stream_lists_with_system_tar(tmp_path):
         FileRecord(path="/opt", kind="directory", mode=0o755),
         FileRecord(path=long_dir, kind="directory", mode=0o750, uid=2**21, gid=7),
         FileRecord(path=long_dir + "/f", kind="regular", mode=0o4755, size=600, uid=2**32 - 2,
-                   mtime=2**33),
+                   mtime=2**33, data=b"z" * 600),
         FileRecord(path="/opt/z-hard", kind="hardlink", mode=0o644, link_target=long_dir + "/f"),
         FileRecord(path="/opt/sym", kind="symlink", mode=0o777, link_target="x" * 150),
         FileRecord(path="/opt/tty", kind="device", mode=0o620, devmajor=4, devminor=2**20),
@@ -1191,8 +1200,7 @@ def test_emitted_stream_lists_with_system_tar(tmp_path):
                    block_device=True),
         FileRecord(path="/opt/pipe", kind="fifo", mode=0o600),
     ]
-    rootfs = FlattenedRootfs(entries={r.path: r for r in records},
-                             content={long_dir + "/f": b"z" * 600})
+    rootfs = FlattenedRootfs(entries={r.path: r for r in records})
     retain = RetainList()
     for r in records:
         retain.add(r.path, "non-protected")
@@ -1319,7 +1327,7 @@ def _contract_uncompressed(tar: bytes) -> bytes:
 
 
 def _spooled(blob: bytes) -> bytes:
-    spool, digest = imageio._decompress(blob, "gzip")
+    spool, digest = imageio._decompress(memory_bytes(blob), "gzip")
     try:
         tar = spool[0:len(spool)]
     finally:
@@ -1331,9 +1339,8 @@ def _spooled(blob: bytes) -> bytes:
 def _layer_tar(blob: bytes, media_type: str) -> list:
     """The diff_id and tar stream of a layer stored as ``blob``, in a list,
     since a tuple ``_outcome`` is a refusal."""
-    layer = imageio._layer_from_blob(blob, media_type, None)
-    with LayerStack([layer]):
-        return [layer.diff_id, _tar_of_layer(layer)]
+    with memory_stack([(blob, media_type)]) as stack:
+        return [stack.layers[0].diff_id, _tar_of_layer(stack.layers[0])]
 
 
 # A bz2 stream whose combined CRC is damaged: its decoder gives all of its
@@ -1406,7 +1413,7 @@ def test_whole_streams_decompress_as_the_one_shot_call_does(case):
     spool holds what ``bz2.decompress`` or ``lzma.decompress`` returns."""
     module, blob, chunk = case
     with mock.patch.object(imageio, "_CHUNK", chunk):
-        spool, digest = imageio._decompress(blob, module.__name__)
+        spool, digest = imageio._decompress(memory_bytes(blob), module.__name__)
     try:
         data = spool[0:len(spool)]
     finally:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,15 @@ class TestTokenize:
         idents = [t for t in toks if t.kind == "ident"]
         assert idents[0].line == 5
 
+    @pytest.mark.parametrize("source", ["x = `a\\\nb`\nexec(1)", "x = `${`a\\\nb`}`\nexec(1)"],
+                             ids=["template", "nested"])
+    def test_line_continuation_in_template_counts_as_a_line(self, source):
+        # As in a quoted string, the newline after a backslash ends a line.
+        assert [t.line for t in tokenize(source) if t.value == "exec"] == [3]
+        assert [t.line for t in reference_lexer.tokenize(source) if t.value == "exec"] == [3]
+        index = scan_module("m.js", source, SINKS)
+        assert [(c.callee, c.line) for c in index.calls] == [("exec", 3)]
+
     def test_regex_candidate_ends_at_escaped_newline(self):
         # A regex literal cannot span lines: the "/" is division, and the
         # call on line 3 keeps its line number.
@@ -104,6 +114,8 @@ class TestTokenize:
     @example("x = /=/; y /= 2")
     # Braces, strings, escapes and unclosed templates inside substitutions.
     @example("`a${ {b: `c${'}'}\\`\n${\"d\n}`} }e`\n`${`${\n")
+    # Line continuations in a template and in one nested in a substitution.
+    @example("`a\\\nb${`c\\\nd`}`\nexec(1)")
     def test_same_stream_as_reference_lexer(self, text):
         assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
 

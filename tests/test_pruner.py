@@ -387,7 +387,7 @@ _SIZE = st.sampled_from([0, 1, 511, 512, 513, 1024, 1500, 8704, 9216])
 @st.composite
 def _retained_rootfs(draw):
     entries: dict[str, FileRecord] = {}
-    content: dict[str, bytes] = {}
+    regular: list[str] = []
     for path in draw(st.lists(_NAME, min_size=1, max_size=12, unique=True)):
         kind = draw(st.sampled_from(
             ["regular", "directory", "symlink", "hardlink", "device", "fifo"]))
@@ -395,9 +395,9 @@ def _retained_rootfs(draw):
                       uid=draw(_ID), gid=draw(_ID), mtime=draw(st.sampled_from([0, 1, 2**33])),
                       uname=draw(st.sampled_from(["", "root", "ünïcode"])), gname="")
         if kind == "regular":
-            data = bytes([len(content) % 256]) * draw(_SIZE)
-            content[path] = data
-            entries[path] = FileRecord(kind=kind, size=len(data), **common)
+            data = bytes([len(regular) % 256]) * draw(_SIZE)
+            regular.append(path)
+            entries[path] = FileRecord(kind=kind, size=len(data), data=data, **common)
         elif kind == "symlink":
             entries[path] = FileRecord(kind=kind, link_target=draw(_NAME).lstrip("/"), **common)
         elif kind == "device":
@@ -407,7 +407,7 @@ def _retained_rootfs(draw):
         else:
             entries[path] = FileRecord(kind=kind, **common)
     # Hardlinks point at a regular file, which may or may not be retained.
-    regular = sorted(content)
+    regular.sort()
     for path, rec in list(entries.items()):
         if rec.kind == "hardlink":
             if regular:
@@ -419,12 +419,12 @@ def _retained_rootfs(draw):
     retain = RetainList()
     for path in draw(st.lists(st.sampled_from(sorted(entries)), min_size=1)):
         retain.add(path, "non-protected")
-    return FlattenedRootfs(entries=entries, content=content), retain
+    return FlattenedRootfs(entries=entries), retain
 
 
 def _one_file(size: int):
-    rootfs = FlattenedRootfs(entries={"/f": FileRecord(path="/f", kind="regular", mode=0o644, size=size)},
-                             content={"/f": b"f" * size})
+    rootfs = FlattenedRootfs(entries={"/f": FileRecord(path="/f", kind="regular", mode=0o644, size=size,
+                                                       data=b"f" * size)})
     retain = RetainList()
     retain.add("/f", "non-protected")
     return rootfs, retain
