@@ -1,4 +1,11 @@
-"""Command-line entry points: analyze, slim, inspect."""
+"""Command-line entry points: analyze, slim, inspect.
+
+Each command loads only the stages it runs: it imports them in its own
+body, so ``analyze`` never loads the image codec, the ELF parser or
+hashlib, and ``inspect`` never loads the JavaScript analysis. A command
+looks its stage functions up on their modules when it runs, so a function
+patched on its module is the one called.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import analyzer as analyzer_mod
-from . import pruner as pruner_mod
-from .analyzer import DEFAULT_SINKS, CommandTokenList
 from .errors import AnalysisError, PruneConsistencyError, SlimError
-from .imageio import flatten_layers, load_image_archive
-from .rootfs import DEFAULT_SEARCH_DIRS, collect_system_commands, command_heads
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +35,13 @@ def _parse_list(value: str | None, default) -> tuple:
     if not value:
         return tuple(default)
     return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+def _check_output_dirs(*outputs: tuple[str, str | None]) -> None:
+    """Exit 4 when the directory of a named output does not exist."""
+    for option, path in outputs:
+        if path and not Path(path).parent.is_dir():
+            _fail(EXIT_ANALYSIS, f"{option}: no such directory: {Path(path).parent}")
 
 
 @click.group()
@@ -55,9 +64,12 @@ def main(verbose: bool) -> None:
 @click.option("--strict", is_flag=True, help="Fail when any exec argument stays unresolved.")
 def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None:
     """Extract the command token list from a project directory."""
-    sink_names = frozenset(_parse_list(sinks, DEFAULT_SINKS))
+    from . import analyzer
+
+    _check_output_dirs(("--output", output), ("--report", report))
+    sink_names = frozenset(_parse_list(sinks, analyzer.DEFAULT_SINKS))
     try:
-        ctl = analyzer_mod.analyze_project(
+        ctl = analyzer.analyze_project(
             project, sink_names, include_dependency_scripts=include_dep_scripts
         )
     except AnalysisError as exc:
@@ -104,23 +116,24 @@ def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None
 def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
          report, search_dirs, sinks, dump_cll, dump_retain) -> None:
     """Slim an image archive end to end."""
+    from . import analyzer, pruner
+    from .rootfs import DEFAULT_SEARCH_DIRS
+
     if not project and not ctl_path:
         _fail(EXIT_ANALYSIS, "provide --project or --ctl (an empty CTL still needs a file)")
     if Path(input_path).resolve() == Path(output_path).resolve():
         _fail(EXIT_ANALYSIS, "--input and --output must differ")
-    for option, path in (("--output", output_path), ("--report", report),
-                         ("--dump-cll", dump_cll), ("--dump-retain", dump_retain)):
-        if path and not Path(path).parent.is_dir():
-            _fail(EXIT_ANALYSIS, f"{option}: no such directory: {Path(path).parent}")
+    _check_output_dirs(("--output", output_path), ("--report", report),
+                       ("--dump-cll", dump_cll), ("--dump-retain", dump_retain))
 
     dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
-    sink_names = frozenset(_parse_list(sinks, DEFAULT_SINKS))
+    sink_names = frozenset(_parse_list(sinks, analyzer.DEFAULT_SINKS))
 
     try:
         if ctl_path:
-            ctl = CommandTokenList.read_text(ctl_path)
+            ctl = analyzer.CommandTokenList.read_text(ctl_path)
         else:
-            ctl = analyzer_mod.analyze_project(project, sink_names)
+            ctl = analyzer.analyze_project(project, sink_names)
     except AnalysisError as exc:
         _fail(EXIT_ANALYSIS, str(exc) if ctl_path else f"analyze: {exc}")
         return
@@ -133,7 +146,7 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
     try:
         # --output is written through a temporary file beside it and
         # renamed over it once the image is whole.
-        result = pruner_mod.slim_image(
+        result = pruner.slim_image(
             input_path,
             ctl,
             output_path,
@@ -163,16 +176,18 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
 @click.option("--search-dirs", help="Comma-separated command search directories.")
 def inspect(input_path, search_dirs) -> None:
     """Print metadata, supported-command count, and size summary of an image."""
-    dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
+    from . import imageio, rootfs
+
+    dirs = _parse_list(search_dirs, rootfs.DEFAULT_SEARCH_DIRS)
     try:
-        metadata, stack = load_image_archive(input_path)
+        metadata, stack = imageio.load_image_archive(input_path)
         with stack:
-            rootfs = flatten_layers(stack)
+            flat = imageio.flatten_layers(stack)
     except SlimError as exc:
         _fail(EXIT_FORMAT, str(exc))
         return
 
-    heads = command_heads(collect_system_commands(rootfs, dirs), rootfs, dirs)
+    heads = rootfs.command_heads(rootfs.collect_system_commands(flat, dirs), flat, dirs)
 
     def show(label, value):
         click.echo(f"{label}: {value}")
@@ -186,8 +201,8 @@ def inspect(input_path, search_dirs) -> None:
     show("working dir", metadata.working_dir or "none")
     show("env vars", len(metadata.env_vars))
     show("layers", len(stack.layers))
-    show("entries", len(rootfs.entries))
-    show("rootfs size", rootfs.total_size)
+    show("entries", len(flat.entries))
+    show("rootfs size", flat.total_size)
     show("commands supported", len(heads))
 
 

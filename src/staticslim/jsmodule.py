@@ -50,17 +50,20 @@ _REGEX_ALLOWED_AFTER = frozenset(
      "instanceof", "do", "else", "yield", "await"}
 )
 
-# One alternative per token start, tried in order. Whitespace is exactly
-# " \t\r\f\v": any other space lexes as punctuation. Numbers and identifiers
-# start with str.isdigit / str.isalpha, which no character class equals, so
-# only ASCII starts are matched here; a non-ASCII start (or a "." before one)
-# is "unicode" and tokenize tests it with the str methods.
+# The blanks before a token, then one alternative per token start, tried in
+# order. Blanks are exactly " \t\r\f\v": any other space lexes as
+# punctuation. A match that names no group (a line comment, or blanks at the
+# end of the input) only advances. Numbers and identifiers start with
+# str.isdigit / str.isalpha, which no character class equals, so only ASCII
+# starts are matched here; a non-ASCII start (or a "." before one) is
+# "unicode" and tokenize tests it with the str methods.
 _NUMBER_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
 _IDENT_TAIL = r"[\w$]*"
 _TOKEN = re.compile(
     rf"""
-    (?P<nl>\n[ \t\r\f\v]*)
-    | [ \t\r\f\v]+
+    [ \t\r\f\v]*
+    (?:
+      (?P<nl>\n)
     | //[^\n]*
     | (?P<block_comment>/\*)
     | (?P<num>(?:[0-9]|\.[0-9]){_NUMBER_TAIL})
@@ -73,6 +76,8 @@ _TOKEN = re.compile(
         ===|!==|\*\*=|\.\.\.|>>>|&&=|\|\|=|\?\?=
         | =>|==|!=|<=|>=|\+=|-=|\*=|%=|&&|\|\||\?\?|\+\+|--|\*\*|<<|>>|&=|\|=|\^=|\?\.
         | .)
+    | $
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -124,41 +129,45 @@ def tokenize(source: str) -> Tokens:
         kind = m.lastgroup
         end = m.end()
         if kind == "ident" or kind == "num" or kind == "punct":
-            toks.append(Token(kind, m.group(), line))
+            toks.append(Token(kind, m[kind], line))
         elif kind == "nl":
             line += 1
         elif kind == "str":
-            value, end, nl = _scan_string(source, i, source[i])
+            start = m.start(kind)
+            value, end, nl = _scan_string(source, start, source[start])
             toks.append(Token("str", value, line))
             line += nl
         elif kind == "tpl":
-            parts, end, nl = _scan_template(source, i)
+            parts, end, nl = _scan_template(source, m.start(kind))
             toks.append(Token("tpl", parts, line))
             line += nl
         elif kind == "slash":
+            start = m.start(kind)
             prev = toks[-1] if toks else None
-            regex_end = _scan_regex(source, i) if _regex_can_start(prev) else None
+            regex_end = _scan_regex(source, start) if _regex_can_start(prev) else None
             if regex_end is None:
-                toks.append(Token("punct", m.group(), line))
+                toks.append(Token("punct", m[kind], line))
             else:
-                toks.append(Token("regex", source[i:regex_end], line))
+                toks.append(Token("regex", source[start:regex_end], line))
                 end = regex_end
         elif kind == "block_comment":
-            j = source.find("*/", i + 2)
+            start = m.start(kind)
+            j = source.find("*/", start + 2)
             if j < 0:
                 break
-            line += source.count("\n", i, j)
+            line += source.count("\n", start, j)
             end = j + 2
         elif kind == "unicode":
-            c = source[i]
-            if c.isdigit() or (c == "." and source[i + 1].isdigit()):
-                end = _NUMBER_REST.match(source, i + 1).end()
-                toks.append(Token("num", source[i:end], line))
+            start = m.start(kind)
+            c = source[start]
+            if c.isdigit() or (c == "." and source[start + 1].isdigit()):
+                end = _NUMBER_REST.match(source, start + 1).end()
+                toks.append(Token("num", source[start:end], line))
             elif c.isalpha():
-                end = _IDENT_REST.match(source, i + 1).end()
-                toks.append(Token("ident", source[i:end], line))
+                end = _IDENT_REST.match(source, start + 1).end()
+                toks.append(Token("ident", source[start:end], line))
             else:
-                end = i + 1
+                end = start + 1
                 toks.append(Token("punct", c, line))
         i = end
     return toks

@@ -10,6 +10,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tarfile
 import tempfile
 
@@ -30,6 +32,7 @@ from conftest import (
     shell_chain_members,
     two_stream_layer,
 )
+from staticslim import analyzer as analyzer_mod
 from staticslim import pruner as pruner_mod
 from staticslim.cli import main
 from staticslim.imageio import flatten_layers, load_image_archive
@@ -709,6 +712,21 @@ def test_missing_output_directory_exits_4_before_the_input_is_read(runner, tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ctl", "fat.tar"]
 
 
+@pytest.mark.parametrize("option", ["--output", "--report"])
+def test_analyze_missing_output_directory_exits_4(runner, tmp_path, monkeypatch, option):
+    def unwalked(*args, **kwargs):
+        raise AssertionError("the project was walked")
+
+    monkeypatch.setattr(analyzer_mod, "analyze_project", unwalked)
+    project = write_project(tmp_path, {"a.js": "exec('ls');\n"})
+    result = runner.invoke(main, ["analyze", "--project", str(project), option,
+                                  str(tmp_path / "missing" / "file")])
+    assert result.exit_code == 4, result.output
+    assert "Traceback" not in result.output
+    assert result.output == f"error: {option}: no such directory: {tmp_path / 'missing'}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["proj"]
+
+
 @pytest.mark.parametrize("fmt", ["gnu", "0.0", "0.1", "1.0"])
 def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
     """The image archive's members are read as slices of it, which a sparse
@@ -1082,3 +1100,42 @@ def test_any_json_in_an_image_document_exits_0_3_or_4(target, data):
         _write_image(image, layer, layout, _full_config(layer), damage)
         for result in _run_both(CliRunner(), pathlib.Path(work), image):
             assert result.exit_code in (0, 3, 4), (result.output, result.exception)
+
+
+# Run in a fresh interpreter: import the CLI, run the command given (if any)
+# and print the names of the modules then loaded.
+_LOADED_MODULES = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import staticslim.cli
+if len(sys.argv) > 2:
+    staticslim.cli.main(sys.argv[2:], prog_name="staticslim", standalone_mode=False)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_each_command_imports_only_its_stages(tmp_path):
+    src = pathlib.Path(analyzer_mod.__file__).parents[1]
+
+    def loaded(*args):
+        proc = subprocess.run([sys.executable, "-I", "-c", _LOADED_MODULES, str(src), *args],
+                              capture_output=True, text=True, check=True)
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    stages = {f"staticslim.{m}" for m in ("analyzer", "jsmodule", "imageio", "pruner", "rootfs", "elf")}
+    image_code = {"staticslim.imageio", "staticslim.pruner", "staticslim.rootfs", "staticslim.elf",
+                  "_hashlib", "tarfile"}
+    analysis = {"staticslim.analyzer", "staticslim.jsmodule"}
+
+    assert loaded() & (stages | {"hashlib", "_hashlib", "tarfile"}) == set()
+
+    project = write_project(tmp_path, {"a.js": "exec('ls');\n"})
+    ctl = tmp_path / "a.ctl"
+    after_analyze = loaded("analyze", "--project", str(project), "--output", str(ctl))
+    assert ctl.read_text() == "ls\n"
+    assert analysis <= after_analyze
+    assert after_analyze & image_code == set()
+
+    after_inspect = loaded("inspect", "--input", str(write_shell_image(tmp_path)))
+    assert {"staticslim.imageio", "staticslim.rootfs"} <= after_inspect
+    assert after_inspect & analysis == set()

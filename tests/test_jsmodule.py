@@ -116,6 +116,8 @@ class TestTokenize:
     @example("`a${ {b: `c${'}'}\\`\n${\"d\n}`} }e`\n`${`${\n")
     # Line continuations in a template and in one nested in a substitution.
     @example("`a\\\nb${`c\\\nd`}`\nexec(1)")
+    # Blank runs before every token kind and at the end of the input.
+    @example("  x \t= \f'a' +\v `t${ 1 }`;\r y =\t /r/g \t/ 2 \n \t/* c */ \u00e9t\u00e9 \t.5 // z\n\t \t")
     def test_same_stream_as_reference_lexer(self, text):
         assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
 
