@@ -11,13 +11,12 @@ import importlib
 # The public names, by the module that defines them.
 _EXPORTS = {
     "analyzer": (
-        "CommandToken",
-        "CommandTokenList",
         "PackageRef",
         "analyze_project",
         "enumerate_dependency_chain",
         "extract_command_tokens",
     ),
+    "ctl": ("CommandToken", "CommandTokenList"),
     "elf": ("read_dynamic_info",),
     "errors": (
         "AnalysisError",

@@ -4,10 +4,10 @@ Walks the installed dependency tree, reads each source file once, lexes
 only files that textually contain an exec-family call (resolution is
 intra-module, so no other file can contribute), and resolves the first
 argument of each sink call through the module scanner to its constant
-values. The command token list (CTL) is the one result: the words of those
-values, each with its sink call as origin, the sink calls that yield no
-constant, and the words of the shell scripts. Everything runs offline
-against the files on disk.
+values. The one result is a command token list (CTL, defined in ``ctl``):
+the words of those values, each with its sink call as origin, the sink
+calls that yield no constant, and the words of the shell scripts.
+Everything runs offline against the files on disk.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import jsmodule
+from .ctl import PROVENANCE_ENTRYPOINT, PROVENANCE_EXEC, PROVENANCE_SHELL, CommandTokenList
 from .errors import AnalysisError
 from .shellwords import tokenize_script
 
@@ -33,10 +34,6 @@ DEFAULT_SINKS = frozenset(
 
 _SOURCE_SUFFIXES = (".js", ".mjs", ".cjs")
 
-PROVENANCE_EXEC = "exec-argument"
-PROVENANCE_SHELL = "shell-script"
-PROVENANCE_ENTRYPOINT = "entrypoint-script"
-
 
 @dataclass
 class PackageRef:
@@ -44,71 +41,6 @@ class PackageRef:
     version: str
     root_dir: Path
     source_files: list[Path] = field(default_factory=list)
-
-
-@dataclass
-class CommandToken:
-    token: str
-    provenance: str
-    origin: str  # file:line
-
-    def __post_init__(self):
-        if not self.token or any(ch.isspace() for ch in self.token):
-            raise ValueError(f"command token must be non-empty and whitespace-free: {self.token!r}")
-
-
-@dataclass
-class CommandTokenList:
-    tokens: list[CommandToken] = field(default_factory=list)
-    unresolved_sinks: list[str] = field(default_factory=list)
-    _texts: set[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._texts = {t.token for t in self.tokens}
-
-    def token_texts(self) -> list[str]:
-        return [t.token for t in self.tokens]
-
-    def add(self, token: str, provenance: str, origin: str) -> None:
-        if token in self._texts:
-            return
-        self.tokens.append(CommandToken(token=token, provenance=provenance, origin=origin))
-        self._texts.add(token)
-
-    def write_text(self, path) -> None:
-        Path(path).write_text("".join(t.token + "\n" for t in self.tokens))
-
-    @staticmethod
-    def read_text(path) -> "CommandTokenList":
-        """Read a CTL file: one token per line, blank lines and ``#`` comments
-        skipped. A file that is not UTF-8 text of such lines raises
-        ``AnalysisError`` naming ``path:line``."""
-        data = Path(path).read_bytes()
-        try:
-            text = data.decode()
-        except UnicodeDecodeError as exc:
-            # The bytes before the bad one decode; a character put in its place
-            # lands on the bad byte's line.
-            lineno = len((data[: exc.start].decode() + "?").splitlines())
-            raise AnalysisError(f"{path}:{lineno}: not UTF-8 text") from exc
-        ctl = CommandTokenList()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            word = line.strip()
-            if word and not word.startswith("#"):
-                try:
-                    ctl.add(word, PROVENANCE_EXEC, f"{path}:{lineno}")
-                except ValueError as exc:
-                    raise AnalysisError(f"{path}:{lineno}: {exc}") from exc
-        return ctl
-
-    def report(self) -> dict:
-        return {
-            "tokens": [
-                {"token": t.token, "provenance": t.provenance, "origin": t.origin}
-                for t in self.tokens
-            ],
-            "unresolved_sinks": list(self.unresolved_sinks),
-        }
 
 
 def _read_manifest(pkg_dir: Path) -> dict:

@@ -2,7 +2,9 @@
 
 Each command loads only the stages it runs: it imports them in its own
 body, so ``analyze`` never loads the image codec, the ELF parser or
-hashlib, and ``inspect`` never loads the JavaScript analysis. A command
+hashlib, and ``inspect`` never loads the JavaScript analysis. ``slim``
+loads the analysis only to analyze ``--project``: with ``--ctl`` it reads
+the file through the CTL module (``ctl``) alone. A command
 looks its stage functions up on their modules when it runs, so a function
 patched on its module is the one called.
 """
@@ -116,7 +118,8 @@ def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None
 def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
          report, search_dirs, sinks, dump_cll, dump_retain) -> None:
     """Slim an image archive end to end."""
-    from . import analyzer, pruner
+    from . import pruner
+    from .ctl import CommandTokenList
     from .rootfs import DEFAULT_SEARCH_DIRS
 
     if not project and not ctl_path:
@@ -127,12 +130,14 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
                        ("--dump-cll", dump_cll), ("--dump-retain", dump_retain))
 
     dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
-    sink_names = frozenset(_parse_list(sinks, analyzer.DEFAULT_SINKS))
 
     try:
         if ctl_path:
-            ctl = analyzer.CommandTokenList.read_text(ctl_path)
+            ctl = CommandTokenList.read_text(ctl_path)
         else:
+            from . import analyzer
+
+            sink_names = frozenset(_parse_list(sinks, analyzer.DEFAULT_SINKS))
             ctl = analyzer.analyze_project(project, sink_names)
     except AnalysisError as exc:
         _fail(EXIT_ANALYSIS, str(exc) if ctl_path else f"analyze: {exc}")

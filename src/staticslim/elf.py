@@ -175,45 +175,34 @@ def _vaddr_to_offset(loads, vaddr: int) -> int:
     raise ValueError(f"vaddr {vaddr:#x} not covered by any PT_LOAD segment")
 
 
-def library_search_dirs(rootfs: FlattenedRootfs) -> list[str]:
-    """Default library directories plus architecture-triplet subdirectories
-    (``x86_64-linux-gnu`` style) discovered inside the rootfs."""
+def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
+    """The directories the loader searches for a needed name, in order.
+
+    One pass over the entries (in path order) collects the directories
+    listed in ``/etc/ld.so.conf`` and ``/etc/ld.so.conf.d/*.conf`` and the
+    architecture-triplet subdirectories (``x86_64-linux-gnu`` style) of
+    ``DEFAULT_LIB_DIRS``. The listed directories come first, then the
+    defaults, then the triplets grouped by default directory.
+    """
+    conf_dirs: list[str] = []
     triplets: dict[str, list[str]] = {base: [] for base in DEFAULT_LIB_DIRS}
     for path, rec in rootfs.entries.items():
-        if rec.kind == KIND_DIRECTORY and "-linux-" in posixpath.basename(path):
+        if path == "/etc/ld.so.conf" or (
+            path.startswith("/etc/ld.so.conf.d/") and path.endswith(".conf")
+        ):
+            try:
+                text = rootfs.data_for(path)[:].decode(errors="replace")
+            except KeyError:
+                continue
+            for line in text.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("/"):
+                    conf_dirs.append(posixpath.normpath(line))
+        elif rec.kind == KIND_DIRECTORY and "-linux-" in posixpath.basename(path):
             base = posixpath.dirname(path)
             if base in triplets:
                 triplets[base].append(path)
-    return list(DEFAULT_LIB_DIRS) + [p for base in DEFAULT_LIB_DIRS for p in triplets[base]]
-
-
-def _loader_conf_paths(rootfs: FlattenedRootfs) -> list[str]:
-    return sorted(
-        p
-        for p in rootfs.entries
-        if p == "/etc/ld.so.conf"
-        or (p.startswith("/etc/ld.so.conf.d/") and p.endswith(".conf"))
-    )
-
-
-def _loader_conf_dirs(rootfs: FlattenedRootfs, conf_paths) -> list[str]:
-    dirs = []
-    for conf in conf_paths:
-        try:
-            text = rootfs.data_for(conf)[:].decode(errors="replace")
-        except KeyError:
-            continue
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line.startswith("/"):
-                dirs.append(posixpath.normpath(line))
-    return dirs
-
-
-def rootfs_library_dirs(rootfs: FlattenedRootfs) -> list[str]:
-    """Loader-configured directories followed by the default set."""
-    conf_dirs = _loader_conf_dirs(rootfs, _loader_conf_paths(rootfs))
-    return conf_dirs + library_search_dirs(rootfs)
+    return conf_dirs + list(DEFAULT_LIB_DIRS) + [p for base in DEFAULT_LIB_DIRS for p in triplets[base]]
 
 
 class LibrarySearch:

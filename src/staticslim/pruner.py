@@ -8,6 +8,9 @@ plus what the loader opens to start the matched programs, walked by
 ``elf.LibrarySearch.edges``: their interpreters and needed libraries.
 ``slim_image`` runs the whole pipeline, from input archive to report, on the
 one ``FlattenedRootfs`` that every stage reads.
+
+The tokens come in a command token list (``ctl``), the one artefact this
+stage shares with the analysis stage; pruning never loads the analysis.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .analyzer import CommandTokenList
+from .ctl import PROVENANCE_EXEC, CommandTokenList
 from .elf import LibrarySearch
 from .errors import PruneConsistencyError
 from .imageio import (
@@ -298,7 +301,6 @@ def _human_size(n: int) -> str:
         if value < 1024 or unit == "GB":
             return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
         value /= 1024
-    return f"{n}B"
 
 
 def compute_report(
@@ -416,7 +418,7 @@ def slim_image(
         entry_tokens = _entrypoint_tokens(metadata)
         image_ctl = CommandTokenList(tokens=list(ctl.tokens))
         for token in entry_tokens:
-            image_ctl.add(token, "exec-argument", "image-config")
+            image_ctl.add(token, PROVENANCE_EXEC, "image-config")
         match = match_tokens(image_ctl, cll)
         if conservative:
             retain = RetainList()

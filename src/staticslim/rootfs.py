@@ -242,7 +242,6 @@ class CommandLinkedList:
     nodes: dict[str, CommandNode] = field(default_factory=dict)
     heads: list[str] = field(default_factory=list)
     cycles: list[list[str]] = field(default_factory=list)
-    skipped_commands: list[str] = field(default_factory=list)
 
     def get(self, name: str) -> CommandNode | None:
         return self.nodes.get(name)
@@ -324,7 +323,6 @@ def build_command_linked_list(
 ) -> CommandLinkedList:
     """Construct the command linked list over the given command names."""
     cll = CommandLinkedList(heads=command_heads(commands, rootfs, search_dirs))
-    cll.skipped_commands = sorted(set(commands) - SHELL_BUILTINS - set(cll.heads))
     for cmd in cll.heads:
         _extend_chain(cll, cll.add(cmd), rootfs, search_dirs)
     return cll

@@ -16,14 +16,13 @@ import reference_walk
 from staticslim import analyzer, jsmodule
 from staticslim.analyzer import (
     DEFAULT_SINKS,
-    CommandToken,
-    CommandTokenList,
     analyze_project,
     enumerate_dependency_chain,
     exec_call_pattern,
     extract_command_tokens,
     find_shell_scripts,
 )
+from staticslim.ctl import CommandToken, CommandTokenList
 from staticslim.errors import AnalysisError
 
 

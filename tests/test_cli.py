@@ -1139,3 +1139,9 @@ def test_each_command_imports_only_its_stages(tmp_path):
     after_inspect = loaded("inspect", "--input", str(write_shell_image(tmp_path)))
     assert {"staticslim.imageio", "staticslim.rootfs"} <= after_inspect
     assert after_inspect & analysis == set()
+
+    # A prebuilt CTL needs only the CTL module, not the analysis behind it.
+    after_slim = loaded("slim", "--input", str(write_shell_image(tmp_path)), "--ctl", str(ctl),
+                        "--output", str(tmp_path / "slim.tar"))
+    assert {"staticslim.ctl", "staticslim.pruner"} <= after_slim
+    assert after_slim & (analysis | {"staticslim.shellwords"}) == set()

@@ -25,7 +25,7 @@ from conftest import (
     rootfs_from_ground_truth,
 )
 from staticslim import elf, rootfs as rootfs_mod
-from staticslim.analyzer import CommandTokenList
+from staticslim.ctl import CommandTokenList
 from staticslim.elf import LibrarySearch, read_dynamic_info
 from staticslim.imageio import (
     KIND_DIRECTORY,

@@ -44,7 +44,7 @@ from conftest import (
     two_stream_layer,
 )
 from staticslim import imageio
-from staticslim.analyzer import CommandTokenList
+from staticslim.ctl import CommandTokenList
 from staticslim.errors import (
     EmptyImageError,
     ImageFormatError,

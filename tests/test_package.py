@@ -10,8 +10,9 @@ import staticslim
 
 # The names the package exports, by the module that defines them.
 EXPORTS = {
-    "analyzer": ["CommandToken", "CommandTokenList", "PackageRef", "analyze_project",
-                 "enumerate_dependency_chain", "extract_command_tokens"],
+    "analyzer": ["PackageRef", "analyze_project", "enumerate_dependency_chain",
+                 "extract_command_tokens"],
+    "ctl": ["CommandToken", "CommandTokenList"],
     "elf": ["read_dynamic_info"],
     "errors": ["AnalysisError", "EmptyImageError", "ImageFormatError", "IntegrityError",
                "LayerSecurityError", "OversizedFileError", "PruneConsistencyError", "SlimError",

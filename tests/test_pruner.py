@@ -22,7 +22,7 @@ from conftest import (
     shell_chain_members,
 )
 from staticslim import rootfs as rootfs_mod
-from staticslim.analyzer import CommandTokenList
+from staticslim.ctl import CommandTokenList
 from staticslim.errors import PruneConsistencyError
 from staticslim.imageio import FileRecord, FlattenedRootfs, flatten_layers
 from staticslim.pruner import (
