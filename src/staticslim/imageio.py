@@ -27,7 +27,6 @@ file, layer or archive is held whole.
 from __future__ import annotations
 
 import bisect
-import gzip
 import hashlib
 import importlib
 import io
@@ -131,9 +130,10 @@ class TarHeaderError(ImageFormatError):
 
 
 # What a damaged layer stream or image archive raises: the header codec's
-# error and, underneath it, those of the decompressors (a truncated gzip
-# stream ends in EOFError).
-_LAYER_STREAM_ERRORS = (TarHeaderError, gzip.BadGzipFile, EOFError, zlib.error)
+# error and, underneath it, those of the gzip decoder a gzip layer is read
+# through (zlib's error for a damaged member, EOFError for a cut one).
+# ``_uncompressed`` turns what any decoder raises into the codec's error.
+_LAYER_STREAM_ERRORS = (TarHeaderError, EOFError, zlib.error)
 
 # One 512-byte header block: name, mode, uid, gid, size, mtime, chksum,
 # typeflag, linkname, magic and version, uname, gname, devmajor, devminor,
@@ -573,10 +573,9 @@ def tar_stream(members: Iterable[tuple[bytes, object]]) -> Iterator[bytes]:
 # ``_FileBytes``, so no decompressed layer or archive is ever held whole.
 
 # Compressed streams that tarfile's "r:*" mode opens: the magic bytes of
-# each and the module that decompresses it. bz2 and lzma are imported only
-# when their magic is seen.
+# each and its name; for bz2 and lzma the name of the module that decodes
+# it, imported only when its magic is seen.
 _COMPRESSIONS = ((b"\x1f\x8b", "gzip"), (b"BZh", "bz2"), (b"\xfd7zXZ\x00", "lzma"))
-_GZIP_TRUNCATED = "Compressed file ended before the end-of-stream marker was reached"
 _STREAM_TRUNCATED = "Compressed data ended before the end-of-stream marker was reached"
 
 
@@ -669,15 +668,6 @@ class _Spool:
             pass
 
 
-def _skip_past_nul(src) -> None:
-    """Move the file ``src`` past its next NUL, or to its end."""
-    while data := src.read(_CHUNK):
-        at = data.find(b"\0")
-        if at >= 0:
-            src.seek(at + 1 - len(data), io.SEEK_CUR)
-            return
-
-
 def _skip_nuls(src) -> None:
     """Move the file ``src`` past the NULs in front of it."""
     while data := src.read(_CHUNK):
@@ -687,81 +677,55 @@ def _skip_nuls(src) -> None:
             return
 
 
-def _gzip_header(src) -> bool:
-    """Skip one gzip member header in the file ``src`` as ``gzip.decompress``
-    does (its header CRC is skipped, not checked); False at the end."""
-    magic = src.read(2)
-    if not magic:
-        return False
-    if magic != b"\x1f\x8b":
-        raise gzip.BadGzipFile(f"Not a gzipped file ({magic!r})")
-    fixed = src.read(8)  # method, flags, mtime, extra flags, OS
-    if len(fixed) < 8:
-        raise EOFError(_GZIP_TRUNCATED)
-    if fixed[0] != 8:
-        raise gzip.BadGzipFile("Unknown compression method")
-    flags = fixed[1]
-    if flags & gzip.FEXTRA:
-        length = src.read(2)
-        extra = int.from_bytes(length, "little")
-        if len(length) < 2 or len(src.read(extra)) < extra:
-            raise EOFError(_GZIP_TRUNCATED)
-    for flag in (gzip.FNAME, gzip.FCOMMENT):
-        if flags & flag:
-            _skip_past_nul(src)
-    if flags & gzip.FHCRC and len(src.read(2)) < 2:
-        raise EOFError(_GZIP_TRUNCATED)
-    return True
+class _GzipDecoder:
+    """One gzip member decoded by zlib, which checks its header, CRC-32 and
+    length, behind the ``needs_input`` of bz2's and lzma's decoders: input
+    zlib has not used yet is given back to it before any new input."""
 
+    def __init__(self):
+        self._zlib = zlib.decompressobj(16 + zlib.MAX_WBITS)
 
-def _gunzip(src, out: _Spool) -> None:
-    """Write what ``gzip.decompress`` returns, or raise what it raises: the
-    members one after another, NULs between them skipped, each member's
-    CRC-32 and length checked. Each step inflates at most ``_CHUNK`` bytes."""
-    while _gzip_header(src):
-        inflater = zlib.decompressobj(-zlib.MAX_WBITS)
-        crc = size = 0
-        while not inflater.eof:
-            data = src.read(_CHUNK)
-            if not data:
-                raise EOFError(_GZIP_TRUNCATED)
-            while True:
-                piece = inflater.decompress(data, _CHUNK)
-                crc = zlib.crc32(piece, crc)
-                size += len(piece)
-                out.write(piece)
-                data = inflater.unconsumed_tail
-                # A full piece may leave output behind with no input left.
-                if inflater.eof or (not data and len(piece) < _CHUNK):
-                    break
-        src.seek(-len(inflater.unused_data), io.SEEK_CUR)
-        trailer = src.read(8)
-        if len(trailer) < 8:
-            raise EOFError(_GZIP_TRUNCATED)
-        if int.from_bytes(trailer[:4], "little") != crc:
-            raise gzip.BadGzipFile("CRC check failed")
-        if int.from_bytes(trailer[4:], "little") != size & 0xFFFFFFFF:
-            raise gzip.BadGzipFile("Incorrect length of data produced")
-        _skip_nuls(src)
+    def decompress(self, data: bytes, max_length: int) -> bytes:
+        return self._zlib.decompress(self._zlib.unconsumed_tail + data, max_length)
+
+    @property
+    def needs_input(self) -> bool:
+        # Like bz2, zlib may hold output back with no input left.
+        return not self._zlib.unconsumed_tail
+
+    @property
+    def eof(self) -> bool:
+        return self._zlib.eof
+
+    @property
+    def unused_data(self) -> bytes:
+        return self._zlib.unused_data
 
 
 def _unchain(src, compression: str, out: _Spool) -> None:
-    """Write the bz2 or xz streams of the file ``src`` one after another,
-    each decoded whole. NULs after a stream are skipped; input that then
-    starts with the first stream's magic must be a whole stream too, and any
-    other input is ignored. A stream cut short raises
-    ``EOFError(_STREAM_TRUNCATED)``, a damaged one its decoder's error. Each
-    step decodes at most ``_CHUNK`` bytes of input and of output."""
-    module = importlib.import_module(compression)
-    decoder_type = module.BZ2Decompressor if compression == "bz2" else module.LZMADecompressor
+    """Write the gzip members or bz2 or xz streams of the file ``src`` one
+    after another, each decoded whole. NULs after a stream are skipped.
+    Input that then starts with the first stream's magic must be a whole
+    stream too; any other input is refused after a gzip member, as
+    ``gzip.decompress`` refuses it, and ignored after a bz2 or xz stream,
+    as ``bz2.decompress`` and ``lzma.decompress`` ignore it. A stream cut
+    short raises ``EOFError(_STREAM_TRUNCATED)``, a damaged one its
+    decoder's error. Each step decodes at most ``_CHUNK`` bytes of input
+    and of output."""
+    if compression == "gzip":
+        decoder_type = _GzipDecoder
+    else:
+        module = importlib.import_module(compression)
+        decoder_type = module.BZ2Decompressor if compression == "bz2" else module.LZMADecompressor
     magic = next(magic for magic, name in _COMPRESSIONS if name == compression)
     while True:
         decoder = decoder_type()
         piece = b""
         while not decoder.eof:
             data = src.read(_CHUNK) if decoder.needs_input else b""
-            # bz2 asks for input while it still holds output back, so only a
-            # decoder that gives nothing more at the end of the input is cut.
+            # bz2 and zlib ask for input while they still hold output back, so
+            # only a decoder that gives nothing more at the end of the input
+            # is cut.
             if not data and decoder.needs_input and not piece:
                 raise EOFError(_STREAM_TRUNCATED)
             piece = decoder.decompress(data, _CHUNK)
@@ -770,24 +734,21 @@ def _unchain(src, compression: str, out: _Spool) -> None:
         _skip_nuls(src)
         head = src.read(len(magic))
         src.seek(-len(head), io.SEEK_CUR)
-        if head != magic:
+        if not head or (head != magic and compression != "gzip"):
             return
 
 
 def _decompress(source: _FileBytes, compression: str) -> tuple[_FileBytes, str]:
     """Decompress ``source`` into a new spool, reading it ``_CHUNK`` bytes
     at a time and seeking back over what a decoder did not use.
-    ``compression`` names the format: gzip is read as ``gzip.decompress``
-    reads it, bz2 and lzma (xz) as ``_unchain`` states; either way every
-    stream is decoded whole or the input is refused. Returns the spool and
-    the sha256 digest of the bytes it holds."""
+    ``compression`` names the format, gzip, bz2 or lzma (xz), and
+    ``_unchain`` states the one rule for all three: every stream is decoded
+    whole or the input is refused. Returns the spool and the sha256 digest
+    of the bytes it holds."""
     src = source.reader()
     out = _Spool()
     try:
-        if compression == "gzip":
-            _gunzip(src, out)
-        else:
-            _unchain(src, compression, out)
+        _unchain(src, compression, out)
         return out.finish(), "sha256:" + out.sha256.hexdigest()
     except BaseException:
         out.discard()
@@ -797,15 +758,16 @@ def _decompress(source: _FileBytes, compression: str) -> tuple[_FileBytes, str]:
 def _uncompressed(source: _FileBytes) -> _FileBytes:
     """The tar stream in ``source``: ``source``, or a new spool of what it
     decompresses to when it starts with the gzip, bzip2 or xz magic, as
-    tarfile opens it, each of its streams decoded whole (``_decompress``);
-    like tarfile, a plain tar stream whose first name happens to start with
-    a magic is read as it is."""
+    tarfile opens it, decoded by the one rule ``_unchain`` states; like
+    tarfile, a plain tar stream whose first name happens to start with a
+    magic, and that no decoder accepts, is read as it is."""
     compression = next((name for magic, name in _COMPRESSIONS
                         if source[0:len(magic)] == magic), None)
     if compression is None:
         return source
-    # A cut stream raises EOFError; a damaged one OSError or zlib.error, or
-    # lzma's own error, which is not an OSError.
+    # A cut stream raises EOFError; a damaged gzip member zlib.error, a
+    # damaged bz2 stream OSError and an xz one lzma's own error, which is
+    # not an OSError.
     errors = (OSError, EOFError, zlib.error)
     if compression == "lzma":
         errors += (importlib.import_module("lzma").LZMAError,)
@@ -1052,7 +1014,8 @@ class FileRecord:
     data: _FileBytes | _SparseFile | bytes | None = field(default=None, compare=False, repr=False)
 
     def is_executable(self) -> bool:
-        return bool(self.mode & 0o111)
+        # Linux ignores a symlink's own mode.
+        return self.kind == KIND_SYMLINK or bool(self.mode & 0o111)
 
 
 @dataclass

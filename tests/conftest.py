@@ -210,10 +210,11 @@ TWO_STREAM_FILES = {"/app/a.js": b"exec('ls')\n", "/app/b.js": bytes(range(256))
 
 
 def two_stream_layer(packing: str, *, damaged: bool = False, between: bytes = b"") -> bytes:
-    """A layer tar packed as two bz2 or xz streams, split after the first
-    file's data block, with ``between`` after the first; ``damaged`` flips
-    a byte in the middle of the second stream."""
-    compress = {"bz2": bz2.compress, "xz": lzma.compress}[packing]
+    """A layer tar packed as two gzip members or bz2 or xz streams, split
+    after the first file's data block, with ``between`` after the first;
+    ``damaged`` flips a byte in the middle of the second stream."""
+    compress = {"gzip": lambda data: gzip.compress(data, mtime=0), "bz2": bz2.compress,
+                "xz": lzma.compress}[packing]
     tar = make_layer_tar([{"path": path, "data": data} for path, data in TWO_STREAM_FILES.items()])
     second = bytearray(compress(tar[1024:]))
     if damaged:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import zlib
 
 import pytest
 from click.testing import CliRunner
@@ -595,19 +596,33 @@ def _malformed_layer(kind: str) -> bytes:
     blob = gzip.compress(make_layer_tar(shell_chain_members()), mtime=0)
     if kind == "truncated-gzip":
         return blob[: len(blob) // 2]
+    if kind == "gzip-header-crc":
+        # FHCRC set, with a header CRC that is not the header's.
+        header = blob[:3] + bytes([gzip.FHCRC]) + blob[4:10]
+        crc = (zlib.crc32(header) ^ 1) & 0xFFFF
+        return header + crc.to_bytes(2, "little") + blob[10:]
+    if kind == "gzip-reserved-flags":
+        return blob[:3] + b"\xe0" + blob[4:]
     corrupt = bytearray(blob)
     corrupt[11] ^= 0xFF  # first bytes of the deflate stream, after the header
     return bytes(corrupt)
 
 
-@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "truncated-tar",
+@pytest.mark.parametrize("kind", ["not-a-tar", "truncated-gzip", "corrupt-gzip", "gzip-header-crc",
+                                  "gzip-reserved-flags", "truncated-tar",
                                   "corrupt-header", "truncated-header", *HOSTILE_PAX_RECORDS,
                                   *(f"sparse-then-{kind}" for kind in sorted(HOSTILE_PAX_RECORDS))])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
 def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
+    layers = [make_layer_tar([{"path": "/ok", "data": b"1"}]), _malformed_layer(kind)]
+    # The config declares the diff_id of what gzip.decompress makes of the
+    # layer, where it accepts it, so that only the layer can refuse the image.
+    try:
+        declared = [layers[0], gzip.decompress(layers[1])]
+    except (OSError, EOFError, zlib.error):
+        declared = layers
     image = tmp_path / "bad.tar"
-    image.write_bytes(make_docker_archive([make_layer_tar([{"path": "/ok", "data": b"1"}]),
-                                           _malformed_layer(kind)]))
+    image.write_bytes(make_docker_archive(layers, default_config(declared)))
     args = [command, "--input", str(image)]
     if command == "slim":
         ctl = tmp_path / "c.ctl"
@@ -617,9 +632,10 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
     assert result.exit_code == 3, result.output
     assert "error: layer 1" in result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "o.tar").exists()
 
 
-@pytest.mark.parametrize("packing", ["bz2", "xz"])
+@pytest.mark.parametrize("packing", ["gzip", "bz2", "xz"])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
 def test_damaged_later_stream_exits_3(runner, tmp_path, command, packing):
     image = tmp_path / "bad.tar"

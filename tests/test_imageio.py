@@ -1164,7 +1164,7 @@ def test_compressed_bytes_under_the_tar_media_type(magic):
         assert content_bytes(flatten_layers(stack)) == {"/a": b"1"}
 
 
-@pytest.mark.parametrize("packing", ["bz2", "xz"])
+@pytest.mark.parametrize("packing", ["gzip", "bz2", "xz"])
 def test_damaged_later_stream_refuses_the_layer(packing):
     """A layer whose second stream is damaged is refused, not read as its
     first stream alone, which would drop the second stream's files."""
@@ -1172,7 +1172,7 @@ def test_damaged_later_stream_refuses_the_layer(packing):
         make_stack([two_stream_layer(packing, damaged=True)])
 
 
-@pytest.mark.parametrize("packing", ["bz2", "xz"])
+@pytest.mark.parametrize("packing", ["gzip", "bz2", "xz"])
 def test_nuls_between_streams_are_skipped(packing):
     with make_stack([two_stream_layer(packing, between=bytes(4))]) as stack:
         assert content_bytes(flatten_layers(stack)) == TWO_STREAM_FILES
@@ -1234,7 +1234,8 @@ _REFUSALS = (OSError, EOFError, ValueError, zlib.error, lzma.LZMAError)
 
 def _gzip_member(data: bytes, flags: int, level: int) -> bytes:
     """One gzip member whose header carries the optional fields ``flags``
-    names (reserved bits included, which readers ignore)."""
+    names, and its reserved bits, which zlib refuses and ``gzip.decompress``
+    ignores."""
     header = b"\x1f\x8b\x08" + bytes([flags]) + bytes(4) + b"\x02\xff"
     if flags & gzip.FEXTRA:
         header += (3).to_bytes(2, "little") + b"abc"
@@ -1249,6 +1250,11 @@ def _gzip_member(data: bytes, flags: int, level: int) -> bytes:
             + zlib.crc32(data).to_bytes(4, "little") + len(data).to_bytes(4, "little"))
 
 
+# The data of 1-3 streams: random, or repetitive enough to compress well.
+_STREAM_DATA = st.lists(st.binary(max_size=3000) | st.binary(min_size=1, max_size=40).map(
+    lambda b: b * 200), min_size=1, max_size=3)
+
+
 @st.composite
 def _compressed_blobs(draw):
     """1-3 members of one compression, each followed by 0-6 NULs, then maybe
@@ -1257,10 +1263,10 @@ def _compressed_blobs(draw):
     chunk boundaries."""
     kind = draw(st.sampled_from(["gzip", "bz2", "lzma"]))
     blob = b""
-    for data in draw(st.lists(st.binary(max_size=3000) | st.binary(min_size=1, max_size=40).map(
-            lambda b: b * 200), min_size=1, max_size=3)):
+    for data in draw(_STREAM_DATA):
         if kind == "gzip":
-            blob += _gzip_member(data, draw(st.integers(0, 255)), draw(st.sampled_from([0, 1, 9])))
+            flags = draw(st.integers(0, 31) | st.integers(0, 255))
+            blob += _gzip_member(data, flags, draw(st.sampled_from([0, 1, 9])))
         else:
             blob += {"bz2": bz2, "lzma": lzma}[kind].compress(data)
         blob += bytes(draw(st.integers(0, 6)))
@@ -1283,16 +1289,24 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# What a cut bz2 or xz stream raises.
+# What a cut stream raises.
 _CUT = "Compressed data ended before the end-of-stream marker was reached"
 
+# The stream contract of each format, by its magic: its decoder, and the
+# start that input left after a whole stream and its NULs must have to be
+# decoded on. gzip reads any input left as a member, as ``gzip.decompress``
+# does; bz2 and xz only input that starts with their magic.
+_GZIP_CONTRACT = (lambda: zlib.decompressobj(16 + zlib.MAX_WBITS), b"")
+_CONTRACTS = {b"\x1f\x8b": _GZIP_CONTRACT,
+              b"BZh": (bz2.BZ2Decompressor, b"BZh"),
+              b"\xfd7zXZ\x00": (lzma.LZMADecompressor, b"\xfd7zXZ\x00")}
 
-def _streams(blob: bytes, decoder_type, magic: bytes) -> bytes:
-    """The bz2 and xz stream contract, one stream at a time: each decoder
-    is given all that is left in one call, then asked for the output it
-    holds back; a stream it does not end is cut. NULs after a stream are
-    stripped, and what is left is decoded on only if it starts with
-    ``magic``."""
+
+def _streams(blob: bytes, decoder_type, later: bytes) -> bytes:
+    """The stream contract, one stream at a time: each decoder is given all
+    that is left in one call, then asked for the output it holds back; a
+    stream it does not end is cut. NULs after a stream are stripped, and
+    what is left is decoded on only if it starts with ``later``."""
     out = b""
     while True:
         decoder = decoder_type()
@@ -1302,21 +1316,18 @@ def _streams(blob: bytes, decoder_type, magic: bytes) -> bytes:
         if not decoder.eof:
             raise EOFError(_CUT)
         blob = decoder.unused_data.lstrip(b"\0")
-        if not blob.startswith(magic):
+        if not blob or not blob.startswith(later):
             return out
 
 
 def _contract_uncompressed(tar: bytes) -> bytes:
-    """The tar stream in ``tar``: decompressed by its magic, gzip by
-    ``gzip.decompress`` and bz2 and xz by ``_streams``, or left as it is
-    when that refuses it and it reads as a tar stream."""
-    for magic, decompress in (
-            (b"\x1f\x8b", gzip.decompress),
-            (b"BZh", lambda b: _streams(b, bz2.BZ2Decompressor, b"BZh")),
-            (b"\xfd7zXZ\x00", lambda b: _streams(b, lzma.LZMADecompressor, b"\xfd7zXZ\x00"))):
+    """The tar stream in ``tar``: decompressed by ``_streams`` under the
+    contract of its magic, or left as it is when that refuses it and it
+    reads as a tar stream."""
+    for magic, contract in _CONTRACTS.items():
         if tar.startswith(magic):
             try:
-                return decompress(tar)
+                return _streams(tar, *contract)
             except _REFUSALS as exc:
                 try:
                     next(read_tar_headers(tar), None)
@@ -1343,6 +1354,10 @@ def _layer_tar(blob: bytes, media_type: str) -> list:
         return [stack.layers[0].diff_id, _tar_of_layer(stack.layers[0])]
 
 
+# A gzip member whose header CRC is wrong.
+_BAD_HEADER_CRC = bytearray(_gzip_member(b"x" * 900, gzip.FHCRC, 9))
+_BAD_HEADER_CRC[10] ^= 0x01
+
 # A bz2 stream whose combined CRC is damaged: its decoder gives all of its
 # output before it refuses the stream.
 _LATE_BAD_BZ2 = bytearray(bz2.compress(random.Random(3).randbytes(3000)))
@@ -1353,6 +1368,11 @@ _LATE_BAD_BZ2[-3] ^= 0x10
 @given(_compressed_blobs())
 @example((gzip.compress(b"a" * 700, mtime=0) + bytes(3) + gzip.compress(b"b", mtime=0), 7))
 @example((gzip.compress(b"abc" * 99, mtime=0)[:-3], 512))
+@example((_gzip_member(b"x" * 900, gzip.FNAME | gzip.FEXTRA | gzip.FCOMMENT | gzip.FHCRC, 9), 1))
+# The refusals ``gzip.decompress`` does not make: no member at all, a wrong
+# header CRC, reserved flag bits.
+@example((b"", 7))
+@example((bytes(_BAD_HEADER_CRC), 1))
 @example((_gzip_member(b"x" * 900, gzip.FNAME | gzip.FEXTRA | gzip.FHCRC | 0xE0, 9), 1))
 # A damaged second stream refuses the blob; it is not dropped.
 @example((bz2.compress(b"a" * 99) + bytes(_LATE_BAD_BZ2), 512))
@@ -1365,16 +1385,18 @@ _LATE_BAD_BZ2[-3] ^= 0x10
           b'\x0c\x9a"\xe0\x8b\xa2/\x08\xb0E\xa2/\x8b\xb9"\x9c(H_\tcA\x00'
           b'BZh91AY&SY\x88\xe1\xc8\x03\x00\x01+\xe1\x00`\x00@\x00\x00\x10 \x000\xcd4\nPh\x8b\x04\\"\x1f', 1))
 def test_streaming_decompression_matches_one_shot(case):
-    """The gzip spool holds what ``gzip.decompress`` returns, and its digest
-    is the diff_id of a layer under the gzip media type, whose tar stream is
-    what ``_contract_uncompressed`` makes of the spool; under the tar media
-    type the tar stream is what it makes of the blob. Each refuses what the
-    one-shot gzip call or the bz2/xz contract refuses, with the same error,
-    and that error exits 3."""
+    """The gzip spool holds what the gzip contract makes of the blob, and
+    its digest is the diff_id of a layer under the gzip media type, whose
+    tar stream is what ``_contract_uncompressed`` makes of the spool; under
+    the tar media type the tar stream is what it makes of the blob. Each
+    refuses what the contract refuses, with the same error, and that error
+    exits 3. Where the spool accepts the blob, ``gzip.decompress`` returns
+    the same bytes, so the spool refuses all that it refuses."""
     blob, chunk = case
     with mock.patch.object(imageio, "_CHUNK", chunk):
         spooled = _outcome(lambda: _spooled(blob))
-        assert spooled == _outcome(lambda: gzip.decompress(blob))
+        assert spooled == _outcome(lambda: _streams(blob, *_GZIP_CONTRACT))
+        assert isinstance(spooled, tuple) or spooled == _outcome(lambda: gzip.decompress(blob))
         layer = _outcome(lambda: _layer_tar(blob, _GZIP_MEDIA))
         if isinstance(spooled, tuple):
             assert issubclass(spooled[0], imageio._LAYER_STREAM_ERRORS)
@@ -1385,6 +1407,37 @@ def test_streaming_decompression_matches_one_shot(case):
         assert uncompressed == _outcome(lambda: [sha256(blob), _contract_uncompressed(blob)])
         if isinstance(uncompressed, tuple):
             assert issubclass(uncompressed[0], imageio._LAYER_STREAM_ERRORS)
+
+
+@pytest.mark.parametrize("blob", [b"", bytes(_BAD_HEADER_CRC), _gzip_member(b"x", 0xE0, 9)],
+                         ids=["empty", "header-crc", "reserved-flags"])
+def test_gzip_refusals_the_one_shot_call_does_not_make(blob):
+    """zlib refuses input without a member, a wrong header CRC and reserved
+    flag bits; ``gzip.decompress`` accepts all three."""
+    gzip.decompress(blob)
+    with pytest.raises(imageio._LAYER_STREAM_ERRORS):
+        imageio._decompress(memory_bytes(blob), "gzip")
+
+
+@st.composite
+def _whole_members(draw):
+    """1-3 whole gzip members with any optional header fields and no
+    reserved flag bits, each followed by 0-6 NULs."""
+    blob = b""
+    for data in draw(_STREAM_DATA):
+        blob += _gzip_member(data, draw(st.integers(0, 31)), draw(st.sampled_from([0, 1, 9])))
+        blob += bytes(draw(st.integers(0, 6)))
+    return blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_whole_members())
+def test_whole_members_decompress_as_the_one_shot_call_does(case):
+    """On whole gzip members the spool holds what ``gzip.decompress``
+    returns."""
+    blob, chunk = case
+    with mock.patch.object(imageio, "_CHUNK", chunk):
+        assert _spooled(blob) == gzip.decompress(blob)
 
 
 # Bytes that start neither a bz2 stream nor any stream ``lzma.decompress``
@@ -1398,9 +1451,7 @@ def _whole_chains(draw):
     """1-3 whole bz2 or xz streams with nothing between them, then nothing
     or input that starts with a byte of ``_NO_STREAM_START``."""
     module = draw(st.sampled_from([bz2, lzma]))
-    blob = b"".join(module.compress(data) for data in draw(st.lists(
-        st.binary(max_size=3000) | st.binary(min_size=1, max_size=40).map(lambda b: b * 200),
-        min_size=1, max_size=3)))
+    blob = b"".join(module.compress(data) for data in draw(_STREAM_DATA))
     if draw(st.booleans()):
         blob += bytes([draw(st.sampled_from(_NO_STREAM_START))]) + draw(st.binary(max_size=8))
     return module, blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))

@@ -117,6 +117,25 @@ class TestCollectCommands:
         )
         assert collect_system_commands(rootfs) == ["run"]
 
+    def test_symlink_is_a_command_whatever_its_own_mode(self):
+        # Linux ignores a symlink's own mode: /usr/bin/sh at 0o644 runs dash.
+        rootfs = flatten_layers(
+            make_stack(
+                [
+                    make_layer_tar(
+                        [
+                            {"path": "/usr", "kind": "directory"},
+                            {"path": "/usr/bin", "kind": "directory"},
+                            {"path": "/usr/bin/dash", "data": b"x", "mode": 0o755},
+                            {"path": "/usr/bin/sh", "kind": "symlink", "target": "dash", "mode": 0o644},
+                            {"path": "/usr/bin/sh2", "kind": "symlink", "target": "dash"},
+                        ]
+                    )
+                ]
+            )
+        )
+        assert collect_system_commands(rootfs) == ["dash", "sh", "sh2"]
+
     def test_builtin_names_excluded(self):
         rootfs = flatten_layers(
             make_stack(
