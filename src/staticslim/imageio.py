@@ -38,6 +38,7 @@ import posixpath
 import re
 import struct
 import tarfile
+import threading
 import zlib
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -400,20 +401,36 @@ def read_tar_headers(tar: bytes) -> Iterator[TarHeader]:
             if block.count(0) != len(block):
                 raise TarHeaderError(f"truncated header at offset {offset}")
             return
-        (name, mode, uid, gid, size, mtime, chksum, type_, linkname, _magic, uname, gname,
-         devmajor, devminor, prefix) = unpack(block)
-        stored = _nti(chksum, offset)
+        (name, mode_field, uid_field, gid_field, size_field, mtime_field, chksum, type_, linkname,
+         _magic, uname, gname, devmajor_field, devminor_field, prefix) = unpack(block)
+        # Plain octal fields, nearly all of them, decode here; any other
+        # field (base-256, blanks, garbage) sends the header the long way,
+        # which tests the checksum before any other number.
+        try:
+            stored = int(chksum.partition(b"\0")[0] or b"0", 8)
+            mode = int(mode_field.partition(b"\0")[0] or b"0", 8)
+            uid = int(uid_field.partition(b"\0")[0] or b"0", 8)
+            gid = int(gid_field.partition(b"\0")[0] or b"0", 8)
+            size = int(size_field.partition(b"\0")[0] or b"0", 8)
+            mtime = int(mtime_field.partition(b"\0")[0] or b"0", 8)
+            devmajor = int(devmajor_field.partition(b"\0")[0] or b"0", 8)
+            devminor = int(devminor_field.partition(b"\0")[0] or b"0", 8)
+            plain = True
+        except ValueError:
+            stored = _nti(chksum, offset)
+            plain = False
         unsigned = _byte_sum(block) - sum(chksum) + 256
         if stored != unsigned and stored != unsigned - 256 * len(
                 (block[:148] + block[156:]).translate(None, _ASCII)):
             raise TarHeaderError(f"bad checksum in the header at offset {offset}")
-        mode = _nti(mode, offset)
-        uid = _nti(uid, offset)
-        gid = _nti(gid, offset)
-        size = _nti(size, offset)
-        mtime = _nti(mtime, offset)
-        devmajor = _nti(devmajor, offset)
-        devminor = _nti(devminor, offset)
+        if not plain:
+            mode = _nti(mode_field, offset)
+            uid = _nti(uid_field, offset)
+            gid = _nti(gid_field, offset)
+            size = _nti(size_field, offset)
+            mtime = _nti(mtime_field, offset)
+            devmajor = _nti(devmajor_field, offset)
+            devminor = _nti(devminor_field, offset)
         offset_data = offset + BLOCKSIZE
 
         if type_ in (GNUTYPE_LONGNAME, GNUTYPE_LONGLINK) or type_ in _PAX_TYPES:
@@ -985,9 +1002,14 @@ class _SparseFile(NamedTuple):
         return data
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FileRecord:
     """One entry of the flattened rootfs.
+
+    Flatten builds each record once, and nothing assigns its fields after:
+    a changed entry is a new record (``dataclasses.replace``). Records are
+    slotted and not frozen because flatten builds one per tar member, and a
+    frozen dataclass sets each field through ``object.__setattr__``.
 
     ``link_target`` keeps the raw tar linkname for symlinks (relative targets
     stay relative so they re-emit byte-identically); hardlink targets are
@@ -1183,22 +1205,10 @@ def _apply_layer(index: int, members: list[TarHeader], tar: _FileBytes, entries:
             data = (tar.view(offset_data, size) if sparse is None
                     else _SparseFile(path, tar, offset_data, size, sparse))
 
-        record = FileRecord(
-            path=path,
-            kind=kind,
-            mode=mode,
-            size=size if kind == KIND_REGULAR else 0,
-            link_target=link_target,
-            uid=uid,
-            gid=gid,
-            mtime=int(mtime),
-            uname=uname,
-            gname=gname,
-            devmajor=devmajor,
-            devminor=devminor,
-            block_device=type_ == BLKTYPE,
-            data=data,
-        )
+        # Built positionally, in field order: keywords cost more, once per member.
+        record = FileRecord(path, kind, mode, size if kind == KIND_REGULAR else 0, link_target,
+                            uid, gid, int(mtime), uname, gname, devmajor, devminor,
+                            type_ == BLKTYPE, data)
         _ensure_parents(entries, path)
         entries[path] = record
 
@@ -1467,23 +1477,76 @@ def _config_json(metadata: ImageMetadata, diff_id: str) -> bytes:
     return _json_bytes({**config, "rootfs": {"type": "layers", "diff_ids": [diff_id]}})
 
 
+def _deflate_to(spool: _Spool, chunks: Iterator[bytes]):
+    """Write to ``spool`` what ``zlib.compressobj(9, zlib.DEFLATED, 31)``
+    makes of the tar stream given in ``chunks``, and return the stream's
+    sha256.
+
+    One worker thread hashes and deflates each chunk (both release the GIL)
+    while this thread makes the next. They hand chunks over through one
+    slot, and the next chunk is made only once the worker has taken the one
+    before, so memory holds at most two chunks. Until the worker is joined,
+    it alone touches the compressor, the hasher and the spool. It is joined
+    before this returns or raises, whoever failed: an error in the worker
+    stops the chunks at the next handoff and is raised here."""
+    compressor = zlib.compressobj(9, zlib.DEFLATED, 31)
+    tar_sha256 = hashlib.sha256()
+    slot: list[bytes | None] = [None]  # None: no more chunks
+    filled = threading.Semaphore(0)  # the slot holds what the worker takes next
+    emptied = threading.Semaphore(1)  # the worker has taken what the slot held
+    failed: list[BaseException] = []
+
+    def deflate() -> None:
+        try:
+            while True:
+                filled.acquire()
+                chunk, slot[0] = slot[0], None
+                emptied.release()
+                if chunk is None:
+                    return
+                tar_sha256.update(chunk)
+                spool.write(compressor.compress(chunk))
+                del chunk  # not held while the next one waits in the slot
+        except BaseException as exc:  # raised again by the thread that joins
+            failed.append(exc)
+            emptied.release()
+
+    worker = threading.Thread(target=deflate, name="staticslim-deflate")
+    worker.start()
+    try:
+        while True:
+            emptied.acquire()
+            chunk = None if failed else next(chunks, None)
+            if chunk is None:
+                break
+            slot[0] = chunk
+            filled.release()
+            del chunk  # not held while the next chunk is made
+    finally:
+        # The slot is empty unless this thread raised, and a chunk it held
+        # then is dropped: either way the worker takes None next and ends.
+        slot[0] = None
+        filled.release()
+        worker.join()
+    if failed:
+        raise failed[0]
+    spool.write(compressor.flush())
+    return tar_sha256
+
+
 def _spool_layer(chunks: Iterable[bytes], gzip_layer: bool) -> tuple[_FileBytes, str, str]:
     """The layer of the tar stream given in ``chunks``, spooled a chunk at a
     time, with its digest and the stream's (its diff_id). With
-    ``gzip_layer`` the spool holds what ``gzip.compress(tar, mtime=0)``
-    gives, and the stream is hashed apart on the way; otherwise it holds
-    the stream, and the two digests are one. The caller closes the
+    ``gzip_layer`` the spool holds what
+    ``zlib.compressobj(9, zlib.DEFLATED, 31)`` makes of the stream, deflated
+    on a worker thread while the chunks are made (``_deflate_to``), and the
+    stream is hashed apart on the way; otherwise it holds the stream, written
+    on this thread, and the two digests are one. The caller closes the
     spool."""
     spool = _Spool()
     try:
         if gzip_layer:
-            compressor = zlib.compressobj(9, zlib.DEFLATED, 31)
-            tar_sha256 = hashlib.sha256()
-            for chunk in chunks:
-                tar_sha256.update(chunk)
-                spool.write(compressor.compress(chunk))
-                del chunk  # not held while the next chunk is made
-            spool.write(compressor.flush())
+            tar_sha256 = _deflate_to(spool, iter(chunks))
         else:
             for chunk in chunks:
                 spool.write(chunk)
@@ -1512,9 +1575,10 @@ def build_slim_image(
     output always stores the layer uncompressed.
 
     Cost: the chunks are written once to a spool in ``TMPDIR`` (through a
-    level-9 gzip compressor with ``gzip_layer``) and hashed on the way: the
-    spool's bytes for the layer digest, the stream apart for the diff_id
-    under gzip. The layer's size and digest name and place it in the
+    level-9 gzip compressor with ``gzip_layer``, on a worker thread while
+    the next chunk is made) and hashed on the way: the spool's bytes for
+    the layer digest, the stream apart for the diff_id under gzip. The
+    layer's size and digest name and place it in the
     archive, so it is then copied from the spool into ``out`` a chunk at a
     time, among a few small members that ``gnu_header`` frames. Memory
     holds a fixed number of chunks, never the layer or the archive. A

@@ -5,12 +5,15 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
+import itertools
 import json
 import lzma
 import random
 import shutil
 import subprocess
+import sys
 import tarfile
+import threading
 import tracemalloc
 import zlib
 from unittest import mock
@@ -50,6 +53,7 @@ from staticslim.errors import (
     ImageFormatError,
     IntegrityError,
     LayerSecurityError,
+    SpoolError,
     UnsupportedFormatError,
 )
 from staticslim.imageio import (
@@ -824,6 +828,118 @@ class TestBuildSlimImage:
             assert _without_rootfs(loaded) == self.METADATA
             assert _tar_of_layer(stack.layers[0]) == tar
 
+    @staticmethod
+    def _many_chunk_tar() -> bytes:
+        """About 100 KiB of tar stream, half of it incompressible, so that
+        the compressor gives output on many of its calls."""
+        rng = random.Random(26)
+        return make_layer_tar([{"path": f"/d/f{i}", "data": rng.randbytes(900) + bytes(1000)}
+                               for i in range(50)])
+
+    @staticmethod
+    def _oci_layer(archive: bytes) -> tuple[bytes, dict, dict]:
+        """The layer blob, its manifest entry and the config of an OCI
+        image archive."""
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tf:
+            def blob(digest: str) -> bytes:
+                return tf.extractfile("blobs/sha256/" + digest.split(":", 1)[1]).read()
+
+            manifest = json.loads(blob(json.loads(tf.extractfile("index.json").read())
+                                       ["manifests"][0]["digest"]))
+            layer = manifest["layers"][0]
+            return blob(layer["digest"]), layer, json.loads(blob(manifest["config"]["digest"]))
+
+    def test_gzip_layer_is_one_deflate_across_many_handoffs(self, monkeypatch):
+        """The worker deflates the chunks in the order they were made: the
+        blob is what one compressor makes of the whole stream, however the
+        stream is cut. Four builds at once, switching threads as often as
+        the interpreter can, put the handoff under load."""
+        monkeypatch.setattr(imageio, "_CHUNK", 4096)
+        tar = self._many_chunk_tar()
+        sizes = itertools.cycle([1, 700, 3 * imageio._CHUNK, 333])
+        chunks, at = [], 0
+        while at < len(tar):
+            size = next(sizes)
+            chunks.append(tar[at:at + size])
+            at += size
+        assert len(chunks) > 24
+        archives = [b""] * 4
+
+        def build(i):
+            archives[i] = _build(self.METADATA, iter(chunks), gzip_layer=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            builders = [threading.Thread(target=build, args=(i,)) for i in range(len(archives))]
+            for builder in builders:
+                builder.start()
+            for builder in builders:
+                builder.join(timeout=60)
+            assert not any(builder.is_alive() for builder in builders)
+        finally:
+            sys.setswitchinterval(interval)
+        compressor = zlib.compressobj(9, zlib.DEFLATED, 31)
+        want = compressor.compress(tar) + compressor.flush()
+        for archive in archives:
+            blob, layer, config = self._oci_layer(archive)
+            assert blob == want
+            assert layer["digest"] == sha256(blob)
+            assert config["rootfs"]["diff_ids"] == [sha256(tar)]
+
+    @staticmethod
+    def _spools(monkeypatch) -> list:
+        """Each spool ``_spool_layer`` makes, from now on."""
+        spools, new = [], imageio._Spool
+
+        def spool():
+            spools.append(new())
+            return spools[-1]
+
+        monkeypatch.setattr(imageio, "_Spool", spool)
+        return spools
+
+    def test_failing_chunks_stop_the_worker(self, monkeypatch):
+        tar, spools = self._many_chunk_tar(), self._spools(monkeypatch)
+
+        def chunks():
+            for at in range(0, 3 * 4096, 4096):
+                yield tar[at:at + 4096]
+            raise ValueError("the stack is closed")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="the stack is closed"):
+            _build(self.METADATA, chunks(), gzip_layer=True)
+        assert threading.active_count() == threads
+        assert [spool.file.closed for spool in spools] == [True]
+
+    def test_failing_spool_stops_the_chunks(self, monkeypatch):
+        tar, pulled, written = self._many_chunk_tar(), [], []
+        write = imageio._Spool.write
+
+        def fail_second(spool, data):
+            written.append(len(data))
+            if len(written) == 2:
+                raise SpoolError("cannot write a temporary file: disk full")
+            write(spool, data)
+
+        monkeypatch.setattr(imageio._Spool, "write", fail_second)
+        spools = self._spools(monkeypatch)
+
+        def chunks():
+            for at in range(0, len(tar), 4096):
+                pulled.append(at)
+                yield tar[at:at + 4096]
+
+        threads = threading.active_count()
+        with pytest.raises(SpoolError, match="disk full"):
+            _build(self.METADATA, chunks(), gzip_layer=True)
+        # The worker fails on the second chunk; this thread makes at most
+        # one more, for the slot, and then stops.
+        assert len(pulled) <= 3 < len(tar) // 4096
+        assert threading.active_count() == threads
+        assert [spool.file.closed for spool in spools] == [True]
+
     def test_absent_entrypoint_stays_absent(self, tmp_path):
         metadata = ImageMetadata(
             image_name="noentry", tag="v1", config={"architecture": "amd64", "os": "linux"}
@@ -1048,6 +1164,30 @@ class TestTarHeaders:
         tar[at + 1] ^= 0x01
         with pytest.raises(TarHeaderError, match=f"checksum in the header at offset {at}"):
             list(read_tar_headers(bytes(tar)))
+
+    @staticmethod
+    def _with_field(at: int, value: bytes) -> bytearray:
+        """A one-member stream whose header field at ``at`` holds ``value``,
+        under a checksum that matches."""
+        tar = bytearray(make_layer_tar([{"path": "/a", "data": b"a"}]))
+        tar[at:at + len(value)] = value
+        rechecksum(tar, 0)
+        return tar
+
+    def test_bad_number_is_an_error(self):
+        tar = self._with_field(100, b"00006x4\0")  # the mode
+        with pytest.raises(TarHeaderError, match="invalid number field in the header at offset 0"):
+            list(read_tar_headers(bytes(tar)))
+
+    def test_bad_checksum_is_reported_before_a_bad_number(self):
+        tar = self._with_field(100, b"00006x4\0")
+        tar[1] ^= 0x01  # a byte of the name
+        with pytest.raises(TarHeaderError, match="bad checksum in the header at offset 0"):
+            list(read_tar_headers(bytes(tar)))
+
+    def test_base256_number_decodes(self):
+        tar = self._with_field(108, b"\x80" + (8**8).to_bytes(7, "big"))  # the uid
+        assert [(h.name, h.uid) for h in read_tar_headers(bytes(tar))] == [("a", 8**8)]
 
     def test_partial_header_is_an_error(self):
         with pytest.raises(TarHeaderError, match="truncated header at offset 1024"):
