@@ -46,6 +46,16 @@ def _check_output_dirs(*outputs: tuple[str, str | None]) -> None:
             _fail(EXIT_ANALYSIS, f"{option}: no such directory: {Path(path).parent}")
 
 
+def _report_unresolved(ctl, strict: bool) -> None:
+    """Warn of each unresolved exec argument of ``ctl``; with ``strict``,
+    exit 4 when there is one."""
+    for sink in ctl.unresolved_sinks:
+        click.echo(f"warning: unresolved exec argument at {sink}", err=True)
+    if strict and ctl.unresolved_sinks:
+        _fail(EXIT_ANALYSIS, f"{len(ctl.unresolved_sinks)} unresolved exec argument(s): "
+              + ", ".join(ctl.unresolved_sinks))
+
+
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool) -> None:
@@ -87,15 +97,7 @@ def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None
         click.echo("warning: no command tokens extracted", err=True)
     else:
         click.echo(f"{len(ctl.tokens)} tokens extracted", err=True)
-    if ctl.unresolved_sinks:
-        for sink in ctl.unresolved_sinks:
-            click.echo(f"warning: unresolved exec argument at {sink}", err=True)
-        if strict:
-            _fail(
-                EXIT_ANALYSIS,
-                f"{len(ctl.unresolved_sinks)} unresolved exec argument(s): "
-                + ", ".join(ctl.unresolved_sinks),
-            )
+    _report_unresolved(ctl, strict)
     if not output:
         for token in ctl.token_texts():
             click.echo(token)
@@ -142,11 +144,7 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
     except AnalysisError as exc:
         _fail(EXIT_ANALYSIS, str(exc) if ctl_path else f"analyze: {exc}")
         return
-    if ctl.unresolved_sinks:
-        for sink in ctl.unresolved_sinks:
-            click.echo(f"warning: unresolved exec argument at {sink}", err=True)
-        if mode == "strict":
-            _fail(EXIT_ANALYSIS, f"strict mode: unresolved exec arguments at {', '.join(ctl.unresolved_sinks)}")
+    _report_unresolved(ctl, mode == "strict")
 
     try:
         # --output is written through a temporary file beside it and

@@ -28,25 +28,14 @@ from .ctl import PROVENANCE_EXEC, CommandTokenList
 from .elf import LibrarySearch
 from .errors import PruneConsistencyError
 from .imageio import (
-    BLKTYPE,
-    CHRTYPE,
-    DIRTYPE,
-    FIFOTYPE,
-    KIND_DEVICE,
-    KIND_DIRECTORY,
     KIND_HARDLINK,
     KIND_REGULAR,
-    KIND_SYMLINK,
-    LNKTYPE,
-    REGTYPE,
-    SYMTYPE,
     FlattenedRootfs,
     ImageMetadata,
     build_slim_image,
     flatten_layers,
-    gnu_header,
     load_image_archive,
-    tar_stream,
+    tar_member,
 )
 from .rootfs import (
     DEFAULT_SEARCH_DIRS,
@@ -59,6 +48,7 @@ from .rootfs import (
     resolve_chain,
     resolve_entry,
 )
+from .tarcodec import tar_stream
 
 log = logging.getLogger(__name__)
 
@@ -210,8 +200,8 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> Iterator[by
     The retain list is checked against the rootfs here, so a
     ``PruneConsistencyError`` is raised by the call; the entries are written
     as the chunks are asked for. The stream is the one ``tarfile`` writes in
-    GNU format (``tar_stream``). Each entry costs one ``gnu_header`` call
-    (one ``struct`` pack, a few number encodings and one byte sum; no
+    GNU format (``tar_stream``), each entry framed by ``tar_member`` (one
+    ``struct`` pack, a few number encodings and one byte sum; no
     ``TarInfo``); each file is read from its layer a chunk at a time, and
     neither a file nor the stream is held whole, only a chunk of it.
     """
@@ -229,36 +219,8 @@ def emit_slim_rootfs(rootfs: FlattenedRootfs, retain: RetainList) -> Iterator[by
         for m in members:
             carrier[m] = members[0]
 
-    def entries():
-        for path in sorted(retain.paths):
-            rec = rootfs.entries[path]
-            kind = rec.kind
-            if path in carrier:
-                kind = KIND_REGULAR if carrier[path] == path else KIND_HARDLINK
-
-            data = b""
-            linkname = ""
-            if kind == KIND_REGULAR:
-                data = rootfs.data_for(path)
-                type_ = REGTYPE
-            elif kind == KIND_DIRECTORY:
-                type_ = DIRTYPE
-            elif kind == KIND_SYMLINK:
-                type_ = SYMTYPE
-                linkname = rec.link_target or ""
-            elif kind == KIND_HARDLINK:
-                type_ = LNKTYPE
-                linkname = carrier.get(path, rec.link_target or "").lstrip("/")
-            elif kind == KIND_DEVICE:
-                type_ = BLKTYPE if rec.block_device else CHRTYPE
-            else:  # fifo
-                type_ = FIFOTYPE
-            header = gnu_header(path.lstrip("/"), type_, rec.mode, rec.uid, rec.gid, len(data),
-                                rec.mtime, linkname, rec.uname, rec.gname, rec.devmajor,
-                                rec.devminor)
-            yield header, data
-
-    return tar_stream(entries())
+    return tar_stream(tar_member(rootfs, path, carrier.get(path))
+                      for path in sorted(retain.paths))
 
 
 @dataclass

@@ -22,7 +22,8 @@ import tarfile
 
 import pytest
 
-from staticslim.imageio import LayerStack, _FileBytes, _layer_from_blob
+from staticslim.imageio import LayerStack, _layer_from_blob
+from staticslim.streams import FileBytes
 
 
 def sha256(data: bytes) -> str:
@@ -225,10 +226,10 @@ def two_stream_layer(packing: str, *, damaged: bool = False, between: bytes = b"
 TAR_MEDIA = "application/vnd.oci.image.layer.v1.tar"
 
 
-def memory_bytes(data: bytes) -> _FileBytes:
+def memory_bytes(data: bytes) -> FileBytes:
     """``data`` as the layer code reads every file: an in-memory buffer
-    read through ``_FileBytes``."""
-    return _FileBytes(io.BytesIO(data), 0, len(data))
+    read through ``FileBytes``."""
+    return FileBytes(io.BytesIO(data), 0, len(data))
 
 
 def memory_stack(blobs) -> LayerStack:

@@ -20,7 +20,6 @@ import tarfile
 
 from staticslim.errors import ImageFormatError
 from staticslim.imageio import (
-    _LAYER_STREAM_ERRORS,
     _TAR_KIND,
     KIND_DIRECTORY,
     KIND_HARDLINK,
@@ -35,6 +34,7 @@ from staticslim.imageio import (
     _ensure_parents,
     log,
 )
+from staticslim.streams import LAYER_STREAM_ERRORS
 
 
 def _delete_subtree(entries: dict, path: str) -> None:
@@ -118,7 +118,7 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
         try:
             with tarfile.open(fileobj=io.BytesIO(layer.data), mode="r:*") as tf:
                 _apply_layer(index, tf, entries, warnings)
-        except (tarfile.TarError, *_LAYER_STREAM_ERRORS) as exc:
+        except (tarfile.TarError, *LAYER_STREAM_ERRORS) as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)

@@ -246,6 +246,25 @@ def test_ctl_that_breaks_the_format_exits_4(runner, tmp_path, content, line):
     assert not out.exists()
 
 
+def test_strict_fails_alike_in_analyze_and_slim(runner, tmp_path):
+    """``analyze --strict`` and ``slim --project --strict`` warn of each
+    unresolved exec argument and fail with one and the same error line."""
+    project = write_project(tmp_path, {"run.js": "exec(process.argv[2]);\nexecSync(cmd());\n"}).resolve()
+    out = tmp_path / "slim.tar"
+    analyze = runner.invoke(main, ["analyze", "--project", str(project), "--strict"])
+    slim = runner.invoke(main, ["slim", "--input", str(write_shell_image(tmp_path)),
+                                "--output", str(out), "--project", str(project), "--strict"])
+    js = f"{project}/run.js"
+    for result in (analyze, slim):
+        assert result.exit_code == 4, result.output
+        assert result.stderr.splitlines()[-3:] == [
+            f"warning: unresolved exec argument at {js}:1",
+            f"warning: unresolved exec argument at {js}:2",
+            f"error: 2 unresolved exec argument(s): {js}:1, {js}:2",
+        ]
+    assert not out.exists()
+
+
 class TestSlim:
     def _ctl(self, tmp_path, *tokens):
         path = tmp_path / "in.ctl"
@@ -1138,9 +1157,11 @@ def test_each_command_imports_only_its_stages(tmp_path):
                               capture_output=True, text=True, check=True)
         return set(json.loads(proc.stdout.splitlines()[-1]))
 
-    stages = {f"staticslim.{m}" for m in ("analyzer", "jsmodule", "imageio", "pruner", "rootfs", "elf")}
-    image_code = {"staticslim.imageio", "staticslim.pruner", "staticslim.rootfs", "staticslim.elf",
-                  "_hashlib", "tarfile"}
+    stages = {f"staticslim.{m}" for m in ("analyzer", "jsmodule", "imageio", "tarcodec", "streams",
+                                          "pruner", "rootfs", "elf")}
+    codec = {"staticslim.tarcodec", "staticslim.streams"}
+    image_code = {"staticslim.imageio", *codec, "staticslim.pruner", "staticslim.rootfs",
+                  "staticslim.elf", "_hashlib", "tarfile"}
     analysis = {"staticslim.analyzer", "staticslim.jsmodule"}
 
     assert loaded() & (stages | {"hashlib", "_hashlib", "tarfile"}) == set()
@@ -1153,11 +1174,11 @@ def test_each_command_imports_only_its_stages(tmp_path):
     assert after_analyze & image_code == set()
 
     after_inspect = loaded("inspect", "--input", str(write_shell_image(tmp_path)))
-    assert {"staticslim.imageio", "staticslim.rootfs"} <= after_inspect
+    assert {"staticslim.imageio", *codec, "staticslim.rootfs"} <= after_inspect
     assert after_inspect & analysis == set()
 
     # A prebuilt CTL needs only the CTL module, not the analysis behind it.
     after_slim = loaded("slim", "--input", str(write_shell_image(tmp_path)), "--ctl", str(ctl),
                         "--output", str(tmp_path / "slim.tar"))
-    assert {"staticslim.ctl", "staticslim.pruner"} <= after_slim
+    assert {"staticslim.ctl", "staticslim.pruner", *codec} <= after_slim
     assert after_slim & (analysis | {"staticslim.shellwords"}) == set()

@@ -34,7 +34,6 @@ from staticslim.imageio import (
     KIND_SYMLINK,
     FileRecord,
     FlattenedRootfs,
-    _FileBytes,
     flatten_layers,
 )
 from staticslim.pruner import build_retain_list, match_tokens, slim_image
@@ -44,6 +43,7 @@ from staticslim.rootfs import (
     collect_system_commands,
     expand_command_linked_list,
 )
+from staticslim.streams import FileBytes
 
 
 class TestReadDynamicInfo:
@@ -171,13 +171,13 @@ _PHOFF_PAST_ANY_INDEX = make_elf()[:39] + b"\x80" + make_elf()[40:]
 @given(data=_elf_objects(), pad=st.integers(0, 700))
 @example(data=_PHOFF_PAST_ANY_INDEX, pad=0)
 def test_file_range_parses_as_bytes(data, pad):
-    """A ``_FileBytes`` view of an object, in a file with other bytes
+    """A ``FileBytes`` view of an object, in a file with other bytes
     around it, parses to what its bytes parse to, and both to what the
     parse of the object held whole gives."""
     with tempfile.TemporaryFile() as file:
         file.write(b"\x7f" * pad + data + b"\xff" * 9)
         file.flush()
-        view = _FileBytes(file).view(pad, len(data))
+        view = FileBytes(file).view(pad, len(data))
         assert read_dynamic_info(view) == read_dynamic_info(data) == reference_elf.parse_whole(data)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bz2
+import contextlib
 import gzip
 import io
 import itertools
@@ -46,7 +47,7 @@ from conftest import (
     sparse_map,
     two_stream_layer,
 )
-from staticslim import imageio
+from staticslim import streams, tarcodec
 from staticslim.ctl import CommandTokenList
 from staticslim.errors import (
     EmptyImageError,
@@ -62,15 +63,12 @@ from staticslim.imageio import (
     ImageMetadata,
     LayerBlob,
     LayerStack,
-    TarHeader,
-    TarHeaderError,
     build_slim_image,
     flatten_layers,
-    gnu_header,
     load_image_archive,
-    read_tar_headers,
 )
 from staticslim.pruner import RetainList, emit_slim_rootfs, slim_image
+from staticslim.tarcodec import TarHeader, TarHeaderError, gnu_header, read_tar_headers
 
 import reference_flatten
 
@@ -334,8 +332,8 @@ class TestLoadArchive:
 
     @pytest.mark.parametrize("kind", sorted(HOSTILE_PAX_RECORDS))
     def test_hostile_pax_records_in_the_archive_are_refused(self, tmp_path, monkeypatch, kind):
-        length = _CountingPattern(imageio._PAX_LENGTH)
-        monkeypatch.setattr(imageio, "_PAX_LENGTH", length)
+        length = _CountingPattern(tarcodec._PAX_LENGTH)
+        monkeypatch.setattr(tarcodec, "_PAX_LENGTH", length)
         archive = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
                                    "data": HOSTILE_PAX_RECORDS[kind]},
                                   {"path": "/manifest.json", "data": b"[]"}])
@@ -734,9 +732,9 @@ def test_flatten_reads_header_blocks_alone():
     ])
     data_spans = [(h.offset_data, h.offset_data + (h.size if h.sparse is None
                                                    else sum(n for _, n in h.sparse)))
-                  for h in read_tar_headers(tar) if h.type not in imageio._NO_DATA_TYPES]
+                  for h in read_tar_headers(tar) if h.type not in tarcodec.NO_DATA_TYPES]
     recorded = _RecordedReads(tar)
-    stream = imageio._FileBytes(recorded, 0, len(tar))
+    stream = streams.FileBytes(recorded, 0, len(tar))
     media = "application/vnd.oci.image.layer.v1.tar"
     layer = LayerBlob(media, sha256(tar), sha256(tar), stream, stream)
     with LayerStack([layer], archive=stream) as stack:
@@ -748,7 +746,7 @@ def test_flatten_reads_header_blocks_alone():
     assert not [(read, data) for read in reads for data in data_spans
                 if read[0] < data[1] and data[0] < read[1]]
     assert sum(end - start for start, end in reads) <= len(tar) - sum(
-        imageio._blocks(end - start) for start, end in data_spans)
+        tarcodec._blocks(end - start) for start, end in data_spans)
 
 
 @pytest.mark.parametrize("stored", ["bytes", "tar", "gzip"])
@@ -853,10 +851,18 @@ class TestBuildSlimImage:
         """The worker deflates the chunks in the order they were made: the
         blob is what one compressor makes of the whole stream, however the
         stream is cut. Four builds at once, switching threads as often as
-        the interpreter can, put the handoff under load."""
-        monkeypatch.setattr(imageio, "_CHUNK", 4096)
+        the interpreter can, put the handoff under load. The worker writes
+        the spool once per chunk it takes, and once to flush."""
+        writes = []
+        write = streams._Spool.write
+
+        def counted(spool, data):
+            writes.append(len(data))
+            write(spool, data)
+
+        monkeypatch.setattr(streams._Spool, "write", counted)
         tar = self._many_chunk_tar()
-        sizes = itertools.cycle([1, 700, 3 * imageio._CHUNK, 333])
+        sizes = itertools.cycle([1, 700, 3 * 4096, 333])
         chunks, at = [], 0
         while at < len(tar):
             size = next(sizes)
@@ -886,17 +892,18 @@ class TestBuildSlimImage:
             assert blob == want
             assert layer["digest"] == sha256(blob)
             assert config["rootfs"]["diff_ids"] == [sha256(tar)]
+        assert len(writes) == len(archives) * (len(chunks) + 1)
 
     @staticmethod
     def _spools(monkeypatch) -> list:
-        """Each spool ``_spool_layer`` makes, from now on."""
-        spools, new = [], imageio._Spool
+        """Each spool ``streams.spool_layer`` makes, from now on."""
+        spools, new = [], streams._Spool
 
         def spool():
             spools.append(new())
             return spools[-1]
 
-        monkeypatch.setattr(imageio, "_Spool", spool)
+        monkeypatch.setattr(streams, "_Spool", spool)
         return spools
 
     def test_failing_chunks_stop_the_worker(self, monkeypatch):
@@ -915,7 +922,7 @@ class TestBuildSlimImage:
 
     def test_failing_spool_stops_the_chunks(self, monkeypatch):
         tar, pulled, written = self._many_chunk_tar(), [], []
-        write = imageio._Spool.write
+        write = streams._Spool.write
 
         def fail_second(spool, data):
             written.append(len(data))
@@ -923,7 +930,7 @@ class TestBuildSlimImage:
                 raise SpoolError("cannot write a temporary file: disk full")
             write(spool, data)
 
-        monkeypatch.setattr(imageio._Spool, "write", fail_second)
+        monkeypatch.setattr(streams._Spool, "write", fail_second)
         spools = self._spools(monkeypatch)
 
         def chunks():
@@ -1206,8 +1213,8 @@ class TestTarHeaders:
     def test_hostile_pax_records_are_refused_at_the_first(self, monkeypatch, kind):
         """The length pattern is matched once, over at most 21 bytes, and
         the first record's own bytes are the only others looked at."""
-        length = _CountingPattern(imageio._PAX_LENGTH)
-        monkeypatch.setattr(imageio, "_PAX_LENGTH", length)
+        length = _CountingPattern(tarcodec._PAX_LENGTH)
+        monkeypatch.setattr(tarcodec, "_PAX_LENGTH", length)
         tar = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
                                "data": HOSTILE_PAX_RECORDS[kind]}, {"path": "/a", "data": b"a"}])
         with pytest.raises(TarHeaderError, match="invalid pax record in the header at offset 0"):
@@ -1215,8 +1222,8 @@ class TestTarHeaders:
         assert length.calls == 1
 
     def test_each_pax_record_is_matched_once(self, monkeypatch):
-        length = _CountingPattern(imageio._PAX_LENGTH)
-        monkeypatch.setattr(imageio, "_PAX_LENGTH", length)
+        length = _CountingPattern(tarcodec._PAX_LENGTH)
+        monkeypatch.setattr(tarcodec, "_PAX_LENGTH", length)
         tar = make_layer_tar([{"path": "/PaxHeader", "kind": "pax-records",
                                "data": b"13 comment=x\n" * 1000 + b"10 uid=42\n"},
                               {"path": "/a", "data": b"a"}])
@@ -1418,7 +1425,23 @@ def _compressed_blobs(draw):
         blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
     blob += draw(st.sampled_from([b"", b"\x1f", b"\x1f\x8b", b"BZh", b"\xfd7zXZ\x00", b"garbage"])
                  | st.binary(max_size=8))
-    return blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))
+    return blob, draw(st.sampled_from([1, 2, 7, 512, streams.CHUNK]))
+
+
+@contextlib.contextmanager
+def _decoder_step(chunk: int):
+    """Decode ``chunk`` bytes per step (``streams.CHUNK``) in the block, and
+    yield the sizes of the spool writes made in it: each is one step's
+    output, so none passes ``chunk``."""
+    writes = []
+    write = streams._Spool.write
+
+    def recorded(spool, data):
+        writes.append(len(data))
+        write(spool, data)
+
+    with mock.patch.object(streams, "CHUNK", chunk), mock.patch.object(streams._Spool, "write", recorded):
+        yield writes
 
 
 def _outcome(call):
@@ -1478,7 +1501,7 @@ def _contract_uncompressed(tar: bytes) -> bytes:
 
 
 def _spooled(blob: bytes) -> bytes:
-    spool, digest = imageio._decompress(memory_bytes(blob), "gzip")
+    spool, digest = streams.decompress(memory_bytes(blob), "gzip")
     try:
         tar = spool[0:len(spool)]
     finally:
@@ -1533,20 +1556,21 @@ def test_streaming_decompression_matches_one_shot(case):
     exits 3. Where the spool accepts the blob, ``gzip.decompress`` returns
     the same bytes, so the spool refuses all that it refuses."""
     blob, chunk = case
-    with mock.patch.object(imageio, "_CHUNK", chunk):
+    with _decoder_step(chunk) as writes:
         spooled = _outcome(lambda: _spooled(blob))
         assert spooled == _outcome(lambda: _streams(blob, *_GZIP_CONTRACT))
         assert isinstance(spooled, tuple) or spooled == _outcome(lambda: gzip.decompress(blob))
         layer = _outcome(lambda: _layer_tar(blob, _GZIP_MEDIA))
         if isinstance(spooled, tuple):
-            assert issubclass(spooled[0], imageio._LAYER_STREAM_ERRORS)
+            assert issubclass(spooled[0], streams.LAYER_STREAM_ERRORS)
             assert layer == spooled
         else:
             assert layer == _outcome(lambda: [sha256(spooled), _contract_uncompressed(spooled)])
         uncompressed = _outcome(lambda: _layer_tar(blob, "application/vnd.oci.image.layer.v1.tar"))
         assert uncompressed == _outcome(lambda: [sha256(blob), _contract_uncompressed(blob)])
         if isinstance(uncompressed, tuple):
-            assert issubclass(uncompressed[0], imageio._LAYER_STREAM_ERRORS)
+            assert issubclass(uncompressed[0], streams.LAYER_STREAM_ERRORS)
+    assert max(writes, default=0) <= chunk
 
 
 @pytest.mark.parametrize("blob", [b"", bytes(_BAD_HEADER_CRC), _gzip_member(b"x", 0xE0, 9)],
@@ -1555,8 +1579,8 @@ def test_gzip_refusals_the_one_shot_call_does_not_make(blob):
     """zlib refuses input without a member, a wrong header CRC and reserved
     flag bits; ``gzip.decompress`` accepts all three."""
     gzip.decompress(blob)
-    with pytest.raises(imageio._LAYER_STREAM_ERRORS):
-        imageio._decompress(memory_bytes(blob), "gzip")
+    with pytest.raises(streams.LAYER_STREAM_ERRORS):
+        streams.decompress(memory_bytes(blob), "gzip")
 
 
 @st.composite
@@ -1567,7 +1591,7 @@ def _whole_members(draw):
     for data in draw(_STREAM_DATA):
         blob += _gzip_member(data, draw(st.integers(0, 31)), draw(st.sampled_from([0, 1, 9])))
         blob += bytes(draw(st.integers(0, 6)))
-    return blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))
+    return blob, draw(st.sampled_from([1, 2, 7, 512, streams.CHUNK]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1576,8 +1600,9 @@ def test_whole_members_decompress_as_the_one_shot_call_does(case):
     """On whole gzip members the spool holds what ``gzip.decompress``
     returns."""
     blob, chunk = case
-    with mock.patch.object(imageio, "_CHUNK", chunk):
+    with _decoder_step(chunk) as writes:
         assert _spooled(blob) == gzip.decompress(blob)
+    assert max(writes, default=0) <= chunk
 
 
 # Bytes that start neither a bz2 stream nor any stream ``lzma.decompress``
@@ -1594,7 +1619,7 @@ def _whole_chains(draw):
     blob = b"".join(module.compress(data) for data in draw(_STREAM_DATA))
     if draw(st.booleans()):
         blob += bytes([draw(st.sampled_from(_NO_STREAM_START))]) + draw(st.binary(max_size=8))
-    return module, blob, draw(st.sampled_from([1, 2, 7, 512, imageio._CHUNK]))
+    return module, blob, draw(st.sampled_from([1, 2, 7, 512, streams.CHUNK]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1603,12 +1628,13 @@ def test_whole_streams_decompress_as_the_one_shot_call_does(case):
     """Where the contract and the one-shot call agree by construction, the
     spool holds what ``bz2.decompress`` or ``lzma.decompress`` returns."""
     module, blob, chunk = case
-    with mock.patch.object(imageio, "_CHUNK", chunk):
-        spool, digest = imageio._decompress(memory_bytes(blob), module.__name__)
+    with _decoder_step(chunk) as writes:
+        spool, digest = streams.decompress(memory_bytes(blob), module.__name__)
     try:
         data = spool[0:len(spool)]
     finally:
         spool.close()
+    assert max(writes, default=0) <= chunk
     assert data == module.decompress(blob)
     assert digest == sha256(data)
 
@@ -1681,6 +1707,35 @@ def test_slim_holds_neither_a_whole_file_nor_the_output(tmp_path, layout, gzip_l
     _, stack = load_image_archive(out)
     with stack:
         assert flatten_layers(stack).data_for("/usr/bin/big")[:] == big
+
+
+@pytest.mark.parametrize("gzip_layer", [False, True])
+def test_build_holds_no_chunk_once_the_stream_is_spooled(monkeypatch, gzip_layer):
+    """When the last of 12 chunks is spooled, none of them is held: not even
+    the first, which ``build_slim_image`` reads before the spool to refuse
+    an empty stream."""
+    held = []
+    finish = streams._Spool.finish
+
+    def measured(spool):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return finish(spool)
+
+    monkeypatch.setattr(streams._Spool, "finish", measured)
+
+    def chunks():
+        for i in range(12):
+            yield bytes([i + 1]) * streams.CHUNK
+
+    stream = chunks()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _build(TestBuildSlimImage.METADATA, stream, gzip_layer=gzip_layer)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert held[0] - before < streams.CHUNK
 
 
 def test_retained_sparse_file_is_laid_out_once(tmp_path):
