@@ -41,7 +41,7 @@ from .errors import (
     OversizedFileError,
     UnsupportedFormatError,
 )
-from .streams import LAYER_STREAM_ERRORS, FileBytes, decompress, sha256_digest, spool_layer, uncompressed
+from .streams import FileBytes, sha256_digest, spool_layer, uncompressed
 from .tarcodec import NO_DATA_TYPES, TarHeader, TarHeaderError, gnu_header, read_tar_headers, tar_stream
 
 log = logging.getLogger(__name__)
@@ -61,15 +61,12 @@ MEDIA_INDEX = frozenset(
         "application/vnd.docker.distribution.manifest.list.v2+json",
     }
 )
-MEDIA_LAYER_TAR = frozenset(
+# The layer media types an OCI manifest may declare; a layer is decoded by its bytes.
+MEDIA_LAYER = frozenset(
     {
         "application/vnd.oci.image.layer.v1.tar",
-        "application/vnd.docker.image.rootfs.diff.tar",
-    }
-)
-MEDIA_LAYER_GZIP = frozenset(
-    {
         "application/vnd.oci.image.layer.v1.tar+gzip",
+        "application/vnd.docker.image.rootfs.diff.tar",
         "application/vnd.docker.image.rootfs.diff.tar.gzip",
     }
 )
@@ -148,10 +145,11 @@ def _json_member(view: FileBytes, what: str, kind):
 
 @dataclass(frozen=True)
 class ImageMetadata:
-    """The input image's name, tag and config, carried to the slim image.
+    """The input image's reference and config, carried to the slim image.
 
-    ``config`` is the image config object as it was read. The slim image's
-    config is ``config`` with ``rootfs`` naming the one slim layer and
+    ``reference`` is ``RepoTags[0]`` or the OCI ref.name annotation, or "",
+    and ``config`` the image config object, both as they were read. The
+    slim image's config is ``config`` with ``rootfs`` naming the one slim layer and
     ``history``, whose entries describe the input's layers, dropped
     (``_config_json``); every other field, ``User``, ``Healthcheck`` and
     ``StopSignal`` among them, is carried as it is. The type of each field
@@ -162,8 +160,7 @@ class ImageMetadata:
     are read-only views of those fields, never copies.
     """
 
-    image_name: str
-    tag: str
+    reference: str
     config: dict
 
     def __post_init__(self):
@@ -175,12 +172,6 @@ class ImageMetadata:
             _typed(fields, key, kind, "image config")
         rootfs = _typed(self.config, "rootfs", dict, "image config") or {}
         _typed(rootfs, "diff_ids", _STRINGS, "image config rootfs")
-
-    @property
-    def reference(self) -> str:
-        if not self.image_name:
-            return ""
-        return f"{self.image_name}:{self.tag}" if self.tag else self.image_name
 
     @property
     def _fields(self) -> dict:
@@ -218,14 +209,12 @@ class ImageMetadata:
 
 @dataclass(frozen=True)
 class LayerBlob:
-    """One layer: its identity digests, its blob as stored (``source``, a
-    range of the image archive) and its tar stream, which is ``source`` or
-    a spool of what it decompresses to that ``close`` closes. Both are read
-    as ``bytes`` slices; neither is held in memory."""
+    """One layer: its diff_id, its blob as stored (``source``, a range of
+    the image archive) and its tar stream, which is ``source`` or a spool
+    of what it decompresses to that ``close`` closes. Both are read as
+    ``bytes`` slices; neither is held in memory."""
 
-    media_type: str
-    digest: str  # digest of the blob bytes as stored
-    diff_id: str  # digest of the uncompressed tar stream
+    diff_id: str
     source: FileBytes = field(repr=False, compare=False)
     tar: FileBytes = field(repr=False, compare=False)
 
@@ -592,44 +581,24 @@ def _member_view(archive: FileBytes, members: dict[str, TarHeader], name: str) -
     return archive.view(member.offset_data, member.size)
 
 
-def _split_reference(ref: str) -> tuple[str, str]:
-    if ":" in ref:
-        name, _, tag = ref.rpartition(":")
-        return name, tag
-    return ref, ""
-
-
-def _layer_from_blob(source: FileBytes, media_type: str,
-                     verified_digest: str | None) -> LayerBlob:
-    """One layer and its tar stream; ``source`` is the blob as stored, its
-    range of the archive, and ``verified_digest`` the digest
-    ``_read_blob`` already checked it against, or None to hash it here. A
-    gzip layer is decompressed once, from its range into a spool, and its
-    diff_id is hashed on the way; then ``uncompressed`` reads the magic."""
-    digest = verified_digest or sha256_digest(source)
-    stored, diff_id = source, digest
-    if media_type in MEDIA_LAYER_GZIP:
-        stored, diff_id = decompress(source, "gzip")
-    tar = None
-    try:
-        tar = uncompressed(stored)
-    finally:
-        if tar is not stored and stored is not source:
-            stored.close()
-    return LayerBlob(media_type, digest, diff_id, source, tar)
+def _layer_from_blob(source: FileBytes, verified_digest: str | None) -> LayerBlob:
+    """One layer, decoded by its bytes whatever media type it declares;
+    ``source`` is the blob as stored and ``verified_digest`` the digest
+    ``_read_blob`` checked it against, or None. The diff_id is the digest
+    of the decoded stream, or of the blob when it is its own tar stream."""
+    tar, diff_id = uncompressed(source)
+    return LayerBlob(diff_id or verified_digest or sha256_digest(source), source, tar)
 
 
 def _add_layers(stack: LayerStack, blobs, cfg: dict) -> None:
-    """Add the layers of (source, media type, verified digest or None)
-    triples to ``stack``, base first, and check them against the diff_ids
-    the config declares."""
-    for index, (source, media_type, verified_digest) in enumerate(blobs):
+    """Add the layers of (source, verified digest or None) pairs to
+    ``stack``, base first, and check them against the diff_ids the config
+    declares."""
+    for index, (source, verified_digest) in enumerate(blobs):
         try:
-            stack.layers.append(_layer_from_blob(source, media_type, verified_digest))
+            stack.layers.append(_layer_from_blob(source, verified_digest))
         except TarHeaderError as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
-        except LAYER_STREAM_ERRORS as exc:
-            raise ImageFormatError(f"layer {index}: cannot decompress: {exc}") from exc
     declared = (cfg.get("rootfs") or {}).get("diff_ids") or []
     if declared and declared != stack.diff_ids:
         raise IntegrityError(
@@ -651,14 +620,10 @@ def _load_docker_layout(archive: FileBytes, members: dict, stack: LayerStack) ->
     cfg = _json_member(_member_view(archive, members, config_name), config_name, dict)
 
     repo_tags = _typed(entry, "RepoTags", _STRINGS, "manifest.json entry") or []
-    metadata = ImageMetadata(*_split_reference(repo_tags[0] if repo_tags else ""), cfg)
+    metadata = ImageMetadata(repo_tags[0] if repo_tags else "", cfg)
 
-    blobs = []
-    for layer_name in _typed(entry, "Layers", _STRINGS, "manifest.json entry") or []:
-        source = _member_view(archive, members, layer_name)
-        media = "application/vnd.oci.image.layer.v1.tar"
-        blobs.append((source, media + "+gzip" if source[0:2] == b"\x1f\x8b" else media, None))
-    _add_layers(stack, blobs, cfg)
+    layers = _typed(entry, "Layers", _STRINGS, "manifest.json entry") or []
+    _add_layers(stack, [(_member_view(archive, members, name), None) for name in layers], cfg)
     return metadata
 
 
@@ -698,16 +663,16 @@ def _load_oci_layout(archive: FileBytes, members: dict, stack: LayerStack) -> Im
     cfg_desc = _typed(manifest, "config", dict, "image manifest") or {}
     digest = _digest_of(cfg_desc, "image manifest config")
     cfg = _json_member(_read_blob(archive, members, digest), "image config", dict)
-    metadata = ImageMetadata(*_split_reference(ref), cfg)
+    metadata = ImageMetadata(ref, cfg)
 
     blobs = []
     for layer_desc in _typed(manifest, "layers", _OBJECTS, "image manifest") or []:
         lmedia = _typed(layer_desc, "mediaType", str, "image manifest layer") or ""
-        if lmedia not in MEDIA_LAYER_TAR and lmedia not in MEDIA_LAYER_GZIP:
+        if lmedia not in MEDIA_LAYER:
             raise UnsupportedFormatError(f"unknown layer media type {lmedia!r}")
         # _read_blob has checked the bytes against the declared digest.
         digest = _digest_of(layer_desc, "image manifest layer")
-        blobs.append((_read_blob(archive, members, digest), lmedia, digest))
+        blobs.append((_read_blob(archive, members, digest), digest))
     _add_layers(stack, blobs, cfg)
     return metadata
 
@@ -733,18 +698,18 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
     ``ImageFormatError``.
 
     Each layer is a range of the archive (or of its spool), and its tar
-    stream is made here: a gzip layer is decompressed once, a chunk at a
-    time, from its range into a spool that ``flatten_layers`` reads, and its
-    diff_id is hashed on the way. Blob digests are hashed a chunk at a time
-    too, so memory holds the manifest, the config and one chunk, never a
-    layer blob. The returned ``LayerStack`` keeps the archive file (or its
-    spool) and the layers' spools open until it is closed; the archive must
-    not change meanwhile.
+    stream is made here by its bytes: a gzip, bzip2 or xz layer is
+    decompressed once, a chunk at a time, from its range into a spool that
+    ``flatten_layers`` reads, and its diff_id is hashed on the way. Blob
+    digests are hashed a chunk at a time too, so memory holds the manifest,
+    the config and one chunk, never a layer blob. The returned
+    ``LayerStack`` keeps the archive file (or its spool) and the layers'
+    spools open until it is closed; the archive must not change meanwhile.
     """
     file = open(archive_path, "rb")
     stack = LayerStack(layers=[], archive=FileBytes(file))
     try:
-        archive = uncompressed(stack.archive)
+        archive = uncompressed(stack.archive)[0]
         if archive is not stack.archive:
             stack.archive.close()
             stack.archive = archive
@@ -756,7 +721,7 @@ def load_image_archive(archive_path) -> tuple[ImageMetadata, LayerStack]:
         raise ImageFormatError(
             "archive has neither 'oci-layout' nor 'manifest.json'; not an image archive"
         )
-    except LAYER_STREAM_ERRORS as exc:
+    except TarHeaderError as exc:
         stack.close()
         raise ImageFormatError(f"not a readable tar archive: {exc}") from exc
     except BaseException:

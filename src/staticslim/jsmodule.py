@@ -159,18 +159,20 @@ def tokenize(source: str) -> Tokens:
             end = j + 2
         elif kind == "unicode":
             start = m.start(kind)
-            c = source[start]
-            if c.isdigit() or (c == "." and source[start + 1].isdigit()):
-                end = _NUMBER_REST.match(source, start + 1).end()
-                toks.append(Token("num", source[start:end], line))
-            elif c.isalpha():
-                end = _IDENT_REST.match(source, start + 1).end()
-                toks.append(Token("ident", source[start:end], line))
-            else:
-                end = start + 1
-                toks.append(Token("punct", c, line))
+            kind, end = _unicode_token(source, start)
+            toks.append(Token(kind, source[start:end], line))
         i = end
     return toks
+
+
+def _unicode_token(source: str, start: int) -> tuple[str, int]:
+    """The kind and end of the token at a non-ASCII start (or a "." before one)."""
+    c = source[start]
+    if c.isdigit() or (c == "." and source[start + 1].isdigit()):
+        return "num", _NUMBER_REST.match(source, start + 1).end()
+    if c.isalpha():
+        return "ident", _IDENT_REST.match(source, start + 1).end()
+    return "punct", start + 1
 
 
 def _regex_can_start(prev: Token | None) -> bool:
@@ -243,37 +245,64 @@ def _skip_substitution(source: str, j: int) -> tuple[int, int]:
     expression starts at ``j`` (the end of ``source`` when none does), and
     the newlines on the way. What is open is kept on a stack, a brace depth
     for each substitution and None for each template, so templates nested
-    to any depth cost no recursion."""
+    to any depth cost no recursion. Code is read with ``_TOKEN`` and the
+    previous-token rule (``regex_ok``), as ``tokenize`` reads it, so a brace
+    in a string, a comment or a regex literal is skipped with it."""
     n = len(source)
     newlines = 0
     open_ = [1]
+    regex_ok = True
     while j < n and open_:
-        c = source[j]
-        if c == "\n":
-            newlines += 1
         if open_[-1] is None:  # in a template
-            if c == "\\" and j + 1 < n:
+            c = source[j]
+            if c == "\n":
+                newlines += 1
+            elif c == "\\" and j + 1 < n:
                 j += 1
                 if source[j] == "\n":
                     newlines += 1
             elif c == "`":
                 open_.pop()
+                regex_ok = False
             elif c == "$" and source.startswith("{", j + 1):
                 open_.append(1)
+                regex_ok = True
                 j += 1
-        elif c == "{":
-            open_[-1] += 1
-        elif c == "}":
-            open_[-1] -= 1
-            if not open_[-1]:
-                open_.pop()
-        elif c == "`":
+            j += 1
+            continue
+        m = _TOKEN.match(source, j)
+        kind = m.lastgroup
+        j = m.end()
+        if kind == "nl":
+            newlines += 1
+        elif kind == "punct" or kind == "ident":
+            value = m[kind]
+            if value == "{":
+                open_[-1] += 1
+            elif value == "}":
+                open_[-1] -= 1
+                if not open_[-1]:
+                    open_.pop()
+            regex_ok = value in _REGEX_ALLOWED_AFTER
+        elif kind == "tpl":
             open_.append(None)
-        elif c in "'\"":
-            _, end, nl = _scan_string(source, j, c)
+        elif kind == "str":
+            _, j, nl = _scan_string(source, j - 1, m[kind])
             newlines += nl
-            j = end - 1
-        j += 1
+            regex_ok = False
+        elif kind == "block_comment":  # to its "*/", or the end of the input
+            end = source.find("*/", j)
+            j = n if end < 0 else end + 2
+            newlines += source.count("\n", m.start(kind), j)
+        elif kind == "slash":
+            regex_end = _scan_regex(source, m.start(kind)) if regex_ok else None
+            regex_ok = regex_end is None and m[kind] in _REGEX_ALLOWED_AFTER
+            j = regex_end or j
+        elif kind == "unicode":  # none of its tokens is in _REGEX_ALLOWED_AFTER
+            _, j = _unicode_token(source, m.start(kind))
+            regex_ok = False
+        elif kind == "num":
+            regex_ok = False
     return j, newlines
 
 

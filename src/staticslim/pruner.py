@@ -356,43 +356,40 @@ def slim_image(
 ) -> SlimResult:
     """Slim one image archive: load, model, match, retain, emit, build, report.
 
-    The slim image is written to ``output``: a binary file, or a path that
-    is replaced only when the run succeeds (``_replacing``), so a failed run
-    leaves it as it was and leaves no temporary file beside it.
+    The slim image is written to the path ``output``, which is replaced
+    only when the run succeeds (``_replacing``), so a failed run leaves it
+    as it was and leaves no temporary file beside it.
     The image's entrypoint and cmd words are matched with ``ctl``'s tokens;
     ``ctl`` itself is left as it is. ``conservative`` keeps every entry
     instead of pruning.
     Raises a ``SlimError`` subclass when the input cannot be slimmed.
     """
-    if isinstance(output, (str, os.PathLike)):
-        with _replacing(output) as out:
-            return slim_image(input_path, ctl, out, search_dirs=search_dirs,
-                              conservative=conservative, layout=layout, gzip_layer=gzip_layer)
-    metadata, stack = load_image_archive(input_path)
-    # The rootfs reads file bytes from the layers (ELF objects, ld.so.conf,
-    # emitted files), so the stack stays open until the image is built.
-    with stack:
-        rootfs = flatten_layers(stack)
-        commands = collect_system_commands(rootfs, search_dirs)
-        cll = build_command_linked_list(commands, rootfs, search_dirs)
-        expand_command_linked_list(cll, rootfs, search_dirs)
+    with _replacing(output) as out:
+        metadata, stack = load_image_archive(input_path)
+        # The rootfs reads file bytes from the layers (ELF objects, ld.so.conf,
+        # emitted files), so the stack stays open until the image is built.
+        with stack:
+            rootfs = flatten_layers(stack)
+            commands = collect_system_commands(rootfs, search_dirs)
+            cll = build_command_linked_list(commands, rootfs, search_dirs)
+            expand_command_linked_list(cll, rootfs, search_dirs)
 
-        entry_tokens = _entrypoint_tokens(metadata)
-        image_ctl = CommandTokenList(tokens=list(ctl.tokens))
-        for token in entry_tokens:
-            image_ctl.add(token, PROVENANCE_EXEC, "image-config")
-        match = match_tokens(image_ctl, cll)
-        if conservative:
-            retain = RetainList()
-            for path in rootfs.entries:
-                retain.add(path, REASON_CONSERVATIVE)
-        else:
-            entry_paths = [t for t in entry_tokens if t.startswith("/")]
-            # rootfs goes by name: the bench tracer (bench/trace_child.py)
-            # reads it as a keyword or as the 4th positional argument.
-            retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs,
-                                       entry_paths=entry_paths)
-        slim_tar = emit_slim_rootfs(rootfs, retain)
-        build_slim_image(metadata, slim_tar, output, layout=layout, gzip_layer=gzip_layer)
-    report = compute_report(rootfs, cll, retain, match=match, search_dirs=search_dirs)
-    return SlimResult(metadata=metadata, cll=cll, retain=retain, report=report)
+            entry_tokens = _entrypoint_tokens(metadata)
+            image_ctl = CommandTokenList(tokens=list(ctl.tokens))
+            for token in entry_tokens:
+                image_ctl.add(token, PROVENANCE_EXEC, "image-config")
+            match = match_tokens(image_ctl, cll)
+            if conservative:
+                retain = RetainList()
+                for path in rootfs.entries:
+                    retain.add(path, REASON_CONSERVATIVE)
+            else:
+                entry_paths = [t for t in entry_tokens if t.startswith("/")]
+                # rootfs goes by name: the bench tracer (bench/trace_child.py)
+                # reads it as a keyword or as the 4th positional argument.
+                retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs,
+                                           entry_paths=entry_paths)
+            slim_tar = emit_slim_rootfs(rootfs, retain)
+            build_slim_image(metadata, slim_tar, out, layout=layout, gzip_layer=gzip_layer)
+        report = compute_report(rootfs, cll, retain, match=match, search_dirs=search_dirs)
+        return SlimResult(metadata=metadata, cll=cll, retain=retain, report=report)

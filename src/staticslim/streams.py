@@ -18,12 +18,6 @@ from typing import Iterable, Iterator
 from .errors import SpoolError
 from .tarcodec import CHUNK, TarHeaderError, read_tar_headers
 
-# What a damaged layer stream or image archive raises: the header codec's
-# error and, underneath it, those of the gzip decoder a gzip layer is read
-# through (zlib's error for a damaged member, EOFError for a cut one).
-# ``uncompressed`` turns what any decoder raises into the codec's error.
-LAYER_STREAM_ERRORS = (TarHeaderError, EOFError, zlib.error)
-
 # Compressed streams that tarfile's "r:*" mode opens: the magic bytes of
 # each and its name; for bz2 and lzma the name of the module that decodes
 # it, imported only when its magic is seen.
@@ -207,16 +201,18 @@ def decompress(source: FileBytes, compression: str) -> tuple[FileBytes, str]:
         raise
 
 
-def uncompressed(source: FileBytes) -> FileBytes:
-    """The tar stream in ``source``: ``source``, or a new spool of what it
-    decompresses to when it starts with the gzip, bzip2 or xz magic, as
-    tarfile opens it, decoded by the one rule ``_unchain`` states; like
-    tarfile, a plain tar stream whose first name happens to start with a
-    magic, and that no decoder accepts, is read as it is."""
+def uncompressed(source: FileBytes) -> tuple[FileBytes, str | None]:
+    """The tar stream in ``source`` and its digest, or None for ``source``
+    itself: a new spool of what ``source`` decompresses to, hashed on the
+    way, when it starts with the gzip, bzip2 or xz magic, as tarfile opens
+    it, by the one rule ``_unchain`` states. Like tarfile, a plain tar
+    stream whose first name starts with a magic, and that no decoder
+    accepts, is read as it is; any other input a decoder refuses raises
+    ``TarHeaderError("cannot decompress: …")``, whatever its format."""
     compression = next((name for magic, name in _COMPRESSIONS
                         if source[0:len(magic)] == magic), None)
     if compression is None:
-        return source
+        return source, None
     # A cut stream raises EOFError; a damaged gzip member zlib.error, a
     # damaged bz2 stream OSError and an xz one lzma's own error, which is
     # not an OSError.
@@ -224,13 +220,13 @@ def uncompressed(source: FileBytes) -> FileBytes:
     if compression == "lzma":
         errors += (importlib.import_module("lzma").LZMAError,)
     try:
-        return decompress(source, compression)[0]
+        return decompress(source, compression)
     except errors as exc:
         try:
             next(read_tar_headers(source), None)
         except TarHeaderError:
             raise TarHeaderError(f"cannot decompress: {exc}") from exc
-    return source
+    return source, None
 
 
 def sha256_digest(data: bytes | FileBytes) -> str:

@@ -223,34 +223,27 @@ def two_stream_layer(packing: str, *, damaged: bool = False, between: bytes = b"
     return compress(tar[:1024]) + between + bytes(second)
 
 
-TAR_MEDIA = "application/vnd.oci.image.layer.v1.tar"
-
-
 def memory_bytes(data: bytes) -> FileBytes:
     """``data`` as the layer code reads every file: an in-memory buffer
     read through ``FileBytes``."""
     return FileBytes(io.BytesIO(data), 0, len(data))
 
 
-def memory_stack(blobs) -> LayerStack:
-    """A stack of in-memory layers from (stored blob, media type) pairs,
-    base first. The blobs are ranges of one buffer that the stack owns, as
-    it owns an image archive: closing the stack closes it."""
-    archive = memory_bytes(b"".join(blob for blob, _ in blobs))
+def make_stack(blobs) -> LayerStack:
+    """A stack of in-memory layers from their stored blobs, base first. The
+    blobs are ranges of one buffer that the stack owns, as it owns an image
+    archive: closing the stack closes it."""
+    archive = memory_bytes(b"".join(blobs))
     stack = LayerStack(layers=[], archive=archive)
     at = 0
     try:
-        for blob, media_type in blobs:
-            stack.layers.append(_layer_from_blob(archive.view(at, len(blob)), media_type, None))
+        for blob in blobs:
+            stack.layers.append(_layer_from_blob(archive.view(at, len(blob)), None))
             at += len(blob)
     except BaseException:
         stack.close()
         raise
     return stack
-
-
-def make_stack(layer_tars) -> LayerStack:
-    return memory_stack([(data, TAR_MEDIA) for data in layer_tars])
 
 
 def default_config(layer_tars, **overrides) -> dict:
@@ -294,16 +287,28 @@ def make_docker_archive(layer_tars, config: dict | None = None, repo_tag="demo:l
     return buf.getvalue()
 
 
+def gzip_layer_blobs(layer_tars) -> list[tuple[bytes, str]]:
+    """``make_oci_archive``'s ``layer_blobs`` that store each layer tar
+    gzip-compressed, under the ``+gzip`` media type."""
+    return [(gzip.compress(data, mtime=0), "application/vnd.oci.image.layer.v1.tar+gzip")
+            for data in layer_tars]
+
+
 def make_oci_archive(
     layer_tars,
     config: dict | None = None,
     ref="demo:latest",
-    gzip_layers=False,
     corrupt_layer: int | None = None,
+    layer_blobs=None,
 ) -> bytes:
-    """Hand-rolled OCI image layout inside a tar."""
+    """Hand-rolled OCI image layout inside a tar. ``layer_blobs`` holds
+    each layer as stored and the media type its descriptor declares; by
+    default each of ``layer_tars`` is stored as it is, under the ``…tar``
+    media type. The config declares the diff_ids of ``layer_tars``."""
     cfg = config if config is not None else default_config(layer_tars)
     cfg_bytes = json.dumps(cfg).encode()
+    if layer_blobs is None:
+        layer_blobs = [(data, "application/vnd.oci.image.layer.v1.tar") for data in layer_tars]
 
     blobs: dict[str, bytes] = {}
 
@@ -313,13 +318,7 @@ def make_oci_archive(
         return digest
 
     layer_descs = []
-    for i, data in enumerate(layer_tars):
-        if gzip_layers:
-            blob = gzip.compress(data, mtime=0)
-            media = "application/vnd.oci.image.layer.v1.tar+gzip"
-        else:
-            blob = data
-            media = "application/vnd.oci.image.layer.v1.tar"
+    for i, (blob, media) in enumerate(layer_blobs):
         digest = add_blob(blob)
         if corrupt_layer == i:
             # Declared digest no longer matches the stored bytes.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import posixpath
 import tarfile
+import zlib
 
 from staticslim.errors import ImageFormatError
 from staticslim.imageio import (
@@ -34,7 +35,10 @@ from staticslim.imageio import (
     _ensure_parents,
     log,
 )
-from staticslim.streams import LAYER_STREAM_ERRORS
+
+# What tarfile raises on a damaged layer: its own error and, through a gzip
+# layer, a cut member's EOFError and a damaged one's zlib.error.
+_TARFILE_ERRORS = (tarfile.TarError, EOFError, zlib.error)
 
 
 def _delete_subtree(entries: dict, path: str) -> None:
@@ -118,7 +122,7 @@ def flatten_layers(stack: LayerStack) -> FlattenedRootfs:
         try:
             with tarfile.open(fileobj=io.BytesIO(layer.data), mode="r:*") as tf:
                 _apply_layer(index, tf, entries, warnings)
-        except (tarfile.TarError, *LAYER_STREAM_ERRORS) as exc:
+        except _TARFILE_ERRORS as exc:
             raise ImageFormatError(f"layer {index}: not a readable tar stream: {exc}") from exc
 
     total = sum(r.size for r in entries.values() if r.kind == KIND_REGULAR)

@@ -2,10 +2,12 @@
 
 It is the oracle for ``staticslim.jsmodule.tokenize``, which lexes with one
 token pattern: both must give the same (kind, value, line) stream. The scanners
-and tables are those of the original per-character lexer, with two fixes: a
+and tables are those of the original per-character lexer, with three fixes: a
 backslash before a newline ends a regex-literal candidate, so the "/" lexes as
-division, and a backslash before a newline in a template literal counts that
-line, as one in a quoted string does; both keep later line numbers right.
+division; a backslash before a newline in a template literal counts that
+line, as one in a quoted string does; both keep later line numbers right. And
+a template substitution is lexed token by token, as a module is, so a "}" in
+a comment or a regex literal inside it does not end the substitution.
 """
 
 from __future__ import annotations
@@ -37,83 +39,60 @@ def tokenize(source: str) -> list[Token]:
     """Lex a JavaScript module one character at a time."""
     toks: list[Token] = []
     i = 0
-    n = len(source)
     line = 1
-
-    def prev_significant() -> Token | None:
-        return toks[-1] if toks else None
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "*":
-            j = source.find("*/", i + 2)
-            if j < 0:
-                break
-            line += source.count("\n", i, j)
-            i = j + 2
-            continue
-        if c in "'\"":
-            value, i, nl = _scan_string(source, i, c)
-            toks.append(Token("str", value, line))
-            line += nl
-            continue
-        if c == "`":
-            parts, i, nl = _scan_template(source, i)
-            toks.append(Token("tpl", parts, line))
-            line += nl
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "._xXoObBeE+-"):
-                if source[j] in "+-" and source[j - 1] not in "eE":
-                    break
-                j += 1
-            toks.append(Token("num", source[i:j], line))
-            i = j
-            continue
-        if c.isalpha() or c in "_$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            toks.append(Token("ident", source[i:j], line))
-            i = j
-            continue
-        if c == "/":
-            prev = prev_significant()
-            if _regex_can_start(prev):
-                end, nl = _scan_regex(source, i)
-                if end is not None:
-                    toks.append(Token("regex", source[i:end], line))
-                    line += nl
-                    i = end
-                    continue
-            # fall through: division operator
-        matched = None
-        for group in (_PUNCT3, _PUNCT2):
-            for p in group:
-                if source.startswith(p, i):
-                    matched = p
-                    break
-            if matched:
-                break
-        if matched:
-            toks.append(Token("punct", matched, line))
-            i += len(matched)
-            continue
-        toks.append(Token("punct", c, line))
-        i += 1
+    while i < len(source):
+        tok, i, line = _next_token(source, i, toks[-1] if toks else None, line)
+        if tok is not None:
+            toks.append(tok)
     return toks
+
+
+def _next_token(source: str, i: int, prev: Token | None, line: int) -> tuple[Token | None, int, int]:
+    """The token at ``i`` (None for a blank, a newline or a comment), where
+    the next one starts, and the line there. ``prev`` is the last token, for
+    the regex rule; an unterminated block comment ends the input."""
+    n = len(source)
+    c = source[i]
+    if c == "\n":
+        return None, i + 1, line + 1
+    if c in " \t\r\f\v":
+        return None, i + 1, line
+    if c == "/" and i + 1 < n and source[i + 1] == "/":
+        j = source.find("\n", i)
+        return None, n if j < 0 else j, line
+    if c == "/" and i + 1 < n and source[i + 1] == "*":
+        j = source.find("*/", i + 2)
+        if j < 0:
+            return None, n, line
+        return None, j + 2, line + source.count("\n", i, j)
+    if c in "'\"":
+        value, i, nl = _scan_string(source, i, c)
+        return Token("str", value, line), i, line + nl
+    if c == "`":
+        parts, i, nl = _scan_template(source, i)
+        return Token("tpl", parts, line), i, line + nl
+    if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        j = i + 1
+        while j < n and (source[j].isalnum() or source[j] in "._xXoObBeE+-"):
+            if source[j] in "+-" and source[j - 1] not in "eE":
+                break
+            j += 1
+        return Token("num", source[i:j], line), j, line
+    if c.isalpha() or c in "_$":
+        j = i + 1
+        while j < n and (source[j].isalnum() or source[j] in "_$"):
+            j += 1
+        return Token("ident", source[i:j], line), j, line
+    if c == "/" and _regex_can_start(prev):
+        end, nl = _scan_regex(source, i)
+        if end is not None:
+            return Token("regex", source[i:end], line), end, line + nl
+        # fall through: division operator
+    for group in (_PUNCT3, _PUNCT2):
+        for p in group:
+            if source.startswith(p, i):
+                return Token("punct", p, line), i + len(p), line
+    return Token("punct", c, line), i + 1, line
 
 
 def _regex_can_start(prev: Token | None) -> bool:
@@ -173,25 +152,19 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
             if buf:
                 parts.append(("s", "".join(buf)))
                 buf = []
+            # The substitution is lexed as a module is, token by token, up
+            # to the "}" that balances its "${".
             depth = 1
             j = i + 2
             start = j
+            prev = None
             while j < n and depth:
-                if source[j] == "{":
-                    depth += 1
-                elif source[j] == "}":
-                    depth -= 1
-                elif source[j] == "`":
-                    _, j2, nl2 = _scan_template(source, j)
-                    newlines += nl2
-                    j = j2 - 1
-                elif source[j] in "'\"":
-                    _, j2, nl2 = _scan_string(source, j, source[j])
-                    newlines += nl2
-                    j = j2 - 1
-                elif source[j] == "\n":
-                    newlines += 1
-                j += 1
+                tok, j, newlines = _next_token(source, j, prev, newlines)
+                if tok is None:
+                    continue
+                if tok.kind == "punct" and tok.value in ("{", "}"):
+                    depth += 1 if tok.value == "{" else -1
+                prev = tok
             parts.append(("e", source[start : j - 1]))
             i = j
             continue

@@ -215,7 +215,8 @@ def test_criterion_5_round_trip_and_idempotence(tmp_path):
         assert {**loaded.config, "rootfs": None} == {**metadata.config, "rootfs": None}
         with stack:
             layer_blob = stack.layers[0]
-            assert layer_blob.digest == sha256(layer_blob.data)  # digest matches content
+            # The slim layer is stored uncompressed: its diff_id is its digest.
+            assert layer_blob.diff_id == sha256(layer_blob.data)
 
         second, _ = _slim_pipeline(first, ["sh"], tmp_path, "slim-again")
         assert second == first  # second pass byte-identical

@@ -84,6 +84,47 @@ class TestTokenize:
         assert toks[0].value == [("e", source[3:-4])]
         assert toks[1].line == 3
 
+    @pytest.mark.parametrize("comment,line", [("/* } */", 1), ("/* }\n} */", 2), ("// }\n", 2),
+                                              ("// }", None), ("/* } never closed", None)],
+                             ids=["block", "block-lines", "line", "line-at-end", "unclosed"])
+    def test_comment_in_substitution_does_not_end_it(self, comment, line):
+        """A ``}`` in a comment inside a substitution is part of the
+        comment; the substitution goes on to the next ``}``."""
+        source = f"const a = `ls ${{ x {comment} }} -l`; exec(a);"
+        for lexer in (tokenize, reference_lexer.tokenize):
+            template = next(t for t in lexer(source) if t.kind == "tpl")
+            if line is None:  # the comment runs to the end of the input
+                assert [kind for kind, _ in template.value] == ["s", "e"]
+                assert "exec" not in [t.value for t in lexer(source)]
+                continue
+            assert template.value == [("s", "ls "), ("e", f" x {comment} "), ("s", " -l")]
+            assert [t.line for t in lexer(source) if t.value == "exec"] == [line]
+        if line is not None:
+            index = scan_module("m.js", source, SINKS)
+            sink = next(c for c in index.calls if c.callee == "exec")
+            assert constant_fragments(resolve_expr(sink.args[0], index, None)) == ["ls ", " -l"]
+
+    @pytest.mark.parametrize("expr,fragments", [
+        ('u.replace(/^https?:\\/\\//, "")', ["curl ", " -o f"]),
+        ("/}/.test(y)", ["curl ", " -o f"]),
+        ("/`'/.source", ["curl ", " -o f"]),
+        ("n / 2 } -o {x / 3", ["curl ", " -o {x / 3} -o f"]),
+        ("return /}/", ["curl ", " -o f"]),
+        ("\u00e9return /x/ } { /x/", ["curl ", " { /x/} -o f"]),
+    ], ids=["url", "brace", "quote-and-backtick", "division", "after-keyword", "unicode-ident"])
+    def test_regex_in_substitution_does_not_end_it(self, expr, fragments):
+        """A regex literal inside a substitution is skipped whole, by the
+        rule that tells it from a division in a module; the sinks after the
+        template are still found."""
+        source = f"const a = `curl ${{{expr}}} -o f`;\nexec(a);\nexec(b);"
+        for lexer in (tokenize, reference_lexer.tokenize):
+            template = next(t for t in lexer(source) if t.kind == "tpl")
+            assert [part for kind, part in template.value if kind == "s"] == fragments
+            assert [t.line for t in lexer(source) if t.value == "exec"] == [2, 3]
+        index = scan_module("m.js", source, SINKS)
+        assert [(c.callee, c.line) for c in index.calls] == [("exec", 2), ("exec", 3)]
+        assert constant_fragments(resolve_expr(index.calls[0].args[0], index, None)) == fragments
+
     def test_line_numbers_across_strings(self):
         toks = tokenize("'one'\n'two'\n`three\nfour`\nfive")
         idents = [t for t in toks if t.kind == "ident"]
@@ -116,6 +157,11 @@ class TestTokenize:
     @example("`a${ {b: `c${'}'}\\`\n${\"d\n}`} }e`\n`${`${\n")
     # Line continuations in a template and in one nested in a substitution.
     @example("`a\\\nb${`c\\\nd`}`\nexec(1)")
+    # Comments inside a substitution, with a brace and a newline in them.
+    @example("`a${ b /* }\n*/ } c ${ // }\n d }`\nexec(1)")
+    # Regex literals inside a substitution, beside divisions, holding a
+    # brace, quotes, a backtick and "//".
+    @example("`a${ u.replace(/^https?:\\/\\//, '') } b ${ /}`'/.test(y) / 2 } c`\nexec(1)")
     # Blank runs before every token kind and at the end of the input.
     @example("  x \t= \f'a' +\v `t${ 1 }`;\r y =\t /r/g \t/ 2 \n \t/* c */ \u00e9t\u00e9 \t.5 // z\n\t \t")
     def test_same_stream_as_reference_lexer(self, text):
