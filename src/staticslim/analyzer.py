@@ -174,10 +174,10 @@ def exec_call_pattern(sink_names=DEFAULT_SINKS) -> re.Pattern:
     a preceding ASCII identifier or number character (``\\b`` would miss
     ``½exec(``, which the scanner lexes as a call), a gap, then ``(``.
 
-    This pattern alone decides which files get lexed; ``sink_gate`` only
-    skips the search on texts it cannot match. The lookbehind that opens it
-    keeps ``re`` from scanning for a literal prefix, so a search tries every
-    position of the text. An empty sink set matches nothing.
+    This pattern alone decides which files get lexed; ``sink_gate`` tries it
+    only where a sink name occurs. The lookbehind that opens it keeps ``re``
+    from scanning for a literal prefix, so a search would try every position
+    of the text. An empty sink set matches nothing.
     """
     alternatives = "|".join(re.escape(s) for s in sorted(sink_names)) or "(?!)"
     return re.compile(rf"(?<![A-Za-z0-9_$])(?:{alternatives}){_CALL_GAP}\(")
@@ -186,16 +186,47 @@ def exec_call_pattern(sink_names=DEFAULT_SINKS) -> re.Pattern:
 def sink_gate(sink_names=DEFAULT_SINKS) -> Callable[[str], bool]:
     """Whether ``exec_call_pattern(sink_names)`` matches a text, tested cheaply.
 
-    A text costs one substring scan per sink literal, and the regex search
-    runs only on a text that holds a literal. The literals are the sink names
-    that contain no other sink name (``exec`` and ``spawn`` for
-    ``DEFAULT_SINKS``). The test is exact, not a heuristic: every match of
-    the pattern holds a sink name verbatim, and every sink name holds one of
-    the literals, so a text without any literal cannot match.
+    The pattern is tried only where a sink name can start: at each
+    occurrence of a sink literal, found by a substring scan, less the offset
+    of that literal in a sink name. The literals are the sink names that
+    contain no other sink name (``exec`` and ``spawn`` for
+    ``DEFAULT_SINKS``, each at offset 0). The test is exact, not a
+    heuristic: every match of the pattern starts with a sink name, every
+    sink name holds a literal at one of those offsets, and the lookbehind
+    that opens the pattern reads the text before the position it is tried
+    at, as a search would.
     """
     literals = [s for s in sink_names if not any(o != s and o in s for o in sink_names)]
-    search = exec_call_pattern(sink_names).search
-    return lambda text: any(s in text for s in literals) and search(text) is not None
+    starts = sorted({(lit, k) for lit in literals for s in sink_names
+                     for k in range(len(s)) if s.startswith(lit, k)})
+    match = exec_call_pattern(sink_names).match
+
+    def gate(text: str) -> bool:
+        for literal, offset in starts:
+            found = text.find(literal, offset)
+            while found >= 0:
+                if match(text, found - offset):
+                    return True
+                found = text.find(literal, found + 1)
+        return False
+
+    return gate
+
+
+def _sink_values(path: str, text: str, sinks: frozenset[str]) -> list[tuple[str, list[str]]]:
+    """One ``(path:line, values)`` pair per sink call of a module, in call order."""
+    index = jsmodule.scan_module(path, text, sinks)
+    pairs = []
+    for call in index.calls:
+        if call.callee not in sinks:
+            continue
+        values = []
+        if call.args:
+            enclosing = index.enclosing_function(call.token_index)
+            variants = jsmodule.resolve_expr(call.args[0], index, enclosing)
+            values = jsmodule.constant_fragments(variants)
+        pairs.append((f"{path}:{call.line}", values))
+    return pairs
 
 
 def _resolve_sources(
@@ -209,10 +240,9 @@ def _resolve_sources(
     has no argument or resolves to nothing constant). Each file is read
     once. Only files that match ``exec_call_pattern`` are lexed: resolution
     never looks beyond the file's own module index, so any other file cannot
-    add a pair. The test (``sink_gate``) costs one substring scan per
-    sink literal per file, and the regex runs only on the files that hold a
-    literal; since every match holds a sink name, which holds a literal,
-    this skips no file the regex alone would pass.
+    add a pair. The test is ``sink_gate``. A file that fails to scan or
+    resolve adds no pair; its index, which holds its tokens, is gone before
+    the next file is read.
     """
     gate = sink_gate(sinks)
     resolved: list[tuple[str, list[str]]] = []
@@ -227,19 +257,9 @@ def _resolve_sources(
             continue
         lexed += 1
         try:
-            index = jsmodule.scan_module(str(src), text, sinks)
+            resolved.extend(_sink_values(str(src), text, sinks))
         except Exception as exc:  # a broken source must never abort the run
             log.warning("cannot parse %s: %s; skipped", src, exc)
-            continue
-        for call in index.calls:
-            if call.callee not in sinks:
-                continue
-            values = []
-            if call.args:
-                enclosing = index.enclosing_function(call.token_index)
-                variants = jsmodule.resolve_expr(call.args[0], index, enclosing)
-                values = jsmodule.constant_fragments(variants)
-            resolved.append((f"{src}:{call.line}", values))
     return resolved, lexed
 
 

@@ -10,13 +10,16 @@ its default and what the function body assigns to it. Anything beyond that
 resolves to a dynamic marker instead of a fabricated value. A function or
 method declaration head, such as ``exec (cmd) {``, is not a call.
 
-The lexer is one compiled token pattern matched at each position; only
-strings, templates and regex literals have scanners of their own, because
-they need escapes, nesting and the previous-token rule. One expression
-parser reads every right-hand side and argument; it gives a ``Func`` for a
-function literal or an arrow function, which is how the indexer learns that
-``name = …`` declares a function. Brackets are matched from one table per
-module (``Tokens.closers``), so stepping over a function body costs the
+The lexer is one ``finditer`` pass of one compiled token pattern, which
+matches quoted strings whole, escapes included. Only templates and regex
+literals have scanners of their own, because they need nesting and the
+previous-token rule; the pass restarts after them, after a block comment and
+after a non-ASCII start. One expression parser reads every right-hand side
+and argument; it gives a ``Func`` for a function literal or an arrow
+function, which is how the indexer learns that ``name = …`` declares a
+function. A right-hand side that cannot be one is parsed the first time
+resolution reads it (``Definition``). Brackets are matched from one table
+per module (``Tokens.closers``), so stepping over a function body costs the
 same at any nesting depth.
 """
 
@@ -51,41 +54,49 @@ _REGEX_ALLOWED_AFTER = frozenset(
 )
 
 # The blanks before a token, then one alternative per token start, tried in
-# order. Blanks are exactly " \t\r\f\v": any other space lexes as
-# punctuation. A match that names no group (a line comment, or blanks at the
-# end of the input) only advances. Numbers and identifiers start with
-# str.isdigit / str.isalpha, which no character class equals, so only ASCII
-# starts are matched here; a non-ASCII start (or a "." before one) is
-# "unicode" and tokenize tests it with the str methods.
+# order of frequency: identifiers, then the one-character brackets and
+# separators, then the rest. Blanks are exactly " \t\r\f\v": any other space
+# lexes as punctuation. A quoted string is matched whole, up to its closing
+# quote, a newline or the end of the input; a backslash escapes any one
+# character, the newline too, and stays when it ends the input. A match that
+# names no group (a line comment, or blanks at the end of the input) only
+# advances. Numbers and identifiers start with str.isdigit / str.isalpha,
+# which no character class equals, so only ASCII starts are matched here; a
+# non-ASCII start (or a "." before one) is "unicode" and tokenize tests it
+# with the str methods.
 _NUMBER_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
 _IDENT_TAIL = r"[\w$]*"
 _TOKEN = re.compile(
     rf"""
     [ \t\r\f\v]*
     (?:
-      (?P<nl>\n)
+      (?P<ident>[A-Za-z_$]{_IDENT_TAIL})
+    | (?P<punct>[()\[\]{{}},;:])
+    | (?P<nl>\n)
+    | '(?P<sq>[^'\\\n]*(?:\\.?[^'\\\n]*)*)'?
+    | "(?P<dq>[^"\\\n]*(?:\\.?[^"\\\n]*)*)"?
     | //[^\n]*
     | (?P<block_comment>/\*)
     | (?P<num>(?:[0-9]|\.[0-9]){_NUMBER_TAIL})
-    | (?P<ident>[A-Za-z_$]{_IDENT_TAIL})
-    | (?P<str>['"])
     | (?P<tpl>`)
     | (?P<slash>/=?)
     | (?P<unicode>\.?[^\x00-\x7f])
-    | (?P<punct>
+    | (?P<op>
         ===|!==|\*\*=|\.\.\.|>>>|&&=|\|\|=|\?\?=
         | =>|==|!=|<=|>=|\+=|-=|\*=|%=|&&|\|\||\?\?|\+\+|--|\*\*|<<|>>|&=|\|=|\^=|\?\.
         | .)
-    | $
+    | \Z
     )
     """,
     re.VERBOSE | re.DOTALL,
 )
 _NUMBER_REST = re.compile(_NUMBER_TAIL)
 _IDENT_REST = re.compile(_IDENT_TAIL)
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # str | tpl | num | ident | punct | regex
     value: object
@@ -120,49 +131,55 @@ class Tokens(list):
 def tokenize(source: str) -> Tokens:
     """Lex a JavaScript module; an unterminated block comment ends the input."""
     toks = Tokens()
-    match = _TOKEN.match
-    i = 0
-    n = len(source)
+    append = toks.append
     line = 1
-    while i < n:
-        m = match(source, i)
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "ident" or kind == "num" or kind == "punct":
-            toks.append(Token(kind, m[kind], line))
-        elif kind == "nl":
-            line += 1
-        elif kind == "str":
-            start = m.start(kind)
-            value, end, nl = _scan_string(source, start, source[start])
-            toks.append(Token("str", value, line))
-            line += nl
-        elif kind == "tpl":
-            parts, end, nl = _scan_template(source, m.start(kind))
-            toks.append(Token("tpl", parts, line))
-            line += nl
-        elif kind == "slash":
-            start = m.start(kind)
-            prev = toks[-1] if toks else None
-            regex_end = _scan_regex(source, start) if _regex_can_start(prev) else None
-            if regex_end is None:
-                toks.append(Token("punct", m[kind], line))
-            else:
-                toks.append(Token("regex", source[start:regex_end], line))
-                end = regex_end
-        elif kind == "block_comment":
-            start = m.start(kind)
-            j = source.find("*/", start + 2)
-            if j < 0:
+    pos = 0
+    while True:
+        for m in _TOKEN.finditer(source, pos):
+            kind = m.lastgroup
+            if kind == "ident" or kind == "punct" or kind == "num":
+                append(Token(kind, m[kind], line))
+            elif kind == "op":
+                append(Token("punct", m[kind], line))
+            elif kind == "nl":
+                line += 1
+            elif kind == "sq" or kind == "dq":
+                value = m[kind]
+                append(Token("str", _ESCAPE.sub(_unescape, value) if "\\" in value else value, line))
+                line += value.count("\n")  # only an escaped newline is in a string
+            elif kind == "slash":
+                start = m.start(kind)
+                prev = toks[-1] if toks else None
+                regex_end = _scan_regex(source, start) if _regex_can_start(prev) else None
+                if regex_end is None:
+                    append(Token("punct", m[kind], line))
+                    continue
+                append(Token("regex", source[start:regex_end], line))
+                pos = regex_end
                 break
-            line += source.count("\n", start, j)
-            end = j + 2
-        elif kind == "unicode":
-            start = m.start(kind)
-            kind, end = _unicode_token(source, start)
-            toks.append(Token(kind, source[start:end], line))
-        i = end
-    return toks
+            elif kind == "tpl":
+                parts, pos, nl = _scan_template(source, m.start(kind))
+                append(Token("tpl", parts, line))
+                line += nl
+                break
+            elif kind == "block_comment":
+                end = source.find("*/", m.end())
+                if end < 0:
+                    return toks
+                line += source.count("\n", m.end(), end)
+                pos = end + 2
+                break
+            elif kind == "unicode":
+                start = m.start(kind)
+                kind, pos = _unicode_token(source, start)
+                append(Token(kind, source[start:pos], line))
+                break
+        else:
+            return toks
+
+
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m[1], m[1])
 
 
 def _unicode_token(source: str, start: int) -> tuple[str, int]:
@@ -177,29 +194,6 @@ def _unicode_token(source: str, start: int) -> tuple[str, int]:
 
 def _regex_can_start(prev: Token | None) -> bool:
     return prev is None or (prev.kind in ("punct", "ident") and prev.value in _REGEX_ALLOWED_AFTER)
-
-
-def _scan_string(source: str, i: int, quote: str) -> tuple[str, int, int]:
-    out = []
-    newlines = 0
-    i += 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\\" and i + 1 < n:
-            esc = source[i + 1]
-            out.append({"n": "\n", "t": "\t", "r": "\r", "0": "\0"}.get(esc, esc))
-            if esc == "\n":
-                newlines += 1
-            i += 2
-            continue
-        if c == quote:
-            return "".join(out), i + 1, newlines
-        if c == "\n":
-            break  # unterminated; be tolerant
-        out.append(c)
-        i += 1
-    return "".join(out), i, newlines
 
 
 def _scan_template(source: str, i: int) -> tuple[list, int, int]:
@@ -275,7 +269,7 @@ def _skip_substitution(source: str, j: int) -> tuple[int, int]:
         j = m.end()
         if kind == "nl":
             newlines += 1
-        elif kind == "punct" or kind == "ident":
+        elif kind == "punct" or kind == "op" or kind == "ident":
             value = m[kind]
             if value == "{":
                 open_[-1] += 1
@@ -286,9 +280,8 @@ def _skip_substitution(source: str, j: int) -> tuple[int, int]:
             regex_ok = value in _REGEX_ALLOWED_AFTER
         elif kind == "tpl":
             open_.append(None)
-        elif kind == "str":
-            _, j, nl = _scan_string(source, j - 1, m[kind])
-            newlines += nl
+        elif kind == "sq" or kind == "dq":
+            newlines += m[kind].count("\n")
             regex_ok = False
         elif kind == "block_comment":  # to its "*/", or the end of the input
             end = source.find("*/", j)
@@ -567,10 +560,25 @@ class _ExprParser:
 # --- module index ------------------------------------------------------------
 
 
-@dataclass
 class Definition:
-    expr: Expr
-    op: str = "="  # "=" or "+="
+    """One right-hand side of a name, with its operator (``=`` or ``+=``).
+
+    Given no ``expr``, it keeps the module's tokens and where the right-hand
+    side starts, and ``expr`` is parsed from them the first time it is read;
+    from then on ``expr`` is a plain attribute.
+    """
+
+    def __init__(self, expr: Expr | None = None, op: str = "=",
+                 toks: Tokens | None = None, pos: int = 0):
+        if expr is not None:
+            self.expr = expr
+        self.op = op
+        self.toks = toks
+        self.pos = pos
+
+    @functools.cached_property
+    def expr(self) -> Expr:
+        return _ExprParser(self.toks, self.pos).parse()
 
 
 @dataclass
@@ -637,11 +645,13 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
 
     One walk over the tokens visits every identifier, inside function bodies
     and function expressions too. It notes each ``name(``, registers each
-    ``function name(…) {…}``, and parses the right-hand side of each
-    ``name = …`` and ``name += …`` that is not a member write into a
-    definition; a right-hand side that is a function literal also declares
-    ``name``. Then each ``name(`` of a sink or declared function that is not
-    a declaration head becomes a call site with its parsed arguments.
+    ``function name(…) {…}``, and records the right-hand side of each
+    ``name = …`` and ``name += …`` that is not a member write as a
+    definition. A right-hand side that may be a function literal is parsed
+    at once, and declares ``name`` when it is one; any other is parsed the
+    first time resolution reads it. Then each ``name(`` of a sink or
+    declared function that is not a declaration head becomes a call site
+    with its parsed arguments.
     """
     toks = tokenize(source)
     index = ModuleIndex(path=path)
@@ -658,9 +668,9 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
         elif nxt.value == "(":
             heads.append(i)
         elif nxt.value in ("=", "+=") and _binds_name(toks, i):
-            expr = _ExprParser(toks, i + 2).parse()
-            index.defs.setdefault(t.value, []).append(Definition(expr, nxt.value))
-            if isinstance(expr, Func):
+            definition = Definition(op=nxt.value, toks=toks, pos=i + 2)
+            index.defs.setdefault(t.value, []).append(definition)
+            if _may_be_function(toks, i + 2) and isinstance(expr := definition.expr, Func):
                 index.functions[t.value] = FuncInfo(t.value, expr.params, expr.body)
 
     interesting = sink_names | frozenset(index.functions)
@@ -670,6 +680,16 @@ def scan_module(path: str, source: str, sink_names: frozenset[str]) -> ModuleInd
             args = _ExprParser(toks, i + 1).parse_args()
             index.calls.append(CallSite(callee=t.value, args=args, line=t.line, token_index=i))
     return index
+
+
+def _may_be_function(toks: Tokens, j: int) -> bool:
+    """Whether the expression parser can give a ``Func`` for the right-hand
+    side at ``j``: it starts with ``function``, ``await`` or ``(``, or with an
+    identifier followed by ``=>``. Any other start gives a prefix operator
+    (read as dynamic) or a primary that is not a function literal."""
+    if j < len(toks) and toks[j].kind == "ident":
+        return toks[j].value in ("function", "await") or _is_punct(toks, j + 1, "=>")
+    return _is_punct(toks, j, "(")
 
 
 def _binds_name(toks: list[Token], i: int) -> bool:

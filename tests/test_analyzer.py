@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from staticslim.analyzer import (
     extract_command_tokens,
     find_shell_scripts,
 )
+from staticslim.cli import main
 from staticslim.ctl import CommandToken, CommandTokenList
 from staticslim.errors import AnalysisError
 
@@ -347,6 +349,9 @@ class TestFilterPackages:
     @example(case=(frozenset({"run", "rerun"}), ["run(", "rerun(", "xrerun(", "re run ("]))
     @example(case=(DEFAULT_SINKS, ["spawn('ls')", "execSync('id')", "x.exec /* c */ ()"]))
     @example(case=(frozenset(), ["exec('ls')", "f()"]))
+    # A sink name glued to a letter, one after a non-ASCII letter, and a bare
+    # sink name before a sink call: the pattern is tried at each occurrence.
+    @example(case=(DEFAULT_SINKS, ["xexec(", "\u00bdexec(", "exec exec("]))
     def test_literal_prefilter_lexes_what_the_pattern_passes(self, lexed, case):
         # The substring test ahead of the regex must change nothing: the files
         # lexed are exactly those the call pattern alone passes, for sink sets
@@ -496,6 +501,31 @@ def test_templates_nested_past_the_recursion_limit_keep_the_file(tmp_path, caplo
     source = "u = " + "`${" * 1000 + "'v'" + "}`" * 1000 + ";\nexecSync('ls');\n"
     assert _resolved(tmp_path, source) == [["ls"]]
     assert "cannot parse" not in caplog.text
+
+
+def test_file_failing_in_resolution_adds_nothing(tmp_path, monkeypatch, caplog):
+    """A module whose definition parse raises during resolution, after it
+    scanned, is skipped whole with a warning; the run goes on and keeps
+    every other file's tokens."""
+    broken = "exec('ls -l');\nconst c = 'boom';\nexec(c);\n"
+    root = write_package(
+        tmp_path / "app", "app", files={"a.js": "exec('tar -xf a');\n", "b.js": broken, "c.js": "spawn('id');\n"}
+    )
+    parse = jsmodule._ExprParser.parse
+
+    def failing(self):
+        t = self.peek()
+        if t is not None and t.value == "boom":
+            raise RuntimeError("parser fault")
+        return parse(self)
+
+    monkeypatch.setattr(jsmodule._ExprParser, "parse", failing)
+    jsmodule.scan_module("b.js", broken, DEFAULT_SINKS)  # the definition is not parsed yet
+    out = tmp_path / "tokens.ctl"
+    result = CliRunner().invoke(main, ["analyze", "--project", str(root), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text().splitlines() == ["tar", "-xf", "a", "id"]
+    assert f"cannot parse {root.resolve() / 'b.js'}: parser fault; skipped" in caplog.text
 
 
 def test_nesting_under_the_bound_still_resolves(tmp_path):

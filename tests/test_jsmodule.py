@@ -15,6 +15,7 @@ from staticslim.jsmodule import (
     Func,
     Tokens,
     Tpl,
+    _ExprParser,
     _match_balanced,
     constant_fragments,
     resolve_expr,
@@ -164,6 +165,17 @@ class TestTokenize:
     @example("`a${ u.replace(/^https?:\\/\\//, '') } b ${ /}`'/.test(y) / 2 } c`\nexec(1)")
     # Blank runs before every token kind and at the end of the input.
     @example("  x \t= \f'a' +\v `t${ 1 }`;\r y =\t /r/g \t/ 2 \n \t/* c */ \u00e9t\u00e9 \t.5 // z\n\t \t")
+    # Quoted strings: a backslash ending the input, a newline cutting one, an
+    # escaped newline before a sink call, "\r\n" line ends, an empty one,
+    # and one holding comment openers.
+    @example("'ab\\")
+    @example("'ab\ncd'")
+    @example("x = 'a\\\nb' + 1\nexec(1)")
+    @example("a = 1;\r\nb = 'x'\r\nexec(b)\r\n")
+    @example("''")
+    @example("s = '// not /* a comment'; exec(s)")
+    # Blanks alone: nothing to lex, not punctuation.
+    @example(" ")
     def test_same_stream_as_reference_lexer(self, text):
         assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
 
@@ -244,6 +256,38 @@ class TestScanModule:
         assert [index.functions[n].params for n in "abc"] == [["x", "y"], ["z"], ["w"]]
         # A function literal resolves as dynamic.
         assert resolve_expr(index.defs["a"][0].expr, index, None) == [(("d",),)]
+
+    @pytest.mark.parametrize("rhs", ["function(){}", "x => 1", "(a, b) => a", "(function(){})",
+                                     "await function(){}", "async => 1"])
+    def test_function_right_hand_sides_still_declare(self, rhs):
+        index = scan_module("m.js", f"f = {rhs};\nf('ls');\n", SINKS)
+        assert list(index.functions) == ["f"]
+        assert [(c.callee, c.line) for c in index.calls] == [("f", 2)]
+
+    def test_chained_assignment_declares_the_inner_name_only(self):
+        index = scan_module("m.js", "f = g = function(){};\n", SINKS)
+        assert list(index.functions) == ["g"]
+        assert [type(d.expr).__name__ for d in index.defs["f"] + index.defs["g"]] == ["Name", "Func"]
+
+    def test_definitions_no_sink_reads_are_not_parsed(self, monkeypatch):
+        """A right-hand side that cannot be a function literal is parsed the
+        first time resolution reads it, once; one that is never read is
+        never parsed."""
+        entries = []
+        init = _ExprParser.__init__
+
+        def counted(self, toks, pos, depth=0):
+            entries.append(pos)
+            init(self, toks, pos, depth)
+
+        monkeypatch.setattr(_ExprParser, "__init__", counted)
+        source = "".join(f"v{i} = 'x' + y{i};\n" for i in range(1000)) + "exec('ls ' + v7);\n"
+        index = scan_module("m.js", source, SINKS)
+        assert len(entries) == 1  # the sink call's arguments
+        for _ in range(2):
+            assert constant_fragments(resolve_expr(index.calls[0].args[0], index, None)) == ["ls x"]
+        assert entries[1:] == [7 * 6 + 2]  # and v7's right-hand side, once
+        assert sum("expr" in vars(d) for defs in index.defs.values() for d in defs) == 1
 
     def test_declaration_heads_are_not_call_sites(self):
         source = (

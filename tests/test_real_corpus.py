@@ -4,8 +4,10 @@ The tree is ``$STATICSLIM_NPM_TREE`` when that is set (an unpacked
 ``npm pack npm@10.8.2``; the test fails when it holds another release), and
 otherwise ``$(npm root -g)/npm``, which is skipped when absent or another
 release. It is analyzed in place and only read. The tests assert
-invariants, not counts; the release is pinned so that a new one, which may
-hold code the scanner cannot read yet, never changes their outcome.
+invariants, not counts, and that the lexer agrees with the reference lexer
+on every source file the analyzer walks; the release is pinned so that a
+new one, which may hold code the scanner cannot read yet, never changes
+their outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from staticslim.analyzer import DEFAULT_SINKS, analyze_project
+import reference_lexer
+from staticslim.analyzer import DEFAULT_SINKS, analyze_project, enumerate_dependency_chain
+from staticslim.jsmodule import tokenize
 
 
 NPM_RELEASE = "10.8.2"
@@ -102,3 +106,15 @@ def test_no_unresolved_sink_is_a_declaration_head(npm_analysis):
 def test_no_token_holds_a_quote(npm_analysis):
     ctl, _ = npm_analysis
     assert [t for t in ctl.token_texts() if "'" in t or '"' in t] == []
+
+
+def test_every_source_file_lexes_as_the_reference_lexer_does():
+    files = [src for pkg in enumerate_dependency_chain(_npm_tree()) for src in pkg.source_files]
+    assert files
+    mismatched = []
+    for src in files:
+        text = src.read_text(errors="replace")
+        tokens = [(t.kind, t.value, t.line) for t in tokenize(text)]
+        if tokens != [(t.kind, t.value, t.line) for t in reference_lexer.tokenize(text)]:
+            mismatched.append(str(src))
+    assert mismatched == []
