@@ -190,8 +190,6 @@ def inspect(input_path, search_dirs) -> None:
         _fail(EXIT_FORMAT, str(exc))
         return
 
-    heads = rootfs.command_heads(rootfs.collect_system_commands(flat, dirs), flat, dirs)
-
     def show(label, value):
         click.echo(f"{label}: {value}")
 
@@ -206,7 +204,7 @@ def inspect(input_path, search_dirs) -> None:
     show("layers", len(stack.layers))
     show("entries", len(flat.entries))
     show("rootfs size", flat.total_size)
-    show("commands supported", len(heads))
+    show("commands supported", len(rootfs.collect_system_commands(flat, dirs)))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ parsed once.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import posixpath
 import struct
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .imageio import KIND_DIRECTORY, FlattenedRootfs
-from .rootfs import lookup_record, resolve_directory, resolve_entry
+from .rootfs import list_directory, lookup_record, resolve_directory, resolve_entry
 
 log = logging.getLogger(__name__)
 
@@ -212,8 +211,8 @@ class LibrarySearch:
     first directory ``d`` of ``rootfs_library_dirs`` whose physical directory
     holds a non-directory entry of that name; a dangling symlink counts, as
     it does for a probe of that spelling. Each directory is resolved once,
-    through the same cache a probe of a child spelling uses, and its children
-    are one key range of the rootfs's sorted entries. ``chain`` memoizes
+    through the same cache a probe of a child spelling uses, and listed once
+    (``rootfs.list_directory``). ``chain`` memoizes
     each spelling's walk to the object it opens (``resolve_entry``, whose
     hop budget spans the whole symlink chain), and the parse of each object
     is kept for the walk (``edges``).
@@ -233,18 +232,9 @@ class LibrarySearch:
             directory, _ = resolve_directory(rootfs, d)
             if directory is None:
                 continue
-            prefix = "/" if directory == "/" else directory + "/"
-            i = bisect.bisect_left(keys, prefix)
-            while i < len(keys) and keys[i].startswith(prefix):
-                name = keys[i][len(prefix):]
-                cut = name.find("/")
-                if cut >= 0:
-                    # Not a child: skip the subtree of the child it lies under.
-                    i = bisect.bisect_left(keys, prefix + name[:cut] + "0", i)
-                    continue
-                if rootfs.entries[keys[i]].kind != KIND_DIRECTORY:
+            for name, path in list_directory(keys, directory):
+                if rootfs.entries[path].kind != KIND_DIRECTORY:
                     self.index.setdefault(name, d + "/" + name)
-                i += 1
 
     def find(self, name: str, own_dirs: list[str]) -> str | None:
         """Spelling the loader opens for a needed ``name``, or None.

@@ -43,7 +43,6 @@ from .rootfs import (
     CommandLinkedList,
     build_command_linked_list,
     collect_system_commands,
-    command_heads,
     expand_command_linked_list,
     resolve_chain,
     resolve_entry,
@@ -274,9 +273,10 @@ def compute_report(
 ) -> PruneReport:
     """Sizes, ratio, and supported-command counts before and after pruning.
 
-    ``commands_after`` counts the ``command_heads`` of the retained entries
-    of ``rootfs``: the commands ``inspect`` reports on the slim image,
-    dangling command links included. No chain is built for it.
+    ``commands_after`` counts the commands of the search listing of the
+    retained entries of ``rootfs`` (``collect_system_commands``): the count
+    ``inspect`` prints for the slim image, dangling command links included.
+    No chain is built for it.
     """
     slim_size = sum(
         rec.size
@@ -286,7 +286,6 @@ def compute_report(
     original = rootfs.total_size
     ratio = 0.0 if original == 0 else 1.0 - slim_size / original
     kept = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in retain.paths})
-    heads_after = command_heads(collect_system_commands(kept, search_dirs), kept, search_dirs)
     return PruneReport(
         matched_tokens=dict(match.matched),
         unmatched_tokens=list(match.unmatched),
@@ -296,7 +295,7 @@ def compute_report(
         slim_size=slim_size,
         slimming_ratio=ratio,
         commands_before=len(cll.heads),
-        commands_after=len(heads_after),
+        commands_after=len(collect_system_commands(kept, search_dirs)),
         missing_libraries=list(retain.missing_libraries),
         missing_interpreters=list(retain.missing_interpreters),
         cycles=list(cll.cycles),
@@ -372,7 +371,7 @@ def slim_image(
             rootfs = flatten_layers(stack)
             commands = collect_system_commands(rootfs, search_dirs)
             cll = build_command_linked_list(commands, rootfs, search_dirs)
-            expand_command_linked_list(cll, rootfs, search_dirs)
+            expand_command_linked_list(cll, rootfs)
 
             entry_tokens = _entrypoint_tokens(metadata)
             image_ctl = CommandTokenList(tokens=list(ctl.tokens))

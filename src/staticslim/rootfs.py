@@ -7,6 +7,13 @@ rootfs, which stays valid because a rootfs is never mutated after
 construction; a lookup is then one cache probe for the parent plus one
 symlink-table probe for the last name.
 
+The search listing alone says which names are commands and where each
+resolves. Each search directory, in any spelling, is resolved once and its
+physical directory listed once; a command is an executable child (regular,
+symlink or hardlink) at ``physical_dir/name``. Directories reached without
+crossing a symlink rank first, in search order, then those reached through
+one: physical spellings first, alias directories as a fallback.
+
 Every command usable inside the image is modeled as a chain of nodes: the
 bare command name, then each absolute path the name resolves through (one
 symlink hop per node) down to the real binary. A second pass adds alias
@@ -16,10 +23,12 @@ both exist as nodes when ``/bin`` links to ``/usr/bin``.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import posixpath
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import UnknownNodeError
 from .imageio import (
@@ -182,44 +191,45 @@ def lookup_record(rootfs: FlattenedRootfs, path: str) -> FileRecord | None:
     return rootfs.entries.get(physical)
 
 
-def collect_system_commands(
-    rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
-) -> list[str]:
-    """Names of executable entries found in the command search directories."""
-    dirs = set()
-    for d in search_dirs:
-        physical = resolve_entry(rootfs, d, follow_last=True)
-        rec = rootfs.entries.get(physical)
-        if rec is not None and rec.kind == KIND_DIRECTORY:
-            dirs.add(physical)
-    names = {
-        posixpath.basename(path)
-        for path, r in rootfs.entries.items()
-        if r.kind in _COMMAND_KINDS and r.is_executable() and posixpath.dirname(path) in dirs
-    }
-    return sorted(names - SHELL_BUILTINS)
-
-
-def command_abs_path(rootfs: FlattenedRootfs, name: str, search_dirs=DEFAULT_SEARCH_DIRS) -> str | None:
-    """Absolute path a bare command name resolves to via the search dirs.
-
-    Directories that are themselves symlinks are skipped on the first pass so
-    the node is named by the physical spelling (the alias spellings are added
-    by the expansion pass); they serve as a fallback when nothing else hits.
-    """
-    fallback = None
-    for d in search_dirs:
-        candidate = d + "/" + name
-        dir_rec = rootfs.entries.get(d)
-        if dir_rec is not None and dir_rec.kind == KIND_SYMLINK:
-            if fallback is None:
-                physical = resolve_entry(rootfs, candidate)
-                if physical is not None and physical in rootfs.entries:
-                    fallback = physical
+def list_directory(keys: list[str], directory: str) -> Iterator[tuple[str, str]]:
+    """Each entry directly below the physical ``directory``, as (name, path),
+    in path order: one key range of ``keys`` (a rootfs's paths, sorted), the
+    subtree below each child skipped with one bisection."""
+    prefix = "/" if directory == "/" else directory + "/"
+    i = bisect.bisect_right(keys, prefix)
+    while i < len(keys) and keys[i].startswith(prefix):
+        path = keys[i]
+        cut = path.find("/", len(prefix))
+        if cut >= 0:
+            # Not a child: skip the subtree of the child it lies under.
+            i = bisect.bisect_left(keys, path[:cut] + "0", i)
             continue
-        if candidate in rootfs.entries:
-            return candidate
-    return fallback
+        yield path[len(prefix):], path
+        i += 1
+
+
+def _search_listing(rootfs: FlattenedRootfs, search_dirs) -> dict[str, str]:
+    """The search listing: each command name -> the path of the first
+    directory, in tier order, that holds it."""
+    direct, linked = [], []
+    for d in search_dirs:
+        directory, hops = resolve_directory(rootfs, d)
+        rec = rootfs.entries.get(directory)
+        if rec is not None and rec.kind == KIND_DIRECTORY:
+            (linked if hops else direct).append(directory)
+    keys = list(rootfs.entries)
+    listing: dict[str, str] = {}
+    for directory in dict.fromkeys(direct + linked):
+        for name, path in list_directory(keys, directory):
+            rec = rootfs.entries[path]
+            if rec.kind in _COMMAND_KINDS and rec.is_executable():
+                listing.setdefault(name, path)
+    return listing
+
+
+def collect_system_commands(rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS) -> list[str]:
+    """The command names of the search listing, sorted, less the shell built-ins."""
+    return sorted(_search_listing(rootfs, search_dirs).keys() - SHELL_BUILTINS)
 
 
 @dataclass
@@ -271,29 +281,23 @@ class CommandLinkedList:
 
 
 def _extend_chain(cll: CommandLinkedList, node: CommandNode, rootfs: FlattenedRootfs,
-                  search_dirs) -> None:
-    """Follow one-hop resolutions from ``node``, creating nodes as needed."""
-    visited = {node.name}
+                  visited: set[str]) -> None:
+    """Follow one-hop resolutions from the path node ``node``, creating nodes
+    as needed. ``visited`` names the nodes walked to reach it, ``node``
+    included; a cycle is recorded with all of them."""
     while True:
-        name = node.name
-        if not name.startswith("/"):
-            nxt = command_abs_path(rootfs, name, search_dirs)
-            if nxt is None:
-                node.dangling = True
-                return
-        else:
-            physical = resolve_entry(rootfs, name)
-            if physical is None:
-                node.dangling = True
-                cll.cycles.append(sorted(visited))
-                return
-            rec = rootfs.entries.get(physical)
-            if rec is None:
-                node.dangling = True
-                return
-            if rec.kind != KIND_SYMLINK:
-                return
-            nxt = rootfs.symlink_table[physical]
+        physical = resolve_entry(rootfs, node.name)
+        if physical is None:
+            node.dangling = True
+            cll.cycles.append(sorted(visited))
+            return
+        rec = rootfs.entries.get(physical)
+        if rec is None:
+            node.dangling = True
+            return
+        if rec.kind != KIND_SYMLINK:
+            return
+        nxt = rootfs.symlink_table[physical]
         existing = cll.get(nxt)
         if existing is None:
             existing = cll.add(nxt)
@@ -306,25 +310,22 @@ def _extend_chain(cll: CommandLinkedList, node: CommandNode, rootfs: FlattenedRo
         visited.add(node.name)
 
 
-def command_heads(commands, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS) -> list[str]:
-    """The commands that head a chain, sorted: no shell built-in, and none
-    that ``command_abs_path`` does not resolve (each of those is warned about)."""
-    heads = []
+def build_command_linked_list(commands, rootfs: FlattenedRootfs,
+                              search_dirs=DEFAULT_SEARCH_DIRS) -> CommandLinkedList:
+    """Construct the command linked list over the given command names: each
+    one, sorted, that is no shell built-in heads a chain that starts where
+    the search listing puts it; a name the listing lacks is warned about."""
+    listing = _search_listing(rootfs, search_dirs)
+    cll = CommandLinkedList()
     for cmd in sorted(set(commands) - SHELL_BUILTINS):
-        if command_abs_path(rootfs, cmd, search_dirs) is None:
+        start = listing.get(cmd)
+        if start is None:
             log.warning("command %r is not resolvable inside the rootfs; skipped", cmd)
-        else:
-            heads.append(cmd)
-    return heads
-
-
-def build_command_linked_list(
-    commands, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
-) -> CommandLinkedList:
-    """Construct the command linked list over the given command names."""
-    cll = CommandLinkedList(heads=command_heads(commands, rootfs, search_dirs))
-    for cmd in cll.heads:
-        _extend_chain(cll, cll.add(cmd), rootfs, search_dirs)
+            continue
+        cll.heads.append(cmd)
+        head = cll.add(cmd)
+        head.next = cll.get(start) or cll.add(start)
+        _extend_chain(cll, head.next, rootfs, {cmd, start})
     return cll
 
 
@@ -343,9 +344,7 @@ def _has_command_file(rootfs: FlattenedRootfs, path: str) -> bool:
     return rec is not None and rec.kind != KIND_DIRECTORY
 
 
-def expand_command_linked_list(
-    cll: CommandLinkedList, rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS
-) -> CommandLinkedList:
+def expand_command_linked_list(cll: CommandLinkedList, rootfs: FlattenedRootfs) -> CommandLinkedList:
     """Add alias spellings introduced by directory symlinks.
 
     Each generated alias substitutes exactly one ancestor directory; running
@@ -379,7 +378,7 @@ def expand_command_linked_list(
                 if new_path in cll.nodes:
                     continue
                 new_node = cll.add(new_path)
-                _extend_chain(cll, new_node, rootfs, search_dirs)
+                _extend_chain(cll, new_node, rootfs, {new_path})
                 if is_sym:
                     link_node.next = new_node
                 else:

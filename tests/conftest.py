@@ -23,6 +23,7 @@ import tarfile
 import pytest
 
 from staticslim.imageio import LayerStack, _layer_from_blob
+from staticslim.rootfs import DEFAULT_SEARCH_DIRS
 from staticslim.streams import FileBytes
 
 
@@ -672,32 +673,45 @@ def oracle_alias_closure(entries: dict, initial_paths) -> set:
 
 
 def oracle_command_start(entries: dict, name: str, search_dirs) -> str | None:
-    """Where a bare command name lands: physical search dirs first, alias
-    directories as a fallback (mirrors the documented lookup contract)."""
-    fallback = None
+    """Where a bare command name lands (mirrors the documented lookup contract).
+
+    A search directory counts as the directory ``oracle_follow`` resolves it
+    to, and ranks first only when it is spelled as that directory (once its
+    ``.``, ``..`` and doubled slashes are read lexically); the others, reached
+    through a symlink, are a fallback. The first directory, in rank then
+    search order, that holds ``name`` as an executable file, symlink or
+    hardlink gives ``directory/name``.
+    """
+    first, fallback = [], []
     for d in search_dirs:
-        rec = entries.get(d)
-        cand = d + "/" + name
-        if rec is not None and rec["kind"] == "symlink":
-            if fallback is None:
-                key = oracle_lookup(entries, cand)
-                if key is not None and key in entries:
-                    fallback = key
+        spelled = "/" + "/".join(c for c in d.split("/") if c)
+        physical = oracle_follow(entries, spelled)
+        if physical is None or entries.get(physical, {}).get("kind") != "directory":
             continue
-        if cand in entries:
-            return cand
-    return fallback
+        (first if posixpath.normpath(spelled) == physical else fallback).append(physical)
+    for directory in first + fallback:
+        rec = entries.get(posixpath.join(directory, name))
+        if rec is not None and (rec["kind"] == "symlink" or (
+                rec["kind"] in ("regular", "hardlink") and rec.get("mode", 0o755) & 0o111)):
+            return posixpath.join(directory, name)
+    return None
 
 
 # --- random symlink forest generator -------------------------------------------
 
 
-def random_symlink_rootfs(rng) -> tuple[dict, list[str]]:
+def random_symlink_rootfs(rng) -> tuple[dict, list[str], list[str]]:
     """Ground-truth entries for a random rootfs with symlink chains <= 6 hops,
-    including injected cycles, dangling targets, and alias directories.
+    including injected cycles, dangling targets, alias directories, a search
+    directory behind a linked ancestor (``/usr/local -> /opt/local``) and
+    commands shadowed by a file of the same name, executable or not, in
+    another search directory.
 
-    Returns (entries, command_names); entries is path -> {kind, mode, target,
-    data} and is the oracle's source of truth.
+    Returns (entries, command_names, search_dirs); entries is path -> {kind,
+    mode, target, data} and is the oracle's source of truth. search_dirs are
+    the default search directories in random order, one of them sometimes
+    spelled another way (a trailing or doubled ``/``, relative, ``.`` or
+    ``..``).
     """
     entries = {
         "/usr": {"kind": "directory", "mode": 0o755},
@@ -717,7 +731,14 @@ def random_symlink_rootfs(rng) -> tuple[dict, list[str]]:
     else:
         entries["/sbin"] = {"kind": "directory", "mode": 0o755}
 
-    real_dirs = [d for d in ("/bin", "/sbin", "/usr/bin", "/usr/sbin") if entries[d]["kind"] == "directory"]
+    if rng.random() < 0.4:
+        for d in ("/opt", "/opt/local", "/opt/local/bin"):
+            entries[d] = {"kind": "directory", "mode": 0o755}
+        entries["/usr/local"] = {"kind": "symlink", "mode": 0o777, "target": rng.choice(["../opt/local", "/opt/local"])}
+        alias_of["/opt/local/bin"] = "/usr/local/bin"
+
+    real_dirs = [d for d in ("/bin", "/sbin", "/usr/bin", "/usr/sbin", "/opt/local/bin")
+                 if entries.get(d, {}).get("kind") == "directory"]
 
     def add_file(path: str) -> None:
         entries[path] = {"kind": "regular", "mode": 0o755, "data": b"x" * rng.randrange(1, 16)}
@@ -754,13 +775,26 @@ def random_symlink_rootfs(rng) -> tuple[dict, list[str]]:
                 add_file(nxt)
             cur = nxt
 
+    for name in rng.sample(commands, k=rng.randrange(0, len(commands) + 1)):
+        shadow = rng.choice(real_dirs) + "/" + name
+        if shadow not in entries:
+            add_file(shadow)
+            entries[shadow]["mode"] = rng.choice([0o644, 0o755])
+
     for j in range(rng.randrange(0, 4)):
         entries[f"/data/extra{j}"] = {
             "kind": "regular",
             "mode": rng.choice([0o644, 0o755]),
             "data": b"d",
         }
-    return entries, commands
+
+    search_dirs = rng.sample(DEFAULT_SEARCH_DIRS, k=len(DEFAULT_SEARCH_DIRS))
+    if rng.random() < 0.6:
+        i = rng.randrange(len(search_dirs))
+        d = search_dirs[i]
+        search_dirs[i] = rng.choice([d + "/", "/" + d, d.replace("/", "//"), d[1:], d + "/.",
+                                     d + "/../" + posixpath.basename(d)])
+    return entries, commands, search_dirs
 
 
 def rootfs_from_ground_truth(entries: dict):

@@ -46,7 +46,6 @@ from staticslim.pruner import (
     slim_image,
 )
 from staticslim.rootfs import (
-    DEFAULT_SEARCH_DIRS,
     build_command_linked_list,
     collect_system_commands,
     expand_command_linked_list,
@@ -119,17 +118,16 @@ def test_criterion_2_randomized_chain_properties():
     with _Criterion(2, "1000 randomized symlink forests vs brute-force oracle", 30.0):
         for seed in range(1000):
             rng = random.Random(20_000 + seed)
-            entries, _ = random_symlink_rootfs(rng)
+            entries, _, search_dirs = random_symlink_rootfs(rng)
             assert len(entries) <= 200
             rootfs = rootfs_from_ground_truth(entries)
-            commands = collect_system_commands(rootfs)
-            cll = build_command_linked_list(commands, rootfs)
+            commands = collect_system_commands(rootfs, search_dirs)
+            cll = build_command_linked_list(commands, rootfs, search_dirs)
 
+            assert cll.heads == commands, f"seed={seed}"
             for cmd in commands:
-                start = oracle_command_start(entries, cmd, DEFAULT_SEARCH_DIRS)
-                if start is None:
-                    assert cmd not in cll.heads and cmd not in cll.nodes, f"seed={seed} cmd={cmd}"
-                    continue
+                start = oracle_command_start(entries, cmd, search_dirs)
+                assert start is not None, f"seed={seed} cmd={cmd}"
                 expected = oracle_walk(entries, start)
                 got = resolve_chain(cll, cmd)
                 assert got == expected, f"seed={seed} cmd={cmd}: {got} != {expected}"
@@ -314,7 +312,7 @@ def test_criterion_9_safety_invariants():
     with _Criterion(9, "safety invariants on randomized prune cases", 30.0):
         for seed in range(200):
             rng = random.Random(55_000 + seed)
-            entries, commands = random_symlink_rootfs(rng)
+            entries, commands, _ = random_symlink_rootfs(rng)
 
             # Drop a couple of dynamic ELFs with a recorded needed-set in.
             entries["/usr/lib"] = {"kind": "directory", "mode": 0o755}

@@ -596,6 +596,59 @@ class TestInspect:
         assert f"commands supported: {recorded}" in result.output
 
 
+# --- where a command lives ----------------------------------------------------
+
+
+def _slim_tool(runner, tmp_path, members, *extra):
+    """``slim`` of a one-layer image with CTL ``tool``: the image and the
+    slim rootfs's entries."""
+    image = tmp_path / "search.tar"
+    image.write_bytes(make_docker_archive([make_layer_tar(members)]))
+    ctl = tmp_path / "tool.ctl"
+    ctl.write_text("tool\n")
+    out = tmp_path / "slim.tar"
+    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl), *extra])
+    assert result.exit_code == 0, result.output
+    _, stack = load_image_archive(out)
+    with stack:
+        return image, flatten_layers(stack).entries
+
+
+@pytest.mark.parametrize("spelling", ["/usr/bin/", "/usr//bin", "usr/bin"])
+def test_search_dir_in_any_spelling_keeps_the_command(runner, tmp_path, caplog, spelling):
+    members = [
+        {"path": "/usr", "kind": "directory"},
+        {"path": "/usr/bin", "kind": "directory"},
+        {"path": "/usr/bin/tool", "data": b"t", "mode": 0o755},
+        {"path": "/usr/bin/other", "data": b"o", "mode": 0o755},
+    ]
+    image, entries = _slim_tool(runner, tmp_path, members, "--search-dirs", spelling)
+    assert "/usr/bin/tool" in entries
+    assert "/usr/bin/other" not in entries
+    assert "not resolvable" not in caplog.text
+    result = runner.invoke(main, ["inspect", "--input", str(image), "--search-dirs", spelling])
+    assert "commands supported: 2" in result.output
+
+
+def test_search_dir_behind_a_linked_ancestor_keeps_the_command(runner, tmp_path, caplog):
+    members = [
+        {"path": "/usr", "kind": "directory"},
+        {"path": "/usr/bin", "kind": "directory"},
+        {"path": "/usr/bin/ls", "data": b"l", "mode": 0o755},
+        {"path": "/usr/local", "kind": "symlink", "target": "/opt/local"},
+        {"path": "/opt", "kind": "directory"},
+        {"path": "/opt/local", "kind": "directory"},
+        {"path": "/opt/local/bin", "kind": "directory"},
+        {"path": "/opt/local/bin/tool", "data": b"t", "mode": 0o755},
+    ]
+    image, entries = _slim_tool(runner, tmp_path, members)
+    assert "/opt/local/bin/tool" in entries  # in the prune area, kept as a command
+    assert "/usr/bin/ls" not in entries
+    assert "not resolvable" not in caplog.text
+    result = runner.invoke(main, ["inspect", "--input", str(image)])
+    assert "commands supported: 2" in result.output
+
+
 def _malformed_layer(kind: str) -> bytes:
     if kind == "not-a-tar":
         return b"this layer is not a tar stream\n" * 32

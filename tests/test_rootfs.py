@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import posixpath
 import random
 
 import pytest
@@ -30,11 +31,11 @@ from staticslim.imageio import (
     flatten_layers,
 )
 from staticslim.rootfs import (
-    DEFAULT_SEARCH_DIRS,
     SHELL_BUILTINS,
     build_command_linked_list,
     collect_system_commands,
     expand_command_linked_list,
+    list_directory,
     resolve_chain,
     resolve_entry,
 )
@@ -59,7 +60,7 @@ class TestScan:
 
     def test_randomized_count_matches_generator(self):
         rng = random.Random(7)
-        entries, _ = random_symlink_rootfs(rng)
+        entries, _, _ = random_symlink_rootfs(rng)
         rootfs = rootfs_from_ground_truth(entries)
         assert len(rootfs.entries) == len(entries)
         expected_links = {p for p, g in entries.items() if g["kind"] == "symlink"}
@@ -234,6 +235,53 @@ class TestChains:
         cll = build_command_linked_list(commands, rootfs)
         assert resolve_chain(cll, "tool") == ["/opt/box/bin/tool"]
 
+    def test_search_dir_behind_a_linked_ancestor(self):
+        # /usr/local/bin is a search directory only through /usr/local -> /opt/local.
+        members = [
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/usr/bin/ls", "data": b"l", "mode": 0o755},
+            {"path": "/usr/local", "kind": "symlink", "target": "../opt/local"},
+            {"path": "/opt", "kind": "directory"},
+            {"path": "/opt/local", "kind": "directory"},
+            {"path": "/opt/local/bin", "kind": "directory"},
+            {"path": "/opt/local/bin/tool", "data": b"t", "mode": 0o755},
+        ]
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        commands = collect_system_commands(rootfs)
+        assert commands == ["ls", "tool"]
+        cll = build_command_linked_list(commands, rootfs)
+        assert cll.heads == ["ls", "tool"]
+        assert resolve_chain(cll, "tool") == ["/opt/local/bin/tool"]
+
+    @pytest.mark.parametrize("spelling", ["/usr/bin/", "/usr//bin", "usr/bin", "/usr/bin/.", "/usr/sbin/../bin"])
+    def test_search_dir_in_any_spelling(self, shell_rootfs, spelling):
+        commands = collect_system_commands(shell_rootfs, (spelling,))
+        assert commands == ["dash", "perl", "sh"]
+        cll = build_command_linked_list(commands, shell_rootfs, (spelling,))
+        assert cll.heads == commands
+        assert resolve_chain(cll, "sh") == ["/usr/bin/sh", "/usr/bin/dash"]
+
+    def test_linked_directories_rank_after_physical_ones(self):
+        # x is in both /opt/box/bin (through /bin) and /usr/bin: the physical
+        # spelling wins though /bin comes first; y is only behind the link.
+        members = [
+            {"path": "/bin", "kind": "symlink", "target": "/opt/box/bin"},
+            {"path": "/opt", "kind": "directory"},
+            {"path": "/opt/box", "kind": "directory"},
+            {"path": "/opt/box/bin", "kind": "directory"},
+            {"path": "/opt/box/bin/x", "data": b"1", "mode": 0o755},
+            {"path": "/opt/box/bin/y", "data": b"2", "mode": 0o755},
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/usr/bin/x", "data": b"3", "mode": 0o755},
+            {"path": "/usr/bin/y", "data": b"4", "mode": 0o644},
+        ]
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["x", "y"], rootfs, ("/bin", "/usr/bin"))
+        assert resolve_chain(cll, "x") == ["/usr/bin/x"]
+        assert resolve_chain(cll, "y") == ["/opt/box/bin/y"]  # /usr/bin/y is not executable
+
     def test_terminal_node_singleton(self, shell_rootfs):
         cll = build_command_linked_list(["sh"], shell_rootfs)
         assert resolve_chain(cll, "/usr/bin/dash") == ["/usr/bin/dash"]
@@ -318,16 +366,16 @@ class TestExpansion:
 @pytest.mark.parametrize("seed", range(40))
 def test_random_forests_match_bruteforce_oracle(seed):
     rng = random.Random(1000 + seed)
-    entries, _ = random_symlink_rootfs(rng)
+    entries, _, search_dirs = random_symlink_rootfs(rng)
     rootfs = rootfs_from_ground_truth(entries)
-    commands = collect_system_commands(rootfs)
-    cll = build_command_linked_list(commands, rootfs)
+    commands = collect_system_commands(rootfs, search_dirs)
+    cll = build_command_linked_list(commands, rootfs, search_dirs)
 
+    # Every collected command heads a chain that starts where the oracle says.
+    assert cll.heads == commands, f"seed={seed}"
     for cmd in commands:
-        start = oracle_command_start(entries, cmd, DEFAULT_SEARCH_DIRS)
-        if start is None:
-            assert cmd not in cll.heads and cmd not in cll.nodes
-            continue
+        start = oracle_command_start(entries, cmd, search_dirs)
+        assert start is not None, f"seed={seed} cmd={cmd}"
         expected = oracle_walk(entries, start)
         assert resolve_chain(cll, cmd) == expected, f"seed={seed} cmd={cmd}"
 
@@ -357,7 +405,7 @@ def test_random_forests_match_bruteforce_oracle(seed):
 
 def test_determinism_same_info_same_dump():
     rng = random.Random(424242)
-    entries, _ = random_symlink_rootfs(rng)
+    entries, _, _ = random_symlink_rootfs(rng)
     dumps = []
     for _ in range(2):
         rootfs = rootfs_from_ground_truth(entries)
@@ -376,6 +424,25 @@ def test_dump_flags_exactly_the_heads(shell_rootfs):
     flagged = {row["node"] for row in rows if row["head"]}
     assert flagged == set(cll.heads)
     assert len(flagged) < len(rows)  # chain and alias nodes are not heads
+
+
+# --- the shared directory listing ---------------------------------------------
+
+# "-", "." and " " sort just below "/", so a child's siblings can sort between
+# the child and its subtree.
+_LISTING_PATH = st.lists(st.sampled_from(["a", "b", "a-b", "a.b", "a b", "a0", "-", "."]),
+                         min_size=1, max_size=4).map(lambda c: "/" + "/".join(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_LISTING_PATH, max_size=40), st.booleans(),
+       st.one_of(st.just("/"), _LISTING_PATH, st.just("/empty")))
+def test_list_directory_is_the_children_in_path_order(paths, with_root, directory):
+    keys = sorted(paths | ({"/"} if with_root else set()))
+    got = list(list_directory(keys, directory))
+    # Brute force: every key whose parent is the directory; the root is not its own child.
+    want = [(posixpath.basename(p), p) for p in keys if p != "/" and posixpath.dirname(p) == directory]
+    assert got == want
 
 
 # --- cached resolver against the per-component walk ---------------------------
