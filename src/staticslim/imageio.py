@@ -13,6 +13,7 @@ format itself is ``tarcodec``'s, and reading and spooling bytes ``streams``'.
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import json
 import logging
@@ -333,10 +334,10 @@ class FlattenedRootfs:
     construction.
 
     A rootfs is never mutated after construction; a different set of entries
-    (such as the retained view a prune report counts) is a new object. The
-    private cache ``_dir_cache`` relies on that and is filled on first use:
-    it maps a directory spelling to its physical directory and the symlink
-    hops crossed (``rootfs.resolve_entry``).
+    (such as the retained view a prune report counts, ``subset``) is a new
+    object. The private cache ``_dir_cache`` relies on that and is filled on
+    first use: it maps a directory spelling to its physical directory and
+    the symlink hops crossed (``rootfs.resolve_entry``).
     """
 
     entries: dict[str, FileRecord]
@@ -357,6 +358,17 @@ class FlattenedRootfs:
                     # the entry that carries the link.
                     target = posixpath.join(posixpath.dirname(path), target)
                 self.symlink_table[path] = posixpath.normpath(target)
+
+    def subset(self, paths) -> FlattenedRootfs:
+        """The rootfs of only the entries at ``paths`` (a set): this one's
+        records and symlink targets, already in path order and normalized,
+        so neither is sorted or derived again."""
+        view = copy.copy(self)
+        view.entries = {path: rec for path, rec in self.entries.items() if path in paths}
+        view.symlink_table = {path: target for path, target in self.symlink_table.items() if path in paths}
+        view.total_size = sum(rec.size for rec in view.entries.values() if rec.kind == KIND_REGULAR)
+        view._dir_cache = {}
+        return view
 
     def data_for(self, path: str) -> FileBytes | bytes | bytearray:
         """The bytes of a regular file as a sized range, following

@@ -29,7 +29,6 @@ from .elf import LibrarySearch
 from .errors import PruneConsistencyError
 from .imageio import (
     KIND_HARDLINK,
-    KIND_REGULAR,
     FlattenedRootfs,
     ImageMetadata,
     build_slim_image,
@@ -278,21 +277,16 @@ def compute_report(
     ``inspect`` prints for the slim image, dangling command links included.
     No chain is built for it.
     """
-    slim_size = sum(
-        rec.size
-        for path, rec in rootfs.entries.items()
-        if path in retain.paths and rec.kind == KIND_REGULAR
-    )
+    kept = rootfs.subset(retain.paths)
     original = rootfs.total_size
-    ratio = 0.0 if original == 0 else 1.0 - slim_size / original
-    kept = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in retain.paths})
+    ratio = 0.0 if original == 0 else 1.0 - kept.total_size / original
     return PruneReport(
         matched_tokens=dict(match.matched),
         unmatched_tokens=list(match.unmatched),
         retained_count=len(retain.paths),
         removed_count=len(rootfs.entries) - len(retain.paths),
         original_size=original,
-        slim_size=slim_size,
+        slim_size=kept.total_size,
         slimming_ratio=ratio,
         commands_before=len(cll.heads),
         commands_after=len(collect_system_commands(kept, search_dirs)),

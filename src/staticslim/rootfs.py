@@ -251,7 +251,7 @@ class CommandLinkedList:
 
     nodes: dict[str, CommandNode] = field(default_factory=dict)
     heads: list[str] = field(default_factory=list)
-    cycles: list[list[str]] = field(default_factory=list)
+    cycles: list[list[str]] = field(default_factory=list)  # each loop met, once, as sorted paths
 
     def get(self, name: str) -> CommandNode | None:
         return self.nodes.get(name)
@@ -280,16 +280,28 @@ class CommandLinkedList:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _record_cycle(cll: CommandLinkedList, paths) -> None:
+    """Record the symlink loop of ``paths`` once, as its sorted paths."""
+    cycle = sorted(set(paths))
+    if cycle not in cll.cycles:
+        cll.cycles.append(cycle)
+
+
 def _extend_chain(cll: CommandLinkedList, node: CommandNode, rootfs: FlattenedRootfs,
-                  visited: set[str]) -> None:
+                  walked: list[str]) -> None:
     """Follow one-hop resolutions from the path node ``node``, creating nodes
-    as needed. ``visited`` names the nodes walked to reach it, ``node``
-    included; a cycle is recorded with all of them."""
+    as needed. ``walked`` lists the nodes walked to reach it, ``node`` last.
+    A loop the walk runs into is recorded: the nodes on it, or, when a
+    node's ancestor directories loop, the links its resolution kept
+    crossing (those since the last one's previous crossing)."""
     while True:
         physical = resolve_entry(rootfs, node.name)
         if physical is None:
             node.dangling = True
-            cll.cycles.append(sorted(visited))
+            hops: list[str] = []
+            resolve_entry(rootfs, node.name, trace=hops)
+            again = max((i for i, hop in enumerate(hops[:-1]) if hop == hops[-1]), default=-1)
+            _record_cycle(cll, hops[again + 1:])
             return
         rec = rootfs.entries.get(physical)
         if rec is None:
@@ -304,10 +316,10 @@ def _extend_chain(cll: CommandLinkedList, node: CommandNode, rootfs: FlattenedRo
         if node.next is None:
             node.next = existing
         node = node.next
-        if node.name in visited:
-            cll.cycles.append(sorted(visited | {node.name}))
+        if node.name in walked:
+            _record_cycle(cll, walked[walked.index(node.name):])
             return
-        visited.add(node.name)
+        walked.append(node.name)
 
 
 def build_command_linked_list(commands, rootfs: FlattenedRootfs,
@@ -325,7 +337,7 @@ def build_command_linked_list(commands, rootfs: FlattenedRootfs,
         cll.heads.append(cmd)
         head = cll.add(cmd)
         head.next = cll.get(start) or cll.add(start)
-        _extend_chain(cll, head.next, rootfs, {cmd, start})
+        _extend_chain(cll, head.next, rootfs, [start])
     return cll
 
 
@@ -378,7 +390,7 @@ def expand_command_linked_list(cll: CommandLinkedList, rootfs: FlattenedRootfs) 
                 if new_path in cll.nodes:
                     continue
                 new_node = cll.add(new_path)
-                _extend_chain(cll, new_node, rootfs, {new_path})
+                _extend_chain(cll, new_node, rootfs, [new_path])
                 if is_sym:
                     link_node.next = new_node
                 else:

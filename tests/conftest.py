@@ -9,6 +9,7 @@ the generators.
 from __future__ import annotations
 
 import bz2
+import contextlib
 import gzip
 import hashlib
 import io
@@ -19,6 +20,7 @@ import posixpath
 import shutil
 import struct
 import tarfile
+from dataclasses import dataclass
 
 import pytest
 
@@ -816,6 +818,66 @@ def rootfs_from_ground_truth(entries: dict):
         )
     total = sum(r.size for r in records.values() if r.kind == "regular")
     return FlattenedRootfs(entries=records, total_size=total)
+
+
+# --- running the CLI in process ----------------------------------------------
+
+
+@dataclass
+class CliResult:
+    """One CLI run: what it wrote to each stream, both streams interleaved
+    in write order (``output``), its exit code and the exception that ended
+    it (the ``SystemExit`` of a non-zero exit, or any other exception)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+    exception: BaseException | None
+
+
+class _Capture(io.TextIOBase):
+    """A text stream that appends each write, tagged with its name, to a
+    list both streams share."""
+
+    encoding = "utf-8"
+
+    def __init__(self, writes: list, name: str):
+        self.writes, self.name = writes, name
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        if not isinstance(text, str):
+            raise TypeError(f"write() argument must be str, not {type(text).__name__}")
+        self.writes.append((self.name, text))
+        return len(text)
+
+
+def run_cli(args) -> CliResult:
+    """Run ``staticslim`` with ``args`` as a user would from a shell, with
+    standard output and error captured."""
+    from staticslim.cli import main
+
+    writes: list[tuple[str, str]] = []
+    code, exception = 0, None
+    with contextlib.redirect_stdout(_Capture(writes, "stdout")), \
+            contextlib.redirect_stderr(_Capture(writes, "stderr")):
+        try:
+            main(list(args), prog_name="staticslim")
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(
+        exit_code=code,
+        stdout="".join(text for name, text in writes if name == "stdout"),
+        stderr="".join(text for name, text in writes if name == "stderr"),
+        output="".join(text for _, text in writes),
+        exception=exception,
+    )
 
 
 @pytest.fixture

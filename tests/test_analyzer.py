@@ -9,11 +9,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_walk
+from conftest import run_cli
 from staticslim import analyzer, jsmodule
 from staticslim.analyzer import (
     DEFAULT_SINKS,
@@ -23,7 +23,6 @@ from staticslim.analyzer import (
     extract_command_tokens,
     find_shell_scripts,
 )
-from staticslim.cli import main
 from staticslim.ctl import CommandToken, CommandTokenList
 from staticslim.errors import AnalysisError
 
@@ -522,7 +521,7 @@ def test_file_failing_in_resolution_adds_nothing(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(jsmodule._ExprParser, "parse", failing)
     jsmodule.scan_module("b.js", broken, DEFAULT_SINKS)  # the definition is not parsed yet
     out = tmp_path / "tokens.ctl"
-    result = CliRunner().invoke(main, ["analyze", "--project", str(root), "-o", str(out)])
+    result = run_cli(["analyze", "--project", str(root), "-o", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_text().splitlines() == ["tar", "-xf", "a", "id"]
     assert f"cannot parse {root.resolve() / 'b.js'}: parser fault; skipped" in caplog.text

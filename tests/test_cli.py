@@ -19,7 +19,6 @@ import tempfile
 import zlib
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +32,7 @@ from conftest import (
     make_layer_tar,
     make_oci_archive,
     make_stack,
+    run_cli,
     shell_chain_members,
     two_stream_layer,
 )
@@ -40,11 +40,6 @@ from staticslim import analyzer as analyzer_mod
 from staticslim import pruner as pruner_mod
 from staticslim.cli import main
 from staticslim.imageio import flatten_layers, load_image_archive
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_shell_image(tmp_path, name="fat.tar", config=None, layout="docker", extra=()):
@@ -75,7 +70,7 @@ def write_project(tmp_path, files, dependencies=None):
 
 
 class TestAnalyze:
-    def test_fig2_style_project_yields_ls(self, runner, tmp_path):
+    def test_fig2_style_project_yields_ls(self, tmp_path):
         project = write_project(
             tmp_path,
             {
@@ -86,33 +81,33 @@ class TestAnalyze:
             },
         )
         out = tmp_path / "tokens.ctl"
-        result = runner.invoke(main, ["analyze", "--project", str(project), "-o", str(out)])
+        result = run_cli(["analyze", "--project", str(project), "-o", str(out)])
         assert result.exit_code == 0, result.output
         assert "ls" in out.read_text().splitlines()
 
-    def test_no_exec_no_scripts_warns_exit_zero(self, runner, tmp_path):
+    def test_no_exec_no_scripts_warns_exit_zero(self, tmp_path):
         project = write_project(tmp_path, {"index.js": "module.exports = 1;\n"})
-        result = runner.invoke(main, ["analyze", "--project", str(project)])
+        result = run_cli(["analyze", "--project", str(project)])
         assert result.exit_code == 0
         assert "no command tokens" in result.output
 
-    def test_strict_unresolved_names_sink(self, runner, tmp_path):
+    def test_strict_unresolved_names_sink(self, tmp_path):
         project = write_project(tmp_path, {"run.js": "exec(process.argv[2]);\n"})
-        result = runner.invoke(main, ["analyze", "--project", str(project), "--strict"])
+        result = run_cli(["analyze", "--project", str(project), "--strict"])
         assert result.exit_code == 4
         assert "run.js:1" in result.output
 
-    def test_report_written(self, runner, tmp_path):
+    def test_report_written(self, tmp_path):
         project = write_project(tmp_path, {"a.js": "exec('du -sh /var');\n"})
         report = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["analyze", "--project", str(project), "--report", str(report)]
+        result = run_cli(
+            ["analyze", "--project", str(project), "--report", str(report)]
         )
         assert result.exit_code == 0
         doc = json.loads(report.read_text())
         assert any(t["token"] == "du" for t in doc["tokens"])
 
-    def test_report_pins_tokens_origins_and_unresolved_sinks(self, runner, tmp_path):
+    def test_report_pins_tokens_origins_and_unresolved_sinks(self, tmp_path):
         # One sink resolves fully, one to a constant fragment before a dynamic
         # part, and one to nothing; the entrypoint script adds its own words.
         project = write_project(
@@ -126,8 +121,8 @@ class TestAnalyze:
             },
         ).resolve()
         report = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["analyze", "--project", str(project), "--report", str(report)]
+        result = run_cli(
+            ["analyze", "--project", str(project), "--report", str(report)]
         )
         assert result.exit_code == 0, result.output
         js, sh = f"{project}/index.js", f"{project}/docker-entrypoint.sh"
@@ -156,17 +151,17 @@ class TestAnalyze:
         ]
         assert result.stderr == f"11 tokens extracted\nwarning: unresolved exec argument at {js}:4\n"
 
-    def test_sinks_option_replaces_the_sink_names(self, runner, tmp_path):
+    def test_sinks_option_replaces_the_sink_names(self, tmp_path):
         project = write_project(tmp_path, {"a.js": "runCommand('fdisk -l');\nexec('ls');\n"})
-        result = runner.invoke(main, ["analyze", "--project", str(project)])
+        result = run_cli(["analyze", "--project", str(project)])
         assert result.stdout.splitlines() == ["ls"]
-        result = runner.invoke(
-            main, ["analyze", "--project", str(project), "--sinks", "runCommand, spawn"]
+        result = run_cli(
+            ["analyze", "--project", str(project), "--sinks", "runCommand, spawn"]
         )
         assert result.exit_code == 0, result.output
         assert result.stdout.splitlines() == ["fdisk", "-l"]
 
-    def test_include_dep_scripts_tokenizes_installed_scripts(self, runner, tmp_path):
+    def test_include_dep_scripts_tokenizes_installed_scripts(self, tmp_path):
         project = write_project(
             tmp_path, {"start.sh": "mount -a\n", "a.js": "exec('ls');\n"}, dependencies=["dep"]
         )
@@ -174,11 +169,11 @@ class TestAnalyze:
         dep.mkdir(parents=True)
         (dep / "package.json").write_text('{"name": "dep"}')
         (dep / "build.sh").write_text("make install\n")
-        result = runner.invoke(main, ["analyze", "--project", str(project)])
+        result = run_cli(["analyze", "--project", str(project)])
         assert result.exit_code == 0, result.output
         assert result.stdout.splitlines() == ["ls", "mount", "-a"]
-        result = runner.invoke(
-            main, ["analyze", "--project", str(project), "--include-dep-scripts"]
+        result = run_cli(
+            ["analyze", "--project", str(project), "--include-dep-scripts"]
         )
         assert result.exit_code == 0, result.output
         assert result.stdout.splitlines() == ["ls", "make", "install", "mount", "-a"]
@@ -211,7 +206,7 @@ def _project_with_manifest(tmp_path, where, manifest):
     ids=["root-list", "root-dependencies-list", "root-dev-dependencies-list", "root-not-utf-8",
          "dependency-list", "dependency-dependencies-list", "dependency-not-utf-8"],
 )
-def test_package_json_of_the_wrong_shape_exits_4(runner, tmp_path, where, manifest):
+def test_package_json_of_the_wrong_shape_exits_4(tmp_path, where, manifest):
     project, manifest = _project_with_manifest(tmp_path, where, manifest)
     image = write_shell_image(tmp_path)
     runs = [
@@ -220,7 +215,7 @@ def test_package_json_of_the_wrong_shape_exits_4(runner, tmp_path, where, manife
           "--project", str(project)], "error: analyze: "),
     ]
     for args, prefix in runs:
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 4, result.output
         assert "Traceback" not in result.output
         assert result.output.count("error:") == 1
@@ -234,13 +229,13 @@ def test_package_json_of_the_wrong_shape_exits_4(runner, tmp_path, where, manife
     [(b"sh\n# comment\ntar -xzf\n", 3), (b"sh\n\nls\xff\n", 3), (b"\xfe\n", 1)],
     ids=["interior-whitespace", "not-utf-8", "not-utf-8-first-line"],
 )
-def test_ctl_that_breaks_the_format_exits_4(runner, tmp_path, content, line):
+def test_ctl_that_breaks_the_format_exits_4(tmp_path, content, line):
     image = write_shell_image(tmp_path)
     ctl = tmp_path / "bad.ctl"
     ctl.write_bytes(content)
     out = tmp_path / "slim.tar"
-    result = runner.invoke(
-        main, ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl)]
+    result = run_cli(
+        ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl)]
     )
     assert result.exit_code == 4, result.output
     assert "Traceback" not in result.output
@@ -249,14 +244,14 @@ def test_ctl_that_breaks_the_format_exits_4(runner, tmp_path, content, line):
     assert not out.exists()
 
 
-def test_strict_fails_alike_in_analyze_and_slim(runner, tmp_path):
+def test_strict_fails_alike_in_analyze_and_slim(tmp_path):
     """``analyze --strict`` and ``slim --project --strict`` warn of each
     unresolved exec argument and fail with one and the same error line."""
     project = write_project(tmp_path, {"run.js": "exec(process.argv[2]);\nexecSync(cmd());\n"}).resolve()
     out = tmp_path / "slim.tar"
-    analyze = runner.invoke(main, ["analyze", "--project", str(project), "--strict"])
-    slim = runner.invoke(main, ["slim", "--input", str(write_shell_image(tmp_path)),
-                                "--output", str(out), "--project", str(project), "--strict"])
+    analyze = run_cli(["analyze", "--project", str(project), "--strict"])
+    slim = run_cli(["slim", "--input", str(write_shell_image(tmp_path)),
+                    "--output", str(out), "--project", str(project), "--strict"])
     js = f"{project}/run.js"
     for result in (analyze, slim):
         assert result.exit_code == 4, result.output
@@ -274,12 +269,11 @@ class TestSlim:
         path.write_text("".join(t + "\n" for t in tokens))
         return path
 
-    def test_slim_keeps_sh_chain_drops_perl(self, runner, tmp_path):
+    def test_slim_keeps_sh_chain_drops_perl(self, tmp_path):
         image = write_shell_image(tmp_path)
         ctl = self._ctl(tmp_path, "sh")
         out = tmp_path / "slim.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl)],
         )
         assert result.exit_code == 0, result.output
@@ -292,11 +286,10 @@ class TestSlim:
         assert "/usr/bin/perl" not in rootfs.entries
         assert "slimming ratio" in result.output
 
-    def test_input_not_mutated(self, runner, tmp_path):
+    def test_input_not_mutated(self, tmp_path):
         image = write_shell_image(tmp_path)
         before = hashlib.sha256(image.read_bytes()).hexdigest()
-        runner.invoke(
-            main,
+        run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -306,11 +299,10 @@ class TestSlim:
         )
         assert hashlib.sha256(image.read_bytes()).hexdigest() == before
 
-    def test_conservative_keeps_everything(self, runner, tmp_path):
+    def test_conservative_keeps_everything(self, tmp_path):
         image = write_shell_image(tmp_path)
         out = tmp_path / "slim.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -328,11 +320,10 @@ class TestSlim:
             assert slim.entries == fat.entries
             assert content_bytes(slim) == content_bytes(fat)
 
-    def test_strict_mode_aborts_on_unresolved(self, runner, tmp_path):
+    def test_strict_mode_aborts_on_unresolved(self, tmp_path):
         image = write_shell_image(tmp_path)
         project = write_project(tmp_path, {"d.js": "execSync(buildCmd());\n"})
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -343,27 +334,25 @@ class TestSlim:
         )
         assert result.exit_code == 4
 
-    def test_same_input_output_rejected(self, runner, tmp_path):
+    def test_same_input_output_rejected(self, tmp_path):
         image = write_shell_image(tmp_path)
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["slim", "--input", str(image), "--output", str(image), "--ctl", str(self._ctl(tmp_path))],
         )
         assert result.exit_code == 4
 
-    def test_needs_project_or_ctl(self, runner, tmp_path):
+    def test_needs_project_or_ctl(self, tmp_path):
         image = write_shell_image(tmp_path)
-        result = runner.invoke(
-            main, ["slim", "--input", str(image), "--output", str(tmp_path / "o.tar")]
+        result = run_cli(
+            ["slim", "--input", str(image), "--output", str(tmp_path / "o.tar")]
         )
         assert result.exit_code == 4
 
-    def test_format_error_exit_code(self, runner, tmp_path):
+    def test_format_error_exit_code(self, tmp_path):
         garbage = tmp_path / "noise.tar"
         layer = make_layer_tar([{"path": "/x", "data": b"1"}])
         garbage.write_bytes(layer)  # a tar, but not an image archive
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(garbage),
@@ -373,19 +362,18 @@ class TestSlim:
         )
         assert result.exit_code == 3
 
-    def test_empty_image_exit_code(self, runner, tmp_path):
+    def test_empty_image_exit_code(self, tmp_path):
         image = tmp_path / "empty.tar"
         image.write_bytes(make_docker_archive([make_layer_tar([])]))
         out = tmp_path / "o.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["slim", "--input", str(image), "--output", str(out), "--ctl", str(self._ctl(tmp_path))],
         )
         assert result.exit_code == 3
         assert "no entries" in result.output
         assert not out.exists()
 
-    def test_report_ratio_matches_hand_arithmetic(self, runner, tmp_path):
+    def test_report_ratio_matches_hand_arithmetic(self, tmp_path):
         members = [
             {"path": "/usr", "kind": "directory"},
             {"path": "/usr/bin", "kind": "directory"},
@@ -396,8 +384,7 @@ class TestSlim:
         image = tmp_path / "sized.tar"
         image.write_bytes(make_docker_archive([layer]))
         report_path = tmp_path / "report.json"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -412,35 +399,32 @@ class TestSlim:
         assert report["slim_size"] == 3000
         assert abs(report["slimming_ratio"] - 0.7) < 0.001
 
-    def test_pipeline_compositionality(self, runner, tmp_path):
+    def test_pipeline_compositionality(self, tmp_path):
         project = write_project(
             tmp_path, {"app.js": "require('child_process').exec('sh -c true');\n"}
         )
         image = write_shell_image(tmp_path)
         one_shot = tmp_path / "oneshot.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["slim", "--input", str(image), "--output", str(one_shot), "--project", str(project)],
         )
         assert result.exit_code == 0, result.output
 
         ctl_file = tmp_path / "staged.ctl"
-        result = runner.invoke(main, ["analyze", "--project", str(project), "-o", str(ctl_file)])
+        result = run_cli(["analyze", "--project", str(project), "-o", str(ctl_file)])
         assert result.exit_code == 0
         staged = tmp_path / "staged.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["slim", "--input", str(image), "--output", str(staged), "--ctl", str(ctl_file)],
         )
         assert result.exit_code == 0, result.output
         assert staged.read_bytes() == one_shot.read_bytes()
 
-    def test_dump_artifacts(self, runner, tmp_path):
+    def test_dump_artifacts(self, tmp_path):
         image = write_shell_image(tmp_path)
         cll_dump = tmp_path / "cll.jsonl"
         retain_dump = tmp_path / "retain.txt"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -455,11 +439,10 @@ class TestSlim:
         assert any(n["node"] == "/bin/sh" and n["next"] == "/usr/bin/sh" for n in lines)
         assert "/usr/bin/dash" in retain_dump.read_text().splitlines()
 
-    def test_docker_output_format(self, runner, tmp_path):
+    def test_docker_output_format(self, tmp_path):
         image = write_shell_image(tmp_path, layout="oci")
         out = tmp_path / "slim.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -472,13 +455,12 @@ class TestSlim:
         with tarfile.open(out) as tf:
             assert "manifest.json" in tf.getnames()
 
-    def test_gzip_input_and_output(self, runner, tmp_path):
+    def test_gzip_input_and_output(self, tmp_path):
         layer = make_layer_tar(shell_chain_members())
         image = tmp_path / "gz.tar"
         image.write_bytes(make_oci_archive([layer], layer_blobs=gzip_layer_blobs([layer])))
         out = tmp_path / "slim.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -497,7 +479,7 @@ class TestSlim:
         with stack:
             assert "/usr/bin/dash" in flatten_layers(stack).entries
 
-    def test_multi_layer_image_with_whiteout(self, runner, tmp_path):
+    def test_multi_layer_image_with_whiteout(self, tmp_path):
         base = make_layer_tar(shell_chain_members())
         top = make_layer_tar(
             [
@@ -508,8 +490,7 @@ class TestSlim:
         image = tmp_path / "two.tar"
         image.write_bytes(make_docker_archive([base, top]))
         out = tmp_path / "slim.tar"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -527,18 +508,18 @@ class TestSlim:
 
 
 class TestInspect:
-    def test_reports_no_entrypoint(self, runner, tmp_path):
+    def test_reports_no_entrypoint(self, tmp_path):
         image = write_shell_image(tmp_path)
-        result = runner.invoke(main, ["inspect", "--input", str(image)])
+        result = run_cli(["inspect", "--input", str(image)])
         assert result.exit_code == 0
         assert "entrypoint: none" in result.output
 
-    def test_reports_entrypoint(self, runner, tmp_path):
+    def test_reports_entrypoint(self, tmp_path):
         layer = make_layer_tar(shell_chain_members())
         cfg = default_config([layer], config={"Entrypoint": ["/bin/sh", "-c"], "Cmd": ["app"]})
         image = tmp_path / "entry.tar"
         image.write_bytes(make_docker_archive([layer], cfg))
-        result = runner.invoke(main, ["inspect", "--input", str(image)])
+        result = run_cli(["inspect", "--input", str(image)])
         assert "entrypoint: /bin/sh -c" in result.output
         assert "cmd: app" in result.output
 
@@ -552,14 +533,13 @@ class TestInspect:
         ],
         ids=["sh", "dangling-link", "conservative"],
     )
-    def test_command_count_matches_report(self, runner, tmp_path, extra, tokens, flags, expected):
+    def test_command_count_matches_report(self, tmp_path, extra, tokens, flags, expected):
         image = write_shell_image(tmp_path, extra=extra)
         out = tmp_path / "slim.tar"
         report_path = tmp_path / "r.json"
         ctl = tmp_path / "c.ctl"
         ctl.write_text("".join(t + "\n" for t in tokens))
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "slim",
                 "--input", str(image),
@@ -572,16 +552,16 @@ class TestInspect:
         assert result.exit_code == 0
         commands_after = json.loads(report_path.read_text())["commands_after"]
         assert commands_after == expected
-        result = runner.invoke(main, ["inspect", "--input", str(out)])
+        result = run_cli(["inspect", "--input", str(out)])
         assert f"commands supported: {commands_after}" in result.output
 
-    def test_format_error_exit(self, runner, tmp_path):
+    def test_format_error_exit(self, tmp_path):
         bogus = tmp_path / "b.tar"
         bogus.write_bytes(make_layer_tar([{"path": "/x", "data": b"y"}]))
-        result = runner.invoke(main, ["inspect", "--input", str(bogus)])
+        result = run_cli(["inspect", "--input", str(bogus)])
         assert result.exit_code == 3
 
-    def test_recorded_listing_command_count(self, runner, tmp_path):
+    def test_recorded_listing_command_count(self, tmp_path):
         recorded = 57  # the listing itself is the oracle
         members = [
             {"path": "/usr", "kind": "directory"},
@@ -592,14 +572,14 @@ class TestInspect:
         layer = make_layer_tar(members)
         image = tmp_path / "listing.tar"
         image.write_bytes(make_docker_archive([layer]))
-        result = runner.invoke(main, ["inspect", "--input", str(image)])
+        result = run_cli(["inspect", "--input", str(image)])
         assert f"commands supported: {recorded}" in result.output
 
 
 # --- where a command lives ----------------------------------------------------
 
 
-def _slim_tool(runner, tmp_path, members, *extra):
+def _slim_tool(tmp_path, members, *extra):
     """``slim`` of a one-layer image with CTL ``tool``: the image and the
     slim rootfs's entries."""
     image = tmp_path / "search.tar"
@@ -607,7 +587,7 @@ def _slim_tool(runner, tmp_path, members, *extra):
     ctl = tmp_path / "tool.ctl"
     ctl.write_text("tool\n")
     out = tmp_path / "slim.tar"
-    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl), *extra])
+    result = run_cli(["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl), *extra])
     assert result.exit_code == 0, result.output
     _, stack = load_image_archive(out)
     with stack:
@@ -615,22 +595,22 @@ def _slim_tool(runner, tmp_path, members, *extra):
 
 
 @pytest.mark.parametrize("spelling", ["/usr/bin/", "/usr//bin", "usr/bin"])
-def test_search_dir_in_any_spelling_keeps_the_command(runner, tmp_path, caplog, spelling):
+def test_search_dir_in_any_spelling_keeps_the_command(tmp_path, caplog, spelling):
     members = [
         {"path": "/usr", "kind": "directory"},
         {"path": "/usr/bin", "kind": "directory"},
         {"path": "/usr/bin/tool", "data": b"t", "mode": 0o755},
         {"path": "/usr/bin/other", "data": b"o", "mode": 0o755},
     ]
-    image, entries = _slim_tool(runner, tmp_path, members, "--search-dirs", spelling)
+    image, entries = _slim_tool(tmp_path, members, "--search-dirs", spelling)
     assert "/usr/bin/tool" in entries
     assert "/usr/bin/other" not in entries
     assert "not resolvable" not in caplog.text
-    result = runner.invoke(main, ["inspect", "--input", str(image), "--search-dirs", spelling])
+    result = run_cli(["inspect", "--input", str(image), "--search-dirs", spelling])
     assert "commands supported: 2" in result.output
 
 
-def test_search_dir_behind_a_linked_ancestor_keeps_the_command(runner, tmp_path, caplog):
+def test_search_dir_behind_a_linked_ancestor_keeps_the_command(tmp_path, caplog):
     members = [
         {"path": "/usr", "kind": "directory"},
         {"path": "/usr/bin", "kind": "directory"},
@@ -641,11 +621,11 @@ def test_search_dir_behind_a_linked_ancestor_keeps_the_command(runner, tmp_path,
         {"path": "/opt/local/bin", "kind": "directory"},
         {"path": "/opt/local/bin/tool", "data": b"t", "mode": 0o755},
     ]
-    image, entries = _slim_tool(runner, tmp_path, members)
+    image, entries = _slim_tool(tmp_path, members)
     assert "/opt/local/bin/tool" in entries  # in the prune area, kept as a command
     assert "/usr/bin/ls" not in entries
     assert "not resolvable" not in caplog.text
-    result = runner.invoke(main, ["inspect", "--input", str(image)])
+    result = run_cli(["inspect", "--input", str(image)])
     assert "commands supported: 2" in result.output
 
 
@@ -692,7 +672,7 @@ def _malformed_layer(kind: str) -> bytes:
                                   "corrupt-header", "truncated-header", *HOSTILE_PAX_RECORDS,
                                   *(f"sparse-then-{kind}" for kind in sorted(HOSTILE_PAX_RECORDS))])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
-def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
+def test_malformed_layer_exits_3(tmp_path, command, kind):
     layers = [make_layer_tar([{"path": "/ok", "data": b"1"}]), _malformed_layer(kind)]
     # The config declares the diff_id of what gzip.decompress makes of the
     # layer, where it accepts it, so that only the layer can refuse the image.
@@ -707,7 +687,7 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
         ctl = tmp_path / "c.ctl"
         ctl.write_text("sh\n")
         args += ["--output", str(tmp_path / "o.tar"), "--ctl", str(ctl)]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 3, result.output
     assert "error: layer 1" in result.output
     if "gzip" in kind:  # the decoder refuses it, with one message for every format
@@ -718,7 +698,7 @@ def test_malformed_layer_exits_3(runner, tmp_path, command, kind):
 
 @pytest.mark.parametrize("packing", ["gzip", "bz2", "xz"])
 @pytest.mark.parametrize("command", ["slim", "inspect"])
-def test_damaged_later_stream_exits_3(runner, tmp_path, command, packing):
+def test_damaged_later_stream_exits_3(tmp_path, command, packing):
     image = tmp_path / "bad.tar"
     image.write_bytes(make_docker_archive([two_stream_layer(packing, damaged=True)]))
     args = [command, "--input", str(image)]
@@ -726,7 +706,7 @@ def test_damaged_later_stream_exits_3(runner, tmp_path, command, packing):
         ctl = tmp_path / "c.ctl"
         ctl.write_text("sh\n")
         args += ["--output", str(tmp_path / "o.tar"), "--ctl", str(ctl)]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 3, result.output
     assert "error: layer 0: not a readable tar stream: cannot decompress: " in result.output
     assert "Traceback" not in result.output
@@ -734,7 +714,7 @@ def test_damaged_later_stream_exits_3(runner, tmp_path, command, packing):
 
 
 @pytest.mark.parametrize("packing", ["bz2", "xz"])
-def test_compressed_docker_save_layer_slims(runner, tmp_path, packing):
+def test_compressed_docker_save_layer_slims(tmp_path, packing):
     """A docker-save layer stored as bzip2 or xz passes the diff_id its
     config declares, the digest of its tar stream, as ``docker load``
     accepts it."""
@@ -745,8 +725,8 @@ def test_compressed_docker_save_layer_slims(runner, tmp_path, packing):
     ctl = tmp_path / "c.ctl"
     ctl.write_text("sh\n")
     out = tmp_path / "o.tar"
-    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
-                                  "--ctl", str(ctl)])
+    result = run_cli(["slim", "--input", str(image), "--output", str(out),
+                      "--ctl", str(ctl)])
     assert result.exit_code == 0, result.output
     _, stack = load_image_archive(out)
     with stack:
@@ -756,7 +736,7 @@ def test_compressed_docker_save_layer_slims(runner, tmp_path, packing):
 # --- the output file ----------------------------------------------------------
 
 
-def _slim_into(runner, tmp_path, image, *extra):
+def _slim_into(tmp_path, image, *extra):
     """Run ``slim`` with ``--output`` in a directory of its own, which holds
     an earlier output; the result, the output path and its directory."""
     ctl = tmp_path / "c.ctl"
@@ -765,24 +745,24 @@ def _slim_into(runner, tmp_path, image, *extra):
     out_dir.mkdir()
     out = out_dir / "slim.tar"
     out.write_bytes(b"an earlier output")
-    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
-                                  "--ctl", str(ctl), *extra])
+    result = run_cli(["slim", "--input", str(image), "--output", str(out),
+                      "--ctl", str(ctl), *extra])
     return result, out, out_dir
 
 
 @pytest.mark.parametrize("gzip_layer", [False, True])
-def test_failed_slim_leaves_the_output_as_it_was(runner, tmp_path, gzip_layer):
+def test_failed_slim_leaves_the_output_as_it_was(tmp_path, gzip_layer):
     image = tmp_path / "bad.tar"
     image.write_bytes(make_docker_archive([make_layer_tar([{"path": "/ok", "data": b"1"}]),
                                            _malformed_layer("truncated-tar")]))
-    result, out, out_dir = _slim_into(runner, tmp_path, image, *(["--gzip"] if gzip_layer else []))
+    result, out, out_dir = _slim_into(tmp_path, image, *(["--gzip"] if gzip_layer else []))
     assert result.exit_code == 3, result.output
     assert out.read_bytes() == b"an earlier output"
     assert [p.name for p in out_dir.iterdir()] == ["slim.tar"]  # no temporary file left
 
 
-def test_successful_slim_replaces_the_output(runner, tmp_path):
-    result, out, out_dir = _slim_into(runner, tmp_path, write_shell_image(tmp_path))
+def test_successful_slim_replaces_the_output(tmp_path):
+    result, out, out_dir = _slim_into(tmp_path, write_shell_image(tmp_path))
     assert result.exit_code == 0, result.output
     _, stack = load_image_archive(out)
     with stack:
@@ -793,7 +773,7 @@ def test_successful_slim_replaces_the_output(runner, tmp_path):
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # as ``open`` creates a file
 
 
-def test_output_through_a_symlink_replaces_its_target(runner, tmp_path):
+def test_output_through_a_symlink_replaces_its_target(tmp_path):
     target_dir = tmp_path / "images"
     target_dir.mkdir()
     (target_dir / "slim.tar").write_bytes(b"an earlier output")
@@ -801,8 +781,8 @@ def test_output_through_a_symlink_replaces_its_target(runner, tmp_path):
     link.symlink_to(target_dir / "slim.tar")
     ctl = tmp_path / "c.ctl"
     ctl.write_text("sh\n")
-    result = runner.invoke(main, ["slim", "--input", str(write_shell_image(tmp_path)),
-                                  "--output", str(link), "--ctl", str(ctl)])
+    result = run_cli(["slim", "--input", str(write_shell_image(tmp_path)),
+                      "--output", str(link), "--ctl", str(ctl)])
     assert result.exit_code == 0, result.output
     assert link.is_symlink()
     assert [p.name for p in target_dir.iterdir()] == ["slim.tar"]
@@ -811,7 +791,7 @@ def test_output_through_a_symlink_replaces_its_target(runner, tmp_path):
 
 
 @pytest.mark.parametrize("option", ["--output", "--report", "--dump-cll", "--dump-retain"])
-def test_missing_output_directory_exits_4_before_the_input_is_read(runner, tmp_path, monkeypatch,
+def test_missing_output_directory_exits_4_before_the_input_is_read(tmp_path, monkeypatch,
                                                                   option):
     def unread(path):
         raise AssertionError("the input was read")
@@ -823,29 +803,129 @@ def test_missing_output_directory_exits_4_before_the_input_is_read(runner, tmp_p
     args = ["slim", "--input", str(write_shell_image(tmp_path)), "--ctl", str(ctl)]
     for name, path in paths.items():
         args += [name, str(path)]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 4, result.output
     assert result.output == f"error: {option}: no such directory: {tmp_path / 'missing'}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ctl", "fat.tar"]
 
 
 @pytest.mark.parametrize("option", ["--output", "--report"])
-def test_analyze_missing_output_directory_exits_4(runner, tmp_path, monkeypatch, option):
+def test_analyze_missing_output_directory_exits_4(tmp_path, monkeypatch, option):
     def unwalked(*args, **kwargs):
         raise AssertionError("the project was walked")
 
     monkeypatch.setattr(analyzer_mod, "analyze_project", unwalked)
     project = write_project(tmp_path, {"a.js": "exec('ls');\n"})
-    result = runner.invoke(main, ["analyze", "--project", str(project), option,
-                                  str(tmp_path / "missing" / "file")])
+    result = run_cli(["analyze", "--project", str(project), option,
+                      str(tmp_path / "missing" / "file")])
     assert result.exit_code == 4, result.output
     assert "Traceback" not in result.output
     assert result.output == f"error: {option}: no such directory: {tmp_path / 'missing'}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["proj"]
 
 
+@pytest.mark.parametrize("case", [
+    "analyze-without-project", "analyze-project-missing", "analyze-project-is-a-file",
+    "analyze-output-is-a-directory", "analyze-report-is-a-directory", "slim-input-missing",
+    "slim-input-is-a-directory", "slim-output-is-a-directory", "slim-report-is-a-directory",
+    "slim-format-zip", "unknown-command",
+])
+def test_usage_error_exits_2_and_writes_nothing(tmp_path, case):
+    """A bad invocation is refused before any work: exit 2, a message that
+    names what was wrong, no traceback and no output file."""
+    project = write_project(tmp_path, {"a.js": "exec('ls');\n"})
+    image = write_shell_image(tmp_path)
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("sh\n")
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    analyze = ["analyze", "--project", str(project), "--output", str(out), "--report", str(report)]
+    slim = ["slim", "--input", str(image), "--ctl", str(ctl), "--output", str(out), "--report", str(report)]
+    args, named = {
+        "analyze-without-project": (analyze[:1] + analyze[3:], "--project"),
+        "analyze-project-missing": (analyze[:2] + [str(tmp_path / "nope")] + analyze[3:], "nope"),
+        "analyze-project-is-a-file": (analyze[:2] + [str(ctl)] + analyze[3:], "--project"),
+        "analyze-output-is-a-directory": (analyze[:4] + [str(directory)] + analyze[5:], "--output"),
+        "analyze-report-is-a-directory": (analyze[:6] + [str(directory)], "--report"),
+        "slim-input-missing": (slim[:2] + [str(tmp_path / "nope")] + slim[3:], "nope"),
+        "slim-input-is-a-directory": (slim[:2] + [str(directory)] + slim[3:], "--input"),
+        "slim-output-is-a-directory": (slim[:6] + [str(directory)] + slim[7:], "--output"),
+        "slim-report-is-a-directory": (slim[:8] + [str(directory)], "--report"),
+        "slim-format-zip": (slim + ["--format", "zip"], "zip"),
+        "unknown-command": (["frob"] + analyze[1:], "frob"),
+    }[case]
+    result = run_cli(args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert named in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists() and not report.exists()
+    assert list(directory.iterdir()) == []
+
+
+def test_interrupt_exits_1_with_aborted(monkeypatch, tmp_path):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analyzer_mod, "analyze_project", interrupted)
+    result = run_cli(["analyze", "--project", str(write_project(tmp_path, {}))])
+    assert result.exit_code == 1
+    assert result.stderr == "\nAborted!\n"
+
+
+# Run the CLI in a fresh interpreter as the console script does, on the
+# source tree given first.
+_RUN_CLI = """\
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from staticslim.cli import main
+main(prog_name="staticslim")
+"""
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    """Output piped to a reader that has gone away (``| head -1``) ends the
+    run with exit 1 and nothing on stderr but the run's own messages."""
+    project = write_project(tmp_path, {"a.js": "".join(f"exec('c{i}');\n" for i in range(2000))})
+    src = pathlib.Path(analyzer_mod.__file__).parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-I", "-c", _RUN_CLI, str(src), "analyze", "--project",
+                               str(project)], stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "2000 tokens extracted\n"
+
+
+def test_entry_point_as_the_benchmark_calls_it(monkeypatch, tmp_path, capsys):
+    """``main.main`` is ``main``; with ``standalone_mode=False`` a success
+    returns and a failure raises ``SystemExit``; each command's callback is
+    looked up when it is dispatched, so a wrapper put there runs."""
+    calls = []
+    command = main.commands["analyze"]
+    original = command.callback
+
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs["project"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(command, "callback", wrapped)
+    project = write_project(tmp_path, {"a.js": "exec('ls');\n"})
+    assert main.main(["analyze", "--project", str(project)], prog_name="staticslim",
+                     standalone_mode=False) is None
+    assert capsys.readouterr().out == "ls\n"
+    assert calls == [str(project)]
+    with pytest.raises(SystemExit) as exc:
+        main(["slim", "--input", str(write_shell_image(tmp_path)), "--output", str(tmp_path / "o.tar")],
+             prog_name="staticslim", standalone_mode=False)
+    assert exc.value.code == 4
+
+
 @pytest.mark.parametrize("fmt", ["gnu", "0.0", "0.1", "1.0"])
-def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
+def test_sparse_member_in_the_archive_exits_3(tmp_path, fmt):
     """The image archive's members are read as slices of it, which a sparse
     member's bytes are not."""
     image = tmp_path / "sparse.tar"
@@ -853,7 +933,7 @@ def test_sparse_member_in_the_archive_exits_3(runner, tmp_path, fmt):
         {"path": "/manifest.json", "data": b"[]"},
         {"path": "/layer.tar", "kind": "sparse", "format": fmt, "regions": [(9, b"x")]},
     ]))
-    result = runner.invoke(main, ["inspect", "--input", str(image)])
+    result = run_cli(["inspect", "--input", str(image)])
     assert result.exit_code == 3, result.output
     assert result.output == ("error: not a readable tar archive: "
                              "the archive holds a GNU sparse member\n")
@@ -870,21 +950,21 @@ def _huge_sparse_image(tmp_path):
     return image
 
 
-def test_declared_size_of_a_sparse_file_is_never_laid_out(runner, tmp_path):
+def test_declared_size_of_a_sparse_file_is_never_laid_out(tmp_path):
     """``inspect`` sizes the huge sparse file and ``slim`` drops it, and
     neither lays the file out in memory."""
     image = _huge_sparse_image(tmp_path)
     size = 2**60 + sum(len(m.get("data", b"")) for m in shell_chain_members())
 
-    result = runner.invoke(main, ["inspect", "--input", str(image)])
+    result = run_cli(["inspect", "--input", str(image)])
     assert result.exit_code == 0, result.output
     assert f"rootfs size: {size}\n" in result.output
 
     ctl = tmp_path / "c.ctl"
     ctl.write_text("sh\n")
     out, report = tmp_path / "slim.tar", tmp_path / "report.json"
-    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
-                                  "--ctl", str(ctl), "--report", str(report)])
+    result = run_cli(["slim", "--input", str(image), "--output", str(out),
+                      "--ctl", str(ctl), "--report", str(report)])
     assert result.exit_code == 0, result.output
     assert json.loads(report.read_text())["original_size"] == size
     _, stack = load_image_archive(out)
@@ -895,7 +975,7 @@ def test_declared_size_of_a_sparse_file_is_never_laid_out(runner, tmp_path):
 
 
 @pytest.mark.parametrize("gzip_layer", [False, True])
-def test_retained_sparse_file_too_large_to_lay_out_exits_3(runner, tmp_path, gzip_layer):
+def test_retained_sparse_file_too_large_to_lay_out_exits_3(tmp_path, gzip_layer):
     """``--conservative`` keeps the huge sparse file, which cannot be laid
     out to be written: the run ends with one error line, not a
     ``MemoryError`` traceback."""
@@ -904,7 +984,7 @@ def test_retained_sparse_file_too_large_to_lay_out_exits_3(runner, tmp_path, gzi
     ctl.write_text("sh\n")
     out = tmp_path / "slim.tar"
     args = ["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl), "--conservative"]
-    result = runner.invoke(main, args + (["--gzip"] if gzip_layer else []))
+    result = run_cli(args + (["--gzip"] if gzip_layer else []))
     assert result.exit_code == 3, result.output
     assert result.output.count("error:") == 1
     assert f"error: /usr/lib/huge.img: a sparse file of {2**60} bytes" in result.output
@@ -915,22 +995,22 @@ def test_retained_sparse_file_too_large_to_lay_out_exits_3(runner, tmp_path, gzi
 # --- spools -----------------------------------------------------------------
 
 
-def _slim(runner, tmp_path, image, out_name="slim.tar"):
+def _slim(tmp_path, image, out_name="slim.tar"):
     ctl = tmp_path / "c.ctl"
     ctl.write_text("sh\n")
     out = tmp_path / out_name
-    result = runner.invoke(main, ["slim", "--input", str(image), "--output", str(out),
-                                  "--ctl", str(ctl), "--gzip"])
+    result = run_cli(["slim", "--input", str(image), "--output", str(out),
+                      "--ctl", str(ctl), "--gzip"])
     return result, out
 
 
-def test_gzipped_docker_save_archive_slims_like_the_plain_one(runner, tmp_path):
+def test_gzipped_docker_save_archive_slims_like_the_plain_one(tmp_path):
     """``docker save | gzip`` is read through a spool, to the same image."""
     plain = write_shell_image(tmp_path)
     packed = tmp_path / "fat.tar.gz"
     packed.write_bytes(gzip.compress(plain.read_bytes(), mtime=0))
-    first, out_plain = _slim(runner, tmp_path, plain, "from-plain.tar")
-    second, out_packed = _slim(runner, tmp_path, packed, "from-packed.tar")
+    first, out_plain = _slim(tmp_path, plain, "from-plain.tar")
+    second, out_packed = _slim(tmp_path, packed, "from-packed.tar")
     assert first.exit_code == second.exit_code == 0, second.output
     assert first.output == second.output
     assert out_plain.read_bytes() == out_packed.read_bytes()
@@ -976,22 +1056,22 @@ def _gzip_image(tmp_path, damage=None):
 
 
 @pytest.mark.parametrize("damage", [None, "gzip", "tar", "diff-id"])
-def test_spools_are_closed_and_leave_no_file(runner, tmp_path, spools, damage):
+def test_spools_are_closed_and_leave_no_file(tmp_path, spools, damage):
     made, tmpdir = spools
-    result, _ = _slim(runner, tmp_path, _gzip_image(tmp_path, damage))
+    result, _ = _slim(tmp_path, _gzip_image(tmp_path, damage))
     assert result.exit_code == (0 if damage is None else 3), result.output
     assert "Traceback" not in result.output
     assert made and all(f.closed for f in made)
     assert list(tmpdir.iterdir()) == []
 
 
-def test_a_spool_that_cannot_be_written_exits_3(runner, tmp_path, monkeypatch):
+def test_a_spool_that_cannot_be_written_exits_3(tmp_path, monkeypatch):
     class FullDisk(io.BytesIO):
         def write(self, data):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: FullDisk())
-    result, out = _slim(runner, tmp_path, _gzip_image(tmp_path))
+    result, out = _slim(tmp_path, _gzip_image(tmp_path))
     assert result.exit_code == 3
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
@@ -1087,7 +1167,7 @@ def _read_config(path) -> dict:
 
 @pytest.mark.parametrize("in_layout", ["docker", "oci"])
 @pytest.mark.parametrize("out_layout", ["docker", "oci"])
-def test_slim_config_is_the_input_config(runner, tmp_path, in_layout, out_layout):
+def test_slim_config_is_the_input_config(tmp_path, in_layout, out_layout):
     """Every config field reaches the slim image as it was: only ``rootfs``
     names the slim layer, and ``history``, which describes the input's
     layers, is dropped. Slimming the slim image again is the identity."""
@@ -1100,8 +1180,8 @@ def test_slim_config_is_the_input_config(runner, tmp_path, in_layout, out_layout
     outputs = []
     for source in (image, tmp_path / "slim-0.tar"):
         outputs.append(tmp_path / f"slim-{len(outputs)}.tar")
-        result = runner.invoke(main, ["slim", "--input", str(source), "--output", str(outputs[-1]),
-                                      "--ctl", str(ctl), "--format", out_layout])
+        result = run_cli(["slim", "--input", str(source), "--output", str(outputs[-1]),
+                          "--ctl", str(ctl), "--format", out_layout])
         assert result.exit_code == 0, result.output
     _, stack = load_image_archive(outputs[0])
     with stack:
@@ -1113,13 +1193,13 @@ def test_slim_config_is_the_input_config(runner, tmp_path, in_layout, out_layout
     assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
-def _run_both(runner, tmp_path, image):
+def _run_both(tmp_path, image):
     """The results of ``slim`` and ``inspect`` on ``image``."""
     ctl = tmp_path / "c.ctl"
     ctl.write_text("sh\n")
-    return [runner.invoke(main, ["slim", "--input", str(image), "--output", str(tmp_path / "o.tar"),
-                                 "--ctl", str(ctl)]),
-            runner.invoke(main, ["inspect", "--input", str(image)])]
+    return [run_cli(["slim", "--input", str(image), "--output", str(tmp_path / "o.tar"),
+                     "--ctl", str(ctl)]),
+            run_cli(["inspect", "--input", str(image)])]
 
 
 def _config_with(**fields):
@@ -1153,13 +1233,13 @@ _MALFORMED_DOCUMENTS = {
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_DOCUMENTS))
-def test_malformed_image_document_exits_3(runner, tmp_path, case):
+def test_malformed_image_document_exits_3(tmp_path, case):
     layout, name, bad = _MALFORMED_DOCUMENTS[case]
     image = tmp_path / "bad.tar"
     layer = make_layer_tar(shell_chain_members())
     _write_image(image, layer, layout, default_config([layer]),
                  lambda document_name, document: bad if document_name == name else document)
-    for result in _run_both(runner, tmp_path, image):
+    for result in _run_both(tmp_path, image):
         assert result.exit_code == 3, (result.output, result.exception)
         assert result.output.startswith("error: ")
         assert "Traceback" not in result.output
@@ -1215,7 +1295,7 @@ def test_any_json_in_an_image_document_exits_0_3_or_4(target, data):
     with tempfile.TemporaryDirectory() as work:
         image = os.path.join(work, "img.tar")
         _write_image(image, layer, layout, _full_config(layer), damage)
-        for result in _run_both(CliRunner(), pathlib.Path(work), image):
+        for result in _run_both(pathlib.Path(work), image):
             assert result.exit_code in (0, 3, 4), (result.output, result.exception)
 
 
@@ -1246,7 +1326,7 @@ def test_each_command_imports_only_its_stages(tmp_path):
                   "staticslim.elf", "_hashlib", "tarfile"}
     analysis = {"staticslim.analyzer", "staticslim.jsmodule"}
 
-    assert loaded() & (stages | {"hashlib", "_hashlib", "tarfile"}) == set()
+    assert loaded() & (stages | {"hashlib", "_hashlib", "tarfile", "click"}) == set()
 
     project = write_project(tmp_path, {"a.js": "exec('ls');\n"})
     ctl = tmp_path / "a.ctl"

@@ -16,6 +16,7 @@ from conftest import (
     make_stack,
     oracle_alias_closure,
     oracle_command_start,
+    oracle_one_hop,
     oracle_walk,
     random_symlink_rootfs,
     rootfs_from_ground_truth,
@@ -31,6 +32,7 @@ from staticslim.imageio import (
     flatten_layers,
 )
 from staticslim.rootfs import (
+    DEFAULT_SEARCH_DIRS,
     SHELL_BUILTINS,
     build_command_linked_list,
     collect_system_commands,
@@ -214,6 +216,41 @@ class TestChains:
         assert resolve_chain(cll, "a") == ["/usr/bin/a", "/usr/bin/b"]
         assert cll.cycles
 
+    @pytest.mark.parametrize("alias_dir", [False, True])
+    def test_cycle_recorded_once_as_its_paths(self, alias_dir):
+        # Both heads, and with /bin -> usr/bin their alias spellings too,
+        # run into the one loop.
+        members = [
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/usr/bin/a", "kind": "symlink", "target": "b"},
+            {"path": "/usr/bin/b", "kind": "symlink", "target": "a"},
+        ]
+        if alias_dir:
+            members.append({"path": "/bin", "kind": "symlink", "target": "usr/bin"})
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["a", "b"], rootfs)
+        assert cll.cycles == [["/usr/bin/a", "/usr/bin/b"]]
+        expand_command_linked_list(cll, rootfs)
+        assert ("/bin/a" in cll.nodes) == alias_dir
+        assert cll.cycles == [["/usr/bin/a", "/usr/bin/b"]]
+
+    def test_loop_among_ancestor_directories_recorded_as_its_links(self):
+        members = [
+            {"path": "/usr", "kind": "directory"},
+            {"path": "/usr/bin", "kind": "directory"},
+            {"path": "/usr/bin/x", "kind": "symlink", "target": "/l0/one/y"},
+            {"path": "/usr/bin/z", "kind": "symlink", "target": "/l1/y"},
+            {"path": "/l0", "kind": "directory"},
+            {"path": "/l0/one", "kind": "symlink", "target": "/l1"},
+            {"path": "/l1", "kind": "symlink", "target": "/l2"},
+            {"path": "/l2", "kind": "symlink", "target": "/l1"},
+        ]
+        rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+        cll = build_command_linked_list(["x", "z"], rootfs)
+        assert cll.nodes["/l0/one/y"].dangling and cll.nodes["/l1/y"].dangling
+        assert cll.cycles == [["/l1", "/l2"]]
+
     def test_unknown_start_raises(self, shell_rootfs):
         cll = build_command_linked_list(["sh"], shell_rootfs)
         with pytest.raises(UnknownNodeError):
@@ -371,13 +408,19 @@ def test_random_forests_match_bruteforce_oracle(seed):
     commands = collect_system_commands(rootfs, search_dirs)
     cll = build_command_linked_list(commands, rootfs, search_dirs)
 
-    # Every collected command heads a chain that starts where the oracle says.
+    # Every collected command heads a chain that starts where the oracle says,
+    # and each loop a chain ends in is recorded once, as the paths on it.
     assert cll.heads == commands, f"seed={seed}"
+    loops = set()
     for cmd in commands:
         start = oracle_command_start(entries, cmd, search_dirs)
         assert start is not None, f"seed={seed} cmd={cmd}"
         expected = oracle_walk(entries, start)
         assert resolve_chain(cll, cmd) == expected, f"seed={seed} cmd={cmd}"
+        hop = oracle_one_hop(entries, expected[-1])
+        if hop in expected:
+            loops.add(tuple(sorted(expected[expected.index(hop):])))
+    assert sorted(map(tuple, cll.cycles)) == sorted(loops), f"seed={seed}"
 
     pre_paths = {n for n in cll.nodes if n.startswith("/")}
     expand_command_linked_list(cll, rootfs)
@@ -401,6 +444,25 @@ def test_random_forests_match_bruteforce_oracle(seed):
                 hop = rootfs.symlink_table.get(resolve_entry(rootfs, spelling))
                 if hop is not None:
                     assert hop in chain[i + 1 :], f"seed={seed} {spelling} -> {hop}"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_subset_is_the_rootfs_of_those_entries(seed):
+    """A subset shares its parent's records and symlink targets, yet is the
+    rootfs built from those entries alone: the same entries, symlink table,
+    size and commands, whichever links and directories it lacks."""
+    rng = random.Random(3000 + seed)
+    entries, _, search_dirs = random_symlink_rootfs(rng)
+    rootfs = rootfs_from_ground_truth(entries)
+    collect_system_commands(rootfs, search_dirs)  # fills the parent's directory cache
+    paths = {p for p in rootfs.entries if rng.random() < 0.7}
+    view = rootfs.subset(paths)
+    built = FlattenedRootfs(entries={p: r for p, r in rootfs.entries.items() if p in paths})
+    assert list(view.entries) == list(built.entries), f"seed={seed}"
+    assert view.symlink_table == built.symlink_table, f"seed={seed}"
+    assert view.total_size == sum(r.size for r in built.entries.values() if r.kind == KIND_REGULAR)
+    for dirs in (search_dirs, DEFAULT_SEARCH_DIRS):
+        assert collect_system_commands(view, dirs) == collect_system_commands(built, dirs), f"seed={seed}"
 
 
 def test_determinism_same_info_same_dump():
