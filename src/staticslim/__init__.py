@@ -56,6 +56,7 @@ _EXPORTS = {
         "CommandNode",
         "build_command_linked_list",
         "collect_system_commands",
+        "command_search_dirs",
         "expand_command_linked_list",
         "resolve_chain",
     ),

@@ -136,10 +136,13 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _parse_list(value: str | None, default) -> tuple:
-    if not value:
-        return tuple(default)
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+def _names(value: str) -> tuple[str, ...]:
+    """An argparse type for a comma-separated list of names: the names,
+    stripped, refused when there is none."""
+    names = tuple(v.strip() for v in value.split(",") if v.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"no names in {value!r}")
+    return names
 
 
 def _check_output_dirs(*outputs: tuple[str, str | None]) -> None:
@@ -163,7 +166,7 @@ def _report_unresolved(ctl, strict: bool) -> None:
     option("--project", required=True, type=_DIRECTORY),
     option("--output", "-o", type=_OUTPUT_FILE, help="Write the CTL here (one token per line)."),
     option("--report", type=_OUTPUT_FILE, help="Write the JSON analysis report here."),
-    option("--sinks", help="Comma-separated exec-family sink names."),
+    option("--sinks", type=_names, help="Comma-separated exec-family sink names."),
     option("--include-dep-scripts", action="store_true",
            help="Also tokenize shell scripts inside installed dependencies."),
     option("--strict", action="store_true", help="Fail when any exec argument stays unresolved."),
@@ -173,7 +176,7 @@ def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None
     from . import analyzer
 
     _check_output_dirs(("--output", output), ("--report", report))
-    sink_names = frozenset(_parse_list(sinks, analyzer.DEFAULT_SINKS))
+    sink_names = frozenset(sinks or analyzer.DEFAULT_SINKS)
     try:
         ctl = analyzer.analyze_project(
             project, sink_names, include_dependency_scripts=include_dep_scripts
@@ -210,8 +213,9 @@ def analyze(project, output, report, sinks, include_dep_scripts, strict) -> None
            help="Layout of the slim image (default: %(default)s)."),
     option("--gzip", dest="gzip_layer", action="store_true", help="Gzip the rootfs layer (OCI output only)."),
     option("--report", type=_OUTPUT_FILE, help="Write the JSON prune report here."),
-    option("--search-dirs", help="Comma-separated command search directories."),
-    option("--sinks", help="Comma-separated exec-family sink names."),
+    option("--search-dirs", type=_names,
+           help="Comma-separated command search directories (default: the image's PATH)."),
+    option("--sinks", type=_names, help="Comma-separated exec-family sink names."),
     option("--dump-cll", type=_OUTPUT_FILE, help="Write the command linked list debug dump here."),
     option("--dump-retain", type=_OUTPUT_FILE, help="Write the retain list here (one path per line)."),
 )
@@ -220,7 +224,6 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
     """Slim an image archive end to end."""
     from . import pruner
     from .ctl import CommandTokenList
-    from .rootfs import DEFAULT_SEARCH_DIRS
 
     if not project and not ctl_path:
         _fail(EXIT_ANALYSIS, "provide --project or --ctl (an empty CTL still needs a file)")
@@ -229,15 +232,13 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
     _check_output_dirs(("--output", output_path), ("--report", report),
                        ("--dump-cll", dump_cll), ("--dump-retain", dump_retain))
 
-    dirs = _parse_list(search_dirs, DEFAULT_SEARCH_DIRS)
-
     try:
         if ctl_path:
             ctl = CommandTokenList.read_text(ctl_path)
         else:
             from . import analyzer
 
-            sink_names = frozenset(_parse_list(sinks, analyzer.DEFAULT_SINKS))
+            sink_names = frozenset(sinks or analyzer.DEFAULT_SINKS)
             ctl = analyzer.analyze_project(project, sink_names)
     except AnalysisError as exc:
         _fail(EXIT_ANALYSIS, str(exc) if ctl_path else f"analyze: {exc}")
@@ -251,7 +252,7 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
             input_path,
             ctl,
             output_path,
-            search_dirs=dirs,
+            search_dirs=search_dirs,
             conservative=mode == "conservative",
             layout=layout,
             gzip_layer=gzip_layer,
@@ -274,13 +275,13 @@ def slim(input_path, output_path, project, ctl_path, mode, layout, gzip_layer,
 
 @main.command(
     option("--input", dest="input_path", required=True, type=_INPUT_FILE),
-    option("--search-dirs", help="Comma-separated command search directories."),
+    option("--search-dirs", type=_names,
+           help="Comma-separated command search directories (default: the image's PATH)."),
 )
 def inspect(input_path, search_dirs) -> None:
     """Print metadata, supported-command count, and size summary of an image."""
     from . import imageio, rootfs
 
-    dirs = _parse_list(search_dirs, rootfs.DEFAULT_SEARCH_DIRS)
     try:
         metadata, stack = imageio.load_image_archive(input_path)
         with stack:
@@ -303,6 +304,7 @@ def inspect(input_path, search_dirs) -> None:
     show("layers", len(stack.layers))
     show("entries", len(flat.entries))
     show("rootfs size", flat.total_size)
+    dirs = rootfs.command_search_dirs(metadata, search_dirs)
     show("commands supported", len(rootfs.collect_system_commands(flat, dirs)))
 
 

@@ -42,6 +42,7 @@ from .rootfs import (
     CommandLinkedList,
     build_command_linked_list,
     collect_system_commands,
+    command_search_dirs,
     expand_command_linked_list,
     resolve_chain,
     resolve_entry,
@@ -342,7 +343,7 @@ def slim_image(
     ctl: CommandTokenList,
     output,
     *,
-    search_dirs=DEFAULT_SEARCH_DIRS,
+    search_dirs=None,
     conservative: bool = False,
     layout: str = "oci",
     gzip_layer: bool = False,
@@ -353,8 +354,10 @@ def slim_image(
     only when the run succeeds (``_replacing``), so a failed run leaves it
     as it was and leaves no temporary file beside it.
     The image's entrypoint and cmd words are matched with ``ctl``'s tokens;
-    ``ctl`` itself is left as it is. ``conservative`` keeps every entry
-    instead of pruning.
+    ``ctl`` itself is left as it is. Commands are searched in
+    ``search_dirs``, or, when it is None, in the image's ``PATH``
+    (``command_search_dirs``). ``conservative`` keeps every entry instead
+    of pruning.
     Raises a ``SlimError`` subclass when the input cannot be slimmed.
     """
     with _replacing(output) as out:
@@ -363,6 +366,7 @@ def slim_image(
         # emitted files), so the stack stays open until the image is built.
         with stack:
             rootfs = flatten_layers(stack)
+            search_dirs = command_search_dirs(metadata, search_dirs)
             commands = collect_system_commands(rootfs, search_dirs)
             cll = build_command_linked_list(commands, rootfs, search_dirs)
             expand_command_linked_list(cll, rootfs)

@@ -7,12 +7,15 @@ rootfs, which stays valid because a rootfs is never mutated after
 construction; a lookup is then one cache probe for the parent plus one
 symlink-table probe for the last name.
 
-The search listing alone says which names are commands and where each
-resolves. Each search directory, in any spelling, is resolved once and its
-physical directory listed once; a command is an executable child (regular,
-symlink or hardlink) at ``physical_dir/name``. Directories reached without
-crossing a symlink rank first, in search order, then those reached through
-one: physical spellings first, alias directories as a fallback.
+The search directories are the image's ``PATH``, in order, as a shell in
+the container walks it (``command_search_dirs``): an entry that is empty or
+relative is joined onto ``WorkingDir`` (``/`` when unset), and an image
+without ``PATH`` is searched in ``DEFAULT_SEARCH_DIRS``. The search listing
+alone says which names are commands and where each resolves. Each search
+directory, in any spelling, is resolved once and its physical directory
+listed once, at the place of its first spelling; a command is an executable
+child (regular, symlink or hardlink) at ``physical_dir/name`` of the first
+directory that holds one of that name.
 
 Every command usable inside the image is modeled as a chain of nodes: the
 bare command name, then each absolute path the name resolves through (one
@@ -38,6 +41,7 @@ from .imageio import (
     KIND_SYMLINK,
     FileRecord,
     FlattenedRootfs,
+    ImageMetadata,
 )
 
 log = logging.getLogger(__name__)
@@ -50,6 +54,26 @@ DEFAULT_SEARCH_DIRS = (
     "/usr/local/bin",
     "/usr/local/sbin",
 )
+
+
+def command_search_dirs(metadata: ImageMetadata, search_dirs=None) -> tuple[str, ...]:
+    """The directories a command name is searched in, in order.
+
+    ``search_dirs`` when given; else the entries of the image's ``PATH``
+    (its last ``PATH=`` in ``Env``), each joined onto ``WorkingDir`` or
+    ``/``, so that an empty entry names the working directory and a
+    relative one lies below it; else ``DEFAULT_SEARCH_DIRS``.
+    """
+    if search_dirs is not None:
+        return tuple(search_dirs)
+    path = None
+    for var in metadata.env_vars:
+        if var.startswith("PATH="):
+            path = var[len("PATH="):]
+    if path is None:
+        return DEFAULT_SEARCH_DIRS
+    return tuple(posixpath.join(metadata.working_dir or "/", entry) for entry in path.split(":"))
+
 
 # Shell words satisfied by the shell itself; they never name a file to keep.
 # Dual-nature utilities that also ship as real binaries (echo, test, true,
@@ -210,16 +234,14 @@ def list_directory(keys: list[str], directory: str) -> Iterator[tuple[str, str]]
 
 def _search_listing(rootfs: FlattenedRootfs, search_dirs) -> dict[str, str]:
     """The search listing: each command name -> the path of the first
-    directory, in tier order, that holds it."""
-    direct, linked = [], []
-    for d in search_dirs:
-        directory, hops = resolve_directory(rootfs, d)
-        rec = rootfs.entries.get(directory)
-        if rec is not None and rec.kind == KIND_DIRECTORY:
-            (linked if hops else direct).append(directory)
+    directory, in search order, that holds it. The root is a directory
+    though no entry holds it."""
     keys = list(rootfs.entries)
     listing: dict[str, str] = {}
-    for directory in dict.fromkeys(direct + linked):
+    for directory in dict.fromkeys(resolve_directory(rootfs, d)[0] for d in search_dirs):
+        rec = rootfs.entries.get(directory)
+        if directory != "/" and (rec is None or rec.kind != KIND_DIRECTORY):
+            continue
         for name, path in list_directory(keys, directory):
             rec = rootfs.entries[path]
             if rec.kind in _COMMAND_KINDS and rec.is_executable():

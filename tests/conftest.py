@@ -678,20 +678,15 @@ def oracle_command_start(entries: dict, name: str, search_dirs) -> str | None:
     """Where a bare command name lands (mirrors the documented lookup contract).
 
     A search directory counts as the directory ``oracle_follow`` resolves it
-    to, and ranks first only when it is spelled as that directory (once its
-    ``.``, ``..`` and doubled slashes are read lexically); the others, reached
-    through a symlink, are a fallback. The first directory, in rank then
-    search order, that holds ``name`` as an executable file, symlink or
-    hardlink gives ``directory/name``.
+    to. The first directory, in search order, that holds ``name`` as an
+    executable file, symlink or hardlink gives ``directory/name``.
     """
-    first, fallback = [], []
+    directories = []
     for d in search_dirs:
-        spelled = "/" + "/".join(c for c in d.split("/") if c)
-        physical = oracle_follow(entries, spelled)
-        if physical is None or entries.get(physical, {}).get("kind") != "directory":
-            continue
-        (first if posixpath.normpath(spelled) == physical else fallback).append(physical)
-    for directory in first + fallback:
+        physical = oracle_follow(entries, "/" + "/".join(c for c in d.split("/") if c))
+        if physical is not None and entries.get(physical, {}).get("kind") == "directory":
+            directories.append(physical)
+    for directory in directories:
         rec = entries.get(posixpath.join(directory, name))
         if rec is not None and (rec["kind"] == "symlink" or (
                 rec["kind"] in ("regular", "hardlink") and rec.get("mode", 0o755) & 0o111)):

@@ -579,15 +579,17 @@ class TestInspect:
 # --- where a command lives ----------------------------------------------------
 
 
-def _slim_tool(tmp_path, members, *extra):
-    """``slim`` of a one-layer image with CTL ``tool``: the image and the
-    slim rootfs's entries."""
+def _slim_tool(tmp_path, members, *extra, config=None, ctl="tool"):
+    """``slim`` of a one-layer image with ``config`` (the image config's
+    ``config`` object) and CTL ``ctl``: the image and the slim rootfs's
+    entries."""
+    layer = make_layer_tar(members)
     image = tmp_path / "search.tar"
-    image.write_bytes(make_docker_archive([make_layer_tar(members)]))
-    ctl = tmp_path / "tool.ctl"
-    ctl.write_text("tool\n")
+    image.write_bytes(make_docker_archive([layer], default_config([layer], config=config or {})))
+    ctl_path = tmp_path / "tool.ctl"
+    ctl_path.write_text(ctl + "\n")
     out = tmp_path / "slim.tar"
-    result = run_cli(["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl), *extra])
+    result = run_cli(["slim", "--input", str(image), "--output", str(out), "--ctl", str(ctl_path), *extra])
     assert result.exit_code == 0, result.output
     _, stack = load_image_archive(out)
     with stack:
@@ -627,6 +629,74 @@ def test_search_dir_behind_a_linked_ancestor_keeps_the_command(tmp_path, caplog)
     assert "not resolvable" not in caplog.text
     result = run_cli(["inspect", "--input", str(image)])
     assert "commands supported: 2" in result.output
+
+
+def _dirs(*paths):
+    return [{"path": p, "kind": "directory"} for p in paths]
+
+
+def test_path_order_keeps_the_command_the_shell_runs(tmp_path):
+    """The image's PATH, not the default list, orders the search: ``node``
+    in /usr/local/bin shadows the one in /usr/bin."""
+    members = _dirs("/bin", "/usr", "/usr/bin", "/usr/local", "/usr/local/bin") + [
+        {"path": "/usr/bin/node", "data": b"old", "mode": 0o755},
+        {"path": "/usr/local/bin/node", "data": b"new", "mode": 0o755},
+    ]
+    config = {"Env": ["PATH=/usr/local/bin:/usr/bin:/bin"], "Cmd": ["node"]}
+    _, entries = _slim_tool(tmp_path, members, config=config, ctl="")
+    assert "/usr/local/bin/node" in entries
+    assert "/usr/bin/node" not in entries
+
+
+def test_search_dirs_order_holds_through_a_linked_ancestor(tmp_path):
+    """``--search-dirs`` is searched in the order given, a directory reached
+    through a symlink (/usr/local -> /opt/local) included."""
+    members = _dirs("/usr", "/usr/bin", "/opt", "/opt/local", "/opt/local/bin") + [
+        {"path": "/usr/local", "kind": "symlink", "target": "/opt/local"},
+        {"path": "/usr/bin/x", "data": b"usr", "mode": 0o755},
+        {"path": "/opt/local/bin/x", "data": b"opt", "mode": 0o755},
+    ]
+    _, entries = _slim_tool(tmp_path, members, "--search-dirs", "/usr/local/bin,/usr/bin", ctl="x")
+    assert "/opt/local/bin/x" in entries
+    assert "/usr/bin/x" not in entries
+
+
+def test_image_without_path_searches_the_default_directories(tmp_path):
+    """Without PATH in ``Env`` the search is ``DEFAULT_SEARCH_DIRS``, /bin
+    first; the same image with PATH is searched in PATH's order."""
+    members = _dirs("/bin", "/usr", "/usr/local", "/usr/local/bin") + [
+        {"path": "/bin/x", "data": b"bin", "mode": 0o755},
+        {"path": "/usr/local/bin/x", "data": b"local", "mode": 0o755},
+    ]
+    for env, kept, dropped in [
+        (["NODE_ENV=production"], "/bin/x", "/usr/local/bin/x"),
+        (["NODE_ENV=production", "PATH=/usr/local/bin:/bin"], "/usr/local/bin/x", "/bin/x"),
+    ]:
+        _, entries = _slim_tool(tmp_path, members, config={"Env": env, "WorkingDir": "/"}, ctl="x")
+        assert kept in entries, env
+        assert dropped not in entries, env
+
+
+def test_empty_and_relative_path_entries_lie_in_the_working_directory(tmp_path):
+    """An empty PATH entry is the working directory and a relative one lies
+    below it; ``inspect`` counts the commands of PATH, not of the default
+    directories."""
+    members = _dirs("/bin", "/usr", "/usr/bin", "/srv", "/srv/app", "/srv/app/bin") + [
+        {"path": "/bin/sh", "data": b"sh", "mode": 0o755},
+        {"path": "/usr/bin/ls", "data": b"ls", "mode": 0o755},
+        {"path": "/srv/app/tool", "data": b"tool", "mode": 0o755},
+        {"path": "/srv/app/bin/run", "data": b"run", "mode": 0o755},
+    ]
+    config = {"Env": ["PATH=/usr/bin::bin"], "WorkingDir": "/srv/app"}
+    image, entries = _slim_tool(tmp_path, members, "--report", str(tmp_path / "r.json"),
+                                config=config, ctl="run\ntool")
+    assert "/srv/app/bin/run" in entries  # in the prune area, kept as a command
+    assert "/bin/sh" not in entries
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["matched_tokens"] == {"run": "run", "tool": "tool"}
+    assert report["commands_before"] == 3
+    result = run_cli(["inspect", "--input", str(image)])
+    assert "commands supported: 3" in result.output  # ls, run and tool; not sh
 
 
 def _malformed_layer(kind: str) -> bytes:
@@ -828,7 +898,8 @@ def test_analyze_missing_output_directory_exits_4(tmp_path, monkeypatch, option)
     "analyze-without-project", "analyze-project-missing", "analyze-project-is-a-file",
     "analyze-output-is-a-directory", "analyze-report-is-a-directory", "slim-input-missing",
     "slim-input-is-a-directory", "slim-output-is-a-directory", "slim-report-is-a-directory",
-    "slim-format-zip", "unknown-command",
+    "slim-format-zip", "unknown-command", "analyze-sinks-names-nothing", "slim-sinks-names-nothing",
+    "slim-search-dirs-names-nothing", "inspect-search-dirs-names-nothing",
 ])
 def test_usage_error_exits_2_and_writes_nothing(tmp_path, case):
     """A bad invocation is refused before any work: exit 2, a message that
@@ -854,6 +925,13 @@ def test_usage_error_exits_2_and_writes_nothing(tmp_path, case):
         "slim-report-is-a-directory": (slim[:8] + [str(directory)], "--report"),
         "slim-format-zip": (slim + ["--format", "zip"], "zip"),
         "unknown-command": (["frob"] + analyze[1:], "frob"),
+        # A comma-separated list that names nothing, not the defaults.
+        "analyze-sinks-names-nothing": (analyze + ["--sinks", ","], "--sinks: no names in ','"),
+        "slim-sinks-names-nothing": (slim[:3] + ["--project", str(project)] + slim[5:] + ["--sinks", ""],
+                                     "--sinks: no names in ''"),
+        "slim-search-dirs-names-nothing": (slim + ["--search-dirs", " , "], "--search-dirs: no names in ' , '"),
+        "inspect-search-dirs-names-nothing": (["inspect"] + slim[1:3] + ["--search-dirs", ","],
+                                              "--search-dirs: no names in ','"),
     }[case]
     result = run_cli(args)
     assert result.exit_code == 2, result.output

@@ -22,13 +22,14 @@ EXPORTS = {
     "pruner": ["PruneReport", "RetainList", "SlimResult", "build_retain_list", "compute_report",
                "emit_slim_rootfs", "match_tokens", "slim_image"],
     "rootfs": ["CommandLinkedList", "CommandNode", "build_command_linked_list",
-               "collect_system_commands", "expand_command_linked_list", "resolve_chain"],
+               "collect_system_commands", "command_search_dirs", "expand_command_linked_list",
+               "resolve_chain"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
 def test_all_lists_the_exported_names():
-    assert len(NAMES) == 40
+    assert len(NAMES) == 41
     assert sorted(staticslim.__all__) == NAMES
     assert staticslim.__version__ == "0.1.0"
 

@@ -19,10 +19,12 @@ from conftest import (
     make_elf,
     make_layer_tar,
     make_stack,
+    random_symlink_rootfs,
+    rootfs_from_ground_truth,
     shell_chain_members,
 )
 from staticslim import rootfs as rootfs_mod
-from staticslim.ctl import CommandTokenList
+from staticslim.ctl import CommandToken, CommandTokenList
 from staticslim.errors import PruneConsistencyError
 from staticslim.imageio import FileRecord, FlattenedRootfs, flatten_layers
 from staticslim.pruner import (
@@ -183,6 +185,26 @@ class TestRetainList:
         _, _, _, large = build_pipeline(members, ["sh", "perl"])
         assert small.paths <= large.paths
         assert "/usr/bin/perl" in large.paths
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_token_order_and_repeats_change_no_retain_set(self, rng, data):
+        """The retain set is a function of the set of tokens: permuting or
+        repeating the CTL's tokens changes no path kept."""
+        entries, commands, search_dirs = random_symlink_rootfs(rng)
+        rootfs = rootfs_from_ground_truth(entries)
+        cll = build_command_linked_list(collect_system_commands(rootfs, search_dirs), rootfs, search_dirs)
+        expand_command_linked_list(cll, rootfs)
+        words = commands + sorted(n for n in cll.nodes if n.startswith("/")) + ["cd", "-v", "/nowhere"]
+        tokens = data.draw(st.lists(st.sampled_from(words), max_size=8), label="tokens")
+        repeats = data.draw(st.lists(st.sampled_from(tokens), max_size=4), label="repeats") if tokens else []
+        shuffled = data.draw(st.permutations(tokens + repeats), label="shuffled")
+
+        def retained(texts):
+            ctl = CommandTokenList(tokens=[CommandToken(t, "exec-argument", "test") for t in texts])
+            return build_retain_list(match_tokens(ctl, cll).start_nodes, cll, rootfs).paths
+
+        assert retained(shuffled) == retained(tokens)
 
     def test_entry_path_elf_closure(self):
         members = elf_shell_members() + [

@@ -29,6 +29,7 @@ from staticslim.imageio import (
     KIND_SYMLINK,
     FileRecord,
     FlattenedRootfs,
+    ImageMetadata,
     flatten_layers,
 )
 from staticslim.rootfs import (
@@ -36,6 +37,7 @@ from staticslim.rootfs import (
     SHELL_BUILTINS,
     build_command_linked_list,
     collect_system_commands,
+    command_search_dirs,
     expand_command_linked_list,
     list_directory,
     resolve_chain,
@@ -299,9 +301,15 @@ class TestChains:
         assert cll.heads == commands
         assert resolve_chain(cll, "sh") == ["/usr/bin/sh", "/usr/bin/dash"]
 
-    def test_linked_directories_rank_after_physical_ones(self):
-        # x is in both /opt/box/bin (through /bin) and /usr/bin: the physical
-        # spelling wins though /bin comes first; y is only behind the link.
+    @pytest.mark.parametrize("search_dirs, x", [
+        (("/bin", "/usr/bin"), "/opt/box/bin/x"),
+        (("/usr/bin", "/bin"), "/usr/bin/x"),
+        (("/opt/box/bin", "/usr/bin", "/bin"), "/opt/box/bin/x"),
+    ], ids=["link-first", "physical-first", "target-first"])
+    def test_first_directory_in_search_order_wins(self, search_dirs, x):
+        # x is in both /opt/box/bin (also spelled /bin) and /usr/bin: the
+        # directory searched first holds it, however it is spelled; y is
+        # executable only behind the link.
         members = [
             {"path": "/bin", "kind": "symlink", "target": "/opt/box/bin"},
             {"path": "/opt", "kind": "directory"},
@@ -315,8 +323,8 @@ class TestChains:
             {"path": "/usr/bin/y", "data": b"4", "mode": 0o644},
         ]
         rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
-        cll = build_command_linked_list(["x", "y"], rootfs, ("/bin", "/usr/bin"))
-        assert resolve_chain(cll, "x") == ["/usr/bin/x"]
+        cll = build_command_linked_list(["x", "y"], rootfs, search_dirs)
+        assert resolve_chain(cll, "x") == [x]
         assert resolve_chain(cll, "y") == ["/opt/box/bin/y"]  # /usr/bin/y is not executable
 
     def test_terminal_node_singleton(self, shell_rootfs):
@@ -463,6 +471,65 @@ def test_subset_is_the_rootfs_of_those_entries(seed):
     assert view.total_size == sum(r.size for r in built.entries.values() if r.kind == KIND_REGULAR)
     for dirs in (search_dirs, DEFAULT_SEARCH_DIRS):
         assert collect_system_commands(view, dirs) == collect_system_commands(built, dirs), f"seed={seed}"
+
+
+_RESPELLINGS = (
+    lambda d: d,
+    lambda d: d + "/",
+    lambda d: d.lstrip("/"),
+    lambda d: d.replace("/", "//"),
+    lambda d: "./" + d,
+    lambda d: "/" + d,
+    lambda d: d + "/.",
+)
+
+
+def _listing(entries, search_dirs) -> tuple[list[str], str]:
+    """The commands of ``search_dirs`` over a fresh rootfs of ``entries``,
+    and the dump of their chains: where each one starts and what it walks."""
+    rootfs = rootfs_from_ground_truth(entries)
+    commands = collect_system_commands(rootfs, search_dirs)
+    return commands, build_command_linked_list(commands, rootfs, search_dirs).dump()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_respelling_a_search_dir_changes_no_listing(rng, data):
+    """A search directory spelled another way (a trailing, leading or doubled
+    ``/``, relative, ``.``) is the same directory at the same place. The
+    spellings respelled may be relative already."""
+    entries, _, search_dirs = random_symlink_rootfs(rng)
+    respelled = [data.draw(st.sampled_from(_RESPELLINGS), label="respelling")(d) for d in search_dirs]
+    assert _listing(entries, respelled) == _listing(entries, search_dirs)
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({}, DEFAULT_SEARCH_DIRS),
+    ({"Env": ["LANG=C"], "WorkingDir": "/app"}, DEFAULT_SEARCH_DIRS),
+    ({"Env": ["PATH=/usr/local/bin:/usr/bin"]}, ("/usr/local/bin", "/usr/bin")),
+    ({"Env": ["PATH=:bin:/usr/bin"]}, ("/", "/bin", "/usr/bin")),
+    ({"Env": ["PATH=:bin:/usr/bin:"], "WorkingDir": "/app"}, ("/app/", "/app/bin", "/usr/bin", "/app/")),
+    ({"Env": ["PATH="], "WorkingDir": ""}, ("/",)),
+    ({"Env": ["PATH=/a", "LANG=C", "PATH=/b"]}, ("/b",)),
+])
+def test_command_search_dirs_are_the_image_path(config, expected):
+    metadata = ImageMetadata(reference="", config={"architecture": "amd64", "os": "linux", "config": config})
+    assert command_search_dirs(metadata) == expected
+    assert command_search_dirs(metadata, ["/opt/bin", "/bin"]) == ("/opt/bin", "/bin")
+
+
+def test_the_root_is_a_search_directory():
+    members = [
+        {"path": "/tool", "data": b"t", "mode": 0o755},
+        {"path": "/notes", "data": b"n", "mode": 0o644},
+        {"path": "/usr", "kind": "directory"},
+        {"path": "/usr/bin", "kind": "directory"},
+        {"path": "/usr/bin/tool", "data": b"u", "mode": 0o755},
+    ]
+    rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
+    assert collect_system_commands(rootfs, ("/",)) == ["tool"]
+    cll = build_command_linked_list(["tool"], rootfs, ("/", "/usr/bin"))
+    assert resolve_chain(cll, "tool") == ["/tool"]
 
 
 def test_determinism_same_info_same_dump():
