@@ -11,16 +11,19 @@ resolves to a dynamic marker instead of a fabricated value. A function or
 method declaration head, such as ``exec (cmd) {``, is not a call.
 
 The lexer is one ``finditer`` pass of one compiled token pattern, which
-matches quoted strings whole, escapes included. Only templates and regex
-literals have scanners of their own, because they need nesting and the
-previous-token rule; the pass restarts after them, after a block comment and
-after a non-ASCII start. One expression parser reads every right-hand side
-and argument; it gives a ``Func`` for a function literal or an arrow
+matches quoted strings whole, escapes included. It is the only code that
+lexes JavaScript: a template's text is one match of a pattern of its own, and
+each of its substitutions is lexed by the same pass into tokens of its own,
+with the module's line numbers, so the parser never lexes again. Only regex
+literals have a scanner of their own, because they need the previous-token
+rule. The pass restarts after a template's text, a regex literal, a block
+comment and a non-ASCII start. One expression parser reads every right-hand
+side and argument; it gives a ``Func`` for a function literal or an arrow
 function, which is how the indexer learns that ``name = …`` declares a
 function. A right-hand side that cannot be one is parsed the first time
-resolution reads it (``Definition``). Brackets are matched from one table
-per module (``Tokens.closers``), so stepping over a function body costs the
-same at any nesting depth.
+resolution reads it (``Definition``). Brackets are matched from one table per
+module (``Tokens.closers``), so stepping over a function body costs the same
+at any nesting depth.
 """
 
 from __future__ import annotations
@@ -93,7 +96,11 @@ _TOKEN = re.compile(
 _NUMBER_REST = re.compile(_NUMBER_TAIL)
 _IDENT_REST = re.compile(_IDENT_TAIL)
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0"}
+_TEMPLATE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# A template's text: any character but "`", a backslash escaping any one
+# character (and staying when it ends the input), and a "$" not before "{".
+_TEMPLATE_TEXT = re.compile(r"[^`\\$]*(?:(?:\\.?|\$(?!\{))[^`\\$]*)*", re.DOTALL)
 
 
 @dataclass(slots=True)
@@ -129,16 +136,58 @@ class Tokens(list):
 
 
 def tokenize(source: str) -> Tokens:
-    """Lex a JavaScript module; an unterminated block comment ends the input."""
-    toks = Tokens()
-    append = toks.append
+    """Lex a JavaScript module; an unterminated block comment ends the input.
+
+    A template literal is a ``tpl`` token whose value is its parts, in order:
+    ``("s", text)`` and, for each substitution, ``("e", Tokens)``, lexed in
+    this same pass with the module's line numbers. The templates open around
+    the current token are kept on a stack, so templates nested to any depth
+    cost no recursion. A ``}`` with no ``{`` open in a substitution ends it.
+    """
+    toks = module = Tokens()
     line = 1
     pos = 0
+    # The open templates, innermost last: its parts, the tokens around it and
+    # the "{" open there.
+    templates: list[tuple[list, Tokens, int]] = []
+    braces = 0  # the "{" open in the innermost substitution
+    in_text = False
     while True:
+        if in_text:  # a template's text, up to "`", "${" or the end of the input
+            text = _TEMPLATE_TEXT.match(source, pos)[0]
+            parts = templates[-1][0]
+            if text:
+                parts.append(("s", _ESCAPE.sub(_unescape_template, text) if "\\" in text else text))
+                line += text.count("\n")
+            pos += len(text)
+            if source.startswith("${", pos):
+                toks = Tokens()
+                parts.append(("e", toks))
+                braces = 0
+                pos += 2
+            elif pos < len(source):
+                _, toks, braces = templates.pop()
+                pos += 1
+            else:
+                return module
+            in_text = False
+        append = toks.append
         for m in _TOKEN.finditer(source, pos):
             kind = m.lastgroup
-            if kind == "ident" or kind == "punct" or kind == "num":
+            if kind == "ident" or kind == "num":
                 append(Token(kind, m[kind], line))
+            elif kind == "punct":
+                value = m[kind]
+                if templates:
+                    if value == "{":
+                        braces += 1
+                    elif value == "}":
+                        if not braces:
+                            pos = m.end()
+                            in_text = True
+                            break
+                        braces -= 1
+                append(Token(kind, value, line))
             elif kind == "op":
                 append(Token("punct", m[kind], line))
             elif kind == "nl":
@@ -158,14 +207,16 @@ def tokenize(source: str) -> Tokens:
                 pos = regex_end
                 break
             elif kind == "tpl":
-                parts, pos, nl = _scan_template(source, m.start(kind))
+                parts = []
                 append(Token("tpl", parts, line))
-                line += nl
+                templates.append((parts, toks, braces))
+                pos = m.end()
+                in_text = True
                 break
             elif kind == "block_comment":
                 end = source.find("*/", m.end())
                 if end < 0:
-                    return toks
+                    return module
                 line += source.count("\n", m.end(), end)
                 pos = end + 2
                 break
@@ -175,11 +226,15 @@ def tokenize(source: str) -> Tokens:
                 append(Token(kind, source[start:pos], line))
                 break
         else:
-            return toks
+            return module
 
 
 def _unescape(m: re.Match) -> str:
     return _ESCAPES.get(m[1], m[1])
+
+
+def _unescape_template(m: re.Match) -> str:
+    return _TEMPLATE_ESCAPES.get(m[1], m[1])
 
 
 def _unicode_token(source: str, start: int) -> tuple[str, int]:
@@ -194,109 +249,6 @@ def _unicode_token(source: str, start: int) -> tuple[str, int]:
 
 def _regex_can_start(prev: Token | None) -> bool:
     return prev is None or (prev.kind in ("punct", "ident") and prev.value in _REGEX_ALLOWED_AFTER)
-
-
-def _scan_template(source: str, i: int) -> tuple[list, int, int]:
-    """Scan a template literal into [('s', text) | ('e', expr_source)] parts."""
-    parts: list[tuple[str, str]] = []
-    buf: list[str] = []
-    newlines = 0
-    i += 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\\" and i + 1 < n:
-            esc = source[i + 1]
-            buf.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
-            if esc == "\n":
-                newlines += 1
-            i += 2
-            continue
-        if c == "`":
-            if buf:
-                parts.append(("s", "".join(buf)))
-            return parts, i + 1, newlines
-        if c == "$" and i + 1 < n and source[i + 1] == "{":
-            if buf:
-                parts.append(("s", "".join(buf)))
-                buf = []
-            end, nl = _skip_substitution(source, i + 2)
-            newlines += nl
-            parts.append(("e", source[i + 2 : end - 1]))
-            i = end
-            continue
-        if c == "\n":
-            newlines += 1
-        buf.append(c)
-        i += 1
-    if buf:
-        parts.append(("s", "".join(buf)))
-    return parts, i, newlines
-
-
-def _skip_substitution(source: str, j: int) -> tuple[int, int]:
-    """Index just past the ``}`` that closes the template substitution whose
-    expression starts at ``j`` (the end of ``source`` when none does), and
-    the newlines on the way. What is open is kept on a stack, a brace depth
-    for each substitution and None for each template, so templates nested
-    to any depth cost no recursion. Code is read with ``_TOKEN`` and the
-    previous-token rule (``regex_ok``), as ``tokenize`` reads it, so a brace
-    in a string, a comment or a regex literal is skipped with it."""
-    n = len(source)
-    newlines = 0
-    open_ = [1]
-    regex_ok = True
-    while j < n and open_:
-        if open_[-1] is None:  # in a template
-            c = source[j]
-            if c == "\n":
-                newlines += 1
-            elif c == "\\" and j + 1 < n:
-                j += 1
-                if source[j] == "\n":
-                    newlines += 1
-            elif c == "`":
-                open_.pop()
-                regex_ok = False
-            elif c == "$" and source.startswith("{", j + 1):
-                open_.append(1)
-                regex_ok = True
-                j += 1
-            j += 1
-            continue
-        m = _TOKEN.match(source, j)
-        kind = m.lastgroup
-        j = m.end()
-        if kind == "nl":
-            newlines += 1
-        elif kind == "punct" or kind == "op" or kind == "ident":
-            value = m[kind]
-            if value == "{":
-                open_[-1] += 1
-            elif value == "}":
-                open_[-1] -= 1
-                if not open_[-1]:
-                    open_.pop()
-            regex_ok = value in _REGEX_ALLOWED_AFTER
-        elif kind == "tpl":
-            open_.append(None)
-        elif kind == "sq" or kind == "dq":
-            newlines += m[kind].count("\n")
-            regex_ok = False
-        elif kind == "block_comment":  # to its "*/", or the end of the input
-            end = source.find("*/", j)
-            j = n if end < 0 else end + 2
-            newlines += source.count("\n", m.start(kind), j)
-        elif kind == "slash":
-            regex_end = _scan_regex(source, m.start(kind)) if regex_ok else None
-            regex_ok = regex_end is None and m[kind] in _REGEX_ALLOWED_AFTER
-            j = regex_end or j
-        elif kind == "unicode":  # none of its tokens is in _REGEX_ALLOWED_AFTER
-            _, j = _unicode_token(source, m.start(kind))
-            regex_ok = False
-        elif kind == "num":
-            regex_ok = False
-    return j, newlines
 
 
 def _scan_regex(source: str, i: int) -> int | None:
@@ -491,12 +443,8 @@ class _ExprParser:
             return Str(str(t.value))
         if t.kind == "tpl":
             self.pos += 1
-            parts = []
-            for kind, payload in t.value:
-                if kind == "e":
-                    payload = _ExprParser(tokenize(payload), 0, self.depth).parse()
-                parts.append((kind, payload))
-            return Tpl(parts)
+            return Tpl([(kind, _ExprParser(payload, 0, self.depth).parse() if kind == "e" else payload)
+                        for kind, payload in t.value])
         if t.kind == "ident":
             if t.value == "function":
                 self.pos, literal = _function_literal(self.toks, self.pos)

@@ -234,19 +234,26 @@ def list_directory(keys: list[str], directory: str) -> Iterator[tuple[str, str]]
 
 def _search_listing(rootfs: FlattenedRootfs, search_dirs) -> dict[str, str]:
     """The search listing: each command name -> the path of the first
-    directory, in search order, that holds it. The root is a directory
-    though no entry holds it."""
+    directory, in search order, that holds it as an executable file, a
+    hardlink or a symlink that does not resolve to a directory."""
     keys = list(rootfs.entries)
     listing: dict[str, str] = {}
     for directory in dict.fromkeys(resolve_directory(rootfs, d)[0] for d in search_dirs):
-        rec = rootfs.entries.get(directory)
-        if directory != "/" and (rec is None or rec.kind != KIND_DIRECTORY):
+        if not _is_directory(rootfs, directory):
             continue
         for name, path in list_directory(keys, directory):
             rec = rootfs.entries[path]
+            if rec.kind == KIND_SYMLINK and _is_directory(rootfs, resolve_entry(rootfs, path, follow_last=True)):
+                continue  # a shell's search skips a link to a directory; a dangling one counts
             if rec.kind in _COMMAND_KINDS and rec.is_executable():
                 listing.setdefault(name, path)
     return listing
+
+
+def _is_directory(rootfs: FlattenedRootfs, path: str | None) -> bool:
+    """Whether ``path`` is a directory of the rootfs, the root included."""
+    rec = rootfs.entries.get(path)
+    return path == "/" or (rec is not None and rec.kind == KIND_DIRECTORY)
 
 
 def collect_system_commands(rootfs: FlattenedRootfs, search_dirs=DEFAULT_SEARCH_DIRS) -> list[str]:

@@ -679,18 +679,23 @@ def oracle_command_start(entries: dict, name: str, search_dirs) -> str | None:
 
     A search directory counts as the directory ``oracle_follow`` resolves it
     to. The first directory, in search order, that holds ``name`` as an
-    executable file, symlink or hardlink gives ``directory/name``.
+    executable file or hardlink, or as a symlink that ``oracle_follow`` does
+    not resolve to a directory, gives ``directory/name``.
     """
+    def is_directory(physical):
+        return physical == "/" or entries.get(physical, {}).get("kind") == "directory"
+
     directories = []
     for d in search_dirs:
         physical = oracle_follow(entries, "/" + "/".join(c for c in d.split("/") if c))
         if physical is not None and entries.get(physical, {}).get("kind") == "directory":
             directories.append(physical)
     for directory in directories:
-        rec = entries.get(posixpath.join(directory, name))
-        if rec is not None and (rec["kind"] == "symlink" or (
+        path = posixpath.join(directory, name)
+        rec = entries.get(path)
+        if rec is not None and (rec["kind"] == "symlink" and not is_directory(oracle_follow(entries, path)) or (
                 rec["kind"] in ("regular", "hardlink") and rec.get("mode", 0o755) & 0o111)):
-            return posixpath.join(directory, name)
+            return path
     return None
 
 

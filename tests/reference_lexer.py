@@ -1,13 +1,15 @@
 """Reference JavaScript lexer that reads one character at a time.
 
 It is the oracle for ``staticslim.jsmodule.tokenize``, which lexes with one
-token pattern: both must give the same (kind, value, line) stream. The scanners
-and tables are those of the original per-character lexer, with three fixes: a
-backslash before a newline ends a regex-literal candidate, so the "/" lexes as
-division; a backslash before a newline in a template literal counts that
-line, as one in a quoted string does; both keep later line numbers right. And
-a template substitution is lexed token by token, as a module is, so a "}" in
-a comment or a regex literal inside it does not end the substitution.
+token pattern: both must give the same (kind, value, line) stream, the tokens
+of each template substitution included. The scanners and tables are those of
+the original per-character lexer, with three fixes: a backslash before a
+newline ends a regex-literal candidate, so the "/" lexes as division; a
+backslash before a newline in a template literal counts that line, as one in a
+quoted string does; both keep later line numbers right. And a template
+substitution is lexed token by token, as a module is, so a "}" in a comment
+or a regex literal inside it does not end the substitution; its tokens, with
+their lines in the module, are the substitution's part of the template.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def _next_token(source: str, i: int, prev: Token | None, line: int) -> tuple[Tok
         value, i, nl = _scan_string(source, i, c)
         return Token("str", value, line), i, line + nl
     if c == "`":
-        parts, i, nl = _scan_template(source, i)
-        return Token("tpl", parts, line), i, line + nl
+        parts, i, end_line = _scan_template(source, i, line)
+        return Token("tpl", parts, line), i, end_line
     if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
         j = i + 1
         while j < n and (source[j].isalnum() or source[j] in "._xXoObBeE+-"):
@@ -128,11 +130,11 @@ def _scan_string(source: str, i: int, quote: str) -> tuple[str, int, int]:
     return "".join(out), i, newlines
 
 
-def _scan_template(source: str, i: int) -> tuple[list, int, int]:
-    """Scan a template literal into [('s', text) | ('e', expr_source)] parts."""
-    parts: list[tuple[str, str]] = []
+def _scan_template(source: str, i: int, line: int) -> tuple[list, int, int]:
+    """Scan the template literal at ``i``, on ``line``, into
+    [('s', text) | ('e', tokens)] parts; also give where it ends and the line there."""
+    parts: list[tuple[str, object]] = []
     buf: list[str] = []
-    newlines = 0
     i += 1
     n = len(source)
     while i < n:
@@ -141,13 +143,13 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
             esc = source[i + 1]
             buf.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
             if esc == "\n":
-                newlines += 1
+                line += 1
             i += 2
             continue
         if c == "`":
             if buf:
                 parts.append(("s", "".join(buf)))
-            return parts, i + 1, newlines
+            return parts, i + 1, line
         if c == "$" and i + 1 < n and source[i + 1] == "{":
             if buf:
                 parts.append(("s", "".join(buf)))
@@ -156,25 +158,26 @@ def _scan_template(source: str, i: int) -> tuple[list, int, int]:
             # to the "}" that balances its "${".
             depth = 1
             j = i + 2
-            start = j
-            prev = None
-            while j < n and depth:
-                tok, j, newlines = _next_token(source, j, prev, newlines)
+            toks: list[Token] = []
+            while j < n:
+                tok, j, line = _next_token(source, j, toks[-1] if toks else None, line)
                 if tok is None:
                     continue
                 if tok.kind == "punct" and tok.value in ("{", "}"):
                     depth += 1 if tok.value == "{" else -1
-                prev = tok
-            parts.append(("e", source[start : j - 1]))
+                    if not depth:
+                        break
+                toks.append(tok)
+            parts.append(("e", toks))
             i = j
             continue
         if c == "\n":
-            newlines += 1
+            line += 1
         buf.append(c)
         i += 1
     if buf:
         parts.append(("s", "".join(buf)))
-    return parts, i, newlines
+    return parts, i, line
 
 
 def _scan_regex(source: str, i: int) -> tuple[int | None, int]:
@@ -202,3 +205,12 @@ def _scan_regex(source: str, i: int) -> tuple[int | None, int]:
             return j, newlines
         j += 1
     return None, 0
+
+
+def normalized(tokens) -> list[tuple]:
+    """Each token as (kind, value, line), the tokens of each template
+    substitution normalized in turn, so both lexers' streams compare equal."""
+    return [
+        (t.kind, [(k, normalized(p) if k == "e" else p) for k, p in t.value] if t.kind == "tpl" else t.value, t.line)
+        for t in tokens
+    ]

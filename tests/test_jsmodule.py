@@ -13,6 +13,7 @@ from staticslim.jsmodule import (
     Concat,
     Dynamic,
     Func,
+    Name,
     Tokens,
     Tpl,
     _ExprParser,
@@ -31,7 +32,7 @@ def kinds(source):
 
 
 def stream(lexer, source):
-    return [(t.kind, t.value, t.line) for t in lexer(source)]
+    return reference_lexer.normalized(lexer(source))
 
 
 # JS punctuation, quotes, template pieces, escapes, newlines, number and
@@ -41,6 +42,12 @@ _JS_PIECES = st.sampled_from(
     list("abexE_$019.+-*/%=<>!&|?^~:;,()[]{}'\"`\\\n \t\r\f\v")
     + ["${", "//", "/*", "*/", "return", "typeof", "in", "0x1F", "1e+5",
        "\u00bd", "\u00b2", "\u2460", "\u00e9", "\u4e2d", "\u00a0", "\u3000", "\x85", "\u0663"]
+)
+
+# Template pieces and what can hide a backquote or a brace from a lexer:
+# quotes, escapes, newlines, regex literals and comments.
+_TEMPLATE_PIECES = st.sampled_from(
+    ["`", "${", "}", "{", "'", '"', "\\", "\n", "/", "//", "/*", "*/", "a", "_", "1", "$", "\u00e9"]
 )
 
 
@@ -67,23 +74,40 @@ class TestTokenize:
         assert toks[1].kind == "regex"
 
     def test_template_parts(self):
-        toks = tokenize("`run ${cmd} now`")
-        assert toks[0].kind == "tpl"
-        assert toks[0].value == [("s", "run "), ("e", "cmd"), ("s", " now")]
+        assert stream(tokenize, "`run ${cmd} now`") == [
+            ("tpl", [("s", "run "), ("e", [("ident", "cmd", 1)]), ("s", " now")], 1),
+        ]
 
     def test_nested_template(self):
-        toks = tokenize("`a ${`b ${c}`} d`")
-        assert toks[0].kind == "tpl"
-        inner = toks[0].value[1]
-        assert inner[0] == "e"
-        assert "`b ${c}`" in inner[1]
+        assert stream(tokenize, "`a ${`b ${c}`} d`") == [
+            ("tpl", [("s", "a "), ("e", [("tpl", [("s", "b "), ("e", [("ident", "c", 1)])], 1)]), ("s", " d")], 1),
+        ]
 
     def test_deeply_nested_template(self):
         source = "`${" * 5000 + "'v'\n" + "}`" * 5000 + "\nx"
         toks = tokenize(source)
         assert [t.kind for t in toks] == ["tpl", "ident"]
-        assert toks[0].value == [("e", source[3:-4])]
+        t = toks[0]
+        for _ in range(5000):  # each template holds one substitution of one token
+            assert (t.kind, t.line, [kind for kind, _ in t.value]) == ("tpl", 1, ["e"])
+            [t] = t.value[0][1]
+        assert (t.kind, t.value, t.line) == ("str", "v", 1)
         assert toks[1].line == 3
+
+    def test_substitution_at_end_of_input_keeps_its_last_character(self):
+        index = scan_module("m.js", "a = `${ab", SINKS)
+        assert index.defs["a"][0].expr == Tpl([("e", Name("ab", 1))])
+        for lexer in (tokenize, reference_lexer.tokenize):
+            assert stream(lexer, "`${ab") == [("tpl", [("e", [("ident", "ab", 1)])], 1)]
+
+    def test_substitution_tokens_carry_their_module_lines(self):
+        source = "x\n`a\n${\nb}`"
+        index = scan_module("m.js", source.replace("`", "a = `", 1), SINKS)
+        assert index.defs["a"][0].expr == Tpl([("s", "a\n"), ("e", Name("b", 4))])
+        for lexer in (tokenize, reference_lexer.tokenize):
+            assert stream(lexer, source) == [
+                ("ident", "x", 1), ("tpl", [("s", "a\n"), ("e", [("ident", "b", 4)])], 2),
+            ]
 
     @pytest.mark.parametrize("comment,line", [("/* } */", 1), ("/* }\n} */", 2), ("// }\n", 2),
                                               ("// }", None), ("/* } never closed", None)],
@@ -98,7 +122,8 @@ class TestTokenize:
                 assert [kind for kind, _ in template.value] == ["s", "e"]
                 assert "exec" not in [t.value for t in lexer(source)]
                 continue
-            assert template.value == [("s", "ls "), ("e", f" x {comment} "), ("s", " -l")]
+            [(_, parts, _)] = reference_lexer.normalized([template])
+            assert parts == [("s", "ls "), ("e", [("ident", "x", 1)]), ("s", " -l")]
             assert [t.line for t in lexer(source) if t.value == "exec"] == [line]
         if line is not None:
             index = scan_module("m.js", source, SINKS)
@@ -177,6 +202,13 @@ class TestTokenize:
     # Blanks alone: nothing to lex, not punctuation.
     @example(" ")
     def test_same_stream_as_reference_lexer(self, text):
+        assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
+
+    @settings(max_examples=300)
+    @given(st.lists(_TEMPLATE_PIECES, max_size=40).map("".join))
+    @example("`${ab")
+    @example("`${ {`${/}/}`} }`a\\`${x")
+    def test_same_template_stream_as_reference_lexer(self, text):
         assert stream(tokenize, text) == stream(reference_lexer.tokenize, text)
 
     @given(st.text(max_size=400))

@@ -141,6 +141,30 @@ class TestCollectCommands:
         )
         assert collect_system_commands(rootfs) == ["dash", "sh", "sh2"]
 
+    def test_symlink_to_a_directory_is_not_a_command(self):
+        # A shell's PATH search skips a directory, reached through a link or
+        # not (Debian's /usr/bin/X11 -> .); a dangling or looping link counts.
+        link = {"kind": "symlink", "mode": 0o777}
+        entries = {
+            "/usr": {"kind": "directory", "mode": 0o755},
+            "/usr/bin": {"kind": "directory", "mode": 0o755},
+            "/usr/bin/ls": {"kind": "regular", "mode": 0o755, "data": b"x"},
+            "/usr/bin/X11": {**link, "target": "."},
+            "/usr/bin/usr": {**link, "target": "/usr"},
+            "/usr/bin/up": {**link, "target": "../.."},
+            "/usr/bin/sh": {**link, "target": "ls"},
+            "/usr/bin/gone": {**link, "target": "/nowhere"},
+            "/usr/bin/loop": {**link, "target": "loop"},
+        }
+        rootfs = rootfs_from_ground_truth(entries)
+        search_dirs = ("/usr/bin",)
+        commands = collect_system_commands(rootfs, search_dirs)
+        assert commands == ["gone", "loop", "ls", "sh"]
+        names = [posixpath.basename(p) for p in entries if p.startswith("/usr/bin/")]
+        assert sorted(n for n in names if oracle_command_start(entries, n, search_dirs)) == commands
+        cll = build_command_linked_list(names, rootfs, search_dirs)
+        assert cll.heads == commands
+
     def test_builtin_names_excluded(self):
         rootfs = flatten_layers(
             make_stack(
