@@ -1,5 +1,10 @@
 """Rootfs pruning: match tokens against command chains and keep what they reach.
 
+A token is matched as a shell in the container would run it as a command
+word (``match_tokens``): a word with a ``/`` is a pathname, resolved in the
+rootfs from ``WorkingDir``; any other word is a command name, looked up in
+the search listing through the chain it heads.
+
 Only paths containing ``/bin/``, ``/sbin/``, or ``/lib/`` are ever pruned
 (substring semantics, so ``/usr/bin/`` and ``/usr/lib/`` count). The retain
 set is everything reachable in one graph (``build_retain_list``): symlink
@@ -40,10 +45,11 @@ from .rootfs import (
     DEFAULT_SEARCH_DIRS,
     SHELL_BUILTINS,
     CommandLinkedList,
+    _extend_chain,
+    _has_command_file,
     build_command_linked_list,
     collect_system_commands,
     command_search_dirs,
-    expand_command_linked_list,
     resolve_chain,
     resolve_entry,
 )
@@ -91,25 +97,37 @@ class MatchResult:
     unmatched: list[str]
 
 
-def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList) -> MatchResult:
-    """Exact-text match of every token against the node names.
+def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList, rootfs: FlattenedRootfs,
+                 working_dir: str | None = None) -> MatchResult:
+    """Match every token as a command word of the container's shell.
 
-    Bare names and absolute paths are distinct match keys. Shell built-ins
-    count as matched without a start node; everything else (flags, file
-    arguments, plain words) lands in unmatched.
+    A token with a ``/`` is a pathname, never searched for (POSIX Shell
+    Command Language 2.9.1.1): joined onto ``working_dir`` (``/`` when
+    unset), with no lexical ``..`` folding, it is matched when it names an
+    existing non-directory entry, and its spelling then starts a chain of
+    ``cll``, one symlink hop per node, added as needed. Any other token
+    matches the command chain it heads. Shell built-ins count as matched
+    without a start node; everything else (flags, file arguments, plain
+    words, paths that name nothing) lands in unmatched.
     """
     matched: dict[str, str | None] = {}
-    start_nodes: list[str] = []
     unmatched: list[str] = []
     for token in ctl.token_texts():
-        if token in cll.nodes:
-            if token not in matched:
-                start_nodes.append(token)
+        if "/" in token:
+            spelling = posixpath.join(working_dir or "/", token)
+            if not _has_command_file(rootfs, spelling):
+                unmatched.append(token)
+                continue
+            if spelling not in cll.nodes:
+                _extend_chain(cll, cll.add(spelling), rootfs, [spelling])
+            matched[token] = spelling
+        elif token in cll.nodes:
             matched[token] = token
         elif token in SHELL_BUILTINS:
             matched[token] = None
         else:
             unmatched.append(token)
+    start_nodes = [start for start in dict.fromkeys(matched.values()) if start is not None]
     return MatchResult(matched=matched, start_nodes=start_nodes, unmatched=unmatched)
 
 
@@ -123,16 +141,15 @@ def build_retain_list(
     start_nodes,
     cll: CommandLinkedList,
     rootfs: FlattenedRootfs,
-    entry_paths=(),
 ) -> RetainList:
     """Every entry the seeds reach in the retain graph, each visited once.
 
-    Seeds: each spelling on a matched chain, each absolute entrypoint path
-    (the entries these denote are program roots), then every entry outside
-    the prune area. Edges: the symlink hops a spelling crosses, a symlink's
-    one-hop target, a hardlink's target, the nearest existing parent, and
-    the loader's edges from the roots (``LibrarySearch.edges``), whose
-    order orders the missing names. A path's reason is the seed or edge
+    Seeds: each spelling on the chain of a start node (the entries these
+    denote are program roots), then every entry outside the prune area.
+    Edges: the symlink hops a spelling crosses, a symlink's one-hop
+    target, a hardlink's target, the nearest existing parent, and the
+    loader's edges from the roots (``LibrarySearch.edges``), whose order
+    orders the missing names. A path's reason is the seed or edge
     that reached it first.
     """
     retain = RetainList()
@@ -153,7 +170,7 @@ def build_retain_list(
         return entry
 
     spellings = [path for start in start_nodes for path in resolve_chain(cll, start)]
-    roots = dict.fromkeys(reach_spelling(spelled, REASON_TOKEN) for spelled in spellings + list(entry_paths))
+    roots = dict.fromkeys(reach_spelling(spelled, REASON_TOKEN) for spelled in spellings)
     roots.pop(None, None)  # a dangling spelling roots nothing
     for path in rootfs.entries:
         if not in_prune_area(path):
@@ -369,23 +386,20 @@ def slim_image(
             search_dirs = command_search_dirs(metadata, search_dirs)
             commands = collect_system_commands(rootfs, search_dirs)
             cll = build_command_linked_list(commands, rootfs, search_dirs)
-            expand_command_linked_list(cll, rootfs)
 
-            entry_tokens = _entrypoint_tokens(metadata)
             image_ctl = CommandTokenList(tokens=list(ctl.tokens))
-            for token in entry_tokens:
+            for token in _entrypoint_tokens(metadata):
                 image_ctl.add(token, PROVENANCE_EXEC, "image-config")
-            match = match_tokens(image_ctl, cll)
+            match = match_tokens(image_ctl, cll, rootfs, metadata.working_dir)
             if conservative:
                 retain = RetainList()
                 for path in rootfs.entries:
                     retain.add(path, REASON_CONSERVATIVE)
             else:
-                entry_paths = [t for t in entry_tokens if t.startswith("/")]
-                # rootfs goes by name: the bench tracer (bench/trace_child.py)
-                # reads it as a keyword or as the 4th positional argument.
-                retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs,
-                                           entry_paths=entry_paths)
+                # rootfs, the 3rd positional argument, goes by name: the bench
+                # tracer (bench/trace_child.py) reads it as a keyword or as
+                # positional index 3.
+                retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs)
             slim_tar = emit_slim_rootfs(rootfs, retain)
             build_slim_image(metadata, slim_tar, out, layout=layout, gzip_layer=gzip_layer)
         report = compute_report(rootfs, cll, retain, match=match, search_dirs=search_dirs)

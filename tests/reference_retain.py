@@ -85,14 +85,14 @@ def _retain_parents(retain: RetainList, rootfs) -> None:
             parent = posixpath.dirname(parent)
 
 
-def build_retain_list(start_nodes, cll, rootfs, entry_paths=()) -> RetainList:
+def build_retain_list(start_nodes, cll, rootfs) -> RetainList:
     """Closed retain set: chains, ELF closures, protected files, parents."""
     retain = RetainList()
 
     chain_entries: list[str] = []
     seen_entries: set[str] = set()
     spellings = [path for start in start_nodes for path in resolve_chain(cll, start)]
-    for spelled in spellings + list(entry_paths):
+    for spelled in spellings:
         entry = _retain_spelling(retain, rootfs, spelled, REASON_TOKEN)
         if entry is not None and entry not in seen_entries:
             seen_entries.add(entry)

@@ -283,8 +283,7 @@ def test_criterion_8_report_arithmetic():
         ]
         rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
         cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
-        expand_command_linked_list(cll, rootfs)
-        match = match_tokens(_ctl("keep"), cll)
+        match = match_tokens(_ctl("keep"), cll, rootfs)
         retain = build_retain_list(match.start_nodes, cll, rootfs)
         report = compute_report(rootfs, cll, retain, match=match)
         assert report.original_size == 10000
@@ -332,11 +331,10 @@ def test_criterion_9_safety_invariants():
             rootfs = rootfs_from_ground_truth(entries)
             all_commands = collect_system_commands(rootfs)
             cll = build_command_linked_list(all_commands, rootfs)
-            expand_command_linked_list(cll, rootfs)
 
             picks = rng.sample(all_commands, k=min(len(all_commands), rng.randrange(0, 5)))
             tokens = picks + ["--flag", "not-a-command", "/etc/none"] + elf_cmds
-            match = match_tokens(_ctl(*tokens), cll)
+            match = match_tokens(_ctl(*tokens), cll, rootfs)
             retain = build_retain_list(match.start_nodes, cll, rootfs)
 
             removed = set(rootfs.entries) - retain.paths

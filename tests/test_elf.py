@@ -392,6 +392,19 @@ class TestClosure:
         closure = walk_closure("/usr/bin/app", _rootfs(members))
         assert closure.paths == {"/opt/vendor/lib/libv.so"}
 
+    def test_only_ld_so_conf_and_its_conf_d_files_are_loader_config(self):
+        rootfs = _rootfs([
+            {"path": "/etc", "kind": "directory"},
+            {"path": "/etc/ld.so.conf", "data": b"/opt/main/lib\n"},
+            {"path": "/etc/ld.so.conf.d", "kind": "directory"},
+            {"path": "/etc/ld.so.conf.d/README", "data": b"/opt/readme/lib\n"},
+            {"path": "/etc/ld.so.conf.d/vendor.conf", "data": b"/opt/vendor/lib\n"},
+            {"path": "/etc/other.conf", "data": b"/opt/other/lib\n"},
+        ])
+        dirs = elf.rootfs_library_dirs(rootfs)
+        assert dirs[:2] == ["/opt/main/lib", "/opt/vendor/lib"]
+        assert not {"/opt/readme/lib", "/opt/other/lib"} & set(dirs)
+
     def test_arch_triplet_subdir(self):
         members = [
             {"path": "/usr", "kind": "directory"},
@@ -600,13 +613,21 @@ def _without_own_dirs(rootfs: FlattenedRootfs) -> FlattenedRootfs:
     return FlattenedRootfs(entries=entries)
 
 
-def assert_retain_matches_reference(start_nodes, cll, rootfs, entry_paths):
+def start_nodes_of(tokens, cll, rootfs):
+    """The start nodes ``tokens`` match, each an exec argument."""
+    ctl = CommandTokenList()
+    for token in tokens:
+        ctl.add(token, "exec-argument", "test")
+    return match_tokens(ctl, cll, rootfs).start_nodes
+
+
+def assert_retain_matches_reference(start_nodes, cll, rootfs):
     """The retain graph keeps what the five-pass reference keeps, and more
     only where an object resolves a needed name through its own rpath or
     runpath: the reference resolves each name once per closure, through the
     first object that needs it."""
-    want = reference_retain.build_retain_list(start_nodes, cll, rootfs, entry_paths)
-    got = build_retain_list(start_nodes, cll, rootfs, entry_paths=entry_paths)
+    want = reference_retain.build_retain_list(start_nodes, cll, rootfs)
+    got = build_retain_list(start_nodes, cll, rootfs)
     assert got.paths >= want.paths
     assert set(got.missing_libraries) >= set(want.missing_libraries)
     assert set(got.missing_interpreters) >= set(want.missing_interpreters)
@@ -628,7 +649,8 @@ def test_library_search_matches_reference_closure(rng):
         got = walk_closure(root, rootfs, search=search)
         assert (got.paths, got.missing, got.interpreter) == (want.paths, want.missing, want.interpreter), root
 
-    assert_retain_matches_reference([], CommandLinkedList(), rootfs, roots)
+    cll = CommandLinkedList()
+    assert_retain_matches_reference(start_nodes_of(roots, cll, rootfs), cll, rootfs)
 
 
 @pytest.mark.parametrize("links", [63, 64])
@@ -674,12 +696,9 @@ def test_retain_graph_keeps_reference_set(rng, own_dirs):
 
     cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
     expand_command_linked_list(cll, rootfs)
-    ctl = CommandTokenList()
-    for token in rng.sample(sorted(cll.nodes), k=rng.randrange(0, min(len(cll.nodes), 6) + 1)) + ["ghost"]:
-        ctl.add(token, "exec-argument", "test")
-    start_nodes = match_tokens(ctl, cll).start_nodes
-    entry_paths = rng.sample(roots, k=rng.randrange(0, 4))
-    assert_retain_matches_reference(start_nodes, cll, rootfs, entry_paths)
+    tokens = rng.sample(sorted(cll.nodes), k=rng.randrange(0, min(len(cll.nodes), 6) + 1)) + ["ghost"]
+    tokens += rng.sample(roots, k=rng.randrange(0, 4))
+    assert_retain_matches_reference(start_nodes_of(tokens, cll, rootfs), cll, rootfs)
 
 
 def _shared_chain_image(n_roots: int, dynamic: bool) -> FlattenedRootfs:
@@ -724,10 +743,11 @@ class TestLookupsPerRetain:
 
         def count(n_roots, dynamic):
             rootfs = _shared_chain_image(n_roots, dynamic)
+            cll = CommandLinkedList()
+            start_nodes = start_nodes_of([f"/usr/bin/app{i}" for i in range(n_roots)], cll, rootfs)
             probes.clear()
             finds.clear()
-            retain = build_retain_list([], CommandLinkedList(), rootfs,
-                                       entry_paths=[f"/usr/bin/app{i}" for i in range(n_roots)])
+            retain = build_retain_list(start_nodes, cll, rootfs)
             assert retain.missing_libraries == []
             return len(probes), len(finds)
 

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import posixpath
 import tarfile
 
 import pytest
@@ -26,8 +27,9 @@ from conftest import (
 from staticslim import rootfs as rootfs_mod
 from staticslim.ctl import CommandToken, CommandTokenList
 from staticslim.errors import PruneConsistencyError
-from staticslim.imageio import FileRecord, FlattenedRootfs, flatten_layers
+from staticslim.imageio import FileRecord, FlattenedRootfs, flatten_layers, load_image_archive
 from staticslim.pruner import (
+    PruneReport,
     RetainList,
     build_retain_list,
     compute_report,
@@ -39,7 +41,7 @@ from staticslim.pruner import (
 from staticslim.rootfs import (
     build_command_linked_list,
     collect_system_commands,
-    expand_command_linked_list,
+    resolve_entry,
 )
 
 
@@ -50,12 +52,11 @@ def ctl_of(*tokens):
     return ctl
 
 
-def build_pipeline(members, tokens, entry_paths=()):
+def build_pipeline(members, tokens):
     rootfs = flatten_layers(make_stack([make_layer_tar(members)]))
     cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
-    expand_command_linked_list(cll, rootfs)
-    match = match_tokens(ctl_of(*tokens), cll)
-    retain = build_retain_list(match.start_nodes, cll, rootfs, entry_paths=entry_paths)
+    match = match_tokens(ctl_of(*tokens), cll, rootfs)
+    retain = build_retain_list(match.start_nodes, cll, rootfs)
     return rootfs, cll, match, retain
 
 
@@ -102,20 +103,19 @@ class TestPruneArea:
 class TestMatchTokens:
     def test_bare_name_matches(self, shell_rootfs):
         cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
-        expand_command_linked_list(cll, shell_rootfs)
-        result = match_tokens(ctl_of("sh"), cll)
+        result = match_tokens(ctl_of("sh"), cll, shell_rootfs)
         assert result.start_nodes == ["sh"]
         assert result.unmatched == []
 
     def test_flag_token_unmatched(self, shell_rootfs):
         cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
-        result = match_tokens(ctl_of("-la"), cll)
+        result = match_tokens(ctl_of("-la"), cll, shell_rootfs)
         assert result.start_nodes == []
         assert result.unmatched == ["-la"]
 
     def test_builtin_matched_without_start_node(self, shell_rootfs):
         cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
-        result = match_tokens(ctl_of("cd", "sh"), cll)
+        result = match_tokens(ctl_of("cd", "sh"), cll, shell_rootfs)
         assert result.matched["cd"] is None
         assert result.start_nodes == ["sh"]
         assert result.unmatched == []
@@ -123,13 +123,64 @@ class TestMatchTokens:
     def test_both_spellings_union(self, shell_rootfs):
         from staticslim.rootfs import resolve_chain
         cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
-        expand_command_linked_list(cll, shell_rootfs)
-        result = match_tokens(ctl_of("sh", "/bin/sh"), cll)
+        result = match_tokens(ctl_of("sh", "/bin/sh"), cll, shell_rootfs)
         assert result.start_nodes == ["sh", "/bin/sh"]
         union = set()
         for start in result.start_nodes:
             union.update(resolve_chain(cll, start))
         assert union == {"/bin/sh", "/usr/bin/sh", "/usr/bin/dash"}
+
+    def test_path_token_off_every_chain_starts_its_own(self, shell_rootfs):
+        from staticslim.rootfs import resolve_chain
+        cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
+        result = match_tokens(ctl_of("/opt/tool", "/bin/sh"), cll, shell_rootfs)
+        assert result.matched == {"/opt/tool": "/opt/tool", "/bin/sh": "/bin/sh"}
+        assert result.start_nodes == ["/opt/tool", "/bin/sh"]
+        # The chain of a spelling is walked from its physical entry, one hop per node.
+        assert resolve_chain(cll, "/bin/sh") == ["/bin/sh", "/usr/bin/dash"]
+
+    def test_relative_path_token_is_joined_onto_the_working_dir(self, shell_rootfs):
+        cll = build_command_linked_list(collect_system_commands(shell_rootfs), shell_rootfs)
+        result = match_tokens(ctl_of("bin/sh", "./tool", "tool"), cll, shell_rootfs, "/opt")
+        assert result.matched == {"./tool": "/opt/./tool"}
+        assert result.unmatched == ["bin/sh", "tool"]  # no /opt/bin/sh; a bare word is a command name
+        result = match_tokens(ctl_of("bin/sh"), cll, shell_rootfs, None)
+        assert result.matched == {"bin/sh": "/bin/sh"}
+
+    @pytest.mark.parametrize("token", [
+        "/",                  # the root is no entry
+        "/usr/bin",           # a directory
+        "/usr/bin/",
+        "../usr",             # a directory, reached from the working directory
+        "/usr/bin/ghost",     # names nothing
+        "/gone/sh",           # crosses a dangling directory link
+    ])
+    def test_path_token_that_names_no_file_is_unmatched(self, token):
+        rootfs = flatten_layers(make_stack([make_layer_tar(shell_chain_members([
+            {"path": "/gone", "kind": "symlink", "target": "/nowhere"},
+        ]))]))
+        cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
+        nodes = list(cll.nodes)
+        result = match_tokens(ctl_of(token), cll, rootfs, "/etc")
+        assert (result.matched, result.start_nodes, result.unmatched) == ({}, [], [token])
+        assert list(cll.nodes) == nodes
+
+    def test_dot_dot_is_walked_physically_across_a_directory_link(self):
+        """``..`` after a directory link leaves the link's target, not the
+        link's parent: the token names ``/usr/lib/helper``, and no
+        ``/opt/helper`` exists to be folded to lexically."""
+        members = shell_chain_members([
+            {"path": "/usr/lib", "kind": "directory"},
+            {"path": "/usr/lib/tool", "kind": "directory"},
+            {"path": "/usr/lib/helper", "kind": "regular", "mode": 0o755, "data": b"helper"},
+            {"path": "/opt/link", "kind": "symlink", "target": "/usr/lib/tool"},
+        ])
+        rootfs, cll, match, retain = build_pipeline(members, ["/opt/link/../helper"])
+        assert match.matched == {"/opt/link/../helper": "/opt/link/../helper"}
+        assert {"/opt/link", "/usr/lib/helper"} <= retain.paths
+        assert retain.reasons["/usr/lib/helper"] == "token-match"
+        rootfs, cll, match, retain = build_pipeline(members, ["link/../helper"])
+        assert match.unmatched == ["link/../helper"]  # joined onto /, no /link
 
 
 class TestRetainList:
@@ -194,7 +245,6 @@ class TestRetainList:
         entries, commands, search_dirs = random_symlink_rootfs(rng)
         rootfs = rootfs_from_ground_truth(entries)
         cll = build_command_linked_list(collect_system_commands(rootfs, search_dirs), rootfs, search_dirs)
-        expand_command_linked_list(cll, rootfs)
         words = commands + sorted(n for n in cll.nodes if n.startswith("/")) + ["cd", "-v", "/nowhere"]
         tokens = data.draw(st.lists(st.sampled_from(words), max_size=8), label="tokens")
         repeats = data.draw(st.lists(st.sampled_from(tokens), max_size=4), label="repeats") if tokens else []
@@ -202,9 +252,45 @@ class TestRetainList:
 
         def retained(texts):
             ctl = CommandTokenList(tokens=[CommandToken(t, "exec-argument", "test") for t in texts])
-            return build_retain_list(match_tokens(ctl, cll).start_nodes, cll, rootfs).paths
+            return build_retain_list(match_tokens(ctl, cll, rootfs).start_nodes, cll, rootfs).paths
 
         assert retained(shuffled) == retained(tokens)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_respelling_a_path_token_through_a_directory_link(self, rng):
+        """A chain path ``p`` respelled through a directory link ``L -> T``
+        as ``q = L + p[len(T):]`` keeps every path ``p`` keeps, and besides
+        them only the links ``q``'s resolution crosses and their parent
+        directories."""
+        entries, _, search_dirs = random_symlink_rootfs(rng)
+        rootfs = rootfs_from_ground_truth(entries)
+
+        def chains():
+            return build_command_linked_list(collect_system_commands(rootfs, search_dirs), rootfs, search_dirs)
+
+        def retained(token):
+            cll = chains()
+            return build_retain_list(match_tokens(ctl_of(token), cll, rootfs).start_nodes, cll, rootfs).paths
+
+        dir_links = {link: target for link, target in rootfs.symlink_table.items()
+                     if getattr(rootfs.entries.get(target), "kind", None) == "directory"}
+        for p in sorted(n for n in chains().nodes if n.startswith("/")):
+            for link, target in dir_links.items():
+                if not p.startswith(target + "/"):
+                    continue
+                q = link + p[len(target):]
+                hops: list[str] = []
+                resolve_entry(rootfs, q, trace=hops)
+                crossed = set(hops)
+                for hop in hops:
+                    parent = posixpath.dirname(hop)
+                    while parent != "/":
+                        crossed.add(parent)
+                        parent = posixpath.dirname(parent)
+                kept_p, kept_q = retained(p), retained(q)
+                assert kept_p <= kept_q, (p, q)
+                assert kept_q - kept_p <= crossed, (p, q)
 
     def test_entry_path_elf_closure(self):
         members = elf_shell_members() + [
@@ -215,7 +301,7 @@ class TestRetainList:
                 "mode": 0o755,
             },
         ]
-        rootfs, cll, match, retain = build_pipeline(members, [], entry_paths=["/srv/app"])
+        rootfs, cll, match, retain = build_pipeline(members, ["/srv/app"])
         assert "/usr/lib/libc.so.6" in retain.paths
 
     def test_directory_symlink_on_runpath_retained(self):
@@ -387,8 +473,7 @@ class TestEmit:
 
         rootfs2 = flatten_layers(make_stack([first]))
         cll2 = build_command_linked_list(collect_system_commands(rootfs2), rootfs2)
-        expand_command_linked_list(cll2, rootfs2)
-        match2 = match_tokens(ctl_of("sh"), cll2)
+        match2 = match_tokens(ctl_of("sh"), cll2, rootfs2)
         retain2 = build_retain_list(match2.start_nodes, cll2, rootfs2)
         second = b"".join(emit_slim_rootfs(rootfs2, retain2))
         assert second == first
@@ -511,6 +596,17 @@ class TestReport:
         assert doc["commands_before"] >= doc["commands_after"]
         assert "original size" in report.table()
 
+    @pytest.mark.parametrize("size,text", [
+        (0, "0B"), (1023, "1023B"), (1024, "1.0KB"), (3 << 19, "1.5MB"), (3 << 40, "3072.0GB"),
+    ])
+    def test_table_size_text(self, size, text):
+        report = PruneReport(matched_tokens={}, unmatched_tokens=[], retained_count=0, removed_count=0,
+                             original_size=size, slim_size=size, slimming_ratio=0.0,
+                             commands_before=0, commands_after=0)
+        rows = report.table().splitlines()
+        assert rows[0] == f"original size        {text}"
+        assert rows[1] == f"size after slimming  {text}"
+
     def test_commands_after_counts_retained_heads(self):
         rootfs, cll, match, retain = build_pipeline(shell_chain_members(), ["sh"])
         report = compute_report(rootfs, cll, retain, match=match)
@@ -551,3 +647,72 @@ def test_slim_image_leaves_the_ctl_alone(tmp_path):
     assert first.unmatched_tokens == ["-e"]
     assert second.matched_tokens == {"sh": "sh", "dash": "dash"}
     assert second.unmatched_tokens == []
+
+
+def _slim_kept(tmp_path, members, config, tokens):
+    """Slim a docker-save image of ``members`` with ``config``: the report and
+    the paths the slim image holds."""
+    layer = make_layer_tar(members)
+    image = tmp_path / "image.tar"
+    image.write_bytes(make_docker_archive([layer], default_config([layer], config=config)))
+    report = slim_image(image, ctl_of(*tokens), tmp_path / "slim.tar").report
+    _, stack = load_image_archive(tmp_path / "slim.tar")
+    with stack:
+        return report, set(flatten_layers(stack).entries)
+
+
+class TestSlashRuleInImages:
+    """A command word with a ``/`` is run as a pathname, so the file it names
+    is kept whether or not a search directory holds it."""
+
+    MEMBERS = [
+        {"path": "/usr", "kind": "directory"},
+        {"path": "/usr/bin", "kind": "directory"},
+        {"path": "/usr/bin/git", "data": b"git", "mode": 0o755},
+        {"path": "/bin", "kind": "directory"},
+        {"path": "/bin/sh", "data": b"sh", "mode": 0o755},
+        {"path": "/usr/lib", "kind": "directory"},
+        {"path": "/usr/lib/git-core", "kind": "directory"},
+        {"path": "/usr/lib/git-core/git-remote-http", "data": b"remote", "mode": 0o755},
+        {"path": "/usr/lib/git-core/git-remote-ftp", "data": b"ftp", "mode": 0o755},
+        {"path": "/usr/src", "kind": "directory"},
+        {"path": "/usr/src/app", "kind": "directory"},
+        {"path": "/usr/src/app/bin", "kind": "directory"},
+        {"path": "/usr/src/app/bin/start", "data": b"#!/bin/sh\n", "mode": 0o755},
+        {"path": "/usr/src/app/bin/stop", "data": b"#!/bin/sh\n", "mode": 0o755},
+    ]
+    ENV = ["PATH=/usr/bin:/bin"]
+
+    def test_absolute_token_off_every_chain(self, tmp_path):
+        token = "/usr/lib/git-core/git-remote-http"
+        report, kept = _slim_kept(tmp_path, self.MEMBERS, {"Env": self.ENV}, [token])
+        assert report.matched_tokens == {token: token}
+        assert {token, "/usr/lib/git-core"} <= kept
+        assert "/usr/lib/git-core/git-remote-ftp" not in kept
+
+    def test_relative_cmd_word_under_the_working_dir(self, tmp_path):
+        config = {"Env": self.ENV, "WorkingDir": "/usr/src/app", "Cmd": ["bin/start"]}
+        report, kept = _slim_kept(tmp_path, self.MEMBERS, config, [])
+        assert report.matched_tokens == {"bin/start": "/usr/src/app/bin/start"}
+        assert "/usr/src/app/bin/start" in kept
+        assert "/usr/src/app/bin/stop" not in kept
+
+
+def test_slim_lists_the_search_dirs_once_per_rootfs(tmp_path, monkeypatch):
+    """The command names and the chains they head come from one search
+    listing of the image's rootfs; the report counts commands in a listing
+    of its own, of the retained entries."""
+    listed = []
+    real = rootfs_mod._list_commands
+
+    def counting(rootfs, search_dirs):
+        listed.append(rootfs)
+        return real(rootfs, search_dirs)
+
+    monkeypatch.setattr(rootfs_mod, "_list_commands", counting)
+    layer = make_layer_tar(shell_chain_members())
+    image = tmp_path / "image.tar"
+    image.write_bytes(make_docker_archive([layer]))
+    slim_image(image, ctl_of("sh"), tmp_path / "slim.tar")
+    assert len(listed) == len({id(rootfs) for rootfs in listed}) == 2
+    assert set(listed[1].entries) < set(listed[0].entries)
