@@ -335,11 +335,9 @@ class FlattenedRootfs:
 
     A rootfs is never mutated after construction; a different set of entries
     (such as the retained view a prune report counts, ``subset``) is a new
-    object. The private caches rely on that and are filled on first use:
-    ``_dir_cache`` maps a directory spelling to its physical directory and
-    the symlink hops crossed (``rootfs.resolve_entry``), and ``_listings``
-    maps a tuple of search directories to their search listing
-    (``rootfs._search_listing``).
+    object. The private cache ``_dir_cache`` relies on that and is filled on
+    first use: it maps a directory spelling to its physical directory and
+    the symlink hops crossed (``rootfs.resolve_entry``).
     """
 
     entries: dict[str, FileRecord]
@@ -347,8 +345,6 @@ class FlattenedRootfs:
     warnings: list[str] = field(default_factory=list)
     symlink_table: dict[str, str] = field(init=False, repr=False)
     _dir_cache: dict[str, tuple[str | None, tuple[str, ...]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _listings: dict[tuple[str, ...], dict[str, str]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -372,7 +368,6 @@ class FlattenedRootfs:
         view.symlink_table = {path: target for path, target in self.symlink_table.items() if path in paths}
         view.total_size = sum(rec.size for rec in view.entries.values() if rec.kind == KIND_REGULAR)
         view._dir_cache = {}
-        view._listings = {}
         return view
 
     def data_for(self, path: str) -> FileBytes | bytes | bytearray:

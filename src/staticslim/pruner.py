@@ -47,6 +47,7 @@ from .rootfs import (
     CommandLinkedList,
     _extend_chain,
     _has_command_file,
+    _is_directory,
     build_command_linked_list,
     collect_system_commands,
     command_search_dirs,
@@ -104,8 +105,11 @@ def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList, rootfs: Flattene
     A token with a ``/`` is a pathname, never searched for (POSIX Shell
     Command Language 2.9.1.1): joined onto ``working_dir`` (``/`` when
     unset), with no lexical ``..`` folding, it is matched when it names an
-    existing non-directory entry, and its spelling then starts a chain of
-    ``cll``, one symlink hop per node, added as needed. Any other token
+    existing entry that neither is nor resolves to a directory (a dangling
+    link counts, as in the search listing), and its spelling then starts a
+    chain of ``cll``, one symlink hop per node, added as needed. Such a
+    token need not name an executable: an argument that names a file is
+    matched, and the file is kept. Any other token
     matches the command chain it heads. Shell built-ins count as matched
     without a start node; everything else (flags, file arguments, plain
     words, paths that name nothing) lands in unmatched.
@@ -115,8 +119,9 @@ def match_tokens(ctl: CommandTokenList, cll: CommandLinkedList, rootfs: Flattene
     for token in ctl.token_texts():
         if "/" in token:
             spelling = posixpath.join(working_dir or "/", token)
-            if not _has_command_file(rootfs, spelling):
-                unmatched.append(token)
+            if not _has_command_file(rootfs, spelling) or _is_directory(
+                    rootfs, resolve_entry(rootfs, spelling, follow_last=True)):
+                unmatched.append(token)  # names nothing, a directory or a link to one
                 continue
             if spelling not in cll.nodes:
                 _extend_chain(cll, cll.add(spelling), rootfs, [spelling])
@@ -396,9 +401,9 @@ def slim_image(
                 for path in rootfs.entries:
                     retain.add(path, REASON_CONSERVATIVE)
             else:
-                # rootfs, the 3rd positional argument, goes by name: the bench
-                # tracer (bench/trace_child.py) reads it as a keyword or as
-                # positional index 3.
+                # rootfs must go by name. It is positional index 2, but the
+                # bench tracer (bench/trace_child.py) reads it as a keyword or,
+                # wrongly, as positional index 3, past the last argument.
                 retain = build_retain_list(match.start_nodes, cll, rootfs=rootfs)
             slim_tar = emit_slim_rootfs(rootfs, retain)
             build_slim_image(metadata, slim_tar, out, layout=layout, gzip_layer=gzip_layer)

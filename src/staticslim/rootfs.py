@@ -11,8 +11,7 @@ The search directories are the image's ``PATH``, in order, as a shell in
 the container walks it (``command_search_dirs``): an entry that is empty or
 relative is joined onto ``WorkingDir`` (``/`` when unset), and an image
 without ``PATH`` is searched in ``DEFAULT_SEARCH_DIRS``. The search listing
-alone says which names are commands and where each resolves; it is made
-once per rootfs and search order and kept on the rootfs. Each search
+alone says which names are commands and where each resolves. Each search
 directory, in any spelling, is resolved once and its physical directory
 listed once, at the place of its first spelling; a command is an executable
 child (regular, symlink or hardlink) at ``physical_dir/name`` of the first
@@ -239,17 +238,7 @@ def list_directory(keys: list[str], directory: str) -> Iterator[tuple[str, str]]
 def _search_listing(rootfs: FlattenedRootfs, search_dirs) -> dict[str, str]:
     """The search listing: each command name -> the path of the first
     directory, in search order, that holds it as an executable file, a
-    hardlink or a symlink that does not resolve to a directory. It is made
-    once per rootfs and search order, and kept on the rootfs."""
-    search_dirs = tuple(search_dirs)
-    listing = rootfs._listings.get(search_dirs)
-    if listing is None:
-        listing = rootfs._listings[search_dirs] = _list_commands(rootfs, search_dirs)
-    return listing
-
-
-def _list_commands(rootfs: FlattenedRootfs, search_dirs: tuple[str, ...]) -> dict[str, str]:
-    """The search listing of ``search_dirs``, made from the entries."""
+    hardlink or a symlink that does not resolve to a directory."""
     keys = list(rootfs.entries)
     listing: dict[str, str] = {}
     for directory in dict.fromkeys(resolve_directory(rootfs, d)[0] for d in search_dirs):

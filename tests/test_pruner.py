@@ -41,6 +41,7 @@ from staticslim.pruner import (
 from staticslim.rootfs import (
     build_command_linked_list,
     collect_system_commands,
+    expand_command_linked_list,
     resolve_entry,
 )
 
@@ -154,16 +155,43 @@ class TestMatchTokens:
         "../usr",             # a directory, reached from the working directory
         "/usr/bin/ghost",     # names nothing
         "/gone/sh",           # crosses a dangling directory link
+        "/usr/bin/X11",       # a link to a directory, which the search listing skips too
+        "/bin/X11/X11",
     ])
     def test_path_token_that_names_no_file_is_unmatched(self, token):
         rootfs = flatten_layers(make_stack([make_layer_tar(shell_chain_members([
             {"path": "/gone", "kind": "symlink", "target": "/nowhere"},
+            {"path": "/usr/bin/X11", "kind": "symlink", "target": "."},
         ]))]))
         cll = build_command_linked_list(collect_system_commands(rootfs), rootfs)
         nodes = list(cll.nodes)
         result = match_tokens(ctl_of(token), cll, rootfs, "/etc")
         assert (result.matched, result.start_nodes, result.unmatched) == ({}, [], [token])
         assert list(cll.nodes) == nodes
+
+    def test_dangling_link_token_is_matched(self):
+        """A dangling link counts, as in the search listing: the link is
+        kept for the container to fail on as it would have."""
+        rootfs, cll, match, retain = build_pipeline(shell_chain_members([
+            {"path": "/usr/bin/broken", "kind": "symlink", "target": "gone"},
+        ]), ["/usr/bin/broken"])
+        assert match.matched == {"/usr/bin/broken": "/usr/bin/broken"}
+        assert "/usr/bin/broken" in retain.paths
+
+    def test_path_argument_naming_a_file_is_matched_and_kept(self):
+        """The CTL holds every exec argument, and a word with a ``/`` is
+        resolved as a path whether or not it is run: an argument that names
+        a non-executable file is matched, and the file is kept."""
+        members = shell_chain_members([
+            {"path": "/usr/lib", "kind": "directory"},
+            {"path": "/usr/lib/os-release", "kind": "regular", "mode": 0o644, "data": b"ID=debian\n"},
+        ])
+        rootfs, cll, match, retain = build_pipeline(members, ["cat", "/usr/lib/os-release"])
+        assert match.matched == {"/usr/lib/os-release": "/usr/lib/os-release"}
+        assert match.unmatched == ["cat"]  # no cat in this rootfs
+        assert retain.reasons["/usr/lib/os-release"] == "token-match"
+        _, _, _, without = build_pipeline(members, ["cat"])
+        assert "/usr/lib/os-release" not in without.paths
 
     def test_dot_dot_is_walked_physically_across_a_directory_link(self):
         """``..`` after a directory link leaves the link's target, not the
@@ -241,17 +269,24 @@ class TestRetainList:
     @given(st.randoms(use_true_random=False), st.data())
     def test_token_order_and_repeats_change_no_retain_set(self, rng, data):
         """The retain set is a function of the set of tokens: permuting or
-        repeating the CTL's tokens changes no path kept."""
+        repeating the CTL's tokens changes no path kept. The path words
+        include the alias spellings directory links create, which are no
+        node of the chains ``slim`` builds, so matching them adds nodes."""
         entries, commands, search_dirs = random_symlink_rootfs(rng)
         rootfs = rootfs_from_ground_truth(entries)
-        cll = build_command_linked_list(collect_system_commands(rootfs, search_dirs), rootfs, search_dirs)
-        words = commands + sorted(n for n in cll.nodes if n.startswith("/")) + ["cd", "-v", "/nowhere"]
+
+        def chains():
+            return build_command_linked_list(collect_system_commands(rootfs, search_dirs), rootfs, search_dirs)
+
+        aliases = expand_command_linked_list(chains(), rootfs)
+        words = commands + sorted(n for n in aliases.nodes if n.startswith("/")) + ["cd", "-v", "/nowhere"]
         tokens = data.draw(st.lists(st.sampled_from(words), max_size=8), label="tokens")
         repeats = data.draw(st.lists(st.sampled_from(tokens), max_size=4), label="repeats") if tokens else []
         shuffled = data.draw(st.permutations(tokens + repeats), label="shuffled")
 
         def retained(texts):
             ctl = CommandTokenList(tokens=[CommandToken(t, "exec-argument", "test") for t in texts])
+            cll = chains()  # each call matches into chains of its own
             return build_retain_list(match_tokens(ctl, cll, rootfs).start_nodes, cll, rootfs).paths
 
         assert retained(shuffled) == retained(tokens)
@@ -696,23 +731,3 @@ class TestSlashRuleInImages:
         assert report.matched_tokens == {"bin/start": "/usr/src/app/bin/start"}
         assert "/usr/src/app/bin/start" in kept
         assert "/usr/src/app/bin/stop" not in kept
-
-
-def test_slim_lists_the_search_dirs_once_per_rootfs(tmp_path, monkeypatch):
-    """The command names and the chains they head come from one search
-    listing of the image's rootfs; the report counts commands in a listing
-    of its own, of the retained entries."""
-    listed = []
-    real = rootfs_mod._list_commands
-
-    def counting(rootfs, search_dirs):
-        listed.append(rootfs)
-        return real(rootfs, search_dirs)
-
-    monkeypatch.setattr(rootfs_mod, "_list_commands", counting)
-    layer = make_layer_tar(shell_chain_members())
-    image = tmp_path / "image.tar"
-    image.write_bytes(make_docker_archive([layer]))
-    slim_image(image, ctl_of("sh"), tmp_path / "slim.tar")
-    assert len(listed) == len({id(rootfs) for rootfs in listed}) == 2
-    assert set(listed[1].entries) < set(listed[0].entries)
